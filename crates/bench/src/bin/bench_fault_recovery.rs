@@ -20,13 +20,12 @@
 //!                      [--per-mille N] [--out PATH]
 //! ```
 
+use engarde_bench::harness::{fleet_machine, per_model_second, write_json, Flags};
 use engarde_serve::faults::{FaultKind, FaultMix, FaultPlan};
+use engarde_serve::metrics::Json;
 use engarde_serve::regimes;
 use engarde_serve::service::{ProvisioningService, SchedMode, ServiceConfig, ServiceResult};
 use engarde_serve::SessionRunConfig;
-use engarde_sgx::instr::SgxVersion;
-use engarde_sgx::machine::MachineConfig;
-use engarde_sgx::perf::CLOCK_GHZ;
 use engarde_workloads::traffic::{chaos_fleet, TrafficItem};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -39,42 +38,17 @@ struct Args {
     out: String,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            sessions: 24,
-            scale_percent: 3,
-            seed: 0xFA_0175,
-            per_mille: 500,
-            out: "BENCH_faults.json".into(),
-        }
-    }
-}
-
 fn parse_args() -> Args {
-    let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut take = || it.next().unwrap_or_else(|| panic!("{flag} needs a value"));
-        match flag.as_str() {
-            "--sessions" => args.sessions = take().parse().expect("--sessions"),
-            "--scale" => args.scale_percent = take().parse().expect("--scale"),
-            "--seed" => args.seed = take().parse().expect("--seed"),
-            "--per-mille" => args.per_mille = take().parse().expect("--per-mille"),
-            "--out" => args.out = take(),
-            other => panic!("unknown flag {other}"),
-        }
-    }
+    let mut f = Flags::from_env();
+    let args = Args {
+        sessions: f.get("--sessions", 24),
+        scale_percent: f.get("--scale", 3),
+        seed: f.get("--seed", 0xFA_0175),
+        per_mille: f.get("--per-mille", 500),
+        out: f.get("--out", "BENCH_faults.json".into()),
+    };
+    f.finish();
     args
-}
-
-fn machine(seed: u64) -> MachineConfig {
-    MachineConfig {
-        epc_pages: 8_192,
-        version: SgxVersion::V2,
-        device_key_bits: 512,
-        seed,
-    }
 }
 
 fn run(
@@ -88,7 +62,7 @@ fn run(
         mode: SchedMode::VirtualTime {
             arrival_gap: 2_000_000,
         },
-        machine: machine(seed),
+        machine: fleet_machine(seed),
         queue_capacity: 1024,
         run: SessionRunConfig::chaos_hardened(),
         verdict_cache: None,
@@ -105,8 +79,7 @@ fn run(
 }
 
 fn throughput(result: &ServiceResult) -> f64 {
-    let model_seconds = result.makespan_cycles.max(1) as f64 / (CLOCK_GHZ * 1e9);
-    result.metrics.counters().completed as f64 / model_seconds
+    per_model_second(result.metrics.counters().completed, result.makespan_cycles)
 }
 
 fn main() {
@@ -150,39 +123,29 @@ fn main() {
     );
 
     let m = faulted.metrics.counters();
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"sessions\": {},\n  \"scale_percent\": {},\n  \"seed\": {},\n  \"per_mille\": {},\n",
-        args.sessions, args.scale_percent, args.seed, args.per_mille
-    ));
-    json.push_str(&format!(
-        "  \"recovery_rate\": {recovery_rate:.4},\n  \"throughput_retention\": {throughput_retention:.4},\n  \"fault_free_identical\": {fault_free_identical},\n"
-    ));
-    json.push_str(&format!(
-        "  \"baseline_throughput_per_sec\": {:.4},\n  \"faulted_throughput_per_sec\": {:.4},\n",
-        throughput(&baseline),
-        throughput(&faulted)
-    ));
-    json.push_str(&format!(
-        "  \"completed\": {},\n  \"evicted\": {},\n  \"retries\": {},\n  \"shed\": {},\n  \"workers_died\": {},\n",
-        m.completed, m.evicted, m.retries, m.shed, m.workers_died
-    ));
-    json.push_str("  \"faults\": {\n");
-    for (i, kind) in FaultKind::ALL.iter().enumerate() {
-        let s = stats.kind(*kind);
-        json.push_str(&format!(
-            "    \"{}\": {{\"injected\": {}, \"detected\": {}, \"retried\": {}, \"recovered\": {}, \"evicted\": {}}}{}\n",
-            kind.name(),
-            s.injected,
-            s.detected,
-            s.retried,
-            s.recovered,
-            s.evicted,
-            if i + 1 < FaultKind::ALL.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  }\n}\n");
-
-    std::fs::write(&args.out, &json).expect("write BENCH_faults.json");
-    eprintln!("wrote {}", args.out);
+    let faults = FaultKind::ALL.map(|k| (k.name(), stats.kind(k).to_json()));
+    let doc = Json::obj([
+        ("sessions", args.sessions.into()),
+        ("scale_percent", args.scale_percent.into()),
+        ("seed", args.seed.into()),
+        ("per_mille", u64::from(args.per_mille).into()),
+        ("recovery_rate", Json::Fixed(recovery_rate, 4)),
+        ("throughput_retention", Json::Fixed(throughput_retention, 4)),
+        ("fault_free_identical", fault_free_identical.into()),
+        (
+            "baseline_throughput_per_sec",
+            Json::Fixed(throughput(&baseline), 4),
+        ),
+        (
+            "faulted_throughput_per_sec",
+            Json::Fixed(throughput(&faulted), 4),
+        ),
+        ("completed", m.completed.into()),
+        ("evicted", m.evicted.into()),
+        ("retries", m.retries.into()),
+        ("shed", m.shed.into()),
+        ("workers_died", m.workers_died.into()),
+        ("faults", Json::obj(faults)),
+    ]);
+    write_json(&args.out, &doc);
 }

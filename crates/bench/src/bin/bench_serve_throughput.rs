@@ -17,11 +17,11 @@
 //!                        [--capacity N] [--out PATH] [--skip-threaded]
 //! ```
 
+use engarde_bench::harness::{fleet_machine, per_model_second, write_json, Flags};
+use engarde_serve::metrics::Json;
 use engarde_serve::regimes;
 use engarde_serve::service::{ProvisioningService, SchedMode, ServiceConfig, ServiceResult};
 use engarde_serve::{BatchPolicy, ServeError, SessionRunConfig};
-use engarde_sgx::instr::SgxVersion;
-use engarde_sgx::machine::MachineConfig;
 use engarde_sgx::perf::CLOCK_GHZ;
 use engarde_workloads::traffic::{
     mixed_traffic, repeated_binary_traffic, TrafficItem, TrafficSpec,
@@ -40,43 +40,19 @@ struct Args {
     skip_threaded: bool,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            sessions: 24,
-            shard_counts: vec![1, 2, 4],
-            scale_percent: 5,
-            seed: 0x5E12_7E00,
-            arrival_gap: 2_000_000,
-            capacity: 1024,
-            out: "BENCH_serve.json".into(),
-            skip_threaded: false,
-        }
-    }
-}
-
 fn parse_args() -> Args {
-    let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut take = || it.next().unwrap_or_else(|| panic!("{flag} needs a value"));
-        match flag.as_str() {
-            "--sessions" => args.sessions = take().parse().expect("--sessions"),
-            "--shards" => {
-                args.shard_counts = take()
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--shards"))
-                    .collect();
-            }
-            "--scale" => args.scale_percent = take().parse().expect("--scale"),
-            "--seed" => args.seed = take().parse().expect("--seed"),
-            "--arrival-gap" => args.arrival_gap = take().parse().expect("--arrival-gap"),
-            "--capacity" => args.capacity = take().parse().expect("--capacity"),
-            "--out" => args.out = take(),
-            "--skip-threaded" => args.skip_threaded = true,
-            other => panic!("unknown flag {other}"),
-        }
-    }
+    let mut f = Flags::from_env();
+    let args = Args {
+        sessions: f.get("--sessions", 24),
+        shard_counts: f.list("--shards", vec![1, 2, 4]),
+        scale_percent: f.get("--scale", 5),
+        seed: f.get("--seed", 0x5E12_7E00),
+        arrival_gap: f.get("--arrival-gap", 2_000_000),
+        capacity: f.get("--capacity", 1024),
+        out: f.get("--out", "BENCH_serve.json".into()),
+        skip_threaded: f.switch("--skip-threaded"),
+    };
+    f.finish();
     assert!(
         !args.shard_counts.is_empty(),
         "need at least one fleet size"
@@ -100,15 +76,6 @@ struct VirtualRun {
     /// Fingerprint of all verdicts + cycle totals, for determinism
     /// comparison across repeat runs.
     fingerprint: String,
-}
-
-fn machine(seed: u64) -> MachineConfig {
-    MachineConfig {
-        epc_pages: 8_192,
-        version: SgxVersion::V2,
-        device_key_bits: 512,
-        seed,
-    }
 }
 
 fn submit_all(
@@ -139,7 +106,7 @@ fn run_virtual(
         mode: SchedMode::VirtualTime {
             arrival_gap: args.arrival_gap,
         },
-        machine: machine(args.seed),
+        machine: fleet_machine(args.seed),
         queue_capacity: capacity,
         run: SessionRunConfig::default(),
         verdict_cache: None,
@@ -151,8 +118,6 @@ fn run_virtual(
     let rejected = submit_all(&mut svc, traffic, musl);
     let result = svc.drain();
     let m = result.metrics.counters();
-    let makespan = result.makespan_cycles.max(1);
-    let model_seconds = makespan as f64 / (CLOCK_GHZ * 1e9);
     let run = VirtualRun {
         shards,
         admitted: m.admitted,
@@ -161,7 +126,7 @@ fn run_virtual(
         compliant: m.compliant,
         noncompliant: m.noncompliant,
         makespan_cycles: result.makespan_cycles,
-        throughput_per_sec: m.completed as f64 / model_seconds,
+        throughput_per_sec: per_model_second(m.completed, result.makespan_cycles),
         p50_latency_cycles: result.metrics.latency_percentile(50).unwrap_or(0),
         p99_latency_cycles: result.metrics.latency_percentile(99).unwrap_or(0),
         queue_depth_highwater: m.queue_depth_highwater,
@@ -219,7 +184,7 @@ fn run_skewed(
         mode: SchedMode::VirtualTime {
             arrival_gap: args.arrival_gap,
         },
-        machine: machine(args.seed),
+        machine: fleet_machine(args.seed),
         queue_capacity: args.capacity,
         run: SessionRunConfig::default(),
         verdict_cache: cache.then_some(64),
@@ -242,15 +207,13 @@ fn run_skewed(
     let result = svc.drain();
     let m = result.metrics.counters();
     let sched = result.metrics.sched_stats();
-    let makespan = result.makespan_cycles.max(1);
-    let model_seconds = makespan as f64 / (CLOCK_GHZ * 1e9);
     SkewedRun {
         label,
         shards,
         steal,
         batch,
         cache,
-        throughput_per_sec: m.completed as f64 / model_seconds,
+        throughput_per_sec: per_model_second(m.completed, result.makespan_cycles),
         makespan_cycles: result.makespan_cycles,
         steals: sched.steals,
         stolen_sessions: sched.stolen_sessions,
@@ -373,7 +336,7 @@ fn main() {
     let mut svc = ProvisioningService::start(ServiceConfig {
         shards: 1,
         mode: SchedMode::VirtualTime { arrival_gap: 1 },
-        machine: machine(args.seed),
+        machine: fleet_machine(args.seed),
         queue_capacity: 2,
         run: SessionRunConfig::default(),
         verdict_cache: None,
@@ -397,7 +360,7 @@ fn main() {
         let mut svc = ProvisioningService::start(ServiceConfig {
             shards: largest,
             mode: SchedMode::Threaded,
-            machine: machine(args.seed),
+            machine: fleet_machine(args.seed),
             queue_capacity: args.capacity,
             run: SessionRunConfig::default(),
             verdict_cache: None,
@@ -422,82 +385,99 @@ fn main() {
         .expect("base fleet measured")
         .makespan_cycles;
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"sessions\": {},\n  \"scale_percent\": {},\n  \"seed\": {},\n  \"arrival_gap_cycles\": {},\n  \"clock_ghz\": {CLOCK_GHZ},\n",
-        args.sessions, args.scale_percent, args.seed, args.arrival_gap
-    ));
-    json.push_str("  \"runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        let speedup = base_makespan as f64 / r.makespan_cycles.max(1) as f64;
-        json.push_str(&format!(
-            "    {{\"shards\": {}, \"admitted\": {}, \"rejected\": {}, \"evicted\": {}, \"compliant\": {}, \"noncompliant\": {}, \"makespan_cycles\": {}, \"throughput_per_sec\": {:.4}, \"p50_latency_cycles\": {}, \"p99_latency_cycles\": {}, \"queue_depth_highwater\": {}, \"speedup_vs_min_fleet\": {:.4}, \"fingerprint\": \"{}\"}}{}\n",
-            r.shards,
-            r.admitted,
-            r.rejected,
-            r.evicted,
-            r.compliant,
-            r.noncompliant,
-            r.makespan_cycles,
-            r.throughput_per_sec,
-            r.p50_latency_cycles,
-            r.p99_latency_cycles,
-            r.queue_depth_highwater,
-            speedup,
-            r.fingerprint,
-            if i + 1 < runs.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"deterministic\": {deterministic},\n"));
-    json.push_str("  \"skewed\": {\n    \"hot_shard_ratio\": \"8:1:1:1\",\n    \"runs\": [\n");
-    for (i, r) in skewed.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{\"label\": \"{}\", \"shards\": {}, \"steal\": {}, \"batch\": {}, \"cache\": {}, \"throughput_per_sec\": {:.4}, \"makespan_cycles\": {}, \"speedup_vs_baseline\": {:.4}, \"steals\": {}, \"stolen_sessions\": {}, \"batches\": {}, \"batched_sessions\": {}, \"fingerprint\": \"{}\"}}{}\n",
-            r.label,
-            r.shards,
-            r.steal,
-            r.batch,
-            r.cache,
-            r.throughput_per_sec,
-            r.makespan_cycles,
-            r.throughput_per_sec / skew_base,
-            r.steals,
-            r.stolen_sessions,
-            r.batches,
-            r.batched_sessions,
-            r.fingerprint,
-            if i + 1 < skewed.len() { "," } else { "" }
-        ));
-    }
-    json.push_str(&format!(
-        "    ],\n    \"speedup_pinned\": {:.4},\n    \"speedup_steal\": {:.4},\n    \"speedup_steal_batch_cache\": {skew_speedup:.4},\n    \"deterministic\": {skew_deterministic}\n  }},\n",
-        skewed[1].throughput_per_sec / skew_base,
-        skewed[2].throughput_per_sec / skew_base,
-    ));
-    json.push_str(&format!(
-        "  \"overload\": {{\"sessions\": {overload_total}, \"rejected\": {overload_rejected}, \"rejection_rate\": {rejection_rate:.4}, \"queue_capacity\": 2, \"completed\": {}}},\n",
-        overload.metrics.counters().completed
-    ));
-    match &threaded {
-        Some((result, rejected, wall_secs)) => {
-            let m = result.metrics.counters();
-            let th = result.metrics.threaded_stats();
-            json.push_str(&format!(
-                "  \"threaded\": {{\"shards\": {largest}, \"completed\": {}, \"rejected\": {rejected}, \"wall_seconds\": {wall_secs:.4}, \"wall_throughput_per_sec\": {:.4}, \"steals\": {}, \"stolen_sessions\": {}, \"drained_from_dead\": {}, \"batches\": {}, \"batched_sessions\": {}}}\n",
-                m.completed,
-                m.completed as f64 / wall_secs.max(1e-9),
-                th.steals,
-                th.stolen_sessions,
-                th.drained_from_dead,
-                th.batches,
-                th.batched_sessions
-            ));
-        }
-        None => json.push_str("  \"threaded\": null\n"),
-    }
-    json.push_str("}\n");
-
-    std::fs::write(&args.out, &json).expect("write BENCH_serve.json");
-    eprintln!("wrote {}", args.out);
+    let runs = runs.iter().map(|r| {
+        Json::obj([
+            ("shards", r.shards.into()),
+            ("admitted", r.admitted.into()),
+            ("rejected", r.rejected.into()),
+            ("evicted", r.evicted.into()),
+            ("compliant", r.compliant.into()),
+            ("noncompliant", r.noncompliant.into()),
+            ("makespan_cycles", r.makespan_cycles.into()),
+            ("throughput_per_sec", Json::Fixed(r.throughput_per_sec, 4)),
+            ("p50_latency_cycles", r.p50_latency_cycles.into()),
+            ("p99_latency_cycles", r.p99_latency_cycles.into()),
+            ("queue_depth_highwater", r.queue_depth_highwater.into()),
+            (
+                "speedup_vs_min_fleet",
+                Json::Fixed(base_makespan as f64 / r.makespan_cycles.max(1) as f64, 4),
+            ),
+            ("fingerprint", r.fingerprint.as_str().into()),
+        ])
+    });
+    let skewed_runs = skewed.iter().map(|r| {
+        Json::obj([
+            ("label", r.label.into()),
+            ("shards", r.shards.into()),
+            ("steal", r.steal.into()),
+            ("batch", r.batch.into()),
+            ("cache", r.cache.into()),
+            ("throughput_per_sec", Json::Fixed(r.throughput_per_sec, 4)),
+            ("makespan_cycles", r.makespan_cycles.into()),
+            (
+                "speedup_vs_baseline",
+                Json::Fixed(r.throughput_per_sec / skew_base, 4),
+            ),
+            ("steals", r.steals.into()),
+            ("stolen_sessions", r.stolen_sessions.into()),
+            ("batches", r.batches.into()),
+            ("batched_sessions", r.batched_sessions.into()),
+            ("fingerprint", r.fingerprint.as_str().into()),
+        ])
+    });
+    let skewed_block = Json::obj([
+        ("hot_shard_ratio", "8:1:1:1".into()),
+        ("runs", Json::Arr(skewed_runs.collect())),
+        (
+            "speedup_pinned",
+            Json::Fixed(skewed[1].throughput_per_sec / skew_base, 4),
+        ),
+        (
+            "speedup_steal",
+            Json::Fixed(skewed[2].throughput_per_sec / skew_base, 4),
+        ),
+        ("speedup_steal_batch_cache", Json::Fixed(skew_speedup, 4)),
+        ("deterministic", skew_deterministic.into()),
+    ]);
+    let overload_block = Json::obj([
+        ("sessions", overload_total.into()),
+        ("rejected", overload_rejected.into()),
+        ("rejection_rate", Json::Fixed(rejection_rate, 4)),
+        ("queue_capacity", 2u64.into()),
+        ("completed", overload.metrics.counters().completed.into()),
+    ]);
+    // One service runs one backend, so the threaded run's scheduler
+    // counters are the threaded backend's own.
+    let threaded_block = threaded.map_or(Json::Null, |(result, rejected, wall_secs)| {
+        let completed = result.metrics.counters().completed;
+        let s = result.metrics.sched_stats();
+        Json::obj([
+            ("shards", largest.into()),
+            ("completed", completed.into()),
+            ("rejected", rejected.into()),
+            ("wall_seconds", Json::Fixed(wall_secs, 4)),
+            (
+                "wall_throughput_per_sec",
+                Json::Fixed(completed as f64 / wall_secs.max(1e-9), 4),
+            ),
+            ("steals", s.steals.into()),
+            ("stolen_sessions", s.stolen_sessions.into()),
+            ("drained_from_dead", s.drained_from_dead.into()),
+            ("batches", s.batches.into()),
+            ("batched_sessions", s.batched_sessions.into()),
+        ])
+    });
+    let doc = Json::obj([
+        ("sessions", args.sessions.into()),
+        ("scale_percent", args.scale_percent.into()),
+        ("seed", args.seed.into()),
+        ("arrival_gap_cycles", args.arrival_gap.into()),
+        ("clock_ghz", Json::Float(CLOCK_GHZ)),
+        ("runs", Json::Arr(runs.collect())),
+        ("deterministic", deterministic.into()),
+        ("skewed", skewed_block),
+        ("overload", overload_block),
+        ("threaded", threaded_block),
+    ]);
+    write_json(&args.out, &doc);
 }

@@ -26,14 +26,14 @@
 //!                       [--dir PATH] [--out PATH]
 //! ```
 
+use engarde_bench::harness::{fleet_machine, per_model_second, write_json, Flags};
 use engarde_core::loader::LoaderConfig;
 use engarde_core::provision::BootstrapSpec;
+use engarde_serve::metrics::Json;
 use engarde_serve::persist::StoreConfig;
 use engarde_serve::regimes;
 use engarde_serve::service::{ProvisioningService, SchedMode, ServiceConfig};
 use engarde_serve::SessionRunConfig;
-use engarde_sgx::instr::SgxVersion;
-use engarde_sgx::machine::MachineConfig;
 use engarde_sgx::perf::CLOCK_GHZ;
 use engarde_workloads::traffic::{distinct_binary_traffic, TrafficItem};
 use std::collections::HashMap;
@@ -50,46 +50,19 @@ struct Args {
     out: String,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            sessions: 12,
-            scale_percent: 5,
-            seed: 0x5708_E000,
-            arrival_gap: 2_000_000,
-            shards: 2,
-            dir: None,
-            out: "BENCH_store.json".into(),
-        }
-    }
-}
-
 fn parse_args() -> Args {
-    let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut take = || it.next().unwrap_or_else(|| panic!("{flag} needs a value"));
-        match flag.as_str() {
-            "--sessions" => args.sessions = take().parse().expect("--sessions"),
-            "--scale" => args.scale_percent = take().parse().expect("--scale"),
-            "--seed" => args.seed = take().parse().expect("--seed"),
-            "--arrival-gap" => args.arrival_gap = take().parse().expect("--arrival-gap"),
-            "--shards" => args.shards = take().parse().expect("--shards"),
-            "--dir" => args.dir = Some(PathBuf::from(take())),
-            "--out" => args.out = take(),
-            other => panic!("unknown flag {other}"),
-        }
-    }
+    let mut f = Flags::from_env();
+    let args = Args {
+        sessions: f.get("--sessions", 12),
+        scale_percent: f.get("--scale", 5),
+        seed: f.get("--seed", 0x5708_E000),
+        arrival_gap: f.get("--arrival-gap", 2_000_000),
+        shards: f.get("--shards", 2),
+        dir: f.opt("--dir"),
+        out: f.get("--out", "BENCH_store.json".into()),
+    };
+    f.finish();
     args
-}
-
-fn machine(seed: u64) -> MachineConfig {
-    MachineConfig {
-        epc_pages: 8_192,
-        version: SgxVersion::V2,
-        device_key_bits: 512,
-        seed,
-    }
 }
 
 /// One measured fleet generation over the persistent store.
@@ -119,7 +92,7 @@ fn run_fleet(
         mode: SchedMode::VirtualTime {
             arrival_gap: args.arrival_gap,
         },
-        machine: machine(args.seed),
+        machine: fleet_machine(args.seed),
         queue_capacity: traffic.len().max(1) * 2,
         run: SessionRunConfig::default(),
         verdict_cache: None,
@@ -135,19 +108,17 @@ fn run_fleet(
     let result = svc.drain();
     let m = result.metrics.counters();
     let s = result.metrics.store_stats();
-    let makespan = result.makespan_cycles.max(1);
-    let model_seconds = makespan as f64 / (CLOCK_GHZ * 1e9);
     let run = FleetRun {
         label,
         makespan_cycles: result.makespan_cycles,
-        sessions_per_model_sec: m.completed as f64 / model_seconds,
+        sessions_per_model_sec: per_model_second(m.completed, result.makespan_cycles),
         compliant: m.compliant,
-        warm_hits: m.cache_warm_hits,
+        warm_hits: result.metrics.cache_stats().warm_hits,
         report_hits: result.reports.iter().filter(|r| r.cache_hit).count() as u64,
         hydrated: s.hydrated,
         flushed: s.flushed,
-        live_records: s.live_records,
-        segments: s.segments,
+        live_records: s.stats.live_records,
+        segments: s.stats.segments,
         verdict_fingerprint: result.verdict_fingerprint(),
     };
     eprintln!(
@@ -157,20 +128,22 @@ fn run_fleet(
     run
 }
 
-fn fleet_json(r: &FleetRun) -> String {
-    format!(
-        "{{\"makespan_cycles\": {}, \"sessions_per_model_sec\": {:.4}, \"compliant\": {}, \"warm_hits\": {}, \"report_hits\": {}, \"hydrated\": {}, \"flushed\": {}, \"live_records\": {}, \"segments\": {}, \"verdict_fingerprint\": \"{}\"}}",
-        r.makespan_cycles,
-        r.sessions_per_model_sec,
-        r.compliant,
-        r.warm_hits,
-        r.report_hits,
-        r.hydrated,
-        r.flushed,
-        r.live_records,
-        r.segments,
-        r.verdict_fingerprint
-    )
+fn fleet_json(r: &FleetRun) -> Json {
+    Json::obj([
+        ("makespan_cycles", r.makespan_cycles.into()),
+        (
+            "sessions_per_model_sec",
+            Json::Fixed(r.sessions_per_model_sec, 4),
+        ),
+        ("compliant", r.compliant.into()),
+        ("warm_hits", r.warm_hits.into()),
+        ("report_hits", r.report_hits.into()),
+        ("hydrated", r.hydrated.into()),
+        ("flushed", r.flushed.into()),
+        ("live_records", r.live_records.into()),
+        ("segments", r.segments.into()),
+        ("verdict_fingerprint", r.verdict_fingerprint.as_str().into()),
+    ])
 }
 
 fn main() {
@@ -183,7 +156,7 @@ fn main() {
     });
     let _ = std::fs::remove_dir_all(&dir);
     let spec = BootstrapSpec::new("EnGarde-1.0", LoaderConfig::default(), &[], 64, 512);
-    let store = StoreConfig::sealed_at(&dir, &machine(args.seed), &spec);
+    let store = StoreConfig::sealed_at(&dir, &fleet_machine(args.seed), &spec);
     eprintln!(
         "bench_store_warmstart: {}-tenant distinct-binary fleet (scale {}%), store at {}",
         args.sessions,
@@ -237,21 +210,22 @@ fn main() {
         "warm restart must be at least 2x cold, got {speedup:.2}x"
     );
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"sessions\": {},\n  \"scale_percent\": {},\n  \"seed\": {},\n  \"arrival_gap_cycles\": {},\n  \"shards\": {},\n  \"clock_ghz\": {CLOCK_GHZ},\n",
-        args.sessions, args.scale_percent, args.seed, args.arrival_gap, args.shards
-    ));
-    for r in [&cold, &warm, &warm_repeat] {
-        json.push_str(&format!("  \"{}\": {},\n", r.label, fleet_json(r)));
-    }
-    json.push_str(&format!(
-        "  \"warmstart_speedup\": {speedup:.4},\n  \"verdicts_bit_identical\": {identical},\n  \"all_warm_hits\": {all_warm},\n  \"deterministic\": {deterministic}\n"
-    ));
-    json.push_str("}\n");
-
-    std::fs::write(&args.out, &json).expect("write BENCH_store.json");
-    eprintln!("wrote {}", args.out);
+    let mut doc = vec![
+        ("sessions", args.sessions.into()),
+        ("scale_percent", args.scale_percent.into()),
+        ("seed", args.seed.into()),
+        ("arrival_gap_cycles", args.arrival_gap.into()),
+        ("shards", args.shards.into()),
+        ("clock_ghz", Json::Float(CLOCK_GHZ)),
+    ];
+    doc.extend([&cold, &warm, &warm_repeat].map(|r| (r.label, fleet_json(r))));
+    doc.extend([
+        ("warmstart_speedup", Json::Fixed(speedup, 4)),
+        ("verdicts_bit_identical", identical.into()),
+        ("all_warm_hits", all_warm.into()),
+        ("deterministic", deterministic.into()),
+    ]);
+    write_json(&args.out, &Json::obj(doc));
     if args.dir.is_none() {
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -21,10 +21,12 @@
 //! bench_taint_analysis [--depths N,N,..] [--filler N] [--seed S] [--out PATH]
 //! ```
 
+use engarde_bench::harness::{write_json, Flags};
 use engarde_core::analysis::{ProgramAnalysis, TaintAnalysis};
 use engarde_core::loader::{load, LoadedBinary, LoaderConfig};
 use engarde_core::policy::{run_policies, PolicyModule, SecretDependentBranch, SecretLeakage};
 use engarde_elf::build::ElfBuilder;
+use engarde_serve::metrics::Json;
 use engarde_sgx::epc::{PagePerms, PAGE_SIZE};
 use engarde_sgx::instr::SgxVersion;
 use engarde_sgx::machine::{EnclaveId, MachineConfig, SgxMachine};
@@ -47,35 +49,15 @@ struct Args {
     out: String,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            depths: vec![2, 4, 8, 16, 32],
-            filler: 6,
-            seed: 0x7A17,
-            out: "BENCH_analysis.json".into(),
-        }
-    }
-}
-
 fn parse_args() -> Args {
-    let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut take = || it.next().unwrap_or_else(|| panic!("{flag} needs a value"));
-        match flag.as_str() {
-            "--depths" => {
-                args.depths = take()
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--depths"))
-                    .collect();
-            }
-            "--filler" => args.filler = take().parse().expect("--filler"),
-            "--seed" => args.seed = take().parse().expect("--seed"),
-            "--out" => args.out = take(),
-            other => panic!("unknown flag {other}"),
-        }
-    }
+    let mut f = Flags::from_env();
+    let args = Args {
+        depths: f.list("--depths", vec![2, 4, 8, 16, 32]),
+        filler: f.get("--filler", 6),
+        seed: f.get("--seed", 0x7A17),
+        out: f.get("--out", "BENCH_analysis.json".into()),
+    };
+    f.finish();
     args
 }
 
@@ -461,50 +443,46 @@ fn main() {
     }
     assert!(all_correct, "an adversarial fixture got the wrong verdict");
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"seed\": {},\n  \"filler_moves\": {},\n",
-        args.seed, args.filler
-    ));
-    json.push_str("  \"scaling\": [\n");
-    for (i, p) in scaling.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"functions\": {}, \"image_bytes\": {}, \"taint_cycles\": {}, \"propagation_steps\": {}, \"sccs\": {}, \"fixpoint_visits\": {}, \"leaks\": {}}}{}\n",
-            p.functions,
-            p.image_bytes,
-            p.taint_cycles,
-            p.propagation_steps,
-            p.sccs,
-            p.fixpoint_visits,
-            p.leaks,
-            if i + 1 < scaling.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"memo\": {{\"single_leakage_cycles\": {leakage_only}, \"single_branch_cycles\": {branch_only}, \"shared_two_policy_cycles\": {shared_both}, \"memo_speedup\": {memo_speedup:.4}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"memory_domain\": {{\"plain_chain_cycles\": {}, \"spill_chain_cycles\": {}, \"overhead_pct\": {:.2}, \"cell_steps\": {}, \"spill_cells\": {}, \"weak_updates\": {}, \"unresolved_store_sinks\": {}}},\n",
-        plain.taint_cycles,
-        spill_cycles,
-        overhead_pct,
-        spill_taint.cell_steps,
-        spill_stats.spill_cells,
-        spill_stats.weak_updates,
-        spill_stats.unresolved_store_sinks,
-    ));
-    json.push_str("  \"fixtures\": {");
-    for (i, (name, ok)) in fixtures.iter().enumerate() {
-        json.push_str(&format!(
-            "\"{name}\": {ok}{}",
-            if i + 1 < fixtures.len() { ", " } else { "" }
-        ));
-    }
-    json.push_str("},\n");
-    json.push_str(&format!("  \"all_fixtures_correct\": {all_correct}\n"));
-    json.push_str("}\n");
-
-    std::fs::write(&args.out, &json).expect("write BENCH_analysis.json");
-    eprintln!("wrote {}", args.out);
+    let scaling = scaling.iter().map(|p| {
+        Json::obj([
+            ("functions", p.functions.into()),
+            ("image_bytes", p.image_bytes.into()),
+            ("taint_cycles", p.taint_cycles.into()),
+            ("propagation_steps", p.propagation_steps.into()),
+            ("sccs", p.sccs.into()),
+            ("fixpoint_visits", p.fixpoint_visits.into()),
+            ("leaks", p.leaks.into()),
+        ])
+    });
+    let memo = [
+        ("single_leakage_cycles", leakage_only.into()),
+        ("single_branch_cycles", branch_only.into()),
+        ("shared_two_policy_cycles", shared_both.into()),
+        ("memo_speedup", Json::Fixed(memo_speedup, 4)),
+    ];
+    let memory_domain = [
+        ("plain_chain_cycles", plain.taint_cycles.into()),
+        ("spill_chain_cycles", spill_cycles.into()),
+        ("overhead_pct", Json::Fixed(overhead_pct, 2)),
+        ("cell_steps", spill_taint.cell_steps.into()),
+        ("spill_cells", spill_stats.spill_cells.into()),
+        ("weak_updates", spill_stats.weak_updates.into()),
+        (
+            "unresolved_store_sinks",
+            spill_stats.unresolved_store_sinks.into(),
+        ),
+    ];
+    let doc = Json::obj([
+        ("seed", args.seed.into()),
+        ("filler_moves", args.filler.into()),
+        ("scaling", Json::Arr(scaling.collect())),
+        ("memo", Json::obj(memo)),
+        ("memory_domain", Json::obj(memory_domain)),
+        (
+            "fixtures",
+            Json::obj(fixtures.map(|(name, ok)| (name, ok.into()))),
+        ),
+        ("all_fixtures_correct", all_correct.into()),
+    ]);
+    write_json(&args.out, &doc);
 }

@@ -25,11 +25,11 @@
 //!                     [--cross-shards N] [--out PATH]
 //! ```
 
+use engarde_bench::harness::{fleet_machine, per_model_second, write_json, Flags};
+use engarde_serve::metrics::Json;
 use engarde_serve::regimes;
 use engarde_serve::service::{ProvisioningService, SchedMode, ServiceConfig, ServiceResult};
 use engarde_serve::SessionRunConfig;
-use engarde_sgx::instr::SgxVersion;
-use engarde_sgx::machine::MachineConfig;
 use engarde_sgx::perf::CLOCK_GHZ;
 use engarde_workloads::traffic::{distinct_binary_traffic, repeated_binary_traffic, TrafficItem};
 use std::collections::HashMap;
@@ -45,46 +45,19 @@ struct Args {
     out: String,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            sessions: 16,
-            scale_percent: 5,
-            seed: 0x0CAC_4E00,
-            arrival_gap: 2_000_000,
-            cache_capacity: 64,
-            cross_shards: 2,
-            out: "BENCH_cache.json".into(),
-        }
-    }
-}
-
 fn parse_args() -> Args {
-    let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut take = || it.next().unwrap_or_else(|| panic!("{flag} needs a value"));
-        match flag.as_str() {
-            "--sessions" => args.sessions = take().parse().expect("--sessions"),
-            "--scale" => args.scale_percent = take().parse().expect("--scale"),
-            "--seed" => args.seed = take().parse().expect("--seed"),
-            "--arrival-gap" => args.arrival_gap = take().parse().expect("--arrival-gap"),
-            "--cache-capacity" => args.cache_capacity = take().parse().expect("--cache-capacity"),
-            "--cross-shards" => args.cross_shards = take().parse().expect("--cross-shards"),
-            "--out" => args.out = take(),
-            other => panic!("unknown flag {other}"),
-        }
-    }
+    let mut f = Flags::from_env();
+    let args = Args {
+        sessions: f.get("--sessions", 16),
+        scale_percent: f.get("--scale", 5),
+        seed: f.get("--seed", 0x0CAC_4E00),
+        arrival_gap: f.get("--arrival-gap", 2_000_000),
+        cache_capacity: f.get("--cache-capacity", 64),
+        cross_shards: f.get("--cross-shards", 2),
+        out: f.get("--out", "BENCH_cache.json".into()),
+    };
+    f.finish();
     args
-}
-
-fn machine(seed: u64) -> MachineConfig {
-    MachineConfig {
-        epc_pages: 8_192,
-        version: SgxVersion::V2,
-        device_key_bits: 512,
-        seed,
-    }
 }
 
 /// One measured fleet run.
@@ -113,13 +86,7 @@ fn verdict_fingerprint(result: &ServiceResult) -> String {
     let mut h = Sha256::new();
     for r in reports {
         h.update(r.name.as_bytes());
-        h.update(&[match &r.outcome {
-            engarde_serve::SessionOutcome::Compliant => 0u8,
-            engarde_serve::SessionOutcome::NonCompliant => 1,
-            engarde_serve::SessionOutcome::Evicted { .. } => 2,
-            engarde_serve::SessionOutcome::Failed { .. } => 3,
-            engarde_serve::SessionOutcome::Shed => 4,
-        }]);
+        h.update(&[r.outcome.class_byte()]);
         if let Some(v) = &r.verdict {
             h.update(&[v.compliant as u8]);
             h.update(v.detail.as_bytes());
@@ -142,7 +109,7 @@ fn run_fleet(
         mode: SchedMode::VirtualTime {
             arrival_gap: args.arrival_gap,
         },
-        machine: machine(args.seed),
+        machine: fleet_machine(args.seed),
         queue_capacity: traffic.len().max(1) * 2,
         run: SessionRunConfig::default(),
         verdict_cache: cache,
@@ -157,17 +124,16 @@ fn run_fleet(
     }
     let result = svc.drain();
     let m = result.metrics.counters();
-    let makespan = result.makespan_cycles.max(1);
-    let model_seconds = makespan as f64 / (CLOCK_GHZ * 1e9);
+    let cache = result.metrics.cache_stats();
     let run = FleetRun {
         label,
         makespan_cycles: result.makespan_cycles,
-        sessions_per_model_sec: m.completed as f64 / model_seconds,
+        sessions_per_model_sec: per_model_second(m.completed, result.makespan_cycles),
         compliant: m.compliant,
-        cache_hits: m.cache_hits,
-        cache_misses: m.cache_misses,
-        cache_evictions: m.cache_evictions,
-        cache_insertions: m.cache_insertions,
+        cache_hits: cache.hits,
+        cache_misses: cache.misses,
+        cache_evictions: cache.evictions,
+        cache_insertions: cache.insertions,
         report_hits: result.reports.iter().filter(|r| r.cache_hit).count() as u64,
         verdict_fingerprint: verdict_fingerprint(&result),
     };
@@ -178,19 +144,21 @@ fn run_fleet(
     run
 }
 
-fn fleet_json(r: &FleetRun) -> String {
-    format!(
-        "{{\"makespan_cycles\": {}, \"sessions_per_model_sec\": {:.4}, \"compliant\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \"cache_evictions\": {}, \"cache_insertions\": {}, \"report_hits\": {}, \"verdict_fingerprint\": \"{}\"}}",
-        r.makespan_cycles,
-        r.sessions_per_model_sec,
-        r.compliant,
-        r.cache_hits,
-        r.cache_misses,
-        r.cache_evictions,
-        r.cache_insertions,
-        r.report_hits,
-        r.verdict_fingerprint
-    )
+fn fleet_json(r: &FleetRun) -> Json {
+    Json::obj([
+        ("makespan_cycles", r.makespan_cycles.into()),
+        (
+            "sessions_per_model_sec",
+            Json::Fixed(r.sessions_per_model_sec, 4),
+        ),
+        ("compliant", r.compliant.into()),
+        ("cache_hits", r.cache_hits.into()),
+        ("cache_misses", r.cache_misses.into()),
+        ("cache_evictions", r.cache_evictions.into()),
+        ("cache_insertions", r.cache_insertions.into()),
+        ("report_hits", r.report_hits.into()),
+        ("verdict_fingerprint", r.verdict_fingerprint.as_str().into()),
+    ])
 }
 
 fn main() {
@@ -257,24 +225,30 @@ fn main() {
         "cross-shard fleet must share verdicts"
     );
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"sessions\": {},\n  \"scale_percent\": {},\n  \"seed\": {},\n  \"arrival_gap_cycles\": {},\n  \"cache_capacity\": {},\n  \"clock_ghz\": {CLOCK_GHZ},\n",
-        args.sessions, args.scale_percent, args.seed, args.arrival_gap, args.cache_capacity
-    ));
-    for r in [&cached, &uncached, &control] {
-        json.push_str(&format!("  \"{}\": {},\n", r.label, fleet_json(r)));
-    }
-    json.push_str(&format!(
-        "  \"cross_shard\": {{\"shards\": {}, \"run\": {}}},\n",
-        args.cross_shards,
-        fleet_json(&cross)
-    ));
-    json.push_str(&format!(
-        "  \"speedup_same_vs_distinct\": {speedup_vs_distinct:.4},\n  \"speedup_cached_vs_uncached\": {speedup_vs_uncached:.4},\n  \"verdicts_bit_identical\": {identical}\n"
-    ));
-    json.push_str("}\n");
-
-    std::fs::write(&args.out, &json).expect("write BENCH_cache.json");
-    eprintln!("wrote {}", args.out);
+    let mut doc = vec![
+        ("sessions", args.sessions.into()),
+        ("scale_percent", args.scale_percent.into()),
+        ("seed", args.seed.into()),
+        ("arrival_gap_cycles", args.arrival_gap.into()),
+        ("cache_capacity", args.cache_capacity.into()),
+        ("clock_ghz", Json::Float(CLOCK_GHZ)),
+    ];
+    doc.extend([&cached, &uncached, &control].map(|r| (r.label, fleet_json(r))));
+    let cross_shard = [
+        ("shards", args.cross_shards.into()),
+        ("run", fleet_json(&cross)),
+    ];
+    doc.extend([
+        ("cross_shard", Json::obj(cross_shard)),
+        (
+            "speedup_same_vs_distinct",
+            Json::Fixed(speedup_vs_distinct, 4),
+        ),
+        (
+            "speedup_cached_vs_uncached",
+            Json::Fixed(speedup_vs_uncached, 4),
+        ),
+        ("verdicts_bit_identical", identical.into()),
+    ]);
+    write_json(&args.out, &Json::obj(doc));
 }

@@ -16,12 +16,18 @@
 //!   per-policy rescans,
 //! - `ablation_epc` — stock OpenSGX limits vs the paper's configuration.
 //!
+//! The `bench_*` binaries (serve throughput, verdict cache, fault
+//! recovery, taint analysis, store warm start) each write a
+//! `BENCH_*.json`; they share the [`harness`] module.
+//!
 //! Every number comes out of the same full client↔provider protocol the
 //! examples run, measured with the OpenSGX cost model (10K cycles per
 //! SGX instruction, calibrated native costs).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod harness;
 
 use engarde_core::client::Client;
 use engarde_core::loader::LoaderConfig;

@@ -9,7 +9,7 @@ use engarde_sgx::epc::{PagePerms, PAGE_SIZE};
 use engarde_sgx::instr::SgxVersion;
 use engarde_sgx::machine::{EnclaveId, MachineConfig, SgxMachine};
 use engarde_x86::encode::Assembler;
-use engarde_x86::insn::Reg;
+use engarde_x86::reg::Reg;
 
 const SECRET: u64 = 0x10100;
 const SINK_OUT: u64 = 0x20000;

@@ -25,8 +25,9 @@
 //!   a pure function of seed and tick; bit-reproducible — the headline
 //!   measurement) and a real `std::thread` worker pool for wall-clock
 //!   numbers.
-//! - [`metrics`] — in-tree atomic counters, latency percentiles, and a
-//!   structured event log, exportable as JSON with zero dependencies.
+//! - [`metrics`] — in-tree counters (each declared once), latency
+//!   percentiles, and a bounded structured event log, exportable as
+//!   JSON with zero dependencies.
 //! - [`faults`] — deterministic fault injection: a seeded plan maps
 //!   every arrival index to at most one fault (block corruption /
 //!   truncation / drop / reorder / duplication, manifest flips, key

@@ -1,13 +1,22 @@
-//! Built-in service observability: atomic counters, cycle/latency
-//! accounting, and a structured event log — all in-tree, exportable as
-//! JSON with no external dependencies.
+//! Built-in service observability: counters, cycle/latency accounting,
+//! and a bounded structured event log — all in-tree, exportable as JSON
+//! with no external dependencies.
 //!
-//! Counters are lock-free atomics so worker threads update them without
-//! contention; latency samples and events take a short mutex only at
-//! record time. Percentiles are computed at export.
+//! Every exported number is declared once. Counters the service owns
+//! are fields of the plain structs below, whose JSON keys are their
+//! field names; blocks mirrored from another crate keep that crate's
+//! own struct ([`CacheStats`], [`StoreStats`], [`TaintStats`],
+//! [`StageCycles`]). All of them live behind one short-held mutex, so
+//! an export is a consistent snapshot. Percentiles are computed at
+//! export.
 
 use crate::faults::{FaultKind, FAULT_KIND_COUNT};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use engarde_core::analysis::TaintStats;
+use engarde_core::cache::CacheStats;
+use engarde_core::provision::StageCycles;
+use engarde_store::StoreStats;
+use std::collections::VecDeque;
+use std::fmt;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Locks a mutex, recovering from poisoning: a panicking worker must
@@ -18,6 +27,10 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
+
+/// How many events the log keeps. Older events are dropped (and
+/// counted) so a long-running service's log stays bounded.
+pub const EVENT_LOG_CAPACITY: usize = 4096;
 
 /// What happened, for the structured event log.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -95,224 +108,132 @@ pub struct Event {
     pub detail: String,
 }
 
-/// Per-stage accumulated model cycles across all completed sessions.
-#[derive(Default)]
-struct StageTotals {
-    receive_decrypt: AtomicU64,
-    disassembly: AtomicU64,
-    policy_checking: AtomicU64,
-    loading_relocation: AtomicU64,
+/// `(key, value)` JSON pairs for the named fields of `$v`, each keyed
+/// by the field's own name, so an export cannot drift from its struct.
+macro_rules! fields {
+    ($v:expr; $($field:ident),+ $(,)?) => {
+        vec![$((stringify!($field).to_string(), Json::from($v.$field))),+]
+    };
 }
 
-/// Verdict-cache counters, mirrored from the cache's own
-/// [`CacheStats`](engarde_core::cache::CacheStats) at drain/export time.
-#[derive(Default)]
-struct CacheCounters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    insertions: AtomicU64,
-    cycles_saved: AtomicU64,
-    warm_hits: AtomicU64,
+/// Adds each named field of `$src` into the same field of `$dst`.
+macro_rules! add_fields {
+    ($dst:expr, $src:expr; $($field:ident),+ $(,)?) => {
+        $($dst.$field += $src.$field;)+
+    };
 }
 
-/// Persistent-store counters. Gauges (`live_records`, `segments`,
-/// recovery findings) are mirrored idempotently from the store's own
-/// [`StoreStats`](engarde_store::StoreStats) via
-/// [`ServeMetrics::set_store_stats`]; the flow counters (`hydrated`,
-/// `flushed`, the flush-queue high-water mark) are incremented by the
-/// service as the events happen.
-#[derive(Default)]
-struct StoreCounters {
-    enabled: AtomicU64,
-    hydrated: AtomicU64,
-    flushed: AtomicU64,
-    flush_queue_highwater: AtomicU64,
-    live_records: AtomicU64,
-    stored_records: AtomicU64,
-    segments: AtomicU64,
-    compactions: AtomicU64,
-    records_recovered: AtomicU64,
-    torn_tail_truncations: AtomicU64,
-    corrupt_records: AtomicU64,
-    garbage_segments: AtomicU64,
-    lost_segments: AtomicU64,
-}
-
-/// Snapshot of the persistent-store counters, as plain numbers.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct StoreSnapshot {
-    /// Whether a store was attached to the service at all.
-    pub enabled: bool,
-    /// Records hydrated into the fleet cache at warm start.
-    pub hydrated: u64,
-    /// Records flushed from the dirty queue to disk.
-    pub flushed: u64,
-    /// Deepest the write-behind dirty queue ever got.
-    pub flush_queue_highwater: u64,
-    /// Distinct live keys in the store (last-write-wins).
-    pub live_records: u64,
-    /// Sealed records on disk (live + superseded).
-    pub stored_records: u64,
-    /// Segment files on disk.
-    pub segments: u64,
-    /// Compaction passes run.
-    pub compactions: u64,
-    /// Authenticated records the last recovery scan admitted.
-    pub records_recovered: u64,
-    /// Torn tails the last recovery scan truncated.
-    pub torn_tail_truncations: u64,
-    /// Authenticated-but-corrupt records the last recovery scan dropped.
-    pub corrupt_records: u64,
-    /// Whole segments the last recovery scan skipped as garbage.
-    pub garbage_segments: u64,
-    /// Segment-index holes the last recovery scan observed.
-    pub lost_segments: u64,
-}
-
-/// Taint-analysis verdict counters, accumulated from
-/// [`TaintStats`](engarde_core::analysis::TaintStats) across every
-/// session whose policy run touched the taint engine (cache hits
-/// replay the original session's stats and count here too).
-#[derive(Default)]
-struct TaintCounters {
-    sessions: AtomicU64,
-    leaks_found: AtomicU64,
-    tainted_branches: AtomicU64,
-    scc_count: AtomicU64,
-    fixpoint_iterations: AtomicU64,
-    spill_cells: AtomicU64,
-    weak_updates: AtomicU64,
-    unresolved_store_sinks: AtomicU64,
-    cycles_charged: AtomicU64,
-}
-
-/// Snapshot of the accumulated taint counters, as plain numbers.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct TaintSnapshot {
-    /// Sessions whose verdict included taint statistics.
-    pub sessions: u64,
-    /// Leak findings (out-of-enclave writes + exit operands) summed.
-    pub leaks_found: u64,
-    /// Secret-dependent branch findings summed.
-    pub tainted_branches: u64,
-    /// Call-graph SCCs analyzed, summed.
-    pub scc_count: u64,
-    /// Fixpoint block visits, summed.
-    pub fixpoint_iterations: u64,
-    /// Distinct memory cells the spill domain tracked, summed.
-    pub spill_cells: u64,
-    /// Weak-update events (unnameable tainted stores), summed.
-    pub weak_updates: u64,
-    /// Unresolved-store sink candidates flagged, summed.
-    pub unresolved_store_sinks: u64,
-    /// Native cycles charged for taint analyses, summed.
-    pub cycles_charged: u64,
-}
-
-/// Work-stealing scheduler counters: steals, batch admissions, and
-/// deque-depth pressure, accumulated by both backends (virtual-time
-/// deterministic steals and threaded load-based steals feed the same
-/// counters).
-#[derive(Default)]
-struct SchedCounters {
-    steals: AtomicU64,
-    stolen_sessions: AtomicU64,
-    drained_from_dead: AtomicU64,
-    batches: AtomicU64,
-    batched_sessions: AtomicU64,
-    batch_size_highwater: AtomicU64,
-    deque_depth_highwater: AtomicU64,
-}
-
-/// Snapshot of the scheduler counters, as plain numbers.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct SchedSnapshot {
-    /// Work items an idle worker stole from a peer's deque.
-    pub steals: u64,
-    /// Sessions that moved in those steals (a batch steals as a unit).
-    pub stolen_sessions: u64,
-    /// ... of which came off a *dead* worker's deque (the steal-aware
-    /// worker-death path: queued work outlives its home worker).
-    pub drained_from_dead: u64,
-    /// Batches formed (an item becomes a batch when its first follower
-    /// joins).
-    pub batches: u64,
-    /// Follower sessions admitted into an existing item.
-    pub batched_sessions: u64,
-    /// Largest batch ever formed.
-    pub batch_size_highwater: u64,
-    /// Deepest any single home deque ever got at admission.
-    pub deque_depth_highwater: u64,
-}
-
-/// Threaded-backend contention counters: the subset of scheduler
-/// activity performed by real OS worker threads, split out from the
-/// aggregate [`SchedCounters`] so CI can watch contention on real
-/// cores separately from the deterministic virtual-time scheduler.
-#[derive(Default)]
-struct ThreadedCounters {
-    steals: AtomicU64,
-    stolen_sessions: AtomicU64,
-    drained_from_dead: AtomicU64,
-    batches: AtomicU64,
-    batched_sessions: AtomicU64,
-}
-
-/// Snapshot of the threaded-backend scheduler counters, as plain
-/// numbers. Always a (possibly zero) subset of [`SchedSnapshot`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct ThreadedSnapshot {
-    /// Work items an idle OS worker stole from a peer's deque.
-    pub steals: u64,
-    /// Sessions that moved in those steals.
-    pub stolen_sessions: u64,
-    /// ... of which came off a dead worker's deque.
-    pub drained_from_dead: u64,
-    /// Batches formed on the threaded admission path.
-    pub batches: u64,
-    /// Follower sessions admitted into an existing threaded item.
-    pub batched_sessions: u64,
-}
-
-/// Per-fault-kind lifecycle counters: how many faults the layer
-/// injected, how many a typed error detected, how many retries they
-/// cost, how many sessions recovered cleanly, and how many were
-/// evicted because of the fault.
-struct FaultCounters {
-    injected: [AtomicU64; FAULT_KIND_COUNT],
-    detected: [AtomicU64; FAULT_KIND_COUNT],
-    retried: [AtomicU64; FAULT_KIND_COUNT],
-    recovered: [AtomicU64; FAULT_KIND_COUNT],
-    evicted: [AtomicU64; FAULT_KIND_COUNT],
-}
-
-impl Default for FaultCounters {
-    fn default() -> Self {
-        let zeroes = || std::array::from_fn(|_| AtomicU64::new(0));
-        FaultCounters {
-            injected: zeroes(),
-            detected: zeroes(),
-            retried: zeroes(),
-            recovered: zeroes(),
-            evicted: zeroes(),
+/// Declares a block of service-owned counters once: the struct with
+/// its field docs, plus a `to_json` whose keys are the field names in
+/// declaration order.
+macro_rules! counter_block {
+    (
+        $(#[$doc:meta])*
+        pub struct $name:ident {
+            $($(#[$field_doc:meta])* pub $field:ident: $ty:ty,)*
         }
+    ) => {
+        $(#[$doc])*
+        #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+        pub struct $name {
+            $($(#[$field_doc])* pub $field: $ty,)*
+        }
+
+        impl $name {
+            /// This block as a JSON object keyed by field name.
+            pub fn to_json(&self) -> Json {
+                Json::Obj(fields!(self; $($field),*))
+            }
+        }
+    };
+}
+
+counter_block! {
+    /// Session-lifecycle counters, as plain numbers.
+    pub struct CounterSnapshot {
+        /// Sessions accepted into the queue.
+        pub admitted: u64,
+        /// Sessions refused with `Busy`.
+        pub rejected_busy: u64,
+        /// Sessions evicted mid-protocol.
+        pub evicted: u64,
+        /// Sessions that reached a verdict.
+        pub completed: u64,
+        /// ... of which compliant.
+        pub compliant: u64,
+        /// ... of which rejected by policy.
+        pub noncompliant: u64,
+        /// Sessions that failed terminally (non-eviction).
+        pub failed: u64,
+        /// Transient retries performed.
+        pub retries: u64,
+        /// Sessions shed by an open circuit breaker.
+        pub shed: u64,
+        /// Workers (threads or virtual shards) that died.
+        pub workers_died: u64,
+        /// Highest queue depth observed.
+        pub queue_depth_highwater: usize,
     }
 }
 
-/// One fault kind's lifecycle counters, as plain numbers.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct FaultKindStats {
-    /// Faults of this kind the layer injected.
-    pub injected: u64,
-    /// ... of which a typed error detected.
-    pub detected: u64,
-    /// Retries spent on sessions carrying this fault.
-    pub retried: u64,
-    /// Faulted sessions that still reached a clean outcome.
-    pub recovered: u64,
-    /// Faulted sessions the service evicted.
-    pub evicted: u64,
+counter_block! {
+    /// Work-stealing scheduler counters: steals, batch admissions, and
+    /// deque-depth pressure. Whichever backend a service runs feeds
+    /// them (virtual-time deterministic steals or threaded load-based
+    /// steals); a threaded run's figures are these, read from that run.
+    pub struct SchedSnapshot {
+        /// Work items an idle worker stole from a peer's deque.
+        pub steals: u64,
+        /// Sessions that moved in those steals (a batch steals as a unit).
+        pub stolen_sessions: u64,
+        /// ... of which came off a *dead* worker's deque (the steal-aware
+        /// worker-death path: queued work outlives its home worker).
+        pub drained_from_dead: u64,
+        /// Batches formed (an item becomes a batch when its first follower
+        /// joins).
+        pub batches: u64,
+        /// Follower sessions admitted into an existing item.
+        pub batched_sessions: u64,
+        /// Largest batch ever formed.
+        pub batch_size_highwater: u64,
+        /// Deepest any single home deque ever got at admission.
+        pub deque_depth_highwater: u64,
+    }
+}
+
+counter_block! {
+    /// One fault kind's lifecycle counters: how many faults the layer
+    /// injected, how many a typed error detected, how many retries they
+    /// cost, how many sessions recovered cleanly, and how many were
+    /// evicted because of the fault.
+    pub struct FaultKindStats {
+        /// Faults of this kind the layer injected.
+        pub injected: u64,
+        /// ... of which a typed error detected.
+        pub detected: u64,
+        /// Retries spent on sessions carrying this fault.
+        pub retried: u64,
+        /// Faulted sessions that still reached a clean outcome.
+        pub recovered: u64,
+        /// Faulted sessions the service evicted.
+        pub evicted: u64,
+    }
+}
+
+/// A step in a fault's lifecycle, counted by
+/// [`ServeMetrics::record_fault`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum FaultStage {
+    /// The fault layer injected the fault.
+    Injected,
+    /// A typed error detected it.
+    Detected,
+    /// One retry was spent on the faulted session.
+    Retried,
+    /// The faulted session reached a clean outcome anyway.
+    Recovered,
+    /// The faulted session was evicted.
+    Evicted,
 }
 
 /// Snapshot of every fault kind's counters, indexable by
@@ -333,80 +254,73 @@ impl FaultStatsSnapshot {
     pub fn totals(&self) -> FaultKindStats {
         let mut t = FaultKindStats::default();
         for s in &self.per_kind {
-            t.injected += s.injected;
-            t.detected += s.detected;
-            t.retried += s.retried;
-            t.recovered += s.recovered;
-            t.evicted += s.evicted;
+            add_fields!(t, s; injected, detected, retried, recovered, evicted);
         }
         t
     }
+}
+
+/// Persistent-store metrics: the four flow counters the service
+/// updates as verdicts hydrate and flush, next to the store's own
+/// [`StoreStats`] (mirrored idempotently via
+/// [`ServeMetrics::set_store_stats`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct StoreSnapshot {
+    /// Whether a store was attached to the service at all.
+    pub enabled: bool,
+    /// Records hydrated into the fleet cache at warm start.
+    pub hydrated: u64,
+    /// Records flushed from the dirty queue to disk.
+    pub flushed: u64,
+    /// Deepest the write-behind dirty queue ever got.
+    pub flush_queue_highwater: u64,
+    /// The store's own counters, as of the last mirror.
+    pub stats: StoreStats,
+}
+
+/// Taint-analysis counters: [`TaintStats`] summed over every session
+/// whose policy run touched the taint engine (cache hits replay the
+/// original session's stats and count here too).
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct TaintSnapshot {
+    /// Sessions whose verdict included taint statistics.
+    pub sessions: u64,
+    /// Their statistics, summed field by field.
+    pub stats: TaintStats,
+}
+
+/// Everything [`ServeMetrics`] accumulates, behind one lock.
+#[derive(Clone, Default)]
+struct Totals {
+    counters: CounterSnapshot,
+    stages: StageCycles,
+    cache: CacheStats,
+    store: StoreSnapshot,
+    taint: TaintSnapshot,
+    faults: FaultStatsSnapshot,
+    sched: SchedSnapshot,
+    total_cycles: u64,
+    total_wall_nanos: u64,
+    /// Every session's latency: percentiles are exact nearest-rank.
+    latency_cycles: Vec<u64>,
+}
+
+/// The newest [`EVENT_LOG_CAPACITY`] events in `seq` order, plus a
+/// count of the older ones dropped to stay within it (so the next
+/// `seq` is `dropped + ring.len()`). The ring grows on demand; nothing
+/// is preallocated.
+#[derive(Default)]
+struct EventLog {
+    ring: VecDeque<Event>,
+    dropped: u64,
 }
 
 /// Service-wide metrics. One instance is shared (via `Arc`) between the
 /// admission path, every worker, and the drain path.
 #[derive(Default)]
 pub struct ServeMetrics {
-    admitted: AtomicU64,
-    rejected_busy: AtomicU64,
-    evicted: AtomicU64,
-    completed: AtomicU64,
-    compliant: AtomicU64,
-    noncompliant: AtomicU64,
-    failed: AtomicU64,
-    retries: AtomicU64,
-    shed: AtomicU64,
-    workers_died: AtomicU64,
-    faults: FaultCounters,
-    sched: SchedCounters,
-    threaded: ThreadedCounters,
-    queue_depth_highwater: AtomicUsize,
-    stage_cycles: StageTotals,
-    cache: CacheCounters,
-    store: StoreCounters,
-    taint: TaintCounters,
-    total_cycles: AtomicU64,
-    total_wall_nanos: AtomicU64,
-    latency_cycles: Mutex<Vec<u64>>,
-    events: Mutex<Vec<Event>>,
-    seq: AtomicU64,
-}
-
-/// Counter snapshot, as plain numbers.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct CounterSnapshot {
-    /// Sessions accepted into the queue.
-    pub admitted: u64,
-    /// Sessions refused with `Busy`.
-    pub rejected_busy: u64,
-    /// Sessions evicted mid-protocol.
-    pub evicted: u64,
-    /// Sessions that reached a verdict.
-    pub completed: u64,
-    /// ... of which compliant.
-    pub compliant: u64,
-    /// ... of which rejected by policy.
-    pub noncompliant: u64,
-    /// Sessions that failed terminally (non-eviction).
-    pub failed: u64,
-    /// Transient retries performed.
-    pub retries: u64,
-    /// Sessions shed by an open circuit breaker.
-    pub shed: u64,
-    /// Workers (threads or virtual shards) that died.
-    pub workers_died: u64,
-    /// Highest queue depth observed.
-    pub queue_depth_highwater: usize,
-    /// Verdict-cache probes that found a usable verdict.
-    pub cache_hits: u64,
-    /// Verdict-cache probes that found nothing.
-    pub cache_misses: u64,
-    /// Verdict-cache entries evicted by the LRU bound.
-    pub cache_evictions: u64,
-    /// Verdict-cache entries inserted.
-    pub cache_insertions: u64,
-    /// Cache hits served by entries hydrated from the persistent store.
-    pub cache_warm_hits: u64,
+    totals: Mutex<Totals>,
+    events: Mutex<EventLog>,
 }
 
 impl ServeMetrics {
@@ -415,34 +329,45 @@ impl ServeMetrics {
         ServeMetrics::default()
     }
 
+    fn totals(&self) -> MutexGuard<'_, Totals> {
+        lock_recover(&self.totals)
+    }
+
     /// Records an event and bumps the matching counter.
     pub fn record(&self, kind: EventKind, session: &str, shard: Option<usize>, detail: &str) {
-        match kind {
-            EventKind::Admitted => self.admitted.fetch_add(1, Ordering::Relaxed),
-            EventKind::RejectedBusy => self.rejected_busy.fetch_add(1, Ordering::Relaxed),
-            EventKind::Retried => self.retries.fetch_add(1, Ordering::Relaxed),
-            EventKind::Evicted => self.evicted.fetch_add(1, Ordering::Relaxed),
-            EventKind::Failed => self.failed.fetch_add(1, Ordering::Relaxed),
-            EventKind::Completed => self.completed.fetch_add(1, Ordering::Relaxed),
-            EventKind::Shed => self.shed.fetch_add(1, Ordering::Relaxed),
-            EventKind::WorkerDied => self.workers_died.fetch_add(1, Ordering::Relaxed),
-            // Cache-hit counters come from the cache itself (the
-            // authoritative source) via `set_cache_stats`; the event is
-            // log-only so per-session records and cache totals cannot
-            // drift apart. Fault-lifecycle counters come through the
-            // typed `record_fault_*` methods for the same reason.
-            EventKind::Started
-            | EventKind::CacheHit
-            | EventKind::DrainStarted
-            | EventKind::FaultInjected
-            | EventKind::BreakerOpened
-            | EventKind::BreakerClosed
-            | EventKind::StoreOpened
-            | EventKind::StoreDegraded => 0,
-        };
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let mut events = lock_recover(&self.events);
-        events.push(Event {
+        {
+            let c = &mut self.totals().counters;
+            match kind {
+                EventKind::Admitted => c.admitted += 1,
+                EventKind::RejectedBusy => c.rejected_busy += 1,
+                EventKind::Retried => c.retries += 1,
+                EventKind::Evicted => c.evicted += 1,
+                EventKind::Failed => c.failed += 1,
+                EventKind::Completed => c.completed += 1,
+                EventKind::Shed => c.shed += 1,
+                EventKind::WorkerDied => c.workers_died += 1,
+                // Cache-hit counters come from the cache itself (the
+                // authoritative source) via `set_cache_stats`; the event
+                // is log-only so per-session records and cache totals
+                // cannot drift apart. Fault-lifecycle counters come
+                // through the typed `record_fault` for the same reason.
+                EventKind::Started
+                | EventKind::CacheHit
+                | EventKind::DrainStarted
+                | EventKind::FaultInjected
+                | EventKind::BreakerOpened
+                | EventKind::BreakerClosed
+                | EventKind::StoreOpened
+                | EventKind::StoreDegraded => {}
+            }
+        }
+        let mut log = lock_recover(&self.events);
+        if log.ring.len() == EVENT_LOG_CAPACITY {
+            log.ring.pop_front();
+            log.dropped += 1;
+        }
+        let seq = log.dropped + log.ring.len() as u64;
+        log.ring.push_back(Event {
             seq,
             kind,
             session: session.to_string(),
@@ -453,10 +378,11 @@ impl ServeMetrics {
 
     /// Records a completed session's verdict polarity.
     pub fn record_verdict(&self, compliant: bool) {
+        let c = &mut self.totals().counters;
         if compliant {
-            self.compliant.fetch_add(1, Ordering::Relaxed);
+            c.compliant += 1;
         } else {
-            self.noncompliant.fetch_add(1, Ordering::Relaxed);
+            c.noncompliant += 1;
         }
     }
 
@@ -464,127 +390,59 @@ impl ServeMetrics {
     /// latency (model cycles), and wall time.
     pub fn record_timing(
         &self,
-        stages: &engarde_core::provision::StageCycles,
+        stages: &StageCycles,
         cycles: u64,
         latency_cycles: u64,
         wall_nanos: u64,
     ) {
-        self.stage_cycles
-            .receive_decrypt
-            .fetch_add(stages.receive_decrypt, Ordering::Relaxed);
-        self.stage_cycles
-            .disassembly
-            .fetch_add(stages.disassembly, Ordering::Relaxed);
-        self.stage_cycles
-            .policy_checking
-            .fetch_add(stages.policy_checking, Ordering::Relaxed);
-        self.stage_cycles
-            .loading_relocation
-            .fetch_add(stages.loading_relocation, Ordering::Relaxed);
-        self.total_cycles.fetch_add(cycles, Ordering::Relaxed);
-        self.total_wall_nanos
-            .fetch_add(wall_nanos, Ordering::Relaxed);
-        lock_recover(&self.latency_cycles).push(latency_cycles);
+        let mut t = self.totals();
+        add_fields!(t.stages, stages; receive_decrypt, disassembly, policy_checking,
+            loading_relocation);
+        t.total_cycles += cycles;
+        t.total_wall_nanos += wall_nanos;
+        t.latency_cycles.push(latency_cycles);
     }
 
     /// Accumulates one session's taint-analysis counters (call once
     /// per completed session that carried taint statistics).
-    pub fn record_taint(&self, stats: &engarde_core::analysis::TaintStats) {
-        self.taint.sessions.fetch_add(1, Ordering::Relaxed);
-        self.taint
-            .leaks_found
-            .fetch_add(stats.leaks_found, Ordering::Relaxed);
-        self.taint
-            .tainted_branches
-            .fetch_add(stats.tainted_branches, Ordering::Relaxed);
-        self.taint
-            .scc_count
-            .fetch_add(stats.scc_count, Ordering::Relaxed);
-        self.taint
-            .fixpoint_iterations
-            .fetch_add(stats.fixpoint_iterations, Ordering::Relaxed);
-        self.taint
-            .spill_cells
-            .fetch_add(stats.spill_cells, Ordering::Relaxed);
-        self.taint
-            .weak_updates
-            .fetch_add(stats.weak_updates, Ordering::Relaxed);
-        self.taint
-            .unresolved_store_sinks
-            .fetch_add(stats.unresolved_store_sinks, Ordering::Relaxed);
-        self.taint
-            .cycles_charged
-            .fetch_add(stats.cycles_charged, Ordering::Relaxed);
+    pub fn record_taint(&self, stats: &TaintStats) {
+        let taint = &mut self.totals().taint;
+        taint.sessions += 1;
+        add_fields!(taint.stats, stats; leaks_found, tainted_branches, scc_count,
+            fixpoint_iterations, spill_cells, weak_updates, unresolved_store_sinks, cycles_charged);
     }
 
     /// Snapshot of the accumulated taint counters.
     pub fn taint_stats(&self) -> TaintSnapshot {
-        TaintSnapshot {
-            sessions: self.taint.sessions.load(Ordering::Relaxed),
-            leaks_found: self.taint.leaks_found.load(Ordering::Relaxed),
-            tainted_branches: self.taint.tainted_branches.load(Ordering::Relaxed),
-            scc_count: self.taint.scc_count.load(Ordering::Relaxed),
-            fixpoint_iterations: self.taint.fixpoint_iterations.load(Ordering::Relaxed),
-            spill_cells: self.taint.spill_cells.load(Ordering::Relaxed),
-            weak_updates: self.taint.weak_updates.load(Ordering::Relaxed),
-            unresolved_store_sinks: self.taint.unresolved_store_sinks.load(Ordering::Relaxed),
-            cycles_charged: self.taint.cycles_charged.load(Ordering::Relaxed),
-        }
+        self.totals().taint
     }
 
-    /// Records that the fault layer injected a fault of `kind`.
-    pub fn record_fault_injected(&self, kind: FaultKind) {
-        self.faults.injected[kind.index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records that a typed error detected a fault of `kind`.
-    pub fn record_fault_detected(&self, kind: FaultKind) {
-        self.faults.detected[kind.index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one retry spent on a session faulted with `kind`.
-    pub fn record_fault_retried(&self, kind: FaultKind) {
-        self.faults.retried[kind.index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records that a session faulted with `kind` reached a clean
-    /// outcome anyway.
-    pub fn record_fault_recovered(&self, kind: FaultKind) {
-        self.faults.recovered[kind.index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records that a session faulted with `kind` was evicted.
-    pub fn record_fault_evicted(&self, kind: FaultKind) {
-        self.faults.evicted[kind.index()].fetch_add(1, Ordering::Relaxed);
+    /// Counts one lifecycle step of a fault of `kind`.
+    pub fn record_fault(&self, kind: FaultKind, stage: FaultStage) {
+        let s = &mut self.totals().faults.per_kind[kind.index()];
+        *match stage {
+            FaultStage::Injected => &mut s.injected,
+            FaultStage::Detected => &mut s.detected,
+            FaultStage::Retried => &mut s.retried,
+            FaultStage::Recovered => &mut s.recovered,
+            FaultStage::Evicted => &mut s.evicted,
+        } += 1;
     }
 
     /// Snapshot of every fault kind's lifecycle counters.
     pub fn fault_stats(&self) -> FaultStatsSnapshot {
-        let mut snap = FaultStatsSnapshot::default();
-        for i in 0..FAULT_KIND_COUNT {
-            snap.per_kind[i] = FaultKindStats {
-                injected: self.faults.injected[i].load(Ordering::Relaxed),
-                detected: self.faults.detected[i].load(Ordering::Relaxed),
-                retried: self.faults.retried[i].load(Ordering::Relaxed),
-                recovered: self.faults.recovered[i].load(Ordering::Relaxed),
-                evicted: self.faults.evicted[i].load(Ordering::Relaxed),
-            };
-        }
-        snap
+        self.totals().faults
     }
 
     /// Records one steal: a whole work item of `sessions` sessions
     /// moved from a victim deque to an idle worker. `from_dead` marks
     /// steals that drained a dead worker's deque.
     pub fn record_steal(&self, sessions: u64, from_dead: bool) {
-        self.sched.steals.fetch_add(1, Ordering::Relaxed);
-        self.sched
-            .stolen_sessions
-            .fetch_add(sessions, Ordering::Relaxed);
+        let s = &mut self.totals().sched;
+        s.steals += 1;
+        s.stolen_sessions += sessions;
         if from_dead {
-            self.sched
-                .drained_from_dead
-                .fetch_add(sessions, Ordering::Relaxed);
+            s.drained_from_dead += sessions;
         }
     }
 
@@ -592,356 +450,139 @@ impl ServeMetrics {
     /// now holds `batch_len` sessions. The first follower (batch_len 2)
     /// is what turns an item into a batch.
     pub fn record_batch_join(&self, batch_len: u64) {
-        self.sched.batched_sessions.fetch_add(1, Ordering::Relaxed);
+        let s = &mut self.totals().sched;
+        s.batched_sessions += 1;
         if batch_len == 2 {
-            self.sched.batches.fetch_add(1, Ordering::Relaxed);
+            s.batches += 1;
         }
-        self.sched
-            .batch_size_highwater
-            .fetch_max(batch_len, Ordering::Relaxed);
+        s.batch_size_highwater = s.batch_size_highwater.max(batch_len);
     }
 
     /// Raises the per-deque depth high-water mark to at least `depth`.
     pub fn observe_deque_depth(&self, depth: u64) {
-        self.sched
-            .deque_depth_highwater
-            .fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// Records one steal performed by a real OS worker thread: feeds
-    /// the aggregate scheduler counters *and* the threaded-only block.
-    pub fn record_threaded_steal(&self, sessions: u64, from_dead: bool) {
-        self.record_steal(sessions, from_dead);
-        self.threaded.steals.fetch_add(1, Ordering::Relaxed);
-        self.threaded
-            .stolen_sessions
-            .fetch_add(sessions, Ordering::Relaxed);
-        if from_dead {
-            self.threaded
-                .drained_from_dead
-                .fetch_add(sessions, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a batch join on the threaded admission path: feeds the
-    /// aggregate scheduler counters *and* the threaded-only block.
-    pub fn record_threaded_batch_join(&self, batch_len: u64) {
-        self.record_batch_join(batch_len);
-        self.threaded
-            .batched_sessions
-            .fetch_add(1, Ordering::Relaxed);
-        if batch_len == 2 {
-            self.threaded.batches.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Snapshot of the threaded-backend scheduler counters.
-    pub fn threaded_stats(&self) -> ThreadedSnapshot {
-        ThreadedSnapshot {
-            steals: self.threaded.steals.load(Ordering::Relaxed),
-            stolen_sessions: self.threaded.stolen_sessions.load(Ordering::Relaxed),
-            drained_from_dead: self.threaded.drained_from_dead.load(Ordering::Relaxed),
-            batches: self.threaded.batches.load(Ordering::Relaxed),
-            batched_sessions: self.threaded.batched_sessions.load(Ordering::Relaxed),
-        }
+        let s = &mut self.totals().sched;
+        s.deque_depth_highwater = s.deque_depth_highwater.max(depth);
     }
 
     /// Snapshot of the work-stealing scheduler counters.
     pub fn sched_stats(&self) -> SchedSnapshot {
-        SchedSnapshot {
-            steals: self.sched.steals.load(Ordering::Relaxed),
-            stolen_sessions: self.sched.stolen_sessions.load(Ordering::Relaxed),
-            drained_from_dead: self.sched.drained_from_dead.load(Ordering::Relaxed),
-            batches: self.sched.batches.load(Ordering::Relaxed),
-            batched_sessions: self.sched.batched_sessions.load(Ordering::Relaxed),
-            batch_size_highwater: self.sched.batch_size_highwater.load(Ordering::Relaxed),
-            deque_depth_highwater: self.sched.deque_depth_highwater.load(Ordering::Relaxed),
-        }
+        self.totals().sched
     }
 
     /// Raises the queue-depth high-water mark to at least `depth`.
     pub fn observe_queue_depth(&self, depth: usize) {
-        self.queue_depth_highwater
-            .fetch_max(depth, Ordering::Relaxed);
+        let c = &mut self.totals().counters;
+        c.queue_depth_highwater = c.queue_depth_highwater.max(depth);
     }
 
     /// Mirrors the verdict cache's cumulative counters into the metrics
-    /// (the cache is the authoritative source; these are stores, not
-    /// increments, so the call is idempotent).
-    pub fn set_cache_stats(&self, stats: &engarde_core::cache::CacheStats) {
-        self.cache.hits.store(stats.hits, Ordering::Relaxed);
-        self.cache.misses.store(stats.misses, Ordering::Relaxed);
-        self.cache
-            .evictions
-            .store(stats.evictions, Ordering::Relaxed);
-        self.cache
-            .insertions
-            .store(stats.insertions, Ordering::Relaxed);
-        self.cache
-            .cycles_saved
-            .store(stats.cycles_saved, Ordering::Relaxed);
-        self.cache
-            .warm_hits
-            .store(stats.warm_hits, Ordering::Relaxed);
+    /// (the cache is the authoritative source; this overwrites, so the
+    /// call is idempotent).
+    pub fn set_cache_stats(&self, stats: &CacheStats) {
+        self.totals().cache = *stats;
+    }
+
+    /// The verdict cache's counters, as of the last mirror.
+    pub fn cache_stats(&self) -> CacheStats {
+        self.totals().cache
     }
 
     /// Marks that a persistent store is attached (the `store` JSON
     /// block stays zeroed-but-present without one).
     pub fn mark_store_enabled(&self) {
-        self.store.enabled.store(1, Ordering::Relaxed);
+        self.totals().store.enabled = true;
     }
 
     /// Records `n` verdicts hydrated from the store at warm start.
     pub fn record_store_hydrated(&self, n: u64) {
-        self.store.hydrated.fetch_add(n, Ordering::Relaxed);
+        self.totals().store.hydrated += n;
     }
 
     /// Records `n` dirty verdicts flushed through to the store.
     pub fn record_store_flushed(&self, n: u64) {
-        self.store.flushed.fetch_add(n, Ordering::Relaxed);
+        self.totals().store.flushed += n;
     }
 
     /// Raises the flush-queue high-water mark to at least `depth`.
     pub fn observe_flush_queue_depth(&self, depth: u64) {
-        self.store
-            .flush_queue_highwater
-            .fetch_max(depth, Ordering::Relaxed);
+        let s = &mut self.totals().store;
+        s.flush_queue_highwater = s.flush_queue_highwater.max(depth);
     }
 
     /// Mirrors the persistent store's own counters (the store is the
-    /// authoritative source; these are stores, not increments, so the
-    /// call is idempotent).
-    pub fn set_store_stats(&self, stats: &engarde_store::StoreStats) {
-        self.store
-            .live_records
-            .store(stats.live_records, Ordering::Relaxed);
-        self.store
-            .stored_records
-            .store(stats.stored_records, Ordering::Relaxed);
-        self.store.segments.store(stats.segments, Ordering::Relaxed);
-        self.store
-            .compactions
-            .store(stats.compactions, Ordering::Relaxed);
-        self.store
-            .records_recovered
-            .store(stats.recovery.records_recovered, Ordering::Relaxed);
-        self.store
-            .torn_tail_truncations
-            .store(stats.recovery.torn_tail_truncations, Ordering::Relaxed);
-        self.store
-            .corrupt_records
-            .store(stats.recovery.corrupt_records, Ordering::Relaxed);
-        self.store
-            .garbage_segments
-            .store(stats.recovery.garbage_segments, Ordering::Relaxed);
-        self.store
-            .lost_segments
-            .store(stats.recovery.lost_segments, Ordering::Relaxed);
+    /// authoritative source; this overwrites, so the call is
+    /// idempotent).
+    pub fn set_store_stats(&self, stats: &StoreStats) {
+        self.totals().store.stats = *stats;
     }
 
-    /// Snapshot of the persistent-store counters.
+    /// Snapshot of the persistent-store metrics.
     pub fn store_stats(&self) -> StoreSnapshot {
-        StoreSnapshot {
-            enabled: self.store.enabled.load(Ordering::Relaxed) != 0,
-            hydrated: self.store.hydrated.load(Ordering::Relaxed),
-            flushed: self.store.flushed.load(Ordering::Relaxed),
-            flush_queue_highwater: self.store.flush_queue_highwater.load(Ordering::Relaxed),
-            live_records: self.store.live_records.load(Ordering::Relaxed),
-            stored_records: self.store.stored_records.load(Ordering::Relaxed),
-            segments: self.store.segments.load(Ordering::Relaxed),
-            compactions: self.store.compactions.load(Ordering::Relaxed),
-            records_recovered: self.store.records_recovered.load(Ordering::Relaxed),
-            torn_tail_truncations: self.store.torn_tail_truncations.load(Ordering::Relaxed),
-            corrupt_records: self.store.corrupt_records.load(Ordering::Relaxed),
-            garbage_segments: self.store.garbage_segments.load(Ordering::Relaxed),
-            lost_segments: self.store.lost_segments.load(Ordering::Relaxed),
-        }
+        self.totals().store
     }
 
     /// Current counter values.
     pub fn counters(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            admitted: self.admitted.load(Ordering::Relaxed),
-            rejected_busy: self.rejected_busy.load(Ordering::Relaxed),
-            evicted: self.evicted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            compliant: self.compliant.load(Ordering::Relaxed),
-            noncompliant: self.noncompliant.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            workers_died: self.workers_died.load(Ordering::Relaxed),
-            queue_depth_highwater: self.queue_depth_highwater.load(Ordering::Relaxed),
-            cache_hits: self.cache.hits.load(Ordering::Relaxed),
-            cache_misses: self.cache.misses.load(Ordering::Relaxed),
-            cache_evictions: self.cache.evictions.load(Ordering::Relaxed),
-            cache_insertions: self.cache.insertions.load(Ordering::Relaxed),
-            cache_warm_hits: self.cache.warm_hits.load(Ordering::Relaxed),
-        }
+        self.totals().counters
     }
 
     /// Latency percentile in model cycles (`q` in 0..=100). `None` with
     /// no samples.
     pub fn latency_percentile(&self, q: u32) -> Option<u64> {
-        let samples = lock_recover(&self.latency_cycles);
-        percentile(&samples, q)
+        percentile(&self.totals().latency_cycles, q)
     }
 
-    /// Accumulated model cycles across sessions.
-    pub fn total_cycles(&self) -> u64 {
-        self.total_cycles.load(Ordering::Relaxed)
-    }
-
-    /// Accumulated wall time across sessions (threaded mode only).
-    pub fn total_wall_nanos(&self) -> u64 {
-        self.total_wall_nanos.load(Ordering::Relaxed)
-    }
-
-    /// A copy of the event log, in sequence order.
+    /// A copy of the kept events (the newest [`EVENT_LOG_CAPACITY`]),
+    /// in sequence order.
     pub fn events(&self) -> Vec<Event> {
-        let mut events = lock_recover(&self.events).clone();
-        events.sort_by_key(|e| e.seq);
-        events
+        lock_recover(&self.events).ring.iter().cloned().collect()
     }
 
     /// Serializes counters, stage totals, latency percentiles, and the
     /// event log as a JSON object.
     pub fn to_json(&self) -> String {
-        let c = self.counters();
-        let samples = lock_recover(&self.latency_cycles).clone();
-        let mut out = String::from("{\n");
-        let counter_fields = [
-            ("admitted", c.admitted),
-            ("rejected_busy", c.rejected_busy),
-            ("evicted", c.evicted),
-            ("completed", c.completed),
-            ("compliant", c.compliant),
-            ("noncompliant", c.noncompliant),
-            ("failed", c.failed),
-            ("retries", c.retries),
-            ("shed", c.shed),
-            ("workers_died", c.workers_died),
-            ("queue_depth_highwater", c.queue_depth_highwater as u64),
+        let t = self.totals().clone();
+        let log = lock_recover(&self.events);
+        let (store, samples) = (t.store.stats, &t.latency_cycles);
+        let stages = fields!(t.stages; receive_decrypt, disassembly, policy_checking,
+            loading_relocation);
+        let cache = fields!(t.cache; hits, misses, evictions, insertions, cycles_saved, warm_hits);
+        let recovery = fields!(store.recovery; records_recovered, torn_tail_truncations,
+            corrupt_records, garbage_segments, lost_segments);
+        let store = [
+            fields!(t.store; enabled, hydrated, flushed, flush_queue_highwater),
+            fields!(store; live_records, stored_records, segments, compactions),
+            vec![("recovery".into(), Json::Obj(recovery))],
         ];
-        out.push_str("  \"counters\": {");
-        for (i, (k, v)) in counter_fields.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{k}\": {v}"));
-        }
-        out.push_str("},\n");
-        out.push_str(&format!(
-            "  \"stage_cycles\": {{\"receive_decrypt\": {}, \"disassembly\": {}, \"policy_checking\": {}, \"loading_relocation\": {}}},\n",
-            self.stage_cycles.receive_decrypt.load(Ordering::Relaxed),
-            self.stage_cycles.disassembly.load(Ordering::Relaxed),
-            self.stage_cycles.policy_checking.load(Ordering::Relaxed),
-            self.stage_cycles.loading_relocation.load(Ordering::Relaxed),
-        ));
-        out.push_str(&format!(
-            "  \"verdict_cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"insertions\": {}, \"cycles_saved\": {}, \"warm_hits\": {}}},\n",
-            c.cache_hits,
-            c.cache_misses,
-            c.cache_evictions,
-            c.cache_insertions,
-            self.cache.cycles_saved.load(Ordering::Relaxed),
-            c.cache_warm_hits,
-        ));
-        let st = self.store_stats();
-        out.push_str(&format!(
-            "  \"store\": {{\"enabled\": {}, \"hydrated\": {}, \"flushed\": {}, \"flush_queue_highwater\": {}, \"live_records\": {}, \"stored_records\": {}, \"segments\": {}, \"compactions\": {}, \"recovery\": {{\"records_recovered\": {}, \"torn_tail_truncations\": {}, \"corrupt_records\": {}, \"garbage_segments\": {}, \"lost_segments\": {}}}}},\n",
-            st.enabled,
-            st.hydrated,
-            st.flushed,
-            st.flush_queue_highwater,
-            st.live_records,
-            st.stored_records,
-            st.segments,
-            st.compactions,
-            st.records_recovered,
-            st.torn_tail_truncations,
-            st.corrupt_records,
-            st.garbage_segments,
-            st.lost_segments,
-        ));
-        let t = self.taint_stats();
-        out.push_str(&format!(
-            "  \"taint\": {{\"sessions\": {}, \"leaks_found\": {}, \"tainted_branches\": {}, \"scc_count\": {}, \"fixpoint_iterations\": {}, \"spill_cells\": {}, \"weak_updates\": {}, \"unresolved_store_sinks\": {}, \"cycles_charged\": {}}},\n",
-            t.sessions,
-            t.leaks_found,
-            t.tainted_branches,
-            t.scc_count,
-            t.fixpoint_iterations,
-            t.spill_cells,
-            t.weak_updates,
-            t.unresolved_store_sinks,
-            t.cycles_charged,
-        ));
-        let fstats = self.fault_stats();
-        out.push_str("  \"faults\": {");
-        for (i, kind) in FaultKind::ALL.into_iter().enumerate() {
-            let s = fstats.kind(kind);
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "\"{}\": {{\"injected\": {}, \"detected\": {}, \"retried\": {}, \"recovered\": {}, \"evicted\": {}}}",
-                kind.name(),
-                s.injected,
-                s.detected,
-                s.retried,
-                s.recovered,
-                s.evicted,
-            ));
-        }
-        out.push_str("},\n");
-        let sc = self.sched_stats();
-        out.push_str(&format!(
-            "  \"scheduler\": {{\"steals\": {}, \"stolen_sessions\": {}, \"drained_from_dead\": {}, \"batches\": {}, \"batched_sessions\": {}, \"batch_size_highwater\": {}, \"deque_depth_highwater\": {}}},\n",
-            sc.steals,
-            sc.stolen_sessions,
-            sc.drained_from_dead,
-            sc.batches,
-            sc.batched_sessions,
-            sc.batch_size_highwater,
-            sc.deque_depth_highwater,
-        ));
-        let th = self.threaded_stats();
-        out.push_str(&format!(
-            "  \"threaded\": {{\"steals\": {}, \"stolen_sessions\": {}, \"drained_from_dead\": {}, \"batches\": {}, \"batched_sessions\": {}}},\n",
-            th.steals,
-            th.stolen_sessions,
-            th.drained_from_dead,
-            th.batches,
-            th.batched_sessions,
-        ));
-        out.push_str(&format!(
-            "  \"latency_cycles\": {{\"samples\": {}, \"p50\": {}, \"p99\": {}, \"max\": {}}},\n",
-            samples.len(),
-            percentile(&samples, 50).unwrap_or(0),
-            percentile(&samples, 99).unwrap_or(0),
-            samples.iter().copied().max().unwrap_or(0),
-        ));
-        out.push_str(&format!(
-            "  \"total_cycles\": {},\n  \"total_wall_nanos\": {},\n",
-            self.total_cycles(),
-            self.total_wall_nanos()
-        ));
-        out.push_str("  \"events\": [\n");
-        let events = self.events();
-        for (i, e) in events.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"seq\": {}, \"kind\": \"{}\", \"session\": \"{}\", \"shard\": {}, \"detail\": \"{}\"}}{}\n",
-                e.seq,
-                e.kind.name(),
-                json_escape(&e.session),
-                e.shard.map_or("null".to_string(), |s| s.to_string()),
-                json_escape(&e.detail),
-                if i + 1 < events.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let taint = [
+            fields!(t.taint; sessions),
+            fields!(t.taint.stats; leaks_found, tainted_branches, scc_count, fixpoint_iterations,
+                spill_cells, weak_updates, unresolved_store_sinks, cycles_charged),
+        ];
+        let faults = FaultKind::ALL.map(|k| (k.name(), t.faults.kind(k).to_json()));
+        let latency = [
+            ("samples", samples.len().into()),
+            ("p50", percentile(samples, 50).unwrap_or(0).into()),
+            ("p99", percentile(samples, 99).unwrap_or(0).into()),
+            ("max", samples.iter().copied().max().unwrap_or(0).into()),
+        ];
+        let events = log.ring.iter().cloned();
+        let events = events.map(|e| Json::Obj(fields!(e; seq, kind, session, shard, detail)));
+        Json::obj([
+            ("counters", t.counters.to_json()),
+            ("stage_cycles", Json::Obj(stages)),
+            ("verdict_cache", Json::Obj(cache)),
+            ("store", Json::Obj(store.concat())),
+            ("taint", Json::Obj(taint.concat())),
+            ("faults", Json::obj(faults)),
+            ("scheduler", t.sched.to_json()),
+            ("latency_cycles", Json::obj(latency)),
+            ("total_cycles", t.total_cycles.into()),
+            ("total_wall_nanos", t.total_wall_nanos.into()),
+            ("events_dropped", log.dropped.into()),
+            ("events", Json::Arr(events.collect())),
+        ])
+        .render()
     }
 }
 
@@ -975,6 +616,118 @@ pub fn json_escape(s: &str) -> String {
         }
     }
     out
+}
+
+/// A JSON value: the one emitter behind [`ServeMetrics::to_json`] and
+/// every bench binary's output.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` or `false`.
+    Bool(bool),
+    /// An unsigned integer.
+    UInt(u64),
+    /// A float written in Rust's shortest round-trip form.
+    Float(f64),
+    /// A float written with a fixed number of decimal places.
+    Fixed(f64, usize),
+    /// A string, escaped on output.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object; keys keep their insertion order.
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// An object from `(key, value)` pairs, in order.
+    pub fn obj<K: Into<String>>(fields: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// The value as a document: the top level, and every container
+    /// whose entries are all containers or that holds one written
+    /// across lines, put one entry per line with two-space indents;
+    /// everything else stays on one line. Ends with a newline.
+    pub fn render(&self) -> String {
+        format!("{self}\n")
+    }
+
+    fn entries(&self) -> Vec<(Option<&str>, &Json)> {
+        match self {
+            Json::Arr(items) => items.iter().map(|v| (None, v)).collect(),
+            Json::Obj(fields) => fields.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+            _ => Vec::new(),
+        }
+    }
+
+    fn spans_lines(&self) -> bool {
+        let values: Vec<&Json> = self.entries().into_iter().map(|(_, v)| v).collect();
+        let container = |v: &&Json| matches!(v, Json::Arr(_) | Json::Obj(_));
+        !values.is_empty()
+            && (values.iter().all(container) || values.iter().any(|v| v.spans_lines()))
+    }
+
+    fn write(&self, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Result {
+        let (open, close) = match self {
+            Json::Null => return f.write_str("null"),
+            Json::Bool(b) => return write!(f, "{b}"),
+            Json::UInt(n) => return write!(f, "{n}"),
+            Json::Float(x) => return write!(f, "{x}"),
+            Json::Fixed(x, places) => return write!(f, "{x:.places$}"),
+            Json::Str(s) => return write!(f, "\"{}\"", json_escape(s)),
+            Json::Arr(_) => ('[', ']'),
+            Json::Obj(_) => ('{', '}'),
+        };
+        let (comma, newline, inner, outer) = match indent == 0 || self.spans_lines() {
+            true => (",", "\n", indent + 2, indent),
+            false => (", ", "", 0, 0),
+        };
+        write!(f, "{open}")?;
+        for (i, (key, value)) in self.entries().into_iter().enumerate() {
+            let comma = if i > 0 { comma } else { "" };
+            write!(f, "{comma}{newline}{:inner$}", "")?;
+            if let Some(key) = key {
+                write!(f, "\"{}\": ", json_escape(key))?;
+            }
+            value.write(f, indent + 2)?;
+        }
+        write!(f, "{newline}{:outer$}{close}", "")
+    }
+}
+
+/// Writes the value as [`Json::render`] does, without the final newline.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, 0)
+    }
+}
+
+/// `From` conversions into [`Json`], one per line.
+macro_rules! json_from {
+    ($($ty:ty => |$x:ident| $value:expr),+ $(,)?) => {
+        $(impl From<$ty> for Json {
+            fn from($x: $ty) -> Self {
+                $value
+            }
+        })+
+    };
+}
+
+json_from! {
+    bool => |b| Json::Bool(b),
+    u64 => |n| Json::UInt(n),
+    usize => |n| Json::UInt(n as u64),
+    &str => |s| Json::Str(s.to_string()),
+    String => |s| Json::Str(s),
+    EventKind => |kind| Json::Str(kind.name().to_string()),
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Self {
+        v.map_or(Json::Null, Into::into)
+    }
 }
 
 #[cfg(test)]
@@ -1095,39 +848,6 @@ mod tests {
              \"drained_from_dead\": 0, \"batches\": 0, \"batched_sessions\": 0, \
              \"batch_size_highwater\": 0, \"deque_depth_highwater\": 0}"
         ));
-        // The threaded block is likewise always present, so jq gates
-        // can assert on it even for virtual-time runs.
-        assert!(m.to_json().contains(
-            "\"threaded\": {\"steals\": 0, \"stolen_sessions\": 0, \
-             \"drained_from_dead\": 0, \"batches\": 0, \"batched_sessions\": 0}"
-        ));
-    }
-
-    #[test]
-    fn threaded_counters_feed_both_blocks() {
-        let m = ServeMetrics::new();
-        // A virtual-time steal touches only the aggregate block...
-        m.record_steal(2, false);
-        // ...while threaded steals and joins feed both.
-        m.record_threaded_steal(3, false);
-        m.record_threaded_steal(1, true);
-        m.record_threaded_batch_join(2);
-        m.record_threaded_batch_join(3);
-        let th = m.threaded_stats();
-        assert_eq!(th.steals, 2);
-        assert_eq!(th.stolen_sessions, 4);
-        assert_eq!(th.drained_from_dead, 1);
-        assert_eq!(th.batches, 1);
-        assert_eq!(th.batched_sessions, 2);
-        let s = m.sched_stats();
-        assert_eq!(s.steals, 3, "aggregate includes the virtual steal");
-        assert_eq!(s.stolen_sessions, 6);
-        assert_eq!(s.batched_sessions, 2);
-        assert_eq!(s.batch_size_highwater, 3);
-        assert!(m.to_json().contains(
-            "\"threaded\": {\"steals\": 2, \"stolen_sessions\": 4, \
-             \"drained_from_dead\": 1, \"batches\": 1, \"batched_sessions\": 2}"
-        ));
     }
 
     #[test]
@@ -1144,17 +864,7 @@ mod tests {
         m.set_cache_stats(&stats);
         // Idempotent: stores, not increments.
         m.set_cache_stats(&stats);
-        let c = m.counters();
-        assert_eq!(
-            (
-                c.cache_hits,
-                c.cache_misses,
-                c.cache_evictions,
-                c.cache_insertions,
-                c.cache_warm_hits,
-            ),
-            (5, 3, 1, 4, 2)
-        );
+        assert_eq!(m.cache_stats(), stats);
         let json = m.to_json();
         assert!(json.contains(
             "\"verdict_cache\": {\"hits\": 5, \"misses\": 3, \"evictions\": 1, \
@@ -1184,13 +894,13 @@ mod tests {
     #[test]
     fn fault_counters_track_lifecycle_per_kind() {
         let m = ServeMetrics::new();
-        m.record_fault_injected(FaultKind::CorruptBlock);
-        m.record_fault_injected(FaultKind::CorruptBlock);
-        m.record_fault_detected(FaultKind::CorruptBlock);
-        m.record_fault_retried(FaultKind::CorruptBlock);
-        m.record_fault_recovered(FaultKind::CorruptBlock);
-        m.record_fault_injected(FaultKind::ClientStall);
-        m.record_fault_evicted(FaultKind::ClientStall);
+        m.record_fault(FaultKind::CorruptBlock, FaultStage::Injected);
+        m.record_fault(FaultKind::CorruptBlock, FaultStage::Injected);
+        m.record_fault(FaultKind::CorruptBlock, FaultStage::Detected);
+        m.record_fault(FaultKind::CorruptBlock, FaultStage::Retried);
+        m.record_fault(FaultKind::CorruptBlock, FaultStage::Recovered);
+        m.record_fault(FaultKind::ClientStall, FaultStage::Injected);
+        m.record_fault(FaultKind::ClientStall, FaultStage::Evicted);
         let s = m.fault_stats();
         assert_eq!(
             s.kind(FaultKind::CorruptBlock),
@@ -1252,13 +962,7 @@ mod tests {
         assert_eq!(s.hydrated, 7);
         assert_eq!(s.flushed, 5);
         assert_eq!(s.flush_queue_highwater, 4);
-        assert_eq!(s.live_records, 9);
-        assert_eq!(s.segments, 3);
-        assert_eq!(s.compactions, 1);
-        assert_eq!(s.records_recovered, 7);
-        assert_eq!(s.torn_tail_truncations, 1);
-        assert_eq!(s.corrupt_records, 2);
-        assert_eq!(s.garbage_segments, 1);
+        assert_eq!(s.stats, stats);
         let json = m.to_json();
         assert!(json.contains(
             "\"store\": {\"enabled\": true, \"hydrated\": 7, \"flushed\": 5, \
@@ -1296,14 +1000,19 @@ mod tests {
         m.record_taint(&b);
         let t = m.taint_stats();
         assert_eq!(t.sessions, 2);
-        assert_eq!(t.leaks_found, 2);
-        assert_eq!(t.tainted_branches, 1);
-        assert_eq!(t.scc_count, 7);
-        assert_eq!(t.fixpoint_iterations, 42);
-        assert_eq!(t.spill_cells, 10);
-        assert_eq!(t.weak_updates, 3);
-        assert_eq!(t.unresolved_store_sinks, 1);
-        assert_eq!(t.cycles_charged, 15_000);
+        assert_eq!(
+            t.stats,
+            engarde_core::analysis::TaintStats {
+                leaks_found: 2,
+                tainted_branches: 1,
+                scc_count: 7,
+                fixpoint_iterations: 42,
+                spill_cells: 10,
+                weak_updates: 3,
+                unresolved_store_sinks: 1,
+                cycles_charged: 15_000,
+            }
+        );
         let json = m.to_json();
         assert!(json.contains(
             "\"taint\": {\"sessions\": 2, \"leaks_found\": 2, \"tainted_branches\": 1, \
@@ -1358,16 +1067,16 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_latency_lock_is_recovered_not_propagated() {
+    fn poisoned_totals_lock_is_recovered_not_propagated() {
         let m = std::sync::Arc::new(ServeMetrics::new());
         let m2 = std::sync::Arc::clone(&m);
         let joined = std::thread::spawn(move || {
-            let _guard = m2.latency_cycles.lock().unwrap();
-            panic!("worker died holding the latency lock");
+            let _guard = m2.totals.lock().unwrap();
+            panic!("worker died holding the totals lock");
         })
         .join();
         assert!(joined.is_err());
-        assert!(m.latency_cycles.is_poisoned());
+        assert!(m.totals.is_poisoned());
         m.record_timing(&Default::default(), 10, 25, 0);
         assert_eq!(m.latency_percentile(50), Some(25));
         assert!(m.to_json().contains("\"samples\": 1"));
@@ -1379,5 +1088,72 @@ mod tests {
         m.observe_queue_depth(3);
         m.observe_queue_depth(1);
         assert_eq!(m.counters().queue_depth_highwater, 3);
+    }
+
+    #[test]
+    fn event_log_keeps_the_newest_events_in_order_and_counts_the_dropped() {
+        let m = ServeMetrics::new();
+        let extra = 5;
+        for i in 0..EVENT_LOG_CAPACITY + extra {
+            m.record(EventKind::Admitted, &format!("s{i}"), None, "");
+        }
+        let events = m.events();
+        assert_eq!(events.len(), EVENT_LOG_CAPACITY);
+        // The oldest `extra` events went; the rest stay in seq order.
+        assert_eq!(events[0].seq, extra as u64);
+        assert_eq!(events[0].session, format!("s{extra}"));
+        assert!(events.windows(2).all(|w| w[1].seq == w[0].seq + 1));
+        // Counters still see every event.
+        assert_eq!(m.counters().admitted, (EVENT_LOG_CAPACITY + extra) as u64);
+        let json = m.to_json();
+        assert!(
+            json.contains(&format!("\"events_dropped\": {extra},")),
+            "{json}"
+        );
+    }
+
+    #[test]
+    fn json_export_has_exactly_the_documented_top_level_blocks() {
+        let json = ServeMetrics::new().to_json();
+        let keys: Vec<&str> = json
+            .lines()
+            .filter_map(|l| l.strip_prefix("  \"")?.split('"').next())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "counters",
+                "stage_cycles",
+                "verdict_cache",
+                "store",
+                "taint",
+                "faults",
+                "scheduler",
+                "latency_cycles",
+                "total_cycles",
+                "total_wall_nanos",
+                "events_dropped",
+                "events",
+            ]
+        );
+    }
+
+    #[test]
+    fn json_layout_breaks_lines_only_for_rows_and_maps_of_blocks() {
+        let doc = Json::obj([
+            ("n", 1u64.into()),
+            ("x", Json::Fixed(2.0 / 3.0, 4)),
+            ("ghz", Json::Float(3.5)),
+            ("none", Json::Null),
+            ("flat", Json::obj([("a", true.into()), ("b", "q\"".into())])),
+            ("rows", Json::Arr(vec![Json::obj([("k", 1u64.into())]); 2])),
+            ("empty", Json::Arr(Vec::new())),
+        ]);
+        assert_eq!(
+            doc.render(),
+            "{\n  \"n\": 1,\n  \"x\": 0.6667,\n  \"ghz\": 3.5,\n  \"none\": null,\n  \
+             \"flat\": {\"a\": true, \"b\": \"q\\\"\"},\n  \"rows\": [\n    {\"k\": 1},\n    \
+             {\"k\": 1}\n  ],\n  \"empty\": []\n}\n"
+        );
     }
 }

@@ -11,7 +11,7 @@
 
 use crate::error::{is_retryable, EvictReason, ServeError};
 use crate::faults::{self, FaultDirective, FaultKind};
-use crate::metrics::{EventKind, ServeMetrics};
+use crate::metrics::{EventKind, FaultStage, ServeMetrics};
 use crate::session::{SessionFsm, SessionPhase, SessionRequest};
 use engarde_core::cache::SharedVerdictCache;
 use engarde_core::protocol::SignedVerdict;
@@ -41,6 +41,21 @@ pub enum SessionOutcome {
     /// The shard's circuit breaker was open; the session was shed
     /// without touching the machine.
     Shed,
+}
+
+impl SessionOutcome {
+    /// The outcome's class as one byte (0 compliant, 1 non-compliant,
+    /// 2 evicted, 3 failed, 4 shed), as the service and bench
+    /// fingerprints hash it.
+    pub fn class_byte(&self) -> u8 {
+        match self {
+            SessionOutcome::Compliant => 0,
+            SessionOutcome::NonCompliant => 1,
+            SessionOutcome::Evicted { .. } => 2,
+            SessionOutcome::Failed { .. } => 3,
+            SessionOutcome::Shed => 4,
+        }
+    }
 }
 
 /// Everything the service records about one finished session.
@@ -465,8 +480,8 @@ impl Shard {
                     if let Some(d) = directive {
                         // The fault was assigned but never ran; the
                         // breaker absorbed it.
-                        metrics.record_fault_injected(d.kind);
-                        metrics.record_fault_evicted(d.kind);
+                        metrics.record_fault(d.kind, FaultStage::Injected);
+                        metrics.record_fault(d.kind, FaultStage::Evicted);
                     }
                     return self.bare_report(req, SessionOutcome::Shed, 0, wall_start, 0);
                 }
@@ -478,7 +493,7 @@ impl Shard {
         metrics.record(EventKind::Started, &req.name, Some(self.index), "");
 
         if let Some(d) = directive {
-            metrics.record_fault_injected(d.kind);
+            metrics.record_fault(d.kind, FaultStage::Injected);
             metrics.record(
                 EventKind::FaultInjected,
                 &req.name,
@@ -490,8 +505,8 @@ impl Shard {
                 // marked dead so schedulers route around it instead of
                 // waiting on a thread that will never answer.
                 self.dead = true;
-                metrics.record_fault_detected(d.kind);
-                metrics.record_fault_evicted(d.kind);
+                metrics.record_fault(d.kind, FaultStage::Detected);
+                metrics.record_fault(d.kind, FaultStage::Evicted);
                 metrics.record(
                     EventKind::WorkerDied,
                     &req.name,
@@ -521,9 +536,9 @@ impl Shard {
                     if let Some(d) = directive {
                         if !fault_detected {
                             fault_detected = true;
-                            metrics.record_fault_detected(d.kind);
+                            metrics.record_fault(d.kind, FaultStage::Detected);
                         }
-                        metrics.record_fault_retried(d.kind);
+                        metrics.record_fault(d.kind, FaultStage::Retried);
                     }
                     retries += 1;
                     if cfg.backoff_base_cycles > 0 {
@@ -566,7 +581,7 @@ impl Shard {
                 Err(e) => {
                     if let Some(d) = directive {
                         if !fault_detected {
-                            metrics.record_fault_detected(d.kind);
+                            metrics.record_fault(d.kind, FaultStage::Detected);
                         }
                     }
                     break Err((e, retries));
@@ -576,8 +591,8 @@ impl Shard {
 
         if let Some(d) = directive {
             match &result {
-                Ok(_) => metrics.record_fault_recovered(d.kind),
-                Err(_) => metrics.record_fault_evicted(d.kind),
+                Ok(_) => metrics.record_fault(d.kind, FaultStage::Recovered),
+                Err(_) => metrics.record_fault(d.kind, FaultStage::Evicted),
             }
         }
         if cfg.breaker_threshold > 0 {

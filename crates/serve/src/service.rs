@@ -32,7 +32,7 @@
 
 use crate::error::ServeError;
 use crate::faults::{self, FaultDirective, FaultKind, FaultPlan};
-use crate::metrics::{lock_recover, EventKind, ServeMetrics};
+use crate::metrics::{lock_recover, EventKind, FaultStage, ServeMetrics};
 use crate::persist::{StoreConfig, DEFAULT_STORE_CACHE_CAPACITY};
 use crate::pool::{
     BatchPolicy, QueuedSession, SessionOutcome, SessionReport, SessionRunConfig, Shard, WorkDeques,
@@ -171,13 +171,7 @@ impl ServiceResult {
             h.update(r.name.as_bytes());
             h.update(&r.cycles.to_be_bytes());
             h.update(&r.latency_cycles.to_be_bytes());
-            h.update(&[match &r.outcome {
-                SessionOutcome::Compliant => 0u8,
-                SessionOutcome::NonCompliant => 1,
-                SessionOutcome::Evicted { .. } => 2,
-                SessionOutcome::Failed { .. } => 3,
-                SessionOutcome::Shed => 4,
-            }]);
+            h.update(&[r.outcome.class_byte()]);
             if let Some(v) = &r.verdict {
                 h.update(&[u8::from(v.compliant)]);
                 h.update(v.detail.as_bytes());
@@ -199,13 +193,7 @@ impl ServiceResult {
         let mut h = Sha256::new();
         for r in &self.reports {
             h.update(r.name.as_bytes());
-            h.update(&[match &r.outcome {
-                SessionOutcome::Compliant => 0u8,
-                SessionOutcome::NonCompliant => 1,
-                SessionOutcome::Evicted { .. } => 2,
-                SessionOutcome::Failed { .. } => 3,
-                SessionOutcome::Shed => 4,
-            }]);
+            h.update(&[r.outcome.class_byte()]);
             if let Some(v) = &r.verdict {
                 h.update(&[u8::from(v.compliant)]);
                 h.update(v.detail.as_bytes());
@@ -593,8 +581,7 @@ impl ProvisioningService {
                     if let Some(item) = work.find_joinable(key, policy) {
                         if let Some(qs) = pending.take() {
                             item.sessions.push(qs);
-                            self.metrics
-                                .record_threaded_batch_join(item.sessions.len() as u64);
+                            self.metrics.record_batch_join(item.sessions.len() as u64);
                         }
                     }
                 }
@@ -940,7 +927,7 @@ fn finish_store(
         };
         match outcome {
             Ok(Some(o)) => {
-                metrics.record_fault_injected(d.kind);
+                metrics.record_fault(d.kind, FaultStage::Injected);
                 metrics.record(
                     EventKind::FaultInjected,
                     "",
@@ -973,11 +960,11 @@ fn finish_store(
                 // surface in the recovery report; silent ones (a lost
                 // final segment) honestly stay undetected.
                 if *detectable && report.found_damage() {
-                    metrics.record_fault_detected(*kind);
+                    metrics.record_fault(*kind, FaultStage::Detected);
                 }
                 // Recovery completed with typed counters and only
                 // authenticated records — the clean-recovery outcome.
-                metrics.record_fault_recovered(*kind);
+                metrics.record_fault(*kind, FaultStage::Recovered);
             }
             metrics.set_store_stats(&reopened.stats());
             metrics.record(
@@ -1038,7 +1025,7 @@ fn worker_loop(
                     if let Some(victim) = victim {
                         if let Some(item) = work.steal_from(victim) {
                             let from_dead = shared.dead[victim].load(Ordering::SeqCst);
-                            metrics.record_threaded_steal(item.sessions.len() as u64, from_dead);
+                            metrics.record_steal(item.sessions.len() as u64, from_dead);
                             break Some(item);
                         }
                     }

@@ -214,11 +214,11 @@ fn verdict_cache_is_shared_across_shards_and_stays_reproducible() {
     let b = run_cached_fleet(0xCAC4E);
     // One fleet-wide cache: the first session inserts, every later
     // session replays — including the ones scheduled on the other shard.
-    let m = a.metrics.counters();
-    assert_eq!(m.cache_misses, 1);
-    assert_eq!(m.cache_hits, 5);
-    assert_eq!(m.cache_insertions, 1);
-    assert_eq!(m.cache_evictions, 0);
+    let m = a.metrics.cache_stats();
+    assert_eq!(m.misses, 1);
+    assert_eq!(m.hits, 5);
+    assert_eq!(m.insertions, 1);
+    assert_eq!(m.evictions, 0);
     let hits: Vec<_> = a.reports.iter().filter(|r| r.cache_hit).collect();
     assert_eq!(hits.len(), 5);
     let hit_shards: std::collections::BTreeSet<usize> = hits.iter().map(|r| r.shard).collect();
@@ -531,9 +531,9 @@ fn batch_admission_amortizes_one_inspection_across_same_key_followers() {
 
     // The leader pays the one real inspection; every follower replays
     // the shared verdict for probe cost.
-    let m = batched.metrics.counters();
-    assert_eq!(m.cache_misses, 1);
-    assert_eq!(m.cache_hits, 7);
+    let m = batched.metrics.cache_stats();
+    assert_eq!(m.misses, 1);
+    assert_eq!(m.hits, 7);
     assert!(batched
         .reports
         .iter()
@@ -563,13 +563,11 @@ fn batch_admission_amortizes_one_inspection_across_same_key_followers() {
     assert_eq!(batched.fingerprint(), replay.fingerprint());
 }
 
-fn run_skewed_fleet(seed: u64, steal: bool) -> engarde_serve::ServiceResult {
+fn run_skewed_fleet(seed: u64, mode: SchedMode, steal: bool) -> engarde_serve::ServiceResult {
     let reqs = compliant_requests(12, seed);
     let mut svc = ProvisioningService::start(ServiceConfig {
         shards: 4,
-        mode: SchedMode::VirtualTime {
-            arrival_gap: 500_000,
-        },
+        mode,
         machine: machine(seed),
         queue_capacity: 32,
         run: SessionRunConfig::default(),
@@ -588,9 +586,13 @@ fn run_skewed_fleet(seed: u64, steal: bool) -> engarde_serve::ServiceResult {
     svc.drain()
 }
 
+const SKEW_VIRTUAL_TIME: SchedMode = SchedMode::VirtualTime {
+    arrival_gap: 500_000,
+};
+
 #[test]
 fn skewed_fleet_spreads_hot_shard_load_by_stealing() {
-    let stealing = run_skewed_fleet(0x5E3A, true);
+    let stealing = run_skewed_fleet(0x5E3A, SKEW_VIRTUAL_TIME, true);
     let sched = stealing.metrics.sched_stats();
     assert!(sched.steals > 0, "idle peers must steal from the hot deque");
     let shards_used: std::collections::BTreeSet<usize> =
@@ -605,12 +607,12 @@ fn skewed_fleet_spreads_hot_shard_load_by_stealing() {
         .all(|r| r.outcome == SessionOutcome::Compliant && r.client_verified));
 
     // The steal schedule is a pure function of the seeds.
-    let replay = run_skewed_fleet(0x5E3A, true);
+    let replay = run_skewed_fleet(0x5E3A, SKEW_VIRTUAL_TIME, true);
     assert_eq!(stealing.fingerprint(), replay.fingerprint());
 
     // Stealing off: the hint pins everything to shard 0 and the other
     // three workers idle — same verdicts, but the makespan balloons.
-    let pinned = run_skewed_fleet(0x5E3A, false);
+    let pinned = run_skewed_fleet(0x5E3A, SKEW_VIRTUAL_TIME, false);
     assert_eq!(pinned.metrics.sched_stats().steals, 0);
     assert!(pinned.reports.iter().all(|r| r.shard == 0));
     assert_eq!(stealing.verdict_fingerprint(), pinned.verdict_fingerprint());
@@ -621,4 +623,24 @@ fn skewed_fleet_spreads_hot_shard_load_by_stealing() {
         pinned.makespan_cycles,
         stealing.makespan_cycles
     );
+}
+
+#[test]
+fn threaded_skewed_fleet_records_its_steals_in_the_scheduler_block() {
+    // Real threads steal in a racy order, so the count is not fixed.
+    // But every tenant's home is shard 0, batching is off and no worker
+    // dies: a session ran elsewhere exactly when a peer stole it, one
+    // session per steal.
+    let result = run_skewed_fleet(0x5E3B, SchedMode::Threaded, true);
+    assert!(result
+        .reports
+        .iter()
+        .all(|r| r.outcome == SessionOutcome::Compliant && r.client_verified));
+    let sched = result.metrics.sched_stats();
+    assert!(sched.stolen_sessions >= sched.steals);
+    assert!(sched.stolen_sessions >= sched.drained_from_dead);
+    let off_home = result.reports.iter().filter(|r| r.shard != 0).count() as u64;
+    assert_eq!(sched.stolen_sessions, off_home, "{sched:?}");
+    assert_eq!(sched.steals, off_home, "{sched:?}");
+    assert_eq!(sched.drained_from_dead, 0);
 }

@@ -13,7 +13,9 @@ echo "== tier-1: release build (offline) =="
 cargo build --release --offline
 
 echo "== tier-1: test suite (offline) =="
-cargo test -q --offline --workspace
+# --no-fail-fast: one failing target must not hide the others' results;
+# the step still exits non-zero if any test fails.
+cargo test -q --offline --workspace --no-fail-fast
 
 echo "== lint: clippy, warnings denied =="
 cargo clippy --workspace --all-targets --offline -- -D warnings

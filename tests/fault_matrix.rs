@@ -272,6 +272,7 @@ fn fault_schedule_and_metrics_are_deterministic() {
     );
     assert_eq!(a.metrics.fault_stats(), b.metrics.fault_stats());
     assert_eq!(a.metrics.counters(), b.metrics.counters());
+    assert_eq!(a.metrics.cache_stats(), b.metrics.cache_stats());
 }
 
 #[test]
@@ -382,8 +383,9 @@ fn store_faults_recover_typed_and_never_touch_session_verdicts() {
             kind.name()
         );
         if kind != FaultKind::StoreLostSegment {
+            let found = snap.stats.recovery;
             assert!(
-                snap.torn_tail_truncations + snap.corrupt_records + snap.garbage_segments > 0,
+                found.torn_tail_truncations + found.corrupt_records + found.garbage_segments > 0,
                 "{}: recovery scan reported no damage",
                 kind.name()
             );

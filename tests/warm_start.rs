@@ -95,8 +95,7 @@ fn warm_restart_reproduces_verdicts_for_probe_cost_only() {
     let cold = run_fleet(&traffic, 0x3A22, cfg.clone());
     assert!(cold.reports.iter().all(|r| r.reached_verdict()));
     assert!(cold.reports.iter().all(|r| !r.cache_hit));
-    let cold_counters = cold.metrics.counters();
-    assert_eq!(cold_counters.cache_warm_hits, 0);
+    assert_eq!(cold.metrics.cache_stats().warm_hits, 0);
     let cold_store = cold.metrics.store_stats();
     assert!(cold_store.enabled);
     assert_eq!(cold_store.hydrated, 0, "an empty store hydrates nothing");
@@ -120,7 +119,7 @@ fn warm_restart_reproduces_verdicts_for_probe_cost_only() {
         "every sealed verdict must hydrate"
     );
     assert_eq!(
-        warm.metrics.counters().cache_warm_hits,
+        warm.metrics.cache_stats().warm_hits,
         traffic.len() as u64,
         "every session must hit a hydrated entry"
     );
@@ -171,6 +170,7 @@ fn warm_restart_is_deterministic_end_to_end() {
     assert_eq!(a.makespan_cycles, b.makespan_cycles);
     assert_eq!(a.verdict_fingerprint(), b.verdict_fingerprint());
     assert_eq!(a.metrics.counters(), b.metrics.counters());
+    assert_eq!(a.metrics.cache_stats(), b.metrics.cache_stats());
 
     // And the restart run replays strictly faster than its cold seed,
     // hydration cost included in the makespan.
@@ -198,7 +198,7 @@ fn foreign_identity_hydrates_nothing_and_falls_back_cold() {
     let restarted = run_fleet(&traffic, 0x3A42, foreign);
     let snap = restarted.metrics.store_stats();
     assert_eq!(snap.hydrated, 0, "foreign identity must hydrate nothing");
-    assert_eq!(restarted.metrics.counters().cache_warm_hits, 0);
+    assert_eq!(restarted.metrics.cache_stats().warm_hits, 0);
     assert!(restarted.reports.iter().all(|r| !r.cache_hit));
     assert!(restarted.reports.iter().all(|r| r.reached_verdict()));
     assert_eq!(

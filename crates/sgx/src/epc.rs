@@ -10,6 +10,7 @@
 //! to **32,000 pages (128 MiB)** so the client binary plus its decoded
 //! instruction buffer fit; both sizes are exposed here as constants.
 
+use engarde_crypto::aes::{ctr_xor, AesKey};
 use std::fmt;
 
 /// Size of one EPC page in bytes.
@@ -117,14 +118,19 @@ pub struct EpcmEntry {
 
 /// The encrypted page cache: backing store plus EPCM.
 ///
-/// Page contents are stored encrypted (a keyed stream cipher stands in
-/// for the hardware's memory encryption engine); [`Epc::read_plaintext`]
-/// is the in-enclave view, [`Epc::read_ciphertext`] is what an adversary
-/// probing the memory bus would observe.
+/// Page contents are stored encrypted, standing in for the hardware's
+/// memory encryption engine (MEE): page `idx` is AES-256-CTR under the
+/// machine's MEE key with nonce `idx‖0` and block counter `offset / 16`.
+/// CTR is seekable, so reads and writes touch only the 16-byte blocks
+/// their byte range overlaps — the real MEE likewise works per 64-byte
+/// cache line, never per page. [`Epc::read_plaintext`] and
+/// [`Epc::read_plaintext_at`] are the in-enclave view,
+/// [`Epc::read_ciphertext`] is what an adversary probing the memory bus
+/// would observe.
 pub struct Epc {
     pages: Vec<Option<Box<[u8; PAGE_SIZE]>>>,
     epcm: Vec<Option<EpcmEntry>>,
-    mee_key: [u8; 32],
+    mee: AesKey,
     free_hint: usize,
 }
 
@@ -167,7 +173,7 @@ impl Epc {
         Epc {
             pages: (0..num_pages).map(|_| None).collect(),
             epcm: vec![None; num_pages],
-            mee_key,
+            mee: AesKey::new_256(&mee_key),
             free_hint: 0,
         }
     }
@@ -199,7 +205,7 @@ impl Epc {
                 let mut page = Box::new([0u8; PAGE_SIZE]);
                 let len = data.len().min(PAGE_SIZE);
                 page[..len].copy_from_slice(&data[..len]);
-                self.crypt(idx, &mut page[..]);
+                mee_xor(&self.mee, idx, 0, &mut page[..]);
                 self.pages[idx] = Some(page);
                 self.epcm[idx] = Some(entry);
                 self.free_hint = (idx + 1) % n;
@@ -255,14 +261,33 @@ impl Epc {
     ///
     /// Returns [`EpcError::BadPage`] for an invalid index.
     pub fn read_plaintext(&self, idx: usize) -> Result<[u8; PAGE_SIZE], EpcError> {
+        let mut out = [0u8; PAGE_SIZE];
+        self.read_plaintext_at(idx, 0, &mut out)?;
+        Ok(out)
+    }
+
+    /// Reads the plaintext bytes `[offset, offset + out.len())` of a page
+    /// into `out`, decrypting only the CTR blocks that range overlaps.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EpcError::BadPage`] for an invalid index or a range that
+    /// does not fit in the page.
+    pub fn read_plaintext_at(
+        &self,
+        idx: usize,
+        offset: usize,
+        out: &mut [u8],
+    ) -> Result<(), EpcError> {
+        let end = page_range_end(offset, out.len())?;
         let page = self
             .pages
             .get(idx)
             .and_then(|p| p.as_ref())
             .ok_or(EpcError::BadPage)?;
-        let mut out = **page;
-        self.crypt_buf(idx, &mut out);
-        Ok(out)
+        out.copy_from_slice(&page[offset..end]);
+        mee_xor(&self.mee, idx, offset, out);
+        Ok(())
     }
 
     /// Reads raw (encrypted) page contents — what an adversary observing
@@ -279,50 +304,59 @@ impl Epc {
             .ok_or(EpcError::BadPage)
     }
 
-    /// Overwrites plaintext contents of a page (in-enclave write).
+    /// Overwrites plaintext bytes `[offset, offset + data.len())` of a
+    /// page (in-enclave write), re-encrypting only the CTR blocks that
+    /// range overlaps.
     ///
     /// # Errors
     ///
-    /// Returns [`EpcError::BadPage`] for an invalid index.
+    /// Returns [`EpcError::BadPage`] for an invalid index or a range that
+    /// does not fit in the page.
     pub fn write_plaintext(
         &mut self,
         idx: usize,
         offset: usize,
         data: &[u8],
     ) -> Result<(), EpcError> {
-        if offset + data.len() > PAGE_SIZE {
-            return Err(EpcError::BadPage);
-        }
-        let mut plain = self.read_plaintext(idx)?;
-        plain[offset..offset + data.len()].copy_from_slice(data);
-        self.crypt_buf(idx, &mut plain);
+        let end = page_range_end(offset, data.len())?;
         let page = self
             .pages
             .get_mut(idx)
             .and_then(|p| p.as_mut())
             .ok_or(EpcError::BadPage)?;
-        **page = plain;
+        let dst = &mut page[offset..end];
+        dst.copy_from_slice(data);
+        mee_xor(&self.mee, idx, offset, dst);
         Ok(())
     }
+}
 
-    fn crypt(&self, idx: usize, buf: &mut [u8]) {
-        self.crypt_buf_impl(idx, buf);
-    }
+/// End of the byte range `[offset, offset + len)` within one page, or
+/// [`EpcError::BadPage`] if it overflows or runs past the page.
+fn page_range_end(offset: usize, len: usize) -> Result<usize, EpcError> {
+    offset
+        .checked_add(len)
+        .filter(|&end| end <= PAGE_SIZE)
+        .ok_or(EpcError::BadPage)
+}
 
-    fn crypt_buf(&self, idx: usize, buf: &mut [u8; PAGE_SIZE]) {
-        self.crypt_buf_impl(idx, &mut buf[..]);
+/// XORs `buf`, the bytes at `offset` of page `idx`, with the MEE
+/// keystream for those bytes: an unaligned head takes its bytes out of
+/// one keystream block, the rest is CTR from the next block boundary.
+/// Involutive, so it both encrypts and decrypts.
+fn mee_xor(mee: &AesKey, idx: usize, offset: usize, buf: &mut [u8]) {
+    let mut nonce = [0u8; 16];
+    nonce[0..8].copy_from_slice(&(idx as u64).to_be_bytes());
+    let skip = offset % 16;
+    let head_len = ((16 - skip) % 16).min(buf.len());
+    let (head, body) = buf.split_at_mut(head_len);
+    if !head.is_empty() {
+        let mut block = [0u8; 16];
+        block[skip..skip + head.len()].copy_from_slice(head);
+        ctr_xor(mee, &nonce, (offset / 16) as u64, &mut block);
+        head.copy_from_slice(&block[skip..skip + head.len()]);
     }
-
-    // Keyed per-page keystream standing in for the hardware memory
-    // encryption engine: deterministic, involutive (XOR), keyed by the
-    // machine's MEE key and the page index.
-    fn crypt_buf_impl(&self, idx: usize, buf: &mut [u8]) {
-        use engarde_crypto::aes::{ctr_xor, AesKey};
-        let key = AesKey::new_256(&self.mee_key);
-        let mut nonce = [0u8; 16];
-        nonce[0..8].copy_from_slice(&(idx as u64).to_be_bytes());
-        ctr_xor(&key, &nonce, 0, buf);
-    }
+    ctr_xor(mee, &nonce, offset.div_ceil(16) as u64, body);
 }
 
 #[cfg(test)]
@@ -421,6 +455,30 @@ mod tests {
         assert_eq!(plain[0], 0);
         // Out-of-bounds write rejected.
         assert!(epc.write_plaintext(idx, PAGE_SIZE - 2, &[0; 4]).is_err());
+    }
+
+    #[test]
+    fn hostile_ranges_are_bad_page_not_panics() {
+        let mut epc = Epc::new(2, [3u8; 32]);
+        let idx = epc.alloc(entry(1, 0), &[0u8; 16]).expect("alloc");
+        let mut out = [0u8; 1];
+        for offset in [usize::MAX, usize::MAX - 1, PAGE_SIZE] {
+            assert_eq!(
+                epc.write_plaintext(idx, offset, &[1]),
+                Err(EpcError::BadPage)
+            );
+            assert_eq!(
+                epc.read_plaintext_at(idx, offset, &mut out),
+                Err(EpcError::BadPage)
+            );
+        }
+        // An empty range at the page end is in bounds.
+        epc.write_plaintext(idx, PAGE_SIZE, &[])
+            .expect("empty write");
+        assert_eq!(
+            epc.read_plaintext_at(99, 0, &mut out),
+            Err(EpcError::BadPage)
+        );
     }
 
     #[test]

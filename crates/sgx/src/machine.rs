@@ -11,6 +11,7 @@ use crate::epc::{Epc, EpcmEntry, PagePerms, PageType, ENGARDE_EPC_PAGES, PAGE_SI
 use crate::instr::{SgxInstr, SgxVersion};
 use crate::perf::CycleCounter;
 use crate::SgxError;
+use engarde_crypto::aes::{ctr_xor, AesKey};
 use engarde_crypto::hmac::hmac_sha256;
 use engarde_crypto::rsa::RsaKeyPair;
 use engarde_crypto::sha256::{Digest, Sha256};
@@ -273,6 +274,8 @@ pub struct SgxMachine {
     device_key: RsaKeyPair,
     report_key: [u8; 32],
     seal_key: [u8; 32],
+    /// `seal_key`'s AES-256 schedule, expanded once for EWB/ELDU.
+    seal_cipher: AesKey,
     counter: CycleCounter,
     instr_log: Vec<SgxInstr>,
     versions: BTreeMap<(EnclaveId, u64), u64>,
@@ -316,6 +319,7 @@ impl SgxMachine {
             next_id: 1,
             device_key,
             report_key,
+            seal_cipher: AesKey::new_256(&seal_key),
             seal_key,
             counter: CycleCounter::new(),
             instr_log: Vec::new(),
@@ -714,11 +718,9 @@ impl SgxMachine {
         self.next_version += 1;
         let mut ciphertext = plaintext.to_vec();
         {
-            use engarde_crypto::aes::{ctr_xor, AesKey};
-            let key = AesKey::new_256(&self.seal_key);
             let mut nonce = [0u8; 16];
             nonce[0..8].copy_from_slice(&version.to_be_bytes());
-            ctr_xor(&key, &nonce, 0, &mut ciphertext);
+            ctr_xor(&self.seal_cipher, &nonce, 0, &mut ciphertext);
         }
         let mut mac_msg = Vec::with_capacity(8 + 8 + 8 + ciphertext.len());
         mac_msg.extend_from_slice(&id.to_le_bytes());
@@ -779,11 +781,9 @@ impl SgxMachine {
         }
         let mut plaintext = page.ciphertext.clone();
         {
-            use engarde_crypto::aes::{ctr_xor, AesKey};
-            let key = AesKey::new_256(&self.seal_key);
             let mut nonce = [0u8; 16];
             nonce[0..8].copy_from_slice(&page.version.to_be_bytes());
-            ctr_xor(&key, &nonce, 0, &mut plaintext);
+            ctr_xor(&self.seal_cipher, &nonce, 0, &mut plaintext);
         }
         let enclave = self
             .enclaves
@@ -974,21 +974,21 @@ impl SgxMachine {
             .enclaves
             .get(&id)
             .ok_or(SgxError::NoSuchEnclave { id })?;
-        let mut out = Vec::with_capacity(len);
+        let mut out = vec![0u8; len];
         let mut addr = vaddr;
-        let mut remaining = len;
-        while remaining > 0 {
+        let mut done = 0;
+        while done < len {
             let page_base = addr & !(PAGE_SIZE as u64 - 1);
             let &idx = enclave
                 .pages
                 .get(&page_base)
                 .ok_or(SgxError::BadAddress { vaddr: addr })?;
-            let page = self.epc.read_plaintext(idx)?;
             let off = (addr - page_base) as usize;
-            let take = remaining.min(PAGE_SIZE - off);
-            out.extend_from_slice(&page[off..off + take]);
+            let take = (len - done).min(PAGE_SIZE - off);
+            self.epc
+                .read_plaintext_at(idx, off, &mut out[done..done + take])?;
             addr += take as u64;
-            remaining -= take;
+            done += take;
         }
         Ok(out)
     }

@@ -12,6 +12,12 @@ cd "$(dirname "$0")/.."
 echo "== tier-1: release build (offline) =="
 cargo build --release --offline
 
+echo "== build + test: perfbench (its own package) =="
+# perfbench/ is outside the workspace but calls the engarde-core and
+# engarde-sgx pub APIs; building it here makes an API change that
+# breaks the benchmark fail the gate.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== tier-1: test suite (offline) =="
 # --no-fail-fast: one failing target must not hide the others' results;
 # the step still exits non-zero if any test fails.

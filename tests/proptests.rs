@@ -16,6 +16,9 @@ use engarde::elf::build::ElfBuilder;
 use engarde::elf::parse::ElfFile;
 use engarde::rand::harness::{vec_u8, Property};
 use engarde::rand::{Rng, SeedableRng, StdRng};
+use engarde::sgx::epc::{Epc, EpcmEntry, PagePerms, PageType, PAGE_SIZE};
+use engarde::sgx::instr::SgxVersion;
+use engarde::sgx::machine::{MachineConfig, SgxMachine};
 use engarde::x86::decode::{decode_all, decode_one};
 use engarde::x86::encode::Assembler;
 use engarde::x86::reg::Reg;
@@ -116,6 +119,106 @@ fn aes_block_decrypt_inverts_encrypt() {
         key.decrypt_block(&mut b);
         assert_eq!(b, block);
     });
+}
+
+// ---- EPC memory encryption -------------------------------------------
+
+/// A byte range inside one page, biased toward short, unaligned spans
+/// (the relocation-sized writes) while still covering whole-page ones.
+fn page_range<R: Rng + ?Sized>(rng: &mut R) -> (usize, usize) {
+    let offset = rng.gen_range(0..=PAGE_SIZE);
+    let room = PAGE_SIZE - offset;
+    let len = if rng.gen_bool(0.5) {
+        rng.gen_range(0..=room.min(40))
+    } else {
+        rng.gen_range(0..=room)
+    };
+    (offset, len)
+}
+
+#[test]
+fn epc_ciphertext_is_page_ctr_under_the_mee_key() {
+    // Oracle: after any sequence of ranged writes, the stored page is
+    // exactly AES-256-CTR(mee_key, nonce = idx‖0, counter 0) of the
+    // plaintext model, and every ranged read is a slice of that model.
+    Property::new("epc_ciphertext_is_page_ctr_under_the_mee_key").run(|rng| {
+        let mee_key: [u8; 32] = rng.gen();
+        let oracle = AesKey::new_256(&mee_key);
+        let mut epc = Epc::new(8, mee_key);
+        let entry = EpcmEntry {
+            valid: true,
+            page_type: PageType::Reg,
+            enclave_id: 1,
+            vaddr: 0,
+            perms: PagePerms::RW,
+            perms_locked: false,
+        };
+        // Burn a random number of slots so the page index (the nonce)
+        // varies across cases.
+        for _ in 0..rng.gen_range(0..8usize) {
+            epc.alloc(entry, &[]).expect("filler page");
+        }
+        let init = vec_u8(rng, 0..PAGE_SIZE + 1);
+        let idx = epc.alloc(entry, &init).expect("page under test");
+        let mut model = [0u8; PAGE_SIZE];
+        model[..init.len()].copy_from_slice(&init);
+        let mut nonce = [0u8; 16];
+        nonce[0..8].copy_from_slice(&(idx as u64).to_be_bytes());
+        for _ in 0..rng.gen_range(1..24usize) {
+            let (offset, len) = page_range(rng);
+            let data = vec_u8(rng, len..len + 1);
+            epc.write_plaintext(idx, offset, &data)
+                .expect("in-page write");
+            model[offset..offset + len].copy_from_slice(&data);
+
+            let mut expected = model;
+            ctr_xor(&oracle, &nonce, 0, &mut expected);
+            assert_eq!(
+                epc.read_ciphertext(idx).expect("ciphertext"),
+                expected,
+                "write [{offset}, +{len})"
+            );
+
+            let (offset, len) = page_range(rng);
+            let mut out = vec![0u8; len];
+            epc.read_plaintext_at(idx, offset, &mut out)
+                .expect("in-page read");
+            assert_eq!(out, &model[offset..offset + len], "read [{offset}, +{len})");
+        }
+        assert_eq!(epc.read_plaintext(idx).expect("page"), model);
+    });
+}
+
+#[test]
+fn enclave_access_across_a_page_boundary() {
+    let mut m = SgxMachine::new(MachineConfig {
+        epc_pages: 16,
+        version: SgxVersion::V2,
+        device_key_bits: 512,
+        seed: 0xb0da,
+    });
+    let base = 0x100000;
+    let page = PAGE_SIZE as u64;
+    let id = m.ecreate(base, 2 * page).expect("ecreate");
+    for vaddr in [base, base + page] {
+        m.eadd(id, vaddr, &[0x5a; PAGE_SIZE], PagePerms::RW)
+            .expect("eadd");
+        m.eextend(id, vaddr).expect("eextend");
+    }
+    m.einit(id).expect("einit");
+
+    let data: Vec<u8> = (0..=40u8).collect();
+    let at = base + page - 13;
+    m.enclave_write(id, at, &data).expect("straddling write");
+    assert_eq!(m.enclave_read(id, at, data.len()).expect("read"), data);
+    let whole = m.enclave_read(id, base, 2 * PAGE_SIZE).expect("both pages");
+    let split = PAGE_SIZE - 13;
+    assert!(whole[..split].iter().all(|&b| b == 0x5a));
+    assert_eq!(&whole[split..split + data.len()], &data[..]);
+    assert!(whole[split + data.len()..].iter().all(|&b| b == 0x5a));
+    // One byte short of the window on either side is unmapped.
+    assert!(m.enclave_read(id, base - 1, 2).is_err());
+    assert!(m.enclave_write(id, base + 2 * page - 1, &[0, 0]).is_err());
 }
 
 #[test]

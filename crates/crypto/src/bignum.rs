@@ -434,7 +434,18 @@ impl BigUint {
         self.divrem(m).1
     }
 
-    /// Modular exponentiation `self^exp mod m` via square-and-multiply.
+    /// `self mod d` for a single-limb divisor, without allocating.
+    fn rem_u64(&self, d: u64) -> u64 {
+        self.limbs.iter().rev().fold(0u64, |r, &limb| {
+            (((r as u128) << 64 | limb as u128) % d as u128) as u64
+        })
+    }
+
+    /// Modular exponentiation `self^exp mod m`.
+    ///
+    /// Odd moduli (every RSA modulus and prime candidate) run a
+    /// Montgomery sliding-window exponentiation; even moduli fall back
+    /// to right-to-left square-and-multiply.
     ///
     /// # Panics
     ///
@@ -444,6 +455,18 @@ impl BigUint {
         if m.is_one() {
             return BigUint::zero();
         }
+        if m.is_even() {
+            return self.modpow_square_and_multiply(exp, m);
+        }
+        let mut mont = Mont::new(m);
+        let x = mont.pow(&self.rem(m), exp);
+        mont.decode(&x)
+    }
+
+    /// Right-to-left square-and-multiply with a full reduction per step:
+    /// the even-modulus fallback of [`BigUint::modpow`], and the oracle
+    /// its tests compare against.
+    fn modpow_square_and_multiply(&self, exp: &BigUint, m: &BigUint) -> BigUint {
         let mut base = self.rem(m);
         let mut result = BigUint::one();
         for i in 0..exp.bit_len() {
@@ -598,32 +621,50 @@ impl BigUint {
                 return true;
             }
         }
-        for &p in &SMALL_PRIMES {
-            if self.rem(&BigUint::from_u64(p)).is_zero() {
-                return false;
-            }
+        // Trial division by the odd primes above as one single-limb
+        // remainder against their product. The list must not grow: a
+        // composite it rejects skips the Miller–Rabin witness draw below,
+        // so a larger sieve would shift the RNG stream and with it every
+        // seeded key.
+        const ODD_PRIMORIAL: u64 = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47;
+        if self.is_even() {
+            return false;
+        }
+        let r = self.rem_u64(ODD_PRIMORIAL);
+        if SMALL_PRIMES[1..].iter().any(|&p| r.is_multiple_of(p)) {
+            return false;
         }
         // Write self - 1 = d * 2^s.
-        let one = BigUint::one();
         let two = BigUint::from_u64(2);
-        let n_minus_1 = self.sub(&one);
+        let n_minus_1 = self.sub(&BigUint::one());
         let mut d = n_minus_1.clone();
         let mut s = 0usize;
         while d.is_even() {
             d = d.shr(1);
             s += 1;
         }
+        // Witnesses run in the Montgomery domain of one context: `x == 1`
+        // and `x == n - 1` become comparisons against `R` and `R·(n-1)`.
+        let mut mont = Mont::new(self);
+        let one = mont.encode(&BigUint::one());
+        let minus_one = mont.encode(&n_minus_1);
+        let mut sq = vec![0u64; one.len()];
         let bound = self.sub(&BigUint::from_u64(3));
         'witness: for _ in 0..rounds {
             let a = BigUint::random_below(rng, &bound).add(&two);
-            let mut x = a.modpow(&d, self);
-            if x.is_one() || x == n_minus_1 {
+            let mut x = mont.pow(&a, &d);
+            if x == one || x == minus_one {
                 continue;
             }
             for _ in 0..s - 1 {
-                x = x.modpow(&two, self);
-                if x == n_minus_1 {
+                mont.mul(&x, &x, &mut sq);
+                std::mem::swap(&mut x, &mut sq);
+                if x == minus_one {
                     continue 'witness;
+                }
+                if x == one {
+                    // 1 squares to 1 and never reaches n - 1: composite.
+                    break;
                 }
             }
             return false;
@@ -647,6 +688,167 @@ impl BigUint {
                 return candidate;
             }
         }
+    }
+}
+
+/// Montgomery arithmetic modulo one odd modulus `m > 1` of `n` limbs,
+/// with `R = 2^(64n)`.
+///
+/// A value in the Montgomery domain is an `n`-limb little-endian slice
+/// holding `x·R mod m`. Multiplication is CIOS (coarsely integrated
+/// operand scanning) into one reusable accumulator, so an
+/// exponentiation allocates only its window table and two buffers.
+struct Mont {
+    /// The modulus, `n` limbs.
+    m: Vec<u64>,
+    /// `-m⁻¹ mod 2⁶⁴`.
+    m_inv: u64,
+    /// `R² mod m`, which maps a value into the domain.
+    r2: Vec<u64>,
+    /// CIOS accumulator, `n + 2` limbs.
+    t: Vec<u64>,
+}
+
+impl Mont {
+    fn new(m: &BigUint) -> Mont {
+        debug_assert!(
+            !m.is_even() && !m.is_one(),
+            "Montgomery needs an odd modulus > 1"
+        );
+        let n = m.limbs.len();
+        // Newton's iteration for m0⁻¹ mod 2⁶⁴: an odd m0 is its own
+        // inverse mod 2³, and each step doubles the correct low bits.
+        let m0 = m.limbs[0];
+        let mut inv = m0;
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(m0.wrapping_mul(inv)));
+        }
+        let mut r2 = BigUint::one().shl(128 * n).rem(m).limbs;
+        r2.resize(n, 0);
+        Mont {
+            m: m.limbs.clone(),
+            m_inv: inv.wrapping_neg(),
+            r2,
+            t: vec![0; n + 2],
+        }
+    }
+
+    /// `out = a·b·R⁻¹ mod m` for `n`-limb `a, b < m`.
+    fn mul(&mut self, a: &[u64], b: &[u64], out: &mut [u64]) {
+        cios(&self.m, self.m_inv, &mut self.t, a, b, out);
+    }
+
+    /// `x·R mod m` for `x < m`.
+    fn encode(&mut self, x: &BigUint) -> Vec<u64> {
+        let mut limbs = x.limbs.clone();
+        limbs.resize(self.m.len(), 0);
+        let mut out = vec![0; self.m.len()];
+        cios(&self.m, self.m_inv, &mut self.t, &limbs, &self.r2, &mut out);
+        out
+    }
+
+    /// The value whose Montgomery form is `x`.
+    fn decode(&mut self, x: &[u64]) -> BigUint {
+        let mut one = vec![0; self.m.len()];
+        one[0] = 1;
+        let mut out = vec![0; self.m.len()];
+        self.mul(x, &one, &mut out);
+        let mut n = BigUint { limbs: out };
+        n.normalize();
+        n
+    }
+
+    /// `base^exp` in the Montgomery domain, for `base < m`: a
+    /// left-to-right sliding window over a table of odd powers.
+    fn pow(&mut self, base: &BigUint, exp: &BigUint) -> Vec<u64> {
+        let bits = exp.bit_len();
+        let w = match bits {
+            0..=23 => 1,
+            24..=79 => 3,
+            80..=239 => 4,
+            240..=671 => 5,
+            _ => 6,
+        };
+        let n = self.m.len();
+        // table[k] = base^(2k+1).
+        let mut table = vec![self.encode(base)];
+        if w > 1 {
+            let mut sq = vec![0; n];
+            self.mul(&table[0], &table[0], &mut sq);
+            for k in 1..1 << (w - 1) {
+                let mut next = vec![0; n];
+                self.mul(&table[k - 1], &sq, &mut next);
+                table.push(next);
+            }
+        }
+        let mut acc = self.encode(&BigUint::one());
+        let mut tmp = vec![0; n];
+        // Bits [i, bits) are consumed.
+        let mut i = bits;
+        while i > 0 {
+            if !exp.bit(i - 1) {
+                self.mul(&acc, &acc, &mut tmp);
+                std::mem::swap(&mut acc, &mut tmp);
+                i -= 1;
+                continue;
+            }
+            // The longest window [lo, i) of at most w bits ending in a one.
+            let mut lo = i.saturating_sub(w);
+            while !exp.bit(lo) {
+                lo += 1;
+            }
+            let value = (lo..i).rev().fold(0, |v, b| v << 1 | exp.bit(b) as usize);
+            for _ in lo..i {
+                self.mul(&acc, &acc, &mut tmp);
+                std::mem::swap(&mut acc, &mut tmp);
+            }
+            self.mul(&acc, &table[value >> 1], &mut tmp);
+            std::mem::swap(&mut acc, &mut tmp);
+            i = lo;
+        }
+        acc
+    }
+}
+
+/// One CIOS Montgomery multiplication: `out = a·b·R⁻¹ mod m`, with
+/// `t` (`n + 2` limbs) as the accumulator. For `a, b < m` the
+/// accumulator ends below `2m`, so one conditional subtraction reduces it.
+fn cios(m: &[u64], m_inv: u64, t: &mut [u64], a: &[u64], b: &[u64], out: &mut [u64]) {
+    let n = m.len();
+    t.fill(0);
+    for &bi in b {
+        // t += a·bi
+        let mut carry = 0u64;
+        for (tj, &aj) in t.iter_mut().zip(a) {
+            let s = *tj as u128 + aj as u128 * bi as u128 + carry as u128;
+            *tj = s as u64;
+            carry = (s >> 64) as u64;
+        }
+        let s = t[n] as u128 + carry as u128;
+        t[n] = s as u64;
+        t[n + 1] = (s >> 64) as u64;
+        // t = (t + q·m) / 2⁶⁴, with q chosen so the low limb cancels.
+        let q = t[0].wrapping_mul(m_inv);
+        let mut carry = ((t[0] as u128 + q as u128 * m[0] as u128) >> 64) as u64;
+        for j in 1..n {
+            let s = t[j] as u128 + q as u128 * m[j] as u128 + carry as u128;
+            t[j - 1] = s as u64;
+            carry = (s >> 64) as u64;
+        }
+        let s = t[n] as u128 + carry as u128;
+        t[n - 1] = s as u64;
+        t[n] = t[n + 1] + (s >> 64) as u64;
+    }
+    // out = t - m, kept unless it borrowed past t's top limb.
+    let mut borrow = false;
+    for ((o, &tj), &mj) in out.iter_mut().zip(&t[..n]).zip(m) {
+        let (d1, b1) = tj.overflowing_sub(mj);
+        let (d2, b2) = d1.overflowing_sub(borrow as u64);
+        *o = d2;
+        borrow = b1 || b2;
+    }
+    if borrow && t[n] == 0 {
+        out.copy_from_slice(&t[..n]);
     }
 }
 
@@ -803,6 +1005,62 @@ mod tests {
         assert!(BigUint::from_u64(5)
             .modpow(&BigUint::from_u64(5), &BigUint::one())
             .is_zero());
+    }
+
+    #[test]
+    fn modpow_matches_square_and_multiply() {
+        // Odd moduli take the Montgomery window; the oracle is the
+        // square-and-multiply loop it replaced.
+        let mut r = rng();
+        for _ in 0..300 {
+            let (m_bits, base_bits, exp_bits) = (
+                2 + r.gen::<usize>() % 700,
+                1 + r.gen::<usize>() % 800,
+                1 + r.gen::<usize>() % 800,
+            );
+            // Round half the moduli up to whole limbs: a full top limb is
+            // where the Montgomery accumulator carries past n limbs.
+            let m_bits = if r.gen::<bool>() {
+                m_bits.next_multiple_of(64)
+            } else {
+                m_bits
+            };
+            let m = BigUint::random_with_bits(&mut r, m_bits);
+            let base = BigUint::random_with_bits(&mut r, base_bits);
+            let exp = BigUint::random_with_bits(&mut r, exp_bits);
+            assert_eq!(
+                base.modpow(&exp, &m),
+                base.modpow_square_and_multiply(&exp, &m),
+                "{base:?}^{exp:?} mod {m:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn montgomery_domain_round_trips() {
+        let m = BigUint::from_bytes_be(&[0xc3; 40]);
+        let mut mont = Mont::new(&m);
+        for x in [BigUint::zero(), BigUint::one(), m.sub(&BigUint::one())] {
+            let xm = mont.encode(&x);
+            assert_eq!(mont.decode(&xm), x);
+        }
+        // R mod m is the Montgomery form of one.
+        let one = mont.encode(&BigUint::one());
+        assert_eq!(BigUint { limbs: one }, BigUint::one().shl(64 * 5).rem(&m));
+    }
+
+    #[test]
+    fn rem_u64_matches_rem() {
+        let mut r = rng();
+        for _ in 0..200 {
+            let bits = 1 + r.gen::<usize>() % 300;
+            let x = BigUint::random_with_bits(&mut r, bits);
+            let d = r.gen::<u64>() | 1;
+            assert_eq!(
+                BigUint::from_u64(x.rem_u64(d)),
+                x.rem(&BigUint::from_u64(d))
+            );
+        }
     }
 
     #[test]

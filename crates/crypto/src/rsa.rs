@@ -38,10 +38,20 @@ pub struct RsaPublicKey {
 }
 
 /// An RSA key pair; the private exponent is never exposed.
+///
+/// Private-key operations use the CRT form: two half-size
+/// exponentiations modulo `p` and `q`, recombined by Garner's formula.
 #[derive(Clone)]
 pub struct RsaKeyPair {
     public: RsaPublicKey,
-    d: BigUint,
+    p: BigUint,
+    q: BigUint,
+    /// `d mod (p - 1)`.
+    dp: BigUint,
+    /// `d mod (q - 1)`.
+    dq: BigUint,
+    /// `q⁻¹ mod p`.
+    qinv: BigUint,
 }
 
 impl std::fmt::Debug for RsaKeyPair {
@@ -85,18 +95,24 @@ impl RsaPublicKey {
     ///
     /// # Errors
     ///
-    /// Returns [`CryptoError::MessageTooLong`] if `plaintext` exceeds
-    /// `modulus_len() - 11` bytes.
+    /// Returns [`CryptoError::KeyTooSmall`] if the modulus is shorter than
+    /// the 11 bytes of padding, and [`CryptoError::MessageTooLong`] if
+    /// `plaintext` exceeds `modulus_len() - 11` bytes.
     pub fn encrypt<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         plaintext: &[u8],
     ) -> Result<Vec<u8>, CryptoError> {
         let k = self.modulus_len();
-        if plaintext.len() + 11 > k {
+        let Some(max) = k.checked_sub(11) else {
+            return Err(CryptoError::KeyTooSmall {
+                bits: self.modulus_bits(),
+            });
+        };
+        if plaintext.len() > max {
             return Err(CryptoError::MessageTooLong {
                 len: plaintext.len(),
-                max: k - 11,
+                max,
             });
         }
         // EM = 0x00 || 0x02 || PS (non-zero random) || 0x00 || M
@@ -187,13 +203,20 @@ impl RsaKeyPair {
             if n.bit_len() != bits {
                 continue;
             }
-            let phi = p.sub(&BigUint::one()).mul(&q.sub(&BigUint::one()));
-            let Some(d) = e.modinv(&phi) else {
+            let (p1, q1) = (p.sub(&BigUint::one()), q.sub(&BigUint::one()));
+            let Some(d) = e.modinv(&p1.mul(&q1)) else {
+                continue;
+            };
+            let Some(qinv) = q.modinv(&p) else {
                 continue;
             };
             return RsaKeyPair {
                 public: RsaPublicKey { n, e },
-                d,
+                dp: d.rem(&p1),
+                dq: d.rem(&q1),
+                p,
+                q,
+                qinv,
             };
         }
     }
@@ -201,6 +224,21 @@ impl RsaKeyPair {
     /// The public half of the key pair.
     pub fn public(&self) -> &RsaPublicKey {
         &self.public
+    }
+
+    /// The private-key operation `x^d mod n` for `x < n`, via the CRT.
+    fn private_op(&self, x: &BigUint) -> BigUint {
+        let mp = x.modpow(&self.dp, &self.p);
+        let mq = x.modpow(&self.dq, &self.q);
+        // Garner: x^d = mq + q·(qinv·(mp - mq) mod p).
+        let mq_p = mq.rem(&self.p);
+        let diff = if mp >= mq_p {
+            mp.sub(&mq_p)
+        } else {
+            mp.add(&self.p).sub(&mq_p)
+        };
+        let h = self.qinv.mul(&diff).rem(&self.p);
+        mq.add(&h.mul(&self.q))
     }
 
     /// Decrypts a PKCS#1 v1.5 type-2 ciphertext.
@@ -218,7 +256,7 @@ impl RsaKeyPair {
         if c >= self.public.n {
             return Err(CryptoError::DecryptionFailed);
         }
-        let em = c.modpow(&self.d, &self.public.n).to_bytes_be_padded(k);
+        let em = self.private_op(&c).to_bytes_be_padded(k);
         if em[0] != 0x00 || em[1] != 0x02 {
             return Err(CryptoError::DecryptionFailed);
         }
@@ -243,8 +281,7 @@ impl RsaKeyPair {
         let k = self.public.modulus_len();
         let em = signature_em(message, k)?;
         let m = BigUint::from_bytes_be(&em);
-        let s = m.modpow(&self.d, &self.public.n);
-        Ok(s.to_bytes_be_padded(k))
+        Ok(self.private_op(&m).to_bytes_be_padded(k))
     }
 }
 
@@ -346,10 +383,86 @@ mod tests {
         assert_eq!(kp.public().modulus_len(), 64);
     }
 
+    /// The private exponent, recomputed from the stored primes.
+    fn private_exponent(kp: &RsaKeyPair) -> BigUint {
+        let phi = kp.p.sub(&BigUint::one()).mul(&kp.q.sub(&BigUint::one()));
+        kp.public.e.modinv(&phi).expect("e is invertible mod phi")
+    }
+
+    #[test]
+    fn crt_private_op_equals_plain_modpow() {
+        for bits in [512, 1024] {
+            let kp = keypair(bits);
+            let (n, d) = (&kp.public.n, private_exponent(&kp));
+            assert_eq!(kp.p.mul(&kp.q), *n);
+            let k = kp.public().modulus_len();
+            let sig = kp.sign(b"crt").expect("sign");
+            let em = BigUint::from_bytes_be(&signature_em(b"crt", k).expect("em"));
+            assert_eq!(BigUint::from_bytes_be(&sig), em.modpow(&d, n));
+            let mut rng = StdRng::seed_from_u64(6);
+            let pt = b"a 256-bit AES session key!!!!!!!";
+            let ct = kp.public().encrypt(&mut rng, pt).expect("encrypt");
+            let c = BigUint::from_bytes_be(&ct);
+            assert_eq!(kp.private_op(&c), c.modpow(&d, n));
+            assert_eq!(kp.decrypt(&ct).expect("decrypt"), pt);
+            // Values sharing a factor with n, and the ends of the range.
+            for x in [
+                BigUint::zero(),
+                BigUint::one(),
+                kp.p.clone(),
+                kp.q.mul(&BigUint::from_u64(3)),
+                n.sub(&BigUint::one()),
+            ] {
+                assert_eq!(kp.private_op(&x), x.modpow(&d, n), "x = {x:?}");
+            }
+        }
+    }
+
     #[test]
     fn debug_hides_private_key() {
         let kp = keypair(512);
-        assert_eq!(format!("{kp:?}"), "RsaKeyPair(bits=512)");
+        let shown = format!("{kp:?}");
+        assert_eq!(shown, "RsaKeyPair(bits=512)");
+        for secret in [
+            &kp.p,
+            &kp.q,
+            &kp.dp,
+            &kp.dq,
+            &kp.qinv,
+            &private_exponent(&kp),
+        ] {
+            assert!(!shown.contains(&format!("{secret:x}")));
+        }
+    }
+
+    #[test]
+    fn modulus_shorter_than_padding_is_key_too_small() {
+        let pk = RsaPublicKey::from_parts(&[0x0f], &[1, 0, 1]);
+        let mut rng = StdRng::seed_from_u64(7);
+        assert!(matches!(
+            pk.encrypt(&mut rng, b""),
+            Err(CryptoError::KeyTooSmall { bits: 4 })
+        ));
+        let empty = RsaPublicKey::from_parts(&[], &[1, 0, 1]);
+        assert!(matches!(
+            empty.encrypt(&mut rng, b""),
+            Err(CryptoError::KeyTooSmall { bits: 0 })
+        ));
+        assert!(empty.verify(b"m", &[]).is_err());
+    }
+
+    #[test]
+    fn even_modulus_never_panics() {
+        let mut rng = StdRng::seed_from_u64(8);
+        for len in [11, 12, 64, 128] {
+            let mut n = vec![0xa5u8; len];
+            n[len - 1] &= 0xfe;
+            let pk = RsaPublicKey::from_parts(&n, &[1, 0, 1]);
+            let ct = pk.encrypt(&mut rng, b"").expect("a value, not a panic");
+            assert_eq!(ct.len(), len);
+            assert!(pk.verify(b"", &ct).is_err());
+            assert!(pk.verify(b"m", &vec![0x01; len]).is_err());
+        }
     }
 
     #[test]

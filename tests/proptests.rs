@@ -91,6 +91,65 @@ fn bignum_shifts_are_mul_div_by_powers() {
     });
 }
 
+/// `base^exp mod m` by right-to-left square-and-multiply over the public
+/// `mul`/`rem`/`bit` operations, the reference `modpow` must match.
+fn modpow_reference(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
+    let mut result = BigUint::one().rem(m);
+    let mut square = base.rem(m);
+    for i in 0..exp.bit_len() {
+        if exp.bit(i) {
+            result = result.mul(&square).rem(m);
+        }
+        square = square.mul(&square).rem(m);
+    }
+    result
+}
+
+#[test]
+fn bignum_modpow_matches_square_and_multiply() {
+    Property::new("bignum_modpow_matches_square_and_multiply").run(|rng| {
+        let one = BigUint::one();
+        // A modulus of 1–20 limbs: odd (Montgomery), even (fallback) or 1.
+        // Half fill the top limb, where the Montgomery accumulator
+        // carries past n limbs; 2^(64n) - 1 is the extreme.
+        let limbs = rng.gen_range(1usize..21);
+        let spare = if rng.gen_bool(0.5) {
+            0
+        } else {
+            rng.gen_range(0usize..64)
+        };
+        let m = BigUint::random_with_bits(rng, 64 * limbs - spare);
+        let m = match rng.gen_range(0u8..9) {
+            0 => one.clone(),
+            8 => one.shl(64 * limbs).sub(&one),
+            1..=4 if m.is_even() => m.add(&one),
+            5..=7 if !m.is_even() => m.add(&one),
+            _ => m,
+        };
+        // Base 0, below m, or at least m; exponents wide enough to reach
+        // every window width, plus exponent 0.
+        let base = match rng.gen_range(0u8..6) {
+            0 => BigUint::zero(),
+            1 => m.clone(),
+            2 => m
+                .mul(&BigUint::from_u64(rng.gen()))
+                .add(&BigUint::from_u64(rng.gen())),
+            _ => BigUint::random_below(rng, &m),
+        };
+        let exp_bits = rng.gen_range(0usize..800);
+        let exp = if exp_bits == 0 || rng.gen_range(0u8..16) == 0 {
+            BigUint::zero()
+        } else {
+            BigUint::random_with_bits(rng, exp_bits)
+        };
+        assert_eq!(
+            base.modpow(&exp, &m),
+            modpow_reference(&base, &exp, &m),
+            "{base:?}^{exp:?} mod {m:?}"
+        );
+    });
+}
+
 // ---- symmetric crypto -------------------------------------------------
 
 #[test]

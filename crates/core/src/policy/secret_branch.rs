@@ -79,8 +79,10 @@ impl PolicyModule for SecretDependentBranch {
     fn descriptor(&self) -> Vec<u8> {
         // v2: branch taint now flows through spilled stack slots (the
         // memory domain), which changes what this module can find —
-        // the measurement must say so.
-        let mut d = b"secret-dependent-branch:v2".to_vec();
+        // the measurement must say so. v3: stack slots named through
+        // any base register with a known offset meet in one cell, so
+        // the v2 engine's verdicts (cached or sealed) must not replay.
+        let mut d = b"secret-dependent-branch:v3".to_vec();
         d.push(u8::from(self.deny));
         d.extend_from_slice(&descriptor_ranges(&self.declared_sources));
         d

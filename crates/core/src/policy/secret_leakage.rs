@@ -140,8 +140,12 @@ impl PolicyModule for SecretLeakage {
     fn descriptor(&self) -> Vec<u8> {
         // v2: the spill-aware memory domain plus the strictness flag
         // are part of what the provider agrees to run, so both are
-        // bound into the measurement.
-        let mut d = b"secret-leakage:v2".to_vec();
+        // bound into the measurement. v3: one stack-address rule for
+        // every base register — the v2 engine passed rbp/rsp alias
+        // spills and untrusted-%rbp stores, and the verdict cache and
+        // store seal keys derive from this descriptor, so no v2 PASS
+        // may be replayed.
+        let mut d = b"secret-leakage:v3".to_vec();
         d.push(self.strict_unresolved_stores as u8);
         d.extend_from_slice(&descriptor_ranges(&self.declared_sources));
         d

@@ -215,4 +215,11 @@ if echo "$metadata" | grep -q '"source":"git'; then
     exit 1
 fi
 
+echo "== gate: a bare cargo test covers every workspace member =="
+# Tier-1 runs `cargo test` without --workspace, which tests only the
+# default members; they must stay the whole workspace.
+echo "$metadata" | jq -e \
+    '(.workspace_default_members | length) == (.workspace_members | length)' > /dev/null \
+    || { echo "FAIL: [workspace] default-members omits a member" >&2; exit 1; }
+
 echo "OK: tier-1 green, dependency graph is path-only"

@@ -92,13 +92,17 @@ pub(crate) fn transfer(state: &mut RegState, insn: &Insn) {
         InsnKind::MovImmToReg { dest, imm, width } => {
             state.set(dest, imm_value(imm, width));
         }
-        InsnKind::LeaRipRel { dest, target } => state.set(dest, Some(target)),
-        InsnKind::Lea { dest, mem } => {
+        InsnKind::LeaRipRel {
+            dest,
+            target,
+            width,
+        } => state.set(dest, lea_value(Some(target), width)),
+        InsnKind::Lea { dest, mem, width } => {
             let folded = match (mem.base, mem.index) {
                 (Some(b), None) => state.get(b).map(|v| v.wrapping_add(mem.disp as i64 as u64)),
                 _ => None,
             };
-            state.set(dest, folded);
+            state.set(dest, lea_value(folded, width));
         }
         InsnKind::MovRegToReg { dest, src, width } => {
             let v = match width {
@@ -133,19 +137,42 @@ pub(crate) fn transfer(state: &mut RegState, insn: &Insn) {
                 .and_then(|a| alu_fold(op, a, imm as u64, width));
             state.set(dest, v);
         }
-        // Loads from untracked memory, canary reads, pops.
-        InsnKind::MovMemToReg { dest, .. }
-        | InsnKind::MovFsToReg { dest, .. }
-        | InsnKind::PopReg { reg: dest } => state.set(dest, None),
+        // Loads from untracked memory, canary reads.
+        InsnKind::MovMemToReg { dest, .. } | InsnKind::MovFsToReg { dest, .. } => {
+            state.set(dest, None)
+        }
+        // `push`/`pop` move a constant `%rsp` by one slot.
+        InsnKind::PushReg { .. } => {
+            state.set(Reg::Rsp, state.get(Reg::Rsp).map(|sp| sp.wrapping_sub(8)));
+        }
+        InsnKind::PopReg { reg } => {
+            state.set(Reg::Rsp, state.get(Reg::Rsp).map(|sp| sp.wrapping_add(8)));
+            state.set(reg, None);
+        }
         // Calls may write any register in the callee.
         InsnKind::DirectCall { .. }
         | InsnKind::IndirectCallReg { .. }
         | InsnKind::IndirectCallMem { .. } => state.clobber_all(),
-        // Unclassified semantics: assume the worst.
-        InsnKind::Other => state.clobber_all(),
-        // Pure memory writes, pushes, compares, branches, nops: no
-        // register effect.
+        // Unclassified semantics: every register it may write is lost.
+        InsnKind::Other { writes, .. } => {
+            for r in writes.iter() {
+                state.set(r, None);
+            }
+        }
+        // Pure memory writes, compares, branches, nops: no register
+        // effect.
         _ => {}
+    }
+}
+
+/// The value a `lea` of `addr` leaves in its destination: a 32-bit
+/// `lea` zero-extends the truncated address, a 16-bit one merges it
+/// into the old register (unknown here).
+fn lea_value(addr: Option<u64>, width: Width) -> Option<u64> {
+    match width {
+        Width::W64 => addr,
+        Width::W32 => addr.map(|v| v & 0xffff_ffff),
+        _ => None,
     }
 }
 

@@ -465,12 +465,16 @@ impl<'m> Executor<'m> {
                         let addr = Self::effective_addr(&cpu, &mem)?;
                         self.write_w(addr, imm as u64, width)?;
                     }
-                    InsnKind::Lea { dest, mem } => {
+                    InsnKind::Lea { dest, mem, width } => {
                         let addr = Self::effective_addr(&cpu, &mem)?;
-                        cpu.set(dest, addr);
+                        cpu.set_w(dest, addr, width);
                     }
-                    InsnKind::LeaRipRel { dest, target } => {
-                        cpu.set(dest, target);
+                    InsnKind::LeaRipRel {
+                        dest,
+                        target,
+                        width,
+                    } => {
+                        cpu.set_w(dest, target, width);
                     }
                     InsnKind::AluRegReg {
                         op,

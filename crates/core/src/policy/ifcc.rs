@@ -243,6 +243,7 @@ impl PolicyModule for IfccPolicy {
             let InsnKind::LeaRipRel {
                 dest: lea_dest,
                 target,
+                width: Width::W64,
             } = insns[lea_i].kind
             else {
                 return Err(violation("missing RIP-relative lea of the jump table"));

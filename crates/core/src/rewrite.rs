@@ -35,7 +35,7 @@ use crate::error::EngardeError;
 use crate::loader::LoadedBinary;
 use engarde_elf::build::ElfBuilder;
 use engarde_x86::encode::{Assembler, Label};
-use engarde_x86::insn::{Cc, InsnKind};
+use engarde_x86::insn::{Cc, InsnKind, Width};
 use engarde_x86::reg::Reg;
 use engarde_x86::validate::BUNDLE_SIZE;
 use std::collections::HashMap;
@@ -94,9 +94,7 @@ impl StackProtectorRewriter {
                         ),
                     })
                 }
-                InsnKind::MovMemToReg { mem, .. } | InsnKind::MovRegToMem { mem, .. }
-                    if mem.rip_relative =>
-                {
+                kind if is_rip_data_reference(kind) => {
                     return Err(EngardeError::Protocol {
                         what: format!(
                             "cannot rewrite RIP-relative data reference at {:#x}",
@@ -203,7 +201,11 @@ impl StackProtectorRewriter {
                     let l = lookup_target(&addr_label, target, insn.addr)?;
                     asm.jcc_label(cc, l);
                 }
-                InsnKind::LeaRipRel { dest, target } => {
+                InsnKind::LeaRipRel {
+                    dest,
+                    target,
+                    width: Width::W64,
+                } => {
                     let l = lookup_target(&addr_label, target, insn.addr)?;
                     asm.lea_rip_label(dest, l);
                 }
@@ -275,6 +277,17 @@ impl StackProtectorRewriter {
     }
 }
 
+/// A RIP-relative data reference the rewriter cannot re-emit against a
+/// label: a load or store, or a `lea` narrower than 64 bits (which keeps
+/// only the low bits of the address).
+fn is_rip_data_reference(kind: InsnKind) -> bool {
+    match kind {
+        InsnKind::MovMemToReg { mem, .. } | InsnKind::MovRegToMem { mem, .. } => mem.rip_relative,
+        InsnKind::LeaRipRel { width, .. } => width != Width::W64,
+        _ => false,
+    }
+}
+
 fn insn_bytes(binary: &LoadedBinary, addr: u64, len: u8) -> &[u8] {
     let off = (addr - binary.text_base) as usize;
     &binary.text_bytes[off..off + len as usize]
@@ -326,6 +339,25 @@ mod tests {
 
     fn sp_policy() -> Vec<Box<dyn PolicyModule>> {
         vec![Box::new(StackProtectionPolicy::new())]
+    }
+
+    #[test]
+    fn narrow_rip_relative_lea_is_a_data_reference() {
+        let kind = |bytes: &[u8]| {
+            engarde_x86::decode::decode_one(bytes, 0x1000)
+                .expect("decodes")
+                .kind
+        };
+        // lea 0x10(%rip), %rax / %ax; mov 0x10(%rip), %rax
+        assert!(!is_rip_data_reference(kind(&[
+            0x48, 0x8d, 0x05, 0x10, 0, 0, 0
+        ])));
+        assert!(is_rip_data_reference(kind(&[
+            0x66, 0x8d, 0x05, 0x10, 0, 0, 0
+        ])));
+        assert!(is_rip_data_reference(kind(&[
+            0x48, 0x8b, 0x05, 0x10, 0, 0, 0
+        ])));
     }
 
     fn plain_workload() -> Vec<u8> {

@@ -71,10 +71,12 @@ pub fn format_insn(insn: &Insn, symbol: impl Fn(u64) -> Option<String>) -> Strin
                 "nopl (%rax)".to_string()
             }
         }
-        InsnKind::LeaRipRel { dest, target: t } => {
+        InsnKind::LeaRipRel {
+            dest, target: t, ..
+        } => {
             format!("lea {}(%rip), {dest}    # {}", 0, target(t))
         }
-        InsnKind::Lea { dest, mem: m } => format!("lea {}, {dest}", mem(&m)),
+        InsnKind::Lea { dest, mem: m, .. } => format!("lea {}, {dest}", mem(&m)),
         InsnKind::MovFsToReg { dest, fs_offset } => {
             format!("mov %fs:{fs_offset:#x}, {dest}")
         }

@@ -23,7 +23,7 @@
 //! ```
 
 use crate::insn::{AluOp, Cc, Insn, InsnKind, MemOperand, Width};
-use crate::reg::Reg;
+use crate::reg::{Reg, RegSet};
 use crate::DisasmError;
 
 /// Longest legal x86 instruction.
@@ -159,6 +159,33 @@ fn parse_modrm(cur: &mut Cursor<'_>, rex: Rex) -> Result<ModRm, DisasmError> {
     })
 }
 
+/// An unclassified instruction that writes `writes` and no memory.
+fn other(writes: RegSet) -> InsnKind {
+    InsnKind::Other {
+        writes,
+        writes_mem: false,
+    }
+}
+
+/// An unclassified instruction that writes its r/m operand (a register
+/// or memory) plus the registers in `also`.
+fn other_rm(m: &ModRm, also: RegSet) -> InsnKind {
+    match m.rm {
+        RmOperand::Reg(r) => other(also.with(r)),
+        RmOperand::Mem(_) => InsnKind::Other {
+            writes: also,
+            writes_mem: true,
+        },
+    }
+}
+
+/// A `push` form the classifier keeps generic: moves `%rsp` and writes
+/// the new stack top.
+const OTHER_PUSH: InsnKind = InsnKind::Other {
+    writes: RegSet::EMPTY.with(Reg::Rsp),
+    writes_mem: true,
+};
+
 /// Decodes a single instruction starting at `bytes[0]`, which lives at
 /// virtual address `addr`.
 ///
@@ -263,6 +290,9 @@ pub fn decode_one(bytes: &[u8], addr: u64) -> Result<Insn, DisasmError> {
         }};
     }
 
+    // The register a ModRM form names in its reg field.
+    let reg_of = |m: &ModRm| RegSet::of(&[Reg::from_bits(rex.r, m.reg_field)]);
+
     let kind: InsnKind = match op {
         // ---- ALU family 0x00-0x3D --------------------------------------
         0x00..=0x3d if (op & 7) <= 5 && (op & 0x27) != 0x26 => {
@@ -338,27 +368,27 @@ pub fn decode_one(bytes: &[u8], addr: u64) -> Result<Insn, DisasmError> {
 
         // movsxd
         0x63 => {
-            let _ = modrm!();
-            InsnKind::Other
+            let m = modrm!();
+            other(reg_of(&m))
         }
 
         0x68 => {
             let _ = simm!(imm_z);
-            InsnKind::Other // push imm
+            OTHER_PUSH // push imm
         }
         0x6a => {
             let _ = simm!(1);
-            InsnKind::Other // push imm8
+            OTHER_PUSH // push imm8
         }
         0x69 => {
-            let _ = modrm!();
+            let m = modrm!();
             let _ = simm!(imm_z);
-            InsnKind::Other // imul r, r/m, immZ
+            other(reg_of(&m)) // imul r, r/m, immZ
         }
         0x6b => {
-            let _ = modrm!();
+            let m = modrm!();
             let _ = simm!(1);
-            InsnKind::Other // imul r, r/m, imm8
+            other(reg_of(&m)) // imul r, r/m, imm8
         }
 
         // ---- jcc rel8 -------------------------------------------------
@@ -395,10 +425,14 @@ pub fn decode_one(bytes: &[u8], addr: u64) -> Result<Insn, DisasmError> {
             }
         }
 
-        // test / xchg
+        // test (writes only flags) / xchg (writes both operands)
         0x84..=0x87 => {
-            let _ = modrm!();
-            InsnKind::Other
+            let m = modrm!();
+            if op <= 0x85 {
+                other(RegSet::EMPTY)
+            } else {
+                other_rm(&m, reg_of(&m))
+            }
         }
 
         // ---- mov ------------------------------------------------------
@@ -450,8 +484,9 @@ pub fn decode_one(bytes: &[u8], addr: u64) -> Result<Insn, DisasmError> {
                 RmOperand::Mem(mem) if mem.rip_relative => InsnKind::LeaRipRel {
                     dest,
                     target: (addr as i64 + cur.pos as i64 + mem.disp as i64) as u64,
+                    width,
                 },
-                RmOperand::Mem(mem) => InsnKind::Lea { dest, mem },
+                RmOperand::Mem(mem) => InsnKind::Lea { dest, mem, width },
                 // lea with a register operand is undefined.
                 RmOperand::Reg(_) => {
                     return Err(DisasmError::UnknownOpcode {
@@ -463,15 +498,16 @@ pub fn decode_one(bytes: &[u8], addr: u64) -> Result<Insn, DisasmError> {
         }
 
         0x90 => InsnKind::Nop,
-        0x98 | 0x99 => InsnKind::Other, // cdqe / cqo
+        0x98 => other(RegSet::of(&[Reg::Rax])), // cdqe
+        0x99 => other(RegSet::of(&[Reg::Rdx])), // cqo
 
         0xa8 => {
             let _ = simm!(1);
-            InsnKind::Other // test al, imm8
+            other(RegSet::EMPTY) // test al, imm8
         }
         0xa9 => {
             let _ = simm!(imm_z);
-            InsnKind::Other // test eax, immZ
+            other(RegSet::EMPTY) // test eax, immZ
         }
 
         // mov imm to register
@@ -494,13 +530,13 @@ pub fn decode_one(bytes: &[u8], addr: u64) -> Result<Insn, DisasmError> {
 
         // ---- shift group (immediate) -------------------------------------
         0xc0 | 0xc1 => {
-            let _ = modrm!();
+            let m = modrm!();
             let _ = simm!(1);
-            InsnKind::Other
+            other_rm(&m, RegSet::EMPTY)
         }
         0xd0..=0xd3 => {
-            let _ = modrm!();
-            InsnKind::Other
+            let m = modrm!();
+            other_rm(&m, RegSet::EMPTY)
         }
 
         0xc2 => {
@@ -529,7 +565,7 @@ pub fn decode_one(bytes: &[u8], addr: u64) -> Result<Insn, DisasmError> {
             }
         }
 
-        0xc9 => InsnKind::Other, // leave
+        0xc9 => other(RegSet::of(&[Reg::Rsp, Reg::Rbp])), // leave
 
         0xcc => InsnKind::Privileged, // int3
         0xcd => {
@@ -562,25 +598,30 @@ pub fn decode_one(bytes: &[u8], addr: u64) -> Result<Insn, DisasmError> {
         // group 3
         0xf6 | 0xf7 => {
             let m = modrm!();
-            if m.reg_field <= 1 {
+            match m.reg_field {
                 // test r/m, imm
-                if op == 0xf6 {
-                    let _ = simm!(1);
-                } else {
-                    let _ = simm!(imm_z);
+                0 | 1 => {
+                    if op == 0xf6 {
+                        let _ = simm!(1);
+                    } else {
+                        let _ = simm!(imm_z);
+                    }
+                    other(RegSet::EMPTY)
                 }
+                2 | 3 => other_rm(&m, RegSet::EMPTY), // not / neg
+                _ => other(RegSet::of(&[Reg::Rax, Reg::Rdx])), // mul / imul / div / idiv
             }
-            InsnKind::Other
         }
 
         0xfe => {
-            let _ = modrm!();
-            InsnKind::Other // inc/dec r/m8
+            let m = modrm!();
+            other_rm(&m, RegSet::EMPTY) // inc/dec r/m8
         }
         0xff => {
             let m = modrm!();
             match m.reg_field {
-                0 | 1 | 6 => InsnKind::Other, // inc/dec/push
+                0 | 1 => other_rm(&m, RegSet::EMPTY), // inc/dec
+                6 => OTHER_PUSH,                      // push r/m
                 2 => match m.rm {
                     RmOperand::Reg(reg) => InsnKind::IndirectCallReg { reg },
                     RmOperand::Mem(mem) => InsnKind::IndirectCallMem { mem },
@@ -608,8 +649,8 @@ pub fn decode_one(bytes: &[u8], addr: u64) -> Result<Insn, DisasmError> {
                 0x31 => InsnKind::Privileged, // rdtsc (illegal in enclaves)
                 0xa2 => InsnKind::Privileged, // cpuid (illegal in enclaves)
                 0x40..=0x4f => {
-                    let _ = modrm!();
-                    InsnKind::Other // cmovcc
+                    let m = modrm!();
+                    other(reg_of(&m)) // cmovcc
                 }
                 0x80..=0x8f => {
                     let rel = simm!(4);
@@ -619,16 +660,16 @@ pub fn decode_one(bytes: &[u8], addr: u64) -> Result<Insn, DisasmError> {
                     }
                 }
                 0x90..=0x9f => {
-                    let _ = modrm!();
-                    InsnKind::Other // setcc
+                    let m = modrm!();
+                    other_rm(&m, RegSet::EMPTY) // setcc
                 }
                 0xaf => {
-                    let _ = modrm!();
-                    InsnKind::Other // imul r, r/m
+                    let m = modrm!();
+                    other(reg_of(&m)) // imul r, r/m
                 }
                 0xb6 | 0xb7 | 0xbe | 0xbf => {
-                    let _ = modrm!();
-                    InsnKind::Other // movzx / movsx
+                    let m = modrm!();
+                    other(reg_of(&m)) // movzx / movsx
                 }
                 _ => {
                     return Err(DisasmError::UnknownOpcode {
@@ -824,7 +865,8 @@ mod tests {
             i.kind,
             InsnKind::LeaRipRel {
                 dest: Reg::Rax,
-                target: 0x1007 + 0x85c70
+                target: 0x1007 + 0x85c70,
+                width: Width::W64
             }
         );
         // sub %eax, %ecx => 29 c1
@@ -1057,6 +1099,54 @@ mod tests {
                 width: Width::W16
             }
         );
+    }
+
+    #[test]
+    fn lea_carries_its_operand_width() {
+        // 48 8d 44 24 f8 / 8d 44 24 f8 / 66 8d 44 24 f8 => lea -8(%rsp), %rax/%eax/%ax
+        for (bytes, width) in [
+            (&[0x48, 0x8d, 0x44, 0x24, 0xf8][..], Width::W64),
+            (&[0x8d, 0x44, 0x24, 0xf8][..], Width::W32),
+            (&[0x66, 0x8d, 0x44, 0x24, 0xf8][..], Width::W16),
+        ] {
+            assert_eq!(
+                one(bytes).kind,
+                InsnKind::Lea {
+                    dest: Reg::Rax,
+                    mem: MemOperand::base_disp(Reg::Rsp, -8),
+                    width
+                }
+            );
+        }
+        // 66 8d 05 10 00 00 00 => lea 0x10(%rip), %ax
+        assert_eq!(
+            one(&[0x66, 0x8d, 0x05, 0x10, 0x00, 0x00, 0x00]).kind,
+            InsnKind::LeaRipRel {
+                dest: Reg::Rax,
+                target: 0x1017,
+                width: Width::W16
+            }
+        );
+    }
+
+    #[test]
+    fn unclassified_forms_report_what_they_write() {
+        let writes = |bytes: &[u8]| match one(bytes).kind {
+            InsnKind::Other { writes, writes_mem } => (writes, writes_mem),
+            k => panic!("unexpected {k:?}"),
+        };
+        let regs = |r: &[Reg]| (RegSet::of(r), false);
+        assert_eq!(writes(&[0x85, 0xc0]), regs(&[])); // test %eax, %eax
+        assert_eq!(writes(&[0xa8, 0x01]), regs(&[])); // test $1, %al
+        assert_eq!(writes(&[0x0f, 0xb6, 0xe9]), regs(&[Reg::Rbp])); // movzx %cl, %ebp
+        assert_eq!(writes(&[0x44, 0x0f, 0xb6, 0xc1]), regs(&[Reg::R8])); // movzx %cl, %r8d
+        assert_eq!(writes(&[0x48, 0x87, 0xd9]), regs(&[Reg::Rcx, Reg::Rbx])); // xchg %rbx, %rcx
+        assert_eq!(writes(&[0x48, 0x87, 0x19]), (RegSet::of(&[Reg::Rbx]), true)); // xchg %rbx, (%rcx)
+        assert_eq!(writes(&[0x48, 0xc1, 0xe5, 0x03]), regs(&[Reg::Rbp])); // shl $3, %rbp
+        assert_eq!(writes(&[0x48, 0xf7, 0xf1]), regs(&[Reg::Rax, Reg::Rdx])); // div %rcx
+        assert_eq!(writes(&[0xc9]), regs(&[Reg::Rsp, Reg::Rbp])); // leave
+        assert_eq!(writes(&[0x6a, 0x01]), (RegSet::of(&[Reg::Rsp]), true)); // push $1
+        assert_eq!(writes(&[0x0f, 0x94, 0x00]), (RegSet::EMPTY, true)); // sete (%rax)
     }
 
     #[test]

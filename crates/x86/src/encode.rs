@@ -27,7 +27,7 @@
 //! assert_eq!(decode_all(&code, 0).unwrap().len(), 4);
 //! ```
 
-use crate::insn::Cc;
+use crate::insn::{Cc, Width};
 use crate::reg::Reg;
 use crate::validate::BUNDLE_SIZE;
 
@@ -428,6 +428,27 @@ impl Assembler {
         self.emit(&[rex, 0x83, modrm(3, 0, dest.low3()), imm as u8]);
     }
 
+    /// `lea disp8(%rsp), %dest` at operand width `width`: a 16- or
+    /// 32-bit `lea` keeps only the low bits of the address.
+    ///
+    /// # Panics
+    ///
+    /// Panics for [`Width::W8`] (there is no 8-bit `lea`).
+    pub fn lea_rsp_disp8(&mut self, dest: Reg, disp: i8, width: Width) {
+        let r = if dest.needs_rex_bit() { 0x44 } else { 0 };
+        let mut bytes = match width {
+            Width::W64 => vec![REX_W | r],
+            Width::W32 => vec![],
+            Width::W16 => vec![0x66],
+            Width::W8 => panic!("there is no 8-bit lea"),
+        };
+        if r != 0 && width != Width::W64 {
+            bytes.push(r);
+        }
+        bytes.extend([0x8d, modrm(1, dest.low3(), 4), 0x24, disp as u8]);
+        self.emit(&bytes);
+    }
+
     /// `sub $imm8, %reg` (64-bit, sign-extended imm8) — stack adjustment.
     pub fn sub_ri8(&mut self, dest: Reg, imm: i8) {
         let rex = if dest.needs_rex_bit() { 0x49 } else { REX_W };
@@ -490,6 +511,23 @@ mod tests {
         asm.cmp_rsp_reg(Reg::Rax);
         let code = asm.finish();
         assert_eq!(&code[9..], &[0x48, 0x3b, 0x04, 0x24]);
+    }
+
+    #[test]
+    fn lea_rsp_disp8_round_trips_at_every_width() {
+        for width in [Width::W16, Width::W32, Width::W64] {
+            for dest in [Reg::Rax, Reg::R9] {
+                let insns = roundtrip(|a| a.lea_rsp_disp8(dest, -8, width));
+                assert_eq!(
+                    insns[0].kind,
+                    InsnKind::Lea {
+                        dest,
+                        mem: crate::insn::MemOperand::base_disp(Reg::Rsp, -8),
+                        width
+                    }
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! displacement bytes". [`Insn`] carries exactly that, plus a semantic
 //! [`InsnKind`] classification rich enough for the three policy modules.
 
-use crate::reg::Reg;
+use crate::reg::{Reg, RegSet};
 use std::fmt;
 
 /// Condition codes for conditional branches (`jcc`) — the low nibble of
@@ -244,6 +244,9 @@ pub enum InsnKind {
         dest: Reg,
         /// The resolved absolute address.
         target: u64,
+        /// Operand width: a narrower `lea` keeps only the low bits of
+        /// `target`.
+        width: Width,
     },
     /// Other `lea mem, %reg`.
     Lea {
@@ -251,6 +254,9 @@ pub enum InsnKind {
         dest: Reg,
         /// Source memory operand.
         mem: MemOperand,
+        /// Operand width: a 32-bit `lea` zero-extends the truncated
+        /// address, a 16-bit one merges it into the low word.
+        width: Width,
     },
     /// `mov %fs:disp, %reg` — the stack-protector canary load.
     MovFsToReg {
@@ -371,8 +377,14 @@ pub enum InsnKind {
         reg: Reg,
     },
     /// `test`, `xchg`, shifts, `movzx`, `cmov`, and other decoded but
-    /// unclassified instructions.
-    Other,
+    /// unclassified instructions, with the state each may write.
+    Other {
+        /// The registers the instruction may write (explicit and
+        /// implicit operands, `%rsp` for `push` and `leave`).
+        writes: RegSet,
+        /// True when the instruction may write memory.
+        writes_mem: bool,
+    },
     /// `syscall` — forbidden inside an enclave; the validator rejects it.
     Syscall,
     /// `int`, `int3`, `hlt`, `cpuid` and other instructions illegal in

@@ -132,6 +132,37 @@ impl fmt::Display for Reg {
     }
 }
 
+/// A set of general-purpose registers: bit `r` stands for the register
+/// with encoding `r`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
+pub struct RegSet(u16);
+
+impl RegSet {
+    /// The empty set.
+    pub const EMPTY: RegSet = RegSet(0);
+
+    /// The set holding exactly `regs`.
+    pub fn of(regs: &[Reg]) -> RegSet {
+        regs.iter().fold(RegSet::EMPTY, |s, &r| s.with(r))
+    }
+
+    /// `self` plus `r`.
+    #[must_use]
+    pub const fn with(self, r: Reg) -> RegSet {
+        RegSet(self.0 | 1 << (r as u8))
+    }
+
+    /// True when `r` is in the set.
+    pub fn contains(self, r: Reg) -> bool {
+        self.0 & 1 << (r as u8) != 0
+    }
+
+    /// The registers in the set, in encoding order.
+    pub fn iter(self) -> impl Iterator<Item = Reg> {
+        Reg::ALL.into_iter().filter(move |&r| self.contains(r))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,6 +175,15 @@ mod tests {
             assert_eq!(r.low3(), (i % 8) as u8);
             assert_eq!(r.needs_rex_bit(), i >= 8);
         }
+    }
+
+    #[test]
+    fn reg_set_membership() {
+        let s = RegSet::of(&[Reg::Rax, Reg::Rdx, Reg::R15]);
+        assert!(s.contains(Reg::Rdx) && !s.contains(Reg::Rbp));
+        assert_eq!(s.iter().collect::<Vec<_>>(), [Reg::Rax, Reg::Rdx, Reg::R15]);
+        assert_eq!(RegSet::EMPTY.with(Reg::Rbp), RegSet::of(&[Reg::Rbp]));
+        assert_eq!(RegSet::EMPTY.iter().count(), 0);
     }
 
     #[test]

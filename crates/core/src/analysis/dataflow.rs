@@ -1,50 +1,115 @@
 //! A small forward-dataflow framework over the CFG, instantiated for
 //! constant propagation.
 //!
-//! The lattice per register is `Option<u64>`: `Some(c)` means "always
-//! holds `c` on entry to this point", `None` means unknown. The join is
-//! pointwise (`Some(a) ⊔ Some(a) = Some(a)`, anything else `None`);
-//! block in-states join over all *visited* predecessors, and the
-//! worklist iterates until the fixpoint. Every transfer step charges
-//! [`engarde_sgx::perf::costs::DATAFLOW_PER_STEP`], so revisits — not
-//! just instruction count — show up in the cycle model.
+//! The lattice per register is `Option<Val>`: `Some(Const(c))` means
+//! "always holds `c` on entry to this point", `Some(Frame(off))`
+//! "always holds the function-entry `%rsp` plus `off`", `None` means
+//! unknown. The join is pointwise (`Some(a) ⊔ Some(a) = Some(a)`,
+//! anything else `None`); block in-states join over all *visited*
+//! predecessors, and the worklist iterates until the fixpoint. Every
+//! transfer step charges [`engarde_sgx::perf::costs::DATAFLOW_PER_STEP`],
+//! so revisits — not just instruction count — show up in the cycle
+//! model.
 //!
-//! The pass exists to resolve `lea`/`mov`-fed indirect branches: the
-//! IFCC instrumentation computes its target as
-//! `((imm32 - low32(table)) & mask) + table`, which folds to a concrete
-//! jump-table entry; a linear-sweep evasion computes a hidden
-//! mid-instruction address the same way. Both land in
-//! [`ConstProp::resolved`] for the policies to judge.
+//! Constant propagation seeds its roots all-unknown, so it sees only
+//! constants; it resolves `lea`/`mov`-fed indirect branches (the IFCC
+//! target `((imm32 - low32(table)) & mask) + table`, or a hidden
+//! mid-instruction address) into [`ConstProp::resolved`]. The taint
+//! pass runs the same lattice with `%rsp = Frame(0)` at function entry
+//! and resolves every memory operand with `RegState::address`.
 
 use super::cfg::{BlockId, Cfg};
-use engarde_x86::insn::{AluOp, Insn, InsnKind, Width};
+use engarde_x86::insn::{AluOp, Insn, InsnKind, MemOperand, Stack, Width};
 use engarde_x86::reg::Reg;
 use std::collections::VecDeque;
 
+/// A known register value.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Val {
+    /// A constant.
+    Const(u64),
+    /// The function-entry `%rsp` plus this offset: a stack address.
+    Frame(i64),
+}
+
+impl Val {
+    /// The value `k` bytes on.
+    fn shift(self, k: i64) -> Val {
+        match self {
+            Val::Const(c) => Val::Const(c.wrapping_add(k as u64)),
+            Val::Frame(off) => Val::Frame(off.wrapping_add(k)),
+        }
+    }
+}
+
+/// Where a memory operand points.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Addr {
+    /// A constant address.
+    Abs(u64),
+    /// The function-entry `%rsp` plus this offset.
+    Frame(i64),
+    /// A `%rsp`-based slot whose offset was lost: somewhere in the frame.
+    Lost,
+    /// Anything else, including every segment-overridden operand.
+    Unresolved,
+}
+
 /// Per-program-point register state: `regs[r as usize]` is the known
-/// constant in `r`, if any.
+/// value of `r`, if any.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RegState {
-    regs: [Option<u64>; 16],
+    regs: [Option<Val>; 16],
 }
 
 impl RegState {
-    /// The all-unknown state (function/analysis entry).
+    /// The all-unknown state (constant-propagation roots).
     pub fn unknown() -> Self {
         RegState { regs: [None; 16] }
     }
 
     /// The known constant in `reg`, if any.
     pub fn get(&self, reg: Reg) -> Option<u64> {
+        match self.val(reg)? {
+            Val::Const(c) => Some(c),
+            Val::Frame(_) => None,
+        }
+    }
+
+    /// The known value of `reg`, if any.
+    pub(crate) fn val(&self, reg: Reg) -> Option<Val> {
         self.regs[reg as usize]
     }
 
-    fn set(&mut self, reg: Reg, v: Option<u64>) {
+    pub(crate) fn set(&mut self, reg: Reg, v: Option<Val>) {
         self.regs[reg as usize] = v;
     }
 
-    fn clobber_all(&mut self) {
-        self.regs = [None; 16];
+    /// Where `mem` of `insn` points: a constant address, a frame slot
+    /// (a base holding a stack address, no index), a lost `%rsp` slot,
+    /// or unresolved.
+    pub(crate) fn address(&self, mem: &MemOperand, insn: &Insn) -> Addr {
+        let disp = i64::from(mem.disp);
+        if mem.segment.is_some() {
+            return Addr::Unresolved;
+        }
+        if mem.rip_relative {
+            return Addr::Abs(insn.end().wrapping_add(disp as u64));
+        }
+        let index = match mem.index.map(|i| self.val(i)) {
+            None => 0,
+            Some(Some(Val::Const(i))) => i.wrapping_mul(u64::from(mem.scale)),
+            Some(_) => return Addr::Unresolved,
+        };
+        let Some(base) = mem.base else {
+            return Addr::Abs(index.wrapping_add(disp as u64));
+        };
+        match self.val(base) {
+            Some(Val::Const(b)) => Addr::Abs(b.wrapping_add(index).wrapping_add(disp as u64)),
+            Some(Val::Frame(off)) if mem.index.is_none() => Addr::Frame(off.wrapping_add(disp)),
+            None if base == Reg::Rsp && mem.index.is_none() => Addr::Lost,
+            _ => Addr::Unresolved,
+        }
     }
 
     /// Pointwise join; returns true when `self` changed (lost
@@ -83,37 +148,38 @@ impl ConstProp {
     }
 }
 
-/// Transfer function for one instruction. Only register effects matter;
-/// memory is untracked (loads clobber the destination). Shared with the
-/// taint pass, which runs the same constant lattice alongside its taint
+/// Transfer function for one of an instruction's [`Insn::steps`];
+/// memory is untracked (loads make their destination unknown). Shared
+/// with the taint pass, which runs the same lattice alongside its taint
 /// sets to resolve store/load effective addresses.
+///
+/// A stack address survives a 64-bit `mov`, a 64-bit `lea` of it plus a
+/// displacement, a 64-bit `add`/`sub $imm` and `push`/`pop`; a call
+/// keeps `%rsp`'s and `%rbp`'s (the ABI preserves both; the taint pass
+/// forgets `%rbp` across a callee that may not) and forgets every other
+/// register.
 pub(crate) fn transfer(state: &mut RegState, insn: &Insn) {
+    debug_assert_ne!(insn.kind, InsnKind::Leave, "run `leave` as its steps");
     match insn.kind {
         InsnKind::MovImmToReg { dest, imm, width } => {
-            state.set(dest, imm_value(imm, width));
+            state.set(dest, narrow(Val::Const(imm as u64), width));
         }
         InsnKind::LeaRipRel {
             dest,
             target,
             width,
-        } => state.set(dest, lea_value(Some(target), width)),
+        } => state.set(dest, narrow(Val::Const(target), width)),
         InsnKind::Lea { dest, mem, width } => {
-            let folded = match (mem.base, mem.index) {
-                (Some(b), None) => state.get(b).map(|v| v.wrapping_add(mem.disp as i64 as u64)),
-                _ => None,
-            };
-            state.set(dest, lea_value(folded, width));
-        }
-        InsnKind::MovRegToReg { dest, src, width } => {
-            let v = match width {
-                Width::W64 => state.get(src),
-                // 32-bit moves zero-extend into the full register.
-                Width::W32 => state.get(src).map(|v| v & 0xffff_ffff),
-                _ => None,
+            let v = match state.address(&mem, insn) {
+                Addr::Abs(a) => narrow(Val::Const(a), width),
+                Addr::Frame(off) => narrow(Val::Frame(off), width),
+                Addr::Lost | Addr::Unresolved => None,
             };
             state.set(dest, v);
         }
-        // `cmp` writes no register, so it falls through to the no-op arm.
+        InsnKind::MovRegToReg { dest, src, width } => {
+            state.set(dest, state.val(src).and_then(|v| narrow(v, width)));
+        }
         InsnKind::AluRegReg {
             op,
             dest,
@@ -132,61 +198,51 @@ pub(crate) fn transfer(state: &mut RegState, insn: &Insn) {
             imm,
             width,
         } if op != AluOp::Cmp => {
-            let v = state
-                .get(dest)
-                .and_then(|a| alu_fold(op, a, imm as u64, width));
+            let v = match (state.val(dest), op, width) {
+                (Some(Val::Const(a)), ..) => alu_fold(op, a, imm as u64, width),
+                (Some(v), AluOp::Add, Width::W64) => Some(v.shift(imm)),
+                (Some(v), AluOp::Sub, Width::W64) => Some(v.shift(imm.wrapping_neg())),
+                _ => None,
+            };
             state.set(dest, v);
         }
-        // Loads from untracked memory, canary reads.
-        InsnKind::MovMemToReg { dest, .. } | InsnKind::MovFsToReg { dest, .. } => {
-            state.set(dest, None)
+        kind if kind.is_call() => {
+            for r in Reg::ALL {
+                if !matches!(
+                    (r, state.val(r)),
+                    (Reg::Rsp | Reg::Rbp, Some(Val::Frame(_)))
+                ) {
+                    state.set(r, None);
+                }
+            }
         }
-        // `push`/`pop` move a constant `%rsp` by one slot.
-        InsnKind::PushReg { .. } => {
-            state.set(Reg::Rsp, state.get(Reg::Rsp).map(|sp| sp.wrapping_sub(8)));
-        }
-        InsnKind::PopReg { reg } => {
-            state.set(Reg::Rsp, state.get(Reg::Rsp).map(|sp| sp.wrapping_add(8)));
-            state.set(reg, None);
-        }
-        // Calls may write any register in the callee.
-        InsnKind::DirectCall { .. }
-        | InsnKind::IndirectCallReg { .. }
-        | InsnKind::IndirectCallMem { .. } => state.clobber_all(),
-        // Unclassified semantics: every register it may write is lost.
-        InsnKind::Other { writes, .. } => {
-            for r in writes.iter() {
+        // Everything else: a push or pop moves `%rsp` by one slot, and
+        // every register written is lost.
+        kind => {
+            let e = kind.effects();
+            if let Some(op) = e.stack {
+                let step = if op == Stack::Push { -8 } else { 8 };
+                state.set(Reg::Rsp, state.val(Reg::Rsp).map(|sp| sp.shift(step)));
+            }
+            for r in e.writes.iter() {
                 state.set(r, None);
             }
         }
-        // Pure memory writes, compares, branches, nops: no register
-        // effect.
-        _ => {}
     }
 }
 
-/// The value a `lea` of `addr` leaves in its destination: a 32-bit
-/// `lea` zero-extends the truncated address, a 16-bit one merges it
-/// into the old register (unknown here).
-fn lea_value(addr: Option<u64>, width: Width) -> Option<u64> {
-    match width {
-        Width::W64 => addr,
-        Width::W32 => addr.map(|v| v & 0xffff_ffff),
+/// The value a write of `v` at `width` leaves in the full register: a
+/// 32-bit write zero-extends (no longer a stack address), a narrower
+/// one merges into the old register (unknown here).
+fn narrow(v: Val, width: Width) -> Option<Val> {
+    match (width, v) {
+        (Width::W64, v) => Some(v),
+        (Width::W32, Val::Const(c)) => Some(Val::Const(c & 0xffff_ffff)),
         _ => None,
     }
 }
 
-fn imm_value(imm: i64, width: Width) -> Option<u64> {
-    match width {
-        // `mov $imm32, %r32` zero-extends; `movabs`/REX.W forms carry
-        // the sign-extended immediate already.
-        Width::W32 => Some(imm as u32 as u64),
-        Width::W64 => Some(imm as u64),
-        _ => None,
-    }
-}
-
-fn alu_fold(op: AluOp, a: u64, b: u64, width: Width) -> Option<u64> {
+fn alu_fold(op: AluOp, a: u64, b: u64, width: Width) -> Option<Val> {
     let full = match op {
         AluOp::Add => a.wrapping_add(b),
         AluOp::Sub => a.wrapping_sub(b),
@@ -196,12 +252,7 @@ fn alu_fold(op: AluOp, a: u64, b: u64, width: Width) -> Option<u64> {
         // Carry-dependent ops need flag tracking; stay unknown.
         AluOp::Adc | AluOp::Sbb | AluOp::Cmp => return None,
     };
-    match width {
-        Width::W64 => Some(full),
-        // 32-bit ALU results zero-extend into the full register.
-        Width::W32 => Some(full & 0xffff_ffff),
-        _ => None,
-    }
+    narrow(Val::Const(full), width)
 }
 
 /// Runs constant propagation to a fixpoint. `roots` are the block ids
@@ -253,7 +304,9 @@ pub fn constant_propagation(cfg: &Cfg, insns: &[Insn], roots: &[BlockId]) -> Con
                     })
                     .or_insert(v);
             }
-            transfer(&mut state, insn);
+            for step in insn.steps() {
+                transfer(&mut state, &step);
+            }
         }
         for edge in cfg.successors(b) {
             // A nop bridge is padding adjacency, not a real control

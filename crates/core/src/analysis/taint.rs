@@ -13,89 +13,71 @@
 //! ([`TaintSet`], join = union) plus a bitmask over the enclosing
 //! function's *input registers* — the symbolic half that makes the
 //! analysis interprocedural. Per program point the state tracks all 16
-//! registers, the flags (for secret-dependent branches), each
-//! register's offset from the function-entry `%rsp` (when known), and
-//! an abstract memory environment ([`MemEnv`]) of tracked cells
-//! ([`CellKey`]): entry-`%rsp`-relative frame slots and
-//! constant-resolved absolute in-enclave addresses — alongside the
-//! constant-propagation lattice (shared with [`super::dataflow`]) used
-//! to resolve load/store effective addresses. A tainted store followed
-//! by a load from the same cell restores the label, so register spills
-//! no longer launder secrets.
+//! registers, the flags, an abstract memory environment ([`MemEnv`]) of
+//! tracked cells ([`CellKey`]: entry-`%rsp`-relative frame slots and
+//! constant in-enclave addresses), and the one register lattice of
+//! [`super::dataflow`] — a constant or an entry-`%rsp` offset per
+//! register, `%rsp` at offset 0 on entry. A tainted store followed by a
+//! load from the same cell restores the label, so spills do not launder.
 //!
-//! **Stack addresses** follow one rule for every base register. At
-//! entry only `%rsp` has a known offset (0). A 64-bit `mov r, s` copies
-//! `s`'s offset, a 64-bit `lea r, [b+d]` gives `b`'s plus `d`, 64-bit
-//! `add`/`sub $imm` shift it, `push`/`pop` move `%rsp`'s (and access
-//! `[rsp-8]` / `[rsp]` like any other memory operand); any other
-//! write to a register (a truncating 16- or 32-bit one included)
-//! forgets its offset, and disagreeing offsets widen to unknown at a
-//! join. An unclassified instruction forgets the offsets of the
-//! registers the decoder says it may write. A call forgets every offset
-//! but `%rsp`'s, and `%rbp`'s too unless the callee's summary shows it
-//! gives `%rbp` back unchanged. An address the constant lattice cannot
-//! resolve then names `Frame(offset + disp)` when its base has a known
-//! offset and no index; a `%rsp` base with a lost offset is a widened
-//! read / weak store somewhere in the frame; any other base is an
-//! unresolved pointer, whose loads observe every tracked cell (it may
-//! alias any of them). So `[rbp-8]` after `mov rbp, rsp`, `[rsi]` after
-//! `mov rsi, rsp; sub rsi, 8` and `[rsp-8]` are one cell, and `[rbp+8]`
-//! after `mov rbp, [p]` — in this function or in a callee — is an
-//! unresolved store.
+//! **One transfer** serves every data instruction, driven by the
+//! decoder's [`Effects`]: the result joins the registers it reads (a
+//! partial register write reads its destination), the flags if it
+//! reads them and what it loads; it sets the flags, is stored, and is
+//! written to each destination. Only control flow, the saved-`%rbp`
+//! bookkeeping of `push`/`pop`, the `xor r, r` zeroing idiom and the
+//! canary load have arms of their own; `leave` runs as its
+//! [`Insn::steps`], `mov rsp, rbp; pop rbp`.
 //!
-//! **Summaries**: functions are grouped into call-graph SCCs (iterative
-//! Tarjan) and processed callee-first; each function gets a
-//! [`FnSummary`] — the taint of every register at return and, per sink
-//! kind, the mask of input registers that reach a sink — iterated to a
-//! fixpoint within each cyclic SCC. At a call site the callee's
-//! summary is substituted: input-dependence masks are resolved against
-//! the caller's actual register taints, so a leak laundered through
-//! any number of call hops still surfaces, attributed to the call site
-//! that supplied the concrete secret. A summary also records whether
-//! the function may return with `%rbp` changed: it keeps `%rbp` when
-//! every `ret` is reached with `%rbp` never written, or restored by a
-//! `pop` from the slot its own `push rbp` saved it in with no store
-//! that may overlap that slot in between. An unknown callee is assumed
-//! to change it.
+//! **One resolver** (`RegState::address`) names every memory operand:
+//! a constant address is a source, an `Abs` cell or an out-of-enclave
+//! sink; a base holding a stack offset (no index) names
+//! `Frame(offset + disp)`; a `%rsp` base whose offset was lost is a
+//! widened read / weak store in the frame; anything else — a
+//! segment-overridden operand included — is an unresolved pointer,
+//! whose loads observe every tracked cell.
+//!
+//! **Summaries**: functions are processed callee-first over call-graph
+//! SCCs (iterative Tarjan; cyclic SCCs to a fixpoint). A [`FnSummary`]
+//! holds each register's taint at return, per sink kind the input
+//! registers that reach it, the caller-visible spill escape, and
+//! whether `%rbp` may come back changed (it does not when every `ret`
+//! sees `%rbp` unwritten or popped from the slot its own `push rbp`
+//! saved it in; otherwise callers forget `%rbp`'s offset). At a call
+//! site the summary is resolved against the caller's register taints,
+//! so a leak laundered through any number of calls surfaces at the call
+//! site that supplied the secret. An unknown callee smears every
+//! argument everywhere and may change `%rbp`.
 //!
 //! **Sinks** ([`SinkKind`]): stores whose resolved target lies outside
-//! the enclave's mapped range, tainted operands feeding indirect
-//! jumps/calls (exit and trampoline sites), conditional branches whose
-//! flags are tainted (the side-channel shape), and — new with the
-//! memory domain — tainted stores through addresses the constant
-//! lattice cannot resolve ([`SinkKind::UnresolvedStore`]). The last
-//! kind is the conservative no-silent-drop rule: when we cannot tell
-//! *where* a secret was written, the write is flagged as a sink
-//! candidate *and* the value escapes into the environment's ambient
-//! component, which every subsequent load joins in.
+//! the enclave, tainted operands feeding indirect jumps/calls,
+//! conditional branches on tainted flags, and tainted stores through
+//! unresolved addresses ([`SinkKind::UnresolvedStore`]) — flagged *and*
+//! escaped into the environment's ambient component, which every later
+//! load joins in, so a label is never silently dropped.
 //!
-//! Model limits (documented, deliberate): a load through a *tainted
-//! pointer* is not itself a sink, an unclassified (`Other`) instruction
-//! leaves register and memory taint alone even when it reads or writes
-//! memory, callees are assumed to preserve `%rsp` and to leave their
-//! caller's saved `%rbp` slot alone (a callee's tainted writes into its
-//! caller's frame do reach the caller, through the summary's escape), a
-//! callee's loads do not observe the caller's memory (escape flows
-//! upward through summaries only), and a callee's own frame slots are
-//! assumed dead after return. Every remaining limit errs toward fewer
-//! reports, which is what keeps the "removing a source never adds a
-//! finding" monotonicity property true.
+//! Model limits (deliberate): a load through a *tainted pointer* is not
+//! itself a sink; callees are assumed to preserve `%rsp` and to leave
+//! their caller's saved `%rbp` slot alone; a callee's loads do not
+//! observe the caller's memory, and its own frame slots are dead after
+//! return; cells are keyed by their start address, so overlapping
+//! accesses of different widths name different cells. These err toward
+//! fewer reports, which keeps "removing a source never adds a finding"
+//! true.
 //!
-//! Cost model: every instruction visit charges
-//! [`costs::TAINT_PER_STEP`], every memory *cell touched* (strong
-//! read/write, or the full-environment scan a weak update performs)
-//! charges another [`costs::TAINT_PER_STEP`], and every
+//! Cost model: every instruction visit charges [`costs::TAINT_PER_STEP`]
+//! (`leave` two), every memory *cell touched* (strong read/write, or the
+//! full-environment scan a weak update performs) another, and every
 //! function-summary computation [`costs::TAINT_PER_SUMMARY`];
 //! [`TaintAnalysis::compute`] returns the total for the caller to
-//! charge (memoized once per binary by
-//! [`crate::policy::AnalysisCache`]).
+//! charge (memoized once per binary by [`crate::policy::AnalysisCache`]).
 
 use super::cfg::{BlockId, Cfg, EdgeKind};
-use super::dataflow::{self, RegState};
+use super::dataflow::{self, Addr, RegState, Val};
 use super::ProgramAnalysis;
 use crate::loader::LoadedBinary;
 use engarde_sgx::perf::costs;
-use engarde_x86::insn::{AluOp, Insn, InsnKind, MemOperand, Width};
+use engarde_x86::insn::{AluOp, Effects, Insn, InsnKind, MemOperand, Stack, Width};
 use engarde_x86::reg::Reg;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
@@ -242,8 +224,8 @@ pub enum SinkKind {
     /// A conditional branch whose condition is tainted (side-channel
     /// shape).
     TaintedBranch = 2,
-    /// A tainted value stored through an address the constant lattice
-    /// could not resolve: the write may land anywhere, so it is a sink
+    /// A tainted value stored through an address the analysis could
+    /// not resolve: the write may land anywhere, so it is a sink
     /// *candidate* rather than a silent taint drop.
     UnresolvedStore = 3,
 }
@@ -259,15 +241,6 @@ impl SinkKind {
             SinkKind::ExitOperand => "exit/trampoline operand",
             SinkKind::TaintedBranch => "secret-dependent branch",
             SinkKind::UnresolvedStore => "unresolved-address store",
-        }
-    }
-
-    fn from_index(i: u8) -> SinkKind {
-        match i {
-            0 => SinkKind::OutOfEnclaveWrite,
-            1 => SinkKind::ExitOperand,
-            2 => SinkKind::TaintedBranch,
-            _ => SinkKind::UnresolvedStore,
         }
     }
 }
@@ -459,10 +432,9 @@ pub struct FnSummary {
     /// The spill escape: taint the function left behind in memory the
     /// caller can still observe (absolute-address cells, slots in the
     /// caller's frame, and anything folded into the ambient escaped
-    /// component). Callers join the
-    /// resolved escape into their own ambient component at the call
-    /// site, so a secret parked in memory by a callee and reloaded by
-    /// the caller keeps its label.
+    /// component). Callers join the resolved escape into their own
+    /// ambient component at the call site, so a secret parked in memory
+    /// by a callee and reloaded by the caller keeps its label.
     pub escape: AbsTaint,
     /// True when some `ret` may be reached with `%rbp` changed: the
     /// function wrote `%rbp` and did not restore it by a `pop` from the
@@ -596,7 +568,7 @@ impl TaintAnalysis {
             .findings
             .iter()
             .map(|&(kind, addr, bits)| TaintFinding {
-                kind: SinkKind::from_index(kind),
+                kind,
                 addr,
                 sources: TaintSet::from_bits(bits),
             })
@@ -683,35 +655,31 @@ struct TaintState {
     /// The abstract memory environment (tracked cells + ambient
     /// escaped component).
     mem: MemEnv,
-    /// Each register's offset from the function-entry `%rsp`, when
-    /// every write to it so far was a tracked copy or adjustment.
-    /// `None` = unknown: the register is not a nameable stack address.
-    off: [Option<i64>; 16],
     /// True while `%rbp` still holds its value at function entry.
     rbp_entry: bool,
     /// The frame slot a `push rbp` saved the entry `%rbp` in, while no
     /// store may have overwritten it.
     rbp_saved: Option<i64>,
-    /// The constant lattice, used to resolve effective addresses.
-    consts: RegState,
+    /// The register lattice (constants and entry-`%rsp` offsets), used
+    /// to resolve effective addresses.
+    vals: RegState,
 }
 
 impl TaintState {
     fn entry() -> TaintState {
+        let mut vals = RegState::unknown();
+        vals.set(Reg::Rsp, Some(Val::Frame(0)));
         let mut regs = [AbsTaint::EMPTY; 16];
         for (r, slot) in regs.iter_mut().enumerate() {
             *slot = AbsTaint::input(r);
         }
-        let mut off = [None; 16];
-        off[Reg::Rsp as usize] = Some(0);
         TaintState {
             regs,
             flags: AbsTaint::EMPTY,
             mem: MemEnv::new(),
-            off,
             rbp_entry: true,
             rbp_saved: None,
-            consts: RegState::unknown(),
+            vals,
         }
     }
 
@@ -722,13 +690,6 @@ impl TaintState {
         }
         changed |= self.flags.join_in(other.flags);
         changed |= self.mem.join(&other.mem);
-        for (slot, v) in self.off.iter_mut().zip(other.off) {
-            if slot.is_some() && *slot != v {
-                // Disagreeing offsets widen to unknown.
-                *slot = None;
-                changed = true;
-            }
-        }
         if self.rbp_entry && !other.rbp_entry {
             self.rbp_entry = false;
             changed = true;
@@ -737,7 +698,7 @@ impl TaintState {
             self.rbp_saved = None;
             changed = true;
         }
-        changed |= self.consts.join(&other.consts);
+        changed |= self.vals.join(&other.vals);
         changed
     }
 
@@ -745,38 +706,16 @@ impl TaintState {
         self.regs[r as usize]
     }
 
-    fn off(&self, r: Reg) -> Option<i64> {
-        self.off[r as usize]
-    }
-
-    /// Writes `r` with an unknown stack offset.
+    /// Writes `r` with taint `t` (its value comes from the lattice).
     fn set_reg(&mut self, r: Reg, t: AbsTaint) {
-        self.set_reg_at(r, t, None);
-    }
-
-    /// Writes `r` with taint `t` and stack offset `off`.
-    fn set_reg_at(&mut self, r: Reg, t: AbsTaint, off: Option<i64>) {
         self.regs[r as usize] = t;
-        self.forget(r);
-        self.off[r as usize] = off;
+        self.rbp_entry &= r != Reg::Rbp;
     }
 
-    /// `r` was written with an unknown value.
-    fn forget(&mut self, r: Reg) {
-        self.off[r as usize] = None;
-        if r == Reg::Rbp {
-            self.rbp_entry = false;
-        }
-    }
-
-    /// A call: the callee may overwrite every register but `%rsp`, and
-    /// `%rbp` too unless its summary shows it restores it.
-    fn forget_across_call(&mut self, keeps_rbp: bool) {
-        for r in Reg::ALL {
-            if r != Reg::Rsp && (r != Reg::Rbp || !keeps_rbp) {
-                self.forget(r);
-            }
-        }
+    /// A callee may have changed `%rbp`: it is no stack address now.
+    fn forget_rbp(&mut self) {
+        self.vals.set(Reg::Rbp, None);
+        self.rbp_entry = false;
     }
 
     /// A store landed at entry-`%rsp` offset `at` (`None`: anywhere).
@@ -788,50 +727,6 @@ impl TaintState {
             }
         }
     }
-
-    fn join_all_regs(&self) -> AbsTaint {
-        self.regs
-            .iter()
-            .copied()
-            .fold(AbsTaint::EMPTY, AbsTaint::join)
-    }
-}
-
-/// Where a memory operand the constant lattice could not resolve
-/// points — the one stack-address rule, the same for every base.
-enum StackAddr {
-    /// A base with a known entry-`%rsp` offset and no index.
-    Frame(i64),
-    /// A `%rsp` base whose offset was lost: somewhere in the frame.
-    Lost,
-    /// Any other base: an unresolved pointer.
-    Unresolved,
-}
-
-fn stack_addr(mem: &MemOperand, st: &TaintState) -> StackAddr {
-    match (mem.base, mem.index) {
-        (Some(b), None) => match st.off(b) {
-            Some(off) => StackAddr::Frame(off.wrapping_add(i64::from(mem.disp))),
-            None if b == Reg::Rsp => StackAddr::Lost,
-            None => StackAddr::Unresolved,
-        },
-        _ => StackAddr::Unresolved,
-    }
-}
-
-fn resolve_ea(mem: &MemOperand, insn: &Insn, consts: &RegState) -> Option<u64> {
-    if mem.rip_relative {
-        return Some(insn.end().wrapping_add(mem.disp as i64 as u64));
-    }
-    let base = consts.get(mem.base?)?;
-    let index = match mem.index {
-        Some(i) => consts.get(i)?.wrapping_mul(u64::from(mem.scale)),
-        None => 0,
-    };
-    Some(
-        base.wrapping_add(index)
-            .wrapping_add(mem.disp as i64 as u64),
-    )
 }
 
 // ---- the interprocedural pass -----------------------------------------
@@ -844,9 +739,9 @@ struct Pass<'a> {
     enclave: (u64, u64),
     sources: &'a [SecretRange],
     summaries: Vec<FnSummary>,
-    /// (kind discriminant, sink address, source bits) — a set so
-    /// fixpoint revisits never duplicate findings.
-    findings: BTreeSet<(u8, u64, u64)>,
+    /// (kind, sink address, source bits) — a set so fixpoint revisits
+    /// never duplicate findings.
+    findings: BTreeSet<(SinkKind, u64, u64)>,
     steps: u64,
     pops: u64,
     summaries_computed: u64,
@@ -889,54 +784,48 @@ impl Pass<'_> {
         st.mem.escape(t);
     }
 
-    /// A metered widened stack read (the `%rsp` offset is unknown):
-    /// joins every tracked stack cell plus the ambient component.
-    fn widened_stack_read(&mut self, st: &TaintState) -> AbsTaint {
-        self.cell_steps += st.mem.cell_count() as u64;
-        st.mem.frame_read()
-    }
-
-    /// A metered read through an unresolved pointer: joins every
-    /// tracked cell plus the ambient component.
-    fn unresolved_read(&mut self, st: &TaintState) -> AbsTaint {
-        self.cell_steps += st.mem.cell_count() as u64;
-        st.mem.any_read()
-    }
-
     /// The taint of the value a memory read produces.
     fn load_taint(&mut self, mem: &MemOperand, insn: &Insn, st: &TaintState) -> AbsTaint {
-        if let Some(addr) = resolve_ea(mem, insn, &st.consts) {
-            let mut t = AbsTaint::EMPTY;
-            let mut hit = false;
-            for (i, r) in self.sources.iter().enumerate() {
-                if addr >= r.start && addr < r.end {
-                    t.concrete = t.concrete.join(TaintSet::source(i));
-                    hit = true;
+        match st.vals.address(mem, insn) {
+            Addr::Abs(addr) => {
+                let mut t = AbsTaint::EMPTY;
+                let mut hit = false;
+                for (i, r) in self.sources.iter().enumerate() {
+                    if addr >= r.start && addr < r.end {
+                        t.concrete = t.concrete.join(TaintSet::source(i));
+                        hit = true;
+                    }
+                }
+                if hit {
+                    t
+                } else if addr >= self.enclave.0 && addr < self.enclave.1 {
+                    self.read_cell(st, CellKey::Abs(addr))
+                } else {
+                    // Resolved out-of-enclave load: untrusted data, but a
+                    // previously escaped secret may sit behind it.
+                    st.mem.escaped()
                 }
             }
-            if hit {
-                return t;
+            Addr::Frame(off) => self.read_cell(st, CellKey::Frame(off)),
+            // Scans: somewhere in the frame, or — through an unresolved
+            // pointer — any tracked cell.
+            Addr::Lost => {
+                self.cell_steps += st.mem.cell_count() as u64;
+                st.mem.frame_read()
             }
-            if addr >= self.enclave.0 && addr < self.enclave.1 {
-                return self.read_cell(st, CellKey::Abs(addr));
+            Addr::Unresolved => {
+                self.cell_steps += st.mem.cell_count() as u64;
+                st.mem.any_read()
             }
-            // Resolved out-of-enclave load: untrusted data, but a
-            // previously escaped secret may sit behind it.
-            return st.mem.escaped();
-        }
-        match stack_addr(mem, st) {
-            StackAddr::Frame(off) => self.read_cell(st, CellKey::Frame(off)),
-            StackAddr::Lost => self.widened_stack_read(st),
-            // Fully unresolved pointer: it may alias any tracked cell.
-            StackAddr::Unresolved => self.unresolved_read(st),
         }
     }
 
-    /// Records a tainted value reaching a sink: concrete sources become
-    /// findings, input dependence flows into the function summary.
+    /// Records a value reaching a sink: concrete sources become findings,
+    /// input dependence flows into the function summary (an untainted
+    /// value does neither).
     fn sink(&mut self, kind: SinkKind, addr: u64, t: AbsTaint, summary: &mut FnSummary) {
         if !t.concrete.is_empty() {
-            self.findings.insert((kind as u8, addr, t.concrete.bits()));
+            self.findings.insert((kind, addr, t.concrete.bits()));
         }
         summary.sink_inputs[kind as usize] |= t.inputs;
     }
@@ -953,32 +842,25 @@ impl Pass<'_> {
         st: &mut TaintState,
         summary: &mut FnSummary,
     ) {
-        if let Some(addr) = resolve_ea(mem, insn, &st.consts) {
-            if addr < self.enclave.0 || addr >= self.enclave.1 {
-                if !t.is_empty() {
-                    self.sink(SinkKind::OutOfEnclaveWrite, insn.addr, t, summary);
-                }
-                return;
-            }
-            self.write_cell(st, CellKey::Abs(addr), t);
-            return;
-        }
-        let at = stack_addr(mem, st);
-        if !matches!(at, StackAddr::Frame(_)) {
+        let at = st.vals.address(mem, insn);
+        if matches!(at, Addr::Lost | Addr::Unresolved) {
             st.frame_written(None);
         }
         match at {
-            StackAddr::Frame(off) => self.write_cell(st, CellKey::Frame(off), t),
+            Addr::Abs(addr) if addr < self.enclave.0 || addr >= self.enclave.1 => {
+                self.sink(SinkKind::OutOfEnclaveWrite, insn.addr, t, summary);
+            }
+            Addr::Abs(addr) => self.write_cell(st, CellKey::Abs(addr), t),
+            Addr::Frame(off) => self.write_cell(st, CellKey::Frame(off), t),
             // A stack slot at an unknown offset: stays in-frame, but we
             // no longer know which cell — weak update.
-            StackAddr::Lost => self.weak_store(st, t),
+            Addr::Lost => self.weak_store(st, t),
             // Unresolved target: flag as a sink candidate *and* keep
             // the label alive ambiently.
-            StackAddr::Unresolved if !t.is_empty() => {
+            Addr::Unresolved => {
                 self.sink(SinkKind::UnresolvedStore, insn.addr, t, summary);
                 self.weak_store(st, t);
             }
-            StackAddr::Unresolved => {}
         }
     }
 
@@ -998,6 +880,14 @@ impl Pass<'_> {
                 .filter(|r| mask & (1 << r) != 0)
                 .fold(AbsTaint::EMPTY, |acc, r| acc.join(st.regs[r]))
         };
+        // A callee taint with its input dependence replaced by the
+        // caller's register taints.
+        let subst = |t: AbsTaint, st: &TaintState| {
+            resolve(t.inputs, st).join(AbsTaint {
+                concrete: t.concrete,
+                inputs: 0,
+            })
+        };
         for kind in [
             SinkKind::OutOfEnclaveWrite,
             SinkKind::ExitOperand,
@@ -1005,32 +895,17 @@ impl Pass<'_> {
             SinkKind::UnresolvedStore,
         ] {
             let reached = resolve(callee_summary.sink_inputs[kind as usize], st);
-            if !reached.is_empty() {
-                self.sink(kind, insn.addr, reached, summary);
-            }
+            self.sink(kind, insn.addr, reached, summary);
         }
         // The callee's spill escape, resolved against the caller's
         // registers, lands in the caller's ambient memory: a secret
         // the callee parked in memory is observable by any later load.
-        let escape = AbsTaint {
-            concrete: callee_summary.escape.concrete,
-            inputs: 0,
+        let escape = subst(callee_summary.escape, st);
+        self.weak_store(st, escape);
+        st.regs = callee_summary.ret.map(|t| subst(t, st));
+        if callee_summary.clobbers_rbp {
+            st.forget_rbp();
         }
-        .join(resolve(callee_summary.escape.inputs, st));
-        if !escape.is_empty() {
-            self.weak_store(st, escape);
-        }
-        let mut new_regs = [AbsTaint::EMPTY; 16];
-        for (r, slot) in new_regs.iter_mut().enumerate() {
-            let ret = callee_summary.ret[r];
-            *slot = AbsTaint {
-                concrete: ret.concrete,
-                inputs: 0,
-            }
-            .join(resolve(ret.inputs, st));
-        }
-        st.regs = new_regs;
-        st.forget_across_call(!callee_summary.clobbers_rbp);
         st.flags = AbsTaint::EMPTY;
     }
 
@@ -1039,160 +914,34 @@ impl Pass<'_> {
     /// including into memory, so the argument join escapes ambiently —
     /// and may change `%rbp`.
     fn smear_call(&mut self, st: &mut TaintState) {
-        let all = st.join_all_regs();
-        if !all.is_empty() {
-            self.weak_store(st, all);
-        }
+        let all = st
+            .regs
+            .iter()
+            .copied()
+            .fold(AbsTaint::EMPTY, AbsTaint::join);
+        self.weak_store(st, all);
         st.regs = [all; 16];
-        st.forget_across_call(false);
+        st.forget_rbp();
         st.flags = AbsTaint::EMPTY;
     }
 
-    /// One instruction's taint transfer (sinks checked against the
-    /// pre-instruction state, then the state update).
+    /// The taint transfer of one of an instruction's [`Insn::steps`]
+    /// (sinks checked against the pre-instruction state, then the state
+    /// update).
     fn transfer(&mut self, insn: &Insn, st: &mut TaintState, summary: &mut FnSummary) {
         self.steps += 1;
+        let sp = match st.vals.val(Reg::Rsp) {
+            Some(Val::Frame(off)) => Some(off),
+            _ => None,
+        };
         match insn.kind {
-            InsnKind::MovRegToMem { src, ref mem, .. } => {
-                let t = st.reg(src);
-                self.store(mem, insn, t, st, summary);
-            }
-            // An untainted store: clears a nameable cell, never sinks.
-            InsnKind::MovImmToMem { ref mem, .. } => {
-                self.store(mem, insn, AbsTaint::EMPTY, st, summary);
-            }
-            InsnKind::MovMemToReg { dest, ref mem, .. } => {
-                let t = self.load_taint(mem, insn, st);
-                st.set_reg(dest, t);
-            }
-            InsnKind::MovRegToReg { dest, src, width } => {
-                // A 32-bit copy zero-extends: no longer an address.
-                let off = st.off(src).filter(|_| width == Width::W64);
-                st.set_reg_at(dest, st.reg(src), off);
-            }
-            InsnKind::MovImmToReg { dest, .. }
-            | InsnKind::LeaRipRel { dest, .. }
-            | InsnKind::MovFsToReg { dest, .. } => {
-                st.set_reg(dest, AbsTaint::EMPTY);
-            }
-            // `push`/`pop` are a store to / load from the stack top,
-            // through the same address rules as any other access.
-            InsnKind::PushReg { reg } => {
-                let t = st.reg(reg);
-                self.store(&MemOperand::base_disp(Reg::Rsp, -8), insn, t, st, summary);
-                let slot = st.off(Reg::Rsp).map(|sp| sp.wrapping_sub(8));
-                st.off[Reg::Rsp as usize] = slot;
-                if reg == Reg::Rbp && st.rbp_entry {
-                    st.rbp_saved = slot;
-                }
-            }
-            InsnKind::PopReg { reg } => {
-                let t = self.load_taint(&MemOperand::base_disp(Reg::Rsp, 0), insn, st);
-                let sp = st.off(Reg::Rsp);
-                st.off[Reg::Rsp as usize] = sp.map(|sp| sp.wrapping_add(8));
-                // Popping the slot `push rbp` saved gives `%rbp` back
-                // its entry value.
-                let restores_rbp = reg == Reg::Rbp && sp.is_some() && st.rbp_saved == sp;
-                st.set_reg(reg, t);
-                st.rbp_entry |= restores_rbp;
-            }
-            InsnKind::Lea {
-                dest,
-                ref mem,
-                width,
-            } => {
-                let mut t = AbsTaint::EMPTY;
-                if let Some(b) = mem.base {
-                    t = t.join(st.reg(b));
-                }
-                if let Some(i) = mem.index {
-                    t = t.join(st.reg(i));
-                }
-                // A truncated (16- or 32-bit) address is no stack
-                // address.
-                let off = match stack_addr(mem, st) {
-                    StackAddr::Frame(off) if width == Width::W64 => Some(off),
-                    _ => None,
-                };
-                st.set_reg_at(dest, t, off);
-            }
-            InsnKind::AluRegReg { op, dest, src, .. } => {
-                if op == AluOp::Xor && dest == src {
-                    // The zeroing idiom destroys the value entirely.
-                    st.set_reg(dest, AbsTaint::EMPTY);
-                    st.flags = AbsTaint::EMPTY;
-                } else {
-                    let t = st.reg(dest).join(st.reg(src));
-                    st.flags = t;
-                    if op != AluOp::Cmp {
-                        st.set_reg(dest, t);
-                    }
-                }
-            }
-            InsnKind::AluImmReg {
-                op,
-                dest,
-                imm,
-                width,
-            } => {
-                let t = st.reg(dest);
-                st.flags = t;
-                if op != AluOp::Cmp {
-                    // `add`/`sub $imm` shift a known stack offset.
-                    let off = match (op, width, st.off(dest)) {
-                        (AluOp::Add, Width::W64, Some(off)) => Some(off.wrapping_add(imm)),
-                        (AluOp::Sub, Width::W64, Some(off)) => Some(off.wrapping_sub(imm)),
-                        _ => None,
-                    };
-                    st.set_reg_at(dest, t, off);
-                }
-            }
-            InsnKind::AluMemReg {
-                op, dest, ref mem, ..
-            } => {
-                let t = st.reg(dest).join(self.load_taint(mem, insn, st));
-                st.flags = t;
-                if op != AluOp::Cmp {
-                    st.set_reg(dest, t);
-                }
-            }
-            InsnKind::AluRegMem {
-                op, src, ref mem, ..
-            } => {
-                let t = st.reg(src).join(self.load_taint(mem, insn, st));
-                st.flags = t;
-                if op != AluOp::Cmp {
-                    self.store(mem, insn, t, st, summary);
-                }
-            }
-            InsnKind::AluImmMem { op, ref mem, .. } => {
-                let t = self.load_taint(mem, insn, st);
-                st.flags = t;
-                if op != AluOp::Cmp {
-                    self.store(mem, insn, t, st, summary);
-                }
-            }
             InsnKind::CondJmp { .. } => {
-                let t = st.flags;
-                if !t.is_empty() {
-                    self.sink(SinkKind::TaintedBranch, insn.addr, t, summary);
-                }
+                self.sink(SinkKind::TaintedBranch, insn.addr, st.flags, summary);
             }
-            InsnKind::IndirectJmpReg { reg } | InsnKind::IndirectCallReg { reg } => {
-                let t = st.reg(reg);
-                if !t.is_empty() {
-                    self.sink(SinkKind::ExitOperand, insn.addr, t, summary);
-                }
-                if matches!(insn.kind, InsnKind::IndirectCallReg { .. }) {
-                    self.smear_call(st);
-                }
-            }
-            InsnKind::IndirectJmpMem { ref mem } | InsnKind::IndirectCallMem { ref mem } => {
-                let t = self.load_taint(mem, insn, st);
-                if !t.is_empty() {
-                    self.sink(SinkKind::ExitOperand, insn.addr, t, summary);
-                }
-                if matches!(insn.kind, InsnKind::IndirectCallMem { .. }) {
+            kind if kind.is_indirect_branch() => {
+                let t = self.value(&kind.effects(), insn, st);
+                self.sink(SinkKind::ExitOperand, insn.addr, t, summary);
+                if kind.is_call() {
                     self.smear_call(st);
                 }
             }
@@ -1210,22 +959,78 @@ impl Pass<'_> {
                 // own stack cells die with it).
                 summary.escape.join_in(st.mem.caller_escape());
             }
-            // Unclassified semantics: forget the stack offset of every
-            // register it may write (and the saved `%rbp` if it may write
-            // memory). Register taint is left alone.
-            InsnKind::Other { writes, writes_mem } => {
-                for r in writes.iter() {
-                    st.forget(r);
-                }
-                if writes_mem {
-                    st.frame_written(None);
+            // The stack-protector canary: no secret, and a store that
+            // could plant one there goes through a segment override,
+            // which is an unresolved store.
+            InsnKind::MovFsToReg { dest, .. } => st.set_reg(dest, AbsTaint::EMPTY),
+            // The zeroing idiom destroys the value entirely (a narrower
+            // `xor` keeps the upper bits).
+            InsnKind::AluRegReg {
+                op: AluOp::Xor,
+                dest,
+                src,
+                width: Width::W32 | Width::W64,
+            } if dest == src => {
+                st.set_reg(dest, AbsTaint::EMPTY);
+                st.flags = AbsTaint::EMPTY;
+            }
+            // `push rbp` at entry saves `%rbp` in its slot; popping that
+            // slot gives `%rbp` its entry value back.
+            InsnKind::PushReg { reg } => {
+                self.data(insn, st, summary);
+                if reg == Reg::Rbp && st.rbp_entry {
+                    st.rbp_saved = sp.map(|sp| sp.wrapping_sub(8));
                 }
             }
-            _ => {}
+            InsnKind::PopReg { reg } => {
+                let restores_rbp = reg == Reg::Rbp && sp.is_some() && st.rbp_saved == sp;
+                self.data(insn, st, summary);
+                st.rbp_entry |= restores_rbp;
+            }
+            _ => self.data(insn, st, summary),
         }
-        // Constants run in lockstep — the same transfer the dataflow
-        // pass uses, so effective addresses resolve identically.
-        dataflow::transfer(&mut st.consts, insn);
+        // The register lattice follows, exactly as in the dataflow pass.
+        dataflow::transfer(&mut st.vals, insn);
+    }
+
+    /// The transfer every data instruction shares: its [`Self::value`]
+    /// sets the flags, is stored, and is written to each destination
+    /// register.
+    fn data(&mut self, insn: &Insn, st: &mut TaintState, summary: &mut FnSummary) {
+        let e = insn.kind.effects();
+        let t = self.value(&e, insn, st);
+        if e.sets_flags() {
+            st.flags = t;
+        }
+        if let Some(mem) = e.mem.filter(|_| e.store()) {
+            self.store(&mem, insn, t, st, summary);
+        }
+        if e.stack == Some(Stack::Push) {
+            self.store(&MemOperand::base_disp(Reg::Rsp, -8), insn, t, st, summary);
+        }
+        for r in e.writes.iter() {
+            st.set_reg(r, t);
+        }
+    }
+
+    /// The taint of the value an instruction with effects `e` computes:
+    /// the registers it reads, the flags if it reads them, and what it
+    /// loads.
+    fn value(&mut self, e: &Effects, insn: &Insn, st: &TaintState) -> AbsTaint {
+        let mut t = e
+            .reads
+            .iter()
+            .fold(AbsTaint::EMPTY, |t, r| t.join(st.reg(r)));
+        if e.reads_flags() {
+            t = t.join(st.flags);
+        }
+        if let Some(mem) = e.mem.filter(|_| e.load()) {
+            t = t.join(self.load_taint(&mem, insn, st));
+        }
+        if e.stack == Some(Stack::Pop) {
+            t = t.join(self.load_taint(&MemOperand::base_disp(Reg::Rsp, 0), insn, st));
+        }
+        t
     }
 
     /// Analyzes one function to its local fixpoint under the current
@@ -1250,8 +1055,9 @@ impl Pass<'_> {
                 continue;
             };
             for i in self.cfg.blocks[b].insns.clone() {
-                let insn = self.insns[i];
-                self.transfer(&insn, &mut st, &mut summary);
+                for step in self.insns[i].steps() {
+                    self.transfer(&step, &mut st, &mut summary);
+                }
             }
             for edge in self.cfg.successors(b) {
                 // Stay inside the function; a nop bridge is padding

@@ -274,6 +274,9 @@ impl<'m> Executor<'m> {
         if mem.rip_relative {
             return Err("unexpected RIP-relative data access".into());
         }
+        if let Some(seg) = mem.segment {
+            return Err(format!("unmodelled {seg:?} segment override"));
+        }
         let mut addr = mem.disp as i64 as u64;
         if let Some(b) = mem.base {
             addr = addr.wrapping_add(cpu.get(b));

@@ -60,7 +60,10 @@ impl PolicyModule for CodeReachability {
     }
 
     fn descriptor(&self) -> Vec<u8> {
-        b"code-reachability:v1".to_vec()
+        // v2: the constant lattice folds `lea`s through the one address
+        // resolver and decodes `%ah`–`%bh` writes, which can change the
+        // indirect targets it resolves; no v1 verdict may replay.
+        b"code-reachability:v2".to_vec()
     }
 
     fn requires_symbols(&self) -> bool {

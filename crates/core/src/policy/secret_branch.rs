@@ -82,7 +82,10 @@ impl PolicyModule for SecretDependentBranch {
         // the measurement must say so. v3: stack slots named through
         // any base register with a known offset meet in one cell, so
         // the v2 engine's verdicts (cached or sealed) must not replay.
-        let mut d = b"secret-dependent-branch:v3".to_vec();
+        // v4: flags flow through every instruction's decoded effects
+        // (`test`, `setcc`, …) and a no-base load is resolved, so no v3
+        // PASS may replay.
+        let mut d = b"secret-dependent-branch:v4".to_vec();
         d.push(u8::from(self.deny));
         d.extend_from_slice(&descriptor_ranges(&self.declared_sources));
         d

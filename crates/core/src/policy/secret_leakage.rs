@@ -144,8 +144,11 @@ impl PolicyModule for SecretLeakage {
         // every base register — the v2 engine passed rbp/rsp alias
         // spills and untrusted-%rbp stores, and the verdict cache and
         // store seal keys derive from this descriptor, so no v2 PASS
-        // may be replayed.
-        let mut d = b"secret-leakage:v3".to_vec();
+        // may be replayed. v4: taint follows every instruction's
+        // decoded effects (unclassified forms, partial and high-byte
+        // register writes, no-base and segment-overridden operands,
+        // `leave`), so no v3 PASS may be replayed.
+        let mut d = b"secret-leakage:v4".to_vec();
         d.push(self.strict_unresolved_stores as u8);
         d.extend_from_slice(&descriptor_ranges(&self.declared_sources));
         d

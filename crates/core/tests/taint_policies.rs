@@ -626,6 +626,188 @@ fn narrow_lea_store_compliant_twin_passes() {
     );
 }
 
+// ---- data effects: what each instruction reads and writes --------------
+//
+// Every rejection below was a false PASS while the taint pass modelled
+// only the typed instruction forms: the unclassified ones left taint
+// alone, an 8-bit write replaced the whole register, `%ah` decoded as
+// `%rsp`, a no-base operand was unresolved (so its load was clean) and
+// a segment override was ignored.
+
+#[test]
+fn movzx_load_leak_is_rejected_by_secret_leakage() {
+    expect_violation(
+        &adversarial::movzx_load_leak(SECRET, SINK_OUT),
+        vec![Box::new(SecretLeakage::new())],
+        "secret-leakage",
+        "out-of-enclave write",
+    );
+}
+
+#[test]
+fn movzx_load_leak_compliant_twin_passes() {
+    expect_pass(
+        &adversarial::movzx_load_leak(SECRET, SINK_IN),
+        vec![Box::new(SecretLeakage::new())],
+    );
+}
+
+#[test]
+fn xchg_store_leak_is_rejected_by_secret_leakage() {
+    expect_violation(
+        &adversarial::xchg_store_leak(SECRET, SINK_OUT),
+        vec![Box::new(SecretLeakage::new())],
+        "secret-leakage",
+        "out-of-enclave write",
+    );
+}
+
+#[test]
+fn xchg_store_leak_compliant_twin_passes() {
+    expect_pass(
+        &adversarial::xchg_store_leak(SECRET, SINK_IN),
+        vec![Box::new(SecretLeakage::new())],
+    );
+}
+
+#[test]
+fn setcc_leak_is_rejected_by_secret_leakage() {
+    expect_violation(
+        &adversarial::setcc_leak(SECRET, SINK_OUT),
+        vec![Box::new(SecretLeakage::new())],
+        "secret-leakage",
+        "out-of-enclave write",
+    );
+}
+
+#[test]
+fn setcc_leak_compliant_twin_passes() {
+    expect_pass(
+        &adversarial::setcc_leak(SECRET, SINK_IN),
+        vec![Box::new(SecretLeakage::new())],
+    );
+}
+
+#[test]
+fn high_byte_load_leak_is_rejected_by_secret_leakage() {
+    expect_violation(
+        &adversarial::high_byte_load_leak(SECRET, SINK_OUT),
+        vec![Box::new(SecretLeakage::new())],
+        "secret-leakage",
+        "out-of-enclave write",
+    );
+}
+
+#[test]
+fn high_byte_load_leak_compliant_twin_passes() {
+    expect_pass(
+        &adversarial::high_byte_load_leak(SECRET, SINK_IN),
+        vec![Box::new(SecretLeakage::new())],
+    );
+}
+
+#[test]
+fn partial_write_leak_is_rejected_by_secret_leakage() {
+    expect_violation(
+        &adversarial::partial_write_leak(SECRET, SINK_OUT, Width::W8),
+        vec![Box::new(SecretLeakage::new())],
+        "secret-leakage",
+        "out-of-enclave write",
+    );
+}
+
+#[test]
+fn partial_write_leak_compliant_twin_passes() {
+    // A 32-bit write zero-extends: nothing secret is left in `%rax`.
+    expect_pass(
+        &adversarial::partial_write_leak(SECRET, SINK_OUT, Width::W32),
+        vec![Box::new(SecretLeakage::new())],
+    );
+}
+
+#[test]
+fn absolute_load_leak_is_rejected_by_secret_leakage() {
+    expect_violation(
+        &adversarial::absolute_load_leak(SECRET, SINK_OUT),
+        vec![Box::new(SecretLeakage::new())],
+        "secret-leakage",
+        "out-of-enclave write",
+    );
+}
+
+#[test]
+fn absolute_load_leak_compliant_twin_passes() {
+    expect_pass(
+        &adversarial::absolute_load_leak(SCRATCH, SINK_OUT),
+        vec![Box::new(SecretLeakage::new())],
+    );
+}
+
+#[test]
+fn absolute_load_branch_is_rejected_by_secret_dependent_branch() {
+    expect_violation(
+        &adversarial::absolute_load_branch(SECRET),
+        vec![Box::new(SecretDependentBranch::new())],
+        "secret-dependent-branch",
+        "channel-key",
+    );
+}
+
+#[test]
+fn absolute_load_branch_compliant_twin_passes() {
+    expect_pass(
+        &adversarial::absolute_load_branch(SCRATCH),
+        vec![Box::new(SecretDependentBranch::new())],
+    );
+}
+
+#[test]
+fn segment_store_leak_is_rejected_by_secret_leakage() {
+    expect_violation(
+        &adversarial::segment_store_leak(SECRET, SINK_IN, true),
+        vec![Box::new(SecretLeakage::new())],
+        "secret-leakage",
+        "unresolved-address store",
+    );
+}
+
+#[test]
+fn segment_store_leak_compliant_twin_passes() {
+    expect_pass(
+        &adversarial::segment_store_leak(SECRET, SINK_IN, false),
+        vec![Box::new(SecretLeakage::new())],
+    );
+}
+
+#[test]
+fn leave_epilogue_spill_is_rejected_by_secret_leakage() {
+    // The caller's `-8(%rbp)` is a frame slot after a `leave; ret`
+    // callee: the leak is the out-of-enclave store, not an unresolved
+    // spill.
+    let image = adversarial::leave_epilogue_spill(SECRET, SINK_OUT);
+    expect_violation(
+        &image,
+        vec![Box::new(SecretLeakage::new())],
+        "secret-leakage",
+        "out-of-enclave write",
+    );
+    let (mut m, _, loaded) = load_image(&image);
+    let cache = AnalysisCache::new();
+    let policies: Vec<Box<dyn PolicyModule>> = vec![Box::new(SecretLeakage::new())];
+    run_policies_with_cache(&policies, &loaded, m.counter_mut(), &cache)
+        .expect_err("the leak rejects");
+    let stats = cache.taint_stats().expect("taint ran");
+    assert_eq!(stats.unresolved_store_sinks, 0, "the spill slot is named");
+}
+
+#[test]
+fn leave_epilogue_spill_compliant_twin_passes() {
+    expect_pass(
+        &adversarial::leave_epilogue_spill(SECRET, SINK_IN),
+        vec![Box::new(SecretLeakage::new())],
+    );
+}
+
 // ---- end-to-end provisioning + verdict cache ---------------------------
 
 fn machine_config(seed: u64) -> MachineConfig {

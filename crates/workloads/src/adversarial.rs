@@ -626,6 +626,190 @@ pub fn unresolved_pointer_store_clean(ptr: u64) -> Vec<u8> {
     wrap(asm.finish())
 }
 
+// ---- data-effect fixtures ---------------------------------------------
+//
+// Data flows the typed instruction forms do not spell out: a
+// zero-extending load, an exchange with memory, a flag copied into a
+// register, a high-byte register, a partial register write, an operand
+// with no base register, a segment-overridden store, and a `leave`
+// epilogue. A taint pass that models only the typed forms signs a
+// false PASS on each leaking shape; each has a compliant twin.
+
+/// `*sink = src; ret`, through `%rsi`.
+fn store_out(asm: &mut Assembler, src: Reg, sink: u64) {
+    asm.movabs(Reg::Rsi, sink);
+    asm.mov_reg_to_mem64(src, Reg::Rsi);
+    asm.ret();
+}
+
+/// `rax = *secret`, through `%rbx`.
+fn load_secret(asm: &mut Assembler, secret: u64) {
+    asm.movabs(Reg::Rbx, secret);
+    asm.mov_mem_to_reg64(Reg::Rax, Reg::Rbx);
+}
+
+/// A one-instruction secret load: `movzx (%rbx), %eax` with `%rbx =
+/// secret`, then the store to `sink`. Out-of-enclave `sink` leaks;
+/// in-enclave `sink` is the compliant twin.
+pub fn movzx_load_leak(secret: u64, sink: u64) -> Vec<u8> {
+    let mut asm = Assembler::new();
+    asm.movabs(Reg::Rbx, secret);
+    asm.emit_raw_insn(&[0x0f, 0xb6, 0x03]); // movzx (%rbx), %eax
+    store_out(&mut asm, Reg::Rax, sink);
+    wrap(asm.finish())
+}
+
+/// A secret stored by an exchange: `xchg %rax, (%rdx)` with `%rax =
+/// *secret` and `%rdx = sink`. Out-of-enclave `sink` leaks; in-enclave
+/// `sink` is the compliant twin.
+pub fn xchg_store_leak(secret: u64, sink: u64) -> Vec<u8> {
+    let mut asm = Assembler::new();
+    load_secret(&mut asm, secret);
+    asm.movabs(Reg::Rdx, sink);
+    asm.emit_raw_insn(&[0x48, 0x87, 0x02]); // xchg %rax, (%rdx)
+    asm.ret();
+    wrap(asm.finish())
+}
+
+/// A secret comparison copied out through the flags: `cmp %rcx, %rax`
+/// on the secret, `sete %dl`, and the store of `%rdx` to `sink`.
+/// Out-of-enclave `sink` leaks; in-enclave `sink` is the compliant
+/// twin.
+pub fn setcc_leak(secret: u64, sink: u64) -> Vec<u8> {
+    let mut asm = Assembler::new();
+    load_secret(&mut asm, secret);
+    asm.cmp_rr64(Reg::Rax, Reg::Rcx);
+    asm.emit_raw_insn(&[0x0f, 0x94, 0xc2]); // sete %dl
+    store_out(&mut asm, Reg::Rdx, sink);
+    wrap(asm.finish())
+}
+
+/// A secret byte loaded into `%ah`: `xor %eax, %eax; mov (%rbx), %ah`
+/// with `%rbx = secret`, then the store of `%rax` to `sink`. Without a
+/// REX prefix, register 4 of an 8-bit operand is `%ah`, not `%spl`.
+/// Out-of-enclave `sink` leaks; in-enclave `sink` is the compliant
+/// twin.
+pub fn high_byte_load_leak(secret: u64, sink: u64) -> Vec<u8> {
+    let mut asm = Assembler::new();
+    asm.xor_rr32(Reg::Rax, Reg::Rax);
+    asm.movabs(Reg::Rbx, secret);
+    asm.emit_raw_insn(&[0x8a, 0x23]); // mov (%rbx), %ah
+    store_out(&mut asm, Reg::Rax, sink);
+    wrap(asm.finish())
+}
+
+/// A secret partly overwritten before it is stored out: `%rax =
+/// *secret`, then `mov $0x5a` into `%al` ([`Width::W8`], which keeps
+/// the upper 56 secret bits — the leak) or into `%eax`
+/// ([`Width::W32`], which zero-extends — the compliant twin), then the
+/// store of `%rax` to `sink`.
+pub fn partial_write_leak(secret: u64, sink: u64, width: Width) -> Vec<u8> {
+    let mut asm = Assembler::new();
+    load_secret(&mut asm, secret);
+    match width {
+        Width::W8 => asm.emit_raw_insn(&[0xb0, 0x5a]), // mov $0x5a, %al
+        _ => asm.mov_ri32(Reg::Rax, 0x5a),
+    }
+    store_out(&mut asm, Reg::Rax, sink);
+    wrap(asm.finish())
+}
+
+/// `mov addr, %rax` through an operand with no base and no index
+/// register (SIB `0x25`, absolute `disp32`).
+fn mov_absolute_to_rax(asm: &mut Assembler, addr: u64) {
+    let disp = i32::try_from(addr).expect("absolute operands take a 31-bit address");
+    let mut bytes = vec![0x48, 0x8b, 0x04, 0x25];
+    bytes.extend(disp.to_le_bytes());
+    asm.emit_raw_insn(&bytes);
+}
+
+/// An absolute load stored out: `mov addr, %rax` (no base register),
+/// then the store to `sink`. `addr` in a secret range leaks to an
+/// out-of-enclave `sink`; a clean in-enclave `addr` is the compliant
+/// twin.
+pub fn absolute_load_leak(addr: u64, sink: u64) -> Vec<u8> {
+    let mut asm = Assembler::new();
+    mov_absolute_to_rax(&mut asm, addr);
+    store_out(&mut asm, Reg::Rax, sink);
+    wrap(asm.finish())
+}
+
+/// An absolute load feeding a branch: `mov addr, %rax` (no base
+/// register), `cmp`, `jne`. `addr` in a secret range is a
+/// secret-dependent branch; a clean in-enclave `addr` is the compliant
+/// twin.
+pub fn absolute_load_branch(addr: u64) -> Vec<u8> {
+    let mut asm = Assembler::new();
+    mov_absolute_to_rax(&mut asm, addr);
+    asm.xor_rr32(Reg::Rcx, Reg::Rcx);
+    asm.cmp_rr64(Reg::Rax, Reg::Rcx);
+    let done = asm.label();
+    asm.jne_label(done);
+    asm.nop();
+    asm.bind(done);
+    asm.ret();
+    wrap(asm.finish())
+}
+
+/// A secret stored through a segment override: `%rax = *secret`, then
+/// `mov %rax, %gs:(%rdx)` with `%rdx = sink`. The `%gs` base is not
+/// known, so the write may land anywhere even when `sink` lies inside
+/// the enclave. `gs == false` drops the override — the compliant twin
+/// for an in-enclave `sink`.
+pub fn segment_store_leak(secret: u64, sink: u64, gs: bool) -> Vec<u8> {
+    let mut asm = Assembler::new();
+    load_secret(&mut asm, secret);
+    asm.movabs(Reg::Rdx, sink);
+    let store: &[u8] = if gs {
+        &[0x65, 0x48, 0x89, 0x02] // mov %rax, %gs:(%rdx)
+    } else {
+        &[0x48, 0x89, 0x02] // mov %rax, (%rdx)
+    };
+    asm.emit_raw_insn(store);
+    asm.ret();
+    wrap(asm.finish())
+}
+
+/// A compiled-style frame-pointer spill after a call to a `leave`
+/// epilogue: `f` sets up a frame (`push rbp; mov rbp, rsp; sub rsp,
+/// 16`), spills its argument, and returns through `leave; ret`, which
+/// gives `%rbp` back. `_start` then spills the secret to `-8(%rbp)` of
+/// its own frame, zeroes the register, reloads the slot and stores it
+/// to `sink`. Out-of-enclave `sink` leaks; in-enclave `sink` is the
+/// compliant twin, which a taint pass that thinks `leave` changes
+/// `%rbp` rejects as an unresolved store.
+pub fn leave_epilogue_spill(secret: u64, sink: u64) -> Vec<u8> {
+    let mut asm = Assembler::new();
+    let f = asm.label();
+    // _start
+    asm.push_reg(Reg::Rbp);
+    asm.mov_rr64(Reg::Rbp, Reg::Rsp);
+    asm.call_label(f);
+    load_secret(&mut asm, secret);
+    asm.mov_reg_to_rbp_disp8(Reg::Rax, -8); // spill via %rbp
+    asm.xor_rr32(Reg::Rax, Reg::Rax);
+    asm.mov_rbp_disp8_to_reg(Reg::Rcx, -8); // reload
+    asm.pop_reg(Reg::Rbp);
+    store_out(&mut asm, Reg::Rcx, sink);
+    asm.align_to(BUNDLE_SIZE);
+    let f_off = asm.offset();
+    asm.bind(f);
+    asm.push_reg(Reg::Rbp);
+    asm.mov_rr64(Reg::Rbp, Reg::Rsp);
+    asm.sub_ri8(Reg::Rsp, 16);
+    asm.mov_reg_to_rbp_disp8(Reg::Rdi, -8);
+    asm.emit_raw_insn(&[0xc9]); // leave
+    asm.ret();
+    let text = asm.finish();
+    let len = text.len() as u64;
+    ElfBuilder::new()
+        .text(text)
+        .function("_start", 0, f_off)
+        .function("f", f_off, len - f_off)
+        .entry(0)
+        .build()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -723,6 +907,24 @@ mod tests {
             constant_rsp_push(0x10100, 0x10808),
             constant_rsp_pop(0x10100, 0x20000),
             constant_rsp_pop(0x10100, 0x10800),
+            movzx_load_leak(0x10100, 0x20000),
+            movzx_load_leak(0x10100, 0x10800),
+            xchg_store_leak(0x10100, 0x20000),
+            xchg_store_leak(0x10100, 0x10800),
+            setcc_leak(0x10100, 0x20000),
+            setcc_leak(0x10100, 0x10800),
+            high_byte_load_leak(0x10100, 0x20000),
+            high_byte_load_leak(0x10100, 0x10800),
+            partial_write_leak(0x10100, 0x20000, Width::W8),
+            partial_write_leak(0x10100, 0x20000, Width::W32),
+            absolute_load_leak(0x10100, 0x20000),
+            absolute_load_leak(0x10900, 0x20000),
+            absolute_load_branch(0x10100),
+            absolute_load_branch(0x10900),
+            segment_store_leak(0x10100, 0x10800, true),
+            segment_store_leak(0x10100, 0x10800, false),
+            leave_epilogue_spill(0x10100, 0x20000),
+            leave_epilogue_spill(0x10100, 0x10800),
         ] {
             loads_cleanly(&image);
         }

@@ -6,12 +6,16 @@
 //! comment, which is exactly the honesty a reviewer wants from a
 //! security tool's diagnostics.
 
-use crate::insn::{Insn, InsnKind, MemOperand, Width};
+use crate::insn::{Insn, InsnKind, MemOperand, Segment, Width};
 use std::fmt::Write as _;
 
 /// Renders one memory operand in AT&T syntax.
 fn mem(m: &MemOperand) -> String {
-    let mut out = String::new();
+    let mut out = match m.segment {
+        Some(Segment::Fs) => "%fs:".to_string(),
+        Some(Segment::Gs) => "%gs:".to_string(),
+        None => String::new(),
+    };
     if m.rip_relative {
         let _ = write!(out, "{:#x}(%rip)", m.disp);
         return out;
@@ -128,6 +132,7 @@ pub fn format_insn(insn: &Insn, symbol: impl Fn(u64) -> Option<String>) -> Strin
         } => {
             format!("{} ${imm:#x}, {}", op.mnemonic(), mem(&m))
         }
+        InsnKind::Leave => "leave".to_string(),
         InsnKind::PushReg { reg } => format!("push {reg}"),
         InsnKind::PopReg { reg } => format!("pop {reg}"),
         InsnKind::Syscall => "syscall".to_string(),
@@ -215,6 +220,11 @@ mod tests {
         // absolute via SIB, no base/index
         let i = crate::decode::decode_one(&[0xff, 0x24, 0xc5, 0, 0x10, 0, 0], 0).expect("decodes");
         assert_eq!(format_insn(&i, |_| None), "jmpq *0x1000(,%rax,8)");
+        // a segment override
+        let i = crate::decode::decode_one(&[0x65, 0x48, 0x89, 0x02], 0).expect("decodes");
+        assert_eq!(format_insn(&i, |_| None), "movq %rax, %gs:(%rdx)");
+        let i = crate::decode::decode_one(&[0xc9], 0).expect("decodes");
+        assert_eq!(format_insn(&i, |_| None), "leave");
     }
 
     #[test]

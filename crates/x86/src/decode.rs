@@ -22,8 +22,8 @@
 //! assert_eq!(insn.len, 5);
 //! ```
 
-use crate::insn::{AluOp, Cc, Insn, InsnKind, MemOperand, Width};
-use crate::reg::{Reg, RegSet};
+use crate::insn::{AluOp, Cc, Effects, Insn, InsnKind, MemOperand, Segment, Stack, Width};
+use crate::reg::Reg;
 use crate::DisasmError;
 
 /// Longest legal x86 instruction.
@@ -89,7 +89,11 @@ struct ModRm {
     disp_len: u8,
 }
 
-fn parse_modrm(cur: &mut Cursor<'_>, rex: Rex) -> Result<ModRm, DisasmError> {
+fn parse_modrm(
+    cur: &mut Cursor<'_>,
+    rex: Rex,
+    segment: Option<Segment>,
+) -> Result<ModRm, DisasmError> {
     let modrm = cur.u8()?;
     let mode = modrm >> 6;
     let reg_field = (modrm >> 3) & 7;
@@ -108,6 +112,7 @@ fn parse_modrm(cur: &mut Cursor<'_>, rex: Rex) -> Result<ModRm, DisasmError> {
 
     let mut mem = MemOperand {
         scale: 1,
+        segment,
         ..Default::default()
     };
 
@@ -159,32 +164,34 @@ fn parse_modrm(cur: &mut Cursor<'_>, rex: Rex) -> Result<ModRm, DisasmError> {
     })
 }
 
-/// An unclassified instruction that writes `writes` and no memory.
-fn other(writes: RegSet) -> InsnKind {
-    InsnKind::Other {
-        writes,
-        writes_mem: false,
-    }
-}
-
-/// An unclassified instruction that writes its r/m operand (a register
-/// or memory) plus the registers in `also`.
-fn other_rm(m: &ModRm, also: RegSet) -> InsnKind {
+/// `e` plus the r/m operand as a source: its register, or a load.
+fn src(e: Effects, m: &ModRm) -> Effects {
     match m.rm {
-        RmOperand::Reg(r) => other(also.with(r)),
-        RmOperand::Mem(_) => InsnKind::Other {
-            writes: also,
-            writes_mem: true,
-        },
+        RmOperand::Reg(r) => e.read(r),
+        RmOperand::Mem(mem) => e.access(mem, true, false),
     }
 }
 
-/// A `push` form the classifier keeps generic: moves `%rsp` and writes
-/// the new stack top.
-const OTHER_PUSH: InsnKind = InsnKind::Other {
-    writes: RegSet::EMPTY.with(Reg::Rsp),
-    writes_mem: true,
-};
+/// `e` plus the r/m operand as the destination: its register written
+/// at `width`, or a store.
+fn dst(e: Effects, m: &ModRm, width: Width) -> Effects {
+    match m.rm {
+        RmOperand::Reg(r) => e.write(r, width),
+        RmOperand::Mem(mem) => e.access(mem, false, true),
+    }
+}
+
+/// `kind` with REX-less 8-bit register operands: 4–7 name `%ah`–`%bh`,
+/// which no typed form can, so it becomes an `Other` reading and
+/// writing `%rax`–`%rbx`. Rare in compiled code.
+#[cold]
+fn legacy_bytes(kind: InsnKind) -> InsnKind {
+    let e = kind.effects();
+    match e.legacy_bytes() {
+        bytes if bytes != e => InsnKind::Other(bytes),
+        _ => kind,
+    }
+}
 
 /// Decodes a single instruction starting at `bytes[0]`, which lives at
 /// virtual address `addr`.
@@ -204,17 +211,17 @@ pub fn decode_one(bytes: &[u8], addr: u64) -> Result<Insn, DisasmError> {
     };
 
     // ---- prefixes ---------------------------------------------------
-    let mut fs_segment = false;
+    let mut segment = None;
     let mut opsize16 = false;
     let mut prefix_len = 0u8;
     loop {
         let b = cur.u8()?;
         match b {
-            0xf0 | 0xf2 | 0xf3 | 0x2e | 0x36 | 0x3e | 0x26 | 0x65 => {
+            0xf0 | 0xf2 | 0xf3 | 0x2e | 0x36 | 0x3e | 0x26 => {
                 prefix_len += 1;
             }
-            0x64 => {
-                fs_segment = true;
+            0x64 | 0x65 => {
+                segment = Some(if b == 0x64 { Segment::Fs } else { Segment::Gs });
                 prefix_len += 1;
             }
             0x66 => {
@@ -247,21 +254,31 @@ pub fn decode_one(bytes: &[u8], addr: u64) -> Result<Insn, DisasmError> {
             prefix_len += 1;
         }
     }
-    let _ = rex.present;
 
-    let width = if opsize16 {
-        Width::W16
-    } else if rex.w {
+    // REX.W takes precedence over `0x66`; immZ is 16-bit only at 16-bit
+    // operand width.
+    let width = if rex.w {
         Width::W64
+    } else if opsize16 {
+        Width::W16
     } else {
         Width::W32
     };
-
-    // immZ: 16-bit with 0x66, else 32-bit.
-    let imm_z: u8 = if opsize16 { 2 } else { 4 };
+    let imm_z: u8 = if width == Width::W16 { 2 } else { 4 };
 
     // ---- opcode + operands --------------------------------------------
     let op = cur.u8()?;
+    // Opcodes with only 8-bit register operands (and `setcc`, below).
+    let mut byte_regs = (op < 0x40 && op & 5 == 0)
+        || matches!(
+            op,
+            0x80 | 0x84 | 0x86 | 0x88 | 0x8a | 0xc0 | 0xc6 | 0xd0 | 0xd2 | 0xf6 | 0xfe
+        )
+        || (0xb0..0xb8).contains(&op);
+    // The byte/full-width opcode pairs (`00`/`01`, `88`/`89`, `f6`/`f7`,
+    // …): operand width and immediate size.
+    let w = if op & 1 == 0 { Width::W8 } else { width };
+    let imm_w = if op & 1 == 0 { 1 } else { imm_z };
     let mut opcode_len = 1u8;
     let mut modrm_len = 0u8;
     let mut disp_len = 0u8;
@@ -283,7 +300,7 @@ pub fn decode_one(bytes: &[u8], addr: u64) -> Result<Insn, DisasmError> {
 
     macro_rules! modrm {
         () => {{
-            let m = parse_modrm(&mut cur, rex)?;
+            let m = parse_modrm(&mut cur, rex, segment)?;
             modrm_len = m.modrm_len;
             disp_len = m.disp_len;
             m
@@ -291,70 +308,49 @@ pub fn decode_one(bytes: &[u8], addr: u64) -> Result<Insn, DisasmError> {
     }
 
     // The register a ModRM form names in its reg field.
-    let reg_of = |m: &ModRm| RegSet::of(&[Reg::from_bits(rex.r, m.reg_field)]);
+    let reg_of = |m: &ModRm| Reg::from_bits(rex.r, m.reg_field);
+    let e = Effects::default();
 
     let kind: InsnKind = match op {
         // ---- ALU family 0x00-0x3D --------------------------------------
         0x00..=0x3d if (op & 7) <= 5 && (op & 0x27) != 0x26 => {
             let alu = AluOp::from_index(op >> 3);
-            match op & 7 {
-                0 | 1 => {
-                    let w = if op & 7 == 0 { Width::W8 } else { width };
-                    let m = modrm!();
-                    let src = Reg::from_bits(rex.r, m.reg_field);
-                    match m.rm {
-                        RmOperand::Reg(dest) => InsnKind::AluRegReg {
-                            op: alu,
-                            dest,
-                            src,
-                            width: w,
-                        },
-                        RmOperand::Mem(mem) => InsnKind::AluRegMem {
-                            op: alu,
-                            mem,
-                            src,
-                            width: w,
-                        },
-                    }
+            if op & 7 >= 4 {
+                // op %al/%eax, imm
+                let imm = simm!(imm_w);
+                InsnKind::AluImmReg {
+                    op: alu,
+                    dest: Reg::Rax,
+                    imm,
+                    width: w,
                 }
-                2 | 3 => {
-                    let w = if op & 7 == 2 { Width::W8 } else { width };
-                    let m = modrm!();
-                    let dest = Reg::from_bits(rex.r, m.reg_field);
-                    match m.rm {
-                        RmOperand::Reg(src) => InsnKind::AluRegReg {
+            } else {
+                let m = modrm!();
+                let r = reg_of(&m);
+                // Bit 1 set: the reg field is the destination.
+                match (m.rm, op & 2 != 0) {
+                    (RmOperand::Reg(rm), to_reg) => {
+                        let (dest, src) = if to_reg { (r, rm) } else { (rm, r) };
+                        InsnKind::AluRegReg {
                             op: alu,
                             dest,
                             src,
                             width: w,
-                        },
-                        RmOperand::Mem(mem) => InsnKind::AluMemReg {
-                            op: alu,
-                            dest,
-                            mem,
-                            width: w,
-                        },
+                        }
                     }
-                }
-                4 => {
-                    let imm = simm!(1);
-                    InsnKind::AluImmReg {
+                    (RmOperand::Mem(mem), false) => InsnKind::AluRegMem {
                         op: alu,
-                        dest: Reg::Rax,
-                        imm,
-                        width: Width::W8,
-                    }
-                }
-                5 => {
-                    let imm = simm!(imm_z);
-                    InsnKind::AluImmReg {
+                        mem,
+                        src: r,
+                        width: w,
+                    },
+                    (RmOperand::Mem(mem), true) => InsnKind::AluMemReg {
                         op: alu,
-                        dest: Reg::Rax,
-                        imm,
-                        width,
-                    }
+                        dest: r,
+                        mem,
+                        width: w,
+                    },
                 }
-                _ => unreachable!("guarded by match arm condition"),
             }
         }
 
@@ -369,26 +365,19 @@ pub fn decode_one(bytes: &[u8], addr: u64) -> Result<Insn, DisasmError> {
         // movsxd
         0x63 => {
             let m = modrm!();
-            other(reg_of(&m))
+            InsnKind::Other(src(e, &m).write(reg_of(&m), width))
         }
 
-        0x68 => {
-            let _ = simm!(imm_z);
-            OTHER_PUSH // push imm
+        // push imm
+        0x68 | 0x6a => {
+            let _ = simm!(if op == 0x68 { imm_z } else { 1 });
+            InsnKind::Other(e.stack(Stack::Push))
         }
-        0x6a => {
-            let _ = simm!(1);
-            OTHER_PUSH // push imm8
-        }
-        0x69 => {
+        // imul r, r/m, imm
+        0x69 | 0x6b => {
             let m = modrm!();
-            let _ = simm!(imm_z);
-            other(reg_of(&m)) // imul r, r/m, immZ
-        }
-        0x6b => {
-            let m = modrm!();
-            let _ = simm!(1);
-            other(reg_of(&m)) // imul r, r/m, imm8
+            let _ = simm!(if op == 0x69 { imm_z } else { 1 });
+            InsnKind::Other(src(e.flags(false, true), &m).write(reg_of(&m), width))
         }
 
         // ---- jcc rel8 -------------------------------------------------
@@ -404,11 +393,8 @@ pub fn decode_one(bytes: &[u8], addr: u64) -> Result<Insn, DisasmError> {
         0x80 | 0x81 | 0x83 => {
             let m = modrm!();
             let alu = AluOp::from_index(m.reg_field);
-            let (imm, w) = match op {
-                0x80 => (simm!(1), Width::W8),
-                0x81 => (simm!(imm_z), width),
-                _ => (simm!(1), width), // 0x83: imm8 sign-extended
-            };
+            // 0x83: imm8 sign-extended to the full width.
+            let imm = simm!(if op == 0x83 { 1 } else { imm_w });
             match m.rm {
                 RmOperand::Reg(dest) => InsnKind::AluImmReg {
                     op: alu,
@@ -425,56 +411,55 @@ pub fn decode_one(bytes: &[u8], addr: u64) -> Result<Insn, DisasmError> {
             }
         }
 
-        // test (writes only flags) / xchg (writes both operands)
+        // test (sets only the flags) / xchg (writes both operands)
         0x84..=0x87 => {
             let m = modrm!();
-            if op <= 0x85 {
-                other(RegSet::EMPTY)
+            let e = src(e.read(reg_of(&m)), &m);
+            InsnKind::Other(if op <= 0x85 {
+                e.flags(false, true)
             } else {
-                other_rm(&m, reg_of(&m))
-            }
+                dst(e.write(reg_of(&m), w), &m, w)
+            })
         }
 
         // ---- mov ------------------------------------------------------
-        0x88 | 0x89 => {
-            let w = if op == 0x88 { Width::W8 } else { width };
+        0x88..=0x8b => {
             let m = modrm!();
-            let src = Reg::from_bits(rex.r, m.reg_field);
-            match m.rm {
-                RmOperand::Reg(dest) => InsnKind::MovRegToReg {
-                    dest,
-                    src,
-                    width: w,
-                },
-                RmOperand::Mem(mem) => InsnKind::MovRegToMem { src, mem, width: w },
-            }
-        }
-        0x8a | 0x8b => {
-            let w = if op == 0x8a { Width::W8 } else { width };
-            let m = modrm!();
-            let dest = Reg::from_bits(rex.r, m.reg_field);
-            match m.rm {
-                RmOperand::Reg(src) => InsnKind::MovRegToReg {
-                    dest,
-                    src,
-                    width: w,
-                },
-                RmOperand::Mem(mem) => {
-                    if fs_segment && mem.base.is_none() && mem.index.is_none() && !mem.rip_relative
-                    {
-                        // mov %fs:disp32, %reg — the canary load.
-                        InsnKind::MovFsToReg {
-                            dest,
-                            fs_offset: mem.disp as u32,
-                        }
-                    } else {
-                        InsnKind::MovMemToReg {
-                            dest,
-                            mem,
-                            width: w,
-                        }
+            let r = reg_of(&m);
+            // Bit 1 set: the reg field is the destination.
+            match (m.rm, op & 2 != 0) {
+                (RmOperand::Reg(rm), to_reg) => {
+                    let (dest, src) = if to_reg { (r, rm) } else { (rm, r) };
+                    InsnKind::MovRegToReg {
+                        dest,
+                        src,
+                        width: w,
                     }
                 }
+                (RmOperand::Mem(mem), false) => InsnKind::MovRegToMem {
+                    src: r,
+                    mem,
+                    width: w,
+                },
+                // mov %fs:disp32, %reg — the canary load.
+                (RmOperand::Mem(mem), true)
+                    if op == 0x8b
+                        && width != Width::W16
+                        && mem.segment == Some(Segment::Fs)
+                        && mem.base.is_none()
+                        && mem.index.is_none()
+                        && !mem.rip_relative =>
+                {
+                    InsnKind::MovFsToReg {
+                        dest: r,
+                        fs_offset: mem.disp as u32,
+                    }
+                }
+                (RmOperand::Mem(mem), true) => InsnKind::MovMemToReg {
+                    dest: r,
+                    mem,
+                    width: w,
+                },
             }
         }
         0x8d => {
@@ -498,45 +483,39 @@ pub fn decode_one(bytes: &[u8], addr: u64) -> Result<Insn, DisasmError> {
         }
 
         0x90 => InsnKind::Nop,
-        0x98 => other(RegSet::of(&[Reg::Rax])), // cdqe
-        0x99 => other(RegSet::of(&[Reg::Rdx])), // cqo
+        0x98 => InsnKind::Other(e.read(Reg::Rax).write(Reg::Rax, width)), // cdqe
+        0x99 => InsnKind::Other(e.read(Reg::Rax).write(Reg::Rdx, width)), // cqo
 
-        0xa8 => {
-            let _ = simm!(1);
-            other(RegSet::EMPTY) // test al, imm8
-        }
-        0xa9 => {
-            let _ = simm!(imm_z);
-            other(RegSet::EMPTY) // test eax, immZ
+        // test al/eax, imm
+        0xa8 | 0xa9 => {
+            let _ = simm!(imm_w);
+            InsnKind::Other(e.read(Reg::Rax).flags(false, true))
         }
 
-        // mov imm to register
-        0xb0..=0xb7 => {
-            let imm = simm!(1);
+        // mov imm to register (imm64 with REX.W)
+        0xb0..=0xbf => {
+            let w = if op < 0xb8 { Width::W8 } else { width };
+            let imm = match (w, rex.w) {
+                (Width::W8, _) => simm!(1),
+                (_, true) => simm!(8),
+                _ => simm!(imm_z),
+            };
             InsnKind::MovImmToReg {
                 dest: Reg::from_bits(rex.b, op & 7),
                 imm,
-                width: Width::W8,
-            }
-        }
-        0xb8..=0xbf => {
-            let imm = if rex.w { simm!(8) } else { simm!(imm_z) };
-            InsnKind::MovImmToReg {
-                dest: Reg::from_bits(rex.b, op & 7),
-                imm,
-                width,
+                width: w,
             }
         }
 
-        // ---- shift group (immediate) -------------------------------------
-        0xc0 | 0xc1 => {
+        // ---- shift group: by imm8, 1 or %cl; rcl/rcr read the carry -----
+        0xc0 | 0xc1 | 0xd0..=0xd3 => {
             let m = modrm!();
-            let _ = simm!(1);
-            other_rm(&m, RegSet::EMPTY)
-        }
-        0xd0..=0xd3 => {
-            let m = modrm!();
-            other_rm(&m, RegSet::EMPTY)
+            if op <= 0xc1 {
+                let _ = simm!(1);
+            }
+            let e = if op >= 0xd2 { e.read(Reg::Rcx) } else { e };
+            let e = src(e.flags(matches!(m.reg_field, 2 | 3), true), &m);
+            InsnKind::Other(dst(e, &m, w))
         }
 
         0xc2 => {
@@ -553,8 +532,7 @@ pub fn decode_one(bytes: &[u8], addr: u64) -> Result<Insn, DisasmError> {
                     opcode: op as u16,
                 });
             }
-            let w = if op == 0xc6 { Width::W8 } else { width };
-            let imm = if op == 0xc6 { simm!(1) } else { simm!(imm_z) };
+            let imm = simm!(imm_w);
             match m.rm {
                 RmOperand::Reg(dest) => InsnKind::MovImmToReg {
                     dest,
@@ -565,7 +543,7 @@ pub fn decode_one(bytes: &[u8], addr: u64) -> Result<Insn, DisasmError> {
             }
         }
 
-        0xc9 => other(RegSet::of(&[Reg::Rsp, Reg::Rbp])), // leave
+        0xc9 => InsnKind::Leave,
 
         0xcc => InsnKind::Privileged, // int3
         0xcd => {
@@ -580,14 +558,8 @@ pub fn decode_one(bytes: &[u8], addr: u64) -> Result<Insn, DisasmError> {
                 target: (addr as i64 + cur.pos as i64 + rel) as u64,
             }
         }
-        0xe9 => {
-            let rel = simm!(4);
-            InsnKind::DirectJmp {
-                target: (addr as i64 + cur.pos as i64 + rel) as u64,
-            }
-        }
-        0xeb => {
-            let rel = simm!(1);
+        0xe9 | 0xeb => {
+            let rel = simm!(if op == 0xe9 { 4 } else { 1 });
             InsnKind::DirectJmp {
                 target: (addr as i64 + cur.pos as i64 + rel) as u64,
             }
@@ -598,30 +570,36 @@ pub fn decode_one(bytes: &[u8], addr: u64) -> Result<Insn, DisasmError> {
         // group 3
         0xf6 | 0xf7 => {
             let m = modrm!();
-            match m.reg_field {
+            InsnKind::Other(match m.reg_field {
                 // test r/m, imm
                 0 | 1 => {
-                    if op == 0xf6 {
-                        let _ = simm!(1);
-                    } else {
-                        let _ = simm!(imm_z);
-                    }
-                    other(RegSet::EMPTY)
+                    let _ = simm!(imm_w);
+                    src(e.flags(false, true), &m)
                 }
-                2 | 3 => other_rm(&m, RegSet::EMPTY), // not / neg
-                _ => other(RegSet::of(&[Reg::Rax, Reg::Rdx])), // mul / imul / div / idiv
-            }
+                // not / neg
+                2 | 3 => dst(src(e.flags(false, m.reg_field == 3), &m), &m, w),
+                // mul / imul / div / idiv r/m8: %ax op r/m8 into %ax
+                _ if op == 0xf6 => src(e.flags(false, true), &m).write(Reg::Rax, Width::W16),
+                // mul / imul / div / idiv: %rdx:%rax op r/m; division
+                // also reads %rdx
+                f => {
+                    let e = if f >= 6 { e.read(Reg::Rdx) } else { e };
+                    let e = src(e.flags(false, true).read(Reg::Rax), &m);
+                    e.write(Reg::Rax, w).write(Reg::Rdx, w)
+                }
+            })
         }
 
+        // inc/dec r/m8
         0xfe => {
             let m = modrm!();
-            other_rm(&m, RegSet::EMPTY) // inc/dec r/m8
+            InsnKind::Other(dst(src(e.flags(false, true), &m), &m, Width::W8))
         }
         0xff => {
             let m = modrm!();
             match m.reg_field {
-                0 | 1 => other_rm(&m, RegSet::EMPTY), // inc/dec
-                6 => OTHER_PUSH,                      // push r/m
+                0 | 1 => InsnKind::Other(dst(src(e.flags(false, true), &m), &m, width)), // inc/dec
+                6 => InsnKind::Other(src(e.stack(Stack::Push), &m)),                     // push r/m
                 2 => match m.rm {
                     RmOperand::Reg(reg) => InsnKind::IndirectCallReg { reg },
                     RmOperand::Mem(mem) => InsnKind::IndirectCallMem { mem },
@@ -648,9 +626,12 @@ pub fn decode_one(bytes: &[u8], addr: u64) -> Result<Insn, DisasmError> {
                 }
                 0x31 => InsnKind::Privileged, // rdtsc (illegal in enclaves)
                 0xa2 => InsnKind::Privileged, // cpuid (illegal in enclaves)
+                // cmovcc: the destination keeps its value if the
+                // condition fails
                 0x40..=0x4f => {
                     let m = modrm!();
-                    other(reg_of(&m)) // cmovcc
+                    let e = src(e.flags(true, false).read(reg_of(&m)), &m);
+                    InsnKind::Other(e.write(reg_of(&m), width))
                 }
                 0x80..=0x8f => {
                     let rel = simm!(4);
@@ -661,15 +642,25 @@ pub fn decode_one(bytes: &[u8], addr: u64) -> Result<Insn, DisasmError> {
                 }
                 0x90..=0x9f => {
                     let m = modrm!();
-                    other_rm(&m, RegSet::EMPTY) // setcc
+                    byte_regs = true;
+                    InsnKind::Other(dst(e.flags(true, false), &m, Width::W8)) // setcc
                 }
                 0xaf => {
                     let m = modrm!();
-                    other(reg_of(&m)) // imul r, r/m
+                    let e = src(e.flags(false, true).read(reg_of(&m)), &m);
+                    InsnKind::Other(e.write(reg_of(&m), width)) // imul r, r/m
                 }
+                // movzx / movsx
                 0xb6 | 0xb7 | 0xbe | 0xbf => {
                     let m = modrm!();
-                    other(reg_of(&m)) // movzx / movsx
+                    // An even `op2` reads an 8-bit source register.
+                    let bytes = op2 & 1 == 0 && !rex.present;
+                    let e = if bytes {
+                        src(e, &m).legacy_bytes()
+                    } else {
+                        src(e, &m)
+                    };
+                    InsnKind::Other(e.write(reg_of(&m), width))
                 }
                 _ => {
                     return Err(DisasmError::UnknownOpcode {
@@ -692,7 +683,7 @@ pub fn decode_one(bytes: &[u8], addr: u64) -> Result<Insn, DisasmError> {
         return Err(DisasmError::TooLong { addr });
     }
 
-    Ok(Insn {
+    let mut insn = Insn {
         addr,
         len: cur.pos as u8,
         prefix_len,
@@ -701,7 +692,11 @@ pub fn decode_one(bytes: &[u8], addr: u64) -> Result<Insn, DisasmError> {
         disp_len,
         imm_len,
         kind,
-    })
+    };
+    if byte_regs && !rex.present {
+        insn.kind = legacy_bytes(insn.kind);
+    }
+    Ok(insn)
 }
 
 /// Linear-sweep disassembly of an entire code region at base address
@@ -725,6 +720,7 @@ pub fn decode_all(code: &[u8], base: u64) -> Result<Vec<Insn>, DisasmError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reg::RegSet;
 
     fn one(bytes: &[u8]) -> Insn {
         decode_one(bytes, 0x1000).expect("decodes")
@@ -1102,6 +1098,25 @@ mod tests {
     }
 
     #[test]
+    fn rex_w_takes_precedence_over_the_operand_size_prefix() {
+        // 66 48 81 c0 78 56 34 12 => add $0x12345678, %rax (imm32, not imm16)
+        let i = one(&[0x66, 0x48, 0x81, 0xc0, 0x78, 0x56, 0x34, 0x12]);
+        assert_eq!((i.len, i.imm_len), (8, 4));
+        assert_eq!(
+            i.kind,
+            InsnKind::AluImmReg {
+                op: AluOp::Add,
+                dest: Reg::Rax,
+                imm: 0x12345678,
+                width: Width::W64
+            }
+        );
+        // 66 48 89 c3 => mov %rax, %rbx: a full write, no merge.
+        let e = one(&[0x66, 0x48, 0x89, 0xc3]).kind.effects();
+        assert_eq!(e.reads, RegSet::of(&[Reg::Rax]));
+    }
+
+    #[test]
     fn lea_carries_its_operand_width() {
         // 48 8d 44 24 f8 / 8d 44 24 f8 / 66 8d 44 24 f8 => lea -8(%rsp), %rax/%eax/%ax
         for (bytes, width) in [
@@ -1131,22 +1146,117 @@ mod tests {
 
     #[test]
     fn unclassified_forms_report_what_they_write() {
-        let writes = |bytes: &[u8]| match one(bytes).kind {
-            InsnKind::Other { writes, writes_mem } => (writes, writes_mem),
+        let fx = |bytes: &[u8]| match one(bytes).kind {
+            InsnKind::Other(e) => e,
             k => panic!("unexpected {k:?}"),
         };
-        let regs = |r: &[Reg]| (RegSet::of(r), false);
-        assert_eq!(writes(&[0x85, 0xc0]), regs(&[])); // test %eax, %eax
-        assert_eq!(writes(&[0xa8, 0x01]), regs(&[])); // test $1, %al
-        assert_eq!(writes(&[0x0f, 0xb6, 0xe9]), regs(&[Reg::Rbp])); // movzx %cl, %ebp
-        assert_eq!(writes(&[0x44, 0x0f, 0xb6, 0xc1]), regs(&[Reg::R8])); // movzx %cl, %r8d
-        assert_eq!(writes(&[0x48, 0x87, 0xd9]), regs(&[Reg::Rcx, Reg::Rbx])); // xchg %rbx, %rcx
-        assert_eq!(writes(&[0x48, 0x87, 0x19]), (RegSet::of(&[Reg::Rbx]), true)); // xchg %rbx, (%rcx)
-        assert_eq!(writes(&[0x48, 0xc1, 0xe5, 0x03]), regs(&[Reg::Rbp])); // shl $3, %rbp
-        assert_eq!(writes(&[0x48, 0xf7, 0xf1]), regs(&[Reg::Rax, Reg::Rdx])); // div %rcx
-        assert_eq!(writes(&[0xc9]), regs(&[Reg::Rsp, Reg::Rbp])); // leave
-        assert_eq!(writes(&[0x6a, 0x01]), (RegSet::of(&[Reg::Rsp]), true)); // push $1
-        assert_eq!(writes(&[0x0f, 0x94, 0x00]), (RegSet::EMPTY, true)); // sete (%rax)
+        let regs = |r: &[Reg]| RegSet::of(r);
+        let (rax, rcx, rdx, rbx) = (Reg::Rax, Reg::Rcx, Reg::Rdx, Reg::Rbx);
+        // test %eax, %eax / test $1, %al: read, set the flags, write
+        // and access nothing.
+        for bytes in [&[0x85, 0xc0][..], &[0xa8, 0x01]] {
+            let e = fx(bytes);
+            assert_eq!(
+                (e.reads, e.writes, e.sets_flags()),
+                (regs(&[rax]), regs(&[]), true)
+            );
+            assert!(!e.load() && !e.store() && e.mem.is_none());
+        }
+        // movzx (%rbx), %eax: a load into %rax.
+        let e = fx(&[0x0f, 0xb6, 0x03]);
+        assert_eq!(e.mem, Some(MemOperand::base_disp(rbx, 0)));
+        assert!(e.load() && !e.store());
+        assert_eq!((e.reads, e.writes), (regs(&[]), regs(&[rax])));
+        // movzx %cl, %ebp / movzx %cl, %r8d / movzx %ah, %ecx (REX-less
+        // source 4 is %ah).
+        let e = fx(&[0x0f, 0xb6, 0xe9]);
+        assert_eq!((e.reads, e.writes), (regs(&[rcx]), regs(&[Reg::Rbp])));
+        assert_eq!(fx(&[0x44, 0x0f, 0xb6, 0xc1]).writes, regs(&[Reg::R8]));
+        assert_eq!(fx(&[0x0f, 0xb6, 0xcc]).reads, regs(&[rax]));
+        // xchg %rax, (%rdx): loads, stores, reads and writes %rax.
+        let e = fx(&[0x48, 0x87, 0x02]);
+        assert!(e.load() && e.store());
+        assert_eq!((e.reads, e.writes), (regs(&[rax]), regs(&[rax])));
+        // xchg %rbx, (%rcx): the same through %rbx.
+        let e = fx(&[0x48, 0x87, 0x19]);
+        assert!(e.load() && e.store());
+        assert_eq!((e.reads, e.writes), (regs(&[rbx]), regs(&[rbx])));
+        // xchg %rbx, %rcx: both read, both written.
+        let e = fx(&[0x48, 0x87, 0xd9]);
+        assert_eq!((e.reads, e.writes), (regs(&[rcx, rbx]), regs(&[rcx, rbx])));
+        // sete %dl: reads the flags, merges into %rdx.
+        let e = fx(&[0x0f, 0x94, 0xc2]);
+        assert!(e.reads_flags());
+        assert_eq!((e.reads, e.writes), (regs(&[rdx]), regs(&[rdx])));
+        // sete (%rax): a store, no load.
+        let e = fx(&[0x0f, 0x94, 0x00]);
+        assert!(e.store() && !e.load() && e.writes == regs(&[]));
+        // cmovne %rcx, %rax: the destination survives a failed condition.
+        let e = fx(&[0x48, 0x0f, 0x45, 0xc1]);
+        assert!(e.reads_flags());
+        assert_eq!((e.reads, e.writes), (regs(&[rax, rcx]), regs(&[rax])));
+        // shl $3, %rbp / shl %cl, %rbp: the shifted register is written.
+        let e = fx(&[0x48, 0xc1, 0xe5, 0x03]);
+        assert_eq!((e.reads, e.writes), (regs(&[Reg::Rbp]), regs(&[Reg::Rbp])));
+        let e = fx(&[0x48, 0xd3, 0xe5]);
+        assert_eq!(
+            (e.reads, e.writes),
+            (regs(&[rcx, Reg::Rbp]), regs(&[Reg::Rbp]))
+        );
+        // div %rcx.
+        let e = fx(&[0x48, 0xf7, 0xf1]);
+        assert_eq!(
+            (e.reads, e.writes),
+            (regs(&[rax, rcx, rdx]), regs(&[rax, rdx]))
+        );
+        // push $1 / push (%rbx): the value goes to the new stack top.
+        assert_eq!(fx(&[0x6a, 0x01]).stack, Some(Stack::Push));
+        let e = fx(&[0xff, 0x33]);
+        assert!(e.load() && e.stack == Some(Stack::Push) && e.writes == regs(&[]));
+    }
+
+    #[test]
+    fn legacy_high_byte_registers_are_not_rsp_through_rdi() {
+        let fx = |bytes: &[u8]| match one(bytes).kind {
+            InsnKind::Other(e) => e,
+            k => panic!("unexpected {k:?}"),
+        };
+        let rax = RegSet::of(&[Reg::Rax]);
+        // mov (%rbx), %ah: a load merged into %rax.
+        let e = fx(&[0x8a, 0x23]);
+        assert!(e.load() && e.reads == rax && e.writes == rax);
+        // mov $0x5a, %ah / mov %ah, %al.
+        assert_eq!(fx(&[0xb4, 0x5a]).writes, rax);
+        assert_eq!(fx(&[0x88, 0xe0]).reads, rax);
+        // With a REX prefix, 4 is %spl: still a typed move.
+        assert_eq!(
+            one(&[0x40, 0x88, 0xe0]).kind,
+            InsnKind::MovRegToReg {
+                dest: Reg::Rax,
+                src: Reg::Rsp,
+                width: Width::W8
+            }
+        );
+        // mov $0x5a, %al stays typed, and keeps %rax's upper bits.
+        let e = one(&[0xb0, 0x5a]).kind.effects();
+        assert_eq!((e.reads, e.writes), (rax, rax));
+    }
+
+    #[test]
+    fn segment_overrides_are_recorded() {
+        // 65 48 89 02 => mov %rax, %gs:(%rdx)
+        match one(&[0x65, 0x48, 0x89, 0x02]).kind {
+            InsnKind::MovRegToMem { mem, .. } => assert_eq!(mem.segment, Some(Segment::Gs)),
+            k => panic!("unexpected {k:?}"),
+        }
+        // 64 8a 04 25 28 00 00 00 => mov %fs:0x28, %al is no canary load.
+        match one(&[0x64, 0x8a, 0x04, 0x25, 0x28, 0, 0, 0]).kind {
+            InsnKind::MovMemToReg { mem, width, .. } => {
+                assert_eq!((mem.segment, width), (Some(Segment::Fs), Width::W8));
+            }
+            k => panic!("unexpected {k:?}"),
+        }
+        assert_eq!(one(&[0xc9]).kind, InsnKind::Leave);
     }
 
     #[test]

@@ -663,6 +663,7 @@ mod tests {
             scale: 1,
             disp: 0,
             rip_relative: false,
+            segment: None,
         };
         assert_eq!(
             insns[0].kind,

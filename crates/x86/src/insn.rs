@@ -161,6 +161,18 @@ pub struct MemOperand {
     pub disp: i32,
     /// True when the operand is RIP-relative (`disp(%rip)`).
     pub rip_relative: bool,
+    /// An `%fs`/`%gs` segment override: the address is relative to a
+    /// segment base the analyses do not know.
+    pub segment: Option<Segment>,
+}
+
+/// A segment register whose base applies in 64-bit mode.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum Segment {
+    /// `%fs` (`0x64` prefix).
+    Fs,
+    /// `%gs` (`0x65` prefix).
+    Gs,
 }
 
 impl MemOperand {
@@ -186,6 +198,130 @@ pub enum Width {
     W32,
     /// 64-bit operands (REX.W).
     W64,
+}
+
+/// What one instruction does to data — the single model every analysis
+/// reads ([`InsnKind::effects`]). The value an instruction produces
+/// depends on the registers in `reads` (and the flags when
+/// [`Self::reads_flags`]) and on what it [`Self::load`]s; it goes to
+/// each register in `writes`, to memory when [`Self::store`], to the
+/// flags when [`Self::sets_flags`], and to the new stack top on a push.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
+pub struct Effects {
+    /// Registers whose values flow into the result. An 8- or 16-bit
+    /// register write lists its destination here: the old bits survive.
+    pub reads: RegSet,
+    /// Registers written (not `%rsp`'s own push/pop adjustment).
+    pub writes: RegSet,
+    /// The explicit memory operand, if any (`lea` and `nop` compute it
+    /// but neither load nor store it).
+    pub mem: Option<MemOperand>,
+    /// The implicit stack access of a push or pop.
+    pub stack: Option<Stack>,
+    /// The four yes/no effects, one bit each, so that `Other(Effects)`
+    /// keeps an [`InsnKind`] at 24 bytes.
+    bits: u8,
+}
+
+/// The implicit stack slot a push writes or a pop reads.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum Stack {
+    /// Stores the result at `-8(%rsp)`, then moves `%rsp` down by 8.
+    Push,
+    /// Loads `(%rsp)` into the result, then moves `%rsp` up by 8.
+    Pop,
+}
+
+impl Effects {
+    const READS_FLAGS: u8 = 1;
+    const SETS_FLAGS: u8 = 2;
+    const LOAD: u8 = 4;
+    const STORE: u8 = 8;
+
+    /// True when the result depends on the flags (`adc`, `cmov`, `setcc`).
+    pub fn reads_flags(&self) -> bool {
+        self.bits & Self::READS_FLAGS != 0
+    }
+
+    /// True when the flags are set from the result.
+    pub fn sets_flags(&self) -> bool {
+        self.bits & Self::SETS_FLAGS != 0
+    }
+
+    /// True when the instruction loads from `mem`.
+    pub fn load(&self) -> bool {
+        self.bits & Self::LOAD != 0
+    }
+
+    /// True when the instruction stores the result to `mem`.
+    pub fn store(&self) -> bool {
+        self.bits & Self::STORE != 0
+    }
+
+    fn set(mut self, bit: u8, on: bool) -> Self {
+        if on {
+            self.bits |= bit;
+        }
+        self
+    }
+
+    pub(crate) fn read(mut self, r: Reg) -> Self {
+        self.reads = self.reads.with(r);
+        self
+    }
+
+    /// Writes `r` at `width`; a narrow write also reads it.
+    pub(crate) fn write(mut self, r: Reg, width: Width) -> Self {
+        self.writes = self.writes.with(r);
+        match width {
+            Width::W8 | Width::W16 => self.read(r),
+            _ => self,
+        }
+    }
+
+    pub(crate) fn flags(self, reads: bool, sets: bool) -> Self {
+        self.set(Self::READS_FLAGS, reads)
+            .set(Self::SETS_FLAGS, sets)
+    }
+
+    /// Accesses `mem`: `load` and `store` add to any earlier access.
+    pub(crate) fn access(mut self, mem: MemOperand, load: bool, store: bool) -> Self {
+        self.mem = Some(mem);
+        self.set(Self::LOAD, load).set(Self::STORE, store)
+    }
+
+    /// An ALU `op` on `dest`: reads it, sets the flags, and writes it
+    /// unless it is a `cmp`.
+    fn alu(self, op: AluOp, dest: Reg, width: Width) -> Self {
+        let carry = matches!(op, AluOp::Adc | AluOp::Sbb);
+        let e = self.read(dest).flags(carry, true);
+        match op {
+            AluOp::Cmp => e,
+            _ => e.write(dest, width),
+        }
+    }
+
+    /// An ALU `op` on `mem`: loads it, sets the flags, and stores it
+    /// unless it is a `cmp`.
+    fn alu_mem(self, op: AluOp, mem: MemOperand) -> Self {
+        self.flags(matches!(op, AluOp::Adc | AluOp::Sbb), true)
+            .access(mem, true, op != AluOp::Cmp)
+    }
+
+    pub(crate) fn stack(mut self, op: Stack) -> Self {
+        self.stack = Some(op);
+        self
+    }
+
+    /// Reads every register as a REX-less 8-bit operand: encodings
+    /// 4–7 name `%ah`–`%bh`, bits 8–15 of `%rax`–`%rbx`.
+    pub(crate) fn legacy_bytes(self) -> Self {
+        Effects {
+            reads: self.reads.legacy_bytes(),
+            writes: self.writes.legacy_bytes(),
+            ..self
+        }
+    }
 }
 
 /// Semantic classification of a decoded instruction.
@@ -366,6 +502,9 @@ pub enum InsnKind {
         /// Operand width.
         width: Width,
     },
+    /// `leave`: `mov %rbp, %rsp; pop %rbp` ([`InsnKind::LEAVE`], run
+    /// through [`Insn::steps`]).
+    Leave,
     /// `push %reg`.
     PushReg {
         /// The pushed register.
@@ -376,15 +515,10 @@ pub enum InsnKind {
         /// The popped register.
         reg: Reg,
     },
-    /// `test`, `xchg`, shifts, `movzx`, `cmov`, and other decoded but
-    /// unclassified instructions, with the state each may write.
-    Other {
-        /// The registers the instruction may write (explicit and
-        /// implicit operands, `%rsp` for `push` and `leave`).
-        writes: RegSet,
-        /// True when the instruction may write memory.
-        writes_mem: bool,
-    },
+    /// `test`, `xchg`, shifts, `movzx`, `cmov`, `setcc`, 8-bit forms
+    /// naming `%ah`–`%bh`, and other decoded but unclassified
+    /// instructions, described by their data effects alone.
+    Other(Effects),
     /// `syscall` — forbidden inside an enclave; the validator rejects it.
     Syscall,
     /// `int`, `int3`, `hlt`, `cpuid` and other instructions illegal in
@@ -412,6 +546,72 @@ pub struct Successors {
 }
 
 impl InsnKind {
+    /// `leave` as the two instructions it stands for.
+    pub const LEAVE: [InsnKind; 2] = [
+        InsnKind::MovRegToReg {
+            dest: Reg::Rsp,
+            src: Reg::Rbp,
+            width: Width::W64,
+        },
+        InsnKind::PopReg { reg: Reg::Rbp },
+    ];
+
+    /// The instruction's data effects. Control flow is not an effect:
+    /// calls, returns and jumps report only the operands they read.
+    /// `leave` has none of its own: it runs as [`Insn::steps`].
+    pub fn effects(&self) -> Effects {
+        let e = Effects::default();
+        match *self {
+            InsnKind::Other(e) => e,
+            InsnKind::MovRegToReg { dest, src, width } => e.read(src).write(dest, width),
+            InsnKind::MovImmToReg { dest, width, .. } | InsnKind::LeaRipRel { dest, width, .. } => {
+                e.write(dest, width)
+            }
+            InsnKind::Lea { dest, mem, width } => {
+                let e = mem.base.into_iter().chain(mem.index).fold(e, Effects::read);
+                e.access(mem, false, false).write(dest, width)
+            }
+            InsnKind::MovFsToReg { dest, fs_offset } => {
+                let mem = MemOperand {
+                    disp: fs_offset as i32,
+                    segment: Some(Segment::Fs),
+                    ..MemOperand::default()
+                };
+                e.access(mem, true, false).write(dest, Width::W64)
+            }
+            InsnKind::MovMemToReg { dest, mem, width } => {
+                e.access(mem, true, false).write(dest, width)
+            }
+            InsnKind::MovRegToMem { src, mem, .. } => e.read(src).access(mem, false, true),
+            InsnKind::MovImmToMem { mem, .. } => e.access(mem, false, true),
+            InsnKind::AluRegReg {
+                op,
+                dest,
+                src,
+                width,
+            } => e.read(src).alu(op, dest, width),
+            InsnKind::AluImmReg {
+                op, dest, width, ..
+            } => e.alu(op, dest, width),
+            InsnKind::AluMemReg {
+                op,
+                dest,
+                mem,
+                width,
+            } => e.access(mem, true, false).alu(op, dest, width),
+            InsnKind::AluRegMem { op, mem, src, .. } => e.read(src).alu_mem(op, mem),
+            InsnKind::AluImmMem { op, mem, .. } => e.alu_mem(op, mem),
+            InsnKind::PushReg { reg } => e.read(reg).stack(Stack::Push),
+            InsnKind::PopReg { reg } => e.stack(Stack::Pop).write(reg, Width::W64),
+            InsnKind::IndirectCallReg { reg } | InsnKind::IndirectJmpReg { reg } => e.read(reg),
+            InsnKind::IndirectCallMem { mem } | InsnKind::IndirectJmpMem { mem } => {
+                e.access(mem, true, false)
+            }
+            InsnKind::CondJmp { .. } => e.flags(true, false),
+            _ => e,
+        }
+    }
+
     /// True for instructions that never fall through (`ret`,
     /// unconditional `jmp`).
     pub fn ends_flow(&self) -> bool {
@@ -432,21 +632,6 @@ impl InsnKind {
             | InsnKind::CondJmp { target, .. } => Some(*target),
             _ => None,
         }
-    }
-
-    /// True for any control-transfer instruction.
-    pub fn is_control_transfer(&self) -> bool {
-        matches!(
-            self,
-            InsnKind::DirectCall { .. }
-                | InsnKind::IndirectCallReg { .. }
-                | InsnKind::IndirectCallMem { .. }
-                | InsnKind::DirectJmp { .. }
-                | InsnKind::CondJmp { .. }
-                | InsnKind::IndirectJmpReg { .. }
-                | InsnKind::IndirectJmpMem { .. }
-                | InsnKind::Ret
-        )
     }
 
     /// True for calls, direct or indirect (the call-graph edge sources).
@@ -511,6 +696,17 @@ impl Insn {
     /// Address of the byte after this instruction (fall-through target).
     pub fn end(&self) -> u64 {
         self.addr + self.len as u64
+    }
+
+    /// The instructions this one runs as, at its own address: `leave`
+    /// as the two of [`InsnKind::LEAVE`], any other as itself. Every
+    /// analysis steps through these, so `leave` is described once.
+    pub fn steps(&self) -> impl Iterator<Item = Insn> + '_ {
+        let kinds = match &self.kind {
+            InsnKind::Leave => &InsnKind::LEAVE[..],
+            kind => std::slice::from_ref(kind),
+        };
+        kinds.iter().map(move |&kind| Insn { kind, ..*self })
     }
 
     /// The instruction's intraprocedural successors — the CFG edge
@@ -592,8 +788,6 @@ mod tests {
             Some(0x40)
         );
         assert_eq!(InsnKind::Ret.branch_target(), None);
-        assert!(InsnKind::Ret.is_control_transfer());
-        assert!(!InsnKind::Nop.is_control_transfer());
     }
 
     #[test]
@@ -668,5 +862,35 @@ mod tests {
         };
         assert_eq!(i.end(), 0x1005);
         assert!(i.to_string().contains("0x1000"));
+    }
+
+    #[test]
+    fn leave_runs_as_mov_and_pop() {
+        let at = |kind| Insn {
+            addr: 0x100,
+            len: 1,
+            prefix_len: 0,
+            opcode_len: 1,
+            modrm_len: 0,
+            disp_len: 0,
+            imm_len: 0,
+            kind,
+        };
+        let kinds = |i: Insn| i.steps().map(|s| (s.addr, s.kind)).collect::<Vec<_>>();
+        assert_eq!(
+            kinds(at(InsnKind::Leave)),
+            InsnKind::LEAVE.map(|k| (0x100, k))
+        );
+        assert_eq!(kinds(at(InsnKind::Ret)), [(0x100, InsnKind::Ret)]);
+        assert_eq!(InsnKind::Leave.effects(), Effects::default());
+    }
+
+    #[test]
+    fn effects_keep_an_insn_at_forty_bytes() {
+        // `decode_all` builds one `Insn` per instruction of every text
+        // section; the packed flag bits hold it to the size it had
+        // before `Other` carried an `Effects`.
+        assert_eq!(std::mem::size_of::<Effects>(), 20);
+        assert_eq!(std::mem::size_of::<Insn>(), 40);
     }
 }

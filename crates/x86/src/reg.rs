@@ -157,9 +157,21 @@ impl RegSet {
         self.0 & 1 << (r as u8) != 0
     }
 
+    /// The set read as REX-less 8-bit operands: encodings 4–7 name
+    /// `%ah`, `%ch`, `%dh`, `%bh` — bits 8–15 of `%rax`–`%rbx`.
+    #[must_use]
+    pub fn legacy_bytes(self) -> RegSet {
+        RegSet(self.0 & !0xf0 | (self.0 & 0xf0) >> 4)
+    }
+
     /// The registers in the set, in encoding order.
     pub fn iter(self) -> impl Iterator<Item = Reg> {
-        Reg::ALL.into_iter().filter(move |&r| self.contains(r))
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            let r = Reg::ALL.get(bits.trailing_zeros() as usize)?;
+            bits &= bits - 1;
+            Some(*r)
+        })
     }
 }
 
@@ -184,6 +196,9 @@ mod tests {
         assert_eq!(s.iter().collect::<Vec<_>>(), [Reg::Rax, Reg::Rdx, Reg::R15]);
         assert_eq!(RegSet::EMPTY.with(Reg::Rbp), RegSet::of(&[Reg::Rbp]));
         assert_eq!(RegSet::EMPTY.iter().count(), 0);
+        // %ah/%bh and %cl: bits of %rax, %rbx and %rcx; %r12b stays.
+        let bytes = RegSet::of(&[Reg::Rsp, Reg::Rdi, Reg::Rcx, Reg::R12]).legacy_bytes();
+        assert_eq!(bytes, RegSet::of(&[Reg::Rax, Reg::Rbx, Reg::Rcx, Reg::R12]));
     }
 
     #[test]

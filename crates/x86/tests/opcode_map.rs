@@ -4,7 +4,8 @@
 //! supported repertoire so accidental regressions show up as diffs here.
 
 use engarde_x86::decode::decode_one;
-use engarde_x86::insn::InsnKind;
+use engarde_x86::insn::{InsnKind, MemOperand};
+use engarde_x86::reg::Reg;
 use engarde_x86::DisasmError;
 
 /// Feeds `op` followed by enough operand bytes for any encoding.
@@ -128,4 +129,88 @@ fn decode_is_deterministic_and_length_stable() {
         a.kind.branch_target().expect("target") + 0x8000,
         b.kind.branch_target().expect("target")
     );
+}
+
+#[test]
+fn every_memory_form_reports_its_operand() {
+    // ModRM `01 rrr 011` + disp8 0x10 names 0x10(%rbx) with every reg
+    // field; the tail covers any immediate.
+    let want = Some(MemOperand::base_disp(Reg::Rbx, 0x10));
+    let prefix_or_escape = |op: u8| matches!(op, 0x0f | 0x26 | 0x2e | 0x36 | 0x3e | 0x40..=0x4f | 0x64..=0x67 | 0xf0 | 0xf2 | 0xf3);
+    let mut checked = 0usize;
+    for rex in [&[][..], &[0x48]] {
+        for escape in [&[][..], &[0x0f]] {
+            for op in (0u8..=0xff).filter(|&op| !escape.is_empty() || !prefix_or_escape(op)) {
+                for reg in 0..8u8 {
+                    let mut bytes = [rex, escape, &[op, 0x43 | reg << 3, 0x10]].concat();
+                    bytes.extend([0; 8]);
+                    let Ok(insn) = decode_one(&bytes, 0x1000) else {
+                        continue;
+                    };
+                    // Far transfers (`ff /3`, `/5`) are privileged: the
+                    // validator rejects them whatever they access.
+                    if insn.modrm_len == 0 || insn.kind == InsnKind::Privileged {
+                        continue;
+                    }
+                    checked += 1;
+                    let e = insn.kind.effects();
+                    let accesses = e.load() || e.store();
+                    match insn.kind {
+                        // An address computed, never accessed.
+                        InsnKind::Lea { .. } => assert!(e.mem == want && !accesses, "{bytes:x?}"),
+                        InsnKind::Nop => assert!(!accesses, "{bytes:x?}"),
+                        k => assert!(e.mem == want && accesses, "{bytes:x?}: {k:?} {e:?}"),
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 1518, "memory forms decoded");
+}
+
+#[test]
+fn no_rex_less_byte_operand_names_rsp_through_rdi() {
+    // Without REX, 8-bit register 4–7 is %ah–%bh: bits of %rax–%rbx.
+    let legacy = |regs: engarde_x86::reg::RegSet| regs.iter().all(|r| (r as u8) < 4);
+    let mut checked = 0usize;
+    let mut check = |bytes: &[u8], source_only: bool| {
+        let Ok(insn) = decode_one(&[bytes, &[0; 4]].concat(), 0x1000) else {
+            return;
+        };
+        let e = insn.kind.effects();
+        assert!(legacy(e.reads), "{bytes:x?} reads {:?}", e.reads);
+        assert!(
+            source_only || legacy(e.writes),
+            "{bytes:x?} writes {:?}",
+            e.writes
+        );
+        checked += 1;
+    };
+    // Every register operand 8-bit: ALU r/m8 forms, group 1/2/3,
+    // test, xchg, mov, inc/dec, setcc.
+    let byte_ops = (0u8..0x40)
+        .filter(|op| op & 7 == 0 || op & 7 == 2)
+        .map(|op| vec![op])
+        .chain(
+            [
+                0x80, 0x84, 0x86, 0x88, 0x8a, 0xc0, 0xc6, 0xd0, 0xd2, 0xf6, 0xfe,
+            ]
+            .map(|op| vec![op]),
+        )
+        .chain((0x90..=0x9f).map(|op| vec![0x0f, op]));
+    for op in byte_ops {
+        for modrm in 0xc0..=0xffu8 {
+            check(&[&op[..], &[modrm]].concat(), false);
+        }
+    }
+    for op in 0xb0..=0xb7u8 {
+        check(&[op, 0x5a], false); // mov $imm8, %r8
+    }
+    // movzx / movsx: only the source is 8-bit.
+    for op in [0xb6u8, 0xbe] {
+        for modrm in 0xc0..=0xffu8 {
+            check(&[0x0f, op, modrm], true);
+        }
+    }
+    assert_eq!(checked, 2832, "register forms decoded");
 }

@@ -308,7 +308,21 @@ fn inv_mix_columns(state: &mut [u8; 16]) {
 /// parameters round-trips the data. The 128-bit counter block is the
 /// big-endian sum of `nonce` (interpreted as a 128-bit integer) and the
 /// running block index.
+///
+/// Runs the AES-NI kernel when the CPU has it, else the portable
+/// T-table cipher; both produce the same bytes.
 pub fn ctr_xor(key: &AesKey, nonce: &[u8; 16], counter0: u64, data: &mut [u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(aes) = crate::hw::Aes::detect() {
+        return aes.ctr_xor(&key.round_keys, nonce, counter0, data);
+    }
+    ctr_xor_portable(key, nonce, counter0, data);
+}
+
+/// [`ctr_xor`] on the portable T-table cipher: the only path on CPUs
+/// without AES-NI, and the reference the hardware kernel is tested
+/// against.
+pub(crate) fn ctr_xor_portable(key: &AesKey, nonce: &[u8; 16], counter0: u64, data: &mut [u8]) {
     let mut counter = counter0;
     for chunk in data.chunks_mut(16) {
         let mut block = counter_block(nonce, counter);
@@ -335,7 +349,8 @@ fn counter_block(nonce: &[u8; 16], counter: u64) -> [u8; 16] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use engarde_rand::{Rng, SeedableRng, StdRng};
+    use engarde_rand::harness::{pick, Property};
+    use engarde_rand::{Rng, RngCore, SeedableRng, StdRng};
 
     /// The byte-oriented forward cipher the T-table round replaced, kept
     /// as an independent reference: FIPS 197 §5.1 step by step.
@@ -380,6 +395,44 @@ mod tests {
             reference_encrypt_block(&key, &mut slow);
             assert_eq!(fast, slow, "case {case}: {:?}", key.variant());
         }
+    }
+
+    #[test]
+    fn ctr_xor_matches_portable_ctr() {
+        // The dispatched kernel (AES-NI where the CPU has it) against the
+        // portable cipher, over both key sizes, lengths with and without
+        // a partial tail, and counters that carry from the nonce's low
+        // word into its high word, or wrap, partway through a call.
+        Property::new("ctr_xor_matches_portable_ctr")
+            .cases(256)
+            .run(|rng| {
+                let key = if rng.gen_bool(0.5) {
+                    AesKey::new_128(&rng.gen::<[u8; 16]>())
+                } else {
+                    AesKey::new_256(&rng.gen::<[u8; 32]>())
+                };
+                let mut nonce: [u8; 16] = rng.gen();
+                let mut counter0: u64 = rng.gen();
+                match rng.gen_range(0..3) {
+                    0 => {
+                        let lo = u64::MAX - rng.gen_range(0..32u64);
+                        nonce[8..].copy_from_slice(&lo.to_be_bytes());
+                        counter0 = rng.gen_range(0..16);
+                    }
+                    1 => counter0 = u64::MAX - rng.gen_range(0..32u64),
+                    _ => {}
+                }
+                let len = match rng.gen_range(0..8) {
+                    0 => *pick(rng, &[4095, 4096]),
+                    _ => rng.gen_range(0..=300),
+                };
+                let mut data = vec![0u8; len];
+                rng.fill_bytes(&mut data);
+                let mut expected = data.clone();
+                ctr_xor_portable(&key, &nonce, counter0, &mut expected);
+                ctr_xor(&key, &nonce, counter0, &mut data);
+                assert_eq!(data, expected, "{:?}, len {len}", key.variant());
+            });
     }
 
     #[test]

@@ -4,13 +4,27 @@
 //!
 //! The EnGarde paper (§3–4) links OpenSSL's libcrypto/libssl into the
 //! enclave bootstrap to implement its provisioning channel. This crate is
-//! the reproduction's stand-in: everything is implemented in safe Rust on
-//! top of the standard library.
+//! the reproduction's stand-in, written on top of the standard library
+//! alone.
+//!
+//! # Hardware kernels and the unsafe boundary
+//!
+//! Like libcrypto, the crate runs AES and SHA-256 on the CPU's own
+//! instructions when it has them: on x86_64, [`aes::ctr_xor`] uses
+//! AES-NI and the [`sha256`] compression function uses SHA-NI, selected
+//! by CPUID at run time. There is no option to choose: elsewhere the
+//! portable code runs, and it stays the reference the hardware kernels
+//! are tested against (same bytes out for every input). These kernels,
+//! in the private `hw` module, are the only `unsafe` code in the
+//! workspace. The crate denies `unsafe_code` and allows it on `hw`
+//! alone; every other crate forbids it, and `scripts/verify.sh` checks
+//! both.
 //!
 //! - [`bignum`] — arbitrary-precision integers (the base of RSA),
-//! - [`sha256`] — FIPS 180-4 SHA-256 (measurement, function-hash DBs),
+//! - [`sha256`] — FIPS 180-4 SHA-256 (measurement, function-hash DBs;
+//!   SHA-NI where available),
 //! - [`hmac`] — HMAC-SHA256 and constant-time comparison,
-//! - [`aes`] — AES-128/256 + CTR mode,
+//! - [`aes`] — AES-128/256 + CTR mode (AES-NI where available),
 //! - [`rsa`] — 2048-bit key generation, PKCS#1 v1.5 encrypt/sign,
 //! - [`channel`] — the paper's enclave-provisioning channel.
 //!
@@ -26,15 +40,21 @@
 //!
 //! These primitives are written for clarity and testability, not for
 //! side-channel resistance: the simulated SGX machine never executes them
-//! under a real adversary.
+//! under a real adversary. In particular the portable AES is a T-table
+//! cipher whose table lookups are indexed by secret state, so its
+//! timing depends on the key and data; the AES-NI path has no table
+//! lookups. Bignum arithmetic and RSA are not constant-time either.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aes;
 pub mod bignum;
 pub mod channel;
 pub mod hmac;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod hw;
 pub mod rsa;
 pub mod sha256;
 

@@ -70,7 +70,8 @@ impl From<[u8; 32]> for Digest {
     }
 }
 
-const K: [u32; 64] = [
+/// The FIPS 180-4 round constants.
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -130,6 +131,9 @@ impl Sha256 {
     }
 
     /// Absorbs `data` into the hash state.
+    ///
+    /// Whole blocks are compressed straight from `data`, one kernel call
+    /// per run; only a partial block is buffered.
     pub fn update(&mut self, data: &[u8]) {
         self.length_bytes = self.length_bytes.wrapping_add(data.len() as u64);
         let mut rest = data;
@@ -138,34 +142,30 @@ impl Sha256 {
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&rest[..take]);
             self.buffered += take;
             rest = &rest[take..];
-            if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
+            if self.buffered < 64 {
+                return;
             }
+            compress(&mut self.state, std::slice::from_ref(&self.buffer));
+            self.buffered = 0;
         }
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            let mut arr = [0u8; 64];
-            arr.copy_from_slice(block);
-            self.compress(&arr);
-            rest = tail;
+        let (blocks, tail) = rest.as_chunks::<64>();
+        if !blocks.is_empty() {
+            compress(&mut self.state, blocks);
         }
-        if !rest.is_empty() {
-            self.buffer[..rest.len()].copy_from_slice(rest);
-            self.buffered = rest.len();
-        }
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffered = tail.len();
     }
 
     /// Consumes the hasher and returns the digest.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.length_bytes.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian bit length.
-        self.update_padding(&[0x80]);
-        while self.buffered != 56 {
-            self.update_padding(&[0]);
-        }
-        self.update_padding(&bit_len.to_be_bytes());
+        // Padding: 0x80, zeros up to 56 mod 64, 64-bit big-endian bit
+        // length.
+        let zeros = (55 + 64 - self.buffered) % 64;
+        let mut padding = [0u8; 1 + 63 + 8];
+        padding[0] = 0x80;
+        padding[1 + zeros..9 + zeros].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&padding[..9 + zeros]);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -181,32 +181,26 @@ impl Sha256 {
         // message + 1 byte 0x80 + 8 byte length, rounded up to 64.
         (len + 9).div_ceil(64)
     }
+}
 
-    fn update_padding(&mut self, data: &[u8]) {
-        // Like update() but without advancing the message length.
-        let mut rest = data;
-        while !rest.is_empty() {
-            let take = (64 - self.buffered).min(rest.len());
-            self.buffer[self.buffered..self.buffered + take].copy_from_slice(&rest[..take]);
-            self.buffered += take;
-            rest = &rest[take..];
-            if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
-            }
-        }
+/// The SHA-256 compression function over every block in turn: the
+/// SHA-NI kernel when the CPU has it, else the portable rounds; both
+/// produce the same state.
+fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(sha) = crate::hw::Sha::detect() {
+        return sha.compress(state, blocks);
     }
+    compress_portable(state, blocks);
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// [`compress`] in portable code: the only path on CPUs without SHA-NI,
+/// and the reference the hardware kernel is tested against.
+fn compress_portable(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    for block in blocks {
         let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
+        for (w, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+            *w = u32::from_be_bytes(*bytes);
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -216,7 +210,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -237,20 +231,67 @@ impl Sha256 {
             b = a;
             a = temp1.wrapping_add(temp2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use engarde_rand::harness::{vec_u8, Property};
+    use engarde_rand::Rng;
+
+    /// SHA-256 of `msg` on the portable compression function, padded
+    /// by hand: the reference for the dispatched streaming hasher.
+    fn portable_digest(msg: &[u8]) -> Digest {
+        let mut padded = msg.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(msg.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        compress_portable(&mut state, padded.as_chunks::<64>().0);
+        let mut out = [0u8; 32];
+        for (o, w) in out.chunks_exact_mut(4).zip(state) {
+            o.copy_from_slice(&w.to_be_bytes());
+        }
+        Digest(out)
+    }
+
+    #[test]
+    fn sha256_matches_portable_compress() {
+        // The dispatched kernel (SHA-NI where the CPU has it) against the
+        // portable rounds, on messages up to 10 KiB fed in random splits:
+        // arbitrary cuts, or EEXTEND's shape of a 15-byte header then a
+        // 256-byte chunk.
+        Property::new("sha256_matches_portable_compress")
+            .cases(128)
+            .run(|rng| {
+                let msg = vec_u8(rng, 0..10 * 1024 + 1);
+                let eextend_shaped = rng.gen_bool(0.25);
+                let mut h = Sha256::new();
+                let (mut rest, mut header) = (&msg[..], true);
+                while !rest.is_empty() {
+                    let take = if eextend_shaped {
+                        header = !header;
+                        if header {
+                            256
+                        } else {
+                            15
+                        }
+                    } else {
+                        rng.gen_range(0..=300)
+                    };
+                    let (part, tail) = rest.split_at(take.min(rest.len()));
+                    h.update(part);
+                    rest = tail;
+                }
+                assert_eq!(h.finalize(), portable_digest(&msg), "len {}", msg.len());
+            });
+    }
 
     // NIST FIPS 180-4 test vectors.
     #[test]

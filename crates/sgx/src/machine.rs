@@ -65,16 +65,24 @@ impl MeasurementLog {
 
     /// Records the 16 `EEXTEND` leaves measuring a full page at
     /// enclave-relative `offset`. `data` shorter than a page is
-    /// zero-extended, as `EADD` zero-fills pages.
+    /// zero-extended, as `EADD` zero-fills pages; a full page is hashed
+    /// in place.
     pub fn eextend_page(&mut self, offset: u64, data: &[u8]) {
-        let mut page = [0u8; PAGE_SIZE];
-        let len = data.len().min(PAGE_SIZE);
-        page[..len].copy_from_slice(&data[..len]);
-        for chunk in 0..PAGE_SIZE / 256 {
+        let padded: [u8; PAGE_SIZE];
+        let page = match data.get(..PAGE_SIZE) {
+            Some(page) => page,
+            None => {
+                let mut page = [0u8; PAGE_SIZE];
+                page[..data.len()].copy_from_slice(data);
+                padded = page;
+                &padded
+            }
+        };
+        for (chunk, bytes) in page.chunks_exact(256).enumerate() {
             self.hasher.update(b"EEXTEND");
             self.hasher
                 .update(&(offset + (chunk * 256) as u64).to_le_bytes());
-            self.hasher.update(&page[chunk * 256..(chunk + 1) * 256]);
+            self.hasher.update(bytes);
         }
     }
 

@@ -34,6 +34,8 @@
 //! rewrites the live (last-write-wins) records into fresh segments
 //! under the same keying and deletes the old files.
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 mod format;
 mod store;

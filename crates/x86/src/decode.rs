@@ -193,6 +193,18 @@ fn legacy_bytes(kind: InsnKind) -> InsnKind {
     }
 }
 
+/// True when a REX-less byte-register form can name `%ah`–`%bh`: its
+/// ModRM reg field, its register r/m field, or (`b4`–`b7`) its opcode
+/// register is 4–7. `modrm_at` is the ModRM byte's offset.
+fn names_high_byte(bytes: &[u8], op: u8, modrm_at: u8, modrm_len: u8) -> bool {
+    if modrm_len == 0 {
+        return op & 4 != 0;
+    }
+    bytes
+        .get(modrm_at as usize)
+        .is_none_or(|&m| m & 0x20 != 0 || (m >= 0xc0 && m & 4 != 0))
+}
+
 /// Decodes a single instruction starting at `bytes[0]`, which lives at
 /// virtual address `addr`.
 ///
@@ -693,7 +705,7 @@ pub fn decode_one(bytes: &[u8], addr: u64) -> Result<Insn, DisasmError> {
         imm_len,
         kind,
     };
-    if byte_regs && !rex.present {
+    if byte_regs && !rex.present && names_high_byte(bytes, op, prefix_len + opcode_len, modrm_len) {
         insn.kind = legacy_bytes(insn.kind);
     }
     Ok(insn)

@@ -222,4 +222,37 @@ echo "$metadata" | jq -e \
     '(.workspace_default_members | length) == (.workspace_members | length)' > /dev/null \
     || { echo "FAIL: [workspace] default-members omits a member" >&2; exit 1; }
 
+echo "== gate: unsafe code lives in crypto::hw alone =="
+# Every workspace library root forbids unsafe code, except
+# engarde-crypto: it denies it and allows it on one module, `hw`, the
+# AES-NI/SHA-NI kernels behind CPU-feature tokens.
+lib_roots=$(echo "$metadata" | jq -r '
+    .workspace_members as $ws
+    | .packages[] | select(.id as $id | $ws | index($id))
+    | .name + " " + (.targets[] | select(.kind | index("lib")) | .src_path)')
+while read -r name root; do
+    if [ "$name" = engarde-crypto ]; then
+        want='#![deny(unsafe_code)]'
+    else
+        want='#![forbid(unsafe_code)]'
+    fi
+    grep -qxF "$want" "$root" \
+        || { echo "FAIL: $name ($root) lacks $want" >&2; exit 1; }
+done <<< "$lib_roots"
+# The one allow, with the item it covers on the next line.
+allows=$(grep -rn -A1 --include='*.rs' --exclude-dir=target -F 'allow(unsafe_code)' . \
+    | sed -E 's/[:-][0-9]+[:-]/ /' || true)
+if [ "$allows" != "./crates/crypto/src/lib.rs #[allow(unsafe_code)]
+./crates/crypto/src/lib.rs mod hw;" ]; then
+    echo "FAIL: the only allow(unsafe_code) must be the one on crypto::hw; found:" >&2
+    echo "$allows" >&2
+    exit 1
+fi
+if grep -rnE --include='*.rs' --exclude-dir=target '\bunsafe +(\{|fn|impl|trait|extern)' . \
+        | grep -v '^./crates/crypto/src/hw.rs:'; then
+    echo "FAIL: unsafe code outside crates/crypto/src/hw.rs" >&2
+    exit 1
+fi
+echo "OK: $(echo "$lib_roots" | wc -l) library roots; unsafe code only in crypto::hw"
+
 echo "OK: tier-1 green, dependency graph is path-only"

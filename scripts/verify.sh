@@ -169,6 +169,19 @@ jq -e '
     || { echo "FAIL: $store_out missing required keys/invariants" >&2; exit 1; }
 echo "OK: $store_out schema + invariants hold"
 
+echo "== gate: Figs. 3-5 print byte-identical to tests/expected =="
+# The paper figures are pure functions of the source: model cycles are
+# charged by count, never by wall clock. Each bin runs at default flags
+# and must print exactly its committed table; a change meant to move a
+# figure updates the file in the same commit.
+for fig in fig3_library_linking fig4_stack_protection fig5_ifcc; do
+    fig_out=target/$fig.txt
+    cargo run --release --offline -q -p engarde-bench --bin "$fig" > "$fig_out"
+    cmp "$fig_out" "tests/expected/$fig.txt" \
+        || { echo "FAIL: $fig output differs from tests/expected/$fig.txt" >&2; exit 1; }
+done
+echo "OK: Figs. 3-5 byte-identical to tests/expected"
+
 echo "== gate: no unwrap/expect in hostile-input/serve non-test code =="
 # The parser faces hostile bytes, the analysis/policy engines chew on
 # attacker-shaped binaries, the serve path faces injected faults, and

@@ -1,8 +1,12 @@
 //! Basic-block recovery, the control-flow graph, and the call graph.
 //!
 //! Block recovery runs over the loader's instruction buffer
-//! ([`crate::loader::LoadedBinary::insns`], already in address order).
-//! A *leader* — the first instruction of a basic block — is:
+//! ([`crate::loader::LoadedBinary::insns`], already in address order)
+//! and its instruction index ([`crate::loader::LoadedBinary::index`]):
+//! every address lookup is an O(1) index probe, leaders are marked by
+//! instruction index, and "which block does instruction `i` lead?" is a
+//! rank query on the block starts. A *leader* — the first instruction
+//! of a basic block — is:
 //!
 //! 1. the first decoded instruction,
 //! 2. any statically-known branch target (`jmp rel`, `jcc rel`,
@@ -23,9 +27,8 @@
 //! validator rejects these, but the CFG must stay total even when
 //! validation is disabled).
 
+use engarde_x86::index::{InsnIndex, RankBitmap};
 use engarde_x86::insn::{Insn, InsnKind};
-use std::collections::BTreeSet;
-use std::collections::HashMap;
 
 /// Index of a basic block within [`Cfg::blocks`].
 pub type BlockId = usize;
@@ -83,42 +86,43 @@ pub struct Cfg {
     /// Direct branches whose target is not a decoded instruction start:
     /// `(insn index, target)`. Policies treat these as violations.
     pub wild_branches: Vec<(usize, u64)>,
-    leader_to_block: HashMap<u64, BlockId>,
+    /// The first instruction of every block, over instruction indices:
+    /// the rank of a block's first instruction is its [`BlockId`].
+    block_starts: RankBitmap,
 }
 
 impl Cfg {
-    /// Builds the CFG over the instruction buffer. `roots` are extra
-    /// leader addresses (entry point, symbol starts, `lea` targets);
-    /// addresses that are not instruction starts are ignored here (the
-    /// reachability pass surfaces them as violations via resolution).
+    /// Builds the CFG over the instruction buffer and its index.
+    /// `roots` are extra leader addresses (entry point, symbol starts,
+    /// `lea` targets); addresses that are not instruction starts are
+    /// ignored here (the reachability pass surfaces them as violations
+    /// via resolution).
     ///
     /// Returns the graph plus the native-cycle cost of building it
     /// (per-instruction leader marking + per-edge construction).
-    pub fn build(insns: &[Insn], roots: &[u64]) -> (Cfg, u64) {
+    pub fn build(insns: &[Insn], index: &InsnIndex, roots: &[u64]) -> (Cfg, u64) {
         use engarde_sgx::perf::costs;
 
-        let starts: HashMap<u64, usize> =
-            insns.iter().enumerate().map(|(i, x)| (x.addr, i)).collect();
-
         // ---- leader marking ---------------------------------------------
-        let mut leaders: BTreeSet<u64> = BTreeSet::new();
+        let mut leaders = vec![false; insns.len()];
+        let mut mark = |addr: u64| {
+            if let Some(l) = index.get(addr).and_then(|i| leaders.get_mut(i)) {
+                *l = true;
+            }
+        };
         if let Some(first) = insns.first() {
-            leaders.insert(first.addr);
+            mark(first.addr);
         }
         for insn in insns {
             if let Some(target) = insn.kind.branch_target() {
-                if starts.contains_key(&target) {
-                    leaders.insert(target);
-                }
+                mark(target);
             }
-            if insn.kind.ends_block() && starts.contains_key(&insn.end()) {
-                leaders.insert(insn.end());
+            if insn.kind.ends_block() {
+                mark(insn.end());
             }
         }
         for &root in roots {
-            if starts.contains_key(&root) {
-                leaders.insert(root);
-            }
+            mark(root);
         }
 
         // ---- block assembly ---------------------------------------------
@@ -128,13 +132,11 @@ impl Cfg {
             if block_start.is_none() {
                 block_start = Some(i);
             }
-            let next_is_leader = insns.get(i + 1).is_some_and(|n| leaders.contains(&n.addr));
+            let next_is_leader = leaders.get(i + 1).is_some_and(|&l| l);
             if insn.kind.ends_block() || next_is_leader || i + 1 == insns.len() {
                 // `block_start` was seeded at the top of this iteration,
                 // so `i` is a sound (if degenerate) fallback.
                 let s = block_start.take().unwrap_or(i);
-                let id = cfg.blocks.len();
-                cfg.leader_to_block.insert(insns[s].addr, id);
                 cfg.blocks.push(BasicBlock {
                     start: insns[s].addr,
                     end: insn.end(),
@@ -142,6 +144,7 @@ impl Cfg {
                 });
             }
         }
+        cfg.block_starts = RankBitmap::new(insns.len(), cfg.blocks.iter().map(|b| b.insns.start));
         cfg.succs = vec![Vec::new(); cfg.blocks.len()];
 
         // ---- edges -------------------------------------------------------
@@ -152,8 +155,8 @@ impl Cfg {
                 cfg.indirect_sites.push(cfg.blocks[id].insns.end - 1);
             }
             if let Some(t) = succ.branch {
-                match cfg.leader_to_block.get(&t) {
-                    Some(&to) => {
+                match cfg.block_at_addr(index, t) {
+                    Some(to) => {
                         let kind = if matches!(last.kind, InsnKind::CondJmp { .. }) {
                             EdgeKind::Conditional
                         } else {
@@ -165,7 +168,7 @@ impl Cfg {
                 }
             }
             if let Some(t) = succ.fall_through {
-                if let Some(&to) = cfg.leader_to_block.get(&t) {
+                if let Some(to) = cfg.block_at_addr(index, t) {
                     cfg.push_edge(id, to, EdgeKind::FallThrough);
                 }
             } else {
@@ -174,7 +177,7 @@ impl Cfg {
                 // back-to-back jump-table entries stay connected.
                 if let Some(next) = insns.get(cfg.blocks[id].insns.end) {
                     if matches!(next.kind, InsnKind::Nop) {
-                        if let Some(&to) = cfg.leader_to_block.get(&next.addr) {
+                        if let Some(to) = cfg.block_at(cfg.blocks[id].insns.end) {
                             cfg.push_edge(id, to, EdgeKind::NopBridge);
                         }
                     }
@@ -208,9 +211,15 @@ impl Cfg {
         self.edges.push(Edge { from, to, kind });
     }
 
-    /// The block whose leader is exactly `addr`.
-    pub fn block_at(&self, addr: u64) -> Option<BlockId> {
-        self.leader_to_block.get(&addr).copied()
+    /// The block whose first instruction is instruction `insn`.
+    pub fn block_at(&self, insn: usize) -> Option<BlockId> {
+        self.block_starts.rank(insn)
+    }
+
+    /// The block whose leader is exactly `addr`, by way of the `index`
+    /// the graph was built over.
+    pub fn block_at_addr(&self, index: &InsnIndex, addr: u64) -> Option<BlockId> {
+        self.block_at(index.get(addr)?)
     }
 
     /// The block containing `addr` (anywhere inside it).

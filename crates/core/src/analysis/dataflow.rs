@@ -275,8 +275,9 @@ pub fn constant_propagation(cfg: &Cfg, insns: &[Insn], roots: &[BlockId]) -> Con
     }
 
     let mut out = ConstProp::default();
-    let mut site_values: std::collections::HashMap<usize, Option<u64>> =
-        std::collections::HashMap::new();
+    // One slot per `cfg.indirect_sites` entry (every indirect branch is
+    // one): unvisited, or the operand value every visit agreed on.
+    let mut site_values: Vec<Option<Option<u64>>> = vec![None; cfg.indirect_sites.len()];
 
     while let Some(b) = worklist.pop_front() {
         queued[b] = false;
@@ -295,14 +296,13 @@ pub fn constant_propagation(cfg: &Cfg, insns: &[Insn], roots: &[BlockId]) -> Con
             if let InsnKind::IndirectJmpReg { reg } | InsnKind::IndirectCallReg { reg } = insn.kind
             {
                 let v = state.get(reg);
-                site_values
-                    .entry(i)
-                    .and_modify(|prev| {
-                        if *prev != v {
-                            *prev = None;
-                        }
-                    })
-                    .or_insert(v);
+                if let Ok(k) = cfg.indirect_sites.binary_search(&i) {
+                    let slot = &mut site_values[k];
+                    *slot = match *slot {
+                        Some(prev) if prev != v => Some(None),
+                        _ => Some(v),
+                    };
+                }
             }
             for step in insn.steps() {
                 transfer(&mut state, &step);
@@ -332,10 +332,11 @@ pub fn constant_propagation(cfg: &Cfg, insns: &[Insn], roots: &[BlockId]) -> Con
         }
     }
 
-    out.resolved = site_values
-        .into_iter()
-        .filter_map(|(i, v)| v.map(|t| (i, t)))
+    out.resolved = cfg
+        .indirect_sites
+        .iter()
+        .zip(site_values)
+        .filter_map(|(&i, v)| v.flatten().map(|t| (i, t)))
         .collect();
-    out.resolved.sort_unstable();
     out
 }

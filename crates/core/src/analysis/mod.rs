@@ -70,11 +70,15 @@ impl ProgramAnalysis {
         roots.dedup();
 
         // ---- CFG + call graph -------------------------------------------
-        let (cfg, mut cost) = Cfg::build(insns, &roots);
+        let index = &binary.index;
+        let (cfg, mut cost) = Cfg::build(insns, index, &roots);
         let call_graph = CallGraph::build(insns, binary.symbols.addresses());
 
         // ---- constant propagation ---------------------------------------
-        let root_blocks: Vec<BlockId> = roots.iter().filter_map(|&a| cfg.block_at(a)).collect();
+        let root_blocks: Vec<BlockId> = roots
+            .iter()
+            .filter_map(|&a| cfg.block_at_addr(index, a))
+            .collect();
         let constants = dataflow::constant_propagation(&cfg, insns, &root_blocks);
         cost += constants.steps * costs::DATAFLOW_PER_STEP;
 
@@ -85,7 +89,7 @@ impl ProgramAnalysis {
         // rejects — they contribute no reachability.
         let mut seeds = root_blocks;
         for &(_, target) in &constants.resolved {
-            if let Some(b) = cfg.block_at(target) {
+            if let Some(b) = cfg.block_at_addr(index, target) {
                 seeds.push(b);
             }
         }
@@ -175,12 +179,12 @@ mod tests {
 
     #[test]
     fn edges_target_leaders() {
-        let (_, analysis, _) = analyzed(&plain(6_000));
+        let (loaded, analysis, _) = analyzed(&plain(6_000));
         assert!(!analysis.cfg.edges.is_empty());
         for e in &analysis.cfg.edges {
             let target = &analysis.cfg.blocks[e.to];
             assert_eq!(
-                analysis.cfg.block_at(target.start),
+                analysis.cfg.block_at_addr(&loaded.index, target.start),
                 Some(e.to),
                 "edge {e:?} targets a leader"
             );

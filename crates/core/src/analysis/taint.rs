@@ -79,7 +79,8 @@ use crate::loader::LoadedBinary;
 use engarde_sgx::perf::costs;
 use engarde_x86::insn::{AluOp, Effects, Insn, InsnKind, MemOperand, Stack, Width};
 use engarde_x86::reg::Reg;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Range;
 
 /// What kind of secret a [`SecretRange`] holds.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -501,13 +502,19 @@ impl TaintAnalysis {
         fn_starts.sort_unstable();
         fn_starts.dedup();
 
-        let block_fn: Vec<Option<usize>> = analysis
-            .cfg
-            .blocks
+        // Function `f` owns the blocks starting in `fn_starts[f]..` up to
+        // the next start: a contiguous run of block ids, blocks being in
+        // address order.
+        let blocks = &analysis.cfg.blocks;
+        let first_block_at = |a: u64| blocks.partition_point(|b| b.start < a);
+        let fn_blocks: Vec<Range<BlockId>> = fn_starts
             .iter()
-            .map(|b| {
-                let n = fn_starts.partition_point(|&s| s <= b.start);
-                n.checked_sub(1)
+            .enumerate()
+            .map(|(f, &s)| {
+                let end = fn_starts
+                    .get(f + 1)
+                    .map_or(blocks.len(), |&n| first_block_at(n));
+                first_block_at(s)..end
             })
             .collect();
 
@@ -534,7 +541,7 @@ impl TaintAnalysis {
             insns,
             cfg: &analysis.cfg,
             fn_starts: &fn_starts,
-            block_fn: &block_fn,
+            fn_blocks: &fn_blocks,
             enclave: binary.enclave_range,
             sources,
             summaries: vec![FnSummary::BOTTOM; fn_starts.len()],
@@ -735,7 +742,7 @@ struct Pass<'a> {
     insns: &'a [Insn],
     cfg: &'a Cfg,
     fn_starts: &'a [u64],
-    block_fn: &'a [Option<usize>],
+    fn_blocks: &'a [Range<BlockId>],
     enclave: (u64, u64),
     sources: &'a [SecretRange],
     summaries: Vec<FnSummary>,
@@ -1037,21 +1044,30 @@ impl Pass<'_> {
     /// summary table; returns true when the function's summary grew.
     fn analyze_function(&mut self, f: usize) -> bool {
         self.summaries_computed += 1;
-        let Some(entry) = self.cfg.block_at(self.fn_starts[f]) else {
+        // The function's entry block leads its block range; per-block
+        // state lives in vectors over that range, indexed `b - first`.
+        let blocks = self.fn_blocks[f].clone();
+        let first = blocks.start;
+        if self
+            .cfg
+            .blocks
+            .get(first)
+            .is_none_or(|b| b.start != self.fn_starts[f])
+        {
             return false;
-        };
+        }
         let mut summary = self.summaries[f];
-        let mut in_states: HashMap<BlockId, TaintState> = HashMap::new();
-        let mut queued: BTreeSet<BlockId> = BTreeSet::new();
+        let mut in_states: Vec<Option<TaintState>> = vec![None; blocks.len()];
+        let mut queued = vec![false; blocks.len()];
         let mut worklist: VecDeque<BlockId> = VecDeque::new();
-        in_states.insert(entry, TaintState::entry());
-        queued.insert(entry);
-        worklist.push_back(entry);
+        in_states[0] = Some(TaintState::entry());
+        queued[0] = true;
+        worklist.push_back(first);
 
         while let Some(b) = worklist.pop_front() {
-            queued.remove(&b);
+            queued[b - first] = false;
             self.pops += 1;
-            let Some(mut st) = in_states.get(&b).cloned() else {
+            let Some(mut st) = in_states[b - first].clone() else {
                 continue;
             };
             for i in self.cfg.blocks[b].insns.clone() {
@@ -1062,22 +1078,24 @@ impl Pass<'_> {
             for edge in self.cfg.successors(b) {
                 // Stay inside the function; a nop bridge is padding
                 // adjacency, entered from outside with a fresh frame.
-                if self.block_fn[edge.to] != Some(f) {
+                if !blocks.contains(&edge.to) {
                     continue;
                 }
+                let to = edge.to - first;
                 let carried = if edge.kind == EdgeKind::NopBridge {
                     TaintState::entry()
                 } else {
                     st.clone()
                 };
-                let changed = match in_states.get_mut(&edge.to) {
+                let changed = match &mut in_states[to] {
                     Some(existing) => existing.join(&carried),
-                    None => {
-                        in_states.insert(edge.to, carried);
+                    slot @ None => {
+                        *slot = Some(carried);
                         true
                     }
                 };
-                if changed && queued.insert(edge.to) {
+                if changed && !queued[to] {
+                    queued[to] = true;
                     worklist.push_back(edge.to);
                 }
             }

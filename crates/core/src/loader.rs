@@ -20,6 +20,7 @@ use engarde_elf::parse::ElfFile;
 use engarde_sgx::epc::PAGE_SIZE;
 use engarde_sgx::machine::{EnclaveId, SgxMachine};
 use engarde_sgx::perf::costs;
+use engarde_x86::index::InsnIndex;
 use engarde_x86::insn::Insn;
 use engarde_x86::validate::{ValidationReport, Validator};
 
@@ -83,6 +84,10 @@ pub struct LoadedBinary {
     pub elf: ElfFile,
     /// The instruction buffer (decoded text, in address order).
     pub insns: Vec<Insn>,
+    /// Address → index into [`LoadedBinary::insns`], built once right
+    /// after decoding. The validator, symbol recovery, the CFG and the
+    /// policies all ask it instead of building their own maps.
+    pub index: InsnIndex,
     /// The symbol hash table (addr → function name).
     pub symbols: SymbolHashTable,
     /// Virtual address of the text section.
@@ -190,6 +195,8 @@ pub fn load(
         insns.push(insn);
     }
 
+    let index = InsnIndex::new(&insns);
+
     // ---- symbol hash table --------------------------------------------------
     let mut symbols = SymbolHashTable::from_elf(&elf);
     if symbols.is_empty() && config.recover_stripped_symbols {
@@ -198,7 +205,7 @@ pub fn load(
         machine
             .counter_mut()
             .charge_native(insns.len() as u64 * costs::SCAN_PER_INSN);
-        symbols = SymbolHashTable::recover(&insns, elf.header().e_entry);
+        symbols = SymbolHashTable::recover(&insns, &index, elf.header().e_entry);
     }
     machine
         .counter_mut()
@@ -208,7 +215,7 @@ pub fn load(
     let validation = if config.validate {
         machine.counter_mut().charge_native(insns.len() as u64 * 10);
         let roots: Vec<u64> = symbols.addresses().to_vec();
-        Validator::new().validate(&insns, elf.header().e_entry, &roots)?
+        Validator::new().validate(&insns, &index, elf.header().e_entry, &roots)?
     } else {
         ValidationReport::default()
     };
@@ -218,6 +225,7 @@ pub fn load(
         text_bytes: text.data,
         elf,
         insns,
+        index,
         symbols,
         validation,
         buffer_pages,

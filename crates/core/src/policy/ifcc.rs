@@ -276,9 +276,7 @@ impl PolicyModule for IfccPolicy {
                         "computed target resolves outside the claimed jump table",
                     ));
                 }
-                if analysis.cfg.block_containing(resolved).is_none()
-                    || insns.binary_search_by_key(&resolved, |x| x.addr).is_err()
-                {
+                if !ctx.binary().index.contains(resolved) {
                     return Err(violation(
                         "computed target is not an instruction start (mid-instruction target)",
                     ));

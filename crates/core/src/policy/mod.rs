@@ -166,12 +166,10 @@ impl<'a> PolicyContext<'a> {
         self.binary.text_base + self.binary.text_bytes.len() as u64
     }
 
-    /// Index of the instruction starting at `addr`, if any.
+    /// Index of the instruction starting at `addr`, if any (one probe
+    /// of the loader's [`LoadedBinary::index`]).
     pub fn insn_index_at(&self, addr: u64) -> Option<usize> {
-        self.binary
-            .insns
-            .binary_search_by_key(&addr, |i| i.addr)
-            .ok()
+        self.binary.index.get(addr)
     }
 }
 

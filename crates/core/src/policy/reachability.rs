@@ -100,7 +100,7 @@ impl PolicyModule for CodeReachability {
                     ),
                 });
             }
-            if insns.binary_search_by_key(&target, |x| x.addr).is_err() {
+            if !ctx.binary().index.contains(target) {
                 return Err(EngardeError::PolicyViolation {
                     policy: self.name(),
                     reason: format!(

@@ -21,6 +21,7 @@ use super::{PolicyContext, PolicyModule, PolicyReport};
 use crate::analysis::taint::{SecretRange, TaintAnalysis};
 use crate::analysis::ProgramAnalysis;
 use crate::error::EngardeError;
+use std::borrow::Cow;
 
 /// The secret-leakage policy module.
 pub struct SecretLeakage {
@@ -84,17 +85,16 @@ impl Default for SecretLeakage {
     }
 }
 
-/// Resolves the taint analysis a policy should judge: the shared memo
-/// when possible, a private (re)computation when the policy declares
-/// extra sources or opts out of sharing. Returns an owned clone so both
-/// paths unify; the clone is cheap next to the analysis itself.
-pub(super) fn taint_for_policy(
-    ctx: &mut PolicyContext<'_>,
+/// Resolves the taint analysis a policy should judge: the shared memo,
+/// borrowed in place, when possible; a private (re)computation, owned,
+/// when the policy declares extra sources or opts out of sharing.
+pub(super) fn taint_for_policy<'a>(
+    ctx: &mut PolicyContext<'a>,
     use_shared: bool,
     declared: &[SecretRange],
-) -> TaintAnalysis {
+) -> Cow<'a, TaintAnalysis> {
     if declared.is_empty() && use_shared {
-        return ctx.taint().clone();
+        return Cow::Borrowed(ctx.taint());
     }
     let binary = ctx.binary();
     let mut sources = binary.secret_ranges.clone();
@@ -110,7 +110,7 @@ pub(super) fn taint_for_policy(
     };
     let (taint, cost) = TaintAnalysis::compute(binary, analysis, &sources);
     ctx.charge(cost);
-    taint
+    Cow::Owned(taint)
 }
 
 /// Serializes declared ranges into descriptor bytes, binding them into

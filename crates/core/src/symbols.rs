@@ -15,9 +15,10 @@
 //! (stack protection, IFCC) can still run.
 
 use engarde_elf::parse::ElfFile;
+use engarde_x86::index::InsnIndex;
 use engarde_x86::insn::{Insn, InsnKind};
 use engarde_x86::reg::Reg;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Address-keyed function-name table plus the reverse index.
 #[derive(Clone, Debug, Default)]
@@ -119,21 +120,21 @@ impl SymbolHashTable {
     /// Recovered functions get synthetic names (`recovered_fn_<addr>`),
     /// so policies that match *names* (library linking) still cannot
     /// run — only boundary-based policies benefit.
-    pub fn recover(insns: &[Insn], entry: u64) -> Self {
-        let mut starts: BTreeSet<u64> = BTreeSet::new();
-        if insns.iter().any(|i| i.addr == entry) {
-            starts.insert(entry);
-        }
-        let valid: BTreeSet<u64> = insns.iter().map(|i| i.addr).collect();
+    pub fn recover(insns: &[Insn], index: &InsnIndex, entry: u64) -> Self {
+        // Every recovered start is an instruction start: mark it by
+        // instruction index, then name the marks in address order.
+        let mut starts = vec![false; insns.len()];
+        let mut mark = |addr: u64| {
+            if let Some(s) = index.get(addr).and_then(|i| starts.get_mut(i)) {
+                *s = true;
+            }
+        };
+        mark(entry);
         let mut flow_broken = true; // region start counts as a break
         for (i, insn) in insns.iter().enumerate() {
-            match insn.kind {
-                InsnKind::DirectCall { target } | InsnKind::LeaRipRel { target, .. }
-                    if valid.contains(&target) =>
-                {
-                    starts.insert(target);
-                }
-                _ => {}
+            if let InsnKind::DirectCall { target } | InsnKind::LeaRipRel { target, .. } = insn.kind
+            {
+                mark(target);
             }
             // Prologue after a flow break.
             if flow_broken && matches!(insn.kind, InsnKind::PushReg { reg: Reg::Rbp }) {
@@ -148,7 +149,7 @@ impl SymbolHashTable {
                     )
                 });
                 if followed_by_frame_setup {
-                    starts.insert(insn.addr);
+                    mark(insn.addr);
                 }
             }
             flow_broken = match insn.kind {
@@ -157,7 +158,8 @@ impl SymbolHashTable {
             };
         }
         let mut table = SymbolHashTable::default();
-        for addr in starts {
+        for (insn, _) in insns.iter().zip(&starts).filter(|(_, &s)| s) {
+            let addr = insn.addr;
             table.insert(addr, format!("recovered_fn_{addr:#x}"));
         }
         table.finalize();
@@ -252,7 +254,7 @@ mod tests {
             let f2_off = asm.label_offset(f2).expect("bound");
             let code = asm.finish();
             let insns = decode_all(&code, 0).expect("decodes");
-            let table = SymbolHashTable::recover(&insns, 0);
+            let table = SymbolHashTable::recover(&insns, &InsnIndex::new(&insns), 0);
             assert!(table.is_function_start(0), "entry recovered");
             assert!(table.is_function_start(f1_off), "call target recovered");
             assert!(table.is_function_start(f2_off), "nested target recovered");
@@ -274,7 +276,7 @@ mod tests {
             asm.ret();
             let code = asm.finish();
             let insns = decode_all(&code, 0).expect("decodes");
-            let table = SymbolHashTable::recover(&insns, 0);
+            let table = SymbolHashTable::recover(&insns, &InsnIndex::new(&insns), 0);
             assert_eq!(table.len(), 1, "only the entry: {:?}", table.addresses());
         }
 
@@ -288,7 +290,8 @@ mod tests {
             let elf = engarde_elf::parse::ElfFile::parse(&w.image).expect("parses");
             let text = elf.section(".text").expect(".text");
             let insns = decode_all(&text.data, text.header.sh_addr).expect("decodes");
-            let recovered = SymbolHashTable::recover(&insns, elf.header().e_entry);
+            let recovered =
+                SymbolHashTable::recover(&insns, &InsnIndex::new(&insns), elf.header().e_entry);
             // Every real function with a frame prologue or a caller is
             // recovered; dispatcher-only coverage would already be >90%.
             let real: Vec<u64> = elf.function_symbols().map(|s| s.symbol.st_value).collect();

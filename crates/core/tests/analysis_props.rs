@@ -88,13 +88,13 @@ fn every_edge_targets_a_block_leader() {
         .cases(10)
         .regressions(&[])
         .run(|rng| {
-            let (_, analysis) = analyzed_case(rng);
+            let (loaded, analysis) = analyzed_case(rng);
             for e in &analysis.cfg.edges {
                 assert!(e.from < analysis.cfg.blocks.len());
                 assert!(e.to < analysis.cfg.blocks.len());
                 let leader = analysis.cfg.blocks[e.to].start;
                 assert_eq!(
-                    analysis.cfg.block_at(leader),
+                    analysis.cfg.block_at_addr(&loaded.index, leader),
                     Some(e.to),
                     "edge {e:?} must target a leader"
                 );
@@ -122,7 +122,7 @@ fn reachability_is_a_fixpoint() {
             }
             // Roots are reachable whenever they start a block.
             for &root in &analysis.roots {
-                if let Some(b) = analysis.cfg.block_at(root) {
+                if let Some(b) = analysis.cfg.block_at_addr(&loaded.index, root) {
                     assert!(analysis.reachable[b], "root {root:#x} must be reachable");
                 }
             }

@@ -815,6 +815,7 @@ mod tests {
     use super::*;
     use engarde_elf::parse::ElfFile;
     use engarde_x86::decode::decode_all;
+    use engarde_x86::index::InsnIndex;
     use engarde_x86::validate::Validator;
 
     fn loads_cleanly(image: &[u8]) {
@@ -824,7 +825,12 @@ mod tests {
         let insns = decode_all(&text.data, text.header.sh_addr).expect("decodes");
         let roots: Vec<u64> = elf.function_symbols().map(|s| s.symbol.st_value).collect();
         Validator::new()
-            .validate(&insns, elf.header().e_entry, &roots)
+            .validate(
+                &insns,
+                &InsnIndex::new(&insns),
+                elf.header().e_entry,
+                &roots,
+            )
             .expect("passes load-time NaCl validation");
     }
 

@@ -48,6 +48,7 @@ mod tests {
     use crate::libc::Instrumentation;
     use engarde_elf::parse::ElfFile;
     use engarde_x86::decode::decode_all;
+    use engarde_x86::index::InsnIndex;
     use engarde_x86::validate::Validator;
 
     fn decode_workload(image: &[u8]) -> (ElfFile, Vec<engarde_x86::insn::Insn>) {
@@ -72,7 +73,12 @@ mod tests {
         let (elf, insns) = decode_workload(&w.image);
         let roots: Vec<u64> = elf.function_symbols().map(|s| s.symbol.st_value).collect();
         Validator::new()
-            .validate(&insns, elf.header().e_entry, &roots)
+            .validate(
+                &insns,
+                &InsnIndex::new(&insns),
+                elf.header().e_entry,
+                &roots,
+            )
             .expect("NaCl-clean");
     }
 
@@ -85,7 +91,12 @@ mod tests {
             let (elf, insns) = decode_workload(&w.image);
             let roots: Vec<u64> = elf.function_symbols().map(|s| s.symbol.st_value).collect();
             Validator::new()
-                .validate(&insns, elf.header().e_entry, &roots)
+                .validate(
+                    &insns,
+                    &InsnIndex::new(&insns),
+                    elf.header().e_entry,
+                    &roots,
+                )
                 .unwrap_or_else(|e| panic!("{figure:?}: {e}"));
         }
     }

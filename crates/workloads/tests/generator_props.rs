@@ -13,6 +13,7 @@ use engarde_rand::Rng;
 use engarde_workloads::generator::{generate, WorkloadSpec};
 use engarde_workloads::libc::Instrumentation;
 use engarde_x86::decode::decode_all;
+use engarde_x86::index::InsnIndex;
 use engarde_x86::validate::Validator;
 
 /// Every invariant an arbitrary generated workload must satisfy.
@@ -34,7 +35,12 @@ fn check_workload(spec: &WorkloadSpec) {
     // NaCl-clean with the symbol roots.
     let roots: Vec<u64> = elf.function_symbols().map(|s| s.symbol.st_value).collect();
     let report = Validator::new()
-        .validate(&insns, elf.header().e_entry, &roots)
+        .validate(
+            &insns,
+            &InsnIndex::new(&insns),
+            elf.header().e_entry,
+            &roots,
+        )
         .expect("NaCl validation");
     assert_eq!(report.instructions, insns.len());
 

@@ -478,6 +478,7 @@ impl Assembler {
 mod tests {
     use super::*;
     use crate::decode::{decode_all, decode_one};
+    use crate::index::InsnIndex;
     use crate::insn::{AluOp, Insn, InsnKind, Width};
     use crate::validate::Validator;
 
@@ -645,7 +646,7 @@ mod tests {
         let code = asm.finish();
         let insns = decode_all(&code, 0).expect("decodes");
         Validator::new()
-            .validate(&insns, 0, &[])
+            .validate(&insns, &InsnIndex::new(&insns), 0, &[])
             .expect("bundle-clean");
     }
 

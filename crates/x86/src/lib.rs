@@ -13,6 +13,8 @@
 //! - [`insn`] — decoded instructions and the policy-relevant
 //!   classification ([`insn::InsnKind`]),
 //! - [`decode`] — the linear-sweep decoder,
+//! - [`index`] — the O(1) address → instruction index every later
+//!   stage shares,
 //! - [`validate`] — NaCl rules: 32-byte bundle straddling, branch-target
 //!   validity, reachability, and SGX instruction legality,
 //! - [`encode`] — an assembler used by the synthetic workload generator,
@@ -22,12 +24,16 @@
 //!
 //! ```
 //! use engarde_x86::decode::decode_all;
+//! use engarde_x86::index::InsnIndex;
 //! use engarde_x86::validate::Validator;
 //!
 //! // push %rbp; mov %rsp,%rbp; pop %rbp; ret
 //! let code = [0x55, 0x48, 0x89, 0xe5, 0x5d, 0xc3];
 //! let insns = decode_all(&code, 0x1000).expect("well-formed code");
-//! let report = Validator::new().validate(&insns, 0x1000, &[]).expect("NaCl-clean");
+//! let index = InsnIndex::new(&insns);
+//! let report = Validator::new()
+//!     .validate(&insns, &index, 0x1000, &[])
+//!     .expect("NaCl-clean");
 //! assert_eq!(report.instructions, 4);
 //! ```
 
@@ -37,6 +43,7 @@
 pub mod att;
 pub mod decode;
 pub mod encode;
+pub mod index;
 pub mod insn;
 pub mod reg;
 pub mod validate;

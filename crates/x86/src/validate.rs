@@ -11,6 +11,10 @@
 //! execution restriction (no `syscall`/privileged instructions inside an
 //! enclave — enclave code "cannot invoke any OS services", §2).
 //!
+//! Every address question goes through the text's [`InsnIndex`], built
+//! once by the caller right after decoding and shared with the analyses
+//! that run after validation.
+//!
 //! Reachability is computed over the decoded instruction list: roots are
 //! the entry point plus caller-provided roots (function symbols,
 //! address-taken jump tables via `lea`); edges are fall-through, direct
@@ -18,9 +22,9 @@
 //! flow-terminating instruction carries reachability to the next real
 //! instruction, as alignment padding does in compiler output).
 
+use crate::index::InsnIndex;
 use crate::insn::{Insn, InsnKind};
 use crate::DisasmError;
-use std::collections::HashMap;
 
 /// NaCl's instruction-bundle size in bytes.
 pub const BUNDLE_SIZE: u64 = 32;
@@ -80,9 +84,9 @@ impl Validator {
     }
 
     /// Validates `insns` (sorted by address, as produced by
-    /// [`crate::decode::decode_all`]) for a region `[base, base+size)`
-    /// entered at `entry`. `extra_roots` seeds reachability with function
-    /// symbol addresses.
+    /// [`crate::decode::decode_all`]), whose [`InsnIndex`] is `index`,
+    /// for the region they span, entered at `entry`. `extra_roots` seeds
+    /// reachability with function symbol addresses.
     ///
     /// # Errors
     ///
@@ -90,23 +94,15 @@ impl Validator {
     pub fn validate(
         &self,
         insns: &[Insn],
+        index: &InsnIndex,
         entry: u64,
         extra_roots: &[u64],
     ) -> Result<ValidationReport, DisasmError> {
+        debug_assert_eq!(index.len(), insns.len(), "index built over other insns");
         let mut report = ValidationReport {
             instructions: insns.len(),
             ..Default::default()
         };
-        if insns.is_empty() {
-            return Ok(report);
-        }
-        let base = insns[0].addr;
-        let end = insns.last().expect("non-empty").end();
-
-        // Index of every instruction start.
-        let index: HashMap<u64, usize> =
-            insns.iter().enumerate().map(|(i, x)| (x.addr, i)).collect();
-
         for insn in insns {
             // Rule: SGX-legal instructions only.
             if self.config.check_enclave_legal {
@@ -140,15 +136,14 @@ impl Validator {
             if self.config.check_targets {
                 if let Some(target) = insn.kind.branch_target() {
                     report.targets_checked += 1;
-                    let in_region = target >= base && target < end;
-                    if in_region && !index.contains_key(&target) {
-                        return Err(DisasmError::BadBranchTarget {
+                    if !index.covers(target) {
+                        return Err(DisasmError::TargetOutOfRegion {
                             addr: insn.addr,
                             target,
                         });
                     }
-                    if !in_region {
-                        return Err(DisasmError::TargetOutOfRegion {
+                    if !index.contains(target) {
+                        return Err(DisasmError::BadBranchTarget {
                             addr: insn.addr,
                             target,
                         });
@@ -162,7 +157,7 @@ impl Validator {
             let mut reachable = vec![false; insns.len()];
             let mut work: Vec<usize> = Vec::new();
             let push_root = |addr: u64, work: &mut Vec<usize>| {
-                if let Some(&i) = index.get(&addr) {
+                if let Some(i) = index.get(addr) {
                     work.push(i);
                 }
             };
@@ -184,7 +179,7 @@ impl Validator {
                 reachable[i] = true;
                 let insn = &insns[i];
                 if let Some(t) = insn.kind.branch_target() {
-                    if let Some(&j) = index.get(&t) {
+                    if let Some(j) = index.get(t) {
                         if !reachable[j] {
                             work.push(j);
                         }
@@ -222,12 +217,14 @@ mod tests {
 
     fn validate(code: &[u8], entry_off: u64) -> Result<ValidationReport, DisasmError> {
         let insns = decode_all(code, 0).expect("decodes");
-        Validator::new().validate(&insns, entry_off, &[])
+        Validator::new().validate(&insns, &InsnIndex::new(&insns), entry_off, &[])
     }
 
     #[test]
     fn empty_code_is_valid() {
-        let report = Validator::new().validate(&[], 0, &[]).expect("valid");
+        let report = Validator::new()
+            .validate(&[], &InsnIndex::default(), 0, &[])
+            .expect("valid");
         assert_eq!(report.instructions, 0);
     }
 
@@ -326,9 +323,12 @@ mod tests {
         // via a symbol (no nop bridge: first insn ends flow, next is push).
         let code = [0xc3, 0x55, 0x5d, 0xc3];
         let insns = decode_all(&code, 0).expect("decodes");
+        let index = InsnIndex::new(&insns);
         let v = Validator::new();
-        assert!(v.validate(&insns, 0, &[]).is_err());
-        let report = v.validate(&insns, 0, &[1]).expect("valid with root");
+        assert!(v.validate(&insns, &index, 0, &[]).is_err());
+        let report = v
+            .validate(&insns, &index, 0, &[1])
+            .expect("valid with root");
         assert_eq!(report.reachable, 4);
     }
 
@@ -345,7 +345,9 @@ mod tests {
             0xe9, 0xee, 0xff, 0xff, 0xff, // @13 jmp 0x0
         ];
         let insns = decode_all(&code, 0).expect("decodes");
-        let report = Validator::new().validate(&insns, 0, &[]).expect("valid");
+        let report = Validator::new()
+            .validate(&insns, &InsnIndex::new(&insns), 0, &[])
+            .expect("valid");
         assert_eq!(report.reachable, insns.len());
     }
 
@@ -358,7 +360,8 @@ mod tests {
             check_reachability: false,
             ..Default::default()
         });
-        v.validate(&insns, 0, &[]).expect("valid with rules off");
+        v.validate(&insns, &InsnIndex::new(&insns), 0, &[])
+            .expect("valid with rules off");
     }
 
     #[test]

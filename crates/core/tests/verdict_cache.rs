@@ -225,3 +225,152 @@ fn verdicts_never_shared_across_policy_regimes() {
     let stats = lock_cache(&cache).stats();
     assert_eq!((stats.hits, stats.misses, stats.insertions), (0, 2, 2));
 }
+
+fn unprotected_image() -> Vec<u8> {
+    generate(&WorkloadSpec {
+        target_instructions: 6_000,
+        instrumentation: Instrumentation::None,
+        ..WorkloadSpec::default()
+    })
+    .image
+}
+
+#[test]
+fn rewritten_verdicts_are_signed_but_never_cached() {
+    let spec = BootstrapSpec::new(
+        "EnGarde-1.0",
+        LoaderConfig::default(),
+        &stack_policies(),
+        128,
+        512,
+    )
+    .with_rewriting();
+    let image = unprotected_image();
+
+    let cache = shared_cache(8);
+    let mut provider = cached_provider(42, &cache);
+    let (first, v1) = provision(&mut provider, &spec, stack_policies(), image.clone());
+    let (second, v2) = provision(&mut provider, &spec, stack_policies(), image.clone());
+
+    assert!(first.compliant && second.compliant);
+    assert!(
+        v1.detail
+            .starts_with("rewritten with canary instrumentation"),
+        "detail: {}",
+        v1.detail
+    );
+    // The verdict describes the rewritten image, not the bytes behind
+    // the key: both sessions miss and nothing is inserted.
+    assert!(!first.cache_hit && !second.cache_hit);
+    let stats = lock_cache(&cache).stats();
+    assert_eq!((stats.hits, stats.misses, stats.insertions), (0, 2, 0));
+    assert_eq!(
+        SignedVerdict::message(v1.compliant, &v1.detail, &v1.content_digest),
+        SignedVerdict::message(v2.compliant, &v2.detail, &v2.content_digest)
+    );
+    assert_eq!(first.instructions, second.instructions);
+    assert_eq!(first.stages, second.stages);
+
+    // Session for session, the signatures equal an uncached fleet's.
+    let mut uncached = CloudProvider::new(machine_config(42));
+    let (_, u1) = provision(&mut uncached, &spec, stack_policies(), image.clone());
+    let (_, u2) = provision(&mut uncached, &spec, stack_policies(), image);
+    assert_eq!((&v1, &v2), (&u1, &u2));
+}
+
+#[test]
+fn a_region_too_small_for_the_binary_caches_a_signed_rejection() {
+    let spec = BootstrapSpec::new(
+        "EnGarde-1.0",
+        LoaderConfig::default(),
+        &linking_policies(),
+        2,
+        512,
+    );
+    let image = compliant_image();
+
+    let cache = shared_cache(8);
+    let mut provider = cached_provider(42, &cache);
+    let (first, v1) = provision(&mut provider, &spec, linking_policies(), image.clone());
+    assert!(!first.compliant && !v1.compliant);
+    assert_eq!(
+        v1.detail,
+        "enclave memory exhausted: client segments exceed the committed client region"
+    );
+    assert!(!first.cache_hit);
+    assert_eq!(first.instructions, 0);
+    assert!(first.exec_pages.is_empty());
+    let stats = lock_cache(&cache).stats();
+    assert_eq!((stats.hits, stats.misses, stats.insertions), (0, 1, 1));
+
+    let (second, v2) = provision(&mut provider, &spec, linking_policies(), image.clone());
+    assert!(!second.compliant);
+    assert!(
+        second.cache_hit,
+        "the cached mapping failure replays as a hit"
+    );
+    assert_eq!(second.stages.loading_relocation, 0);
+    assert_eq!(second.stages.disassembly, costs::CACHE_PROBE);
+    assert_eq!(second.instructions, 0);
+    assert_eq!(v1.detail, v2.detail);
+    let stats = lock_cache(&cache).stats();
+    assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 1, 1));
+
+    // The replayed rejection signs exactly what a cold one does.
+    let mut uncached = CloudProvider::new(machine_config(42));
+    let (_, u1) = provision(&mut uncached, &spec, linking_policies(), image.clone());
+    let (_, u2) = provision(&mut uncached, &spec, linking_policies(), image);
+    assert_eq!((&v1, &v2), (&u1, &u2));
+}
+
+#[test]
+fn a_hit_under_a_lying_manifest_fails_closed_and_inserts_nothing() {
+    use engarde_core::protocol::{ContentManifest, PageKind, PagePayload};
+    use engarde_core::EngardeError;
+    use engarde_crypto::channel::ChannelClient;
+    use engarde_rand::{SeedableRng, StdRng};
+    use engarde_sgx::epc::PAGE_SIZE;
+
+    let spec = BootstrapSpec::new(
+        "EnGarde-1.0",
+        LoaderConfig::default(),
+        &linking_policies(),
+        64,
+        512,
+    );
+    let image = compliant_image();
+    let cache = shared_cache(8);
+    let mut provider = cached_provider(42, &cache);
+    let (cold, _) = provision(&mut provider, &spec, linking_policies(), image.clone());
+    assert!(cold.compliant);
+
+    // The same bytes again, but the manifest calls every page data.
+    let enclave = provider
+        .create_engarde_enclave(spec.clone(), linking_policies())
+        .expect("create enclave");
+    let key = provider.enclave_public_key(enclave).expect("enclave key");
+    let mut rng = StdRng::seed_from_u64(9);
+    let (wrapped, mut session) = ChannelClient::establish(&mut rng, &key).expect("establish");
+    provider.open_channel(enclave, &wrapped).expect("open");
+    let manifest = ContentManifest {
+        total_len: image.len(),
+        page_kinds: vec![PageKind::Data; image.len().div_ceil(PAGE_SIZE)],
+    };
+    provider
+        .deliver(enclave, &session.seal(&manifest.to_bytes()))
+        .expect("manifest");
+    for (index, chunk) in image.chunks(PAGE_SIZE).enumerate() {
+        let page = PagePayload {
+            index,
+            data: chunk.to_vec(),
+        };
+        provider
+            .deliver(enclave, &session.seal(&page.to_bytes()))
+            .expect("page");
+    }
+    let err = provider.inspect_and_provision(enclave).unwrap_err();
+    assert!(matches!(err, EngardeError::Protocol { .. }), "got {err}");
+    assert!(provider.signed_verdict(enclave).is_none());
+    let stats = lock_cache(&cache).stats();
+    assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 1, 1));
+}

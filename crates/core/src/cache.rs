@@ -74,7 +74,7 @@ impl CacheKey {
 
 /// The replayable part of an inspection outcome: the verdict and the
 /// stage costs the original session paid to reach it.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct CachedVerdict {
     /// Whether every policy passed.
     pub compliant: bool,

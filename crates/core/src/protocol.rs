@@ -64,7 +64,7 @@ impl ContentManifest {
                 what: "malformed manifest header".into(),
             });
         }
-        let total_len = u64::from_be_bytes(bytes[4..12].try_into().expect("8 bytes")) as usize;
+        let total_len = header_u64(bytes)? as usize;
         let kinds: Result<Vec<PageKind>, EngardeError> = bytes[12..]
             .iter()
             .map(|&b| match b {
@@ -122,7 +122,7 @@ impl PagePayload {
                 what: "malformed page payload".into(),
             });
         }
-        let index = u64::from_be_bytes(bytes[4..12].try_into().expect("8 bytes")) as usize;
+        let index = header_u64(bytes)? as usize;
         let data = bytes[12..].to_vec();
         if data.is_empty() || data.len() > PAGE_SIZE {
             return Err(EngardeError::Protocol {
@@ -131,6 +131,17 @@ impl PagePayload {
         }
         Ok(PagePayload { index, data })
     }
+}
+
+/// The big-endian `u64` after a 4-byte message tag.
+fn header_u64(bytes: &[u8]) -> Result<u64, EngardeError> {
+    bytes
+        .get(4..12)
+        .and_then(|field| field.try_into().ok())
+        .map(u64::from_be_bytes)
+        .ok_or_else(|| EngardeError::Protocol {
+            what: "truncated message header".into(),
+        })
 }
 
 /// Classifies each page chunk of an image from its section layout and

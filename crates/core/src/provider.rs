@@ -15,7 +15,9 @@ use crate::cache::SharedVerdictCache;
 use crate::error::EngardeError;
 use crate::policy::PolicyModule;
 use crate::protocol::SignedVerdict;
-use crate::provision::{BootstrapSpec, EngardeEnclave, StageCycles, DEFAULT_ENCLAVE_BASE};
+use crate::provision::{
+    BootstrapSpec, EngardeEnclave, InspectionOutcome, StageCycles, DEFAULT_ENCLAVE_BASE,
+};
 use engarde_crypto::channel::SealedBlock;
 use engarde_crypto::rsa::RsaPublicKey;
 use engarde_rand::{SeedableRng, StdRng};
@@ -198,19 +200,11 @@ impl CloudProvider {
     }
 
     fn session(&self, id: EnclaveId) -> Result<&EngardeEnclave, EngardeError> {
-        self.sessions
-            .get(&id)
-            .ok_or_else(|| EngardeError::Protocol {
-                what: format!("no EnGarde session for enclave {id}"),
-            })
+        self.sessions.get(&id).ok_or_else(|| no_session(id))
     }
 
     fn session_mut(&mut self, id: EnclaveId) -> Result<&mut EngardeEnclave, EngardeError> {
-        self.sessions
-            .get_mut(&id)
-            .ok_or_else(|| EngardeError::Protocol {
-                what: format!("no EnGarde session for enclave {id}"),
-            })
+        self.sessions.get_mut(&id).ok_or_else(|| no_session(id))
     }
 
     /// Answers a client's attestation challenge: the quoting enclave
@@ -262,15 +256,8 @@ impl CloudProvider {
                 engarde_sgx::epc::EpcError::OutOfPages,
             )));
         }
-        let mut session = self
-            .sessions
-            .remove(&id)
-            .ok_or_else(|| EngardeError::Protocol {
-                what: format!("no EnGarde session for enclave {id}"),
-            })?;
-        let result = session.receive(self.host.machine_mut(), block);
-        self.sessions.insert(id, session);
-        result
+        let session = self.sessions.get_mut(&id).ok_or_else(|| no_session(id))?;
+        session.receive(self.host.machine_mut(), block)
     }
 
     /// Runs EnGarde's inspection over the delivered content. On
@@ -283,35 +270,20 @@ impl CloudProvider {
     ///
     /// Protocol errors (incomplete content) and SGX failures.
     pub fn inspect_and_provision(&mut self, id: EnclaveId) -> Result<ProviderView, EngardeError> {
-        let mut session = self
-            .sessions
-            .remove(&id)
-            .ok_or_else(|| EngardeError::Protocol {
-                what: format!("no EnGarde session for enclave {id}"),
-            })?;
+        let session = self.sessions.get(&id).ok_or_else(|| no_session(id))?;
         if !session.content_complete() {
-            self.sessions.insert(id, session);
             return Err(EngardeError::Protocol {
                 what: "content transfer incomplete".into(),
             });
         }
-        let outcome =
-            session.inspect_with_cache(self.host.machine_mut(), self.verdict_cache.as_ref());
-        self.sessions.insert(id, session);
-        let outcome = outcome?;
-        self.verdicts.insert(id, outcome.verdict.clone());
-        if outcome.compliant {
+        let InspectionOutcome { view, verdict } =
+            session.inspect(self.host.machine_mut(), self.verdict_cache.as_ref())?;
+        self.verdicts.insert(id, verdict);
+        if view.compliant {
             self.host
-                .finalize_provisioned_enclave(id, &outcome.exec_pages)?;
+                .finalize_provisioned_enclave(id, &view.exec_pages)?;
         }
-        Ok(ProviderView {
-            compliant: outcome.compliant,
-            exec_pages: outcome.exec_pages,
-            stages: outcome.stages,
-            instructions: outcome.instructions,
-            cache_hit: outcome.cache_hit,
-            taint: outcome.taint,
-        })
+        Ok(view)
     }
 
     /// The signed verdict for the client to fetch and verify — the
@@ -369,5 +341,11 @@ impl CloudProvider {
             Err(_) if had_session => Ok(0),
             Err(e) => Err(EngardeError::Sgx(e)),
         }
+    }
+}
+
+fn no_session(id: EnclaveId) -> EngardeError {
+    EngardeError::Protocol {
+        what: format!("no EnGarde session for enclave {id}"),
     }
 }

@@ -7,19 +7,25 @@
 //! pages, so the enclave measurement — verified by *both* the provider
 //! and the client through attestation — pins the exact EnGarde build and
 //! policy set. [`EngardeEnclave`] is the running in-enclave state
-//! machine: it receives encrypted page chunks, reassembles and inspects
-//! the content, and produces a signed verdict plus the executable-page
-//! list for the host.
+//! machine: it receives encrypted page chunks, reassembles them and
+//! inspects the content along one path, [`EngardeEnclave::inspect`].
+//! Only the judgement (a [`CachedVerdict`]) forks: a verdict-cache hit
+//! replays it, a miss pays for disassembly and the policies. The
+//! page-kind check, the mapping of a compliant binary, the cache insert
+//! and the signature each run once, in one place. The outcome is what
+//! the provider may learn ([`ProviderView`]) plus the verdict signed for
+//! the client.
 
-use crate::analysis::{SecretClass, SecretRange, TaintStats};
+use crate::analysis::{SecretClass, SecretRange};
 use crate::cache::{lock_cache, CacheKey, CachedVerdict, SharedVerdictCache};
 use crate::error::EngardeError;
-use crate::loader::{load, LoaderConfig};
-use crate::policy::{run_policies_with_cache, AnalysisCache, PolicyModule, PolicyReport};
+use crate::loader::{load, LoadedBinary, LoaderConfig};
+use crate::policy::{run_policies_with_cache, AnalysisCache, PolicyModule};
 use crate::protocol::{
     classify_pages, section_extents, ContentManifest, PagePayload, SignedVerdict,
 };
-use crate::relocate::{map_and_relocate, MappedSegments};
+use crate::provider::ProviderView;
+use crate::relocate::map_and_relocate;
 use engarde_crypto::channel::{ChannelServer, SealedBlock, Session};
 use engarde_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use engarde_crypto::sha256::{Digest, Sha256};
@@ -167,32 +173,15 @@ impl StageCycles {
     }
 }
 
-/// The outcome of an inspection, as produced inside the enclave.
+/// The outcome of an inspection: what the provider may learn, plus the
+/// verdict signed for the client.
 #[derive(Clone, Debug)]
 pub struct InspectionOutcome {
-    /// Whether every policy passed.
-    pub compliant: bool,
-    /// Per-policy reports (empty on rejection).
-    pub policy_reports: Vec<PolicyReport>,
+    /// The provider's view: compliance, executable pages, stage
+    /// cycles, cache hit, aggregate taint counters.
+    pub view: ProviderView,
     /// The signed verdict for the client.
     pub verdict: SignedVerdict,
-    /// Executable pages for the host (empty on rejection).
-    pub exec_pages: Vec<u64>,
-    /// Mapped-segment details (None on rejection).
-    pub mapping: Option<MappedSegments>,
-    /// Stage cycle accounting.
-    pub stages: StageCycles,
-    /// Instructions disassembled.
-    pub instructions: usize,
-    /// Whether the disassembly+policy verdict was replayed from the
-    /// verdict cache (the session still paid receive/decrypt and a
-    /// fresh loading/relocation pass).
-    pub cache_hit: bool,
-    /// Taint-analysis counters, when a taint-backed policy ran (None
-    /// when no policy touched the taint engine). Populated on
-    /// rejections too — the analysis that said "no" is part of the
-    /// verdict's accounting — and replayed on cache hits.
-    pub taint: Option<TaintStats>,
 }
 
 /// The in-enclave EnGarde state machine.
@@ -343,7 +332,7 @@ impl EngardeEnclave {
         self.manifest.is_some() && self.pages.iter().all(|p| p.is_some())
     }
 
-    fn reassemble(&self) -> Result<Vec<u8>, EngardeError> {
+    fn reassemble(&self) -> Result<(Vec<u8>, &ContentManifest), EngardeError> {
         let manifest = self
             .manifest
             .as_ref()
@@ -366,353 +355,220 @@ impl EngardeEnclave {
                 ),
             });
         }
-        Ok(image)
+        Ok((image, manifest))
     }
 
-    /// Runs the full inspection pipeline over the received content:
-    /// page-kind verification (mixed pages rejected), disassembly,
-    /// policy checking, and — if compliant — loading/relocation into
-    /// the client region.
+    /// Inspects the received content and signs the verdict. The
+    /// declared page kinds are verified against the bytes (mixed pages
+    /// are rejected). The judgement comes from `cache` on a hit, else
+    /// from disassembly and policy checking, with the stack-protector
+    /// rewrite when the spec enables it. A compliant judgement is then
+    /// loaded and relocated into the client region.
     ///
-    /// Always produces a signed verdict; structural and policy failures
-    /// yield `compliant = false` rather than an `Err` (errors are
-    /// reserved for protocol-level problems such as missing content).
+    /// Structural, policy and mapping failures yield a signed rejection,
+    /// not an `Err`. The cache key binds the spec's bootstrap bytes to
+    /// the SHA-256 of the reassembled image (see [`crate::cache`]); every
+    /// probe charges [`costs::CACHE_PROBE`], reported in the disassembly
+    /// column. A miss inserts its judgement after mapping, unless the
+    /// rewriting extension made it compliant: that verdict describes the
+    /// rewritten image, not the bytes behind the key.
     ///
     /// # Errors
     ///
-    /// Returns an error only when the content is incomplete or the
-    /// verdict cannot be signed.
-    pub fn inspect(&mut self, machine: &mut SgxMachine) -> Result<InspectionOutcome, EngardeError> {
-        self.inspect_with_cache(machine, None)
-    }
-
-    /// [`inspect`](Self::inspect) with an optional content-addressed
-    /// verdict cache.
-    ///
-    /// The cache key is derived from the serialized bootstrap spec and
-    /// the SHA-256 of the fully reassembled image (see
-    /// [`crate::cache`]); every probe charges
-    /// [`costs::CACHE_PROBE`] to the machine counter, hit or miss. A hit
-    /// replays the cached disassembly+policy verdict — the session still
-    /// pays its own receive/decrypt cycles, re-verifies the declared
-    /// page kinds against the actual bytes (fail closed), and performs a
-    /// fresh loading/relocation pass into its own region. Verdicts
-    /// reached through the rewriting extension are never cached, and
-    /// protocol/SGX errors never produce cache entries.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`inspect`](Self::inspect).
-    pub fn inspect_with_cache(
-        &mut self,
+    /// Incomplete content, page kinds that do not match the content,
+    /// other protocol violations, SGX failures, and signing failures.
+    /// None of them is cached.
+    pub fn inspect(
+        &self,
         machine: &mut SgxMachine,
         cache: Option<&SharedVerdictCache>,
     ) -> Result<InspectionOutcome, EngardeError> {
-        let image = self.reassemble()?;
+        let (image, manifest) = self.reassemble()?;
         let content_digest = Sha256::digest(&image);
-        let manifest = self.manifest.as_ref().expect("reassemble checked this");
+        let probe = cache.map(|cache| {
+            machine.counter_mut().charge_native(costs::CACHE_PROBE);
+            let key = CacheKey::derive(&self.spec.to_bootstrap_bytes(), &content_digest);
+            (cache, key)
+        });
+        let hit = probe
+            .as_ref()
+            .and_then(|(cache, key)| lock_cache(cache).lookup(key));
+        let cache_hit = hit.is_some();
+        let mut judgement = hit.unwrap_or_default();
         let mut stages = StageCycles {
             receive_decrypt: self.receive_cycles,
             ..Default::default()
         };
+        let mut rewritten = false;
 
-        // ---- verdict-cache probe -------------------------------------
-        // The key binds the *reassembled content's* measurement (never a
-        // manifest field) together with the full EnGarde configuration.
-        let cache_key = cache.map(|_| {
-            machine.counter_mut().charge_native(costs::CACHE_PROBE);
-            CacheKey::derive(&self.spec.to_bootstrap_bytes(), &content_digest)
-        });
-        let cached = match (cache, cache_key.as_ref()) {
-            (Some(cache), Some(key)) => lock_cache(cache).lookup(key),
-            _ => None,
-        };
-        if let Some(cached) = cached {
-            return self.replay_cached(machine, &image, manifest, stages, cached, &content_digest);
-        }
-
-        // The staging region the decrypted client content occupies —
-        // a taint source on top of the loader's channel-key range.
-        let decrypted_content_range = SecretRange {
-            start: self.spec.client_region_base(self.base),
-            end: self.spec.client_region_base(self.base)
-                + (self.spec.client_region_pages * PAGE_SIZE) as u64,
-            class: SecretClass::DecryptedContent,
-        };
-
-        let run = |machine: &mut SgxMachine,
-                   stages: &mut StageCycles,
-                   taint: &mut Option<TaintStats>|
-         -> Result<
-            (Vec<PolicyReport>, MappedSegments, usize, String, bool),
-            EngardeError,
-        > {
-            // ---- page-kind verification --------------------------------
-            let pre_parse = engarde_elf::parse::ElfFile::parse(&image)?;
-            let kinds = classify_pages(&section_extents(&pre_parse), image.len())?;
-            if kinds != manifest.page_kinds {
+        let mapped = (|| -> Result<Vec<u64>, EngardeError> {
+            // Fail closed, hit or miss: a cached verdict vouches for the
+            // content, not for this session's framing of it.
+            let elf = engarde_elf::parse::ElfFile::parse(&image)?;
+            if classify_pages(&section_extents(&elf), image.len())? != manifest.page_kinds {
                 return Err(EngardeError::Protocol {
                     what: "client-declared page kinds do not match the content".into(),
                 });
             }
-
-            // ---- disassembly ---------------------------------------------
+            let rewrite = if cache_hit {
+                None
+            } else {
+                self.judge(machine, &image, &mut stages, &mut judgement)?
+            };
+            rewritten = rewrite.is_some();
+            if !judgement.compliant {
+                return Ok(Vec::new());
+            }
+            // Loading and relocation are per-enclave work a hit never
+            // skips.
+            let (elf, image) = rewrite
+                .as_ref()
+                .map_or((&elf, &image[..]), |l| (&l.elf, &l.raw_image[..]));
             let snap = *machine.counter();
-            let mut loaded = load(machine, self.enclave, &image, &self.spec.loader)?;
-            loaded.secret_ranges.push(decrypted_content_range);
-            stages.disassembly = machine.counter().since(&snap);
+            let mapping = map_and_relocate(
+                machine,
+                self.enclave,
+                elf,
+                image,
+                self.spec.client_region_base(self.base),
+                self.spec.client_region_pages,
+            )?;
+            stages.loading_relocation = machine.counter().since(&snap);
+            Ok(mapping.exec_pages)
+        })();
+        let exec_pages = match mapped {
+            Ok(pages) => pages,
+            Err(e @ (EngardeError::Protocol { .. } | EngardeError::Sgx(_))) => return Err(e),
+            Err(reason) => {
+                // The judgement's cycles and taint counters stay: the
+                // analysis that said "no" is part of the accounting.
+                judgement = CachedVerdict {
+                    compliant: false,
+                    detail: reason.to_string(),
+                    policy_reports: Vec::new(),
+                    instructions: 0,
+                    ..judgement
+                };
+                Vec::new()
+            }
+        };
 
-            // ---- policy checking -------------------------------------------
-            let snap = *machine.counter();
-            let mut rewritten = false;
-            let analysis_cache = AnalysisCache::new();
-            let reports = match run_policies_with_cache(
-                &self.policies,
-                &loaded,
-                machine.counter_mut(),
-                &analysis_cache,
-            ) {
-                Ok(reports) => {
-                    *taint = analysis_cache.taint_stats();
-                    reports
-                }
+        // Rejections are deterministic functions of (content,
+        // configuration) too, so a fleet re-submitting a non-compliant
+        // binary re-hears "no" without re-paying the analysis.
+        if let (Some((cache, key)), false) = (probe, cache_hit) {
+            if !(rewritten && judgement.compliant) {
+                let verdict = CachedVerdict {
+                    disassembly_cycles: stages.disassembly,
+                    policy_cycles: stages.policy_checking,
+                    ..judgement.clone()
+                };
+                lock_cache(cache).insert(key, verdict);
+            }
+        }
+        if cache.is_some() {
+            stages.disassembly += costs::CACHE_PROBE;
+        }
+        // Same detail, same digest, the session's own key: a replayed
+        // verdict signs exactly the bytes a cold inspection would.
+        let verdict = self.sign_verdict(judgement.compliant, &judgement.detail, &content_digest)?;
+        Ok(InspectionOutcome {
+            view: ProviderView {
+                compliant: judgement.compliant,
+                exec_pages,
+                stages,
+                instructions: if judgement.compliant {
+                    judgement.instructions
+                } else {
+                    0
+                },
+                cache_hit,
+                taint: judgement.taint,
+            },
+            verdict,
+        })
+    }
+
+    /// Disassembly and policy checking: the judgement a cache miss pays
+    /// for. Fills the two analysis columns of `stages` as each stage
+    /// completes, and `judgement` with the compliant verdict. A policy
+    /// run that fails still leaves its memo's taint counters there.
+    /// Returns the rewritten binary when the stack-protector rewrite
+    /// produced the verdict.
+    fn judge(
+        &self,
+        machine: &mut SgxMachine,
+        image: &[u8],
+        stages: &mut StageCycles,
+        judgement: &mut CachedVerdict,
+    ) -> Result<Option<LoadedBinary>, EngardeError> {
+        // The staging region the decrypted client content occupies — a
+        // taint source on top of the loader's channel-key range.
+        let region = self.spec.client_region_base(self.base);
+        let decrypted_content = SecretRange {
+            start: region,
+            end: region + (self.spec.client_region_pages * PAGE_SIZE) as u64,
+            class: SecretClass::DecryptedContent,
+        };
+        let load_binary = |machine: &mut SgxMachine, image: &[u8]| {
+            let mut loaded = load(machine, self.enclave, image, &self.spec.loader)?;
+            loaded.secret_ranges.push(decrypted_content);
+            Ok::<_, EngardeError>(loaded)
+        };
+
+        let snap = *machine.counter();
+        let mut loaded = load_binary(machine, image)?;
+        stages.disassembly = machine.counter().since(&snap);
+
+        let snap = *machine.counter();
+        let memo = AnalysisCache::new();
+        let mut rewritten = false;
+        let reports =
+            match run_policies_with_cache(&self.policies, &loaded, machine.counter_mut(), &memo) {
                 // The runtime-instrumentation extension: a missing
-                // stack-protector is fixable by rewriting; anything
-                // else stays a rejection.
+                // stack-protector is fixable by rewriting; anything else
+                // stays a rejection.
                 Err(EngardeError::PolicyViolation {
                     policy: "stack-protection",
                     ..
                 }) if self.spec.rewrite_non_compliant => {
                     let (new_image, _report) =
                         crate::rewrite::StackProtectorRewriter::new().rewrite(&loaded)?;
-                    loaded = load(machine, self.enclave, &new_image, &self.spec.loader)?;
-                    loaded.secret_ranges.push(decrypted_content_range);
+                    loaded = load_binary(machine, &new_image)?;
                     rewritten = true;
-                    // A fresh cache: the old memo describes the
-                    // pre-rewrite image, not the one now being judged.
-                    let rewrite_cache = AnalysisCache::new();
+                    // A fresh memo: the old one describes the pre-rewrite
+                    // image, not the one now being judged.
+                    let memo = AnalysisCache::new();
                     let result = run_policies_with_cache(
                         &self.policies,
                         &loaded,
                         machine.counter_mut(),
-                        &rewrite_cache,
+                        &memo,
                     );
-                    *taint = rewrite_cache.taint_stats();
+                    judgement.taint = memo.taint_stats();
                     result?
                 }
-                Err(e) => {
-                    // The analysis that produced the rejection is still
-                    // part of the verdict's accounting.
-                    *taint = analysis_cache.taint_stats();
-                    return Err(e);
+                result => {
+                    judgement.taint = memo.taint_stats();
+                    result?
                 }
             };
-            stages.policy_checking = machine.counter().since(&snap);
+        stages.policy_checking = machine.counter().since(&snap);
 
-            // ---- loading & relocation ----------------------------------------
-            let snap = *machine.counter();
-            let region_base = self.spec.client_region_base(self.base);
-            let mapping = map_and_relocate(
-                machine,
-                self.enclave,
-                &loaded.elf,
-                &loaded.raw_image,
-                region_base,
-                self.spec.client_region_pages,
-            )?;
-            stages.loading_relocation = machine.counter().since(&snap);
-            let mut summary = reports
-                .iter()
-                .map(|r| format!("{}: {} items", r.policy, r.items_checked))
-                .collect::<Vec<_>>()
-                .join("; ");
-            if rewritten {
-                summary = format!("rewritten with canary instrumentation; {summary}");
-            }
-            Ok((reports, mapping, loaded.insns.len(), summary, rewritten))
+        let summary = reports
+            .iter()
+            .map(|r| format!("{}: {} items", r.policy, r.items_checked))
+            .collect::<Vec<_>>()
+            .join("; ");
+        judgement.compliant = true;
+        judgement.detail = if rewritten {
+            format!("rewritten with canary instrumentation; {summary}")
+        } else {
+            summary
         };
-
-        let mut taint_stats = None;
-        let result = run(machine, &mut stages, &mut taint_stats);
-        match result {
-            Ok((reports, mapping, instructions, summary, rewritten)) => {
-                // Cache the verdict — unless the rewriting extension
-                // produced it, in which case it describes the *rewritten*
-                // image, not the bytes behind the key.
-                if let (Some(cache), Some(key), false) = (cache, cache_key, rewritten) {
-                    lock_cache(cache).insert(
-                        key,
-                        CachedVerdict {
-                            compliant: true,
-                            detail: summary.clone(),
-                            policy_reports: reports.clone(),
-                            disassembly_cycles: stages.disassembly,
-                            policy_cycles: stages.policy_checking,
-                            instructions,
-                            taint: taint_stats,
-                        },
-                    );
-                }
-                // The probe preceded the stage snapshots; fold its cost
-                // into the disassembly column the way a hit reports it.
-                if cache_key.is_some() {
-                    stages.disassembly += costs::CACHE_PROBE;
-                }
-                let verdict = self.sign_verdict(true, &summary, &content_digest)?;
-                Ok(InspectionOutcome {
-                    compliant: true,
-                    policy_reports: reports,
-                    verdict,
-                    exec_pages: mapping.exec_pages.clone(),
-                    mapping: Some(mapping),
-                    stages,
-                    instructions,
-                    cache_hit: false,
-                    taint: taint_stats,
-                })
-            }
-            Err(e @ (EngardeError::Protocol { .. } | EngardeError::Sgx(_))) => Err(e),
-            Err(reason) => {
-                let detail = reason.to_string();
-                // Rejections are deterministic functions of (content,
-                // configuration), so they are cacheable too: a fleet
-                // re-submitting a non-compliant binary re-hears "no"
-                // without re-paying the analysis that said it.
-                if let (Some(cache), Some(key)) = (cache, cache_key) {
-                    lock_cache(cache).insert(
-                        key,
-                        CachedVerdict {
-                            compliant: false,
-                            detail: detail.clone(),
-                            policy_reports: Vec::new(),
-                            disassembly_cycles: stages.disassembly,
-                            policy_cycles: stages.policy_checking,
-                            instructions: 0,
-                            taint: taint_stats,
-                        },
-                    );
-                }
-                if cache_key.is_some() {
-                    stages.disassembly += costs::CACHE_PROBE;
-                }
-                let verdict = self.sign_verdict(false, &detail, &content_digest)?;
-                Ok(InspectionOutcome {
-                    compliant: false,
-                    policy_reports: Vec::new(),
-                    verdict,
-                    exec_pages: Vec::new(),
-                    mapping: None,
-                    stages,
-                    instructions: 0,
-                    cache_hit: false,
-                    taint: taint_stats,
-                })
-            }
-        }
-    }
-
-    /// The cache-hit path: fail-closed structural verification plus a
-    /// fresh mapping, with the disassembly+policy verdict replayed.
-    fn replay_cached(
-        &self,
-        machine: &mut SgxMachine,
-        image: &[u8],
-        manifest: &ContentManifest,
-        mut stages: StageCycles,
-        cached: CachedVerdict,
-        content_digest: &Digest,
-    ) -> Result<InspectionOutcome, EngardeError> {
-        // The probe is the only analysis work a hit performs; report it
-        // in the disassembly column so no stage reads as free.
-        stages.disassembly = costs::CACHE_PROBE;
-
-        let replay = |machine: &mut SgxMachine,
-                      stages: &mut StageCycles|
-         -> Result<Option<MappedSegments>, EngardeError> {
-            // Fail closed: the cached verdict vouches for the *content*,
-            // not for this session's framing — re-verify that the pages
-            // the client declared match the bytes it actually sent.
-            let pre_parse = engarde_elf::parse::ElfFile::parse(image)?;
-            let kinds = classify_pages(&section_extents(&pre_parse), image.len())?;
-            if kinds != manifest.page_kinds {
-                return Err(EngardeError::Protocol {
-                    what: "client-declared page kinds do not match the content".into(),
-                });
-            }
-            if !cached.compliant {
-                return Ok(None);
-            }
-            // A fresh mapping into *this* session's region: loading and
-            // relocation are per-enclave work a hit can never skip.
-            let snap = *machine.counter();
-            let region_base = self.spec.client_region_base(self.base);
-            let mapping = map_and_relocate(
-                machine,
-                self.enclave,
-                &pre_parse,
-                image,
-                region_base,
-                self.spec.client_region_pages,
-            )?;
-            stages.loading_relocation = machine.counter().since(&snap);
-            Ok(Some(mapping))
-        };
-
-        match replay(machine, &mut stages) {
-            Ok(Some(mapping)) => {
-                debug_assert!(
-                    stages.receive_decrypt > 0 && stages.loading_relocation > 0,
-                    "a cache hit must still pay receive/decrypt and loading/relocation"
-                );
-                // Identical detail + identical content digest + the
-                // session's own deterministic key → the signature is
-                // bit-identical to what a cold inspection would sign.
-                let verdict = self.sign_verdict(true, &cached.detail, content_digest)?;
-                Ok(InspectionOutcome {
-                    compliant: true,
-                    policy_reports: cached.policy_reports,
-                    verdict,
-                    exec_pages: mapping.exec_pages.clone(),
-                    mapping: Some(mapping),
-                    stages,
-                    instructions: cached.instructions,
-                    cache_hit: true,
-                    taint: cached.taint,
-                })
-            }
-            Ok(None) => {
-                let verdict = self.sign_verdict(false, &cached.detail, content_digest)?;
-                Ok(InspectionOutcome {
-                    compliant: false,
-                    policy_reports: Vec::new(),
-                    verdict,
-                    exec_pages: Vec::new(),
-                    mapping: None,
-                    stages,
-                    instructions: 0,
-                    cache_hit: true,
-                    taint: cached.taint,
-                })
-            }
-            Err(e @ (EngardeError::Protocol { .. } | EngardeError::Sgx(_))) => Err(e),
-            Err(reason) => {
-                // E.g. the region cannot hold the segments. Same
-                // handling as the cold path: a signed rejection.
-                let detail = reason.to_string();
-                let verdict = self.sign_verdict(false, &detail, content_digest)?;
-                Ok(InspectionOutcome {
-                    compliant: false,
-                    policy_reports: Vec::new(),
-                    verdict,
-                    exec_pages: Vec::new(),
-                    mapping: None,
-                    stages,
-                    instructions: 0,
-                    cache_hit: true,
-                    taint: cached.taint,
-                })
-            }
-        }
+        judgement.policy_reports = reports;
+        judgement.instructions = loaded.insns.len();
+        Ok(rewritten.then_some(loaded))
     }
 
     fn sign_verdict(

@@ -13,7 +13,7 @@ use crate::error::{is_retryable, EvictReason, ServeError};
 use crate::faults::{self, FaultDirective, FaultKind};
 use crate::metrics::{EventKind, FaultStage, ServeMetrics};
 use crate::session::{SessionFsm, SessionPhase, SessionRequest};
-use engarde_core::cache::SharedVerdictCache;
+use engarde_core::cache::{CacheKey, SharedVerdictCache};
 use engarde_core::protocol::SignedVerdict;
 use engarde_core::provider::CloudProvider;
 use engarde_core::provision::StageCycles;
@@ -215,17 +215,17 @@ pub(crate) struct QueuedSession {
 pub(crate) struct WorkItem {
     /// Shard whose deque this item was admitted to.
     pub home: usize,
-    /// The shared admission key, for joinable batches; `None` for
-    /// sessions excluded from batching (stalls, oversized binaries, or
-    /// batching disabled).
-    pub batch_key: Option<[u8; 32]>,
+    /// The shared admission key (the sessions' verdict-cache key), for
+    /// joinable batches; `None` for sessions excluded from batching
+    /// (stalls, oversized binaries, or batching disabled).
+    pub batch_key: Option<CacheKey>,
     /// The sessions, in join order — the first is the batch leader.
     pub sessions: Vec<QueuedSession>,
 }
 
 impl WorkItem {
     /// Whether `key` may join this queued item under `policy`.
-    pub fn can_join(&self, key: &[u8; 32], policy: &BatchPolicy) -> bool {
+    pub fn can_join(&self, key: &CacheKey, policy: &BatchPolicy) -> bool {
         self.batch_key.as_ref() == Some(key) && self.sessions.len() < policy.max_sessions
     }
 }
@@ -306,7 +306,7 @@ impl WorkDeques {
     /// first — an older batch is closer to running and joining it
     /// would race its start in threaded mode). Returns a mutable
     /// handle so the caller can append the joining session.
-    pub fn find_joinable(&mut self, key: &[u8; 32], policy: &BatchPolicy) -> Option<&mut WorkItem> {
+    pub fn find_joinable(&mut self, key: &CacheKey, policy: &BatchPolicy) -> Option<&mut WorkItem> {
         // Two passes to appease the borrow checker: locate, then borrow.
         let mut found = None;
         'outer: for (d, deque) in self.deques.iter().enumerate() {

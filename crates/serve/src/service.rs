@@ -39,7 +39,7 @@ use crate::pool::{
     WorkItem,
 };
 use crate::session::SessionRequest;
-use engarde_core::cache::{lock_cache, shared_cache, SharedVerdictCache};
+use engarde_core::cache::{lock_cache, shared_cache, CacheKey, SharedVerdictCache};
 use engarde_core::provision::StageCycles;
 use engarde_crypto::sha256::Sha256;
 use engarde_sgx::machine::MachineConfig;
@@ -703,7 +703,7 @@ impl ProvisioningService {
 /// off, the policy cannot hold two sessions, the binary is too large,
 /// or the session stalls (a stalling client inside a batch would hold
 /// its followers hostage on one worker).
-fn batchable_key(req: &SessionRequest, policy: Option<&BatchPolicy>) -> Option<[u8; 32]> {
+fn batchable_key(req: &SessionRequest, policy: Option<&BatchPolicy>) -> Option<CacheKey> {
     let policy = policy?;
     if policy.max_sessions < 2 || req.stall_after.is_some() || req.binary.len() > policy.max_bytes {
         return None;

@@ -18,6 +18,7 @@
 
 use crate::error::ServeError;
 use crate::faults::{self, FaultDirective};
+use engarde_core::cache::CacheKey;
 use engarde_core::client::Client;
 use engarde_core::policy::PolicyModule;
 use engarde_core::protocol::SignedVerdict;
@@ -58,23 +59,17 @@ pub struct SessionRequest {
 }
 
 impl SessionRequest {
-    /// The admission-time batch key: SHA-256 over a domain tag, the
-    /// length-prefixed bootstrap bytes, and the client binary. Two
-    /// requests with the same key provision identical enclave content
-    /// under the same spec, so one inspection's verdict serves both via
-    /// the content-addressed cache — which is exactly what batch
-    /// admission exploits. (The verdict cache's own key hashes the
-    /// *reassembled* content; this one is computable before any
-    /// delivery happens, from the request alone.)
-    pub fn admission_key(&self) -> [u8; 32] {
-        let bootstrap = self.spec.to_bootstrap_bytes();
-        let mut h = Sha256::new();
-        h.update(b"ENGARDE-BATCH-ADMISSION-V1");
-        h.update(&(bootstrap.len() as u64).to_be_bytes());
-        h.update(&bootstrap);
-        h.update(&(self.binary.len() as u64).to_be_bytes());
-        h.update(&self.binary);
-        h.finalize().0
+    /// The admission-time batch key: the verdict-cache key of this
+    /// request's (spec, binary) pair. The image EnGarde reassembles is
+    /// the binary, so two requests with the same key provision identical
+    /// content under the same spec, and one inspection's cached verdict
+    /// serves both, which is what batch admission exploits. Computable
+    /// from the request alone, before any delivery.
+    pub fn admission_key(&self) -> CacheKey {
+        CacheKey::derive(
+            &self.spec.to_bootstrap_bytes(),
+            &Sha256::digest(&self.binary),
+        )
     }
 }
 

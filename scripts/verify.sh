@@ -182,6 +182,24 @@ for fig in fig3_library_linking fig4_stack_protection fig5_ifcc; do
 done
 echo "OK: Figs. 3-5 byte-identical to tests/expected"
 
+echo "== gate: BENCH_*.json regenerate identically =="
+# Every committed artifact is a pure function of the source (model
+# cycles, never wall clock). Each bench bin reruns at default flags into
+# target/ and must equal its committed file under `jq -S`. The one racy
+# block, BENCH_serve.json's wall-clock `threaded` run, is dropped from
+# both sides; the serve smoke step above asserts its invariants.
+for bench in verdict_cache:cache fault_recovery:faults taint_analysis:analysis \
+        store_warmstart:store serve_throughput:serve; do
+    bin=bench_${bench%%:*}
+    artifact=BENCH_${bench##*:}.json
+    cargo run --release --offline -q -p engarde-bench --bin "$bin" -- --out "target/$artifact"
+    filter=.
+    [ "$artifact" = BENCH_serve.json ] && filter='del(.threaded)'
+    diff <(jq -S "$filter" "$artifact") <(jq -S "$filter" "target/$artifact") \
+        || { echo "FAIL: $bin output differs from the committed $artifact" >&2; exit 1; }
+done
+echo "OK: five BENCH_*.json artifacts regenerate identically"
+
 echo "== gate: no unwrap/expect in hostile-input/serve non-test code =="
 # The parser faces hostile bytes, the analysis/policy engines chew on
 # attacker-shaped binaries, the serve path faces injected faults, and
@@ -192,6 +210,9 @@ panic_free_files=(
     crates/elf/src/parse.rs
     crates/core/src/cache.rs
     crates/core/src/exec.rs
+    crates/core/src/protocol.rs
+    crates/core/src/provider.rs
+    crates/core/src/provision.rs
     crates/core/src/analysis/*.rs
     crates/core/src/policy/*.rs
     crates/serve/src/error.rs

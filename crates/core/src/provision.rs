@@ -477,11 +477,7 @@ impl EngardeEnclave {
                 compliant: judgement.compliant,
                 exec_pages,
                 stages,
-                instructions: if judgement.compliant {
-                    judgement.instructions
-                } else {
-                    0
-                },
+                instructions: judgement.instructions,
                 cache_hit,
                 taint: judgement.taint,
             },

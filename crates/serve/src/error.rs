@@ -50,8 +50,6 @@ pub enum ServeError {
         /// Queue depth observed at rejection.
         queue_depth: usize,
     },
-    /// The service is draining and accepts no new sessions.
-    ShuttingDown,
     /// The service evicted the session.
     Evicted {
         /// Why.
@@ -95,7 +93,6 @@ impl fmt::Display for ServeError {
             ServeError::Busy { queue_depth } => {
                 write!(f, "service busy: queue depth {queue_depth}")
             }
-            ServeError::ShuttingDown => write!(f, "service is shutting down"),
             ServeError::Evicted { reason } => write!(f, "session evicted: {reason}"),
             ServeError::RetriesExhausted { attempts, last } => {
                 write!(f, "retries exhausted after {attempts} attempts: {last}")
@@ -182,7 +179,7 @@ mod tests {
             what: "insn buffer",
         });
         assert!(is_transient(&oom));
-        assert!(!is_transient(&ServeError::ShuttingDown));
+        assert!(!is_transient(&ServeError::PoolDead));
         assert!(!is_transient(&ServeError::Engarde(
             EngardeError::Protocol { what: "x".into() }
         )));

@@ -16,7 +16,7 @@
 
 use engarde_core::provision::{BootstrapSpec, DEFAULT_ENCLAVE_BASE};
 use engarde_sgx::machine::{MachineConfig, SgxMachine};
-use engarde_store::SealKey;
+use engarde_store::{SealKey, StoreOptions};
 use std::path::PathBuf;
 
 /// The EGETKEY label under which the service seals its verdict store.
@@ -65,6 +65,15 @@ impl StoreConfig {
             segment_max_records: 256,
             compact_on_drain: false,
             compact_live_per_mille: 0,
+        }
+    }
+
+    /// The store's own tuning knobs, as [`engarde_store::VerdictStore::open`]
+    /// takes them.
+    pub fn options(&self) -> StoreOptions {
+        StoreOptions {
+            segment_max_records: self.segment_max_records.max(1),
+            compact_live_per_mille: self.compact_live_per_mille,
         }
     }
 }

@@ -4,8 +4,9 @@
 //!
 //! A shard is the unit of parallelism: providers are not `Send`-shared —
 //! every shard's machine lives on exactly one worker (threaded mode) or
-//! is driven round-robin by the virtual-time scheduler. Either way the
-//! per-session logic is identical and lives in [`Shard::run_session`].
+//! is driven by the virtual-time event loop. Either way the per-session
+//! logic is identical and lives in [`Shard::run_session`]; the scheduler
+//! core in [`crate::service`] runs items of sessions on a shard.
 //!
 //! [`SgxMachine`]: engarde_sgx::machine::SgxMachine
 
@@ -95,6 +96,36 @@ pub struct SessionReport {
 }
 
 impl SessionReport {
+    /// A report for a session that reached no verdict: shed by the
+    /// breaker, lost to a worker death, failed or evicted mid-protocol,
+    /// or left queued on a dead fleet (`shard` is `usize::MAX` then).
+    pub(crate) fn without_verdict(
+        name: String,
+        shard: usize,
+        outcome: SessionOutcome,
+        cycles: u64,
+        wall_nanos: u64,
+        retries: u32,
+    ) -> Self {
+        SessionReport {
+            name,
+            shard,
+            outcome,
+            stages: StageCycles::default(),
+            cycles,
+            latency_cycles: cycles,
+            wall_nanos,
+            retries,
+            blocks_delivered: 0,
+            enclave_key_fp: None,
+            measurement: None,
+            verdict: None,
+            client_verified: false,
+            instructions: 0,
+            cache_hit: false,
+        }
+    }
+
     /// Whether the session reached a verdict (either polarity).
     pub fn reached_verdict(&self) -> bool {
         matches!(
@@ -438,17 +469,9 @@ impl Shard {
     /// delivery (with stall/budget eviction), inspection, and teardown
     /// or retention — retrying transient EPC-pressure failures within
     /// `cfg.retry_budget`.
-    pub fn run_session(
-        &mut self,
-        req: &SessionRequest,
-        cfg: &SessionRunConfig,
-        metrics: &ServeMetrics,
-    ) -> SessionReport {
-        self.run_session_with_fault(req, cfg, metrics, None)
-    }
-
-    /// [`Shard::run_session`] with an optional injected fault. The
-    /// directive applies to the *first* attempt only: retries re-seal
+    ///
+    /// An optional injected fault `directive` applies to the *first*
+    /// attempt only: retries re-seal
     /// the content from the client seed, so transport faults are
     /// recoverable by design, while resource faults (EPC pressure)
     /// persist on the provider until their spike drains.
@@ -458,7 +481,7 @@ impl Shard {
     /// attempt → recovered (verdict reached) or evicted (terminal
     /// typed rejection). No path panics and no path signs a verdict
     /// over tampered content — tampering dies in the channel layer.
-    pub fn run_session_with_fault(
+    pub fn run_session(
         &mut self,
         req: &SessionRequest,
         cfg: &SessionRunConfig,
@@ -483,7 +506,14 @@ impl Shard {
                         metrics.record_fault(d.kind, FaultStage::Injected);
                         metrics.record_fault(d.kind, FaultStage::Evicted);
                     }
-                    return self.bare_report(req, SessionOutcome::Shed, 0, wall_start, 0);
+                    return SessionReport::without_verdict(
+                        req.name.clone(),
+                        self.index,
+                        SessionOutcome::Shed,
+                        0,
+                        wall_start.elapsed().as_nanos() as u64,
+                        0,
+                    );
                 }
                 // Cooldown elapsed: half-open, this session probes.
                 self.breaker_open_until = None;
@@ -516,11 +546,12 @@ impl Shard {
                 let rendered = ServeError::WorkerLost.to_string();
                 metrics.record(EventKind::Failed, &req.name, Some(self.index), &rendered);
                 let cycles = self.total_cycles() - start_cycles;
-                return self.bare_report(
-                    req,
+                return SessionReport::without_verdict(
+                    req.name.clone(),
+                    self.index,
                     SessionOutcome::Failed { error: rendered },
                     cycles,
-                    wall_start,
+                    wall_start.elapsed().as_nanos() as u64,
                     0,
                 );
             }
@@ -701,53 +732,15 @@ impl Shard {
                         SessionOutcome::Failed { error: rendered }
                     }
                 };
-                SessionReport {
-                    name: req.name.clone(),
-                    shard: self.index,
+                SessionReport::without_verdict(
+                    req.name.clone(),
+                    self.index,
                     outcome,
-                    stages: StageCycles::default(),
                     cycles,
-                    latency_cycles: cycles,
                     wall_nanos,
                     retries,
-                    blocks_delivered: 0,
-                    enclave_key_fp: None,
-                    measurement: None,
-                    verdict: None,
-                    client_verified: false,
-                    instructions: 0,
-                    cache_hit: false,
-                }
+                )
             }
-        }
-    }
-
-    /// A verdict-less report for sessions that never ran the protocol
-    /// (shed by the breaker, or lost to a worker death).
-    fn bare_report(
-        &self,
-        req: &SessionRequest,
-        outcome: SessionOutcome,
-        cycles: u64,
-        wall_start: std::time::Instant,
-        retries: u32,
-    ) -> SessionReport {
-        SessionReport {
-            name: req.name.clone(),
-            shard: self.index,
-            outcome,
-            stages: StageCycles::default(),
-            cycles,
-            latency_cycles: cycles,
-            wall_nanos: wall_start.elapsed().as_nanos() as u64,
-            retries,
-            blocks_delivered: 0,
-            enclave_key_fp: None,
-            measurement: None,
-            verdict: None,
-            client_verified: false,
-            instructions: 0,
-            cache_hit: false,
         }
     }
 

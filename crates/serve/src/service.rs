@@ -2,33 +2,37 @@
 //! fleet, with two interchangeable work-stealing scheduler backends.
 //!
 //! - **Virtual time** ([`SchedMode::VirtualTime`]): sessions "arrive" on
-//!   a fixed model-cycle cadence; admission queues each one (or batches
-//!   it with same-key peers) on a per-shard deque, and an incremental
-//!   event loop runs the fleet forward: the earliest-free live worker
-//!   pops its own deque, or steals a whole item from a victim chosen as
-//!   a pure function of `(seed, tick)` when its deque is empty.
-//!   Durations are the shards' actual machine cycle deltas, so
-//!   throughput, latency, queueing, and `Busy` rejections are all
-//!   functions of the cost model alone — bit-reproducible for a fixed
-//!   seed, independent of host load or core count. This is the repo's
-//!   headline measurement mode, consistent with every other
-//!   OpenSGX-style cycle figure.
+//!   a fixed model-cycle cadence, and an incremental event loop runs the
+//!   fleet forward: the earliest-free live worker pops its own deque, or
+//!   steals a whole item from a victim chosen as a pure function of
+//!   `(seed, tick)` when its deque is empty. Durations are the shards'
+//!   actual machine cycle deltas, so throughput, latency, queueing, and
+//!   `Busy` rejections are all functions of the cost model alone —
+//!   bit-reproducible for a fixed seed, independent of host load or
+//!   core count. This is the repo's headline measurement mode,
+//!   consistent with every other OpenSGX-style cycle figure.
 //! - **Threaded** ([`SchedMode::Threaded`]): real `std::thread` workers,
 //!   one deque per worker behind a shared mutex+condvar; an idle worker
-//!   steals from the deepest peer deque. Results come back over an
-//!   `mpsc` channel. Wall-clock numbers from this mode are auxiliary
-//!   (they depend on host cores) but exercise the actual concurrency:
-//!   machines are never shared, one per worker thread.
+//!   steals from the deepest peer deque. Wall-clock numbers from this
+//!   mode are auxiliary (they depend on host cores) but exercise the
+//!   actual concurrency: machines are never shared, one per worker
+//!   thread.
+//!
+//! Only three things differ between the backends: where the deques live
+//! (owned by the event loop, or behind the shared mutex), how a worker
+//! picks its next item (earliest-free worker with a seeded victim, or
+//! deepest-deque victim with the condvar), and the clock (virtual
+//! instants, or wall time). Everything else is one scheduler core that
+//! both call: admission (`Busy`, then `PoolDead`, then a batch join or a
+//! push to the home deque), item execution ([`Shard::run_session`] per
+//! session, timing, death-requeue), the write-behind store flush, and
+//! the drain tail. Both feed the same [`ServeMetrics`].
 //!
 //! Worker death is steal-aware in both backends: a dead worker's deque
 //! is *not* lost — its queued items stay stealable and peers drain
 //! them, so only the session that carried the death fault fails. Only a
 //! fully dead fleet turns queued sessions into typed `PoolDead`
 //! failures.
-//!
-//! Both backends share [`Shard::run_session`] for the per-session
-//! protocol, eviction, and retry logic, and feed the same
-//! [`ServeMetrics`].
 
 use crate::error::ServeError;
 use crate::faults::{self, FaultDirective, FaultKind, FaultPlan};
@@ -40,14 +44,11 @@ use crate::pool::{
 };
 use crate::session::SessionRequest;
 use engarde_core::cache::{lock_cache, shared_cache, CacheKey, SharedVerdictCache};
-use engarde_core::provision::StageCycles;
 use engarde_crypto::sha256::Sha256;
 use engarde_sgx::machine::MachineConfig;
-use engarde_store::{
-    chaos, StoreOptions, VerdictStore, STORE_FLUSH_PER_RECORD, STORE_HYDRATE_PER_RECORD,
-};
+use engarde_store::{chaos, VerdictStore, STORE_FLUSH_PER_RECORD, STORE_HYDRATE_PER_RECORD};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -207,10 +208,221 @@ impl ServiceResult {
 struct StoreState {
     store: VerdictStore,
     cfg: StoreConfig,
+    /// The fleet cache whose dirty log feeds the store (a store always
+    /// comes with a cache to hydrate into).
+    cache: SharedVerdictCache,
     /// Store faults scheduled by the fault plan during this run; they
     /// damage bytes at rest, so they are applied (and their recovery
     /// proven) at drain, after the final flush.
     pending_faults: Vec<FaultDirective>,
+}
+
+impl StoreState {
+    /// Takes the cache's dirty log and appends it to the store,
+    /// recording the flushed count, or a `StoreDegraded` event naming
+    /// `session`, `shard` and `what` failed. Returns the model cycles
+    /// the flush costs, or `None` when the append failed.
+    fn flush(
+        &mut self,
+        metrics: &ServeMetrics,
+        session: &str,
+        shard: Option<usize>,
+        what: &str,
+    ) -> Option<u64> {
+        let dirty = lock_cache(&self.cache).take_dirty();
+        let n = dirty.len() as u64;
+        match self.store.append_batch(&dirty) {
+            Ok(()) => {
+                metrics.record_store_flushed(n);
+                Some(n * STORE_FLUSH_PER_RECORD)
+            }
+            Err(e) => {
+                metrics.record(
+                    EventKind::StoreDegraded,
+                    session,
+                    shard,
+                    &format!("{what} failed: {e}"),
+                );
+                None
+            }
+        }
+    }
+}
+
+/// What both backends share: the configuration, the metrics, the fleet
+/// verdict cache, the store behind one lock, and the reports. Admission,
+/// item execution, the write-behind flush and the drain tail are its
+/// methods, so each exists once.
+struct Core {
+    cfg: ServiceConfig,
+    metrics: Arc<ServeMetrics>,
+    verdict_cache: Option<SharedVerdictCache>,
+    store: Mutex<Option<StoreState>>,
+    /// `(arrival_index, report)` for every finished session, in
+    /// completion order; drain sorts them.
+    reports: Mutex<Vec<(u64, SessionReport)>>,
+}
+
+impl Core {
+    /// Admission control: refuses with `Busy` when `queue_capacity`
+    /// sessions already wait, then with `PoolDead` when `fleet_dead`
+    /// (a *partially* dead fleet still admits: live peers steal from
+    /// dead shards' deques). An admitted session joins an open same-key
+    /// batch, or goes to its home deque: the tenant's shard hint, else
+    /// the backend's `fallback_home`.
+    fn admit(
+        &self,
+        work: &mut WorkDeques,
+        qs: QueuedSession,
+        fleet_dead: bool,
+        fallback_home: usize,
+    ) -> Result<(), ServeError> {
+        let name = qs.req.name.as_str();
+        let waiting = work.queued_sessions();
+        if waiting >= self.cfg.queue_capacity {
+            self.metrics.record(
+                EventKind::RejectedBusy,
+                name,
+                None,
+                &format!("queue depth {waiting}"),
+            );
+            return Err(ServeError::Busy {
+                queue_depth: waiting,
+            });
+        }
+        if fleet_dead {
+            self.metrics
+                .record(EventKind::Shed, name, None, "no live shards");
+            return Err(ServeError::PoolDead);
+        }
+        self.metrics.observe_queue_depth(waiting + 1);
+        self.metrics.record(EventKind::Admitted, name, None, "");
+        let batch_key = batchable_key(&qs.req, self.cfg.batch.as_ref());
+        if let (Some(key), Some(policy)) = (&batch_key, self.cfg.batch.as_ref()) {
+            if let Some(item) = work.find_joinable(key, policy) {
+                item.sessions.push(qs);
+                self.metrics.record_batch_join(item.sessions.len() as u64);
+                return Ok(());
+            }
+        }
+        let shards = self.cfg.shards.max(1);
+        let home = qs.req.shard_hint.map_or(fallback_home, |h| h % shards);
+        work.push(WorkItem {
+            home,
+            batch_key,
+            sessions: vec![qs],
+        });
+        self.metrics.observe_deque_depth(work.depth(home) as u64);
+        Ok(())
+    }
+
+    /// Runs one work item (a session or a whole batch) on `shard`,
+    /// records each session's timing and report, and flushes
+    /// write-behind after each. `clock` is the shard's virtual clock
+    /// (virtual time) or `None` (threaded, where the wall clock is
+    /// authoritative). If the shard dies mid-item, returns the unstarted
+    /// rest for the caller to requeue at the front of its deque, so live
+    /// peers steal and finish it.
+    fn run_item(
+        &self,
+        shard: &mut Shard,
+        item: WorkItem,
+        mut clock: Option<&mut u64>,
+    ) -> Option<WorkItem> {
+        let batch_key = item.batch_key;
+        let mut remaining = item.sessions.into_iter();
+        while let Some(qs) = remaining.next() {
+            let mut report =
+                shard.run_session(&qs.req, &self.cfg.run, &self.metrics, qs.directive.as_ref());
+            let mut wall_nanos = report.wall_nanos;
+            if let Some(pos) = clock.as_deref_mut() {
+                // A batch follower cannot start before it arrives: the
+                // leader may still be running (overlap is fine — the
+                // follower joined an in-flight batch), but its own start
+                // clamps to its arrival. Virtual timing stays a function
+                // of the cost model alone, so the wall clock is not
+                // recorded.
+                let end = (*pos).max(qs.arrival) + report.cycles;
+                report.latency_cycles = end - qs.arrival;
+                *pos = end;
+                wall_nanos = 0;
+            }
+            self.metrics.record_timing(
+                &report.stages,
+                report.cycles,
+                report.latency_cycles,
+                wall_nanos,
+            );
+            let flush_cycles = self.flush_write_behind(&qs.req.name, shard.index());
+            if let Some(pos) = clock.as_deref_mut() {
+                *pos += flush_cycles;
+            }
+            lock_recover(&self.reports).push((qs.arrival_index, report));
+            if shard.is_dead() {
+                // Steal-aware worker death: only the session that
+                // carried the fault failed; the rest of the batch goes
+                // back to the dead shard's deque for peers to drain.
+                let sessions: Vec<QueuedSession> = remaining.collect();
+                return (!sessions.is_empty()).then(|| WorkItem {
+                    home: shard.index(),
+                    batch_key,
+                    sessions,
+                });
+            }
+        }
+        None
+    }
+
+    /// Write-behind flush: once `flush_batch` fresh verdicts have
+    /// queued up, seal them to the store, so the dirty queue stays
+    /// bounded while the service runs. Returns the flush's model cycles
+    /// (virtual time charges them to the shard that just ran). A failed
+    /// flush detaches the store: persistence degrades, serving does not.
+    fn flush_write_behind(&self, session: &str, shard: usize) -> u64 {
+        let mut store = lock_recover(&self.store);
+        let Some(state) = store.as_mut() else {
+            return 0;
+        };
+        let depth = lock_cache(&state.cache).dirty_len();
+        self.metrics.observe_flush_queue_depth(depth as u64);
+        if depth < state.cfg.flush_batch.max(1) {
+            return 0;
+        }
+        let flushed = state.flush(&self.metrics, session, Some(shard), "write-behind flush");
+        if flushed.is_none() {
+            *store = None;
+        }
+        flushed.unwrap_or(0)
+    }
+
+    /// The drain tail: sessions still queued after the fleet stopped
+    /// (a fully dead fleet, or dead-shard deques with stealing off) get
+    /// typed `PoolDead` failure reports, not silence; then the store
+    /// finishes and the cache counters are mirrored. Returns the model
+    /// cycles the final flush cost.
+    fn finish(&self, unreachable: Vec<QueuedSession>) -> u64 {
+        let error = ServeError::PoolDead.to_string();
+        for qs in unreachable {
+            self.metrics
+                .record(EventKind::Failed, &qs.req.name, None, &error);
+            let report = SessionReport::without_verdict(
+                qs.req.name,
+                usize::MAX,
+                SessionOutcome::Failed {
+                    error: error.clone(),
+                },
+                0,
+                0,
+                0,
+            );
+            lock_recover(&self.reports).push((qs.arrival_index, report));
+        }
+        let store_cycles = finish_store(lock_recover(&self.store).take(), &self.metrics);
+        if let Some(cache) = &self.verdict_cache {
+            self.metrics.set_cache_stats(&lock_cache(cache).stats());
+        }
+        store_cycles
+    }
 }
 
 /// The virtual-time backend: an incremental discrete-event simulation.
@@ -230,11 +442,67 @@ struct VirtualState {
     /// Monotonic steal counter: victim choice is
     /// [`faults::steal_victim`]`(steal_seed, steal_tick, candidates)`.
     steal_tick: u64,
-    /// `(arrival_index, report)` — sorted back to submission order at
-    /// drain (stealing completes sessions out of order).
-    reports: Vec<(u64, SessionReport)>,
 }
 
+impl VirtualState {
+    /// The virtual-time event loop: repeatedly give the earliest-free
+    /// live worker that can reach work (own deque, or any deque when
+    /// stealing) its next item, until the fleet's next start would pass
+    /// `until` or no reachable work remains.
+    ///
+    /// Determinism: worker choice is a pure function of the
+    /// (deterministic) `free_at` vector; steal-victim choice is
+    /// [`faults::steal_victim`]`(seed, tick, candidates)` — a pure
+    /// function of the fleet seed and a monotonic counter. Nothing here
+    /// reads host state.
+    fn advance(&mut self, until: u64, core: &Core) {
+        loop {
+            let worker = (0..self.shards.len())
+                .filter(|&i| !self.shards[i].is_dead())
+                .filter(|&i| {
+                    self.work.depth(i) > 0 || (core.cfg.steal && !self.work.victims(i).is_empty())
+                })
+                .min_by_key(|&i| (self.free_at[i], i));
+            let Some(w) = worker else { break };
+            if self.free_at[w] > until {
+                break;
+            }
+            let item = match self.work.pop_own(w) {
+                Some(item) => item,
+                None => {
+                    let victims = self.work.victims(w);
+                    let pick =
+                        faults::steal_victim(self.steal_seed, self.steal_tick, victims.len());
+                    self.steal_tick += 1;
+                    let Some(&victim) = victims.get(pick) else {
+                        break;
+                    };
+                    let Some(item) = self.work.steal_from(victim) else {
+                        break;
+                    };
+                    core.metrics
+                        .record_steal(item.sessions.len() as u64, self.shards[victim].is_dead());
+                    item
+                }
+            };
+            let clock = Some(&mut self.free_at[w]);
+            if let Some(rest) = core.run_item(&mut self.shards[w], item, clock) {
+                self.work.push_front(w, rest);
+            }
+        }
+    }
+
+    /// The fallback home rule: the live shard that could start a
+    /// session arriving at `arrival` soonest.
+    fn earliest_free(&self, arrival: u64) -> usize {
+        (0..self.shards.len())
+            .filter(|&i| !self.shards[i].is_dead())
+            .min_by_key(|&i| (self.free_at[i].max(arrival), i))
+            .unwrap_or(0)
+    }
+}
+
+/// The threaded backend's queue.
 struct SharedQueue {
     /// Per-worker deques behind one lock: contention is irrelevant at
     /// fleet sizes of single-digit shards, and a single lock keeps the
@@ -252,6 +520,50 @@ struct SharedQueue {
     dead: Box<[AtomicBool]>,
 }
 
+impl SharedQueue {
+    /// Worker `index`'s next item: its own deque first, else (when
+    /// `steal`) the front of the deepest peer deque, waiting on the
+    /// condvar while there is none. `None` once shutdown leaves no
+    /// reachable work.
+    ///
+    /// Wall-clock steal order is inherently racy, so the threaded
+    /// victim rule is load-based (deepest deque, ties to the lowest
+    /// index) rather than seeded; determinism claims live entirely in
+    /// the virtual-time backend.
+    fn next_item(&self, index: usize, steal: bool, metrics: &ServeMetrics) -> Option<WorkItem> {
+        let mut work = lock_recover(&self.work);
+        loop {
+            if let Some(item) = work.pop_own(index) {
+                return Some(item);
+            }
+            if steal {
+                let victim = work
+                    .victims(index)
+                    .into_iter()
+                    .max_by_key(|&i| (work.depth(i), std::cmp::Reverse(i)));
+                if let Some(victim) = victim {
+                    if let Some(item) = work.steal_from(victim) {
+                        let from_dead = self.dead[victim].load(Ordering::SeqCst);
+                        metrics.record_steal(item.sessions.len() as u64, from_dead);
+                        return Some(item);
+                    }
+                }
+            }
+            if self.shutdown.load(Ordering::SeqCst) {
+                return None;
+            }
+            // Bounded wait: a missed notification (or a peer that died
+            // holding the lock) costs at most one poll interval, never a
+            // hung worker.
+            work = self
+                .available
+                .wait_timeout(work, WORKER_POLL)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+    }
+}
+
 /// Panic-safe liveness accounting for one worker thread.
 struct WorkerGuard(Arc<SharedQueue>);
 
@@ -261,15 +573,10 @@ impl Drop for WorkerGuard {
     }
 }
 
-enum WorkerMsg {
-    Report(Box<SessionReport>),
-    Done { cycles: u64 },
-}
-
 struct ThreadedState {
     shared: Arc<SharedQueue>,
-    workers: Vec<thread::JoinHandle<()>>,
-    rx: mpsc::Receiver<WorkerMsg>,
+    /// Each worker returns its shard's total model cycles.
+    workers: Vec<thread::JoinHandle<u64>>,
 }
 
 enum Backend {
@@ -279,14 +586,10 @@ enum Backend {
 
 /// The multi-tenant provisioning service.
 pub struct ProvisioningService {
-    cfg: ServiceConfig,
-    metrics: Arc<ServeMetrics>,
+    core: Arc<Core>,
     backend: Backend,
-    verdict_cache: Option<SharedVerdictCache>,
-    store: Option<StoreState>,
     submitted: u64,
     started: std::time::Instant,
-    draining: bool,
 }
 
 impl ProvisioningService {
@@ -302,70 +605,32 @@ impl ProvisioningService {
             .verdict_cache
             .or_else(|| cfg.store.as_ref().map(|_| DEFAULT_STORE_CACHE_CAPACITY));
         let verdict_cache = cache_capacity.map(shared_cache);
-        // Open (and recover) the store before any shard boots; a store
-        // that cannot open degrades the service to memory-only with a
-        // typed event rather than failing the whole fleet.
-        let mut hydrate_cycles = 0u64;
-        let store = cfg.store.as_ref().and_then(|sc| {
-            let options = StoreOptions {
-                segment_max_records: sc.segment_max_records.max(1),
-                compact_live_per_mille: sc.compact_live_per_mille,
-            };
-            match VerdictStore::open(&sc.dir, &sc.seal_key, options) {
-                Ok((store, recovery)) => {
-                    metrics.mark_store_enabled();
-                    metrics.record(
-                        EventKind::StoreOpened,
-                        "",
-                        None,
-                        &format!(
-                            "recovered {} records ({} live); damage found: {}",
-                            recovery.records_recovered,
-                            store.len(),
-                            recovery.found_damage()
-                        ),
-                    );
-                    Some(StoreState {
-                        store,
-                        cfg: sc.clone(),
-                        pending_faults: Vec::new(),
-                    })
-                }
-                Err(e) => {
-                    metrics.record(
-                        EventKind::StoreDegraded,
-                        "",
-                        None,
-                        &format!("store failed to open, running memory-only: {e}"),
-                    );
-                    None
-                }
-            }
+        let store = cfg
+            .store
+            .as_ref()
+            .zip(verdict_cache.as_ref())
+            .and_then(|(sc, cache)| open_store(sc, cache, &metrics));
+        // Warm start is not free: every hydrated record pays a read +
+        // authenticate + decode charge on the virtual clock before the
+        // first session can run.
+        let hydrate_cycles = metrics.store_stats().hydrated * STORE_HYDRATE_PER_RECORD;
+        let core = Arc::new(Core {
+            cfg,
+            metrics,
+            verdict_cache,
+            store: Mutex::new(store),
+            reports: Mutex::new(Vec::new()),
         });
-        if let (Some(state), Some(cache)) = (&store, &verdict_cache) {
-            let mut cache = lock_cache(cache);
-            // Track dirty inserts from here on so live verdicts can be
-            // flushed write-behind; hydrated entries are already
-            // durable and are not re-logged.
-            cache.track_dirty();
-            let n = state.store.hydrate_into(&mut cache) as u64;
-            metrics.record_store_hydrated(n);
-            // Warm start is not free: every hydrated record pays a
-            // read + authenticate + decode charge on the virtual clock
-            // before the first session can run.
-            hydrate_cycles = n * STORE_HYDRATE_PER_RECORD;
-        }
-        let backend = match cfg.mode {
+        let backend = match core.cfg.mode {
             SchedMode::VirtualTime { arrival_gap } => Backend::Virtual(VirtualState {
                 shards: (0..shards)
-                    .map(|i| Shard::new(i, &cfg.machine, verdict_cache.clone()))
+                    .map(|i| Shard::new(i, &core.cfg.machine, core.verdict_cache.clone()))
                     .collect(),
                 free_at: vec![hydrate_cycles; shards],
                 work: WorkDeques::new(shards),
                 arrival_gap,
-                steal_seed: cfg.machine.seed ^ STEAL_SEED_TAG,
+                steal_seed: core.cfg.machine.seed ^ STEAL_SEED_TAG,
                 steal_tick: 0,
-                reports: Vec::new(),
             }),
             SchedMode::Threaded => {
                 let shared = Arc::new(SharedQueue {
@@ -375,43 +640,26 @@ impl ProvisioningService {
                     live: AtomicUsize::new(shards),
                     dead: (0..shards).map(|_| AtomicBool::new(false)).collect(),
                 });
-                let (tx, rx) = mpsc::channel();
                 let workers = (0..shards)
                     .map(|i| {
-                        let shared = Arc::clone(&shared);
-                        let tx = tx.clone();
-                        let machine = cfg.machine.clone();
-                        let cache = verdict_cache.clone();
-                        let run_cfg = cfg.run.clone();
-                        let metrics = Arc::clone(&metrics);
-                        let steal = cfg.steal;
-                        thread::spawn(move || {
-                            worker_loop(i, machine, cache, shared, tx, run_cfg, metrics, steal)
-                        })
+                        let (core, shared) = (Arc::clone(&core), Arc::clone(&shared));
+                        thread::spawn(move || worker_loop(i, &core, shared))
                     })
                     .collect();
-                Backend::Threaded(ThreadedState {
-                    shared,
-                    workers,
-                    rx,
-                })
+                Backend::Threaded(ThreadedState { shared, workers })
             }
         };
         ProvisioningService {
-            cfg,
-            metrics,
+            core,
             backend,
-            verdict_cache,
-            store,
             submitted: 0,
             started: std::time::Instant::now(),
-            draining: false,
         }
     }
 
     /// The service metrics handle.
     pub fn metrics(&self) -> Arc<ServeMetrics> {
-        Arc::clone(&self.metrics)
+        Arc::clone(&self.core.metrics)
     }
 
     /// Shards/workers still able to run sessions. Virtual mode counts
@@ -433,16 +681,14 @@ impl ProvisioningService {
     /// # Errors
     ///
     /// [`ServeError::Busy`] when admission control rejects the session,
-    /// [`ServeError::ShuttingDown`] after drain has begun.
+    /// [`ServeError::PoolDead`] when no worker is left to run it.
     pub fn submit(&mut self, req: SessionRequest) -> Result<(), ServeError> {
-        if self.draining {
-            return Err(ServeError::ShuttingDown);
-        }
         let arrival_index = self.submitted;
+        let core = &*self.core;
         // The directive is a pure function of (plan seed, arrival
         // index): scheduling, machine state, and host timing cannot
         // perturb the fault schedule, so it replays bit-identically.
-        let mut directive = self
+        let mut directive = core
             .cfg
             .faults
             .as_ref()
@@ -454,247 +700,84 @@ impl ProvisioningService {
         // damage and the directive is a no-op.
         if let Some(d) = directive.filter(|d| d.kind.is_store()) {
             directive = None;
-            if let Some(state) = &mut self.store {
+            if let Some(state) = lock_recover(&core.store).as_mut() {
                 state.pending_faults.push(d);
             }
         }
+        let mut qs = QueuedSession {
+            arrival_index,
+            arrival: 0,
+            req,
+            directive,
+        };
         match &mut self.backend {
             Backend::Virtual(v) => {
-                let arrival = arrival_index * v.arrival_gap;
+                qs.arrival = arrival_index * v.arrival_gap;
+                let arrival = qs.arrival;
                 // Catch the simulation up to this instant first:
                 // admission must see what is *actually* still queued at
                 // the arrival, not what was queued at the last submit.
-                advance_fleet(
-                    v,
-                    arrival,
-                    &self.cfg,
-                    &self.metrics,
-                    &mut self.store,
-                    &self.verdict_cache,
-                );
-                let waiting = v.work.queued_sessions();
-                if waiting >= self.cfg.queue_capacity {
-                    self.metrics.record(
-                        EventKind::RejectedBusy,
-                        &req.name,
-                        None,
-                        &format!("queue depth {waiting}"),
-                    );
-                    return Err(ServeError::Busy {
-                        queue_depth: waiting,
-                    });
-                }
-                // A fully dead fleet is a typed error, never a hang or
-                // a panic. (A *partially* dead fleet still admits: live
-                // peers steal from dead shards' deques.)
-                if v.shards.iter().all(|s| s.is_dead()) {
-                    self.metrics
-                        .record(EventKind::Shed, &req.name, None, "no live shards");
-                    return Err(ServeError::PoolDead);
-                }
-                self.metrics.observe_queue_depth(waiting + 1);
-                self.metrics
-                    .record(EventKind::Admitted, &req.name, None, "");
-                self.submitted += 1;
-
-                let batch_key = batchable_key(&req, self.cfg.batch.as_ref());
-                let mut pending = Some(QueuedSession {
-                    arrival_index,
-                    arrival,
-                    req,
-                    directive,
-                });
-                if let (Some(key), Some(policy)) = (&batch_key, self.cfg.batch.as_ref()) {
-                    if let Some(item) = v.work.find_joinable(key, policy) {
-                        if let Some(qs) = pending.take() {
-                            item.sessions.push(qs);
-                            self.metrics.record_batch_join(item.sessions.len() as u64);
-                        }
-                    }
-                }
-                if let Some(qs) = pending {
-                    // Home shard: the tenant's explicit hint, else the
-                    // shard that could start it soonest (greedy — the
-                    // pre-stealing scheduler's assignment rule).
-                    let home = qs
-                        .req
-                        .shard_hint
-                        .map(|h| h % v.shards.len())
-                        .or_else(|| {
-                            (0..v.shards.len())
-                                .filter(|&i| !v.shards[i].is_dead())
-                                .min_by_key(|&i| (v.free_at[i].max(arrival), i))
-                        })
-                        .unwrap_or(0);
-                    v.work.push(WorkItem {
-                        home,
-                        batch_key,
-                        sessions: vec![qs],
-                    });
-                    self.metrics.observe_deque_depth(v.work.depth(home) as u64);
-                }
+                v.advance(arrival, core);
+                let dead = v.shards.iter().all(Shard::is_dead);
+                let home = v.earliest_free(arrival);
+                core.admit(&mut v.work, qs, dead, home)?;
                 // Let an idle worker start the new work at its arrival
                 // instant (batched joins ride an already-queued item).
-                advance_fleet(
-                    v,
-                    arrival,
-                    &self.cfg,
-                    &self.metrics,
-                    &mut self.store,
-                    &self.verdict_cache,
-                );
-                Ok(())
+                v.advance(arrival, core);
             }
             Backend::Threaded(t) => {
-                if t.shared.live.load(Ordering::SeqCst) == 0 {
-                    self.metrics
-                        .record(EventKind::Shed, &req.name, None, "no live workers");
-                    return Err(ServeError::PoolDead);
-                }
+                let dead = t.shared.live.load(Ordering::SeqCst) == 0;
+                let shards = core.cfg.shards.max(1);
                 let mut work = lock_recover(&t.shared.work);
-                if t.shared.shutdown.load(Ordering::SeqCst) {
-                    return Err(ServeError::ShuttingDown);
-                }
-                let waiting = work.queued_sessions();
-                if waiting >= self.cfg.queue_capacity {
-                    drop(work);
-                    self.metrics.record(
-                        EventKind::RejectedBusy,
-                        &req.name,
-                        None,
-                        &format!("queue depth {waiting}"),
-                    );
-                    return Err(ServeError::Busy {
-                        queue_depth: waiting,
-                    });
-                }
-                self.metrics
-                    .record(EventKind::Admitted, &req.name, None, "");
-                let batch_key = batchable_key(&req, self.cfg.batch.as_ref());
-                let mut pending = Some(QueuedSession {
-                    arrival_index,
-                    arrival: 0,
-                    req,
-                    directive,
-                });
-                if let (Some(key), Some(policy)) = (&batch_key, self.cfg.batch.as_ref()) {
-                    if let Some(item) = work.find_joinable(key, policy) {
-                        if let Some(qs) = pending.take() {
-                            item.sessions.push(qs);
-                            self.metrics.record_batch_join(item.sessions.len() as u64);
-                        }
-                    }
-                }
-                if let Some(qs) = pending {
-                    let shards = self.cfg.shards.max(1);
-                    let home = qs
-                        .req
-                        .shard_hint
-                        .map_or(arrival_index as usize % shards, |h| h % shards);
-                    work.push(WorkItem {
-                        home,
-                        batch_key,
-                        sessions: vec![qs],
-                    });
-                    self.metrics.observe_deque_depth(work.depth(home) as u64);
-                }
-                self.metrics.observe_queue_depth(work.queued_sessions());
-                self.submitted += 1;
+                core.admit(&mut work, qs, dead, arrival_index as usize % shards)?;
                 drop(work);
                 // Wake the whole fleet: the home worker may be busy
                 // while an idle peer could steal the new item.
                 t.shared.available.notify_all();
-                Ok(())
             }
         }
+        self.submitted += 1;
+        Ok(())
     }
 
-    /// Graceful drain: stops admission, lets queued sessions finish,
-    /// joins the workers, and returns every report plus the metrics.
-    pub fn drain(mut self) -> ServiceResult {
-        self.draining = true;
-        self.metrics
+    /// Graceful drain: lets queued sessions finish, joins the workers,
+    /// and returns every report plus the metrics.
+    pub fn drain(self) -> ServiceResult {
+        let core = self.core;
+        core.metrics
             .record(EventKind::DrainStarted, "", None, "graceful drain");
-        match self.backend {
+        let (unreachable, shards, busy_until) = match self.backend {
             Backend::Virtual(mut v) => {
                 // Run the simulation to completion: every queued item a
                 // live worker can reach (own deque or steal) finishes.
-                advance_fleet(
-                    &mut v,
-                    u64::MAX,
-                    &self.cfg,
-                    &self.metrics,
-                    &mut self.store,
-                    &self.verdict_cache,
-                );
-                // Whatever is still queued is unreachable — a fully
-                // dead fleet, or dead-shard deques with stealing
-                // disabled. Typed failure reports, not silence.
-                for qs in v.work.drain_all() {
-                    let error = ServeError::PoolDead.to_string();
-                    self.metrics
-                        .record(EventKind::Failed, &qs.req.name, None, &error);
-                    v.reports
-                        .push((qs.arrival_index, pool_dead_report(qs.req.name, error)));
-                }
-                // Final write-behind flush (plus optional compaction and
-                // any scheduled at-rest fault injection + recovery
-                // proof); the flush cost lands on the makespan.
-                let store_cost =
-                    finish_store(self.store.take(), &self.verdict_cache, &self.metrics);
-                if let Some(cache) = &self.verdict_cache {
-                    self.metrics.set_cache_stats(&lock_cache(cache).stats());
-                }
-                let makespan = v.free_at.iter().copied().max().unwrap_or(0) + store_cost;
-                // Stealing finishes sessions out of submission order;
-                // reports are handed back in it.
-                v.reports.sort_by_key(|(i, _)| *i);
-                ServiceResult {
-                    reports: v.reports.into_iter().map(|(_, r)| r).collect(),
-                    metrics: self.metrics,
-                    shards: v.shards,
-                    makespan_cycles: makespan,
-                    wall_nanos: self.started.elapsed().as_nanos() as u64,
-                }
+                v.advance(u64::MAX, &core);
+                let busy_until = v.free_at.iter().copied().max().unwrap_or(0);
+                (v.work.drain_all(), v.shards, busy_until)
             }
             Backend::Threaded(t) => {
                 t.shared.shutdown.store(true, Ordering::SeqCst);
                 t.shared.available.notify_all();
-                for handle in t.workers {
-                    let _ = handle.join();
-                }
-                // Workers have quiesced; the cache's counters are final
-                // and every verdict is visible for the final flush.
-                let _ = finish_store(self.store.take(), &self.verdict_cache, &self.metrics);
-                if let Some(cache) = &self.verdict_cache {
-                    self.metrics.set_cache_stats(&lock_cache(cache).stats());
-                }
-                let mut reports = Vec::new();
-                let mut makespan = 0u64;
-                while let Ok(msg) = t.rx.try_recv() {
-                    match msg {
-                        WorkerMsg::Report(r) => reports.push(*r),
-                        WorkerMsg::Done { cycles, .. } => makespan = makespan.max(cycles),
-                    }
-                }
-                // Sessions still queued after every worker exited were
-                // admitted but never ran (the pool died under them).
-                // They get typed failure reports, not silence.
-                for qs in lock_recover(&t.shared.work).drain_all() {
-                    let error = ServeError::PoolDead.to_string();
-                    self.metrics
-                        .record(EventKind::Failed, &qs.req.name, None, &error);
-                    reports.push(pool_dead_report(qs.req.name, error));
-                }
-                reports.sort_by(|a, b| a.name.cmp(&b.name));
-                ServiceResult {
-                    reports,
-                    metrics: self.metrics,
-                    shards: Vec::new(),
-                    makespan_cycles: makespan,
-                    wall_nanos: self.started.elapsed().as_nanos() as u64,
-                }
+                let busy_until = t.workers.into_iter().map(|h| h.join().unwrap_or(0)).max();
+                let unreachable = lock_recover(&t.shared.work).drain_all();
+                (unreachable, Vec::new(), busy_until.unwrap_or(0))
             }
+        };
+        let threaded = core.cfg.mode == SchedMode::Threaded;
+        let store_cycles = core.finish(unreachable);
+        let mut reports = std::mem::take(&mut *lock_recover(&core.reports));
+        // Stealing finishes sessions out of submission order; virtual
+        // reports are handed back in it, threaded ones by name.
+        reports.sort_by_key(|(i, _)| *i);
+        if threaded {
+            reports.sort_by(|(_, a), (_, b)| a.name.cmp(&b.name));
+        }
+        ServiceResult {
+            reports: reports.into_iter().map(|(_, r)| r).collect(),
+            metrics: Arc::clone(&core.metrics),
+            shards,
+            // Only virtual time charges the final flush to its clock.
+            makespan_cycles: busy_until + if threaded { 0 } else { store_cycles },
+            wall_nanos: self.started.elapsed().as_nanos() as u64,
         }
     }
 }
@@ -711,154 +794,51 @@ fn batchable_key(req: &SessionRequest, policy: Option<&BatchPolicy>) -> Option<C
     Some(req.admission_key())
 }
 
-/// A typed failure report for a session the pool died under.
-fn pool_dead_report(name: String, error: String) -> SessionReport {
-    SessionReport {
-        name,
-        shard: usize::MAX,
-        outcome: SessionOutcome::Failed { error },
-        stages: StageCycles::default(),
-        cycles: 0,
-        latency_cycles: 0,
-        wall_nanos: 0,
-        retries: 0,
-        blocks_delivered: 0,
-        enclave_key_fp: None,
-        measurement: None,
-        verdict: None,
-        client_verified: false,
-        instructions: 0,
-        cache_hit: false,
-    }
-}
-
-/// The virtual-time event loop: repeatedly give the earliest-free live
-/// worker that can reach work (own deque, or any deque when stealing)
-/// its next item, until the fleet's next start would pass `until` or no
-/// reachable work remains.
-///
-/// Determinism: worker choice is a pure function of the (deterministic)
-/// `free_at` vector; steal-victim choice is
-/// [`faults::steal_victim`]`(seed, tick, candidates)` — a pure function
-/// of the fleet seed and a monotonic counter. Nothing here reads host
-/// state.
-fn advance_fleet(
-    v: &mut VirtualState,
-    until: u64,
-    cfg: &ServiceConfig,
-    metrics: &Arc<ServeMetrics>,
-    store: &mut Option<StoreState>,
-    verdict_cache: &Option<SharedVerdictCache>,
-) {
-    loop {
-        let n = v.shards.len();
-        let worker = (0..n)
-            .filter(|&i| !v.shards[i].is_dead())
-            .filter(|&i| v.work.depth(i) > 0 || (cfg.steal && !v.work.victims(i).is_empty()))
-            .min_by_key(|&i| (v.free_at[i], i));
-        let Some(w) = worker else { break };
-        if v.free_at[w] > until {
-            break;
+/// Opens (and recovers) the store before any shard boots and hydrates
+/// `cache` from it. A store that cannot open degrades the service to
+/// memory-only with a typed event rather than failing the whole fleet.
+fn open_store(
+    sc: &StoreConfig,
+    cache: &SharedVerdictCache,
+    metrics: &ServeMetrics,
+) -> Option<StoreState> {
+    let (store, recovery) = match VerdictStore::open(&sc.dir, &sc.seal_key, sc.options()) {
+        Ok(opened) => opened,
+        Err(e) => {
+            metrics.record(
+                EventKind::StoreDegraded,
+                "",
+                None,
+                &format!("store failed to open, running memory-only: {e}"),
+            );
+            return None;
         }
-        let item = match v.work.pop_own(w) {
-            Some(item) => item,
-            None => {
-                let victims = v.work.victims(w);
-                let pick = faults::steal_victim(v.steal_seed, v.steal_tick, victims.len());
-                v.steal_tick += 1;
-                let Some(&victim) = victims.get(pick) else {
-                    break;
-                };
-                let Some(item) = v.work.steal_from(victim) else {
-                    break;
-                };
-                metrics.record_steal(item.sessions.len() as u64, v.shards[victim].is_dead());
-                item
-            }
-        };
-        run_item(v, w, item, cfg, metrics, store, verdict_cache);
-    }
-}
-
-/// Runs one work item (a session or a whole batch) on worker `w`,
-/// advancing its virtual clock. If the worker dies mid-item, the
-/// unstarted remainder is requeued at the front of its deque so live
-/// peers steal and finish it.
-fn run_item(
-    v: &mut VirtualState,
-    w: usize,
-    item: WorkItem,
-    cfg: &ServiceConfig,
-    metrics: &Arc<ServeMetrics>,
-    store: &mut Option<StoreState>,
-    verdict_cache: &Option<SharedVerdictCache>,
-) {
-    let batch_key = item.batch_key;
-    let mut pos = v.free_at[w];
-    let mut remaining = item.sessions.into_iter();
-    let mut requeue: Option<WorkItem> = None;
-    while let Some(qs) = remaining.next() {
-        if v.shards[w].is_dead() {
-            // Steal-aware worker death: only the session that carried
-            // the fault failed; the rest of the batch goes back to the
-            // head of the dead shard's deque for peers to drain.
-            requeue = Some(WorkItem {
-                home: w,
-                batch_key,
-                sessions: std::iter::once(qs).chain(remaining).collect(),
-            });
-            break;
-        }
-        // A batch follower cannot start before it arrives: the leader
-        // may still be running (overlap is fine — the follower joined
-        // an in-flight batch), but its own start clamps to its arrival.
-        let start = pos.max(qs.arrival);
-        let before = v.shards[w].total_cycles();
-        let mut report =
-            v.shards[w].run_session_with_fault(&qs.req, &cfg.run, metrics, qs.directive.as_ref());
-        let duration = v.shards[w].total_cycles() - before;
-        let end = start + duration;
-        pos = end;
-        // Write-behind flush: once enough fresh verdicts have queued
-        // up, seal them to the store and charge the flush to the shard
-        // that just ran — deterministic virtual time, bounded dirty
-        // queue.
-        let mut store_died = false;
-        if let (Some(state), Some(cache)) = (store.as_mut(), verdict_cache) {
-            let depth = lock_cache(cache).dirty_len();
-            metrics.observe_flush_queue_depth(depth as u64);
-            if depth >= state.cfg.flush_batch.max(1) {
-                let dirty = lock_cache(cache).take_dirty();
-                let flushed = dirty.len() as u64;
-                match state.store.append_batch(&dirty) {
-                    Ok(()) => {
-                        metrics.record_store_flushed(flushed);
-                        pos += flushed * STORE_FLUSH_PER_RECORD;
-                    }
-                    Err(e) => {
-                        // Persistence degrades; serving does not.
-                        metrics.record(
-                            EventKind::StoreDegraded,
-                            &qs.req.name,
-                            Some(w),
-                            &format!("write-behind flush failed: {e}"),
-                        );
-                        store_died = true;
-                    }
-                }
-            }
-        }
-        if store_died {
-            *store = None;
-        }
-        report.latency_cycles = end - qs.arrival;
-        metrics.record_timing(&report.stages, report.cycles, report.latency_cycles, 0);
-        v.reports.push((qs.arrival_index, report));
-    }
-    v.free_at[w] = pos;
-    if let Some(rest) = requeue {
-        v.work.push_front(w, rest);
-    }
+    };
+    metrics.mark_store_enabled();
+    metrics.record(
+        EventKind::StoreOpened,
+        "",
+        None,
+        &format!(
+            "recovered {} records ({} live); damage found: {}",
+            recovery.records_recovered,
+            store.len(),
+            recovery.found_damage()
+        ),
+    );
+    let mut locked = lock_cache(cache);
+    // Track dirty inserts from here on so live verdicts can be flushed
+    // write-behind; hydrated entries are already durable and are not
+    // re-logged.
+    locked.track_dirty();
+    metrics.record_store_hydrated(store.hydrate_into(&mut locked) as u64);
+    drop(locked);
+    Some(StoreState {
+        store,
+        cfg: sc.clone(),
+        cache: Arc::clone(cache),
+        pending_faults: Vec::new(),
+    })
 }
 
 /// Drain-time store finalization: flush the remaining dirty verdicts,
@@ -867,36 +847,15 @@ fn run_item(
 /// they recover (typed counters, longest authenticated prefix, never a
 /// panic). Returns the model cycles the final flush cost, so virtual
 /// mode can charge it to the makespan.
-fn finish_store(
-    state: Option<StoreState>,
-    verdict_cache: &Option<SharedVerdictCache>,
-    metrics: &ServeMetrics,
-) -> u64 {
-    let Some(state) = state else { return 0 };
+fn finish_store(state: Option<StoreState>, metrics: &ServeMetrics) -> u64 {
+    let Some(mut state) = state else { return 0 };
+    let cost = state.flush(metrics, "", None, "drain flush").unwrap_or(0);
     let StoreState {
         mut store,
         cfg,
         pending_faults,
+        ..
     } = state;
-    let mut cost = 0u64;
-    if let Some(cache) = verdict_cache {
-        let dirty = lock_cache(cache).take_dirty();
-        if !dirty.is_empty() {
-            let n = dirty.len() as u64;
-            match store.append_batch(&dirty) {
-                Ok(()) => {
-                    metrics.record_store_flushed(n);
-                    cost += n * STORE_FLUSH_PER_RECORD;
-                }
-                Err(e) => metrics.record(
-                    EventKind::StoreDegraded,
-                    "",
-                    None,
-                    &format!("drain flush failed: {e}"),
-                ),
-            }
-        }
-    }
     if cfg.compact_on_drain {
         if let Err(e) = store.compact() {
             metrics.record(
@@ -949,11 +908,7 @@ fn finish_store(
     if applied.is_empty() {
         return cost;
     }
-    let options = StoreOptions {
-        segment_max_records: cfg.segment_max_records.max(1),
-        compact_live_per_mille: cfg.compact_live_per_mille,
-    };
-    match VerdictStore::open(&dir, &cfg.seal_key, options) {
+    match VerdictStore::open(&dir, &cfg.seal_key, cfg.options()) {
         Ok((reopened, report)) => {
             for (kind, detectable) in &applied {
                 // An injection its own helper calls observable must
@@ -989,103 +944,27 @@ fn finish_store(
 }
 
 /// Threaded-mode worker: builds its shard (providers are not `Send`, so
-/// each machine is born and dies on its own thread), then pulls items —
-/// its own deque first, stealing from the deepest peer deque when idle —
-/// until shutdown with no reachable work.
-///
-/// Wall-clock steal order is inherently racy, so the threaded victim
-/// rule is load-based (deepest deque, ties to the lowest index) rather
-/// than seeded; determinism claims live entirely in the virtual-time
-/// backend.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    index: usize,
-    machine: MachineConfig,
-    verdict_cache: Option<SharedVerdictCache>,
-    shared: Arc<SharedQueue>,
-    tx: mpsc::Sender<WorkerMsg>,
-    run_cfg: SessionRunConfig,
-    metrics: Arc<ServeMetrics>,
-    steal: bool,
-) {
-    let _guard = WorkerGuard(Arc::clone(&shared));
-    let mut shard = Shard::new(index, &machine, verdict_cache);
-    'outer: loop {
-        let item = {
-            let mut work = lock_recover(&shared.work);
-            loop {
-                if let Some(item) = work.pop_own(index) {
-                    break Some(item);
-                }
-                if steal {
-                    let victim = work
-                        .victims(index)
-                        .into_iter()
-                        .max_by_key(|&i| (work.depth(i), std::cmp::Reverse(i)));
-                    if let Some(victim) = victim {
-                        if let Some(item) = work.steal_from(victim) {
-                            let from_dead = shared.dead[victim].load(Ordering::SeqCst);
-                            metrics.record_steal(item.sessions.len() as u64, from_dead);
-                            break Some(item);
-                        }
-                    }
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break None;
-                }
-                // Bounded wait: a missed notification (or a peer that
-                // died holding the lock) costs at most one poll
-                // interval, never a hung worker.
-                let (guard, _) = shared
-                    .available
-                    .wait_timeout(work, WORKER_POLL)
-                    .unwrap_or_else(PoisonError::into_inner);
-                work = guard;
+/// each machine is born and dies on its own thread), then runs items
+/// until shutdown leaves no reachable work or its shard dies. Returns
+/// the shard's total model cycles.
+fn worker_loop(index: usize, core: &Core, shared: Arc<SharedQueue>) -> u64 {
+    let guard = WorkerGuard(shared);
+    let shared = &guard.0;
+    let mut shard = Shard::new(index, &core.cfg.machine, core.verdict_cache.clone());
+    while let Some(item) = shared.next_item(index, core.cfg.steal, &core.metrics) {
+        let rest = core.run_item(&mut shard, item, None);
+        if shard.is_dead() {
+            // The death takes effect after the dying session's report
+            // is recorded: the flag goes up first so a peer stealing
+            // the requeued rest counts it as drained from the dead, and
+            // the liveness guard announces the death on return.
+            shared.dead[index].store(true, Ordering::SeqCst);
+            if let Some(rest) = rest {
+                lock_recover(&shared.work).push_front(index, rest);
             }
-        };
-        let Some(item) = item else {
+            shared.available.notify_all();
             break;
-        };
-        let batch_key = item.batch_key;
-        let mut remaining = item.sessions.into_iter();
-        while let Some(qs) = remaining.next() {
-            let report =
-                shard.run_session_with_fault(&qs.req, &run_cfg, &metrics, qs.directive.as_ref());
-            metrics.record_timing(
-                &report.stages,
-                report.cycles,
-                report.latency_cycles,
-                report.wall_nanos,
-            );
-            let died = shard.is_dead();
-            if tx.send(WorkerMsg::Report(Box::new(report))).is_err() {
-                break 'outer;
-            }
-            if died {
-                // The injected death takes effect after the report
-                // ships: the session's typed failure is visible, then
-                // the rest of the batch goes back to this worker's
-                // deque — peers steal from dead deques, so nothing
-                // queued is lost — and the liveness guard announces
-                // the death.
-                shared.dead[index].store(true, Ordering::SeqCst);
-                let rest: Vec<QueuedSession> = remaining.collect();
-                if !rest.is_empty() {
-                    lock_recover(&shared.work).push_front(
-                        index,
-                        WorkItem {
-                            home: index,
-                            batch_key,
-                            sessions: rest,
-                        },
-                    );
-                }
-                shared.available.notify_all();
-                break 'outer;
-            }
         }
     }
-    let _ = tx.send(WorkerMsg::Done {
-        cycles: shard.total_cycles(),
-    });
+    shard.total_cycles()
 }

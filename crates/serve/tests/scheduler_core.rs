@@ -169,3 +169,38 @@ fn threaded_admission_with_no_queue_room_refuses_every_session_busy() {
     assert_eq!(result.metrics.counters().admitted, 0);
     assert!(result.reports.is_empty());
 }
+
+#[test]
+fn threaded_workers_flush_write_behind_while_the_service_runs() {
+    let seed = 0xF1B2;
+    let musl = Arc::new(regimes::musl_hashes());
+    let tmp = TempDir::new("write-behind");
+    let store = StoreConfig {
+        flush_batch: 2,
+        ..store_cfg(tmp.path(), seed)
+    };
+    let (flush_batch, shards) = (store.flush_batch as u64, 2);
+    let mut svc = ProvisioningService::start(ServiceConfig {
+        shards,
+        mode: SchedMode::Threaded,
+        machine: machine(seed),
+        queue_capacity: 64,
+        store: Some(store),
+        ..ServiceConfig::default()
+    });
+    for item in &distinct_binary_traffic(8, 3, seed) {
+        svc.submit(regimes::request_for(item, &musl))
+            .expect("admit");
+    }
+    let result = svc.drain();
+    assert!(result.reports.iter().all(|r| r.reached_verdict()));
+    // Each worker observes the dirty queue after every session and
+    // flushes at `flush_batch`; between two observations a peer can add
+    // at most one verdict of its own.
+    let store = result.metrics.store_stats();
+    assert!(
+        (1..=flush_batch + shards as u64 - 1).contains(&store.flush_queue_highwater),
+        "{store:?}"
+    );
+    assert_eq!(store.flushed, 8, "every verdict reaches the store");
+}

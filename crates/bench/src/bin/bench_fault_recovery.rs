@@ -20,11 +20,11 @@
 //!                      [--per-mille N] [--out PATH]
 //! ```
 
-use engarde_bench::harness::{fleet_machine, per_model_second, write_json, Flags};
+use engarde_bench::harness::{fleet_config, per_model_second, run_fleet, write_json, Flags};
 use engarde_serve::faults::{FaultKind, FaultMix, FaultPlan};
 use engarde_serve::metrics::Json;
 use engarde_serve::regimes;
-use engarde_serve::service::{ProvisioningService, SchedMode, ServiceConfig, ServiceResult};
+use engarde_serve::service::{ServiceConfig, ServiceResult};
 use engarde_serve::SessionRunConfig;
 use engarde_workloads::traffic::{chaos_fleet, TrafficItem};
 use std::collections::HashMap;
@@ -57,25 +57,16 @@ fn run(
     seed: u64,
     plan: Option<FaultPlan>,
 ) -> ServiceResult {
-    let mut svc = ProvisioningService::start(ServiceConfig {
+    let cfg = ServiceConfig {
         shards: 2,
-        mode: SchedMode::VirtualTime {
-            arrival_gap: 2_000_000,
-        },
-        machine: fleet_machine(seed),
-        queue_capacity: 1024,
         run: SessionRunConfig::chaos_hardened(),
-        verdict_cache: None,
         faults: plan,
-        store: None,
-        batch: None,
-        steal: true,
-    });
-    for item in traffic {
-        svc.submit(regimes::request_for(item, musl))
-            .expect("chaos fleets are compliant and the queue is deep");
-    }
-    svc.drain()
+        ..fleet_config(seed, 2_000_000, 1024)
+    };
+    let requests = traffic.iter().map(|item| regimes::request_for(item, musl));
+    let (result, rejected) = run_fleet(cfg, requests);
+    assert_eq!(rejected, 0, "the chaos fleet's queue is deep");
+    result
 }
 
 fn throughput(result: &ServiceResult) -> f64 {

@@ -6,22 +6,22 @@
 //! The headline numbers come from the deterministic virtual-time
 //! scheduler: session durations are SGX cost-model cycle deltas, so
 //! throughput, latency percentiles, and the speedup-vs-one-shard curve
-//! are bit-reproducible and independent of the host's core count. A
-//! threaded wall-clock run is recorded as auxiliary data, and an
+//! are bit-reproducible and independent of the host's core count. An
 //! overload run with a tiny admission queue exercises `Busy`
-//! backpressure for the rejection-rate figure.
+//! backpressure for the rejection-rate figure. The threaded wall-clock
+//! run has its own bin and artifact, `bench_serve_threaded`.
 //!
 //! ```text
 //! bench_serve_throughput [--sessions N] [--shards 1,2,4] [--scale P]
 //!                        [--seed S] [--arrival-gap CYCLES]
-//!                        [--capacity N] [--out PATH] [--skip-threaded]
+//!                        [--capacity N] [--out PATH]
 //! ```
 
-use engarde_bench::harness::{fleet_machine, per_model_second, write_json, Flags};
+use engarde_bench::harness::{fleet_config, per_model_second, run_fleet, write_json, Flags};
 use engarde_serve::metrics::Json;
 use engarde_serve::regimes;
-use engarde_serve::service::{ProvisioningService, SchedMode, ServiceConfig, ServiceResult};
-use engarde_serve::{BatchPolicy, ServeError, SessionRunConfig};
+use engarde_serve::service::{ServiceConfig, ServiceResult};
+use engarde_serve::BatchPolicy;
 use engarde_sgx::perf::CLOCK_GHZ;
 use engarde_workloads::traffic::{
     mixed_traffic, repeated_binary_traffic, TrafficItem, TrafficSpec,
@@ -37,7 +37,6 @@ struct Args {
     arrival_gap: u64,
     capacity: usize,
     out: String,
-    skip_threaded: bool,
 }
 
 fn parse_args() -> Args {
@@ -50,7 +49,6 @@ fn parse_args() -> Args {
         arrival_gap: f.get("--arrival-gap", 2_000_000),
         capacity: f.get("--capacity", 1024),
         out: f.get("--out", "BENCH_serve.json".into()),
-        skip_threaded: f.switch("--skip-threaded"),
     };
     f.finish();
     assert!(
@@ -78,47 +76,24 @@ struct VirtualRun {
     fingerprint: String,
 }
 
-fn submit_all(
-    svc: &mut ProvisioningService,
-    traffic: &[TrafficItem],
-    musl: &Arc<HashMap<String, engarde_crypto::sha256::Digest>>,
-) -> u64 {
-    let mut rejected = 0;
-    for item in traffic {
-        match svc.submit(regimes::request_for(item, musl)) {
-            Ok(()) => {}
-            Err(ServeError::Busy { .. }) => rejected += 1,
-            Err(e) => panic!("submit {}: {e}", item.name),
-        }
-    }
-    rejected
+type Musl = Arc<HashMap<String, engarde_crypto::sha256::Digest>>;
+
+/// Submits `traffic` to a fleet built from `cfg` and drains it.
+fn replay(cfg: ServiceConfig, traffic: &[TrafficItem], musl: &Musl) -> (ServiceResult, u64) {
+    run_fleet(
+        cfg,
+        traffic.iter().map(|item| regimes::request_for(item, musl)),
+    )
 }
 
-fn run_virtual(
-    shards: usize,
-    args: &Args,
-    traffic: &[TrafficItem],
-    musl: &Arc<HashMap<String, engarde_crypto::sha256::Digest>>,
-    capacity: usize,
-) -> (VirtualRun, ServiceResult) {
-    let mut svc = ProvisioningService::start(ServiceConfig {
+fn run_virtual(shards: usize, args: &Args, traffic: &[TrafficItem], musl: &Musl) -> VirtualRun {
+    let cfg = ServiceConfig {
         shards,
-        mode: SchedMode::VirtualTime {
-            arrival_gap: args.arrival_gap,
-        },
-        machine: fleet_machine(args.seed),
-        queue_capacity: capacity,
-        run: SessionRunConfig::default(),
-        verdict_cache: None,
-        faults: None,
-        store: None,
-        batch: None,
-        steal: true,
-    });
-    let rejected = submit_all(&mut svc, traffic, musl);
-    let result = svc.drain();
+        ..fleet_config(args.seed, args.arrival_gap, args.capacity)
+    };
+    let (result, rejected) = replay(cfg, traffic, musl);
     let m = result.metrics.counters();
-    let run = VirtualRun {
+    VirtualRun {
         shards,
         admitted: m.admitted,
         rejected,
@@ -131,8 +106,7 @@ fn run_virtual(
         p99_latency_cycles: result.metrics.latency_percentile(99).unwrap_or(0),
         queue_depth_highwater: m.queue_depth_highwater,
         fingerprint: result.fingerprint(),
-    };
-    (run, result)
+    }
 }
 
 /// One skewed-fleet measurement: a hot-shard configuration variant.
@@ -166,12 +140,7 @@ struct SkewPoint {
 /// scheduler configuration. The 1-shard `steal=false, batch=false,
 /// cache=false` point is the pre-stealing design's baseline: every
 /// session pays a full inspection on the only worker.
-fn run_skewed(
-    point: SkewPoint,
-    args: &Args,
-    traffic: &[TrafficItem],
-    musl: &Arc<HashMap<String, engarde_crypto::sha256::Digest>>,
-) -> SkewedRun {
+fn run_skewed(point: SkewPoint, args: &Args, traffic: &[TrafficItem], musl: &Musl) -> SkewedRun {
     let SkewPoint {
         label,
         shards,
@@ -179,21 +148,14 @@ fn run_skewed(
         batch,
         cache,
     } = point;
-    let mut svc = ProvisioningService::start(ServiceConfig {
+    let cfg = ServiceConfig {
         shards,
-        mode: SchedMode::VirtualTime {
-            arrival_gap: args.arrival_gap,
-        },
-        machine: fleet_machine(args.seed),
-        queue_capacity: args.capacity,
-        run: SessionRunConfig::default(),
         verdict_cache: cache.then_some(64),
-        faults: None,
-        store: None,
         batch: batch.then(BatchPolicy::default),
         steal,
-    });
-    for (i, item) in traffic.iter().enumerate() {
+        ..fleet_config(args.seed, args.arrival_gap, args.capacity)
+    };
+    let requests = traffic.iter().enumerate().map(|(i, item)| {
         let mut req = regimes::request_for(item, musl);
         req.shard_hint = Some(match i % 11 {
             n if n < 8 => 0,
@@ -201,10 +163,10 @@ fn run_skewed(
             9 => 2,
             _ => 3,
         });
-        svc.submit(req)
-            .unwrap_or_else(|e| panic!("skewed submit {}: {e}", item.name));
-    }
-    let result = svc.drain();
+        req
+    });
+    let (result, rejected) = run_fleet(cfg, requests);
+    assert_eq!(rejected, 0, "the skewed fleet's queue holds every session");
     let m = result.metrics.counters();
     let sched = result.metrics.sched_stats();
     SkewedRun {
@@ -240,7 +202,7 @@ fn main() {
 
     let mut runs = Vec::new();
     for &shards in &args.shard_counts {
-        let (run, _) = run_virtual(shards, &args, &traffic, &musl, args.capacity);
+        let run = run_virtual(shards, &args, &traffic, &musl);
         eprintln!(
             "  {} shard(s): makespan {} cycles, throughput {:.2}/s, p99 latency {} cycles",
             shards, run.makespan_cycles, run.throughput_per_sec, run.p99_latency_cycles
@@ -251,7 +213,7 @@ fn main() {
     // Determinism: repeat the largest fleet and compare fingerprints
     // (verdict bytes, per-session cycle totals, makespan).
     let &largest = args.shard_counts.iter().max().expect("non-empty");
-    let (repeat, _) = run_virtual(largest, &args, &traffic, &musl, args.capacity);
+    let repeat = run_virtual(largest, &args, &traffic, &musl);
     let reference = runs
         .iter()
         .find(|r| r.shards == largest)
@@ -333,51 +295,16 @@ fn main() {
         stall_every: 0,
         seed: args.seed ^ 0xBAD_CAFE,
     });
-    let mut svc = ProvisioningService::start(ServiceConfig {
+    let overload_cfg = ServiceConfig {
         shards: 1,
-        mode: SchedMode::VirtualTime { arrival_gap: 1 },
-        machine: fleet_machine(args.seed),
-        queue_capacity: 2,
-        run: SessionRunConfig::default(),
-        verdict_cache: None,
-        faults: None,
-        store: None,
-        batch: None,
-        steal: true,
-    });
-    let overload_rejected = submit_all(&mut svc, &overload_traffic, &musl);
-    let overload = svc.drain();
+        ..fleet_config(args.seed, 1, 2)
+    };
+    let (overload, overload_rejected) = replay(overload_cfg, &overload_traffic, &musl);
     let overload_total = overload_traffic.len() as u64;
     let rejection_rate = overload_rejected as f64 / overload_total as f64;
     eprintln!(
         "  overload: {overload_rejected}/{overload_total} rejected (rate {rejection_rate:.2})"
     );
-
-    // Auxiliary: real threads, wall-clock throughput (host-dependent).
-    let threaded = if args.skip_threaded {
-        None
-    } else {
-        let mut svc = ProvisioningService::start(ServiceConfig {
-            shards: largest,
-            mode: SchedMode::Threaded,
-            machine: fleet_machine(args.seed),
-            queue_capacity: args.capacity,
-            run: SessionRunConfig::default(),
-            verdict_cache: None,
-            faults: None,
-            store: None,
-            batch: None,
-            steal: true,
-        });
-        let rejected = submit_all(&mut svc, &traffic, &musl);
-        let result = svc.drain();
-        let wall_secs = result.wall_nanos as f64 / 1e9;
-        eprintln!(
-            "  threaded x{largest}: {} reports in {wall_secs:.2}s wall",
-            result.reports.len()
-        );
-        Some((result, rejected, wall_secs))
-    };
 
     let base_makespan = runs
         .iter()
@@ -446,27 +373,6 @@ fn main() {
         ("queue_capacity", 2u64.into()),
         ("completed", overload.metrics.counters().completed.into()),
     ]);
-    // One service runs one backend, so the threaded run's scheduler
-    // counters are the threaded backend's own.
-    let threaded_block = threaded.map_or(Json::Null, |(result, rejected, wall_secs)| {
-        let completed = result.metrics.counters().completed;
-        let s = result.metrics.sched_stats();
-        Json::obj([
-            ("shards", largest.into()),
-            ("completed", completed.into()),
-            ("rejected", rejected.into()),
-            ("wall_seconds", Json::Fixed(wall_secs, 4)),
-            (
-                "wall_throughput_per_sec",
-                Json::Fixed(completed as f64 / wall_secs.max(1e-9), 4),
-            ),
-            ("steals", s.steals.into()),
-            ("stolen_sessions", s.stolen_sessions.into()),
-            ("drained_from_dead", s.drained_from_dead.into()),
-            ("batches", s.batches.into()),
-            ("batched_sessions", s.batched_sessions.into()),
-        ])
-    });
     let doc = Json::obj([
         ("sessions", args.sessions.into()),
         ("scale_percent", args.scale_percent.into()),
@@ -477,7 +383,6 @@ fn main() {
         ("deterministic", deterministic.into()),
         ("skewed", skewed_block),
         ("overload", overload_block),
-        ("threaded", threaded_block),
     ]);
     write_json(&args.out, &doc);
 }

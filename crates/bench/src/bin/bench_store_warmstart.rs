@@ -26,14 +26,15 @@
 //!                       [--dir PATH] [--out PATH]
 //! ```
 
-use engarde_bench::harness::{fleet_machine, per_model_second, write_json, Flags};
+use engarde_bench::harness::{
+    fleet_config, fleet_machine, per_model_second, run_fleet, write_json, Flags,
+};
 use engarde_core::loader::LoaderConfig;
 use engarde_core::provision::BootstrapSpec;
 use engarde_serve::metrics::Json;
 use engarde_serve::persist::StoreConfig;
 use engarde_serve::regimes;
-use engarde_serve::service::{ProvisioningService, SchedMode, ServiceConfig};
-use engarde_serve::SessionRunConfig;
+use engarde_serve::service::ServiceConfig;
 use engarde_sgx::perf::CLOCK_GHZ;
 use engarde_workloads::traffic::{distinct_binary_traffic, TrafficItem};
 use std::collections::HashMap;
@@ -80,32 +81,21 @@ struct FleetRun {
     verdict_fingerprint: String,
 }
 
-fn run_fleet(
+fn run(
     label: &'static str,
     traffic: &[TrafficItem],
     store: StoreConfig,
     args: &Args,
     musl: &Arc<HashMap<String, engarde_crypto::sha256::Digest>>,
 ) -> FleetRun {
-    let mut svc = ProvisioningService::start(ServiceConfig {
+    let cfg = ServiceConfig {
         shards: args.shards,
-        mode: SchedMode::VirtualTime {
-            arrival_gap: args.arrival_gap,
-        },
-        machine: fleet_machine(args.seed),
-        queue_capacity: traffic.len().max(1) * 2,
-        run: SessionRunConfig::default(),
-        verdict_cache: None,
-        faults: None,
         store: Some(store),
-        batch: None,
-        steal: true,
-    });
-    for item in traffic {
-        svc.submit(regimes::request_for(item, musl))
-            .unwrap_or_else(|e| panic!("submit {}: {e}", item.name));
-    }
-    let result = svc.drain();
+        ..fleet_config(args.seed, args.arrival_gap, traffic.len().max(1) * 2)
+    };
+    let requests = traffic.iter().map(|item| regimes::request_for(item, musl));
+    let (result, rejected) = run_fleet(cfg, requests);
+    assert_eq!(rejected, 0, "{label}: the queue holds every session");
     let m = result.metrics.counters();
     let s = result.metrics.store_stats();
     let run = FleetRun {
@@ -167,14 +157,14 @@ fn main() {
     // Generation 1: cold boot over an empty store. Every binary is
     // novel — full disassembly + policy per session, every verdict
     // sealed and flushed.
-    let cold = run_fleet("cold", &traffic, store.clone(), &args, &musl);
+    let cold = run("cold", &traffic, store.clone(), &args, &musl);
 
     // Generation 2: service restart over the populated store.
-    let warm = run_fleet("warm_restart", &traffic, store.clone(), &args, &musl);
+    let warm = run("warm_restart", &traffic, store.clone(), &args, &musl);
 
     // Generation 3: a second restart, pinning determinism end-to-end
     // (the warm run appends nothing, so the lineage is unchanged).
-    let warm_repeat = run_fleet("warm_repeat", &traffic, store, &args, &musl);
+    let warm_repeat = run("warm_repeat", &traffic, store, &args, &musl);
 
     let speedup = warm.sessions_per_model_sec / cold.sessions_per_model_sec;
     let identical = warm.verdict_fingerprint == cold.verdict_fingerprint;

@@ -25,11 +25,10 @@
 //!                     [--cross-shards N] [--out PATH]
 //! ```
 
-use engarde_bench::harness::{fleet_machine, per_model_second, write_json, Flags};
+use engarde_bench::harness::{fleet_config, per_model_second, run_fleet, write_json, Flags};
 use engarde_serve::metrics::Json;
 use engarde_serve::regimes;
-use engarde_serve::service::{ProvisioningService, SchedMode, ServiceConfig, ServiceResult};
-use engarde_serve::SessionRunConfig;
+use engarde_serve::service::{ServiceConfig, ServiceResult};
 use engarde_sgx::perf::CLOCK_GHZ;
 use engarde_workloads::traffic::{distinct_binary_traffic, repeated_binary_traffic, TrafficItem};
 use std::collections::HashMap;
@@ -96,7 +95,7 @@ fn verdict_fingerprint(result: &ServiceResult) -> String {
     h.finalize().to_hex()
 }
 
-fn run_fleet(
+fn run(
     label: &'static str,
     traffic: &[TrafficItem],
     cache: Option<usize>,
@@ -104,25 +103,14 @@ fn run_fleet(
     args: &Args,
     musl: &Arc<HashMap<String, engarde_crypto::sha256::Digest>>,
 ) -> FleetRun {
-    let mut svc = ProvisioningService::start(ServiceConfig {
+    let cfg = ServiceConfig {
         shards,
-        mode: SchedMode::VirtualTime {
-            arrival_gap: args.arrival_gap,
-        },
-        machine: fleet_machine(args.seed),
-        queue_capacity: traffic.len().max(1) * 2,
-        run: SessionRunConfig::default(),
         verdict_cache: cache,
-        faults: None,
-        store: None,
-        batch: None,
-        steal: true,
-    });
-    for item in traffic {
-        svc.submit(regimes::request_for(item, musl))
-            .unwrap_or_else(|e| panic!("submit {}: {e}", item.name));
-    }
-    let result = svc.drain();
+        ..fleet_config(args.seed, args.arrival_gap, traffic.len().max(1) * 2)
+    };
+    let requests = traffic.iter().map(|item| regimes::request_for(item, musl));
+    let (result, rejected) = run_fleet(cfg, requests);
+    assert_eq!(rejected, 0, "{label}: the queue holds every session");
     let m = result.metrics.counters();
     let cache = result.metrics.cache_stats();
     let run = FleetRun {
@@ -174,7 +162,7 @@ fn main() {
     // Single-shard runs: the cached/uncached comparison must pin every
     // session to the same provider position so verdict signatures are
     // byte-comparable.
-    let cached = run_fleet(
+    let cached = run(
         "same_binary_cached",
         &same,
         Some(args.cache_capacity),
@@ -182,8 +170,8 @@ fn main() {
         &args,
         &musl,
     );
-    let uncached = run_fleet("same_binary_uncached", &same, None, 1, &args, &musl);
-    let control = run_fleet(
+    let uncached = run("same_binary_uncached", &same, None, 1, &args, &musl);
+    let control = run(
         "distinct_binary_cached",
         &distinct,
         Some(args.cache_capacity),
@@ -194,7 +182,7 @@ fn main() {
 
     // Cross-shard sharing: one fleet-wide cache, several shards — the
     // first shard's verdict serves the other shards' tenants.
-    let cross = run_fleet(
+    let cross = run(
         "cross_shard_cached",
         &same,
         Some(args.cache_capacity),

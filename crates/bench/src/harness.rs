@@ -1,8 +1,10 @@
 //! What the `bench_*` binaries share: one command-line flag parser, the
-//! fleet machine they measure on, the model-time rate they report, and
-//! their JSON output.
+//! fleet they measure on and the runner that drives it, the model-time
+//! rate they report, and their JSON output.
 
 use engarde_serve::metrics::Json;
+use engarde_serve::service::{ProvisioningService, SchedMode, ServiceConfig, ServiceResult};
+use engarde_serve::{ServeError, SessionRequest};
 use engarde_sgx::instr::SgxVersion;
 use engarde_sgx::machine::MachineConfig;
 use engarde_sgx::perf::CLOCK_GHZ;
@@ -115,6 +117,44 @@ pub fn fleet_machine(seed: u64) -> MachineConfig {
         device_key_bits: 512,
         seed,
     }
+}
+
+/// The fleet every serve bench starts from: virtual time with one
+/// arrival every `arrival_gap` model cycles, [`fleet_machine`]`(seed)`,
+/// an admission queue of `queue_capacity`, the default run config and
+/// stealing on, with no cache, store, faults or batching. A bench
+/// changes what it measures by struct update.
+pub fn fleet_config(seed: u64, arrival_gap: u64, queue_capacity: usize) -> ServiceConfig {
+    ServiceConfig {
+        mode: SchedMode::VirtualTime { arrival_gap },
+        machine: fleet_machine(seed),
+        queue_capacity,
+        ..ServiceConfig::default()
+    }
+}
+
+/// Starts a service on `cfg`, submits every request, and drains it.
+/// Returns the result and how many submissions admission refused
+/// `Busy`.
+///
+/// # Panics
+///
+/// On any other submission error.
+pub fn run_fleet(
+    cfg: ServiceConfig,
+    requests: impl IntoIterator<Item = SessionRequest>,
+) -> (ServiceResult, u64) {
+    let mut svc = ProvisioningService::start(cfg);
+    let mut busy = 0;
+    for req in requests {
+        let name = req.name.clone();
+        match svc.submit(req) {
+            Ok(()) => {}
+            Err(ServeError::Busy { .. }) => busy += 1,
+            Err(e) => panic!("submit {name}: {e}"),
+        }
+    }
+    (svc.drain(), busy)
 }
 
 /// `count` events per second of model time, over `cycles` model cycles

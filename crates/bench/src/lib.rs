@@ -16,9 +16,10 @@
 //!   per-policy rescans,
 //! - `ablation_epc` — stock OpenSGX limits vs the paper's configuration.
 //!
-//! The `bench_*` binaries (serve throughput, verdict cache, fault
-//! recovery, taint analysis, store warm start) each write a
-//! `BENCH_*.json`; they share the [`harness`] module.
+//! The `bench_*` binaries (serve throughput, threaded serve throughput,
+//! verdict cache, fault recovery, taint analysis, store warm start)
+//! each write a `BENCH_*.json`; they share the [`harness`] module, whose
+//! fleet runner is the one place a bench starts a service.
 //!
 //! Every number comes out of the same full client↔provider protocol the
 //! examples run, measured with the OpenSGX cost model (10K cycles per

@@ -481,6 +481,12 @@ impl VerdictCache {
         }
     }
 
+    /// Stops recording inserts and drops the unflushed log: the store
+    /// it fed is gone, and an unread log would grow with every insert.
+    pub fn stop_tracking_dirty(&mut self) {
+        self.dirty = None;
+    }
+
     /// Drains the dirty log (insertion order). Empty when
     /// [`VerdictCache::track_dirty`] was never called or no inserts
     /// happened since the last drain.

@@ -390,6 +390,7 @@ impl Core {
         }
         let flushed = state.flush(&self.metrics, session, Some(shard), "write-behind flush");
         if flushed.is_none() {
+            lock_cache(&state.cache).stop_tracking_dirty();
             *store = None;
         }
         flushed.unwrap_or(0)

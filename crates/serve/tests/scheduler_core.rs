@@ -204,3 +204,44 @@ fn threaded_workers_flush_write_behind_while_the_service_runs() {
     );
     assert_eq!(store.flushed, 8, "every verdict reaches the store");
 }
+
+#[test]
+fn a_failed_write_behind_flush_stops_the_dirty_log() {
+    let seed = 0xDE6A;
+    let musl = Arc::new(regimes::musl_hashes());
+    let tmp = TempDir::new("degrade");
+    // One record per segment: the second append rotates into a new
+    // segment file, which cannot be created once the directory is gone.
+    let store = StoreConfig {
+        flush_batch: 1,
+        segment_max_records: 1,
+        ..store_cfg(tmp.path(), seed)
+    };
+    let mut svc = ProvisioningService::start(ServiceConfig {
+        shards: 1,
+        machine: machine(seed),
+        queue_capacity: 64,
+        store: Some(store),
+        ..ServiceConfig::default()
+    });
+    std::fs::remove_dir_all(tmp.path()).expect("remove the store directory");
+    for item in &distinct_binary_traffic(6, 3, seed) {
+        svc.submit(regimes::request_for(item, &musl))
+            .expect("admit");
+    }
+    let result = svc.drain();
+    assert!(result.reports.iter().all(|r| r.reached_verdict()));
+    let degraded = result
+        .metrics
+        .events()
+        .iter()
+        .filter(|e| e.kind == engarde_serve::metrics::EventKind::StoreDegraded)
+        .count();
+    assert_eq!(degraded, 1, "the store detaches at its first failed flush");
+    let cache = result.shards[0].provider().verdict_cache().expect("cache");
+    assert_eq!(
+        engarde_core::cache::lock_cache(cache).dirty_len(),
+        0,
+        "a detached store leaves no dirty log behind"
+    );
+}

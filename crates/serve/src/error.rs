@@ -1,10 +1,7 @@
-//! The service layer's error type.
-//!
-//! Protocol-order mistakes that used to be stringly-typed footguns
-//! (deliver before the channel opens, inspect before the transfer
-//! completes, inspect twice) are first-class variants here, as are the
-//! service-level outcomes: admission rejection, eviction, and retry
-//! exhaustion.
+//! The service layer's error type: the service-level outcomes
+//! (admission rejection, eviction, retry exhaustion, lost workers) next
+//! to the EnGarde failures a session's protocol run can return, plus
+//! the classification of which of those a fresh attempt can recover.
 
 use engarde_core::EngardeError;
 use std::error::Error;
@@ -16,8 +13,6 @@ pub enum EvictReason {
     /// The client stopped delivering before the manifest's page count
     /// was satisfied.
     ClientStalled,
-    /// The session's delivery phase exceeded its cycle budget.
-    DeliverBudgetExceeded,
     /// The whole session (attempts plus backoff) exceeded its
     /// end-to-end cycle budget.
     SessionBudgetExceeded,
@@ -27,7 +22,6 @@ impl fmt::Display for EvictReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EvictReason::ClientStalled => write!(f, "client stalled mid-transfer"),
-            EvictReason::DeliverBudgetExceeded => write!(f, "delivery cycle budget exceeded"),
             EvictReason::SessionBudgetExceeded => write!(f, "session cycle budget exceeded"),
         }
     }
@@ -37,14 +31,6 @@ impl fmt::Display for EvictReason {
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub enum ServeError {
-    /// A session method was called in a phase that does not allow it —
-    /// the typed replacement for protocol-order footguns.
-    IllegalTransition {
-        /// The session's current phase.
-        phase: &'static str,
-        /// The attempted action.
-        action: &'static str,
-    },
     /// Admission control refused the session: the queue is full.
     Busy {
         /// Queue depth observed at rejection.
@@ -69,27 +55,11 @@ pub enum ServeError {
     /// Every worker in the pool is dead; the service cannot run any
     /// session. Returned typed from `submit` instead of hanging.
     PoolDead,
-    /// The shard's circuit breaker is open: fault rates spiked and the
-    /// shard is shedding load until its cooldown passes.
-    LoadShed {
-        /// The shedding shard.
-        shard: usize,
-    },
-    /// A session phase that guarantees a channel key was entered
-    /// without one — an internal invariant violation reported as a
-    /// typed error instead of a panic.
-    MissingSessionKey {
-        /// The phase that should have held the key.
-        phase: &'static str,
-    },
 }
 
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServeError::IllegalTransition { phase, action } => {
-                write!(f, "illegal transition: cannot {action} while {phase}")
-            }
             ServeError::Busy { queue_depth } => {
                 write!(f, "service busy: queue depth {queue_depth}")
             }
@@ -100,12 +70,6 @@ impl fmt::Display for ServeError {
             ServeError::Engarde(e) => write!(f, "provisioning failure: {e}"),
             ServeError::WorkerLost => write!(f, "worker thread lost"),
             ServeError::PoolDead => write!(f, "worker pool is dead: no live workers"),
-            ServeError::LoadShed { shard } => {
-                write!(f, "shard {shard} is shedding load (circuit breaker open)")
-            }
-            ServeError::MissingSessionKey { phase } => {
-                write!(f, "session in phase {phase} holds no channel key")
-            }
         }
     }
 }
@@ -154,11 +118,6 @@ mod tests {
 
     #[test]
     fn display_covers_variants() {
-        let e = ServeError::IllegalTransition {
-            phase: "created",
-            action: "inspect",
-        };
-        assert!(e.to_string().contains("cannot inspect while created"));
         assert!(ServeError::Busy { queue_depth: 7 }
             .to_string()
             .contains('7'));

@@ -6,15 +6,16 @@
 //!
 //! The layers:
 //!
-//! - [`session`] — the per-tenant protocol as a typed state machine;
-//!   illegal orderings (deliver before the channel opens, inspect before
-//!   the transfer completes, double-inspect) are
-//!   [`error::ServeError::IllegalTransition`] values, not stringly
-//!   protocol errors.
+//! - [`session`] — what a tenant submits: the session request and the
+//!   factory for its agreed policy modules.
 //! - [`pool`] — shards: one [`CloudProvider`]-on-its-own-machine per
-//!   shard, running sessions with eviction (stalled clients, delivery
-//!   cycle budgets), retry-with-budget under transient EPC pressure, and
-//!   EPC recycling via enclave teardown.
+//!   shard, each attempt driving the tenant's `Client` and the provider
+//!   directly in protocol order (the two parties refuse any other
+//!   order themselves), with stalled-client eviction, retry-with-budget
+//!   under transient EPC pressure and transport damage, a per-shard
+//!   circuit breaker, and EPC recycling via enclave teardown.
+//! - [`error`] — the service's typed outcomes and the retry
+//!   classification.
 //! - [`service`] — admission control (bounded queue, `Busy`
 //!   backpressure, optional same-binary batch admission) in front of
 //!   the fleet, scheduled by per-worker deques with work stealing: each
@@ -94,4 +95,4 @@ pub use metrics::ServeMetrics;
 pub use persist::{store_seal_key, StoreConfig};
 pub use pool::{BatchPolicy, SessionOutcome, SessionReport, SessionRunConfig, Shard};
 pub use service::{ProvisioningService, SchedMode, ServiceConfig, ServiceResult};
-pub use session::{PolicyFactory, SessionFsm, SessionPhase, SessionRequest};
+pub use session::{PolicyFactory, SessionRequest};

@@ -1,6 +1,6 @@
 //! Shard workers: each shard owns one [`SgxMachine`]-backed
 //! [`CloudProvider`] and runs sessions to completion with eviction,
-//! retry-with-budget, and EPC recycling.
+//! retry-with-budget, a circuit breaker, and EPC recycling.
 //!
 //! A shard is the unit of parallelism: providers are not `Send`-shared —
 //! every shard's machine lives on exactly one worker (threaded mode) or
@@ -8,18 +8,27 @@
 //! logic is identical and lives in [`Shard::run_session`]; the scheduler
 //! core in [`crate::service`] runs items of sessions on a shard.
 //!
+//! Each attempt drives the tenant's [`Client`] and the shard's provider
+//! directly, in the paper's order (attest → channel → deliver → inspect
+//! → verdict); those two parties refuse any other order themselves.
+//! Every enclave an attempt creates is closed before the attempt
+//! returns, whatever its outcome, so a finished session holds no EPC.
+//!
 //! [`SgxMachine`]: engarde_sgx::machine::SgxMachine
 
 use crate::error::{is_retryable, EvictReason, ServeError};
 use crate::faults::{self, FaultDirective, FaultKind};
 use crate::metrics::{EventKind, FaultStage, ServeMetrics};
-use crate::session::{SessionFsm, SessionPhase, SessionRequest};
+use crate::session::SessionRequest;
 use engarde_core::cache::{CacheKey, SharedVerdictCache};
+use engarde_core::client::Client;
 use engarde_core::protocol::SignedVerdict;
-use engarde_core::provider::CloudProvider;
-use engarde_core::provision::StageCycles;
-use engarde_crypto::sha256::Digest;
-use engarde_sgx::machine::{EnclaveId, MachineConfig};
+use engarde_core::provider::{CloudProvider, ProviderView};
+use engarde_core::provision::{StageCycles, DEFAULT_ENCLAVE_BASE};
+use engarde_core::EngardeError;
+use engarde_crypto::rsa::RsaPublicKey;
+use engarde_crypto::sha256::{Digest, Sha256};
+use engarde_sgx::machine::MachineConfig;
 use std::collections::VecDeque;
 
 /// How one session ended.
@@ -140,16 +149,6 @@ impl SessionReport {
 pub struct SessionRunConfig {
     /// Additional attempts allowed after a transient failure.
     pub retry_budget: u32,
-    /// Model-cycle budget for the delivery phase; exceeding it evicts
-    /// the session (`DeliverBudgetExceeded`).
-    pub deliver_cycle_budget: Option<u64>,
-    /// Destroy compliant enclaves after inspection (recycling EPC). When
-    /// false, compliant enclaves are retained — the long-running-tenant
-    /// model — until pressure reclaims them.
-    pub release_enclaves: bool,
-    /// Under transient EPC pressure, reclaim the oldest retained enclave
-    /// before retrying.
-    pub reclaim_on_pressure: bool,
     /// Base of the exponential retry backoff, in model cycles; attempt
     /// `n` waits `base · 2^(n-1)` plus deterministic jitter derived
     /// from the session's client seed. `0` disables backoff (retries
@@ -172,9 +171,6 @@ impl Default for SessionRunConfig {
     fn default() -> Self {
         SessionRunConfig {
             retry_budget: 2,
-            deliver_cycle_budget: None,
-            release_enclaves: true,
-            reclaim_on_pressure: true,
             backoff_base_cycles: 0,
             session_cycle_budget: None,
             breaker_threshold: 0,
@@ -194,7 +190,6 @@ impl SessionRunConfig {
             session_cycle_budget: Some(2_000_000_000),
             breaker_threshold: 4,
             breaker_cooldown_cycles: 20_000_000,
-            ..SessionRunConfig::default()
         }
     }
 }
@@ -366,12 +361,11 @@ impl WorkDeques {
     }
 }
 
-/// One shard: a provider on its own SGX machine plus the enclaves it has
-/// retained for long-running tenants.
+/// One shard: a provider on its own SGX machine, plus its liveness and
+/// circuit-breaker state.
 pub struct Shard {
     index: usize,
     provider: CloudProvider,
-    retained: VecDeque<EnclaveId>,
     dead: bool,
     breaker_failures: u32,
     breaker_open_until: Option<u64>,
@@ -380,22 +374,27 @@ pub struct Shard {
 
 impl std::fmt::Debug for Shard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Shard({}, {} retained)", self.index, self.retained.len())
+        write!(f, "Shard({})", self.index)
     }
 }
 
 /// What one protocol attempt produced (before outcome bookkeeping).
 struct AttemptOutput {
-    compliant: bool,
-    stages: StageCycles,
-    instructions: usize,
+    view: ProviderView,
     blocks_delivered: usize,
-    enclave_key_fp: Option<[u8; 32]>,
+    enclave_key_fp: [u8; 32],
     measurement: Option<Digest>,
-    verdict: Option<SignedVerdict>,
+    verdict: SignedVerdict,
     client_verified: bool,
-    cache_hit: bool,
-    taint: Option<engarde_core::analysis::TaintStats>,
+}
+
+/// SHA-256 fingerprint of an attested enclave key: the channel identity
+/// tests compare across tenants for leakage.
+fn key_fingerprint(key: &RsaPublicKey) -> [u8; 32] {
+    let mut h = Sha256::new();
+    h.update(&key.modulus_be());
+    h.update(&key.exponent_be());
+    *h.finalize().as_bytes()
 }
 
 impl Shard {
@@ -417,7 +416,6 @@ impl Shard {
         Shard {
             index,
             provider,
-            retained: VecDeque::new(),
             dead: false,
             breaker_failures: 0,
             breaker_open_until: None,
@@ -448,26 +446,14 @@ impl Shard {
         &self.provider
     }
 
-    /// Enclaves retained for long-running tenants.
-    pub fn retained_enclaves(&self) -> usize {
-        self.retained.len()
-    }
-
     /// Model cycles consumed on this shard's machine so far.
     pub fn total_cycles(&self) -> u64 {
         self.provider.host().machine().counter().total_cycles()
     }
 
-    /// Destroys the oldest retained enclave, returning the EPC pages it
-    /// freed. `None` when nothing is retained.
-    pub fn reclaim_oldest(&mut self) -> Option<usize> {
-        let id = self.retained.pop_front()?;
-        self.provider.close_session(id).ok()
-    }
-
     /// Runs one session start to finish: create, attest, channel,
-    /// delivery (with stall/budget eviction), inspection, and teardown
-    /// or retention — retrying transient EPC-pressure failures within
+    /// delivery (with stall eviction), inspection, and teardown —
+    /// retrying transient EPC-pressure and transport failures within
     /// `cfg.retry_budget`.
     ///
     /// An optional injected fault `directive` applies to the *first*
@@ -561,7 +547,7 @@ impl Shard {
         let mut fault_detected = false;
         let result = loop {
             let dir = if retries == 0 { directive } else { None };
-            match self.attempt(req, cfg, dir) {
+            match self.attempt(req, dir) {
                 Ok(out) => break Ok(out),
                 Err(e) if is_retryable(&e) && retries < cfg.retry_budget => {
                     if let Some(d) = directive {
@@ -594,19 +580,11 @@ impl Shard {
                             ));
                         }
                     }
-                    let reclaimed = if cfg.reclaim_on_pressure {
-                        self.reclaim_oldest()
-                    } else {
-                        None
-                    };
                     metrics.record(
                         EventKind::Retried,
                         &req.name,
                         Some(self.index),
-                        &match reclaimed {
-                            Some(pages) => format!("{e}; reclaimed {pages} EPC pages"),
-                            None => format!("{e}"),
-                        },
+                        &e.to_string(),
                     );
                 }
                 Err(e) => {
@@ -662,16 +640,17 @@ impl Shard {
         let wall_nanos = wall_start.elapsed().as_nanos() as u64;
         match result {
             Ok(out) => {
-                let outcome = if out.compliant {
+                let compliant = out.view.compliant;
+                let outcome = if compliant {
                     SessionOutcome::Compliant
                 } else {
                     SessionOutcome::NonCompliant
                 };
-                metrics.record_verdict(out.compliant);
-                if let Some(taint) = &out.taint {
+                metrics.record_verdict(compliant);
+                if let Some(taint) = &out.view.taint {
                     metrics.record_taint(taint);
                 }
-                if out.cache_hit {
+                if out.view.cache_hit {
                     metrics.record(
                         EventKind::CacheHit,
                         &req.name,
@@ -683,7 +662,7 @@ impl Shard {
                     EventKind::Completed,
                     &req.name,
                     Some(self.index),
-                    if out.compliant {
+                    if compliant {
                         "compliant"
                     } else {
                         "noncompliant"
@@ -693,18 +672,18 @@ impl Shard {
                     name: req.name.clone(),
                     shard: self.index,
                     outcome,
-                    stages: out.stages,
+                    stages: out.view.stages,
                     cycles,
                     latency_cycles: cycles,
                     wall_nanos,
                     retries,
                     blocks_delivered: out.blocks_delivered,
-                    enclave_key_fp: out.enclave_key_fp,
+                    enclave_key_fp: Some(out.enclave_key_fp),
                     measurement: out.measurement,
-                    verdict: out.verdict,
+                    verdict: Some(out.verdict),
                     client_verified: out.client_verified,
-                    instructions: out.instructions,
-                    cache_hit: out.cache_hit,
+                    instructions: out.view.instructions,
+                    cache_hit: out.view.cache_hit,
                 }
             }
             Err((e, retries)) => {
@@ -744,119 +723,110 @@ impl Shard {
         }
     }
 
-    /// One protocol attempt. Any mid-protocol failure tears the enclave
-    /// down before returning so EPC pages are never leaked.
+    /// One protocol attempt, driving the tenant's [`Client`] and the
+    /// provider directly. An injected fault lands at its
+    /// protocol-accurate point: key tampering at channel establishment,
+    /// block tampering on the sealed transfer, pressure spikes on the
+    /// provider before delivery, stalls as a truncated send. Once the
+    /// enclave exists, every path closes it exactly once, so EPC pages
+    /// are never leaked.
     fn attempt(
         &mut self,
         req: &SessionRequest,
-        cfg: &SessionRunConfig,
         directive: Option<&FaultDirective>,
     ) -> Result<AttemptOutput, ServeError> {
-        let mut fsm = SessionFsm::create(&mut self.provider, req)?;
-        match self.drive(&mut fsm, req, cfg, directive) {
-            Ok(out) => {
-                // Rejected content never keeps an enclave; compliant
-                // enclaves are recycled or retained per config.
-                if !out.compliant || cfg.release_enclaves {
-                    let _ = fsm.abort(&mut self.provider);
-                } else {
-                    self.retained.push_back(fsm.enclave());
-                }
-                Ok(out)
-            }
-            Err(e) => {
-                let _ = fsm.abort(&mut self.provider);
-                Err(e)
-            }
-        }
-    }
+        let provider = &mut self.provider;
+        let enclave = provider.create_engarde_enclave(req.spec.clone(), (req.policies)())?;
+        let mut client = Client::new(
+            req.binary.clone(),
+            &req.spec,
+            DEFAULT_ENCLAVE_BASE,
+            provider.device_public_key(),
+            req.client_seed,
+        );
+        let result = (|| {
+            let nonce = client.challenge();
+            let quote = provider.attest(enclave, nonce)?;
+            let key = provider.enclave_public_key(enclave)?;
+            client.verify_quote(&quote, &key)?;
 
-    /// The protocol body, separated so `attempt` can guarantee teardown.
-    /// An injected fault lands at its protocol-accurate point: key
-    /// tampering at channel establishment, block tampering on the
-    /// sealed transfer, pressure spikes on the provider before
-    /// delivery, stalls as a truncated send.
-    fn drive(
-        &mut self,
-        fsm: &mut SessionFsm,
-        req: &SessionRequest,
-        cfg: &SessionRunConfig,
-        directive: Option<&FaultDirective>,
-    ) -> Result<AttemptOutput, ServeError> {
-        fsm.attest(&mut self.provider)?;
-        let key_tamper = directive.filter(|d| d.kind == FaultKind::KeyMismatch);
-        fsm.open_channel_with(&mut self.provider, key_tamper)?;
+            let mut wrapped = client.establish_channel(&key)?;
+            if let Some(d) = directive.filter(|d| d.kind == FaultKind::KeyMismatch) {
+                faults::tamper_wrapped_key(&mut wrapped, d);
+            }
+            provider.open_channel(enclave, &wrapped)?;
 
-        let mut blocks = fsm.content_blocks()?;
-        let mut stall_after = req.stall_after;
-        if let Some(d) = directive {
-            match d.kind {
-                FaultKind::CorruptBlock
-                | FaultKind::TruncateBlock
-                | FaultKind::DropBlock
-                | FaultKind::ReorderBlocks
-                | FaultKind::DuplicateBlock
-                | FaultKind::FlipManifest => {
-                    faults::apply_to_blocks(&mut blocks, d);
-                }
-                FaultKind::ClientStall => {
-                    if let Some(p) = faults::stall_point(d, blocks.len()) {
-                        stall_after = Some(stall_after.map_or(p, |s| s.min(p)));
+            let mut blocks = client.content_blocks()?;
+            let mut stall_after = req.stall_after;
+            if let Some(d) = directive {
+                match d.kind {
+                    FaultKind::CorruptBlock
+                    | FaultKind::TruncateBlock
+                    | FaultKind::DropBlock
+                    | FaultKind::ReorderBlocks
+                    | FaultKind::DuplicateBlock
+                    | FaultKind::FlipManifest => {
+                        faults::apply_to_blocks(&mut blocks, d);
                     }
-                }
-                FaultKind::EpcPressure => {
-                    // Even parity spikes the host EPC allocator (felt at
-                    // the next deliver); odd parity spikes the enclave's
-                    // working memory (felt inside receive).
-                    if d.bit % 2 == 0 {
-                        self.provider.inject_epc_pressure(d.pressure);
-                    } else {
-                        self.provider
-                            .inject_working_memory_pressure(fsm.enclave(), d.pressure)?;
+                    FaultKind::ClientStall => {
+                        if let Some(p) = faults::stall_point(d, blocks.len()) {
+                            stall_after = Some(stall_after.map_or(p, |s| s.min(p)));
+                        }
                     }
+                    FaultKind::EpcPressure => {
+                        // Even parity spikes the host EPC allocator (felt
+                        // at the next deliver); odd parity spikes the
+                        // enclave's working memory (felt inside receive).
+                        if d.bit % 2 == 0 {
+                            provider.inject_epc_pressure(d.pressure);
+                        } else {
+                            provider.inject_working_memory_pressure(enclave, d.pressure)?;
+                        }
+                    }
+                    // Key tampering landed at channel establishment
+                    // above; worker death never starts an attempt; store
+                    // faults damage bytes at rest, not this session's
+                    // transport.
+                    FaultKind::KeyMismatch
+                    | FaultKind::WorkerDeath
+                    | FaultKind::StoreTornWrite
+                    | FaultKind::StoreBitFlip
+                    | FaultKind::StoreLostSegment => {}
                 }
-                // Key tampering landed at channel establishment above;
-                // worker death never reaches `drive`; store faults
-                // damage bytes at rest, not this session's transport.
-                FaultKind::KeyMismatch
-                | FaultKind::WorkerDeath
-                | FaultKind::StoreTornWrite
-                | FaultKind::StoreBitFlip
-                | FaultKind::StoreLostSegment => {}
             }
-        }
-        let deliver_start = self.total_cycles();
-        let take = stall_after.map_or(blocks.len(), |n| n.min(blocks.len()));
-        for block in blocks.iter().take(take) {
-            fsm.deliver(&mut self.provider, block)?;
-            if let Some(budget) = cfg.deliver_cycle_budget {
-                if self.total_cycles() - deliver_start > budget {
-                    return Err(ServeError::Evicted {
-                        reason: EvictReason::DeliverBudgetExceeded,
-                    });
-                }
+            let take = stall_after.map_or(blocks.len(), |n| n.min(blocks.len()));
+            for block in &blocks[..take] {
+                provider.deliver(enclave, block)?;
             }
-        }
-        if fsm.phase() != SessionPhase::Complete {
-            // The client went silent before the manifest was satisfied.
-            return Err(ServeError::Evicted {
-                reason: EvictReason::ClientStalled,
-            });
-        }
+            if !provider.content_complete(enclave)? {
+                // The client went silent before the manifest was
+                // satisfied.
+                return Err(ServeError::Evicted {
+                    reason: EvictReason::ClientStalled,
+                });
+            }
 
-        let measurement = self.provider.measurement(fsm.enclave());
-        let verdict = fsm.inspect(&mut self.provider)?;
-        Ok(AttemptOutput {
-            compliant: verdict.view.compliant,
-            stages: verdict.view.stages,
-            instructions: verdict.view.instructions,
-            blocks_delivered: fsm.blocks_delivered(),
-            enclave_key_fp: fsm.enclave_key_fingerprint(),
-            measurement,
-            verdict: Some(verdict.verdict),
-            client_verified: verdict.client_verified,
-            cache_hit: verdict.view.cache_hit,
-            taint: verdict.view.taint,
-        })
+            let measurement = provider.measurement(enclave);
+            let view = provider.inspect_and_provision(enclave)?;
+            let verdict = provider.signed_verdict(enclave).cloned().ok_or_else(|| {
+                EngardeError::Protocol {
+                    what: "inspection signed no verdict".into(),
+                }
+            })?;
+            let client_verified = matches!(
+                client.verify_verdict(&verdict, &key),
+                Ok(agreed) if agreed == view.compliant
+            );
+            Ok(AttemptOutput {
+                view,
+                blocks_delivered: take,
+                enclave_key_fp: key_fingerprint(&key),
+                measurement,
+                verdict,
+                client_verified,
+            })
+        })();
+        let _ = provider.close_session(enclave);
+        result
     }
 }

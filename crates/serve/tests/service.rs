@@ -1,13 +1,12 @@
-//! Integration tests for the provisioning service: typed protocol
-//! transitions, deterministic virtual-time scheduling, eviction with
-//! EPC recycling, admission backpressure, threaded workers, and
-//! retry-under-EPC-pressure with reclamation.
+//! Integration tests for the provisioning service: deterministic
+//! virtual-time scheduling, eviction with EPC recycling, admission
+//! backpressure, and threaded workers.
 
-use engarde_core::provider::CloudProvider;
 use engarde_serve::pool::SessionOutcome;
 use engarde_serve::service::{ProvisioningService, SchedMode, ServiceConfig};
-use engarde_serve::session::SessionFsm;
-use engarde_serve::{regimes, ServeError, SessionRunConfig};
+use engarde_serve::{
+    regimes, FaultDirective, FaultKind, ServeError, ServeMetrics, SessionRunConfig, Shard,
+};
 use engarde_sgx::instr::SgxVersion;
 use engarde_sgx::machine::MachineConfig;
 use engarde_workloads::traffic::{
@@ -44,79 +43,37 @@ fn compliant_requests(n: usize, seed: u64) -> Vec<engarde_serve::SessionRequest>
 }
 
 #[test]
-fn fsm_rejects_illegal_transitions_with_typed_errors() {
-    let mut provider = CloudProvider::new(machine(0xF5A));
-    let req = compliant_requests(1, 0xF5A).remove(0);
-    let mut fsm = SessionFsm::create(&mut provider, &req).expect("create");
-
-    // Channel and delivery before attestation are refused up front.
-    assert!(matches!(
-        fsm.open_channel(&mut provider),
-        Err(ServeError::IllegalTransition {
-            phase: "created",
-            action: "open channel"
-        })
-    ));
-    assert!(matches!(
-        fsm.content_blocks(),
-        Err(ServeError::IllegalTransition {
-            phase: "created",
-            ..
-        })
-    ));
-
-    fsm.attest(&mut provider).expect("attest");
-    // Double attestation is a typed error too.
-    assert!(matches!(
-        fsm.attest(&mut provider),
-        Err(ServeError::IllegalTransition {
-            phase: "attested",
-            action: "attest"
-        })
-    ));
-    // Inspection before the transfer even starts.
-    assert!(matches!(
-        fsm.inspect(&mut provider),
-        Err(ServeError::IllegalTransition {
-            phase: "attested",
-            action: "inspect"
-        })
-    ));
-
-    fsm.open_channel(&mut provider).expect("channel");
-    let blocks = fsm.content_blocks().expect("blocks");
-    assert!(blocks.len() > 2);
-    fsm.deliver(&mut provider, &blocks[0]).expect("deliver");
-    // Inspect mid-delivery: refused before the provider is touched.
-    assert!(matches!(
-        fsm.inspect(&mut provider),
-        Err(ServeError::IllegalTransition {
-            phase: "delivering",
-            action: "inspect"
-        })
-    ));
-    for block in &blocks[1..] {
-        fsm.deliver(&mut provider, block).expect("deliver");
+fn duplicated_final_block_is_a_retryable_sequence_error() {
+    // A copy of the last sealed block arrives after the transfer is
+    // complete. The enclave's channel refuses it as a replayed sequence
+    // number, the same typed transport error as a duplicate anywhere
+    // else in the stream, so a fresh attempt recovers.
+    let req = compliant_requests(1, 0xD0B).remove(0);
+    let metrics = ServeMetrics::new();
+    let mut shard = Shard::new(0, &machine(0xD0B), None);
+    let clean = shard.run_session(&req, &SessionRunConfig::default(), &metrics, None);
+    assert_eq!(clean.outcome, SessionOutcome::Compliant);
+    let dup = FaultDirective {
+        kind: FaultKind::DuplicateBlock,
+        block: clean.blocks_delivered - 1,
+        bit: 0,
+        pressure: 0,
+    };
+    let no_retry = SessionRunConfig {
+        retry_budget: 0,
+        ..SessionRunConfig::default()
+    };
+    match shard
+        .run_session(&req, &no_retry, &metrics, Some(&dup))
+        .outcome
+    {
+        SessionOutcome::Failed { error } => assert!(error.contains("sequence mismatch"), "{error}"),
+        other => panic!("duplicate of the final block: {other:?}"),
     }
-    let verdict = fsm.inspect(&mut provider).expect("inspect");
-    assert!(verdict.view.compliant);
-    assert!(verdict.client_verified);
-    // Double-inspection is refused: the first one finished the session.
-    assert!(matches!(
-        fsm.inspect(&mut provider),
-        Err(ServeError::IllegalTransition {
-            phase: "inspected",
-            action: "inspect"
-        })
-    ));
-    // Late delivery after inspection is likewise typed.
-    assert!(matches!(
-        fsm.deliver(&mut provider, &blocks[0]),
-        Err(ServeError::IllegalTransition {
-            phase: "inspected",
-            action: "deliver content"
-        })
-    ));
+    let retried = shard.run_session(&req, &SessionRunConfig::default(), &metrics, Some(&dup));
+    assert_eq!(retried.outcome, SessionOutcome::Compliant);
+    assert_eq!(retried.retries, 1);
+    assert_eq!(retried.blocks_delivered, clean.blocks_delivered);
 }
 
 fn run_virtual(seed: u64) -> engarde_serve::ServiceResult {
@@ -358,55 +315,6 @@ fn threaded_mode_completes_all_sessions() {
     assert_eq!(m.admitted, 3);
     assert_eq!(m.completed, 3);
     // Submission after drain is refused.
-}
-
-#[test]
-fn transient_epc_pressure_is_retried_with_reclamation() {
-    // Stage 1: measure how many EPC pages one retained session occupies.
-    let probe_cfg = SessionRunConfig {
-        release_enclaves: false,
-        ..SessionRunConfig::default()
-    };
-    let mut svc = ProvisioningService::start(ServiceConfig {
-        shards: 1,
-        machine: machine(0xEC0),
-        run: probe_cfg.clone(),
-        ..ServiceConfig::default()
-    });
-    let reqs = compliant_requests(2, 0xEC0);
-    svc.submit(reqs[0].clone()).expect("admit probe");
-    let result = svc.drain();
-    assert_eq!(result.reports[0].outcome, SessionOutcome::Compliant);
-    let used = result.shards[0]
-        .provider()
-        .host()
-        .machine()
-        .epc_used_pages();
-    assert!(used > 0, "retained enclave must hold EPC pages");
-
-    // Stage 2: an EPC that fits one enclave but not two. The second
-    // session hits OutOfPages, the retry path reclaims the retained
-    // enclave, and both sessions still reach verdicts.
-    let mut svc = ProvisioningService::start(ServiceConfig {
-        shards: 1,
-        machine: MachineConfig {
-            epc_pages: used + used / 2,
-            ..machine(0xEC0)
-        },
-        run: probe_cfg,
-        ..ServiceConfig::default()
-    });
-    for req in &reqs {
-        svc.submit(req.clone()).expect("admit");
-    }
-    let result = svc.drain();
-    assert!(result
-        .reports
-        .iter()
-        .all(|r| r.outcome == SessionOutcome::Compliant));
-    let m = result.metrics.counters();
-    assert!(m.retries >= 1, "EPC pressure must trigger a retry");
-    assert!(result.reports[1].retries >= 1);
 }
 
 #[test]

@@ -17,9 +17,10 @@
 //! use engarde_x86::insn::InsnKind;
 //!
 //! // call rel32 (target = next_rip + 0x10)
-//! let insn = decode_one(&[0xe8, 0x10, 0x00, 0x00, 0x00], 0x1000).unwrap();
+//! let insn = decode_one(&[0xe8, 0x10, 0x00, 0x00, 0x00], 0x1000)?;
 //! assert_eq!(insn.kind, InsnKind::DirectCall { target: 0x1015 });
 //! assert_eq!(insn.len, 5);
+//! # Ok::<(), engarde_x86::DisasmError>(())
 //! ```
 
 use crate::insn::{AluOp, Cc, Effects, Insn, InsnKind, MemOperand, Segment, Stack, Width};

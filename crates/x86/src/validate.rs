@@ -29,30 +29,6 @@ use crate::DisasmError;
 /// NaCl's instruction-bundle size in bytes.
 pub const BUNDLE_SIZE: u64 = 32;
 
-/// Configuration for [`Validator`].
-#[derive(Clone, Debug)]
-pub struct ValidatorConfig {
-    /// Enforce the 32-byte bundle-straddle rule.
-    pub check_bundles: bool,
-    /// Enforce that direct control transfers target instruction starts.
-    pub check_targets: bool,
-    /// Enforce reachability of every non-nop instruction.
-    pub check_reachability: bool,
-    /// Reject `syscall` and privileged instructions (SGX restriction).
-    pub check_enclave_legal: bool,
-}
-
-impl Default for ValidatorConfig {
-    fn default() -> Self {
-        ValidatorConfig {
-            check_bundles: true,
-            check_targets: true,
-            check_reachability: true,
-            check_enclave_legal: true,
-        }
-    }
-}
-
 /// Statistics from a successful validation pass.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ValidationReport {
@@ -66,21 +42,16 @@ pub struct ValidationReport {
     pub padding: usize,
 }
 
-/// NaCl-style validator over a decoded instruction stream.
-#[derive(Clone, Debug, Default)]
-pub struct Validator {
-    config: ValidatorConfig,
-}
+/// NaCl-style validator over a decoded instruction stream. Every rule
+/// always runs; whether a binary is validated at all is the loader's
+/// one switch (`LoaderConfig::validate`).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Validator;
 
 impl Validator {
-    /// Creates a validator with the default (full) rule set.
+    /// Creates a validator with the full rule set.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a validator with a custom rule set.
-    pub fn with_config(config: ValidatorConfig) -> Self {
-        Validator { config }
+        Validator
     }
 
     /// Validates `insns` (sorted by address, as produced by
@@ -105,104 +76,96 @@ impl Validator {
         };
         for insn in insns {
             // Rule: SGX-legal instructions only.
-            if self.config.check_enclave_legal {
-                match insn.kind {
-                    InsnKind::Syscall => {
-                        return Err(DisasmError::ForbiddenInstruction {
-                            addr: insn.addr,
-                            what: "syscall",
-                        })
-                    }
-                    InsnKind::Privileged => {
-                        return Err(DisasmError::ForbiddenInstruction {
-                            addr: insn.addr,
-                            what: "privileged instruction",
-                        })
-                    }
-                    _ => {}
+            match insn.kind {
+                InsnKind::Syscall => {
+                    return Err(DisasmError::ForbiddenInstruction {
+                        addr: insn.addr,
+                        what: "syscall",
+                    })
                 }
+                InsnKind::Privileged => {
+                    return Err(DisasmError::ForbiddenInstruction {
+                        addr: insn.addr,
+                        what: "privileged instruction",
+                    })
+                }
+                _ => {}
             }
 
             // Rule: no instruction overlaps a 32-byte boundary.
-            if self.config.check_bundles {
-                let first_bundle = insn.addr / BUNDLE_SIZE;
-                let last_bundle = (insn.end() - 1) / BUNDLE_SIZE;
-                if first_bundle != last_bundle {
-                    return Err(DisasmError::BundleStraddle { addr: insn.addr });
-                }
+            let first_bundle = insn.addr / BUNDLE_SIZE;
+            let last_bundle = (insn.end() - 1) / BUNDLE_SIZE;
+            if first_bundle != last_bundle {
+                return Err(DisasmError::BundleStraddle { addr: insn.addr });
             }
 
             // Rule: direct control transfers target valid instructions.
-            if self.config.check_targets {
-                if let Some(target) = insn.kind.branch_target() {
-                    report.targets_checked += 1;
-                    if !index.covers(target) {
-                        return Err(DisasmError::TargetOutOfRegion {
-                            addr: insn.addr,
-                            target,
-                        });
-                    }
-                    if !index.contains(target) {
-                        return Err(DisasmError::BadBranchTarget {
-                            addr: insn.addr,
-                            target,
-                        });
-                    }
+            if let Some(target) = insn.kind.branch_target() {
+                report.targets_checked += 1;
+                if !index.covers(target) {
+                    return Err(DisasmError::TargetOutOfRegion {
+                        addr: insn.addr,
+                        target,
+                    });
+                }
+                if !index.contains(target) {
+                    return Err(DisasmError::BadBranchTarget {
+                        addr: insn.addr,
+                        target,
+                    });
                 }
             }
         }
 
         // Rule: all valid instructions are reachable from the start.
-        if self.config.check_reachability {
-            let mut reachable = vec![false; insns.len()];
-            let mut work: Vec<usize> = Vec::new();
-            let push_root = |addr: u64, work: &mut Vec<usize>| {
-                if let Some(i) = index.get(addr) {
-                    work.push(i);
-                }
-            };
-            push_root(entry, &mut work);
-            for &r in extra_roots {
-                push_root(r, &mut work);
+        let mut reachable = vec![false; insns.len()];
+        let mut work: Vec<usize> = Vec::new();
+        let push_root = |addr: u64, work: &mut Vec<usize>| {
+            if let Some(i) = index.get(addr) {
+                work.push(i);
             }
-            // Address-taken code (lea targets) is reachable: the IFCC
-            // jump tables are reached exactly this way.
-            for insn in insns {
-                if let InsnKind::LeaRipRel { target, .. } = insn.kind {
-                    push_root(target, &mut work);
-                }
+        };
+        push_root(entry, &mut work);
+        for &r in extra_roots {
+            push_root(r, &mut work);
+        }
+        // Address-taken code (lea targets) is reachable: the IFCC
+        // jump tables are reached exactly this way.
+        for insn in insns {
+            if let InsnKind::LeaRipRel { target, .. } = insn.kind {
+                push_root(target, &mut work);
             }
-            while let Some(i) = work.pop() {
-                if reachable[i] {
-                    continue;
-                }
-                reachable[i] = true;
-                let insn = &insns[i];
-                if let Some(t) = insn.kind.branch_target() {
-                    if let Some(j) = index.get(t) {
-                        if !reachable[j] {
-                            work.push(j);
-                        }
-                    }
-                }
-                if i + 1 < insns.len() {
-                    let falls_through = !insn.kind.ends_flow();
-                    // Nop-bridging: padding after a ret/jmp carries
-                    // reachability to the next block.
-                    let next_is_padding = insns[i + 1].kind == InsnKind::Nop;
-                    if (falls_through || next_is_padding) && !reachable[i + 1] {
-                        work.push(i + 1);
+        }
+        while let Some(i) = work.pop() {
+            if reachable[i] {
+                continue;
+            }
+            reachable[i] = true;
+            let insn = &insns[i];
+            if let Some(t) = insn.kind.branch_target() {
+                if let Some(j) = index.get(t) {
+                    if !reachable[j] {
+                        work.push(j);
                     }
                 }
             }
-            for (i, insn) in insns.iter().enumerate() {
-                if reachable[i] {
-                    report.reachable += 1;
-                } else if insn.kind == InsnKind::Nop {
-                    report.padding += 1;
-                } else {
-                    return Err(DisasmError::Unreachable { addr: insn.addr });
+            if i + 1 < insns.len() {
+                let falls_through = !insn.kind.ends_flow();
+                // Nop-bridging: padding after a ret/jmp carries
+                // reachability to the next block.
+                let next_is_padding = insns[i + 1].kind == InsnKind::Nop;
+                if (falls_through || next_is_padding) && !reachable[i + 1] {
+                    work.push(i + 1);
                 }
+            }
+        }
+        for (i, insn) in insns.iter().enumerate() {
+            if reachable[i] {
+                report.reachable += 1;
+            } else if insn.kind == InsnKind::Nop {
+                report.padding += 1;
+            } else {
+                return Err(DisasmError::Unreachable { addr: insn.addr });
             }
         }
 
@@ -349,19 +312,6 @@ mod tests {
             .validate(&insns, &InsnIndex::new(&insns), 0, &[])
             .expect("valid");
         assert_eq!(report.reachable, insns.len());
-    }
-
-    #[test]
-    fn disabled_rules_skip_checks() {
-        let code = [0x0f, 0x05]; // syscall
-        let insns = decode_all(&code, 0).expect("decodes");
-        let v = Validator::with_config(ValidatorConfig {
-            check_enclave_legal: false,
-            check_reachability: false,
-            ..Default::default()
-        });
-        v.validate(&insns, &InsnIndex::new(&insns), 0, &[])
-            .expect("valid with rules off");
     }
 
     #[test]

@@ -210,18 +210,27 @@ done
 echo "OK: five BENCH_*.json artifacts regenerate identically"
 
 echo "== gate: no unwrap/expect in hostile-input/serve non-test code =="
-# The parser faces hostile bytes, the analysis/policy engines chew on
-# attacker-shaped binaries, the serve path faces injected faults, and
-# the store recovers arbitrarily damaged segments; every read must be
-# fallible and no fault may panic a worker. Strip each file's
-# #[cfg(test)] module, then refuse any unwrap()/expect( left.
+# The ELF parser, the decoder and validator, the loader (relocation and
+# symbol recovery) and the client face hostile bytes, the
+# analysis/policy engines chew on attacker-shaped binaries, the serve
+# path faces injected faults, and the store recovers arbitrarily
+# damaged segments; every read must be fallible and no fault may panic
+# a worker. Strip each file's #[cfg(test)] module, then refuse any
+# unwrap()/expect( left.
 panic_free_files=(
     crates/elf/src/parse.rs
+    crates/x86/src/decode.rs
+    crates/x86/src/index.rs
+    crates/x86/src/validate.rs
     crates/core/src/cache.rs
+    crates/core/src/client.rs
     crates/core/src/exec.rs
+    crates/core/src/loader.rs
     crates/core/src/protocol.rs
     crates/core/src/provider.rs
     crates/core/src/provision.rs
+    crates/core/src/relocate.rs
+    crates/core/src/symbols.rs
     crates/core/src/analysis/*.rs
     crates/core/src/policy/*.rs
     crates/serve/src/error.rs

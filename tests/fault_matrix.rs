@@ -233,22 +233,26 @@ fn recoverable_faults_are_retried_to_verdicts() {
         backoff_base_cycles: 20_000,
         ..SessionRunConfig::default()
     };
-    let plan = FaultPlan {
-        seed: 11,
-        mix: FaultMix::only(FaultKind::CorruptBlock, 1000),
-    };
-    let (result, refused) = run_with_plan(&traffic, 0xFA12, Some(plan), run);
-    assert!(refused.is_empty());
-    assert!(
-        result.reports.iter().all(|r| r.reached_verdict()),
-        "retries must recover every corrupted transfer"
-    );
-    assert!(result.reports.iter().all(|r| r.retries >= 1));
-    let stats = result.metrics.fault_stats().kind(FaultKind::CorruptBlock);
-    assert_eq!(stats.injected, traffic.len() as u64);
-    assert_eq!(stats.recovered, stats.injected);
-    assert!(stats.retried >= stats.injected);
-    assert_eq!(stats.evicted, 0);
+    // Transport damage and EPC pressure (host allocator or in-enclave
+    // working memory) both recover on a fresh attempt.
+    for kind in [FaultKind::CorruptBlock, FaultKind::EpcPressure] {
+        let plan = FaultPlan {
+            seed: 11,
+            mix: FaultMix::only(kind, 1000),
+        };
+        let (result, refused) = run_with_plan(&traffic, 0xFA12, Some(plan), run.clone());
+        assert!(refused.is_empty());
+        assert!(
+            result.reports.iter().all(|r| r.reached_verdict()),
+            "retries must recover every {kind:?} session"
+        );
+        assert!(result.reports.iter().all(|r| r.retries >= 1));
+        let stats = result.metrics.fault_stats().kind(kind);
+        assert_eq!(stats.injected, traffic.len() as u64);
+        assert_eq!(stats.recovered, stats.injected);
+        assert!(stats.retried >= stats.injected);
+        assert_eq!(stats.evicted, 0);
+    }
 }
 
 #[test]

@@ -4,6 +4,7 @@
 //! leakage (per-session measurements, channel keys, and verdicts all
 //! stay distinct and bound to their own tenant).
 
+use engarde::client::Client;
 use engarde::crypto::CryptoError;
 use engarde::provider::CloudProvider;
 use engarde::provision::DEFAULT_ENCLAVE_BASE;
@@ -219,19 +220,32 @@ fn cross_tenant_block_delivery_fails_authentication() {
     let mut provider = CloudProvider::new(machine(0x7E2B));
     let req_a = regimes::request_for(&traffic[0], &musl);
     let req_b = regimes::request_for(&traffic[1], &musl);
-    let mut fsm_a = engarde::serve::SessionFsm::create(&mut provider, &req_a).expect("A");
-    let mut fsm_b = engarde::serve::SessionFsm::create(&mut provider, &req_b).expect("B");
-    fsm_a.attest(&mut provider).expect("attest A");
-    fsm_b.attest(&mut provider).expect("attest B");
-    fsm_a.open_channel(&mut provider).expect("channel A");
-    fsm_b.open_channel(&mut provider).expect("channel B");
-    let blocks_a = fsm_a.content_blocks().expect("blocks A");
+    // Each tenant's client attests its own enclave and opens its own
+    // channel, exactly as a shard drives them.
+    let mut tenants = [&req_a, &req_b].map(|req| {
+        let id = provider
+            .create_engarde_enclave(req.spec.clone(), (req.policies)())
+            .expect("create");
+        let mut client = Client::new(
+            req.binary.clone(),
+            &req.spec,
+            DEFAULT_ENCLAVE_BASE,
+            provider.device_public_key(),
+            req.client_seed,
+        );
+        let nonce = client.challenge();
+        let quote = provider.attest(id, nonce).expect("attest");
+        let key = provider.enclave_public_key(id).expect("key");
+        client.verify_quote(&quote, &key).expect("quote");
+        let wrapped = client.establish_channel(&key).expect("channel");
+        provider.open_channel(id, &wrapped).expect("open");
+        (id, client)
+    });
+    let blocks_a = tenants[0].1.content_blocks().expect("blocks A");
     // A's first block delivered into B's enclave: wrong session keys.
-    let err = fsm_b.deliver(&mut provider, &blocks_a[0]).unwrap_err();
+    let err = provider.deliver(tenants[1].0, &blocks_a[0]).unwrap_err();
     assert!(matches!(
         err,
-        engarde::serve::ServeError::Engarde(EngardeError::Crypto(
-            CryptoError::AuthenticationFailed
-        ))
+        EngardeError::Crypto(CryptoError::AuthenticationFailed)
     ));
 }

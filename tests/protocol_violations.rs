@@ -86,6 +86,29 @@ fn inspect_before_any_content_is_refused() {
         .expect("create");
     let err = p.inspect_and_provision(id).unwrap_err();
     assert!(matches!(err, EngardeError::Protocol { .. }));
+
+    // Mid-transfer: the manifest and one page are in, the rest are not.
+    let mut c = Client::new(
+        binary(),
+        &spec(),
+        DEFAULT_ENCLAVE_BASE,
+        p.device_public_key(),
+        33,
+    );
+    let nonce = c.challenge();
+    let quote = p.attest(id, nonce).expect("attest");
+    let key = p.enclave_public_key(id).expect("key");
+    c.verify_quote(&quote, &key).expect("quote");
+    let wrapped = c.establish_channel(&key).expect("channel");
+    p.open_channel(id, &wrapped).expect("open");
+    let blocks = c.content_blocks().expect("blocks");
+    assert!(blocks.len() > 2);
+    for block in &blocks[..2] {
+        p.deliver(id, block).expect("deliver");
+    }
+    assert!(!p.content_complete(id).expect("session"));
+    let err = p.inspect_and_provision(id).unwrap_err();
+    assert!(matches!(err, EngardeError::Protocol { .. }));
 }
 
 #[test]

@@ -9,7 +9,7 @@
 
 use engarde::crypto::rsa::RsaKeyPair;
 use engarde::crypto::sha256::Sha256;
-use engarde::rand::{SeedableRng, StdRng};
+use engarde::rand::{RngCore, SeedableRng, StdRng};
 use engarde::sgx::machine::{MachineConfig, SgxMachine};
 
 fn digest(bytes: &[u8]) -> String {
@@ -61,5 +61,26 @@ fn default_machine_device_key_is_pinned() {
     assert_eq!(
         digest(&device.modulus_be()),
         "60789c4617a2187bd8426ea6f5208b0ec0d6d93c024e1ae15cdb7cb8da364c59"
+    );
+}
+
+/// One digest over many seeded keys and over where each generator's
+/// stream stands afterwards. A prime test that answers the same but
+/// draws a different number of witness words still moves the next
+/// word, so this catches a shifted stream even before it moves a key.
+#[test]
+fn rsa_seed_sweep_and_stream_position_are_pinned() {
+    let mut h = Sha256::new();
+    for (bits, seeds) in [(512, 0..25u64), (1024, 0..8u64)] {
+        for seed in seeds {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let kp = RsaKeyPair::generate(&mut rng, bits);
+            h.update(&kp.public().modulus_be());
+            h.update(&rng.next_u64().to_le_bytes());
+        }
+    }
+    assert_eq!(
+        h.finalize().to_hex(),
+        "5d946dd9ac28674a207150bc7e41d26e2715f5518d9fdb8d60beba766e15cb92"
     );
 }

@@ -124,13 +124,6 @@ impl ProgramAnalysis {
             cost,
         )
     }
-
-    /// True when the block containing `addr` is reachable.
-    pub fn addr_reachable(&self, addr: u64) -> bool {
-        self.cfg
-            .block_containing(addr)
-            .is_some_and(|b| self.reachable[b])
-    }
 }
 
 #[cfg(test)]

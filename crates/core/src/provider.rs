@@ -26,6 +26,12 @@ use engarde_sgx::epc::{PagePerms, PAGE_SIZE};
 use engarde_sgx::host::HostOs;
 use engarde_sgx::machine::{EnclaveId, MachineConfig, SgxMachine};
 use std::collections::HashMap;
+use std::ops::RangeInclusive;
+
+/// Ephemeral enclave key sizes the provider will generate. Below 512 a
+/// PKCS#1 signature over the verdict does not fit; above 4096 one
+/// prime search stalls a worker for minutes.
+pub const ENCLAVE_RSA_BITS: RangeInclusive<usize> = 512..=4096;
 
 /// Everything the provider is allowed to learn from an inspection.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -140,11 +146,13 @@ impl CloudProvider {
     ///
     /// The provider audits that the modules match the spec's descriptors
     /// (both parties can inspect EnGarde's code, §3); a mismatch is
-    /// refused before any enclave is built.
+    /// refused before any enclave is built, as is a key size outside
+    /// [`ENCLAVE_RSA_BITS`].
     ///
     /// # Errors
     ///
-    /// Fails on descriptor mismatch or SGX build errors.
+    /// Fails on descriptor mismatch, an unsupported key size, or SGX
+    /// build errors.
     pub fn create_engarde_enclave(
         &mut self,
         spec: BootstrapSpec,
@@ -157,6 +165,16 @@ impl CloudProvider {
         if actual != spec.policy_descriptors {
             return Err(EngardeError::Protocol {
                 what: "policy modules do not match the agreed bootstrap spec".into(),
+            });
+        }
+        if !ENCLAVE_RSA_BITS.contains(&spec.rsa_bits) {
+            return Err(EngardeError::Protocol {
+                what: format!(
+                    "enclave key size {} bits is outside {}..={}",
+                    spec.rsa_bits,
+                    ENCLAVE_RSA_BITS.start(),
+                    ENCLAVE_RSA_BITS.end()
+                ),
             });
         }
 
@@ -290,11 +308,6 @@ impl CloudProvider {
     /// provider cannot forge or flip it.
     pub fn signed_verdict(&self, id: EnclaveId) -> Option<&SignedVerdict> {
         self.verdicts.get(&id)
-    }
-
-    /// Whether an EnGarde session exists for `id`.
-    pub fn has_session(&self, id: EnclaveId) -> bool {
-        self.sessions.contains_key(&id)
     }
 
     /// Number of live EnGarde sessions.

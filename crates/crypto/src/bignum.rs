@@ -622,10 +622,9 @@ impl BigUint {
             }
         }
         // Trial division by the odd primes above as one single-limb
-        // remainder against their product. The list must not grow: a
-        // composite it rejects skips the Miller–Rabin witness draw below,
-        // so a larger sieve would shift the RNG stream and with it every
-        // seeded key.
+        // remainder against their product. A composite rejected here
+        // draws no witness, which is what the seeded RNG stream (and
+        // so every seeded key) has always assumed.
         const ODD_PRIMORIAL: u64 = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47;
         if self.is_even() {
             return false;
@@ -634,8 +633,29 @@ impl BigUint {
         if SMALL_PRIMES[1..].iter().any(|&p| r.is_multiple_of(p)) {
             return false;
         }
-        // Write self - 1 = d * 2^s.
         let two = BigUint::from_u64(2);
+        let bound = self.sub(&BigUint::from_u64(3));
+        let mut draw_witness = || BigUint::random_below(rng, &bound).add(&two);
+        // A factor `p` from the deeper sieve proves `self` composite, but
+        // rejecting on it alone would skip the first witness draw and
+        // shift the stream. So the first witness `a` is drawn exactly as
+        // the loop below would draw it, and only ruled out cheaply: a
+        // strong liar has `a^(n-1) ≡ 1 (mod n)`, hence mod `p`, where it
+        // reduces to `a^((n-1) mod (p-1)) ≡ 1`. When that fails, the
+        // first Miller–Rabin round would have returned `false` too, so
+        // the answer and the words drawn are unchanged; when it holds,
+        // the ordinary loop runs from that same `a`.
+        let mut first = None;
+        if rounds > 0 && self.bit_len() > SIEVE_BITS {
+            if let Some(p) = self.sieve_factor() {
+                let a = draw_witness();
+                if !fermat_holds_mod(&a, self, p) {
+                    return false;
+                }
+                first = Some(a);
+            }
+        }
+        // Write self - 1 = d * 2^s.
         let n_minus_1 = self.sub(&BigUint::one());
         let mut d = n_minus_1.clone();
         let mut s = 0usize;
@@ -649,9 +669,8 @@ impl BigUint {
         let one = mont.encode(&BigUint::one());
         let minus_one = mont.encode(&n_minus_1);
         let mut sq = vec![0u64; one.len()];
-        let bound = self.sub(&BigUint::from_u64(3));
         'witness: for _ in 0..rounds {
-            let a = BigUint::random_below(rng, &bound).add(&two);
+            let a = first.take().unwrap_or_else(&mut draw_witness);
             let mut x = mont.pow(&a, &d);
             if x == one || x == minus_one {
                 continue;
@@ -670,6 +689,17 @@ impl BigUint {
             return false;
         }
         true
+    }
+
+    /// The smallest prime of the deeper sieve that divides `self`.
+    fn sieve_factor(&self) -> Option<u64> {
+        SIEVE_GROUPS.iter().find_map(|&(product, lo, hi)| {
+            let r = self.rem_u64(product);
+            SIEVE_PRIMES[lo as usize..hi as usize]
+                .iter()
+                .map(|&p| u64::from(p))
+                .find(|&p| r.is_multiple_of(p))
+        })
     }
 
     /// Generates a random probable prime with exactly `bits` bits.
@@ -691,7 +721,112 @@ impl BigUint {
     }
 }
 
-/// Montgomery arithmetic modulo one odd modulus `m > 1` of `n` limbs,
+/// Candidates wider than this many bits are trial-divided by every odd
+/// prime below `2^SIEVE_BITS`, beyond the 3…47 that every candidate
+/// gets. Narrower ones skip it, so no prime is rejected by itself.
+const SIEVE_BITS: usize = 12;
+
+/// Number of odd primes in `53..2^SIEVE_BITS`.
+const SIEVE_LEN: usize = count_sieve_primes();
+
+/// The odd primes in `53..2^SIEVE_BITS`, ascending.
+const SIEVE_PRIMES: [u16; SIEVE_LEN] = sieve_primes();
+
+/// Number of groups [`SIEVE_PRIMES`] packs into.
+const SIEVE_GROUP_COUNT: usize = pack_sieve_groups().1;
+
+/// `(product, start, end)`: consecutive runs of [`SIEVE_PRIMES`] whose
+/// product fits one limb, so one single-limb remainder serves a run.
+const SIEVE_GROUPS: [(u64, u16, u16); SIEVE_GROUP_COUNT] = {
+    let (all, _) = pack_sieve_groups();
+    let mut out = [(0, 0, 0); SIEVE_GROUP_COUNT];
+    let mut i = 0;
+    while i < SIEVE_GROUP_COUNT {
+        out[i] = all[i];
+        i += 1;
+    }
+    out
+};
+
+const fn is_small_prime(n: u64) -> bool {
+    let mut d = 2;
+    while d * d <= n {
+        if n.is_multiple_of(d) {
+            return false;
+        }
+        d += 1;
+    }
+    n >= 2
+}
+
+const fn count_sieve_primes() -> usize {
+    let mut n = 53;
+    let mut count = 0;
+    while n < 1 << SIEVE_BITS {
+        if is_small_prime(n) {
+            count += 1;
+        }
+        n += 2;
+    }
+    count
+}
+
+const fn sieve_primes() -> [u16; SIEVE_LEN] {
+    let mut out = [0; SIEVE_LEN];
+    let mut n = 53;
+    let mut i = 0;
+    while n < 1 << SIEVE_BITS {
+        if is_small_prime(n) {
+            out[i] = n as u16;
+            i += 1;
+        }
+        n += 2;
+    }
+    out
+}
+
+/// Greedy packing of [`SIEVE_PRIMES`] into single-limb products; the
+/// array is sized for the worst case of one prime per group.
+const fn pack_sieve_groups() -> ([(u64, u16, u16); SIEVE_LEN], usize) {
+    let mut out = [(0, 0, 0); SIEVE_LEN];
+    let mut groups = 0;
+    let mut i = 0;
+    while i < SIEVE_LEN {
+        let start = i;
+        let mut product = SIEVE_PRIMES[i] as u64;
+        i += 1;
+        while i < SIEVE_LEN && product.checked_mul(SIEVE_PRIMES[i] as u64).is_some() {
+            product *= SIEVE_PRIMES[i] as u64;
+            i += 1;
+        }
+        out[groups] = (product, start as u16, i as u16);
+        groups += 1;
+    }
+    (out, groups)
+}
+
+/// Whether `a^((n-1) mod (p-1)) ≡ 1 (mod p)` for a prime `p | n`: what
+/// `a` must satisfy to be a strong liar for `n` (see
+/// [`BigUint::is_probable_prime`]). False when `p | a`.
+fn fermat_holds_mod(a: &BigUint, n: &BigUint, p: u64) -> bool {
+    let base = a.rem_u64(p);
+    if base == 0 {
+        return false;
+    }
+    // (n - 1) mod (p - 1), without forming n - 1.
+    let mut e = (n.rem_u64(p - 1) + p - 2) % (p - 1);
+    let (mut acc, mut b) = (1, base);
+    while e > 0 {
+        if e & 1 == 1 {
+            acc = acc * b % p;
+        }
+        b = b * b % p;
+        e >>= 1;
+    }
+    acc == 1
+}
+
+/// Montgomery arithmetic modulo one odd modulus/// Montgomery arithmetic modulo one odd modulus `m > 1` of `n` limbs,
 /// with `R = 2^(64n)`.
 ///
 /// A value in the Montgomery domain is an `n`-limb little-endian slice
@@ -855,7 +990,7 @@ fn cios(m: &[u64], m_inv: u64, t: &mut [u64], a: &[u64], b: &[u64], out: &mut [u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use engarde_rand::{SeedableRng, StdRng};
+    use engarde_rand::{RngCore, SeedableRng, StdRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0xE47A_12DE)
@@ -1134,6 +1269,192 @@ mod tests {
         // 561 = 3 * 11 * 17 is the smallest Carmichael number.
         let mut r = rng();
         assert!(!BigUint::from_u64(561).is_probable_prime(&mut r, 20));
+    }
+
+    /// The prime test as it stood with trial division by 3…47 only. It
+    /// fixes the verdicts and the RNG words that every seeded key was
+    /// generated from; the deeper sieve must reproduce both exactly.
+    fn is_probable_prime_oracle<R: Rng + ?Sized>(n: &BigUint, rng: &mut R, rounds: u32) -> bool {
+        const SMALL_PRIMES: [u64; 15] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47];
+        if let Some(v) = n.to_u64() {
+            if v < 2 {
+                return false;
+            }
+            if SMALL_PRIMES.contains(&v) {
+                return true;
+            }
+        }
+        if n.is_even() || SMALL_PRIMES[1..].iter().any(|&p| n.rem_u64(p) == 0) {
+            return false;
+        }
+        let n_minus_1 = n.sub(&BigUint::one());
+        let mut d = n_minus_1.clone();
+        let mut s = 0usize;
+        while d.is_even() {
+            d = d.shr(1);
+            s += 1;
+        }
+        let bound = n.sub(&BigUint::from_u64(3));
+        'witness: for _ in 0..rounds {
+            let a = BigUint::random_below(rng, &bound).add(&BigUint::from_u64(2));
+            let mut x = a.modpow(&d, n);
+            if x.is_one() || x == n_minus_1 {
+                continue;
+            }
+            for _ in 0..s - 1 {
+                x = x.mul(&x).rem(n);
+                if x == n_minus_1 {
+                    continue 'witness;
+                }
+            }
+            return false;
+        }
+        true
+    }
+
+    /// Counts the words drawn from the wrapped generator.
+    struct Counting<R> {
+        inner: R,
+        words: usize,
+    }
+
+    impl<R: RngCore> RngCore for Counting<R> {
+        fn next_u64(&mut self) -> u64 {
+            self.words += 1;
+            self.inner.next_u64()
+        }
+    }
+
+    /// Replays a fixed list of words and panics past its end.
+    struct Scripted(std::vec::IntoIter<u64>);
+
+    impl RngCore for Scripted {
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().expect("the script has run out of words")
+        }
+    }
+
+    /// Runs the prime test and its oracle from one seed and asserts the
+    /// same verdict after the same number of words; returns the verdict.
+    fn assert_same_stream(n: &BigUint, seed: u64, rounds: u32) -> bool {
+        let mut got_rng = Counting {
+            inner: StdRng::seed_from_u64(seed),
+            words: 0,
+        };
+        let mut want_rng = Counting {
+            inner: StdRng::seed_from_u64(seed),
+            words: 0,
+        };
+        let got = n.is_probable_prime(&mut got_rng, rounds);
+        let want = is_probable_prime_oracle(n, &mut want_rng, rounds);
+        assert_eq!(
+            (got, got_rng.words),
+            (want, want_rng.words),
+            "verdict and words drawn for {n:x} at {rounds} rounds"
+        );
+        got
+    }
+
+    fn coprime_to_small_primes(n: &BigUint) -> bool {
+        [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+            .iter()
+            .all(|&p| n.rem_u64(p) != 0)
+    }
+
+    #[test]
+    fn sieve_table_is_every_odd_prime_from_53_below_the_bound() {
+        let expect: Vec<u16> = (53..1u16 << SIEVE_BITS)
+            .step_by(2)
+            .filter(|&n| (2..n).take_while(|d| d * d <= n).all(|d| n % d != 0))
+            .collect();
+        assert_eq!(SIEVE_PRIMES.to_vec(), expect);
+        let mut next = 0;
+        for &(product, lo, hi) in &SIEVE_GROUPS {
+            assert_eq!(lo as usize, next);
+            let primes = &SIEVE_PRIMES[lo as usize..hi as usize];
+            assert_eq!(
+                primes.iter().map(|&p| u64::from(p)).product::<u64>(),
+                product
+            );
+            next = hi as usize;
+        }
+        assert_eq!(next, SIEVE_LEN);
+    }
+
+    #[test]
+    fn deeper_sieve_keeps_verdicts_and_words_drawn_on_random_candidates() {
+        let mut r = rng();
+        let mut sieve_hits = 0;
+        for i in 0..300u64 {
+            let bits = 14 + r.gen::<usize>() % (1100 - 14 + 1);
+            let mut n = BigUint::random_with_bits(&mut r, bits);
+            if n.is_even() {
+                n = n.add(&BigUint::one());
+            }
+            if coprime_to_small_primes(&n) && n.sieve_factor().is_some() {
+                sieve_hits += 1;
+            }
+            assert_same_stream(&n, i, 20);
+        }
+        // About half of the candidates that pass 3…47 have a factor in
+        // the deeper range: the comparison above exercised that path.
+        assert!(sieve_hits > 30, "only {sieve_hits} sieve hits");
+    }
+
+    #[test]
+    fn deeper_sieve_keeps_verdicts_and_words_drawn_on_planted_factors() {
+        let mut r = rng();
+        for i in 0..200u64 {
+            let p = u64::from(SIEVE_PRIMES[r.gen::<usize>() % SIEVE_LEN]);
+            let m = loop {
+                let bits = 2 + r.gen::<usize>() % 600;
+                let mut m = BigUint::random_with_bits(&mut r, bits);
+                if m.is_even() {
+                    m = m.add(&BigUint::one());
+                }
+                if coprime_to_small_primes(&m) {
+                    break m;
+                }
+            };
+            let n = m.mul(&BigUint::from_u64(p));
+            if n.bit_len() > SIEVE_BITS {
+                assert!(n.sieve_factor().is_some_and(|f| f <= p));
+            }
+            // No witness at all passes it; one already rejects it.
+            for rounds in [0, 1, 20] {
+                assert_eq!(assert_same_stream(&n, i, rounds), rounds == 0);
+            }
+        }
+    }
+
+    #[test]
+    fn sieve_hit_that_a_strong_liar_survives_runs_the_full_loop() {
+        // 3215031751 = 151·751·28351 is a strong pseudoprime to bases 2,
+        // 3, 5 and 7. With 2 as the first witness the mod-151 check
+        // cannot rule it out, so the ordinary loop must run from that
+        // same 2 and reject at base 11, after exactly the oracle's words.
+        let n = BigUint::from_u64(3_215_031_751);
+        assert_eq!(n.sieve_factor(), Some(151));
+        // random_below(n - 3) + 2: a word w below n - 3 yields w + 2.
+        let script = || Scripted(vec![0, 1, 3, 5, 9].into_iter());
+        let mut got_rng = Counting {
+            inner: script(),
+            words: 0,
+        };
+        let mut want_rng = Counting {
+            inner: script(),
+            words: 0,
+        };
+        assert!(!n.is_probable_prime(&mut got_rng, 20));
+        assert!(!is_probable_prime_oracle(&n, &mut want_rng, 20));
+        assert_eq!((got_rng.words, want_rng.words), (5, 5));
+        // Four rounds stop before base 11: both call it prime.
+        let mut four = Counting {
+            inner: script(),
+            words: 0,
+        };
+        assert!(n.is_probable_prime(&mut four, 4));
+        assert_eq!(four.words, 4);
     }
 
     #[test]

@@ -60,7 +60,6 @@ pub struct ElfBuilder {
     relocations: Vec<(u64, i64)>,
     needed: Vec<u64>,
     strip: bool,
-    e_type: Option<u16>,
     e_machine: Option<u16>,
     wx_text: bool,
 }
@@ -146,27 +145,11 @@ impl ElfBuilder {
         self
     }
 
-    /// Overrides `e_type` (default `ET_DYN`), for building invalid inputs.
-    pub fn object_type(&mut self, e_type: u16) -> &mut Self {
-        self.e_type = Some(e_type);
-        self
-    }
-
     /// Overrides `e_machine` (default `EM_X86_64`), for building invalid
     /// inputs.
     pub fn machine(&mut self, e_machine: u16) -> &mut Self {
         self.e_machine = Some(e_machine);
         self
-    }
-
-    /// The virtual address `.text` will be given (fixed in this layout).
-    pub fn text_vaddr(&self) -> u64 {
-        TEXT_VADDR
-    }
-
-    /// The virtual address the data segment will be given.
-    pub fn data_vaddr(&self) -> u64 {
-        align_up(TEXT_VADDR + self.text.len() as u64, PAGE)
     }
 
     /// Serialises the configured image.
@@ -411,7 +394,7 @@ impl ElfBuilder {
 
         // ----- emit ----------------------------------------------------
         let header = Elf64Header {
-            e_type: self.e_type.unwrap_or(ET_DYN),
+            e_type: ET_DYN,
             e_machine: self.e_machine.unwrap_or(EM_X86_64),
             e_entry: TEXT_VADDR + self.entry_offset,
             e_phoff: phoff,

@@ -134,11 +134,6 @@ impl ChaChaRng {
         mix ^= std::ptr::addr_of!(*probe) as u64;
         Self::seed_from_u64(crate::splitmix64(&mut mix))
     }
-
-    /// Number of 64-byte blocks generated so far.
-    pub fn blocks_generated(&self) -> u64 {
-        self.counter
-    }
 }
 
 impl SeedableRng for ChaChaRng {

@@ -430,12 +430,6 @@ impl Shard {
         self.dead
     }
 
-    /// Whether the shard's circuit breaker is currently shedding load.
-    pub fn breaker_open(&self) -> bool {
-        self.breaker_open_until
-            .is_some_and(|until| self.total_cycles() < until)
-    }
-
     /// The shard's index in the fleet.
     pub fn index(&self) -> usize {
         self.index

@@ -235,6 +235,42 @@ fn stalled_client_is_evicted_and_epc_recycled() {
 }
 
 #[test]
+fn out_of_range_tenant_key_size_fails_typed_without_epc_residue() {
+    // The tenant controls the spec's key size. A size key generation
+    // cannot serve must come back as a failed report, not a panicked
+    // worker, and leave the shard's EPC empty.
+    let mut requests = compliant_requests(2, 0x64B);
+    requests[0].spec.rsa_bits = 64;
+    let mut svc = ProvisioningService::start(ServiceConfig {
+        shards: 1,
+        machine: machine(0x64B),
+        ..ServiceConfig::default()
+    });
+    for req in requests {
+        svc.submit(req).expect("admit");
+    }
+    let result = svc.drain();
+    assert_eq!(result.reports.len(), 2);
+    let refused = result
+        .reports
+        .iter()
+        .find(|r| r.outcome != SessionOutcome::Compliant)
+        .expect("the 64-bit request is refused");
+    match &refused.outcome {
+        SessionOutcome::Failed { error } => {
+            assert!(error.contains("key size 64 bits"), "{error}")
+        }
+        other => panic!("64-bit key: {other:?}"),
+    }
+    assert_eq!(refused.retries, 0);
+    let m = result.metrics.counters();
+    assert_eq!((m.completed, m.failed, m.retries), (1, 1, 0));
+    let shard = &result.shards[0];
+    assert_eq!(shard.provider().session_count(), 0);
+    assert_eq!(shard.provider().host().machine().epc_used_pages(), 0);
+}
+
+#[test]
 fn admission_control_rejects_when_queue_is_full() {
     let musl = musl();
     let traffic = mixed_traffic(&TrafficSpec {

@@ -178,11 +178,6 @@ impl Epc {
         }
     }
 
-    /// Total number of EPC pages.
-    pub fn total_pages(&self) -> usize {
-        self.pages.len()
-    }
-
     /// Number of valid (in-use) pages.
     pub fn used_pages(&self) -> usize {
         self.epcm.iter().filter(|e| e.is_some()).count()

@@ -587,23 +587,6 @@ impl SgxMachine {
         Ok(())
     }
 
-    /// `ERESUME`: re-enters after an asynchronous exit.
-    ///
-    /// # Errors
-    ///
-    /// Fails unless the enclave is initialized.
-    pub fn eresume(&mut self, id: EnclaveId) -> Result<(), SgxError> {
-        self.step(SgxInstr::Eresume);
-        let enclave = self.enclave_mut(id)?;
-        if enclave.state != EnclaveState::Initialized {
-            return Err(SgxError::WrongState {
-                what: "ERESUME requires an initialized enclave",
-            });
-        }
-        enclave.entered += 1;
-        Ok(())
-    }
-
     /// An out-call trampoline: the enclave exits, the untrusted runtime
     /// performs a service (e.g. `malloc`), and the enclave re-enters.
     /// Costs one EEXIT plus one EENTER (2 × 10K cycles) — the overhead
@@ -1186,11 +1169,6 @@ impl SgxMachine {
     /// Number of EPC pages currently in use (all enclaves).
     pub fn epc_used_pages(&self) -> usize {
         self.epc.used_pages()
-    }
-
-    /// Total EPC pages.
-    pub fn epc_total_pages(&self) -> usize {
-        self.epc.total_pages()
     }
 }
 

@@ -249,6 +249,33 @@ fn provider_with_mismatched_policies_is_refused() {
 }
 
 #[test]
+fn out_of_range_enclave_key_size_is_refused_before_any_epc_page() {
+    // A 64-bit key would trip key generation's own size assertion and
+    // a huge one would stall the worker; both are refused as protocol
+    // errors before the provider touches the EPC.
+    let mut provider = CloudProvider::new(machine_config(9));
+    for bits in [0, 64, 511, 4097, 1 << 20] {
+        let mut spec = BootstrapSpec::new(
+            "EnGarde-1.0",
+            LoaderConfig::default(),
+            &musl_policy(),
+            256,
+            512,
+        );
+        spec.rsa_bits = bits;
+        let err = provider
+            .create_engarde_enclave(spec, musl_policy())
+            .unwrap_err();
+        assert!(
+            matches!(&err, EngardeError::Protocol { what } if what.contains("key size")),
+            "{bits} bits: {err}"
+        );
+        assert_eq!(provider.session_count(), 0);
+        assert_eq!(provider.host().machine().epc_used_pages(), 0);
+    }
+}
+
+#[test]
 fn tampered_block_in_transit_detected() {
     let spec = BootstrapSpec::new(
         "EnGarde-1.0",

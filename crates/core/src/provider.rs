@@ -28,9 +28,10 @@ use engarde_sgx::machine::{EnclaveId, MachineConfig, SgxMachine};
 use std::collections::HashMap;
 use std::ops::RangeInclusive;
 
-/// Ephemeral enclave key sizes the provider will generate. Below 512 a
-/// PKCS#1 signature over the verdict does not fit; above 4096 one
-/// prime search stalls a worker for minutes.
+/// Ephemeral enclave key sizes the provider will generate. The size
+/// comes from the tenant's spec: under 128 bits key generation panics,
+/// the verdict's PKCS#1 SHA-256 signature needs 496, and above 4096 one
+/// prime search can stall a worker for minutes.
 pub const ENCLAVE_RSA_BITS: RangeInclusive<usize> = 512..=4096;
 
 /// Everything the provider is allowed to learn from an inspection.

@@ -826,7 +826,7 @@ fn fermat_holds_mod(a: &BigUint, n: &BigUint, p: u64) -> bool {
     acc == 1
 }
 
-/// Montgomery arithmetic modulo one odd modulus/// Montgomery arithmetic modulo one odd modulus `m > 1` of `n` limbs,
+/// Montgomery arithmetic modulo one odd modulus `m > 1` of `n` limbs,
 /// with `R = 2^(64n)`.
 ///
 /// A value in the Montgomery domain is an `n`-limb little-endian slice
@@ -1318,6 +1318,12 @@ mod tests {
         words: usize,
     }
 
+    impl<R> Counting<R> {
+        fn new(inner: R) -> Self {
+            Counting { inner, words: 0 }
+        }
+    }
+
     impl<R: RngCore> RngCore for Counting<R> {
         fn next_u64(&mut self) -> u64 {
             self.words += 1;
@@ -1337,14 +1343,8 @@ mod tests {
     /// Runs the prime test and its oracle from one seed and asserts the
     /// same verdict after the same number of words; returns the verdict.
     fn assert_same_stream(n: &BigUint, seed: u64, rounds: u32) -> bool {
-        let mut got_rng = Counting {
-            inner: StdRng::seed_from_u64(seed),
-            words: 0,
-        };
-        let mut want_rng = Counting {
-            inner: StdRng::seed_from_u64(seed),
-            words: 0,
-        };
+        let mut got_rng = Counting::new(StdRng::seed_from_u64(seed));
+        let mut want_rng = Counting::new(StdRng::seed_from_u64(seed));
         let got = n.is_probable_prime(&mut got_rng, rounds);
         let want = is_probable_prime_oracle(n, &mut want_rng, rounds);
         assert_eq!(
@@ -1437,22 +1437,13 @@ mod tests {
         assert_eq!(n.sieve_factor(), Some(151));
         // random_below(n - 3) + 2: a word w below n - 3 yields w + 2.
         let script = || Scripted(vec![0, 1, 3, 5, 9].into_iter());
-        let mut got_rng = Counting {
-            inner: script(),
-            words: 0,
-        };
-        let mut want_rng = Counting {
-            inner: script(),
-            words: 0,
-        };
+        let mut got_rng = Counting::new(script());
+        let mut want_rng = Counting::new(script());
         assert!(!n.is_probable_prime(&mut got_rng, 20));
         assert!(!is_probable_prime_oracle(&n, &mut want_rng, 20));
         assert_eq!((got_rng.words, want_rng.words), (5, 5));
         // Four rounds stop before base 11: both call it prime.
-        let mut four = Counting {
-            inner: script(),
-            words: 0,
-        };
+        let mut four = Counting::new(script());
         assert!(n.is_probable_prime(&mut four, 4));
         assert_eq!(four.words, 4);
     }

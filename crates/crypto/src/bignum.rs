@@ -81,8 +81,8 @@ impl fmt::Display for BigUint {
             digits.push(b'0' + r.to_u64().unwrap_or(0) as u8);
             n = q;
         }
-        digits.reverse();
-        f.write_str(std::str::from_utf8(&digits).expect("digits are ASCII"))
+        let decimal: String = digits.iter().rev().map(|&d| char::from(d)).collect();
+        f.write_str(&decimal)
     }
 }
 
@@ -370,8 +370,7 @@ impl BigUint {
         let shift = divisor
             .limbs
             .last()
-            .expect("non-zero divisor")
-            .leading_zeros() as usize;
+            .map_or(0, |top| top.leading_zeros() as usize);
         let u = self.shl(shift);
         let v = divisor.shl(shift);
         let n = v.limbs.len();
@@ -572,9 +571,10 @@ impl BigUint {
         } else {
             (1u64 << top_bits) - 1
         };
-        let last = limbs.last_mut().expect("at least one limb");
-        *last &= mask;
-        *last |= 1 << (top_bits - 1);
+        if let Some(last) = limbs.last_mut() {
+            *last &= mask;
+            *last |= 1 << (top_bits - 1);
+        }
         let mut n = BigUint { limbs };
         n.normalize();
         n
@@ -597,7 +597,9 @@ impl BigUint {
             } else {
                 (1u64 << top_bits) - 1
             };
-            *limbs.last_mut().expect("at least one limb") &= mask;
+            if let Some(last) = limbs.last_mut() {
+                *last &= mask;
+            }
             let mut candidate = BigUint { limbs };
             candidate.normalize();
             if &candidate < bound {

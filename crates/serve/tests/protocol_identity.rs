@@ -3,10 +3,12 @@
 //! stalling clients) under a fault plan that covers every non-store
 //! fault kind, run once with the chaos-hardened retry profile and once
 //! with no retries at all. The fleet and verdict fingerprints, a digest
-//! over every report's outcome and protocol fields, and the lifecycle
-//! and fault counters are compared against recorded literals, so any
-//! change to the order of provider calls or to where a fault lands
-//! shows up here.
+//! over every report's outcome and protocol fields (once with and once
+//! without the attested enclave key), and the lifecycle and fault
+//! counters are compared against recorded literals, so any change to
+//! the order of provider calls or to where a fault lands shows up here.
+//! A change to key generation alone moves only the fleet fingerprint
+//! and the key-bearing digest.
 
 use engarde_crypto::sha256::Sha256;
 use engarde_serve::faults::{FaultKind, FaultMix, FaultPlan};
@@ -72,9 +74,11 @@ fn run(run: SessionRunConfig) -> ServiceResult {
 }
 
 /// SHA-256 over each report's name, rendered outcome, retries, blocks
-/// delivered, attested key fingerprint, client verification and cache
-/// hit.
-fn reports_digest(result: &ServiceResult) -> String {
+/// delivered, whether a key was attested, client verification and cache
+/// hit, plus the attested key's fingerprint when `with_key` is set.
+/// Without it the digest is protocol-only: a change to how enclave keys
+/// are generated must leave it alone.
+fn reports_digest(result: &ServiceResult, with_key: bool) -> String {
     let mut h = Sha256::new();
     for r in &result.reports {
         h.update(r.name.as_bytes());
@@ -84,7 +88,9 @@ fn reports_digest(result: &ServiceResult) -> String {
         match &r.enclave_key_fp {
             Some(fp) => {
                 h.update(&[1]);
-                h.update(fp);
+                if with_key {
+                    h.update(fp);
+                }
             }
             None => h.update(&[0]),
         }
@@ -98,6 +104,7 @@ struct Recorded {
     fingerprint: &'static str,
     verdict_fingerprint: &'static str,
     reports: &'static str,
+    protocol: &'static str,
     counters: &'static str,
     faults: [[u64; 5]; NON_STORE_KINDS],
 }
@@ -107,7 +114,8 @@ const NON_STORE_KINDS: usize = 10;
 fn check(result: &ServiceResult, want: Recorded) {
     assert_eq!(result.fingerprint(), want.fingerprint);
     assert_eq!(result.verdict_fingerprint(), want.verdict_fingerprint);
-    assert_eq!(reports_digest(result), want.reports);
+    assert_eq!(reports_digest(result, true), want.reports);
+    assert_eq!(reports_digest(result, false), want.protocol);
     assert_eq!(format!("{:?}", result.metrics.counters()), want.counters);
     let stats = result.metrics.fault_stats();
     for kind in FaultKind::ALL {
@@ -129,6 +137,7 @@ fn chaos_hardened_fleet_replays_the_recorded_run() {
             fingerprint: "caf19b62de334b8389df4e5cec598d2ddcd054d6dc388f1956f484e939124c8c",
             verdict_fingerprint: "c1fde62046e98744ee0071c584ae031b8028076b5cdd3a90df9eda56df3cf289",
             reports: "500bb1523154e18b054f887c94d957913667ce1c6a2c660999eeede865271cd5",
+            protocol: "fd4a377bda1d673a9320c75c05efe58ea118e506bafa6c8cbc3a509b9d3fc94f",
             counters: "CounterSnapshot { admitted: 36, rejected_busy: 0, evicted: 6, completed: 28, compliant: 20, noncompliant: 8, failed: 2, retries: 21, shed: 0, workers_died: 2, queue_depth_highwater: 30 }",
             // (injected, detected, retried, recovered, evicted) per
             // non-store kind, in `FaultKind::ALL` order.
@@ -159,6 +168,7 @@ fn no_retry_fleet_replays_the_recorded_run() {
             fingerprint: "3abd66c4128d6ac323cff2bf2a566eae7d552565510d2c3aebc72d8511ea7ca6",
             verdict_fingerprint: "0b361c226d9760ed96dfc0c6677c03f4fc6d439c9e8d750592d06eb104b8dc4a",
             reports: "937d12189e57df88e50119d34e88db413fdd181fe487bfeefd3304abd38fa0b8",
+            protocol: "09d6966a93da2a3418b526ffd7f16f90f9c4739381bf419a6b9a9f1e24544747",
             counters: "CounterSnapshot { admitted: 36, rejected_busy: 0, evicted: 2, completed: 3, compliant: 1, noncompliant: 2, failed: 8, retries: 0, shed: 23, workers_died: 0, queue_depth_highwater: 27 }",
             // (injected, detected, retried, recovered, evicted) per
             // non-store kind, in `FaultKind::ALL` order.

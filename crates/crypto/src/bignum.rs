@@ -704,18 +704,22 @@ impl BigUint {
         })
     }
 
-    /// Generates a random probable prime with exactly `bits` bits.
+    /// Generates a random probable prime with exactly `bits` bits, the
+    /// top two of them set: a prime in `[3·2^(bits−2), 2^bits)`.
+    ///
+    /// Two such primes of `k` and `l` bits multiply to exactly `k + l`
+    /// bits (each is at least 3/4 of `2^k` or `2^l`, and 9/16 > 1/2),
+    /// so an RSA key keeps the first pair it draws. The range also meets
+    /// FIPS 186-4 B.3.1's bound `p ≥ √2·2^(bits−1)`. Each candidate takes
+    /// the same RNG words as any `bits`-bit draw.
     pub fn random_prime<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> BigUint {
         assert!(bits >= 2, "primes need at least 2 bits");
         loop {
             let mut candidate = BigUint::random_with_bits(rng, bits);
-            // Force odd.
-            if candidate.is_even() {
-                candidate = candidate.add(&BigUint::one());
-            }
-            if candidate.bit_len() != bits {
-                continue;
-            }
+            // Set the second-highest bit (the top one already is) and
+            // force odd; neither can carry, so the width stays `bits`.
+            candidate.limbs[(bits - 2) / 64] |= 1 << ((bits - 2) % 64);
+            candidate.limbs[0] |= 1;
             if candidate.is_probable_prime(rng, 20) {
                 return candidate;
             }
@@ -1453,9 +1457,18 @@ mod tests {
     #[test]
     fn random_prime_has_requested_bits() {
         let mut r = rng();
-        let p = BigUint::random_prime(&mut r, 96);
-        assert_eq!(p.bit_len(), 96);
-        assert!(p.is_probable_prime(&mut r, 10));
+        for bits in [2, 3, 4, 63, 64, 65, 66, 96, 128] {
+            for _ in 0..4 {
+                let p = BigUint::random_prime(&mut r, bits);
+                assert_eq!(p.bit_len(), bits, "{p:?}");
+                assert!(p.bit(bits - 2), "second-highest bit clear: {p:?}");
+                assert!(p.is_probable_prime(&mut r, 10), "{p:?}");
+            }
+        }
+        // The narrowest widths leave one candidate each: 0b11, 0b111, 0b1101.
+        assert_eq!(BigUint::random_prime(&mut r, 2), BigUint::from_u64(3));
+        assert_eq!(BigUint::random_prime(&mut r, 3), BigUint::from_u64(7));
+        assert_eq!(BigUint::random_prime(&mut r, 4), BigUint::from_u64(13));
     }
 
     #[test]

@@ -199,10 +199,10 @@ impl RsaKeyPair {
             if p == q {
                 continue;
             }
+            // Both primes have their top two bits set, so `n` has
+            // exactly `bits` bits: p·q ≥ (3/4)·2^(bits/2) ·
+            // (3/4)·2^(bits − bits/2) = (9/16)·2^bits > 2^(bits−1).
             let n = p.mul(&q);
-            if n.bit_len() != bits {
-                continue;
-            }
             let (p1, q1) = (p.sub(&BigUint::one()), q.sub(&BigUint::one()));
             let Some(d) = e.modinv(&p1.mul(&q1)) else {
                 continue;
@@ -288,7 +288,7 @@ impl RsaKeyPair {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use engarde_rand::{SeedableRng, StdRng};
+    use engarde_rand::{RngCore, SeedableRng, StdRng};
 
     fn keypair(bits: usize) -> RsaKeyPair {
         let mut rng = StdRng::seed_from_u64(0x5EED);
@@ -414,6 +414,78 @@ mod tests {
                 n.sub(&BigUint::one()),
             ] {
                 assert_eq!(kp.private_op(&x), x.modpow(&d, n), "x = {x:?}");
+            }
+        }
+    }
+
+    /// 128-bit seeds whose first prime pair has `e | p − 1` (64,990) or
+    /// `e | q − 1` (155,897), so `generate` must draw a second pair; the
+    /// first two such seeds in 0..300,000 with one of each kind.
+    const REDRAW_SEEDS_128: [u64; 2] = [64_990, 155_897];
+
+    /// Every key over a seed sweep keeps the first pair two
+    /// `random_prime` calls draw (the second, at a `REDRAW_SEEDS_128`
+    /// seed), with both primes of full width and their top two bits set,
+    /// a modulus of exactly `bits` bits and working private operations.
+    #[test]
+    fn keys_keep_their_first_prime_pair_at_full_width() {
+        let (e, one) = (BigUint::from_u64(E), BigUint::one());
+        let unusable = |p: &BigUint, q: &BigUint| {
+            p == q || p.sub(&one).rem(&e).is_zero() || q.sub(&one).rem(&e).is_zero()
+        };
+        let sweep: [(usize, u64); 6] = [
+            (128, 32),
+            (129, 32),
+            (512, 16),
+            (513, 8),
+            (1024, 8),
+            (2048, 2),
+        ];
+        for (bits, count) in sweep {
+            let extra: &[u64] = if bits == 128 { &REDRAW_SEEDS_128 } else { &[] };
+            for &seed in (0..count).collect::<Vec<_>>().iter().chain(extra) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let kp = RsaKeyPair::generate(&mut rng, bits);
+                let (k, l) = (bits / 2, bits - bits / 2);
+
+                let mut twin = StdRng::seed_from_u64(seed);
+                let mut pair = || {
+                    (
+                        BigUint::random_prime(&mut twin, k),
+                        BigUint::random_prime(&mut twin, l),
+                    )
+                };
+                let mut want = pair();
+                let redraw = unusable(&want.0, &want.1);
+                assert_eq!(redraw, extra.contains(&seed), "{bits} bits, seed {seed}");
+                if redraw {
+                    want = pair();
+                }
+                assert_eq!((&kp.p, &kp.q), (&want.0, &want.1), "{bits}/{seed}");
+                assert_eq!(rng.next_u64(), twin.next_u64(), "{bits}/{seed}");
+
+                assert_ne!(kp.p, kp.q);
+                for (prime, width) in [(&kp.p, k), (&kp.q, l)] {
+                    assert_eq!(prime.bit_len(), width, "{bits}/{seed}");
+                    assert!(prime.bit(width - 2), "{bits}/{seed}");
+                }
+                assert_eq!(kp.public().modulus_bits(), bits, "{bits}/{seed}");
+
+                let n = &kp.public.n;
+                let x = n.sub(&BigUint::from_u64(seed + 2));
+                assert_eq!(kp.private_op(&x).modpow(&e, n), x, "{bits}/{seed}");
+                let msg = b"channel key";
+                let msg = &msg[..msg.len().min(kp.public().modulus_len() - 11)];
+                let ct = kp.public().encrypt(&mut rng, msg).expect("encrypt");
+                assert_eq!(kp.decrypt(&ct).expect("decrypt"), msg);
+                match kp.sign(b"verdict") {
+                    Ok(sig) => kp.public().verify(b"verdict", &sig).expect("verify"),
+                    // A SHA-256 DigestInfo needs a modulus of 62 bytes.
+                    Err(err) => {
+                        assert!(bits < 496, "{bits}/{seed}: {err:?}");
+                        assert!(matches!(err, CryptoError::KeyTooSmall { .. }));
+                    }
+                }
             }
         }
     }

@@ -134,9 +134,9 @@ fn chaos_hardened_fleet_replays_the_recorded_run() {
     check(
         &run(SessionRunConfig::chaos_hardened()),
         Recorded {
-            fingerprint: "caf19b62de334b8389df4e5cec598d2ddcd054d6dc388f1956f484e939124c8c",
+            fingerprint: "fae5743e7c8d5ed5d4df5c9d30d2e699439f49412347bd2b0635ace56d2af1bf",
             verdict_fingerprint: "c1fde62046e98744ee0071c584ae031b8028076b5cdd3a90df9eda56df3cf289",
-            reports: "500bb1523154e18b054f887c94d957913667ce1c6a2c660999eeede865271cd5",
+            reports: "a50c8fcd99c22b3443c6574c75571340dd7184aa24d3221da0b03d75176ec196",
             protocol: "fd4a377bda1d673a9320c75c05efe58ea118e506bafa6c8cbc3a509b9d3fc94f",
             counters: "CounterSnapshot { admitted: 36, rejected_busy: 0, evicted: 6, completed: 28, compliant: 20, noncompliant: 8, failed: 2, retries: 21, shed: 0, workers_died: 2, queue_depth_highwater: 30 }",
             // (injected, detected, retried, recovered, evicted) per
@@ -165,9 +165,9 @@ fn no_retry_fleet_replays_the_recorded_run() {
             ..SessionRunConfig::chaos_hardened()
         }),
         Recorded {
-            fingerprint: "3abd66c4128d6ac323cff2bf2a566eae7d552565510d2c3aebc72d8511ea7ca6",
+            fingerprint: "3715880f704d5419bf6d622542edae6055a454241d926cf5440bef2d4d041586",
             verdict_fingerprint: "0b361c226d9760ed96dfc0c6677c03f4fc6d439c9e8d750592d06eb104b8dc4a",
-            reports: "937d12189e57df88e50119d34e88db413fdd181fe487bfeefd3304abd38fa0b8",
+            reports: "67f6e161455c551f72fe97d71d672518fb314db94aadf44d29c2074f16d511c6",
             protocol: "09d6966a93da2a3418b526ffd7f16f90f9c4739381bf419a6b9a9f1e24544747",
             counters: "CounterSnapshot { admitted: 36, rejected_busy: 0, evicted: 2, completed: 3, compliant: 1, noncompliant: 2, failed: 8, retries: 0, shed: 23, workers_died: 0, queue_depth_highwater: 27 }",
             // (injected, detected, retried, recovered, evicted) per

@@ -25,7 +25,7 @@ fn rsa_512_modulus_is_pinned() {
     let kp = keypair(0x5EED, 512);
     assert_eq!(
         digest(&kp.public().modulus_be()),
-        "588cbd4e4899d556f496c0c39ddf2d1c897a8f23ae503cf5d4393af01bade37a"
+        "ba915bff065dfe2801eb3e01fefa64f50e4da5b632eb8b6d9b0dc2548c51655f"
     );
 }
 
@@ -34,7 +34,7 @@ fn rsa_1024_modulus_is_pinned() {
     let kp = keypair(0x1024, 1024);
     assert_eq!(
         digest(&kp.public().modulus_be()),
-        "ec58260da02b987fc0c3a8c2f4c10c37b8ea1d14998ea65dbd8436b49e4a7b78"
+        "5a682d0835da1c0c67535e1c808667ac19bd099fac4d44899699bd4072924548"
     );
 }
 
@@ -44,12 +44,12 @@ fn rsa_signatures_are_pinned() {
     let sig512 = keypair(0x5EED, 512).sign(msg).expect("sign");
     assert_eq!(
         digest(&sig512),
-        "b86fbbee04bde6663f037564982a663cbfec9f511a7014a73ff6c6fb119efdfc"
+        "6a2f6cba7d8f8839d4dc1eee6ac8a5ae578c0f9e6bebec485451fbfe4d62bed6"
     );
     let sig1024 = keypair(0x1024, 1024).sign(msg).expect("sign");
     assert_eq!(
         digest(&sig1024),
-        "214eda81e9e5d92dab5daf9d24223d4766c19d8b07ca9031183eb4cf06bed005"
+        "9c75f808896aedc20169e249de3558c59eb97cd576eaa534c0d071dfabc571c8"
     );
 }
 
@@ -60,7 +60,7 @@ fn default_machine_device_key_is_pinned() {
     assert_eq!(device.modulus_bits(), 1024);
     assert_eq!(
         digest(&device.modulus_be()),
-        "60789c4617a2187bd8426ea6f5208b0ec0d6d93c024e1ae15cdb7cb8da364c59"
+        "de72ea7b22c3396210e7f81470d2ab75f70fe8b64a15ec4eb0290204cfe462b0"
     );
 }
 
@@ -81,6 +81,6 @@ fn rsa_seed_sweep_and_stream_position_are_pinned() {
     }
     assert_eq!(
         h.finalize().to_hex(),
-        "5d946dd9ac28674a207150bc7e41d26e2715f5518d9fdb8d60beba766e15cb92"
+        "6d1b8ae359eb865b247bc331cf09cd83ee05346b813a67e0650f7219d5d2495a"
     );
 }

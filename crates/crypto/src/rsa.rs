@@ -443,7 +443,7 @@ mod tests {
         ];
         for (bits, count) in sweep {
             let extra: &[u64] = if bits == 128 { &REDRAW_SEEDS_128 } else { &[] };
-            for &seed in (0..count).collect::<Vec<_>>().iter().chain(extra) {
+            for seed in (0..count).chain(extra.iter().copied()) {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let kp = RsaKeyPair::generate(&mut rng, bits);
                 let (k, l) = (bits / 2, bits - bits / 2);

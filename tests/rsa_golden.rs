@@ -1,11 +1,14 @@
 //! Golden values for RSA key generation and signing.
 //!
 //! `tests/determinism.rs` compares two runs of the same build, so it
-//! cannot notice a change to the arithmetic itself. These digests were
-//! recorded from the square-and-multiply implementation that predates
-//! the Montgomery core: any change to modular exponentiation, the
-//! Miller–Rabin witness stream or the trial-division sieve that moves
-//! a single key bit fails here.
+//! cannot notice a change to the arithmetic itself. These digests pin
+//! seeded keys whose primes have their top two bits set, each key built
+//! from the first prime pair its generator draws: two moduli (512 and
+//! 1024 bits), a signature under each, the default machine's 1024-bit
+//! device key, and 33 swept moduli with the word each generator yields
+//! next. Any change to the candidate shape, modular exponentiation, the
+//! Miller–Rabin witness stream or the trial-division sieve that moves a
+//! single key bit, or the stream position after keygen, fails here.
 
 use engarde::crypto::rsa::RsaKeyPair;
 use engarde::crypto::sha256::Sha256;

@@ -70,20 +70,22 @@ impl SealedBlock {
     /// Returns [`CryptoError::MalformedMessage`] on truncated or
     /// inconsistent input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CryptoError> {
-        if bytes.len() < 8 + 4 + 32 {
+        let (sequence, rest) = bytes
+            .split_first_chunk::<8>()
+            .ok_or(CryptoError::MalformedMessage)?;
+        let (len, rest) = rest
+            .split_first_chunk::<4>()
+            .ok_or(CryptoError::MalformedMessage)?;
+        let (ciphertext, tag) = rest
+            .split_last_chunk::<32>()
+            .ok_or(CryptoError::MalformedMessage)?;
+        if ciphertext.len() != u32::from_be_bytes(*len) as usize {
             return Err(CryptoError::MalformedMessage);
         }
-        let sequence = u64::from_be_bytes(bytes[0..8].try_into().expect("8 bytes"));
-        let len = u32::from_be_bytes(bytes[8..12].try_into().expect("4 bytes")) as usize;
-        if bytes.len() != 12 + len + 32 {
-            return Err(CryptoError::MalformedMessage);
-        }
-        let ciphertext = bytes[12..12 + len].to_vec();
-        let tag: [u8; 32] = bytes[12 + len..].try_into().expect("32 bytes");
         Ok(SealedBlock {
-            sequence,
-            ciphertext,
-            tag,
+            sequence: u64::from_be_bytes(*sequence),
+            ciphertext: ciphertext.to_vec(),
+            tag: *tag,
         })
     }
 }
@@ -127,7 +129,9 @@ impl DirectionKeys {
 
     fn nonce_for(&self, sequence: u64) -> [u8; 16] {
         let d = hmac_sha256(&self.nonce_seed, &sequence.to_be_bytes());
-        d.as_bytes()[..16].try_into().expect("16 bytes")
+        let mut nonce = [0u8; 16];
+        nonce.copy_from_slice(&d.as_bytes()[..16]);
+        nonce
     }
 
     fn tag_for(&self, dir: Direction, sequence: u64, ciphertext: &[u8]) -> [u8; 32] {
@@ -407,6 +411,20 @@ mod tests {
         let mut bytes = client.seal(b"x").to_bytes();
         bytes.pop();
         assert!(SealedBlock::from_bytes(&bytes).is_err());
+        bytes.extend_from_slice(&[0, 0]);
+        assert!(
+            SealedBlock::from_bytes(&bytes).is_err(),
+            "one byte too many"
+        );
+        // The shortest frame carries an empty ciphertext; a length field
+        // naming more bytes than follow is malformed.
+        let mut empty = [0u8; 8 + 4 + 32];
+        assert!(SealedBlock::from_bytes(&empty).is_ok_and(|b| b.ciphertext.is_empty()));
+        empty[11] = 1;
+        assert_eq!(
+            SealedBlock::from_bytes(&empty),
+            Err(CryptoError::MalformedMessage)
+        );
     }
 
     #[test]

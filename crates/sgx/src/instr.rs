@@ -165,6 +165,14 @@ mod tests {
     }
 
     #[test]
+    fn all_lists_the_leaves_in_declaration_order() {
+        // `SgxMachine` indexes its per-leaf counts by `instr as usize`.
+        for (i, leaf) in SgxInstr::ALL.into_iter().enumerate() {
+            assert_eq!(leaf as usize, i, "{leaf}");
+        }
+    }
+
+    #[test]
     fn privileged_and_user_split() {
         let privileged = SgxInstr::ALL.iter().filter(|i| i.is_privileged()).count();
         assert_eq!(privileged, 16, "16 ENCLS leaves");

@@ -11,12 +11,11 @@ use crate::epc::{Epc, EpcmEntry, PagePerms, PageType, ENGARDE_EPC_PAGES, PAGE_SI
 use crate::instr::{SgxInstr, SgxVersion};
 use crate::perf::CycleCounter;
 use crate::SgxError;
-use engarde_crypto::aes::{ctr_xor, AesKey};
 use engarde_crypto::hmac::hmac_sha256;
 use engarde_crypto::rsa::RsaKeyPair;
 use engarde_crypto::sha256::{Digest, Sha256};
 use engarde_rand::{Rng, SeedableRng, StdRng};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Identifier of a created enclave.
 pub type EnclaveId = u64;
@@ -166,8 +165,6 @@ pub struct Enclave {
     pages: BTreeMap<u64, usize>,
     entered: u32,
     pending: Vec<PendingPerms>,
-    blocked: BTreeSet<u64>,
-    track_epoch: u64,
 }
 
 impl Enclave {
@@ -210,27 +207,6 @@ impl Enclave {
     pub fn mapped_pages(&self) -> Vec<u64> {
         self.pages.keys().copied().collect()
     }
-}
-
-/// An evicted enclave page living in untrusted memory (EWB output).
-///
-/// Sealed under the machine's key and bound to a version-array entry,
-/// so the untrusted OS can store it anywhere but cannot tamper with it
-/// or replay an older snapshot.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct EvictedPage {
-    /// Owning enclave.
-    pub enclave_id: EnclaveId,
-    /// Enclave-linear address the page backs.
-    pub vaddr: u64,
-    /// Version-array entry (anti-replay).
-    pub version: u64,
-    /// EPCM permissions to restore.
-    pub perms: PagePerms,
-    /// Sealed page contents.
-    pub ciphertext: Vec<u8>,
-    /// Integrity MAC over enclave, address, version, and ciphertext.
-    pub mac: [u8; 32],
 }
 
 /// The destination a local-attestation report is MACed for
@@ -282,12 +258,9 @@ pub struct SgxMachine {
     device_key: RsaKeyPair,
     report_key: [u8; 32],
     seal_key: [u8; 32],
-    /// `seal_key`'s AES-256 schedule, expanded once for EWB/ELDU.
-    seal_cipher: AesKey,
     counter: CycleCounter,
-    instr_log: Vec<SgxInstr>,
-    versions: BTreeMap<(EnclaveId, u64), u64>,
-    next_version: u64,
+    /// Executed leaves per [`SgxInstr`], indexed in declaration order.
+    instr_counts: [u64; SgxInstr::ALL.len()],
 }
 
 impl std::fmt::Debug for SgxMachine {
@@ -327,12 +300,9 @@ impl SgxMachine {
             next_id: 1,
             device_key,
             report_key,
-            seal_cipher: AesKey::new_256(&seal_key),
             seal_key,
             counter: CycleCounter::new(),
-            instr_log: Vec::new(),
-            versions: BTreeMap::new(),
-            next_version: 1,
+            instr_counts: [0; SgxInstr::ALL.len()],
         }
     }
 
@@ -363,9 +333,9 @@ impl SgxMachine {
         &self.device_key
     }
 
-    /// Log of every SGX instruction leaf executed, in order.
-    pub fn instr_log(&self) -> &[SgxInstr] {
-        &self.instr_log
+    /// How many times the machine has executed `instr`.
+    pub fn instr_count(&self, instr: SgxInstr) -> u64 {
+        self.instr_counts[instr as usize]
     }
 
     /// Immutable view of an enclave.
@@ -375,7 +345,7 @@ impl SgxMachine {
 
     fn step(&mut self, instr: SgxInstr) {
         self.counter.charge_sgx(1);
-        self.instr_log.push(instr);
+        self.instr_counts[instr as usize] += 1;
     }
 
     fn enclave_mut(&mut self, id: EnclaveId) -> Result<&mut Enclave, SgxError> {
@@ -429,8 +399,6 @@ impl SgxMachine {
                 pages: BTreeMap::new(),
                 entered: 0,
                 pending: Vec::new(),
-                blocked: BTreeSet::new(),
-                track_epoch: 0,
             },
         );
         Ok(id)
@@ -546,7 +514,9 @@ impl SgxMachine {
         let digest = enclave
             .hasher
             .take()
-            .expect("building enclave has a live hasher")
+            .ok_or(SgxError::WrongState {
+                what: "EINIT requires a live measurement log",
+            })?
             .finalize();
         enclave.measurement = Some(digest);
         enclave.state = EnclaveState::Initialized;
@@ -636,170 +606,7 @@ impl SgxMachine {
             self.step(SgxInstr::Eremove);
         }
         self.enclaves.remove(&id);
-        self.versions.retain(|(eid, _), _| *eid != id);
         Ok(freed)
-    }
-
-    // ---- paging: EBLOCK / ETRACK / EWB / ELDU ----------------------------
-
-    /// `EBLOCK`: marks the page at `vaddr` as blocked, the first step of
-    /// the eviction protocol (new TLB mappings are refused).
-    ///
-    /// # Errors
-    ///
-    /// Fails for unmapped addresses.
-    pub fn eblock(&mut self, id: EnclaveId, vaddr: u64) -> Result<(), SgxError> {
-        self.step(SgxInstr::Eblock);
-        let enclave = self.enclave_mut(id)?;
-        if !enclave.pages.contains_key(&vaddr) {
-            return Err(SgxError::BadAddress { vaddr });
-        }
-        enclave.blocked.insert(vaddr);
-        Ok(())
-    }
-
-    /// `ETRACK`: advances the enclave's TLB-tracking epoch; blocked
-    /// pages become evictable once the epoch has moved past their block.
-    ///
-    /// # Errors
-    ///
-    /// Fails for unknown enclaves.
-    pub fn etrack(&mut self, id: EnclaveId) -> Result<(), SgxError> {
-        self.step(SgxInstr::Etrack);
-        let enclave = self.enclave_mut(id)?;
-        enclave.track_epoch += 1;
-        Ok(())
-    }
-
-    /// `EWB`: evicts a blocked, tracked page to untrusted memory. The
-    /// returned [`EvictedPage`] carries the page ciphertext, a MAC, and
-    /// a version number recorded in the machine's version array —
-    /// replaying a stale evicted page at reload is therefore detected.
-    ///
-    /// # Errors
-    ///
-    /// [`SgxError::WrongState`] unless the page was EBLOCKed and an
-    /// ETRACK cycle completed; [`SgxError::BadAddress`] for unmapped
-    /// pages.
-    pub fn ewb(&mut self, id: EnclaveId, vaddr: u64) -> Result<EvictedPage, SgxError> {
-        self.step(SgxInstr::Ewb);
-        let enclave = self
-            .enclaves
-            .get(&id)
-            .ok_or(SgxError::NoSuchEnclave { id })?;
-        if !enclave.blocked.contains(&vaddr) {
-            return Err(SgxError::WrongState {
-                what: "EWB requires the page to be EBLOCKed",
-            });
-        }
-        if enclave.track_epoch == 0 {
-            return Err(SgxError::WrongState {
-                what: "EWB requires a completed ETRACK cycle",
-            });
-        }
-        let &idx = enclave
-            .pages
-            .get(&vaddr)
-            .ok_or(SgxError::BadAddress { vaddr })?;
-        let entry = *self.epc.epcm(idx).ok_or(SgxError::BadAddress { vaddr })?;
-        let plaintext = self.epc.read_plaintext(idx)?;
-        // Seal: AES-CTR under the machine seal key, tweaked by version;
-        // MAC binds enclave, address, version, and ciphertext.
-        let version = self.next_version;
-        self.next_version += 1;
-        let mut ciphertext = plaintext.to_vec();
-        {
-            let mut nonce = [0u8; 16];
-            nonce[0..8].copy_from_slice(&version.to_be_bytes());
-            ctr_xor(&self.seal_cipher, &nonce, 0, &mut ciphertext);
-        }
-        let mut mac_msg = Vec::with_capacity(8 + 8 + 8 + ciphertext.len());
-        mac_msg.extend_from_slice(&id.to_le_bytes());
-        mac_msg.extend_from_slice(&vaddr.to_le_bytes());
-        mac_msg.extend_from_slice(&version.to_le_bytes());
-        mac_msg.extend_from_slice(&ciphertext);
-        let mac = *hmac_sha256(&self.seal_key, &mac_msg).as_bytes();
-        self.versions.insert((id, vaddr), version);
-        // Free the EPC slot.
-        let enclave = self.enclave_mut(id)?;
-        enclave.pages.remove(&vaddr);
-        enclave.blocked.remove(&vaddr);
-        self.epc.free(idx)?;
-        Ok(EvictedPage {
-            enclave_id: id,
-            vaddr,
-            version,
-            perms: entry.perms,
-            ciphertext,
-            mac,
-        })
-    }
-
-    /// `ELDU`: reloads an evicted page into the EPC, verifying its MAC
-    /// and that it is the *latest* eviction of that page (version-array
-    /// check — stale replays are rejected).
-    ///
-    /// # Errors
-    ///
-    /// [`SgxError::AttestationFailed`]-style integrity failures are
-    /// reported as [`SgxError::BadParameter`]; version mismatches as
-    /// [`SgxError::WrongState`].
-    pub fn eldu(&mut self, id: EnclaveId, page: &EvictedPage) -> Result<(), SgxError> {
-        self.step(SgxInstr::Eldu);
-        if page.enclave_id != id {
-            return Err(SgxError::BadParameter {
-                what: "evicted page belongs to a different enclave",
-            });
-        }
-        let mut mac_msg = Vec::with_capacity(8 + 8 + 8 + page.ciphertext.len());
-        mac_msg.extend_from_slice(&id.to_le_bytes());
-        mac_msg.extend_from_slice(&page.vaddr.to_le_bytes());
-        mac_msg.extend_from_slice(&page.version.to_le_bytes());
-        mac_msg.extend_from_slice(&page.ciphertext);
-        let expected = hmac_sha256(&self.seal_key, &mac_msg);
-        if !engarde_crypto::hmac::constant_time_eq(expected.as_bytes(), &page.mac) {
-            return Err(SgxError::BadParameter {
-                what: "evicted page failed integrity verification",
-            });
-        }
-        match self.versions.get(&(id, page.vaddr)) {
-            Some(&v) if v == page.version => {}
-            _ => {
-                return Err(SgxError::WrongState {
-                    what: "stale evicted page (version-array replay check)",
-                })
-            }
-        }
-        let mut plaintext = page.ciphertext.clone();
-        {
-            let mut nonce = [0u8; 16];
-            nonce[0..8].copy_from_slice(&page.version.to_be_bytes());
-            ctr_xor(&self.seal_cipher, &nonce, 0, &mut plaintext);
-        }
-        let enclave = self
-            .enclaves
-            .get(&id)
-            .ok_or(SgxError::NoSuchEnclave { id })?;
-        if enclave.pages.contains_key(&page.vaddr) {
-            return Err(SgxError::BadParameter {
-                what: "page already resident",
-            });
-        }
-        let idx = self.epc.alloc(
-            EpcmEntry {
-                valid: true,
-                page_type: PageType::Reg,
-                enclave_id: id,
-                vaddr: page.vaddr,
-                perms: page.perms,
-                perms_locked: false,
-            },
-            &plaintext,
-        )?;
-        self.versions.remove(&(id, page.vaddr));
-        let enclave = self.enclave_mut(id)?;
-        enclave.pages.insert(page.vaddr, idx);
-        Ok(())
     }
 
     /// `EAUG` (SGX2, OS-invoked): adds a zeroed page to an *initialized*
@@ -876,27 +683,6 @@ impl SgxMachine {
         if self.config.version < SgxVersion::V2 {
             return Err(SgxError::NotSupported {
                 what: "EMODPR requires SGX2",
-            });
-        }
-        let enclave = self.enclave_mut(id)?;
-        if !enclave.pages.contains_key(&vaddr) {
-            return Err(SgxError::BadAddress { vaddr });
-        }
-        enclave.pending.push(PendingPerms { vaddr, perms });
-        Ok(())
-    }
-
-    /// `EMODPE` (SGX2, enclave-invoked): requests a permission
-    /// *extension*; also completed by EACCEPT in this model.
-    ///
-    /// # Errors
-    ///
-    /// [`SgxError::NotSupported`] on SGX1.
-    pub fn emodpe(&mut self, id: EnclaveId, vaddr: u64, perms: PagePerms) -> Result<(), SgxError> {
-        self.step(SgxInstr::Emodpe);
-        if self.config.version < SgxVersion::V2 {
-            return Err(SgxError::NotSupported {
-                what: "EMODPE requires SGX2",
             });
         }
         let enclave = self.enclave_mut(id)?;
@@ -1312,10 +1098,6 @@ mod tests {
             Err(SgxError::NotSupported { .. })
         ));
         assert!(matches!(
-            m.emodpe(id, 0x10000, PagePerms::RWX),
-            Err(SgxError::NotSupported { .. })
-        ));
-        assert!(matches!(
             m.eaccept(id, 0x10000),
             Err(SgxError::NotSupported { .. })
         ));
@@ -1434,7 +1216,9 @@ mod tests {
         let delta = m.counter().since(&before);
         // ECREATE + EADD + 16×EEXTEND + EINIT = 19 SGX instructions.
         assert_eq!(delta, 19 * SGX_INSTRUCTION_CYCLES);
-        assert_eq!(m.instr_log().len(), 19);
+        let executed: u64 = SgxInstr::ALL.iter().map(|&i| m.instr_count(i)).sum();
+        assert_eq!(executed, 19);
+        assert_eq!(m.instr_count(SgxInstr::Eextend), 16);
     }
 
     #[test]
@@ -1472,113 +1256,6 @@ mod tests {
             m.eadd(id, 0x11000, &[], PagePerms::RWX),
             Err(SgxError::Epc(_))
         ));
-    }
-
-    #[test]
-    fn paging_evict_reload_round_trip() {
-        let mut m = small_machine();
-        let id = build_enclave(&mut m, 2);
-        let secret = vec![0x77u8; 64];
-        m.enclave_write(id, 0x10000, &secret).expect("write");
-        // Eviction protocol: EBLOCK → ETRACK → EWB.
-        m.eblock(id, 0x10000).expect("eblock");
-        m.etrack(id).expect("etrack");
-        let used_before = m.epc_used_pages();
-        let evicted = m.ewb(id, 0x10000).expect("ewb");
-        assert_eq!(m.epc_used_pages(), used_before - 1);
-        // Page is gone from the enclave...
-        assert!(m.enclave_read(id, 0x10000, 4).is_err());
-        // ...its sealed image does not leak the plaintext...
-        assert_ne!(&evicted.ciphertext[..64], &secret[..]);
-        // ...and reloading restores it exactly.
-        m.eldu(id, &evicted).expect("eldu");
-        assert_eq!(m.enclave_read(id, 0x10000, 64).expect("read"), secret);
-    }
-
-    #[test]
-    fn ewb_requires_block_and_track() {
-        let mut m = small_machine();
-        let id = build_enclave(&mut m, 1);
-        assert!(matches!(
-            m.ewb(id, 0x10000),
-            Err(SgxError::WrongState { .. })
-        ));
-        m.eblock(id, 0x10000).expect("eblock");
-        assert!(matches!(
-            m.ewb(id, 0x10000),
-            Err(SgxError::WrongState { .. })
-        ));
-        m.etrack(id).expect("etrack");
-        m.ewb(id, 0x10000).expect("now evictable");
-    }
-
-    #[test]
-    fn stale_evicted_page_replay_rejected() {
-        let mut m = small_machine();
-        let id = build_enclave(&mut m, 1);
-        m.enclave_write(id, 0x10000, b"version 1").expect("write");
-        m.eblock(id, 0x10000).expect("eblock");
-        m.etrack(id).expect("etrack");
-        let old = m.ewb(id, 0x10000).expect("first eviction");
-        m.eldu(id, &old).expect("reload");
-        m.enclave_write(id, 0x10000, b"version 2").expect("update");
-        m.eblock(id, 0x10000).expect("eblock");
-        m.etrack(id).expect("etrack");
-        let _new = m.ewb(id, 0x10000).expect("second eviction");
-        // Malicious OS replays the older snapshot.
-        let err = m.eldu(id, &old).unwrap_err();
-        assert!(matches!(err, SgxError::WrongState { what } if what.contains("stale")));
-    }
-
-    #[test]
-    fn tampered_evicted_page_rejected() {
-        let mut m = small_machine();
-        let id = build_enclave(&mut m, 1);
-        m.eblock(id, 0x10000).expect("eblock");
-        m.etrack(id).expect("etrack");
-        let mut evicted = m.ewb(id, 0x10000).expect("ewb");
-        evicted.ciphertext[10] ^= 1;
-        assert!(matches!(
-            m.eldu(id, &evicted),
-            Err(SgxError::BadParameter { what }) if what.contains("integrity")
-        ));
-    }
-
-    #[test]
-    fn eviction_relieves_epc_pressure() {
-        // 4 EPC pages: SECS + 3. The enclave spans 4 pages of linear
-        // space; with eviction all 4 can be populated over time.
-        let mut m = SgxMachine::new(MachineConfig {
-            epc_pages: 4,
-            version: SgxVersion::V2,
-            device_key_bits: 512,
-            seed: 8,
-        });
-        let id = m.ecreate(0x10000, (4 * PAGE_SIZE) as u64).expect("ecreate");
-        for i in 0..3 {
-            let va = 0x10000 + (i * PAGE_SIZE) as u64;
-            m.eadd(id, va, &[i as u8; 8], PagePerms::RWX).expect("eadd");
-            m.eextend(id, va).expect("eextend");
-        }
-        // EPC full: the fourth page cannot be added...
-        assert!(matches!(
-            m.eadd(id, 0x13000, &[], PagePerms::RWX),
-            Err(SgxError::Epc(_))
-        ));
-        // ...until one is evicted.
-        m.eblock(id, 0x10000).expect("eblock");
-        m.etrack(id).expect("etrack");
-        let evicted = m.ewb(id, 0x10000).expect("ewb");
-        m.eadd(id, 0x13000, &[3; 8], PagePerms::RWX)
-            .expect("fits now");
-        m.eextend(id, 0x13000).expect("eextend");
-        m.einit(id).expect("einit");
-        // Swap back in after evicting another.
-        m.eblock(id, 0x11000).expect("eblock");
-        m.etrack(id).expect("etrack");
-        m.ewb(id, 0x11000).expect("ewb");
-        m.eldu(id, &evicted).expect("reload first page");
-        assert_eq!(m.enclave_read(id, 0x10000, 8).expect("read"), vec![0u8; 8]);
     }
 
     #[test]

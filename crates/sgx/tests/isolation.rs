@@ -82,20 +82,6 @@ fn seal_keys_are_enclave_specific_but_stable() {
 }
 
 #[test]
-fn evicted_page_cannot_be_loaded_into_another_enclave() {
-    let mut m = machine();
-    let a = enclave_with_secret(&mut m, 0x100000, b"alpha");
-    let b = enclave_with_secret(&mut m, 0x200000, b"bravo");
-    m.eblock(a, 0x100000).expect("eblock");
-    m.etrack(a).expect("etrack");
-    let evicted = m.ewb(a, 0x100000).expect("ewb");
-    let err = m.eldu(b, &evicted).unwrap_err();
-    assert!(matches!(err, SgxError::BadParameter { .. }));
-    // It still loads back into its owner.
-    m.eldu(a, &evicted).expect("owner reload");
-}
-
-#[test]
 fn local_attestation_between_enclaves_is_target_bound() {
     use engarde_sgx::machine::ReportTarget;
     let mut m = machine();

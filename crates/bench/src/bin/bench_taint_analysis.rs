@@ -327,7 +327,6 @@ fn main() {
 
     // Adversarial fixtures: leaking variants rejected, twins pass.
     let leakage = || vec![Box::new(SecretLeakage::new()) as Box<dyn PolicyModule>];
-    let lenient = || vec![Box::new(SecretLeakage::lenient()) as Box<dyn PolicyModule>];
     let branch = || vec![Box::new(SecretDependentBranch::new()) as Box<dyn PolicyModule>];
     const SCRATCH: u64 = 0x10900;
     const PTR: u64 = 0x10a00;
@@ -425,14 +424,6 @@ fn main() {
             fixture_verdict(
                 &adversarial::unresolved_pointer_store_clean(PTR),
                 leakage(),
-                args.seed,
-            ),
-        ),
-        (
-            "unresolved_store_lenient_passes",
-            fixture_verdict(
-                &adversarial::unresolved_pointer_store(SECRET, PTR),
-                lenient(),
                 args.seed,
             ),
         ),

@@ -614,8 +614,7 @@ impl TaintAnalysis {
     }
 
     /// Sink-candidate findings: tainted stores through unresolved
-    /// addresses (strict policies reject these; lenient ones only
-    /// count them).
+    /// addresses (`SecretLeakage` rejects these).
     pub fn unresolved_stores(&self) -> impl Iterator<Item = &TaintFinding> {
         self.findings
             .iter()

@@ -29,23 +29,15 @@ pub struct SecretLeakage {
     /// of reading the shared memo (the ablation path, mirroring
     /// [`super::CodeReachability`]).
     pub use_shared_analysis: bool,
-    /// When true (the default), a tainted store through an address the
-    /// constant lattice cannot resolve is itself a violation: the
-    /// analysis cannot prove the write stays inside the enclave, so a
-    /// mutually-suspicious verifier must reject rather than guess.
-    /// `lenient()` preserves the pre-memory-domain behavior for
-    /// ablation and for pinning the old false-PASS as a regression.
-    pub strict_unresolved_stores: bool,
     declared_sources: Vec<SecretRange>,
 }
 
 impl SecretLeakage {
     /// The standard configuration: shared analysis, loader-known
-    /// sources only, strict about unresolved tainted stores.
+    /// sources only.
     pub fn new() -> Self {
         SecretLeakage {
             use_shared_analysis: true,
-            strict_unresolved_stores: true,
             declared_sources: Vec::new(),
         }
     }
@@ -54,17 +46,6 @@ impl SecretLeakage {
     pub fn without_shared_analysis() -> Self {
         SecretLeakage {
             use_shared_analysis: false,
-            ..SecretLeakage::new()
-        }
-    }
-
-    /// Lenient configuration: unresolved-address tainted stores are
-    /// tracked (they still weak-update the memory environment and are
-    /// counted in [`TaintStats`](crate::analysis::TaintStats)) but do
-    /// not reject on their own — the pre-spill-fix policy surface.
-    pub fn lenient() -> Self {
-        SecretLeakage {
-            strict_unresolved_stores: false,
             ..SecretLeakage::new()
         }
     }
@@ -138,18 +119,20 @@ impl PolicyModule for SecretLeakage {
     }
 
     fn descriptor(&self) -> Vec<u8> {
-        // v2: the spill-aware memory domain plus the strictness flag
-        // are part of what the provider agrees to run, so both are
-        // bound into the measurement. v3: one stack-address rule for
-        // every base register — the v2 engine passed rbp/rsp alias
-        // spills and untrusted-%rbp stores, and the verdict cache and
-        // store seal keys derive from this descriptor, so no v2 PASS
-        // may be replayed. v4: taint follows every instruction's
-        // decoded effects (unclassified forms, partial and high-byte
-        // register writes, no-base and segment-overridden operands,
-        // `leave`), so no v3 PASS may be replayed.
+        // v2: the spill-aware memory domain is part of what the
+        // provider agrees to run, so it is bound into the measurement.
+        // v3: one stack-address rule for every base register — the v2
+        // engine passed rbp/rsp alias spills and untrusted-%rbp stores,
+        // and the verdict cache and store seal keys derive from this
+        // descriptor, so no v2 PASS may be replayed. v4: taint follows
+        // every instruction's decoded effects (unclassified forms,
+        // partial and high-byte register writes, no-base and
+        // segment-overridden operands, `leave`), so no v3 PASS may be
+        // replayed. The byte 1 after the tag says unresolved tainted
+        // stores reject; it was a flag once and stays so that no
+        // descriptor, measurement, cache key or seal key moves.
         let mut d = b"secret-leakage:v4".to_vec();
-        d.push(self.strict_unresolved_stores as u8);
+        d.push(1);
         d.extend_from_slice(&descriptor_ranges(&self.declared_sources));
         d
     }
@@ -167,19 +150,20 @@ impl PolicyModule for SecretLeakage {
                 ),
             });
         }
-        if self.strict_unresolved_stores {
-            if let Some(f) = taint.unresolved_stores().next() {
-                return Err(EngardeError::PolicyViolation {
-                    policy: "secret-leakage",
-                    reason: format!(
-                        "{} at {:#x} writes {} data through an address the \
-                         analysis cannot bound to enclave memory",
-                        f.kind.name(),
-                        f.addr,
-                        taint.describe_sources(f.sources)
-                    ),
-                });
-            }
+        // The analysis cannot prove such a write stays inside the
+        // enclave, so a mutually-suspicious verifier rejects rather
+        // than guesses.
+        if let Some(f) = taint.unresolved_stores().next() {
+            return Err(EngardeError::PolicyViolation {
+                policy: "secret-leakage",
+                reason: format!(
+                    "{} at {:#x} writes {} data through an address the \
+                     analysis cannot bound to enclave memory",
+                    f.kind.name(),
+                    f.addr,
+                    taint.describe_sources(f.sources)
+                ),
+            });
         }
         Ok(PolicyReport {
             policy: "secret-leakage",
@@ -194,5 +178,31 @@ impl PolicyModule for SecretLeakage {
                 taint.weak_updates,
             ),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::analysis::taint::SecretClass;
+
+    #[test]
+    fn descriptor_bytes_are_pinned() {
+        // The descriptor feeds the enclave measurement, the verdict-cache
+        // key and the store seal key; none of them may move silently.
+        assert_eq!(
+            SecretLeakage::new().descriptor(),
+            b"secret-leakage:v4\x01".to_vec()
+        );
+        let declared = SecretLeakage::new().with_declared_sources(vec![SecretRange {
+            start: 0x1000,
+            end: 0x1010,
+            class: SecretClass::Declared,
+        }]);
+        let mut want = b"secret-leakage:v4\x01".to_vec();
+        want.extend_from_slice(&0x1000u64.to_le_bytes());
+        want.extend_from_slice(&0x1010u64.to_le_bytes());
+        want.push("declared-secret".len() as u8);
+        assert_eq!(declared.descriptor(), want);
     }
 }

@@ -354,16 +354,20 @@ fn unresolved_store_clean_twin_passes_strict_mode() {
 }
 
 #[test]
-fn lenient_mode_pins_the_old_unresolved_store_surface() {
-    // The pre-fix policy surface: a tainted store through an address
-    // the lattice cannot bound did not reject on its own. Lenient mode
-    // preserves that verdict — but the event is no longer silent: the
-    // stats count it.
+fn rejected_unresolved_store_is_counted_in_the_shared_stats() {
+    // The rejection is not the only trace: the shared memo still counts
+    // the unresolved sink and the weak update that keeps the label
+    // alive ambiently.
     let (mut m, _, loaded) = load_image(&adversarial::unresolved_pointer_store(SECRET, PTR));
-    let policies: Vec<Box<dyn PolicyModule>> = vec![Box::new(SecretLeakage::lenient())];
+    let policies: Vec<Box<dyn PolicyModule>> = vec![Box::new(SecretLeakage::new())];
     let cache = AnalysisCache::new();
-    run_policies_with_cache(&policies, &loaded, m.counter_mut(), &cache)
-        .expect("lenient mode preserves the old PASS");
+    let err = run_policies_with_cache(&policies, &loaded, m.counter_mut(), &cache)
+        .expect_err("a tainted store through an unresolved address rejects");
+    assert!(
+        matches!(&err, EngardeError::PolicyViolation { policy: "secret-leakage", reason }
+            if reason.contains("unresolved-address store")),
+        "{err}"
+    );
     let stats = cache.taint_stats().expect("taint ran");
     assert!(
         stats.unresolved_store_sinks >= 1,

@@ -402,7 +402,7 @@ pub fn untrusted_rbp_store(secret: u64, ptr: u64) -> Vec<u8> {
 /// The compliant twin of [`untrusted_rbp_store`]: the same store, but
 /// `%rbp` is the frame base (`mov rbp, rsp`), so the secret lands in a
 /// known stack slot — the ordinary frame-pointer spill every compiled
-/// function performs, which strict mode must keep passing.
+/// function performs, which secret-leakage must keep passing.
 pub fn framed_rbp_store(secret: u64) -> Vec<u8> {
     let mut asm = Assembler::new();
     asm.mov_rr64(Reg::Rbp, Reg::Rsp); // rbp is the frame base
@@ -414,7 +414,7 @@ pub fn framed_rbp_store(secret: u64) -> Vec<u8> {
 /// `push rbp; mov rbp, rsp` the secret is loaded, then either `test
 /// %eax, %eax` (writes only flags) or, with `clobber_rbp`, `movzx %cl,
 /// %ebp` precedes the `-8(%rbp)` spill. The `test` form is the ordinary
-/// compiled spill strict mode must keep passing; after the `movzx`,
+/// compiled spill secret-leakage must keep passing; after the `movzx`,
 /// `%rbp` is an arbitrary value and the spill an unresolved store.
 pub fn rbp_store_after_other(secret: u64, clobber_rbp: bool) -> Vec<u8> {
     let mut asm = Assembler::new();
@@ -598,10 +598,8 @@ fn rbp_secret_store(asm: &mut Assembler, secret: u64) {
 
 /// A tainted store through a pointer the constant lattice cannot
 /// resolve: the pointer itself is loaded from memory, so the analysis
-/// cannot bound the write to enclave memory. Strict secret-leakage
-/// rejects it as an unresolved-store sink candidate; the pre-fix
-/// (lenient) surface silently dropped the label — the pinned false
-/// PASS.
+/// cannot bound the write to enclave memory. Secret-leakage rejects
+/// it as an unresolved-store sink candidate.
 pub fn unresolved_pointer_store(secret: u64, ptr: u64) -> Vec<u8> {
     let mut asm = Assembler::new();
     asm.movabs(Reg::Rbx, secret);
@@ -615,7 +613,7 @@ pub fn unresolved_pointer_store(secret: u64, ptr: u64) -> Vec<u8> {
 
 /// The compliant twin of [`unresolved_pointer_store`]: the same
 /// unresolved pointer is written through, but the stored value is a
-/// constant — nothing secret is at risk, so even strict mode passes.
+/// constant — nothing secret is at risk, so secret-leakage passes.
 pub fn unresolved_pointer_store_clean(ptr: u64) -> Vec<u8> {
     let mut asm = Assembler::new();
     asm.mov_ri32(Reg::Rax, 0x5a);

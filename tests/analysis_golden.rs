@@ -257,7 +257,6 @@ fn taint_policies() -> Vec<Box<dyn PolicyModule>> {
     vec![
         Box::new(CodeReachability::new()),
         Box::new(SecretLeakage::new()),
-        Box::new(SecretLeakage::lenient()),
         Box::new(SecretDependentBranch::new()),
     ]
 }

@@ -312,16 +312,17 @@ pub fn constant_propagation(cfg: &Cfg, insns: &[Insn], roots: &[BlockId]) -> Con
             // A nop bridge is padding adjacency, not a real control
             // transfer (the predecessor ended in `ret`/`jmp`): whoever
             // actually enters the bridged block arrives with an
-            // arbitrary state, so seed it with unknown.
+            // arbitrary state, so seed it with unknown. Joined by
+            // reference; a copy is made only on first reach.
             let carried = if edge.kind == super::cfg::EdgeKind::NopBridge {
-                RegState::unknown()
+                &RegState::unknown()
             } else {
-                state.clone()
+                &state
             };
             let changed = match &mut in_states[edge.to] {
-                Some(existing) => existing.join(&carried),
+                Some(existing) => existing.join(carried),
                 slot @ None => {
-                    *slot = Some(carried);
+                    *slot = Some(carried.clone());
                     true
                 }
             };

@@ -79,7 +79,7 @@ use crate::loader::LoadedBinary;
 use engarde_sgx::perf::costs;
 use engarde_x86::insn::{AluOp, Effects, Insn, InsnKind, MemOperand, Stack, Width};
 use engarde_x86::reg::Reg;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::ops::Range;
 
 /// What kind of secret a [`SecretRange`] holds.
@@ -330,10 +330,13 @@ impl CellKey {
 ///
 /// Absent cells are untainted (bottom); the join is pointwise union,
 /// which keeps the whole environment a join-semilattice (the property
-/// tests pin the laws).
+/// tests pin the laws). The cells sit in one vector in key order: a
+/// state holds a handful, so a copy is one allocation and a join one
+/// merge.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct MemEnv {
-    cells: BTreeMap<CellKey, AbsTaint>,
+    /// Tracked cells in key order, none of them bottom.
+    cells: Vec<(CellKey, AbsTaint)>,
     escaped: AbsTaint,
 }
 
@@ -343,23 +346,28 @@ impl MemEnv {
         MemEnv::default()
     }
 
+    fn find(&self, key: CellKey) -> Result<usize, usize> {
+        self.cells.binary_search_by_key(&key, |&(k, _)| k)
+    }
+
     /// The taint a load from `key` observes: the cell's own label
     /// joined with the ambient escaped component.
     pub fn read(&self, key: CellKey) -> AbsTaint {
-        self.cells
-            .get(&key)
-            .copied()
-            .unwrap_or(AbsTaint::EMPTY)
+        self.find(key)
+            .map_or(AbsTaint::EMPTY, |i| self.cells[i].1)
             .join(self.escaped)
     }
 
     /// Strong update: the cell now holds exactly `t` (empty removes
     /// the cell — absent is bottom).
     pub fn write_strong(&mut self, key: CellKey, t: AbsTaint) {
-        if t.is_empty() {
-            self.cells.remove(&key);
-        } else {
-            self.cells.insert(key, t);
+        match (self.find(key), t.is_empty()) {
+            (Ok(i), true) => {
+                self.cells.remove(i);
+            }
+            (Ok(i), false) => self.cells[i].1 = t,
+            (Err(_), true) => {}
+            (Err(i), false) => self.cells.insert(i, (key, t)),
         }
     }
 
@@ -388,8 +396,8 @@ impl MemEnv {
     /// cell).
     pub fn any_read(&self) -> AbsTaint {
         self.cells
-            .values()
-            .fold(self.escaped, |acc, v| acc.join(*v))
+            .iter()
+            .fold(self.escaped, |acc, (_, v)| acc.join(*v))
     }
 
     /// Join of every cell that outlives the frame plus the ambient
@@ -406,16 +414,30 @@ impl MemEnv {
         self.cells.len()
     }
 
-    /// Least upper bound; returns true when `self` grew.
+    /// Least upper bound; returns true when `self` grew. Both cell
+    /// lists are in key order, so one forward walk pairs them; cells
+    /// only `other` tracks are appended and the list re-sorted.
     pub fn join(&mut self, other: &MemEnv) -> bool {
-        let mut changed = false;
-        for (k, v) in &other.cells {
+        let mut changed = self.escaped.join_in(other.escaped);
+        let mut at = 0;
+        let mut added = Vec::new();
+        for &(k, v) in &other.cells {
             if v.is_empty() {
                 continue;
             }
-            changed |= self.cells.entry(*k).or_insert(AbsTaint::EMPTY).join_in(*v);
+            while self.cells.get(at).is_some_and(|&(s, _)| s < k) {
+                at += 1;
+            }
+            match self.cells.get_mut(at) {
+                Some((s, slot)) if *s == k => changed |= slot.join_in(v),
+                _ => added.push((k, v)),
+            }
         }
-        changed |= self.escaped.join_in(other.escaped);
+        if !added.is_empty() {
+            self.cells.extend(added);
+            self.cells.sort_unstable_by_key(|&(k, _)| k);
+            changed = true;
+        }
         changed
     }
 }
@@ -519,22 +541,14 @@ impl TaintAnalysis {
             .collect();
 
         // ---- call-graph condensation ----------------------------------
-        // Edges between function indices; callers resolved by the call
-        // site's address so entry-only functions attribute correctly.
-        let fn_of_addr =
-            |a: u64| -> Option<usize> { fn_starts.partition_point(|&s| s <= a).checked_sub(1) };
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); fn_starts.len()];
-        for edge in &analysis.call_graph.edges {
-            let (Some(site), Some(callee)) = (
-                insns.get(edge.site).and_then(|i| fn_of_addr(i.addr)),
-                fn_starts.binary_search(&edge.callee).ok(),
-            ) else {
-                continue;
-            };
-            if !adj[site].contains(&callee) {
-                adj[site].push(callee);
-            }
-        }
+        let adj = call_adjacency(
+            &fn_starts,
+            analysis
+                .call_graph
+                .edges
+                .iter()
+                .filter_map(|e| insns.get(e.site).map(|i| (i.addr, e.callee))),
+        );
         let sccs = tarjan_sccs(fn_starts.len(), &adj);
 
         let mut pass = Pass {
@@ -559,7 +573,7 @@ impl TaintAnalysis {
         // their member summaries stabilise (the lattice is finite, so
         // the guard is belt-and-braces, not load-bearing).
         for scc in &sccs {
-            let cyclic = scc.len() > 1 || scc.iter().any(|&f| adj[f].contains(&f));
+            let cyclic = is_cyclic(scc, &adj);
             for _guard in 0..64 {
                 let mut changed = false;
                 for &f in scc {
@@ -735,6 +749,17 @@ impl TaintState {
     }
 }
 
+/// The join of the register taints an input mask selects, visiting only
+/// its set bits.
+fn resolve(mut mask: u16, regs: &[AbsTaint; 16]) -> AbsTaint {
+    let mut t = AbsTaint::EMPTY;
+    while mask != 0 {
+        t = t.join(regs[mask.trailing_zeros() as usize]);
+        mask &= mask - 1;
+    }
+    t
+}
+
 // ---- the interprocedural pass -----------------------------------------
 
 struct Pass<'a> {
@@ -881,15 +906,10 @@ impl Pass<'_> {
         summary: &mut FnSummary,
     ) {
         let callee_summary = self.summaries[callee];
-        let resolve = |mask: u16, st: &TaintState| -> AbsTaint {
-            (0..16)
-                .filter(|r| mask & (1 << r) != 0)
-                .fold(AbsTaint::EMPTY, |acc, r| acc.join(st.regs[r]))
-        };
         // A callee taint with its input dependence replaced by the
         // caller's register taints.
         let subst = |t: AbsTaint, st: &TaintState| {
-            resolve(t.inputs, st).join(AbsTaint {
+            resolve(t.inputs, &st.regs).join(AbsTaint {
                 concrete: t.concrete,
                 inputs: 0,
             })
@@ -900,7 +920,7 @@ impl Pass<'_> {
             SinkKind::TaintedBranch,
             SinkKind::UnresolvedStore,
         ] {
-            let reached = resolve(callee_summary.sink_inputs[kind as usize], st);
+            let reached = resolve(callee_summary.sink_inputs[kind as usize], &st.regs);
             self.sink(kind, insn.addr, reached, summary);
         }
         // The callee's spill escape, resolved against the caller's
@@ -1080,16 +1100,17 @@ impl Pass<'_> {
                 if !blocks.contains(&edge.to) {
                     continue;
                 }
+                // Joined by reference; a copy is made only on first reach.
                 let to = edge.to - first;
                 let carried = if edge.kind == EdgeKind::NopBridge {
-                    TaintState::entry()
+                    &TaintState::entry()
                 } else {
-                    st.clone()
+                    &st
                 };
                 let changed = match &mut in_states[to] {
-                    Some(existing) => existing.join(&carried),
+                    Some(existing) => existing.join(carried),
                     slot @ None => {
-                        *slot = Some(carried);
+                        *slot = Some(carried.clone());
                         true
                     }
                 };
@@ -1109,6 +1130,45 @@ impl Pass<'_> {
 }
 
 // ---- SCC computation ---------------------------------------------------
+
+/// The call graph over function indices from `(site address, callee
+/// address)` pairs in ascending site order: `adj[f]` lists each
+/// function `f` calls directly once, in first-call-site order. A site's
+/// caller is the last function starting at or below it, so entry-only
+/// functions attribute correctly; a callee that starts no function is
+/// dropped.
+///
+/// Sites ascend, so the caller only moves forward, and each function
+/// is one address range, so a caller's sites are contiguous: a callee
+/// whose last caller is `f` is already in `adj[f]`, and one stamp per
+/// callee replaces a scan of the list. The list order fixes Tarjan's
+/// visit order, and so the member order a cyclic SCC iterates in.
+fn call_adjacency(fn_starts: &[u64], calls: impl Iterator<Item = (u64, u64)>) -> Vec<Vec<usize>> {
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); fn_starts.len()];
+    let mut last_caller = vec![usize::MAX; fn_starts.len()];
+    // Functions starting at or below the current site.
+    let mut started = 0;
+    for (site, callee) in calls {
+        while fn_starts.get(started).is_some_and(|&s| s <= site) {
+            started += 1;
+        }
+        let (Some(caller), Ok(callee)) = (started.checked_sub(1), fn_starts.binary_search(&callee))
+        else {
+            continue;
+        };
+        if last_caller[callee] != caller {
+            last_caller[callee] = caller;
+            adj[caller].push(callee);
+        }
+    }
+    adj
+}
+
+/// True when an SCC must iterate to a fixpoint: it has several members,
+/// or its one member calls itself.
+fn is_cyclic(scc: &[usize], adj: &[Vec<usize>]) -> bool {
+    scc.len() > 1 || scc.iter().any(|&f| adj[f].contains(&f))
+}
 
 /// Iterative Tarjan: returns SCCs in emission order, which for a
 /// caller→callee edge orientation is callee-first (each SCC precedes
@@ -1218,5 +1278,111 @@ mod tests {
         let adj = vec![vec![0]];
         let sccs = tarjan_sccs(1, &adj);
         assert_eq!(sccs, vec![vec![0]]);
+    }
+
+    const FNS: [u64; 3] = [0x100, 0x200, 0x300];
+
+    #[test]
+    fn repeated_calls_to_one_callee_give_one_edge() {
+        let calls = [
+            (0x110, 0x200),
+            (0x120, 0x200),
+            (0x130, 0x300),
+            (0x140, 0x200),
+        ];
+        let adj = call_adjacency(&FNS, calls.into_iter());
+        assert_eq!(adj, vec![vec![1, 2], vec![], vec![]]);
+    }
+
+    #[test]
+    fn callees_keep_first_call_site_order() {
+        let calls = [
+            // Before every function, and a callee that starts none.
+            (0x50, 0x200),
+            (0x108, 0x250),
+            (0x110, 0x300),
+            (0x120, 0x200),
+            (0x130, 0x300),
+            (0x210, 0x300),
+            (0x220, 0x100),
+            (0x230, 0x300),
+        ];
+        let adj = call_adjacency(&FNS, calls.into_iter());
+        assert_eq!(adj, vec![vec![2, 1], vec![2, 0], vec![]]);
+    }
+
+    #[test]
+    fn a_self_call_marks_its_scc_cyclic() {
+        // 0 → 1, 1 → 1 (recursive), 1 → 2.
+        let calls = [(0x110, 0x200), (0x210, 0x200), (0x220, 0x300)];
+        let adj = call_adjacency(&FNS, calls.into_iter());
+        let sccs = tarjan_sccs(FNS.len(), &adj);
+        assert_eq!(sccs, vec![vec![2], vec![1], vec![0]]);
+        let cyclic: Vec<bool> = sccs.iter().map(|s| is_cyclic(s, &adj)).collect();
+        assert_eq!(cyclic, vec![false, true, false]);
+    }
+
+    #[test]
+    fn apply_summary_resolves_exactly_the_masked_registers() {
+        let cfg = Cfg::default();
+        let mut pass = Pass {
+            insns: &[],
+            cfg: &cfg,
+            fn_starts: &[0x1000],
+            fn_blocks: &[],
+            enclave: (0x1000, 0x2000),
+            sources: &[],
+            summaries: vec![FnSummary::BOTTOM],
+            findings: BTreeSet::new(),
+            steps: 0,
+            pops: 0,
+            summaries_computed: 0,
+            cell_steps: 0,
+            weak_updates: 0,
+            written_cells: BTreeSet::new(),
+        };
+        let two = (1 << Reg::Rdi as u16) | (1 << Reg::R9 as u16);
+        pass.summaries[0].sink_inputs[SinkKind::OutOfEnclaveWrite as usize] = two;
+        pass.summaries[0].ret[Reg::Rax as usize] = AbsTaint {
+            concrete: TaintSet::source(5),
+            inputs: two | (1 << Reg::Rsi as u16),
+        };
+        // Every caller register carries its own source on top of its
+        // entry input dependence.
+        let mut st = TaintState::entry();
+        for (r, slot) in st.regs.iter_mut().enumerate() {
+            slot.concrete = TaintSet::source(r + 16);
+        }
+        let call = Insn {
+            addr: 0x1800,
+            len: 5,
+            prefix_len: 0,
+            opcode_len: 1,
+            modrm_len: 0,
+            disp_len: 0,
+            imm_len: 4,
+            kind: InsnKind::DirectCall { target: 0x1000 },
+        };
+        let mut caller = FnSummary::BOTTOM;
+        pass.apply_summary(0, &call, &mut st, &mut caller);
+
+        let src = |r: Reg| TaintSet::source(r as usize + 16);
+        let sink_bits = src(Reg::Rdi).join(src(Reg::R9)).bits();
+        assert_eq!(
+            pass.findings.iter().copied().collect::<Vec<_>>(),
+            vec![(SinkKind::OutOfEnclaveWrite, 0x1800, sink_bits)]
+        );
+        assert_eq!(caller.sink_inputs, [two, 0, 0, 0]);
+        assert_eq!(
+            st.regs[Reg::Rax as usize],
+            AbsTaint {
+                concrete: TaintSet::source(5)
+                    .join(src(Reg::Rdi))
+                    .join(src(Reg::R9))
+                    .join(src(Reg::Rsi)),
+                inputs: two | (1 << Reg::Rsi as u16),
+            }
+        );
+        assert!(st.regs[Reg::Rcx as usize].is_empty());
     }
 }

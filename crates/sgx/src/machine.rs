@@ -670,8 +670,9 @@ impl SgxMachine {
     // ---- SGX2 permission management ------------------------------------
 
     /// `EMODPR` (SGX2, OS-invoked): restricts the EPCM permissions of the
-    /// page at `vaddr` to `perms ∩ current`. Takes effect after the
-    /// enclave issues [`SgxMachine::eaccept`].
+    /// page at `vaddr` to `perms ∩ current`, so it never widens them.
+    /// Takes effect once the enclave runs [`SgxMachine::eaccept`]; a
+    /// later EMODPR of the page replaces a change still pending.
     ///
     /// # Errors
     ///
@@ -685,11 +686,21 @@ impl SgxMachine {
                 what: "EMODPR requires SGX2",
             });
         }
-        let enclave = self.enclave_mut(id)?;
-        if !enclave.pages.contains_key(&vaddr) {
-            return Err(SgxError::BadAddress { vaddr });
+        let enclave = self
+            .enclaves
+            .get_mut(&id)
+            .ok_or(SgxError::NoSuchEnclave { id })?;
+        let current = enclave
+            .pages
+            .get(&vaddr)
+            .and_then(|&idx| self.epc.epcm(idx))
+            .ok_or(SgxError::BadAddress { vaddr })?
+            .perms;
+        let perms = perms.intersect(current);
+        match enclave.pending.iter_mut().find(|p| p.vaddr == vaddr) {
+            Some(pending) => pending.perms = perms,
+            None => enclave.pending.push(PendingPerms { vaddr, perms }),
         }
-        enclave.pending.push(PendingPerms { vaddr, perms });
         Ok(())
     }
 
@@ -1117,6 +1128,28 @@ mod tests {
         assert!(matches!(
             m.enclave_write(id, 0x10000, &[1]),
             Err(SgxError::PermissionDenied { .. })
+        ));
+    }
+
+    #[test]
+    fn emodpr_never_widens_and_the_latest_pending_change_wins() {
+        let mut m = small_machine();
+        let id = build_enclave(&mut m, 1);
+        m.emodpr(id, 0x10000, PagePerms::RX).expect("emodpr");
+        m.eaccept(id, 0x10000).expect("eaccept");
+        // Asking for RWX on an RX page leaves it RX.
+        m.emodpr(id, 0x10000, PagePerms::RWX).expect("emodpr");
+        m.eaccept(id, 0x10000).expect("eaccept");
+        assert_eq!(m.epcm_perms(id, 0x10000), Some(PagePerms::RX));
+        // Two changes before one EACCEPT: the later one replaces the
+        // earlier, and nothing is left pending.
+        m.emodpr(id, 0x10000, PagePerms::RWX).expect("emodpr");
+        m.emodpr(id, 0x10000, PagePerms::R).expect("emodpr");
+        m.eaccept(id, 0x10000).expect("eaccept");
+        assert_eq!(m.epcm_perms(id, 0x10000), Some(PagePerms::R));
+        assert!(matches!(
+            m.eaccept(id, 0x10000),
+            Err(SgxError::BadAddress { .. })
         ));
     }
 

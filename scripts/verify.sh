@@ -210,11 +210,12 @@ done
 echo "OK: five BENCH_*.json artifacts regenerate identically"
 
 echo "== gate: no unwrap/expect in hostile-input/serve non-test code =="
-# The ELF parser, the decoder and validator, the loader (relocation and
-# symbol recovery) and the client face hostile bytes, RSA parses
-# keys, ciphertexts and signatures the peer chose (and bignum does
-# their arithmetic), the
-# analysis/policy engines chew on attacker-shaped binaries, the serve
+# The ELF parser, the decoder and validator, the instruction and
+# register model the analyses read, the loader (relocation and symbol
+# recovery) and the client face hostile bytes, RSA parses keys,
+# ciphertexts and signatures the peer chose (and bignum does their
+# arithmetic), SHA-256 and HMAC digest and authenticate peer-chosen
+# bytes, the analysis/policy engines chew on attacker-shaped binaries, the serve
 # path faces injected faults, and the store recovers arbitrarily
 # damaged segments; every read must be fallible and no fault may panic
 # a worker. Strip each file's #[cfg(test)] module, then refuse any
@@ -223,8 +224,12 @@ panic_free_files=(
     crates/crypto/src/bignum.rs
     crates/crypto/src/rsa.rs
     crates/crypto/src/channel.rs
+    crates/crypto/src/sha256.rs
+    crates/crypto/src/hmac.rs
     crates/elf/src/parse.rs
     crates/x86/src/decode.rs
+    crates/x86/src/insn.rs
+    crates/x86/src/reg.rs
     crates/x86/src/index.rs
     crates/x86/src/validate.rs
     crates/core/src/cache.rs

@@ -78,6 +78,44 @@ fn v2_blocks_writes_at_the_machine_level() {
 }
 
 #[test]
+fn emodpr_cannot_extend_a_locked_code_page() {
+    let mut h = host(SgxVersion::V2);
+    let (id, code, _) = provisioned_enclave(&mut h);
+    assert_eq!(h.machine().epcm_perms(id, code), Some(PagePerms::RX));
+    // A malicious host asks the hardware itself for RWX; both leaves
+    // succeed, but EMODPR only ever restricts.
+    h.machine_mut()
+        .emodpr(id, code, PagePerms::RWX)
+        .expect("emodpr");
+    h.machine_mut().eaccept(id, code).expect("eaccept");
+    assert_eq!(h.machine().epcm_perms(id, code), Some(PagePerms::RX));
+    let after = h.attack_flip_pte(id, code, PagePerms::RWX).expect("attack");
+    assert_eq!(after, PagePerms::RX);
+    let err = h
+        .machine_mut()
+        .enclave_write(id, code, &[0xcc])
+        .unwrap_err();
+    assert!(matches!(err, SgxError::PermissionDenied { .. }));
+}
+
+#[test]
+fn finalization_leaves_a_read_execute_non_code_page_read_only() {
+    // The provider's bootstrap pages are added RX and are not client
+    // code, so finalization asks for RW: the EPCM grants only R.
+    let mut h = host(SgxVersion::V2);
+    let base = 0x200000;
+    let id = h
+        .create_enclave(base, 2 * PAGE_SIZE as u64)
+        .expect("create");
+    h.add_page(id, base, b"bootstrap", PagePerms::RX)
+        .expect("bootstrap");
+    h.machine_mut().einit(id).expect("einit");
+    h.finalize_provisioned_enclave(id, &[]).expect("finalize");
+    assert_eq!(h.machine().epcm_perms(id, base), Some(PagePerms::R));
+    assert_eq!(h.effective_perms(id, base), Some(PagePerms::R));
+}
+
+#[test]
 fn v1_machine_rejects_sgx2_leaves() {
     let mut h = host(SgxVersion::V1);
     let (id, code, _) = provisioned_enclave(&mut h);

@@ -79,7 +79,7 @@ use crate::loader::LoadedBinary;
 use engarde_sgx::perf::costs;
 use engarde_x86::insn::{AluOp, Effects, Insn, InsnKind, MemOperand, Stack, Width};
 use engarde_x86::reg::Reg;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Range;
 
 /// What kind of secret a [`SecretRange`] holds.
@@ -330,13 +330,10 @@ impl CellKey {
 ///
 /// Absent cells are untainted (bottom); the join is pointwise union,
 /// which keeps the whole environment a join-semilattice (the property
-/// tests pin the laws). The cells sit in one vector in key order: a
-/// state holds a handful, so a copy is one allocation and a join one
-/// merge.
+/// tests pin the laws).
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct MemEnv {
-    /// Tracked cells in key order, none of them bottom.
-    cells: Vec<(CellKey, AbsTaint)>,
+    cells: BTreeMap<CellKey, AbsTaint>,
     escaped: AbsTaint,
 }
 
@@ -346,28 +343,23 @@ impl MemEnv {
         MemEnv::default()
     }
 
-    fn find(&self, key: CellKey) -> Result<usize, usize> {
-        self.cells.binary_search_by_key(&key, |&(k, _)| k)
-    }
-
     /// The taint a load from `key` observes: the cell's own label
     /// joined with the ambient escaped component.
     pub fn read(&self, key: CellKey) -> AbsTaint {
-        self.find(key)
-            .map_or(AbsTaint::EMPTY, |i| self.cells[i].1)
+        self.cells
+            .get(&key)
+            .copied()
+            .unwrap_or(AbsTaint::EMPTY)
             .join(self.escaped)
     }
 
     /// Strong update: the cell now holds exactly `t` (empty removes
     /// the cell — absent is bottom).
     pub fn write_strong(&mut self, key: CellKey, t: AbsTaint) {
-        match (self.find(key), t.is_empty()) {
-            (Ok(i), true) => {
-                self.cells.remove(i);
-            }
-            (Ok(i), false) => self.cells[i].1 = t,
-            (Err(_), true) => {}
-            (Err(i), false) => self.cells.insert(i, (key, t)),
+        if t.is_empty() {
+            self.cells.remove(&key);
+        } else {
+            self.cells.insert(key, t);
         }
     }
 
@@ -396,8 +388,8 @@ impl MemEnv {
     /// cell).
     pub fn any_read(&self) -> AbsTaint {
         self.cells
-            .iter()
-            .fold(self.escaped, |acc, (_, v)| acc.join(*v))
+            .values()
+            .fold(self.escaped, |acc, v| acc.join(*v))
     }
 
     /// Join of every cell that outlives the frame plus the ambient
@@ -414,30 +406,16 @@ impl MemEnv {
         self.cells.len()
     }
 
-    /// Least upper bound; returns true when `self` grew. Both cell
-    /// lists are in key order, so one forward walk pairs them; cells
-    /// only `other` tracks are appended and the list re-sorted.
+    /// Least upper bound; returns true when `self` grew.
     pub fn join(&mut self, other: &MemEnv) -> bool {
-        let mut changed = self.escaped.join_in(other.escaped);
-        let mut at = 0;
-        let mut added = Vec::new();
-        for &(k, v) in &other.cells {
+        let mut changed = false;
+        for (k, v) in &other.cells {
             if v.is_empty() {
                 continue;
             }
-            while self.cells.get(at).is_some_and(|&(s, _)| s < k) {
-                at += 1;
-            }
-            match self.cells.get_mut(at) {
-                Some((s, slot)) if *s == k => changed |= slot.join_in(v),
-                _ => added.push((k, v)),
-            }
+            changed |= self.cells.entry(*k).or_insert(AbsTaint::EMPTY).join_in(*v);
         }
-        if !added.is_empty() {
-            self.cells.extend(added);
-            self.cells.sort_unstable_by_key(|&(k, _)| k);
-            changed = true;
-        }
+        changed |= self.escaped.join_in(other.escaped);
         changed
     }
 }

@@ -672,7 +672,9 @@ impl SgxMachine {
     /// `EMODPR` (SGX2, OS-invoked): restricts the EPCM permissions of the
     /// page at `vaddr` to `perms ∩ current`, so it never widens them.
     /// Takes effect once the enclave runs [`SgxMachine::eaccept`]; a
-    /// later EMODPR of the page replaces a change still pending.
+    /// later EMODPR of a page with a change still pending (its own or
+    /// EAUG's) narrows that change, so successive restrictions
+    /// intersect and one EACCEPT confirms them all.
     ///
     /// # Errors
     ///
@@ -698,7 +700,7 @@ impl SgxMachine {
             .perms;
         let perms = perms.intersect(current);
         match enclave.pending.iter_mut().find(|p| p.vaddr == vaddr) {
-            Some(pending) => pending.perms = perms,
+            Some(pending) => pending.perms = pending.perms.intersect(perms),
             None => enclave.pending.push(PendingPerms { vaddr, perms }),
         }
         Ok(())
@@ -1132,7 +1134,7 @@ mod tests {
     }
 
     #[test]
-    fn emodpr_never_widens_and_the_latest_pending_change_wins() {
+    fn emodpr_never_widens_and_pending_changes_intersect() {
         let mut m = small_machine();
         let id = build_enclave(&mut m, 1);
         m.emodpr(id, 0x10000, PagePerms::RX).expect("emodpr");
@@ -1141,16 +1143,30 @@ mod tests {
         m.emodpr(id, 0x10000, PagePerms::RWX).expect("emodpr");
         m.eaccept(id, 0x10000).expect("eaccept");
         assert_eq!(m.epcm_perms(id, 0x10000), Some(PagePerms::RX));
-        // Two changes before one EACCEPT: the later one replaces the
-        // earlier, and nothing is left pending.
-        m.emodpr(id, 0x10000, PagePerms::RWX).expect("emodpr");
-        m.emodpr(id, 0x10000, PagePerms::R).expect("emodpr");
-        m.eaccept(id, 0x10000).expect("eaccept");
-        assert_eq!(m.epcm_perms(id, 0x10000), Some(PagePerms::R));
-        assert!(matches!(
-            m.eaccept(id, 0x10000),
-            Err(SgxError::BadAddress { .. })
-        ));
+        // Two changes before one EACCEPT: the later one only narrows
+        // the earlier, in either order, and nothing is left pending.
+        for (first, second) in [
+            (PagePerms::RWX, PagePerms::R),
+            (PagePerms::R, PagePerms::RX),
+        ] {
+            let id = build_enclave(&mut m, 1);
+            m.emodpr(id, 0x10000, first).expect("emodpr");
+            m.emodpr(id, 0x10000, second).expect("emodpr");
+            m.eaccept(id, 0x10000).expect("eaccept");
+            assert_eq!(m.epcm_perms(id, 0x10000), Some(PagePerms::R));
+            assert!(matches!(
+                m.eaccept(id, 0x10000),
+                Err(SgxError::BadAddress { .. })
+            ));
+        }
+        // EAUG's pending RW narrows the same way.
+        let id = m.ecreate(0x20000, (2 * PAGE_SIZE) as u64).expect("ecreate");
+        m.eadd(id, 0x20000, &[], PagePerms::RWX).expect("eadd");
+        m.einit(id).expect("einit");
+        m.eaug(id, 0x21000).expect("eaug");
+        m.emodpr(id, 0x21000, PagePerms::R).expect("emodpr");
+        m.eaccept(id, 0x21000).expect("eaccept");
+        assert_eq!(m.epcm_perms(id, 0x21000), Some(PagePerms::R));
     }
 
     #[test]

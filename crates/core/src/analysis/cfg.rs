@@ -23,9 +23,11 @@
 //! contribute *no* static edge; they are recorded as
 //! [`Cfg::indirect_sites`] for the dataflow pass to resolve. A direct
 //! branch whose target is not a decoded instruction start gets no edge
-//! either and is recorded in [`Cfg::wild_branches`] (the load-time
-//! validator rejects these, but the CFG must stay total even when
-//! validation is disabled).
+//! either and is recorded in [`Cfg::wild_branches`]. The load-time
+//! validator already rejects such a branch, so a loaded binary has
+//! none; the CFG records them rather than relying on that, so it stays
+//! total over any instruction buffer and the reachability policy
+//! rejects them on its own.
 
 use engarde_x86::index::{InsnIndex, RankBitmap};
 use engarde_x86::insn::{Insn, InsnKind};

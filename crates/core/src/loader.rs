@@ -43,8 +43,6 @@ pub struct LoaderConfig {
     pub heap_pages: usize,
     /// Buffer growth strategy.
     pub allocation: AllocationStrategy,
-    /// Run NaCl structural validation after disassembly.
-    pub validate: bool,
     /// Recover function boundaries for stripped binaries instead of
     /// leaving the symbol table empty (the paper's §6 enhancement;
     /// boundary-based policies can then run, name-based ones still
@@ -57,7 +55,6 @@ impl Default for LoaderConfig {
         LoaderConfig {
             heap_pages: 5_000,
             allocation: AllocationStrategy::PagePerCall,
-            validate: true,
             recover_stripped_symbols: false,
         }
     }
@@ -212,13 +209,9 @@ pub fn load(
         .charge_native(symbols.len() as u64 * costs::HASHTABLE_PROBE);
 
     // ---- NaCl structural validation ------------------------------------------
-    let validation = if config.validate {
-        machine.counter_mut().charge_native(insns.len() as u64 * 10);
-        let roots: Vec<u64> = symbols.addresses().to_vec();
-        Validator::new().validate(&insns, &index, elf.header().e_entry, &roots)?
-    } else {
-        ValidationReport::default()
-    };
+    machine.counter_mut().charge_native(insns.len() as u64 * 10);
+    let validation =
+        Validator::new().validate(&insns, &index, elf.header().e_entry, symbols.addresses())?;
 
     Ok(LoadedBinary {
         text_base,
@@ -385,27 +378,6 @@ mod tests {
             err,
             EngardeError::Disasm(engarde_x86::DisasmError::ForbiddenInstruction { .. })
         ));
-    }
-
-    #[test]
-    fn validation_can_be_disabled() {
-        use engarde_elf::build::ElfBuilder;
-        let (mut m, id) = machine_and_enclave();
-        // Unreachable stranded instruction — rejected only when
-        // validation runs.
-        let image = ElfBuilder::new().text(vec![0xc3, 0x55, 0xc3]).build();
-        assert!(load(&mut m, id, &image, &LoaderConfig::default()).is_err());
-        let loaded = load(
-            &mut m,
-            id,
-            &image,
-            &LoaderConfig {
-                validate: false,
-                ..LoaderConfig::default()
-            },
-        )
-        .expect("loads without validation");
-        assert_eq!(loaded.validation, ValidationReport::default());
     }
 
     #[test]

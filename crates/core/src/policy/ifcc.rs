@@ -27,7 +27,6 @@
 //! outside the table, or in the middle of an instruction, is rejected
 //! even if the `lea/sub/and/add` shape is present.
 
-use crate::analysis::ProgramAnalysis;
 use crate::error::EngardeError;
 use crate::policy::{PolicyContext, PolicyModule, PolicyReport};
 use engarde_sgx::perf::costs;
@@ -49,42 +48,16 @@ impl JumpTable {
     }
 }
 
-/// Verifies IFCC instrumentation on all indirect calls.
-#[derive(Clone, Debug)]
-pub struct IfccPolicy {
-    /// Also reject indirect *jumps* (IFCC covers calls; tail-call
-    /// dispatch through registers would evade it).
-    pub reject_indirect_jumps: bool,
-    /// Read the CFG from the shared [`crate::policy::AnalysisCache`]
-    /// (the default). When false the policy computes — and pays for —
-    /// a private analysis, which is the baseline arm of the
-    /// `ablation_cfg_memo` benchmark.
-    pub use_shared_analysis: bool,
-}
-
-impl Default for IfccPolicy {
-    fn default() -> Self {
-        IfccPolicy::new()
-    }
-}
+/// Verifies IFCC instrumentation on all indirect calls, and rejects
+/// indirect *jumps* outright (IFCC covers calls; tail-call dispatch
+/// through registers would evade it).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IfccPolicy;
 
 impl IfccPolicy {
-    /// Creates the policy with indirect-jump rejection on (the strict
-    /// reading the paper's threat model wants).
+    /// Creates the policy.
     pub fn new() -> Self {
-        IfccPolicy {
-            reject_indirect_jumps: true,
-            use_shared_analysis: true,
-        }
-    }
-
-    /// The per-policy-rescan baseline: a private analysis is computed
-    /// and charged on every check instead of sharing the memoized one.
-    pub fn without_shared_analysis() -> Self {
-        IfccPolicy {
-            use_shared_analysis: false,
-            ..IfccPolicy::new()
-        }
+        IfccPolicy
     }
 
     /// Scans the instruction buffer for `jmpq; nopl` runs — the jump
@@ -140,9 +113,10 @@ impl PolicyModule for IfccPolicy {
     }
 
     fn descriptor(&self) -> Vec<u8> {
-        let mut out = b"ifcc:".to_vec();
-        out.push(self.reject_indirect_jumps as u8);
-        out
+        // The trailing 1 once said indirect jumps reject; they always
+        // do, and it stays so that no measurement, cache key or seal key
+        // moves.
+        b"ifcc:\x01".to_vec()
     }
 
     fn requires_symbols(&self) -> bool {
@@ -151,17 +125,7 @@ impl PolicyModule for IfccPolicy {
     }
 
     fn check(&self, ctx: &mut PolicyContext<'_>) -> Result<PolicyReport, EngardeError> {
-        // CFG + dataflow: shared memo by default, a private (fully
-        // charged) computation in the ablation baseline.
-        let private;
-        let analysis: &ProgramAnalysis = if self.use_shared_analysis {
-            ctx.analysis()
-        } else {
-            let (computed, cost) = ProgramAnalysis::compute(ctx.binary());
-            ctx.charge(cost);
-            private = computed;
-            &private
-        };
+        let analysis = ctx.analysis();
         let insns = &ctx.binary().insns;
         // One linear scan for table discovery; the call sites come from
         // the CFG's indirect-site index, not a rescan.
@@ -183,9 +147,7 @@ impl PolicyModule for IfccPolicy {
                         ),
                     })
                 }
-                InsnKind::IndirectJmpReg { .. } | InsnKind::IndirectJmpMem { .. }
-                    if self.reject_indirect_jumps =>
-                {
+                InsnKind::IndirectJmpReg { .. } | InsnKind::IndirectJmpMem { .. } => {
                     return Err(EngardeError::PolicyViolation {
                         policy: self.name(),
                         reason: format!("unchecked indirect jump at {:#x}", insn.addr),
@@ -309,6 +271,14 @@ mod tests {
 
     fn policy() -> Vec<Box<dyn PolicyModule>> {
         vec![Box::new(IfccPolicy::new())]
+    }
+
+    #[test]
+    fn descriptor_bytes_are_pinned() {
+        // Folded into the enclave measurement, the verdict-cache key and
+        // the store seal key; the trailing 1 once encoded a switch and
+        // stays so that none of them moves.
+        assert_eq!(IfccPolicy::new().descriptor(), b"ifcc:\x01".to_vec());
     }
 
     #[test]

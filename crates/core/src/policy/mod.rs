@@ -421,6 +421,31 @@ mod tests {
     }
 
     #[test]
+    fn every_shipped_module_name_is_known() {
+        // Sealed verdicts decode a policy name through
+        // `canonical_policy_name`; a module whose name drifted from the
+        // list would make every stored verdict of that policy undecodable.
+        let modules: Vec<Box<dyn PolicyModule>> = vec![
+            Box::new(IfccPolicy::new()),
+            Box::new(LibraryLinkingPolicy::new("musl-libc", Default::default())),
+            Box::new(CodeReachability::new()),
+            Box::new(SecretDependentBranch::new()),
+            Box::new(SecretLeakage::new()),
+            Box::new(StackProtectionPolicy::new()),
+            Box::new(WxSegments::new()),
+        ];
+        let mut names: Vec<&str> = modules.iter().map(|m| m.name()).collect();
+        for &name in &names {
+            assert_eq!(canonical_policy_name(name), Some(name));
+        }
+        names.sort_unstable();
+        assert_eq!(
+            names, KNOWN_POLICY_NAMES,
+            "one shipped module per known name"
+        );
+    }
+
+    #[test]
     fn analysis_cost_is_charged_once_per_cache() {
         let image = generate(&WorkloadSpec {
             target_instructions: 2_000,

@@ -17,40 +17,19 @@
 //! dataflow pass resolves `lea`/`mov`-fed indirect branches, and the
 //! CFG's reachability fixpoint flags orphaned code.
 
-use crate::analysis::ProgramAnalysis;
 use crate::error::EngardeError;
 use crate::policy::{PolicyContext, PolicyModule, PolicyReport};
 use engarde_x86::insn::InsnKind;
 
 /// Rejects unreachable code regions and indirect branches that resolve
 /// to mid-instruction or out-of-text targets.
-#[derive(Clone, Debug)]
-pub struct CodeReachability {
-    /// Read the CFG from the shared [`crate::policy::AnalysisCache`]
-    /// (the default); false is the per-policy-rescan ablation baseline.
-    pub use_shared_analysis: bool,
-}
-
-impl Default for CodeReachability {
-    fn default() -> Self {
-        CodeReachability::new()
-    }
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CodeReachability;
 
 impl CodeReachability {
-    /// Creates the policy in shared-analysis mode.
+    /// Creates the policy.
     pub fn new() -> Self {
-        CodeReachability {
-            use_shared_analysis: true,
-        }
-    }
-
-    /// The per-policy-rescan baseline: a private analysis is computed
-    /// and charged on every check instead of sharing the memoized one.
-    pub fn without_shared_analysis() -> Self {
-        CodeReachability {
-            use_shared_analysis: false,
-        }
+        CodeReachability
     }
 }
 
@@ -73,15 +52,7 @@ impl PolicyModule for CodeReachability {
     }
 
     fn check(&self, ctx: &mut PolicyContext<'_>) -> Result<PolicyReport, EngardeError> {
-        let private;
-        let analysis: &ProgramAnalysis = if self.use_shared_analysis {
-            ctx.analysis()
-        } else {
-            let (computed, cost) = ProgramAnalysis::compute(ctx.binary());
-            ctx.charge(cost);
-            private = computed;
-            &private
-        };
+        let analysis = ctx.analysis();
         let insns = &ctx.binary().insns;
         let text_start = ctx.binary().text_base;
         let text_end = ctx.text_end();
@@ -188,21 +159,5 @@ mod tests {
     #[test]
     fn does_not_require_symbols() {
         assert!(!CodeReachability::new().requires_symbols());
-    }
-
-    #[test]
-    fn private_analysis_mode_reaches_the_same_verdict() {
-        let w = generate(&WorkloadSpec {
-            target_instructions: 4_000,
-            ..WorkloadSpec::default()
-        });
-        let (mut m, _, loaded) = load_image(&w.image);
-        let shared: Vec<Box<dyn PolicyModule>> = vec![Box::new(CodeReachability::new())];
-        let private: Vec<Box<dyn PolicyModule>> =
-            vec![Box::new(CodeReachability::without_shared_analysis())];
-        let a = run_policies(&shared, &loaded, m.counter_mut()).expect("shared");
-        let b = run_policies(&private, &loaded, m.counter_mut()).expect("private");
-        assert_eq!(a[0].items_checked, b[0].items_checked);
-        assert_eq!(a[0].detail, b[0].detail);
     }
 }

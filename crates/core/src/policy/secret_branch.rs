@@ -1,4 +1,4 @@
-//! The secret-dependent-branch policy: flag or deny conditional
+//! The secret-dependent-branch policy: reject conditional
 //! branches whose condition is tainted by secret data — the
 //! side-channel shape an observer of the instruction-pointer trace
 //! (page faults, cache sets, branch predictors) can read secrets
@@ -17,38 +17,14 @@ use crate::error::EngardeError;
 
 /// The secret-dependent-branch policy module.
 pub struct SecretDependentBranch {
-    /// When false, recompute the analyses privately (ablation path).
-    pub use_shared_analysis: bool,
-    /// When true (default), a tainted branch rejects the binary; when
-    /// false, the policy only counts and reports them.
-    pub deny: bool,
     declared_sources: Vec<SecretRange>,
 }
 
 impl SecretDependentBranch {
-    /// The standard (denying) configuration.
+    /// The standard configuration: loader-known sources only.
     pub fn new() -> Self {
         SecretDependentBranch {
-            use_shared_analysis: true,
-            deny: true,
             declared_sources: Vec::new(),
-        }
-    }
-
-    /// Flag-only configuration: tainted branches are counted in the
-    /// report but do not reject.
-    pub fn flag_only() -> Self {
-        SecretDependentBranch {
-            deny: false,
-            ..SecretDependentBranch::new()
-        }
-    }
-
-    /// Ablation configuration: recompute the analyses privately.
-    pub fn without_shared_analysis() -> Self {
-        SecretDependentBranch {
-            use_shared_analysis: false,
-            ..SecretDependentBranch::new()
         }
     }
 
@@ -84,35 +60,60 @@ impl PolicyModule for SecretDependentBranch {
         // the v2 engine's verdicts (cached or sealed) must not replay.
         // v4: flags flow through every instruction's decoded effects
         // (`test`, `setcc`, …) and a no-base load is resolved, so no v3
-        // PASS may replay.
+        // PASS may replay. The byte 1 after the tag says a tainted
+        // branch rejects; it was a flag once and stays so that no
+        // descriptor, measurement, cache key or seal key moves.
         let mut d = b"secret-dependent-branch:v4".to_vec();
-        d.push(u8::from(self.deny));
+        d.push(1);
         d.extend_from_slice(&descriptor_ranges(&self.declared_sources));
         d
     }
 
     fn check(&self, ctx: &mut PolicyContext<'_>) -> Result<PolicyReport, EngardeError> {
-        let taint = taint_for_policy(ctx, self.use_shared_analysis, &self.declared_sources);
-        let flagged = taint.branch_findings().count();
-        if self.deny {
-            if let Some(f) = taint.branch_findings().next() {
-                return Err(EngardeError::PolicyViolation {
-                    policy: "secret-dependent-branch",
-                    reason: format!(
-                        "conditional branch at {:#x} conditions on {} data",
-                        f.addr,
-                        taint.describe_sources(f.sources)
-                    ),
-                });
-            }
+        let taint = taint_for_policy(ctx, &self.declared_sources);
+        if let Some(f) = taint.branch_findings().next() {
+            return Err(EngardeError::PolicyViolation {
+                policy: "secret-dependent-branch",
+                reason: format!(
+                    "conditional branch at {:#x} conditions on {} data",
+                    f.addr,
+                    taint.describe_sources(f.sources)
+                ),
+            });
         }
+        // The detail text is signed into verdicts and pinned by the
+        // analysis golden, so it keeps the shape of the flag it once
+        // reported.
         Ok(PolicyReport {
             policy: "secret-dependent-branch",
             items_checked: taint.steps as usize,
-            detail: format!(
-                "{flagged} secret-dependent branch(es) flagged, deny={}",
-                self.deny
-            ),
+            detail: "0 secret-dependent branch(es) flagged, deny=true".to_string(),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::analysis::taint::SecretClass;
+
+    #[test]
+    fn descriptor_bytes_are_pinned() {
+        // The descriptor feeds the enclave measurement, the verdict-cache
+        // key and the store seal key; none of them may move silently.
+        assert_eq!(
+            SecretDependentBranch::new().descriptor(),
+            b"secret-dependent-branch:v4\x01".to_vec()
+        );
+        let declared = SecretDependentBranch::new().with_declared_sources(vec![SecretRange {
+            start: 0x1000,
+            end: 0x1010,
+            class: SecretClass::Declared,
+        }]);
+        let mut want = b"secret-dependent-branch:v4\x01".to_vec();
+        want.extend_from_slice(&0x1000u64.to_le_bytes());
+        want.extend_from_slice(&0x1010u64.to_le_bytes());
+        want.push("declared-secret".len() as u8);
+        assert_eq!(declared.descriptor(), want);
     }
 }

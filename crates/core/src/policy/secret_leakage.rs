@@ -19,34 +19,19 @@
 
 use super::{PolicyContext, PolicyModule, PolicyReport};
 use crate::analysis::taint::{SecretRange, TaintAnalysis};
-use crate::analysis::ProgramAnalysis;
 use crate::error::EngardeError;
 use std::borrow::Cow;
 
 /// The secret-leakage policy module.
 pub struct SecretLeakage {
-    /// When false, the policy recomputes the analyses privately instead
-    /// of reading the shared memo (the ablation path, mirroring
-    /// [`super::CodeReachability`]).
-    pub use_shared_analysis: bool,
     declared_sources: Vec<SecretRange>,
 }
 
 impl SecretLeakage {
-    /// The standard configuration: shared analysis, loader-known
-    /// sources only.
+    /// The standard configuration: loader-known sources only.
     pub fn new() -> Self {
         SecretLeakage {
-            use_shared_analysis: true,
             declared_sources: Vec::new(),
-        }
-    }
-
-    /// Ablation configuration: recompute the analyses privately.
-    pub fn without_shared_analysis() -> Self {
-        SecretLeakage {
-            use_shared_analysis: false,
-            ..SecretLeakage::new()
         }
     }
 
@@ -67,28 +52,19 @@ impl Default for SecretLeakage {
 }
 
 /// Resolves the taint analysis a policy should judge: the shared memo,
-/// borrowed in place, when possible; a private (re)computation, owned,
-/// when the policy declares extra sources or opts out of sharing.
+/// borrowed in place, when the policy declares no sources; otherwise a
+/// private taint run, owned, over the shared program analysis.
 pub(super) fn taint_for_policy<'a>(
     ctx: &mut PolicyContext<'a>,
-    use_shared: bool,
     declared: &[SecretRange],
 ) -> Cow<'a, TaintAnalysis> {
-    if declared.is_empty() && use_shared {
+    if declared.is_empty() {
         return Cow::Borrowed(ctx.taint());
     }
     let binary = ctx.binary();
     let mut sources = binary.secret_ranges.clone();
     sources.extend_from_slice(declared);
-    let private_analysis;
-    let analysis = if use_shared {
-        ctx.analysis()
-    } else {
-        let (computed, cost) = ProgramAnalysis::compute(binary);
-        ctx.charge(cost);
-        private_analysis = computed;
-        &private_analysis
-    };
+    let analysis = ctx.analysis();
     let (taint, cost) = TaintAnalysis::compute(binary, analysis, &sources);
     ctx.charge(cost);
     Cow::Owned(taint)
@@ -138,7 +114,7 @@ impl PolicyModule for SecretLeakage {
     }
 
     fn check(&self, ctx: &mut PolicyContext<'_>) -> Result<PolicyReport, EngardeError> {
-        let taint = taint_for_policy(ctx, self.use_shared_analysis, &self.declared_sources);
+        let taint = taint_for_policy(ctx, &self.declared_sources);
         if let Some(f) = taint.leaks().next() {
             return Err(EngardeError::PolicyViolation {
                 policy: "secret-leakage",

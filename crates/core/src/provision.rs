@@ -101,7 +101,9 @@ impl BootstrapSpec {
             self.loader.allocation,
             crate::loader::AllocationStrategy::PagePerCall
         ) as u8);
-        out.push(self.loader.validate as u8);
+        // NaCl validation always runs; this byte once said so and stays
+        // so that no measurement moves.
+        out.push(1);
         out.push(self.loader.recover_stripped_symbols as u8);
         out.extend_from_slice(&(self.client_region_pages as u64).to_be_bytes());
         out.extend_from_slice(&(self.rsa_bits as u64).to_be_bytes());
@@ -609,6 +611,28 @@ mod tests {
         assert_eq!(a, b);
         let no_policy = BootstrapSpec::new("EnGarde-1.0", LoaderConfig::default(), &[], 64, 512);
         assert_ne!(a, no_policy.to_bootstrap_bytes());
+    }
+
+    #[test]
+    fn bootstrap_bytes_are_pinned() {
+        // These bytes are what the enclave measurement covers. The
+        // loader byte after the allocation strategy and the IFCC
+        // descriptor's trailing byte once encoded switches; both stay 1
+        // so that no measurement moves.
+        let policies: Vec<Box<dyn PolicyModule>> = vec![Box::new(crate::policy::IfccPolicy::new())];
+        let spec = BootstrapSpec::new("EnGarde-1.0", LoaderConfig::default(), &policies, 64, 512);
+        let mut want = b"ENGARDE-BOOTSTRAP-V1\nEnGarde-1.0\n".to_vec();
+        want.extend_from_slice(&5_000u64.to_be_bytes()); // heap pages
+        want.extend_from_slice(&[1, 1, 0]); // page-per-call, validation on, no recovery
+        want.extend_from_slice(&64u64.to_be_bytes()); // client region pages
+        want.extend_from_slice(&512u64.to_be_bytes()); // RSA bits
+        want.push(0); // no rewriting
+        want.extend_from_slice(&1u64.to_be_bytes()); // one policy
+        want.extend_from_slice(&22u64.to_be_bytes());
+        want.extend_from_slice(b"indirect-function-call");
+        want.extend_from_slice(&6u64.to_be_bytes());
+        want.extend_from_slice(b"ifcc:\x01");
+        assert_eq!(spec.to_bootstrap_bytes(), want);
     }
 
     #[test]

@@ -78,7 +78,6 @@ impl StackProtectorRewriter {
             return Err(EngardeError::StrippedBinary);
         }
         let insns = &binary.insns;
-        let text_base = binary.text_base;
 
         // Refuse what we cannot move soundly.
         for insn in insns {
@@ -139,7 +138,6 @@ impl StackProtectorRewriter {
             .collect();
 
         let mut new_symbols: Vec<(String, u64)> = Vec::new();
-        let mut current_fn: Option<&str> = None;
         let mut fn_fail_label: Option<Label> = None;
         let mut pending_fail_blocks: Vec<(Label, Label)> = Vec::new(); // (block, handler)
 
@@ -155,7 +153,6 @@ impl StackProtectorRewriter {
                 }
                 asm.align_to(BUNDLE_SIZE);
                 new_symbols.push((name.to_string(), asm.offset()));
-                current_fn = Some(name);
                 let exempt = *name == "__stack_chk_fail";
                 asm.bind(addr_label[&insn.addr]);
                 if !exempt {
@@ -219,7 +216,6 @@ impl StackProtectorRewriter {
             asm.call_label(handler);
             asm.ret();
         }
-        let _ = current_fn;
 
         // Synthetic __stack_chk_fail if the client never linked one.
         if existing_fail.is_none() {
@@ -244,7 +240,9 @@ impl StackProtectorRewriter {
                 })?;
         let entry_offset = asm
             .label_offset(entry_label)
-            .expect("entry label bound during emission");
+            .ok_or_else(|| EngardeError::Protocol {
+                what: "entry point was not emitted".into(),
+            })?;
 
         let text = asm.finish();
         let text_len = text.len() as u64;
@@ -272,7 +270,6 @@ impl StackProtectorRewriter {
             let end = new_symbols.get(i + 1).map(|(_, o)| *o).unwrap_or(text_len);
             builder.function(name, *off, end - off);
         }
-        let _ = text_base;
         Ok((builder.build(), report))
     }
 }

@@ -82,14 +82,3 @@ fn wx_segment_is_rejected_by_wx_segments() {
         "writable and executable",
     );
 }
-
-#[test]
-fn private_analysis_mode_rejects_the_same_evasions() {
-    let adv = adversarial::mid_instruction_jump();
-    expect_violation(
-        &adv.image,
-        vec![Box::new(CodeReachability::without_shared_analysis())],
-        "code-reachability",
-        "middle of an instruction",
-    );
-}

@@ -40,13 +40,10 @@ pub struct StoreConfig {
     pub flush_batch: usize,
     /// Records per on-disk segment before rotation.
     pub segment_max_records: usize,
-    /// Run a compaction pass (drop superseded records, delete old
-    /// segments) during drain.
-    pub compact_on_drain: bool,
     /// Live-fraction auto-compaction threshold in per-mille, checked at
     /// segment rotation: compact once fewer than this many of every
     /// 1000 stored records are still live. `0` (the default) disables
-    /// the trigger and keeps drain-time-only compaction.
+    /// the trigger; the service then never compacts the store.
     pub compact_live_per_mille: u16,
 }
 
@@ -63,7 +60,6 @@ impl StoreConfig {
             seal_key: store_seal_key(machine, spec),
             flush_batch: 8,
             segment_max_records: 256,
-            compact_on_drain: false,
             compact_live_per_mille: 0,
         }
     }

@@ -106,9 +106,9 @@ pub struct ServiceConfig {
     /// (enabling a default-capacity cache if `verdict_cache` is `None`),
     /// with hydration cost charged to virtual time; at runtime dirty
     /// verdicts flush write-behind in `flush_batch` batches; at drain
-    /// the remainder flushes and the store optionally compacts. A store
-    /// that fails to open degrades the service to memory-only operation
-    /// with a typed event — never a panic.
+    /// the remainder flushes. A store that fails to open degrades the
+    /// service to memory-only operation with a typed event — never a
+    /// panic.
     pub store: Option<StoreConfig>,
     /// `Some`: admission groups small sessions sharing an
     /// [`SessionRequest::admission_key`] into one batch that runs
@@ -843,30 +843,20 @@ fn open_store(
 }
 
 /// Drain-time store finalization: flush the remaining dirty verdicts,
-/// optionally compact, mirror the store counters into the metrics, then
-/// apply any at-rest faults the plan scheduled during the run and prove
-/// they recover (typed counters, longest authenticated prefix, never a
-/// panic). Returns the model cycles the final flush cost, so virtual
-/// mode can charge it to the makespan.
+/// mirror the store counters into the metrics, then apply any at-rest
+/// faults the plan scheduled during the run and prove they recover
+/// (typed counters, longest authenticated prefix, never a panic).
+/// Returns the model cycles the final flush cost, so virtual mode can
+/// charge it to the makespan.
 fn finish_store(state: Option<StoreState>, metrics: &ServeMetrics) -> u64 {
     let Some(mut state) = state else { return 0 };
     let cost = state.flush(metrics, "", None, "drain flush").unwrap_or(0);
     let StoreState {
-        mut store,
+        store,
         cfg,
         pending_faults,
         ..
     } = state;
-    if cfg.compact_on_drain {
-        if let Err(e) = store.compact() {
-            metrics.record(
-                EventKind::StoreDegraded,
-                "",
-                None,
-                &format!("compaction failed: {e}"),
-            );
-        }
-    }
     metrics.set_store_stats(&store.stats());
     if pending_faults.is_empty() {
         return cost;

@@ -19,8 +19,8 @@ pub struct StoreOptions {
     /// live (the rest superseded by rewrites of the same key), the
     /// store compacts itself at the next segment rotation instead of
     /// waiting for an explicit [`VerdictStore::compact`] call. `0`
-    /// disables the trigger (the default): drain-time-only compaction,
-    /// the pre-existing behavior.
+    /// disables the trigger (the default): the store compacts only on
+    /// an explicit call.
     pub compact_live_per_mille: u16,
 }
 

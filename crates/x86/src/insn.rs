@@ -71,28 +71,6 @@ impl Cc {
         ];
         ALL[(n & 0xf) as usize]
     }
-
-    /// The mnemonic suffix (`e` for `je`, `ne` for `jne`, …).
-    pub fn suffix(self) -> &'static str {
-        match self {
-            Cc::O => "o",
-            Cc::No => "no",
-            Cc::B => "b",
-            Cc::Ae => "ae",
-            Cc::E => "e",
-            Cc::Ne => "ne",
-            Cc::Be => "be",
-            Cc::A => "a",
-            Cc::S => "s",
-            Cc::Ns => "ns",
-            Cc::P => "p",
-            Cc::Np => "np",
-            Cc::L => "l",
-            Cc::Ge => "ge",
-            Cc::Le => "le",
-            Cc::G => "g",
-        }
-    }
 }
 
 /// The arithmetic/logic group opcodes share an encoding family; this
@@ -131,20 +109,6 @@ impl AluOp {
             AluOp::Cmp,
         ];
         ALL[(i & 7) as usize]
-    }
-
-    /// AT&T mnemonic.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            AluOp::Add => "add",
-            AluOp::Or => "or",
-            AluOp::Adc => "adc",
-            AluOp::Sbb => "sbb",
-            AluOp::And => "and",
-            AluOp::Sub => "sub",
-            AluOp::Xor => "xor",
-            AluOp::Cmp => "cmp",
-        }
     }
 }
 
@@ -752,17 +716,14 @@ mod tests {
         for n in 0..16u8 {
             let cc = Cc::from_nibble(n);
             assert_eq!(cc as u8, n);
-            assert!(!cc.suffix().is_empty());
         }
         assert_eq!(Cc::from_nibble(0x5), Cc::Ne);
-        assert_eq!(Cc::Ne.suffix(), "ne");
     }
 
     #[test]
     fn alu_op_round_trip() {
         for i in 0..8u8 {
-            let op = AluOp::from_index(i);
-            assert!(!op.mnemonic().is_empty());
+            assert_eq!(AluOp::from_index(i) as u8, i);
         }
         assert_eq!(AluOp::from_index(5), AluOp::Sub);
         assert_eq!(AluOp::from_index(7), AluOp::Cmp);

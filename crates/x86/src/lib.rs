@@ -17,8 +17,7 @@
 //!   stage shares,
 //! - [`validate`] — NaCl rules: 32-byte bundle straddling, branch-target
 //!   validity, reachability, and SGX instruction legality,
-//! - [`encode`] — an assembler used by the synthetic workload generator,
-//! - [`att`] — AT&T-syntax formatting for listings and diagnostics.
+//! - [`encode`] — an assembler used by the synthetic workload generator.
 //!
 //! # Examples
 //!
@@ -40,7 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod att;
 pub mod decode;
 pub mod encode;
 pub mod index;

@@ -102,30 +102,6 @@ impl Reg {
     }
 }
 
-impl Reg {
-    /// The 32-bit register name (`%eax`, `%r12d`, …).
-    pub fn name32(self) -> &'static str {
-        match self {
-            Reg::Rax => "%eax",
-            Reg::Rcx => "%ecx",
-            Reg::Rdx => "%edx",
-            Reg::Rbx => "%ebx",
-            Reg::Rsp => "%esp",
-            Reg::Rbp => "%ebp",
-            Reg::Rsi => "%esi",
-            Reg::Rdi => "%edi",
-            Reg::R8 => "%r8d",
-            Reg::R9 => "%r9d",
-            Reg::R10 => "%r10d",
-            Reg::R11 => "%r11d",
-            Reg::R12 => "%r12d",
-            Reg::R13 => "%r13d",
-            Reg::R14 => "%r14d",
-            Reg::R15 => "%r15d",
-        }
-    }
-}
-
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name64())

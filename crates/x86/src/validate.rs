@@ -43,8 +43,7 @@ pub struct ValidationReport {
 }
 
 /// NaCl-style validator over a decoded instruction stream. Every rule
-/// always runs; whether a binary is validated at all is the loader's
-/// one switch (`LoaderConfig::validate`).
+/// always runs, and the loader validates every binary it loads.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Validator;
 

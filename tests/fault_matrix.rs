@@ -307,7 +307,6 @@ fn store_cfg(dir: &std::path::Path, seed: u64) -> StoreConfig {
         seal_key: store_seal_key(&machine(seed), &spec),
         flush_batch: 2,
         segment_max_records: 2,
-        compact_on_drain: false,
         compact_live_per_mille: 0,
     }
 }

@@ -28,9 +28,9 @@ fn main() {
         let elf = ElfFile::parse(&w.image).expect("parses");
         let truth: Vec<u64> = elf.function_symbols().map(|s| s.symbol.st_value).collect();
         // Strip: rebuild with the same text, no symtab.
-        let text = elf.section(".text").expect(".text").clone();
+        let text = elf.exec_segment().file_bytes(&w.image).expect("text");
         let mut b = ElfBuilder::new();
-        b.text(text.data)
+        b.text(text.to_vec())
             .entry(elf.header().e_entry - TEXT_VADDR)
             .strip();
         let stripped = b.build();

@@ -491,7 +491,7 @@ impl TaintAnalysis {
         sources: &[SecretRange],
     ) -> (TaintAnalysis, u64) {
         let insns = &binary.insns;
-        let text_end = binary.text_base + binary.text_bytes.len() as u64;
+        let text_end = binary.text_end();
 
         // ---- function partition ---------------------------------------
         // Function starts: every symbol plus the entry point; extents run

@@ -16,9 +16,7 @@
 //!    is detected.
 
 use crate::error::EngardeError;
-use crate::protocol::{
-    classify_pages, section_extents, ContentManifest, PagePayload, SignedVerdict,
-};
+use crate::protocol::{classify_pages, ContentManifest, PagePayload, SignedVerdict};
 use crate::provision::BootstrapSpec;
 use engarde_crypto::channel::{ChannelClient, SealedBlock, Session};
 use engarde_crypto::rsa::RsaPublicKey;
@@ -143,7 +141,7 @@ impl Client {
     pub fn content_blocks(&mut self) -> Result<Vec<SealedBlock>, EngardeError> {
         // Classify pages from the client's own view of its binary.
         let elf = engarde_elf::parse::ElfFile::parse(&self.binary)?;
-        let page_kinds = classify_pages(&section_extents(&elf), self.binary.len())?;
+        let page_kinds = classify_pages(&elf, self.binary.len())?;
         let manifest = ContentManifest {
             total_len: self.binary.len(),
             page_kinds,

@@ -2,16 +2,28 @@
 //! dynamic instruction buffer, and symbol-hash-table construction (§4).
 //!
 //! The paper's loader checks the executable's header ("the signature as
-//! well as the ELF class"), extracts the text sections, disassembles them
-//! with the NaCl-derived disassembler into "a dynamically allocated
-//! buffer that can hold all the instructions", and reads the symbol
-//! tables into a hash table for the policy modules.
+//! well as the ELF class"), disassembles the text with the NaCl-derived
+//! disassembler into "a dynamically allocated buffer that can hold all
+//! the instructions", and reads the symbol tables into a hash table for
+//! the policy modules.
+//!
+//! The text is the image's one executable `PT_LOAD`, as
+//! [`ElfFile::parse`] validated it: the same bytes
+//! [`crate::relocate::map_and_relocate`] maps executable and the same
+//! file range [`crate::protocol::classify_pages`] calls code. Section
+//! headers never decide what is decoded. [`LoadedBinary`] keeps no copy
+//! of the text; [`LoadedBinary::text`] reads it out of the received
+//! image. The entry point must be a decoded instruction start
+//! ([`Validator::validate`]).
 //!
 //! Because in-enclave `malloc` exits the enclave through a trampoline,
 //! the paper "reduce\[s\] the involved overhead by restricting the calls to
 //! malloc by allocating a memory page at a time instead of just a memory
 //! region for an instruction" — [`AllocationStrategy`] exposes both
 //! choices so the ablation benchmark can quantify that decision.
+
+// Offsets and sizes here come from the client's image.
+#![deny(clippy::indexing_slicing)]
 
 use crate::analysis::taint::{SecretClass, SecretRange};
 use crate::error::EngardeError;
@@ -87,16 +99,12 @@ pub struct LoadedBinary {
     pub index: InsnIndex,
     /// The symbol hash table (addr → function name).
     pub symbols: SymbolHashTable,
-    /// Virtual address of the text section.
-    pub text_base: u64,
-    /// Raw text bytes (hashing input for the library-linking policy).
-    pub text_bytes: Vec<u8>,
     /// NaCl validation statistics.
     pub validation: ValidationReport,
     /// Instruction-buffer pages allocated.
     pub buffer_pages: usize,
-    /// The received ELF image (the relocation stage reads segment file
-    /// ranges straight out of it).
+    /// The received ELF image. [`LoadedBinary::text`] and the relocation
+    /// stage read segment file ranges straight out of it.
     pub raw_image: Vec<u8>,
     /// The enclave's mapped virtual range `[base, end)`. The taint pass
     /// treats resolved stores outside it as leak sinks.
@@ -105,6 +113,30 @@ pub struct LoadedBinary {
     /// block). Provisioning extends this with the decrypted-content
     /// staging region; policies may declare further ranges.
     pub secret_ranges: Vec<SecretRange>,
+}
+
+impl LoadedBinary {
+    /// The inspected text: the executable segment's bytes, which are
+    /// exactly the bytes mapped executable (hashing input for the
+    /// library-linking policy, re-emission input for the rewriter).
+    pub fn text(&self) -> &[u8] {
+        self.elf
+            .exec_segment()
+            .file_bytes(&self.raw_image)
+            .unwrap_or_default()
+    }
+
+    /// Virtual address of the text's first byte.
+    pub fn text_base(&self) -> u64 {
+        self.elf.exec_segment().p_vaddr
+    }
+
+    /// End of the text (exclusive virtual address). The parser checked
+    /// that it does not overflow.
+    pub fn text_end(&self) -> u64 {
+        let text = self.elf.exec_segment();
+        text.p_vaddr + text.p_memsz
+    }
 }
 
 /// Runs the in-enclave loader over a received ELF image, charging all
@@ -143,24 +175,15 @@ pub fn load(
     elf.require_pie()?;
     elf.require_static()?;
 
-    // ---- text extraction ------------------------------------------------
-    let text = elf
-        .text_sections()
-        .next()
-        .cloned()
-        .ok_or(EngardeError::Protocol {
-            what: "binary has no executable section".into(),
-        })?;
-    let text_base = text.header.sh_addr;
-
-    // ---- disassembly into the instruction buffer -------------------------
+    // ---- disassembly of the executable segment into the buffer ----------
+    let text_base = elf.exec_segment().p_vaddr;
+    let text = elf.exec_segment().file_bytes(image).unwrap_or_default();
     let mut insns: Vec<Insn> = Vec::new();
     let mut offset = 0usize;
     let mut buffer_bytes = 0u64;
     let mut buffer_pages = 0usize;
-    while offset < text.data.len() {
-        let insn =
-            engarde_x86::decode::decode_one(&text.data[offset..], text_base + offset as u64)?;
+    while let Some(rest) = text.get(offset..).filter(|rest| !rest.is_empty()) {
+        let insn = engarde_x86::decode::decode_one(rest, text_base + offset as u64)?;
         machine
             .counter_mut()
             .charge_native(costs::DECODE_PER_INSN + costs::DECODE_PER_BYTE * insn.len as u64);
@@ -214,8 +237,6 @@ pub fn load(
         Validator::new().validate(&insns, &index, elf.header().e_entry, symbols.addresses())?;
 
     Ok(LoadedBinary {
-        text_base,
-        text_bytes: text.data,
         elf,
         insns,
         index,
@@ -229,6 +250,7 @@ pub fn load(
 }
 
 #[cfg(test)]
+#[allow(clippy::indexing_slicing)]
 mod tests {
     use super::*;
     use engarde_sgx::epc::PagePerms;

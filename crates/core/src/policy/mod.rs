@@ -150,20 +150,23 @@ impl<'a> PolicyContext<'a> {
     /// # Errors
     ///
     /// Returns [`EngardeError::TextRangeOutOfBounds`] when the range
-    /// lies outside the text section — a hostile symbol table must
-    /// reject the binary, never panic the inspector.
+    /// lies outside the text — a hostile symbol table must reject the
+    /// binary, never panic the inspector.
     pub fn text_range(&self, start: u64, end: u64) -> Result<&'a [u8], EngardeError> {
-        let base = self.binary.text_base;
-        let text_end = base + self.binary.text_bytes.len() as u64;
-        if start < base || end > text_end || start > end {
-            return Err(EngardeError::TextRangeOutOfBounds { start, end });
+        let base = self.binary.text_base();
+        let out_of_bounds = EngardeError::TextRangeOutOfBounds { start, end };
+        if start < base || start > end {
+            return Err(out_of_bounds);
         }
-        Ok(&self.binary.text_bytes[(start - base) as usize..(end - base) as usize])
+        self.binary
+            .text()
+            .get((start - base) as usize..(end - base) as usize)
+            .ok_or(out_of_bounds)
     }
 
-    /// End of the text section (exclusive virtual address).
+    /// End of the text (exclusive virtual address).
     pub fn text_end(&self) -> u64 {
-        self.binary.text_base + self.binary.text_bytes.len() as u64
+        self.binary.text_end()
     }
 
     /// Index of the instruction starting at `addr`, if any (one probe
@@ -404,7 +407,7 @@ mod tests {
         let (mut m, _, loaded) = test_support::load_image(&image);
         let cache = AnalysisCache::new();
         let ctx = PolicyContext::new(&loaded, m.counter_mut(), &cache);
-        let base = loaded.text_base;
+        let base = loaded.text_base();
         let end = ctx.text_end();
         // Below the text base, past the end, inverted, and wrapping
         // ranges all come back as structured errors.

@@ -54,7 +54,7 @@ impl PolicyModule for CodeReachability {
     fn check(&self, ctx: &mut PolicyContext<'_>) -> Result<PolicyReport, EngardeError> {
         let analysis = ctx.analysis();
         let insns = &ctx.binary().insns;
-        let text_start = ctx.binary().text_base;
+        let text_start = ctx.binary().text_base();
         let text_end = ctx.text_end();
 
         // ---- resolved indirect targets must be decoded insn starts ----

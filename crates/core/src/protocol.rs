@@ -12,14 +12,15 @@
 
 use crate::error::EngardeError;
 use engarde_crypto::sha256::Digest;
+use engarde_elf::parse::ElfFile;
 use engarde_sgx::epc::PAGE_SIZE;
 
 /// What a transferred page contains, as declared by the client.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum PageKind {
-    /// Executable code (overlaps a text section).
+    /// Executable code (holds file bytes of the executable segment).
     Code,
-    /// Everything else: data sections, ELF metadata, symbol tables.
+    /// Everything else: data segments, ELF metadata, symbol tables.
     Data,
 }
 
@@ -144,60 +145,39 @@ fn header_u64(bytes: &[u8]) -> Result<u64, EngardeError> {
         })
 }
 
-/// Classifies each page chunk of an image from its section layout and
-/// rejects mixed pages.
-///
-/// `extents` are `(file_offset, size, is_text)` for every allocated
-/// section with file contents.
+/// Classifies each page chunk of an image from its validated `PT_LOAD`
+/// segments and rejects mixed pages. A page holding file bytes of the
+/// executable segment is code; every other page is data. Client and
+/// enclave both call this, on the same [`ElfFile`] view the loader
+/// decodes and the mapper maps.
 ///
 /// # Errors
 ///
-/// Returns [`EngardeError::MixedPage`] for a page overlapping both text
-/// and non-text section bytes.
-pub fn classify_pages(
-    extents: &[(u64, u64, bool)],
-    total_len: usize,
-) -> Result<Vec<PageKind>, EngardeError> {
-    let pages = total_len.div_ceil(PAGE_SIZE);
-    let mut kinds = Vec::with_capacity(pages);
-    for p in 0..pages {
-        let start = (p * PAGE_SIZE) as u64;
-        let end = start + PAGE_SIZE as u64;
-        let mut code = false;
-        let mut data = false;
-        for &(off, size, is_text) in extents {
-            if size == 0 {
-                continue;
+/// Returns [`EngardeError::MixedPage`] for a page holding file bytes of
+/// both the executable segment and another segment.
+pub fn classify_pages(elf: &ElfFile, total_len: usize) -> Result<Vec<PageKind>, EngardeError> {
+    // (code, data) marks per page.
+    let mut marks = vec![(false, false); total_len.div_ceil(PAGE_SIZE)];
+    for ph in elf.load_segments().filter(|ph| ph.p_filesz > 0) {
+        // The parser checked that the range lies inside the image.
+        let first = ph.p_offset as usize / PAGE_SIZE;
+        let last = (ph.p_offset + ph.p_filesz - 1) as usize / PAGE_SIZE;
+        for mark in marks.get_mut(first..=last).unwrap_or_default() {
+            if ph.is_executable() {
+                mark.0 = true;
+            } else {
+                mark.1 = true;
             }
-            let overlaps = off < end && off + size > start;
-            if overlaps {
-                if is_text {
-                    code = true;
-                } else {
-                    data = true;
-                }
-            }
-        }
-        match (code, data) {
-            (true, true) => return Err(EngardeError::MixedPage { page: p }),
-            (true, false) => kinds.push(PageKind::Code),
-            _ => kinds.push(PageKind::Data),
         }
     }
-    Ok(kinds)
-}
-
-/// Extracts the section extents [`classify_pages`] consumes from a
-/// parsed ELF.
-pub fn section_extents(elf: &engarde_elf::parse::ElfFile) -> Vec<(u64, u64, bool)> {
-    elf.sections()
+    marks
         .iter()
-        .filter(|s| {
-            s.header.sh_flags & engarde_elf::types::SHF_ALLOC != 0
-                && s.header.sh_type != engarde_elf::types::SHT_NOBITS
-                && s.header.sh_size > 0
+        .enumerate()
+        .map(|(page, mark)| match mark {
+            (true, true) => Err(EngardeError::MixedPage { page }),
+            (true, false) => Ok(PageKind::Code),
+            _ => Ok(PageKind::Data),
         })
-        .map(|s| (s.header.sh_offset, s.header.sh_size, s.is_text()))
         .collect()
 }
 
@@ -286,14 +266,21 @@ mod tests {
         assert!(PagePayload::from_bytes(b"PAGE").is_err());
     }
 
+    /// An image with `text_len` bytes of `ret` and `data_len` of data.
+    fn image(text_len: usize, data_len: usize) -> Vec<u8> {
+        engarde_elf::build::ElfBuilder::new()
+            .text(vec![0xc3; text_len])
+            .data(vec![0; data_len])
+            .build()
+    }
+
     #[test]
     fn classification_clean_layout() {
-        // Headers page, text pages, data page — no overlap.
-        let extents = [
-            (0x1000, 0x1800, true), // text spans pages 1-2
-            (0x3000, 0x500, false), // data on page 3
-        ];
-        let kinds = classify_pages(&extents, 0x3500).expect("clean");
+        // Headers page, text pages 1-2, data on page 3 followed by the
+        // symbol and section tables, which no segment maps.
+        let img = image(0x1800, 0x500);
+        let elf = ElfFile::parse(&img).expect("parses");
+        let kinds = classify_pages(&elf, img.len()).expect("clean");
         assert_eq!(
             kinds,
             vec![
@@ -307,9 +294,22 @@ mod tests {
 
     #[test]
     fn classification_rejects_mixed_page() {
-        // Text ends mid-page and data begins on the same page.
-        let extents = [(0x1000, 0x800, true), (0x1800, 0x100, false)];
-        let err = classify_pages(&extents, 0x2000).unwrap_err();
+        // Text ends mid-page 1 and the RW segment's file bytes are moved
+        // onto the same page (its virtual range stays on its own page).
+        let mut img = image(0x800, 0x100);
+        let elf = ElfFile::parse(&img).expect("parses");
+        let (index, mut rw) = elf
+            .program_headers()
+            .iter()
+            .copied()
+            .enumerate()
+            .find(|(_, ph)| ph.is_load() && ph.is_writable())
+            .expect("rw segment");
+        rw.p_offset = 0x1800;
+        let off = elf.header().e_phoff as usize + index * engarde_elf::types::PHDR_SIZE;
+        img[off..off + engarde_elf::types::PHDR_SIZE].copy_from_slice(&rw.to_bytes());
+        let elf = ElfFile::parse(&img).expect("still parses");
+        let err = classify_pages(&elf, img.len()).unwrap_err();
         assert!(matches!(err, EngardeError::MixedPage { page: 1 }));
     }
 
@@ -320,8 +320,8 @@ mod tests {
             target_instructions: 6_000,
             ..WorkloadSpec::default()
         });
-        let elf = engarde_elf::parse::ElfFile::parse(&w.image).expect("parses");
-        let kinds = classify_pages(&section_extents(&elf), w.image.len()).expect("clean layout");
+        let elf = ElfFile::parse(&w.image).expect("parses");
+        let kinds = classify_pages(&elf, w.image.len()).expect("clean layout");
         assert!(kinds.contains(&PageKind::Code));
         assert!(kinds.contains(&PageKind::Data));
     }

@@ -21,9 +21,7 @@ use crate::cache::{lock_cache, CacheKey, CachedVerdict, SharedVerdictCache};
 use crate::error::EngardeError;
 use crate::loader::{load, LoadedBinary, LoaderConfig};
 use crate::policy::{run_policies_with_cache, AnalysisCache, PolicyModule};
-use crate::protocol::{
-    classify_pages, section_extents, ContentManifest, PagePayload, SignedVerdict,
-};
+use crate::protocol::{classify_pages, ContentManifest, PagePayload, SignedVerdict};
 use crate::provider::ProviderView;
 use crate::relocate::map_and_relocate;
 use engarde_crypto::channel::{ChannelServer, SealedBlock, Session};
@@ -101,9 +99,11 @@ impl BootstrapSpec {
             self.loader.allocation,
             crate::loader::AllocationStrategy::PagePerCall
         ) as u8);
-        // NaCl validation always runs; this byte once said so and stays
-        // so that no measurement moves.
-        out.push(1);
+        // The loader's version. 1 was the section-based loader; 2 decodes,
+        // classifies and maps one validated segment view, so a verdict
+        // cached or sealed by the old loader (whose cache and seal keys
+        // derive from these bytes) cannot replay.
+        out.push(2);
         out.push(self.loader.recover_stripped_symbols as u8);
         out.extend_from_slice(&(self.client_region_pages as u64).to_be_bytes());
         out.extend_from_slice(&(self.rsa_bits as u64).to_be_bytes());
@@ -407,7 +407,7 @@ impl EngardeEnclave {
             // Fail closed, hit or miss: a cached verdict vouches for the
             // content, not for this session's framing of it.
             let elf = engarde_elf::parse::ElfFile::parse(&image)?;
-            if classify_pages(&section_extents(&elf), image.len())? != manifest.page_kinds {
+            if classify_pages(&elf, image.len())? != manifest.page_kinds {
                 return Err(EngardeError::Protocol {
                     what: "client-declared page kinds do not match the content".into(),
                 });
@@ -616,14 +616,15 @@ mod tests {
     #[test]
     fn bootstrap_bytes_are_pinned() {
         // These bytes are what the enclave measurement covers. The
-        // loader byte after the allocation strategy and the IFCC
-        // descriptor's trailing byte once encoded switches; both stay 1
-        // so that no measurement moves.
+        // loader byte after the allocation strategy is the loader's
+        // version (2: one validated segment view). The IFCC descriptor's
+        // trailing byte once encoded a switch and stays 1 so that no
+        // measurement moves.
         let policies: Vec<Box<dyn PolicyModule>> = vec![Box::new(crate::policy::IfccPolicy::new())];
         let spec = BootstrapSpec::new("EnGarde-1.0", LoaderConfig::default(), &policies, 64, 512);
         let mut want = b"ENGARDE-BOOTSTRAP-V1\nEnGarde-1.0\n".to_vec();
         want.extend_from_slice(&5_000u64.to_be_bytes()); // heap pages
-        want.extend_from_slice(&[1, 1, 0]); // page-per-call, validation on, no recovery
+        want.extend_from_slice(&[1, 2, 0]); // page-per-call, loader version 2, no recovery
         want.extend_from_slice(&64u64.to_be_bytes()); // client region pages
         want.extend_from_slice(&512u64.to_be_bytes()); // RSA bits
         want.push(0); // no rewriting

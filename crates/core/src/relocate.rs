@@ -8,17 +8,29 @@
 //! Upon completing relocation, the loader sets up a call stack and
 //! transfers control to the executable."
 //!
+//! The segments this stage writes are the ones [`ElfFile::parse`]
+//! validated, and the executable one holds exactly the bytes the loader
+//! decoded and the policies judged: no other view of the image decides
+//! what lands in the enclave. Each relocation patches 8 bytes inside a
+//! writable, non-executable segment ([`ElfFile::rela_entries`]), so no
+//! entry can rewrite inspected code, and `B + A` is computed with
+//! checked arithmetic.
+//!
 //! This stage's cycle cost is the paper's "Loading and Relocation"
 //! column: tiny next to disassembly and policy checking, dominated by
 //! per-page mapping work and per-entry relocation application (Nginx's
 //! larger number comes from its relocation count).
 
+// Offsets, sizes and addends here come from the client's image.
+#![deny(clippy::indexing_slicing)]
+
 use crate::error::EngardeError;
 use engarde_elf::parse::ElfFile;
-use engarde_elf::types::{PF_X, PT_LOAD, R_X86_64_RELATIVE};
+use engarde_elf::ElfError;
 use engarde_sgx::epc::PAGE_SIZE;
 use engarde_sgx::machine::{EnclaveId, SgxMachine};
 use engarde_sgx::perf::costs;
+use engarde_x86::DisasmError;
 
 /// Result of mapping the client binary into the enclave.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -47,8 +59,10 @@ pub struct MappedSegments {
 ///
 /// - [`EngardeError::OutOfEnclaveMemory`] if segments exceed
 ///   `region_pages`,
-/// - [`EngardeError::Elf`] for inconsistent relocation metadata,
-/// - [`EngardeError::Protocol`] for unsupported relocation types,
+/// - [`EngardeError::Elf`] for relocation entries the parser refuses, a
+///   `B + A` that overflows, or an `image` other than the one `elf` was
+///   parsed from,
+/// - [`EngardeError::Disasm`] for an entry point outside the text,
 /// - SGX errors for writes outside the committed region.
 pub fn map_and_relocate(
     machine: &mut SgxMachine,
@@ -59,50 +73,43 @@ pub fn map_and_relocate(
     region_pages: usize,
 ) -> Result<MappedSegments, EngardeError> {
     machine.counter_mut().charge_native(costs::LOAD_BASE);
-
-    let mut exec_pages = Vec::new();
-    let mut rw_pages = Vec::new();
-    let image = |off: u64, len: u64| -> &[u8] {
-        // PT_LOAD file ranges were validated by the ELF parser; the
-        // loader reads straight out of the received image, which the
-        // provisioning layer kept alongside the parse.
-        &raw_image[off as usize..(off + len) as usize]
+    let page_size = PAGE_SIZE as u64;
+    let region_bytes = (region_pages as u64).saturating_mul(page_size);
+    let outside = || EngardeError::OutOfEnclaveMemory {
+        what: "client segments exceed the committed client region",
     };
 
-    for ph in elf.program_headers() {
-        if ph.p_type != PT_LOAD {
-            continue;
-        }
-        let seg_start = region_base + ph.p_vaddr;
-        let seg_end_mem = seg_start + ph.p_memsz;
-        if (seg_end_mem - region_base) as usize > region_pages * PAGE_SIZE {
-            return Err(EngardeError::OutOfEnclaveMemory {
-                what: "client segments exceed the committed client region",
-            });
-        }
+    // No two segments share a page (the parser checked), so each page
+    // lands in exactly one of the two lists.
+    let mut exec_pages = Vec::new();
+    let mut rw_pages = Vec::new();
+    for ph in elf.load_segments() {
+        let seg_start = region_base.checked_add(ph.p_vaddr).ok_or_else(outside)?;
+        let seg_end_mem = ph
+            .p_vaddr
+            .checked_add(ph.p_memsz)
+            .filter(|&end| end <= region_bytes)
+            .and_then(|end| region_base.checked_add(end))
+            .ok_or_else(outside)?;
         // Copy file-backed bytes (bss is already zero in fresh pages).
         if ph.p_filesz > 0 {
-            let data = image(ph.p_offset, ph.p_filesz).to_vec();
-            machine.enclave_write(enclave, seg_start, &data)?;
+            let data = ph.file_bytes(raw_image).ok_or(ElfError::Truncated {
+                what: "loadable segment",
+            })?;
+            machine.enclave_write(enclave, seg_start, data)?;
         }
         // Record the segment's pages.
-        let first_page = seg_start & !(PAGE_SIZE as u64 - 1);
-        let mut page = first_page;
+        let mut page = seg_start & !(page_size - 1);
         while page < seg_end_mem {
             machine.counter_mut().charge_native(costs::LOAD_PER_PAGE);
-            if ph.p_flags & PF_X != 0 {
+            if ph.is_executable() {
                 exec_pages.push(page);
             } else {
                 rw_pages.push(page);
             }
-            page += PAGE_SIZE as u64;
+            page += page_size;
         }
     }
-    exec_pages.dedup();
-    rw_pages.dedup();
-    // A page can back two segments only if the layout is broken; the
-    // mixed-page check upstream already rejected overlapping text/data.
-    rw_pages.retain(|p| !exec_pages.contains(p));
 
     // ---- relocations -----------------------------------------------------
     let relas = elf.rela_entries()?;
@@ -110,25 +117,38 @@ pub fn map_and_relocate(
         machine
             .counter_mut()
             .charge_native(costs::LOAD_PER_RELOCATION);
-        if rela.rel_type() != R_X86_64_RELATIVE {
-            return Err(EngardeError::Protocol {
-                what: format!("unsupported relocation type {}", rela.rel_type()),
-            });
-        }
+        let bad = |reason| ElfError::BadRelocation {
+            r_offset: rela.r_offset,
+            reason,
+        };
         // B + A: the image's load base is the client region base.
-        let value = (region_base as i64 + rela.r_addend) as u64;
-        machine.enclave_write(enclave, region_base + rela.r_offset, &value.to_le_bytes())?;
+        let value = region_base
+            .checked_add_signed(rela.r_addend)
+            .ok_or(bad("B + A overflows"))?;
+        let slot = region_base
+            .checked_add(rela.r_offset)
+            .ok_or(bad("target address overflows"))?;
+        machine.enclave_write(enclave, slot, &value.to_le_bytes())?;
     }
 
+    // The validator checked that the entry is a decoded instruction
+    // start; a mapping without that judgement (a cache hit) still never
+    // computes an entry outside the mapped text.
+    let e_entry = elf.header().e_entry;
+    let entry = region_base
+        .checked_add(e_entry)
+        .filter(|_| elf.exec_segment().contains_range(e_entry, 1))
+        .ok_or(DisasmError::BadEntry { addr: e_entry })?;
     Ok(MappedSegments {
         exec_pages,
         rw_pages,
-        entry: region_base + elf.header().e_entry,
+        entry,
         relocations_applied: relas.len(),
     })
 }
 
 #[cfg(test)]
+#[allow(clippy::indexing_slicing)]
 mod tests {
     use super::*;
     use crate::loader::{load, LoadedBinary, LoaderConfig};

@@ -286,8 +286,8 @@ fn is_rip_data_reference(kind: InsnKind) -> bool {
 }
 
 fn insn_bytes(binary: &LoadedBinary, addr: u64, len: u8) -> &[u8] {
-    let off = (addr - binary.text_base) as usize;
-    &binary.text_bytes[off..off + len as usize]
+    let off = (addr - binary.text_base()) as usize;
+    &binary.text()[off..off + len as usize]
 }
 
 fn lookup_target(

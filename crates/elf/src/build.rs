@@ -28,8 +28,6 @@
 
 use crate::types::*;
 
-const PAGE: u64 = 0x1000;
-
 /// The default virtual address of `.text` in generated images.
 pub const TEXT_VADDR: u64 = 0x1000;
 
@@ -158,7 +156,7 @@ impl ElfBuilder {
         let text_off = TEXT_VADDR; // offset == vaddr for alloc content
         let text_size = self.text.len() as u64;
 
-        let rw_off = align_up(text_off + text_size, PAGE);
+        let rw_off = align_up(text_off + text_size, PAGE_SIZE);
         let rela_bytes: Vec<u8> = {
             let data_vaddr_for_reloc = self.data_vaddr_internal(rw_off);
             self.relocations
@@ -346,7 +344,7 @@ impl ElfBuilder {
             p_paddr: 0,
             p_filesz: 0, // fixed up below once we know the count
             p_memsz: 0,
-            p_align: PAGE,
+            p_align: PAGE_SIZE,
         });
         // Text segment (RX; RWX only when a test explicitly asks for a
         // W^X violation via `wx_text`).
@@ -362,7 +360,7 @@ impl ElfBuilder {
             p_paddr: text_off,
             p_filesz: text_size,
             p_memsz: text_size,
-            p_align: PAGE,
+            p_align: PAGE_SIZE,
         });
         // RW segment (.rela.dyn + .dynamic + .data + .bss).
         let rw_filesz = (dyn_off + dyn_size + data_size) - rw_off;
@@ -374,7 +372,7 @@ impl ElfBuilder {
             p_paddr: rw_off,
             p_filesz: rw_filesz,
             p_memsz: rw_filesz + self.bss_size,
-            p_align: PAGE,
+            p_align: PAGE_SIZE,
         });
         if dynamic_index.is_some() {
             phdrs.push(ProgramHeader {

@@ -8,7 +8,8 @@
 //!
 //! - [`types`] — the on-disk ELF64 structures and constants,
 //! - [`parse`] — a validating reader ([`parse::ElfFile`]) implementing the
-//!   loader's header checks, text-section extraction, symbol tables and
+//!   loader's header checks, the one validated segment view (every
+//!   `PT_LOAD` checked, exactly one executable), symbol tables and
 //!   `.dynamic`-driven relocation discovery,
 //! - [`build`] — a writer ([`build::ElfBuilder`]) used by
 //!   `engarde-workloads` to generate compiler-equivalent benchmark
@@ -81,6 +82,28 @@ pub enum ElfError {
     BadStringTable,
     /// The `.dynamic` relocation description is inconsistent.
     BadRelocationTable,
+    /// A `PT_LOAD` segment is malformed: its file range leaves the image,
+    /// its virtual range overflows or shares a page with another
+    /// segment, or it claims more file bytes than memory.
+    BadSegment {
+        /// Index of the segment in the program header table.
+        index: usize,
+        /// Which rule it breaks.
+        reason: &'static str,
+    },
+    /// The image does not have exactly one executable `PT_LOAD`.
+    ExecSegmentCount {
+        /// How many executable `PT_LOAD`s it has.
+        count: usize,
+    },
+    /// A relocation entry is unsupported or patches bytes outside every
+    /// writable, non-executable `PT_LOAD`.
+    BadRelocation {
+        /// The entry's `r_offset`.
+        r_offset: u64,
+        /// Which rule it breaks.
+        reason: &'static str,
+    },
     /// The binary is not a position-independent executable.
     NotPie {
         /// The `e_type` value found.
@@ -113,6 +136,15 @@ impl fmt::Display for ElfError {
             }
             ElfError::BadStringTable => write!(f, "malformed string table reference"),
             ElfError::BadRelocationTable => write!(f, "inconsistent relocation table description"),
+            ElfError::BadSegment { index, reason } => {
+                write!(f, "malformed loadable segment {index}: {reason}")
+            }
+            ElfError::ExecSegmentCount { count } => {
+                write!(f, "{count} executable loadable segments (need exactly one)")
+            }
+            ElfError::BadRelocation { r_offset, reason } => {
+                write!(f, "relocation at {r_offset:#x} rejected: {reason}")
+            }
             ElfError::NotPie { e_type } => {
                 write!(
                     f,

@@ -3,8 +3,17 @@
 //! The paper's loader "checks its header to verify that the executable is
 //! correctly formatted", including "checking the signature as well as the
 //! ELF class of the executable", requires position-independent,
-//! statically-linked x86-64 executables, and then walks text sections,
+//! statically-linked x86-64 executables, and then walks the segments,
 //! symbol tables and the `.dynamic` section for relocation metadata.
+//!
+//! The `PT_LOAD` segments are the one view of what the image is: the
+//! enclave decodes the bytes of the single executable segment, the page
+//! kinds come from the segments' file ranges, and the mapper writes
+//! exactly those ranges. [`ElfFile::parse`] validates every `PT_LOAD`
+//! once, with checked arithmetic, and [`ElfFile::rela_entries`] refuses
+//! any relocation that would patch bytes outside a writable,
+//! non-executable segment. Sections only name things (symbols,
+//! `.dynamic`); they never decide what is code.
 //!
 //! # Examples
 //!
@@ -18,7 +27,8 @@
 //!     .entry(0)
 //!     .build();
 //! let elf = ElfFile::parse(&image)?;
-//! assert_eq!(elf.text_sections().count(), 1);
+//! let text = elf.exec_segment();
+//! assert_eq!((text.p_vaddr, text.p_filesz), (0x1000, 1));
 //! # Ok(())
 //! # }
 //! ```
@@ -35,13 +45,6 @@ pub struct Section {
     pub header: SectionHeader,
     /// Section contents (empty for `SHT_NOBITS`).
     pub data: Vec<u8>,
-}
-
-impl Section {
-    /// True for executable (`SHF_EXECINSTR`) allocated sections.
-    pub fn is_text(&self) -> bool {
-        self.header.sh_flags & SHF_EXECINSTR != 0 && self.header.sh_flags & SHF_ALLOC != 0
-    }
 }
 
 /// A parsed symbol with its resolved name.
@@ -65,6 +68,7 @@ impl NamedSymbol {
 pub struct ElfFile {
     header: Elf64Header,
     program_headers: Vec<ProgramHeader>,
+    exec: ProgramHeader,
     sections: Vec<Section>,
     symbols: Vec<NamedSymbol>,
     dynamic: Vec<Dyn>,
@@ -74,8 +78,12 @@ impl ElfFile {
     /// Parses and validates an ELF64 image.
     ///
     /// Performs the checks EnGarde's loader performs before disassembly:
-    /// magic, 64-bit class, little-endian encoding, x86-64 machine, and
-    /// well-formed header tables.
+    /// magic, 64-bit class, little-endian encoding, x86-64 machine,
+    /// well-formed header tables, and a sound segment layout. Every
+    /// `PT_LOAD` must have its file range inside the image, no more file
+    /// bytes than memory bytes, a virtual range that does not overflow
+    /// and no page shared with another `PT_LOAD`; exactly one of them is
+    /// executable, and it has no zero-filled tail.
     ///
     /// # Errors
     ///
@@ -153,6 +161,7 @@ impl ElfFile {
                 p_align: read_u64(&p, 48, PHT)?,
             });
         }
+        let exec = validate_load_segments(&program_headers, data)?;
 
         // Section headers.
         const SHT: &str = "section header table";
@@ -259,6 +268,7 @@ impl ElfFile {
         Ok(ElfFile {
             header,
             program_headers,
+            exec,
             sections,
             symbols,
             dynamic,
@@ -280,6 +290,12 @@ impl ElfFile {
         self.program_headers.iter().filter(|ph| ph.is_load())
     }
 
+    /// The one executable `PT_LOAD`: the bytes the loader decodes and
+    /// the mapper maps executable. Its `p_filesz` equals its `p_memsz`.
+    pub fn exec_segment(&self) -> &ProgramHeader {
+        &self.exec
+    }
+
     /// Iterates over loadable segments mapped both writable and
     /// executable — the W^X violations the `WxSegments` policy rejects.
     pub fn wx_segments(&self) -> impl Iterator<Item = &ProgramHeader> {
@@ -294,11 +310,6 @@ impl ElfFile {
     /// Looks up a section by name.
     pub fn section(&self, name: &str) -> Option<&Section> {
         self.sections.iter().find(|s| s.name == name)
-    }
-
-    /// Iterates over executable (`.text`-like) sections.
-    pub fn text_sections(&self) -> impl Iterator<Item = &Section> {
-        self.sections.iter().filter(|s| s.is_text())
     }
 
     /// All symbols (empty when the binary is stripped).
@@ -366,7 +377,11 @@ impl ElfFile {
     /// # Errors
     ///
     /// Returns [`ElfError::BadRelocationTable`] if the `.dynamic` entries
-    /// are inconsistent with the file contents.
+    /// are inconsistent with the file contents, and
+    /// [`ElfError::BadRelocation`] for an entry that is not
+    /// `R_X86_64_RELATIVE` or whose 8 target bytes do not lie inside one
+    /// writable, non-executable `PT_LOAD`: relocation runs after
+    /// inspection, so it must never touch code.
     pub fn rela_entries(&self) -> Result<Vec<Rela>, ElfError> {
         let Some(rela_addr) = self.dynamic_value(DT_RELA) else {
             return Ok(Vec::new());
@@ -406,17 +421,83 @@ impl ElfFile {
             .and_then(|s| start.checked_add(s))
             .filter(|&e| e <= sec.data.len())
             .ok_or(ElfError::BadRelocationTable)?;
+        // Non-empty segments share no page, so the only one that can
+        // hold an address is the last to start at or below it.
+        let mut targets: Vec<&ProgramHeader> = self
+            .load_segments()
+            .filter(|ph| ph.is_writable() && !ph.is_executable() && ph.p_memsz > 0)
+            .collect();
+        targets.sort_unstable_by_key(|ph| ph.p_vaddr);
         const RELA: &str = "relocation table";
         sec.data[start..end]
             .chunks(RELA_SIZE)
             .map(|c| {
-                Ok(Rela {
+                let rela = Rela {
                     r_offset: read_u64(c, 0, RELA)?,
                     r_info: read_u64(c, 8, RELA)?,
                     r_addend: read_i64(c, 16, RELA)?,
-                })
+                };
+                let bad = |reason| ElfError::BadRelocation {
+                    r_offset: rela.r_offset,
+                    reason,
+                };
+                if rela.rel_type() != R_X86_64_RELATIVE {
+                    return Err(bad("unsupported relocation type"));
+                }
+                let at = targets.partition_point(|ph| ph.p_vaddr <= rela.r_offset);
+                let seg = at.checked_sub(1).and_then(|i| targets.get(i));
+                if !seg.is_some_and(|ph| ph.contains_range(rela.r_offset, 8)) {
+                    return Err(bad("target bytes lie outside every writable data segment"));
+                }
+                Ok(rela)
             })
             .collect()
+    }
+}
+
+/// Checks every `PT_LOAD` and returns the one executable segment.
+fn validate_load_segments(
+    phdrs: &[ProgramHeader],
+    image: &[u8],
+) -> Result<ProgramHeader, ElfError> {
+    let bad = |index, reason| ElfError::BadSegment { index, reason };
+    // (first page, last page, index) of every non-empty segment.
+    let mut pages = Vec::new();
+    let mut exec = Vec::new();
+    for (index, ph) in phdrs.iter().enumerate().filter(|(_, ph)| ph.is_load()) {
+        if ph.file_bytes(image).is_none() {
+            return Err(bad(index, "file range lies outside the image"));
+        }
+        if ph.p_filesz > ph.p_memsz {
+            return Err(bad(index, "more file bytes than memory bytes"));
+        }
+        let end = ph
+            .p_vaddr
+            .checked_add(ph.p_memsz)
+            .ok_or(bad(index, "virtual range overflows"))?;
+        if ph.p_memsz > 0 {
+            pages.push((ph.p_vaddr / PAGE_SIZE, (end - 1) / PAGE_SIZE, index));
+        }
+        if ph.is_executable() {
+            exec.push((index, *ph));
+        }
+    }
+    // Sorted by first page, two segments overlap only if some adjacent
+    // pair does.
+    pages.sort_unstable();
+    let shared = pages.windows(2).find_map(|w| match w {
+        [a, b] if b.0 <= a.1 => Some(b.2),
+        _ => None,
+    });
+    if let Some(index) = shared {
+        return Err(bad(index, "shares a page with another segment"));
+    }
+    match exec[..] {
+        [(index, ph)] if ph.p_filesz != ph.p_memsz => {
+            Err(bad(index, "executable segment has a zero-filled tail"))
+        }
+        [(_, ph)] => Ok(ph),
+        _ => Err(ElfError::ExecSegmentCount { count: exec.len() }),
     }
 }
 
@@ -503,7 +584,8 @@ mod tests {
         assert_eq!(elf.header().e_machine, EM_X86_64);
         elf.require_pie().expect("is PIE");
         elf.require_static().expect("is static");
-        assert_eq!(elf.text_sections().count(), 1);
+        let text = elf.exec_segment();
+        assert_eq!((text.p_vaddr, text.p_filesz), (0x1000, 3));
         assert_eq!(
             elf.section(".text").expect("has .text").data,
             vec![0x90, 0x90, 0xc3]
@@ -638,6 +720,140 @@ mod tests {
         let mut evil = img;
         evil[sh1 + 32..sh1 + 40].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(ElfFile::parse(&evil).is_err());
+    }
+
+    /// Rewrites program header `index` of a built image in place.
+    fn patch_phdr(img: &mut [u8], index: usize, f: impl FnOnce(&mut ProgramHeader)) {
+        let elf = ElfFile::parse(img).expect("unpatched image parses");
+        let mut ph = elf.program_headers()[index];
+        f(&mut ph);
+        let off = elf.header().e_phoff as usize + index * PHDR_SIZE;
+        img[off..off + PHDR_SIZE].copy_from_slice(&ph.to_bytes());
+    }
+
+    fn segment_error(img: &[u8]) -> (usize, &'static str) {
+        match ElfFile::parse(img) {
+            Err(ElfError::BadSegment { index, reason }) => (index, reason),
+            other => panic!("expected a segment error, got {other:?}"),
+        }
+    }
+
+    // The sample's PT_LOADs: 0 = headers (R), 1 = text (RX), 2 = RW.
+
+    #[test]
+    fn segment_file_range_must_lie_inside_the_image() {
+        let mut img = sample();
+        let len = img.len() as u64;
+        patch_phdr(&mut img, 0, |ph| {
+            ph.p_filesz = len + 1;
+            ph.p_memsz = len + 1;
+        });
+        assert_eq!(
+            segment_error(&img),
+            (0, "file range lies outside the image")
+        );
+        let mut img = sample();
+        patch_phdr(&mut img, 0, |ph| ph.p_offset = u64::MAX - 4);
+        assert_eq!(
+            segment_error(&img),
+            (0, "file range lies outside the image")
+        );
+    }
+
+    #[test]
+    fn segment_file_bytes_must_fit_its_memory() {
+        let mut img = sample();
+        patch_phdr(&mut img, 2, |ph| ph.p_memsz = ph.p_filesz - 1);
+        assert_eq!(
+            segment_error(&img),
+            (2, "more file bytes than memory bytes")
+        );
+    }
+
+    #[test]
+    fn segment_virtual_range_must_not_overflow() {
+        let mut img = sample();
+        patch_phdr(&mut img, 2, |ph| ph.p_vaddr = u64::MAX - 8);
+        assert_eq!(segment_error(&img), (2, "virtual range overflows"));
+    }
+
+    #[test]
+    fn segments_must_not_share_a_page() {
+        // The RW segment moved onto the text page.
+        let mut img = sample();
+        patch_phdr(&mut img, 2, |ph| ph.p_vaddr = 0x1800);
+        assert_eq!(
+            segment_error(&img),
+            (2, "shares a page with another segment")
+        );
+        // A segment spanning past another one's page.
+        let mut img = sample();
+        patch_phdr(&mut img, 0, |ph| ph.p_memsz = 0x4000);
+        assert_eq!(segment_error(&img).1, "shares a page with another segment");
+    }
+
+    #[test]
+    fn exactly_one_executable_segment_without_a_tail() {
+        let mut img = sample();
+        patch_phdr(&mut img, 1, |ph| ph.p_flags = PF_R);
+        assert!(matches!(
+            ElfFile::parse(&img),
+            Err(ElfError::ExecSegmentCount { count: 0 })
+        ));
+        let mut img = sample();
+        patch_phdr(&mut img, 2, |ph| ph.p_flags |= PF_X);
+        assert!(matches!(
+            ElfFile::parse(&img),
+            Err(ElfError::ExecSegmentCount { count: 2 })
+        ));
+        let mut img = sample();
+        patch_phdr(&mut img, 1, |ph| ph.p_memsz += 1);
+        assert_eq!(
+            segment_error(&img),
+            (1, "executable segment has a zero-filled tail")
+        );
+    }
+
+    /// Rewrites the sample's one relocation entry.
+    fn sample_with_rela(f: impl FnOnce(&mut Rela)) -> Result<Vec<Rela>, ElfError> {
+        let mut img = sample();
+        let elf = ElfFile::parse(&img).expect("parses");
+        let rela = elf.section(".rela.dyn").expect(".rela.dyn");
+        let off = rela.header.sh_offset as usize;
+        let mut entry = elf.rela_entries().expect("sample relocates")[0];
+        f(&mut entry);
+        img[off..off + RELA_SIZE].copy_from_slice(&entry.to_bytes());
+        ElfFile::parse(&img).expect("still parses").rela_entries()
+    }
+
+    #[test]
+    fn relocations_only_patch_writable_data() {
+        let reason = |r: Result<Vec<Rela>, ElfError>| match r {
+            Err(ElfError::BadRelocation { reason, .. }) => reason,
+            other => panic!("expected a relocation error, got {other:?}"),
+        };
+        let outside = "target bytes lie outside every writable data segment";
+        // Into the text, into the read-only headers, wrapping, and
+        // straddling the end of the RW segment.
+        assert_eq!(reason(sample_with_rela(|r| r.r_offset = 0x1001)), outside);
+        assert_eq!(reason(sample_with_rela(|r| r.r_offset = 0x10)), outside);
+        assert_eq!(
+            reason(sample_with_rela(|r| r.r_offset = 0xffff_ffff_ffff_f100)),
+            outside
+        );
+        assert_eq!(
+            reason(sample_with_rela(|r| r.r_offset = u64::MAX - 3)),
+            outside
+        );
+        let elf = ElfFile::parse(&sample()).expect("parses");
+        let rw = elf.load_segments().find(|p| p.is_writable()).expect("rw");
+        let last = rw.p_vaddr + rw.p_memsz - 8;
+        assert!(sample_with_rela(|r| r.r_offset = last).is_ok());
+        assert_eq!(reason(sample_with_rela(|r| r.r_offset = last + 1)), outside);
+        assert_eq!(
+            reason(sample_with_rela(|r| r.r_info = Rela::info(0, R_X86_64_64))),
+            "unsupported relocation type"
+        );
     }
 
     #[test]

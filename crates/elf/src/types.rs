@@ -27,6 +27,10 @@ pub const EM_X86_64: u16 = 62;
 /// Intel 80386 machine (rejected: EnGarde supports x86-64 only).
 pub const EM_386: u16 = 3;
 
+/// The page size segments are laid out in: no two `PT_LOAD`s may share
+/// one.
+pub const PAGE_SIZE: u64 = 0x1000;
+
 /// Size of the ELF64 file header.
 pub const EHDR_SIZE: usize = 64;
 /// Size of one ELF64 program header.
@@ -195,6 +199,27 @@ impl ProgramHeader {
     /// Whether the segment is mapped executable (`PF_X`).
     pub fn is_executable(&self) -> bool {
         self.p_flags & PF_X != 0
+    }
+
+    /// The segment's file bytes within `image`, or `None` when they do
+    /// not lie inside it. [`crate::parse::ElfFile::parse`] has checked
+    /// every `PT_LOAD` against the image it parsed.
+    pub fn file_bytes<'a>(&self, image: &'a [u8]) -> Option<&'a [u8]> {
+        let start = usize::try_from(self.p_offset).ok()?;
+        let end = start.checked_add(usize::try_from(self.p_filesz).ok()?)?;
+        image.get(start..end)
+    }
+
+    /// Whether the segment's memory image holds the `len` bytes at
+    /// virtual address `vaddr`, computed without overflow.
+    pub fn contains_range(&self, vaddr: u64, len: u64) -> bool {
+        match (
+            vaddr.checked_add(len),
+            self.p_vaddr.checked_add(self.p_memsz),
+        ) {
+            (Some(end), Some(seg_end)) => self.p_vaddr <= vaddr && end <= seg_end,
+            _ => false,
+        }
     }
 
     /// Whether the segment is simultaneously writable and executable —

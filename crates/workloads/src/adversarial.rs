@@ -7,9 +7,14 @@
 //! `nop` padding, so an indirect jump whose target is computed through
 //! `movabs` slips through — the constant-propagation pass in
 //! `engarde-core`'s analysis engine is what catches it. The W|X image
-//! abuses the segment table instead of the instruction stream.
+//! abuses the segment table instead of the instruction stream, as do
+//! the structural fixtures, which lie in their segments, entry point or
+//! relocations: the parser, the validator or the mapper refuses them,
+//! not a policy.
 
 use engarde_elf::build::{ElfBuilder, TEXT_VADDR};
+use engarde_elf::parse::ElfFile;
+use engarde_elf::types::{ProgramHeader, Rela, SectionHeader, PHDR_SIZE, RELA_SIZE, SHDR_SIZE};
 use engarde_x86::encode::Assembler;
 use engarde_x86::insn::Width;
 use engarde_x86::reg::Reg;
@@ -806,6 +811,176 @@ pub fn leave_epilogue_spill(secret: u64, sink: u64) -> Vec<u8> {
         .function("f", f_off, len - f_off)
         .entry(0)
         .build()
+}
+
+// ---- structural fixtures ---------------------------------------------
+//
+// Each fixture below lies about the image in its segments, entry point
+// or relocations rather than in its instructions, next to its compliant
+// twin (`hostile == false`). The inspector must judge exactly the bytes
+// it maps: the one executable segment is the text, the entry is a
+// decoded instruction start, and relocations patch only writable data.
+// A client would refuse to send most of these, so tests deliver them
+// byte for byte.
+
+/// `movabs $0, %rax; ret` with 16 bytes of `.data` (`ud2; int3…`, what
+/// a data segment over the text would leave on the exec page) and one
+/// relocation into it: the twin most structural fixtures share.
+pub fn structural_base() -> Vec<u8> {
+    let mut asm = Assembler::new();
+    asm.movabs(Reg::Rax, 0);
+    asm.ret();
+    let text = asm.finish();
+    let len = text.len() as u64;
+    let mut data = vec![0xcc; 16];
+    data[..2].copy_from_slice(&[0x0f, 0x0b]);
+    ElfBuilder::new()
+        .text(text)
+        .data(data)
+        .function("_start", 0, len)
+        .entry(0)
+        .relative_relocation(8, 0x41)
+        .build()
+}
+
+/// A relocation aimed at the `movabs` immediate: after inspection the
+/// mapper would write `base + 0x41` into the checked code. The twin
+/// relocates `.data`.
+pub fn relocation_into_text(hostile: bool) -> Vec<u8> {
+    let mut image = structural_base();
+    if hostile {
+        patch_rela(&mut image, |r| r.r_offset = TEXT_VADDR + 2);
+    }
+    image
+}
+
+/// A relocation whose target wraps the address space
+/// (`r_offset = 0xffff_ffff_ffff_f100`); `base + r_offset` overflows.
+pub fn wrapping_relocation_offset(hostile: bool) -> Vec<u8> {
+    let mut image = structural_base();
+    if hostile {
+        patch_rela(&mut image, |r| r.r_offset = 0xffff_ffff_ffff_f100);
+    }
+    image
+}
+
+/// The RW segment moved onto the text's page (`p_vaddr = 0x1000`): the
+/// mapper would write the data bytes over the inspected code.
+pub fn data_segment_over_text(hostile: bool) -> Vec<u8> {
+    let mut image = structural_base();
+    if hostile {
+        patch_segment(&mut image, ProgramHeader::is_writable, |ph| {
+            ph.p_vaddr = TEXT_VADDR;
+            ph.p_paddr = TEXT_VADDR;
+        });
+    }
+    image
+}
+
+/// The read-only header segment's file range runs past the end of the
+/// image (`p_filesz = p_memsz = 0x8000`).
+pub fn segment_past_image_end(hostile: bool) -> Vec<u8> {
+    let mut image = structural_base();
+    if hostile {
+        patch_segment(&mut image, is_header_segment, |ph| {
+            ph.p_filesz = 0x8000;
+            ph.p_memsz = 0x8000;
+        });
+    }
+    image
+}
+
+/// The header segment's file offset sits just below `u64::MAX`, so
+/// `p_offset + p_filesz` wraps.
+pub fn segment_offset_near_u64_max(hostile: bool) -> Vec<u8> {
+    let mut image = structural_base();
+    if hostile {
+        patch_segment(&mut image, is_header_segment, |ph| {
+            ph.p_offset = u64::MAX - 4;
+        });
+    }
+    image
+}
+
+/// A one-byte `.text` (`ret`) followed in the file by `ud2; ret`. The
+/// hostile image's executable segment covers all four bytes; the twin's
+/// segment equals its section.
+pub fn exec_bytes_past_text(hostile: bool) -> Vec<u8> {
+    let mut image = ElfBuilder::new()
+        .text(vec![0xc3, 0x0f, 0x0b, 0xc3])
+        .function("_start", 0, 1)
+        .entry(0)
+        .build();
+    patch_section(&mut image, ".text", |sh| sh.sh_size = 1);
+    if !hostile {
+        patch_segment(&mut image, ProgramHeader::is_executable, |ph| {
+            ph.p_filesz = 1;
+            ph.p_memsz = 1;
+        });
+    }
+    image
+}
+
+/// The compliant twin of [`exec_bytes_past_text`] with `e_entry` moved
+/// into the bytes after the one-byte text, which no segment maps and
+/// no inspection decodes.
+pub fn entry_past_text(hostile: bool) -> Vec<u8> {
+    let mut image = exec_bytes_past_text(false);
+    if hostile {
+        let entry = TEXT_VADDR + 1;
+        image[24..32].copy_from_slice(&entry.to_le_bytes());
+    }
+    image
+}
+
+fn is_header_segment(ph: &ProgramHeader) -> bool {
+    ph.p_offset == 0
+}
+
+/// Rewrites the first `PT_LOAD` that `pick` selects.
+fn patch_segment(
+    image: &mut [u8],
+    pick: impl Fn(&ProgramHeader) -> bool,
+    patch: impl FnOnce(&mut ProgramHeader),
+) {
+    let elf = ElfFile::parse(image).expect("fixture base parses");
+    let (index, mut ph) = elf
+        .program_headers()
+        .iter()
+        .copied()
+        .enumerate()
+        .find(|(_, ph)| ph.is_load() && pick(ph))
+        .expect("fixture base has the segment");
+    patch(&mut ph);
+    let off = elf.header().e_phoff as usize + index * PHDR_SIZE;
+    image[off..off + PHDR_SIZE].copy_from_slice(&ph.to_bytes());
+}
+
+/// Rewrites the section header named `name`.
+fn patch_section(image: &mut [u8], name: &str, patch: impl FnOnce(&mut SectionHeader)) {
+    let elf = ElfFile::parse(image).expect("fixture base parses");
+    let index = elf
+        .sections()
+        .iter()
+        .position(|s| s.name == name)
+        .expect("fixture base has the section");
+    let mut sh = elf.sections()[index].header;
+    patch(&mut sh);
+    let off = elf.header().e_shoff as usize + index * SHDR_SIZE;
+    image[off..off + SHDR_SIZE].copy_from_slice(&sh.to_bytes());
+}
+
+/// Rewrites the first relocation entry.
+fn patch_rela(image: &mut [u8], patch: impl FnOnce(&mut Rela)) {
+    let elf = ElfFile::parse(image).expect("fixture base parses");
+    let mut rela = elf.rela_entries().expect("fixture base relocates")[0];
+    patch(&mut rela);
+    let off = elf
+        .section(".rela.dyn")
+        .expect(".rela.dyn")
+        .header
+        .sh_offset as usize;
+    image[off..off + RELA_SIZE].copy_from_slice(&rela.to_bytes());
 }
 
 #[cfg(test)]

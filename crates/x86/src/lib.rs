@@ -94,6 +94,11 @@ pub enum DisasmError {
         /// The out-of-region target.
         target: u64,
     },
+    /// The entry point is not the start of a decoded instruction.
+    BadEntry {
+        /// The entry address.
+        addr: u64,
+    },
     /// An instruction is not reachable from the entry point or any root.
     Unreachable {
         /// Address of the unreachable instruction.
@@ -119,6 +124,7 @@ impl DisasmError {
             | DisasmError::BundleStraddle { addr }
             | DisasmError::BadBranchTarget { addr, .. }
             | DisasmError::TargetOutOfRegion { addr, .. }
+            | DisasmError::BadEntry { addr }
             | DisasmError::Unreachable { addr }
             | DisasmError::ForbiddenInstruction { addr, .. } => addr,
         }
@@ -155,6 +161,9 @@ impl fmt::Display for DisasmError {
                     "branch at {addr:#x} targets {target:#x} outside the code region"
                 )
             }
+            DisasmError::BadEntry { addr } => {
+                write!(f, "entry point {addr:#x} is not an instruction start")
+            }
             DisasmError::Unreachable { addr } => {
                 write!(
                     f,
@@ -189,6 +198,7 @@ mod tests {
                 addr: 9,
                 what: "syscall",
             },
+            DisasmError::BadEntry { addr: 10 },
         ];
         for (i, e) in errors.iter().enumerate() {
             assert_eq!(e.addr(), (i + 1) as u64);

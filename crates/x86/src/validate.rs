@@ -9,7 +9,9 @@
 //!
 //! [`Validator`] checks exactly those three constraints plus the SGX
 //! execution restriction (no `syscall`/privileged instructions inside an
-//! enclave — enclave code "cannot invoke any OS services", §2).
+//! enclave — enclave code "cannot invoke any OS services", §2). The
+//! start address itself must be a decoded instruction start: an entry
+//! anywhere else would run bytes the inspection never decoded.
 //!
 //! Every address question goes through the text's [`InsnIndex`], built
 //! once by the caller right after decoding and shared with the analyses
@@ -60,7 +62,9 @@ impl Validator {
     ///
     /// # Errors
     ///
-    /// Returns the first violated constraint as a [`DisasmError`].
+    /// Returns the first violated constraint as a [`DisasmError`]:
+    /// [`DisasmError::BadEntry`] when `entry` is not an instruction start
+    /// (which an empty text never has).
     pub fn validate(
         &self,
         insns: &[Insn],
@@ -116,15 +120,19 @@ impl Validator {
             }
         }
 
+        // Rule: execution starts at a decoded instruction.
+        let entry_index = index
+            .get(entry)
+            .ok_or(DisasmError::BadEntry { addr: entry })?;
+
         // Rule: all valid instructions are reachable from the start.
         let mut reachable = vec![false; insns.len()];
-        let mut work: Vec<usize> = Vec::new();
+        let mut work: Vec<usize> = vec![entry_index];
         let push_root = |addr: u64, work: &mut Vec<usize>| {
             if let Some(i) = index.get(addr) {
                 work.push(i);
             }
         };
-        push_root(entry, &mut work);
         for &r in extra_roots {
             push_root(r, &mut work);
         }
@@ -183,11 +191,24 @@ mod tests {
     }
 
     #[test]
-    fn empty_code_is_valid() {
-        let report = Validator::new()
+    fn empty_code_has_no_entry_point() {
+        let err = Validator::new()
             .validate(&[], &InsnIndex::default(), 0, &[])
-            .expect("valid");
-        assert_eq!(report.instructions, 0);
+            .unwrap_err();
+        assert_eq!(err, DisasmError::BadEntry { addr: 0 });
+    }
+
+    #[test]
+    fn entry_must_be_an_instruction_start() {
+        // mov %rsp,%rbp; ret
+        let code = [0x48, 0x89, 0xe5, 0xc3];
+        assert!(validate(&code, 0).is_ok());
+        for entry in [1, 2, 4, 0x1000, u64::MAX] {
+            assert_eq!(
+                validate(&code, entry),
+                Err(DisasmError::BadEntry { addr: entry })
+            );
+        }
     }
 
     #[test]

@@ -125,8 +125,9 @@ fn provision(binary: Vec<u8>, seed: u64) -> Result<(bool, String), EngardeError>
 /// Does this binary contain a direct call to any of `names`?
 fn calls_any(image: &[u8], names: &[&str]) -> bool {
     let elf = engarde::elf::parse::ElfFile::parse(image).expect("parses");
-    let text = elf.section(".text").expect(".text");
-    let insns = engarde::x86::decode::decode_all(&text.data, text.header.sh_addr).expect("decodes");
+    let text = elf.exec_segment();
+    let bytes = text.file_bytes(image).expect("text");
+    let insns = engarde::x86::decode::decode_all(bytes, text.p_vaddr).expect("decodes");
     let by_addr: std::collections::HashMap<u64, String> = elf
         .function_symbols()
         .map(|s| (s.symbol.st_value, s.name.clone()))

@@ -125,9 +125,9 @@ fn main() -> Result<(), EngardeError> {
         // Rebuild the image without its symbol table.
         let w = generate(&spec);
         let elf = engarde::elf::parse::ElfFile::parse(&w.image).expect("parses");
-        let text = elf.section(".text").expect(".text").clone();
+        let text = elf.exec_segment().file_bytes(&w.image).expect("text");
         let mut b = engarde::elf::build::ElfBuilder::new();
-        b.text(text.data)
+        b.text(text.to_vec())
             .entry(elf.header().e_entry - 0x1000)
             .strip();
         b.build()

@@ -16,6 +16,12 @@
 //! image. The entry point must be a decoded instruction start
 //! ([`Validator::validate`]).
 //!
+//! The received image is parsed once and held once. An inspection parses
+//! it, checks the declared page kinds against that parse, and hands the
+//! same [`ElfFile`] and the buffer itself to the loader, which moves the
+//! buffer into [`LoadedBinary::raw_image`]. [`load`] is the same loader
+//! behind a parse of a borrowed image, for callers that hold no parse.
+//!
 //! Because in-enclave `malloc` exits the enclave through a trampoline,
 //! the paper "reduce\[s\] the involved overhead by restricting the calls to
 //! malloc by allocating a memory page at a time instead of just a memory
@@ -153,6 +159,19 @@ pub fn load(
     image: &[u8],
     config: &LoaderConfig,
 ) -> Result<LoadedBinary, EngardeError> {
+    let elf = ElfFile::parse(image)?;
+    load_parsed(machine, enclave, elf, image.to_vec(), config)
+}
+
+/// [`load`] over an image already parsed into `elf`; `image` becomes
+/// [`LoadedBinary::raw_image`] without a copy.
+pub(crate) fn load_parsed(
+    machine: &mut SgxMachine,
+    enclave: EnclaveId,
+    elf: ElfFile,
+    image: Vec<u8>,
+    config: &LoaderConfig,
+) -> Result<LoadedBinary, EngardeError> {
     // ---- enclave geometry ---------------------------------------------
     // The loader runs inside the enclave, so its own mapped range and
     // key-state location are known facts, not guesses.
@@ -171,13 +190,12 @@ pub fn load(
 
     // ---- header checks -----------------------------------------------
     machine.counter_mut().charge_native(500); // header parse + checks
-    let elf = ElfFile::parse(image)?;
     elf.require_pie()?;
     elf.require_static()?;
 
     // ---- disassembly of the executable segment into the buffer ----------
     let text_base = elf.exec_segment().p_vaddr;
-    let text = elf.exec_segment().file_bytes(image).unwrap_or_default();
+    let text = elf.exec_segment().file_bytes(&image).unwrap_or_default();
     let mut insns: Vec<Insn> = Vec::new();
     let mut offset = 0usize;
     let mut buffer_bytes = 0u64;
@@ -243,7 +261,7 @@ pub fn load(
         symbols,
         validation,
         buffer_pages,
-        raw_image: image.to_vec(),
+        raw_image: image,
         enclave_range,
         secret_ranges,
     })
@@ -411,9 +429,9 @@ mod tests {
             ..WorkloadSpec::default()
         });
         let elf = engarde_elf::parse::ElfFile::parse(&w.image).expect("parses");
-        let text = elf.section(".text").expect(".text").clone();
+        let text = elf.exec_segment().file_bytes(&w.image).expect("text");
         let mut b = engarde_elf::build::ElfBuilder::new();
-        b.text(text.data)
+        b.text(text.to_vec())
             .entry(elf.header().e_entry - engarde_elf::build::TEXT_VADDR)
             .strip();
         let stripped = b.build();

@@ -19,7 +19,7 @@
 use crate::analysis::{SecretClass, SecretRange};
 use crate::cache::{lock_cache, CacheKey, CachedVerdict, SharedVerdictCache};
 use crate::error::EngardeError;
-use crate::loader::{load, LoadedBinary, LoaderConfig};
+use crate::loader::{load_parsed, LoadedBinary, LoaderConfig};
 use crate::policy::{run_policies_with_cache, AnalysisCache, PolicyModule};
 use crate::protocol::{classify_pages, ContentManifest, PagePayload, SignedVerdict};
 use crate::provider::ProviderView;
@@ -27,6 +27,7 @@ use crate::relocate::map_and_relocate;
 use engarde_crypto::channel::{ChannelServer, SealedBlock, Session};
 use engarde_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use engarde_crypto::sha256::{Digest, Sha256};
+use engarde_elf::parse::ElfFile;
 use engarde_rand::Rng;
 use engarde_sgx::epc::{PagePerms, PAGE_SIZE};
 use engarde_sgx::machine::{EnclaveId, MeasurementLog, SgxMachine};
@@ -404,34 +405,34 @@ impl EngardeEnclave {
         let mut rewritten = false;
 
         let mapped = (|| -> Result<Vec<u64>, EngardeError> {
-            // Fail closed, hit or miss: a cached verdict vouches for the
-            // content, not for this session's framing of it.
-            let elf = engarde_elf::parse::ElfFile::parse(&image)?;
+            // The one parse of the received image. Fail closed, hit or
+            // miss: a cached verdict vouches for the content, not for
+            // this session's framing of it.
+            let elf = ElfFile::parse(&image)?;
             if classify_pages(&elf, image.len())? != manifest.page_kinds {
                 return Err(EngardeError::Protocol {
                     what: "client-declared page kinds do not match the content".into(),
                 });
             }
-            let rewrite = if cache_hit {
-                None
+            let (elf, image) = if cache_hit {
+                (elf, image)
             } else {
-                self.judge(machine, &image, &mut stages, &mut judgement)?
+                let (loaded, was_rewritten) =
+                    self.judge(machine, elf, image, &mut stages, &mut judgement)?;
+                rewritten = was_rewritten;
+                (loaded.elf, loaded.raw_image)
             };
-            rewritten = rewrite.is_some();
             if !judgement.compliant {
                 return Ok(Vec::new());
             }
             // Loading and relocation are per-enclave work a hit never
             // skips.
-            let (elf, image) = rewrite
-                .as_ref()
-                .map_or((&elf, &image[..]), |l| (&l.elf, &l.raw_image[..]));
             let snap = *machine.counter();
             let mapping = map_and_relocate(
                 machine,
                 self.enclave,
-                elf,
-                image,
+                &elf,
+                &image,
                 self.spec.client_region_base(self.base),
                 self.spec.client_region_pages,
             )?;
@@ -491,15 +492,17 @@ impl EngardeEnclave {
     /// for. Fills the two analysis columns of `stages` as each stage
     /// completes, and `judgement` with the compliant verdict. A policy
     /// run that fails still leaves its memo's taint counters there.
-    /// Returns the rewritten binary when the stack-protector rewrite
-    /// produced the verdict.
+    /// Returns the judged binary, which owns `image`, and whether the
+    /// stack-protector rewrite produced it (the rewritten image is
+    /// parsed once more).
     fn judge(
         &self,
         machine: &mut SgxMachine,
-        image: &[u8],
+        elf: ElfFile,
+        image: Vec<u8>,
         stages: &mut StageCycles,
         judgement: &mut CachedVerdict,
-    ) -> Result<Option<LoadedBinary>, EngardeError> {
+    ) -> Result<(LoadedBinary, bool), EngardeError> {
         // The staging region the decrypted client content occupies — a
         // taint source on top of the loader's channel-key range.
         let region = self.spec.client_region_base(self.base);
@@ -508,14 +511,14 @@ impl EngardeEnclave {
             end: region + (self.spec.client_region_pages * PAGE_SIZE) as u64,
             class: SecretClass::DecryptedContent,
         };
-        let load_binary = |machine: &mut SgxMachine, image: &[u8]| {
-            let mut loaded = load(machine, self.enclave, image, &self.spec.loader)?;
+        let load_binary = |machine: &mut SgxMachine, elf, image| {
+            let mut loaded = load_parsed(machine, self.enclave, elf, image, &self.spec.loader)?;
             loaded.secret_ranges.push(decrypted_content);
             Ok::<_, EngardeError>(loaded)
         };
 
         let snap = *machine.counter();
-        let mut loaded = load_binary(machine, image)?;
+        let mut loaded = load_binary(machine, elf, image)?;
         stages.disassembly = machine.counter().since(&snap);
 
         let snap = *machine.counter();
@@ -532,7 +535,8 @@ impl EngardeEnclave {
                 }) if self.spec.rewrite_non_compliant => {
                     let (new_image, _report) =
                         crate::rewrite::StackProtectorRewriter::new().rewrite(&loaded)?;
-                    loaded = load_binary(machine, &new_image)?;
+                    let elf = ElfFile::parse(&new_image)?;
+                    loaded = load_binary(machine, elf, new_image)?;
                     rewritten = true;
                     // A fresh memo: the old one describes the pre-rewrite
                     // image, not the one now being judged.
@@ -566,7 +570,7 @@ impl EngardeEnclave {
         };
         judgement.policy_reports = reports;
         judgement.instructions = loaded.insns.len();
-        Ok(rewritten.then_some(loaded))
+        Ok((loaded, rewritten))
     }
 
     fn sign_verdict(

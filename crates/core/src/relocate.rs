@@ -14,7 +14,10 @@
 //! what lands in the enclave. Each relocation patches 8 bytes inside a
 //! writable, non-executable segment ([`ElfFile::rela_entries`]), so no
 //! entry can rewrite inspected code, and `B + A` is computed with
-//! checked arithmetic.
+//! checked arithmetic. The parsed [`ElfFile`] holds ranges, not bytes:
+//! segment contents and the relocation table are read out of the
+//! received image here, and an image that does not hold them is a
+//! typed error.
 //!
 //! This stage's cycle cost is the paper's "Loading and Relocation"
 //! column: tiny next to disassembly and policy checking, dominated by
@@ -60,8 +63,10 @@ pub struct MappedSegments {
 /// - [`EngardeError::OutOfEnclaveMemory`] if segments exceed
 ///   `region_pages`,
 /// - [`EngardeError::Elf`] for relocation entries the parser refuses, a
-///   `B + A` that overflows, or an `image` other than the one `elf` was
-///   parsed from,
+///   `B + A` that overflows, or a `raw_image` other than the one `elf`
+///   was parsed from: `elf` holds only validated ranges, and a segment
+///   or relocation table that does not lie inside `raw_image` is
+///   [`ElfError::Truncated`] rather than a read past its end,
 /// - [`EngardeError::Disasm`] for an entry point outside the text,
 /// - SGX errors for writes outside the committed region.
 pub fn map_and_relocate(
@@ -112,7 +117,7 @@ pub fn map_and_relocate(
     }
 
     // ---- relocations -----------------------------------------------------
-    let relas = elf.rela_entries()?;
+    let relas = elf.rela_entries(raw_image)?;
     for rela in &relas {
         machine
             .counter_mut()
@@ -213,11 +218,10 @@ mod tests {
         assert_eq!(mapped.relocations_applied, 8);
         assert_eq!(mapped.entry, region_base + loaded.elf.header().e_entry);
         // Text bytes landed at the mapped location.
-        let text = loaded.elf.section(".text").expect(".text");
         let got = m
-            .enclave_read(id, region_base + text.header.sh_addr, 16)
+            .enclave_read(id, region_base + loaded.text_base(), 16)
             .expect("read");
-        assert_eq!(got, text.data[..16]);
+        assert_eq!(got, loaded.text()[..16]);
         // No page is both executable and writable.
         for p in &mapped.exec_pages {
             assert!(!mapped.rw_pages.contains(p));
@@ -237,13 +241,51 @@ mod tests {
             REGION_PAGES,
         )
         .expect("maps");
-        let relas = loaded.elf.rela_entries().expect("relas");
+        let relas = loaded.elf.rela_entries(&loaded.raw_image).expect("relas");
         for rela in relas {
             let got = m
                 .enclave_read(id, region_base + rela.r_offset, 8)
                 .expect("read slot");
             let value = u64::from_le_bytes(got.try_into().expect("8 bytes"));
             assert_eq!(value, (region_base as i64 + rela.r_addend) as u64);
+        }
+    }
+
+    #[test]
+    fn a_shorter_image_than_the_parsed_one_is_a_typed_error() {
+        // The parse holds ranges, not bytes: every byte this stage
+        // writes is read from `raw_image` afterwards. An image shorter
+        // than the parsed one must fail with a typed error, or map the
+        // same bytes when the cut loses none of them.
+        let image = workload(8);
+        let (mut m, id, loaded, region_base) = setup(&image);
+        let full = map_and_relocate(&mut m, id, &loaded.elf, &image, region_base, REGION_PAGES)
+            .expect("maps");
+        let needed = loaded
+            .elf
+            .load_segments()
+            .map(|ph| (ph.p_offset + ph.p_filesz) as usize)
+            .max()
+            .expect("segments");
+        let text = loaded.elf.exec_segment();
+        let mid_text = (text.p_offset + text.p_filesz / 2) as usize;
+        for cut in [0, mid_text, needed - 1, needed] {
+            let got = map_and_relocate(
+                &mut m,
+                id,
+                &loaded.elf,
+                &image[..cut],
+                region_base,
+                REGION_PAGES,
+            );
+            if cut < needed {
+                assert!(
+                    matches!(got, Err(EngardeError::Elf(ElfError::Truncated { .. }))),
+                    "cut at {cut}: {got:?}"
+                );
+            } else {
+                assert_eq!(got.expect("every mapped byte is present"), full);
+            }
         }
     }
 

@@ -34,6 +34,7 @@
 use crate::error::EngardeError;
 use crate::loader::LoadedBinary;
 use engarde_elf::build::ElfBuilder;
+use engarde_elf::ElfError;
 use engarde_x86::encode::{Assembler, Label};
 use engarde_x86::insn::{Cc, InsnKind, Width};
 use engarde_x86::reg::Reg;
@@ -250,17 +251,17 @@ impl StackProtectorRewriter {
         // ---- rebuild the ELF ------------------------------------------
         let mut builder = ElfBuilder::new();
         builder.text(text).entry(entry_offset);
-        if let Some(data) = binary.elf.section(".data") {
-            builder.data(data.data.clone());
-        }
         if let Some(bss) = binary.elf.section(".bss") {
             builder.bss_size(bss.header.sh_size);
         }
-        // Rebase relocations: same data-relative slots and addends.
-        if let Some(data_sec) = binary.elf.section(".data") {
-            let old_data_vaddr = data_sec.header.sh_addr;
-            for rela in binary.elf.rela_entries()? {
-                let slot = rela.r_offset.saturating_sub(old_data_vaddr);
+        if let Some(data) = binary.elf.section(".data") {
+            let bytes = data
+                .file_bytes(&binary.raw_image)
+                .ok_or(ElfError::Truncated { what: "section" })?;
+            builder.data(bytes.to_vec());
+            // Rebase relocations: same data-relative slots and addends.
+            for rela in binary.elf.rela_entries(&binary.raw_image)? {
+                let slot = rela.r_offset.saturating_sub(data.header.sh_addr);
                 builder.relative_relocation(slot, rela.r_addend);
             }
         }

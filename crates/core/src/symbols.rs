@@ -288,8 +288,9 @@ mod tests {
                 ..WorkloadSpec::default()
             });
             let elf = engarde_elf::parse::ElfFile::parse(&w.image).expect("parses");
-            let text = elf.section(".text").expect(".text");
-            let insns = decode_all(&text.data, text.header.sh_addr).expect("decodes");
+            let text = elf.exec_segment();
+            let bytes = text.file_bytes(&w.image).expect("text in image");
+            let insns = decode_all(bytes, text.p_vaddr).expect("decodes");
             let recovered =
                 SymbolHashTable::recover(&insns, &InsnIndex::new(&insns), elf.header().e_entry);
             // Every real function with a frame prologue or a caller is

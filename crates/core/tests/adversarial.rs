@@ -353,9 +353,12 @@ fn mutate<R: Rng + ?Sized>(rng: &mut R, image: &mut [u8]) {
     let elf = ElfFile::parse(image).expect("base parses");
     let phdrs = (elf.header().e_phoff as usize, elf.program_headers().len());
     let shdrs = (elf.header().e_shoff as usize, elf.sections().len());
-    let relas = elf
-        .section(".rela.dyn")
-        .map(|s| (s.header.sh_offset as usize, s.data.len() / RELA_SIZE));
+    let relas = elf.section(".rela.dyn").map(|s| {
+        (
+            s.header.sh_offset as usize,
+            s.header.sh_size as usize / RELA_SIZE,
+        )
+    });
     // (offset, width) of each field a mutation may target.
     const PHDR_FIELDS: [(usize, usize); 6] = [(0, 4), (4, 4), (8, 8), (16, 8), (32, 8), (40, 8)];
     const SHDR_FIELDS: [(usize, usize); 5] = [(4, 4), (8, 8), (16, 8), (24, 8), (32, 8)];

@@ -481,7 +481,7 @@ mod tests {
     fn empty_text_builds_and_parses() {
         let img = ElfBuilder::new().build();
         let elf = ElfFile::parse(&img).expect("parse");
-        assert_eq!(elf.section(".text").expect(".text").data.len(), 0);
+        assert_eq!(elf.exec_segment().file_bytes(&img), Some(&[][..]));
     }
 
     #[test]
@@ -535,7 +535,7 @@ mod tests {
         let text: Vec<u8> = (0..10_000).map(|i| (i % 256) as u8).collect();
         let img = ElfBuilder::new().text(text.clone()).build();
         let elf = ElfFile::parse(&img).expect("parse");
-        assert_eq!(elf.section(".text").expect(".text").data, text);
+        assert_eq!(elf.exec_segment().file_bytes(&img), Some(&text[..]));
         // The RW segment begins on the next page boundary.
         let rw = elf
             .program_headers()
@@ -569,8 +569,9 @@ mod tests {
         for i in 0..8 {
             b.relative_relocation(i * 8, (i * 0x100) as i64);
         }
-        let elf = ElfFile::parse(&b.build()).expect("parse");
-        let relas = elf.rela_entries().expect("relas");
+        let img = b.build();
+        let elf = ElfFile::parse(&img).expect("parse");
+        let relas = elf.rela_entries(&img).expect("relas");
         assert_eq!(relas.len(), 8);
         for (i, r) in relas.iter().enumerate() {
             assert_eq!(r.r_addend, (i as i64) * 0x100);
@@ -617,6 +618,7 @@ mod tests {
         let img2 = b.build();
         assert_ne!(img1, img2);
         let elf2 = ElfFile::parse(&img2).expect("parse");
-        assert_eq!(elf2.section(".data").expect(".data").data, vec![2]);
+        let data = elf2.section(".data").expect(".data");
+        assert_eq!(data.file_bytes(&img2), Some(&[2][..]));
     }
 }

@@ -10,7 +10,8 @@
 //! - [`parse`] — a validating reader ([`parse::ElfFile`]) implementing the
 //!   loader's header checks, the one validated segment view (every
 //!   `PT_LOAD` checked, exactly one executable), symbol tables and
-//!   `.dynamic`-driven relocation discovery,
+//!   `.dynamic`-driven relocation discovery; it copies no contents, and
+//!   sections, like segments, are checked ranges into the image,
 //! - [`build`] — a writer ([`build::ElfBuilder`]) used by
 //!   `engarde-workloads` to generate compiler-equivalent benchmark
 //!   binaries.

@@ -39,7 +39,7 @@ fn poke(image: &[u8]) {
     };
     let _ = elf.require_pie();
     let _ = elf.require_static();
-    let _ = elf.rela_entries();
+    let _ = elf.rela_entries(image);
     let _ = elf.exec_segment().file_bytes(image);
     let _ = elf.function_symbols().count();
     let _ = elf.wx_segments().count();

@@ -973,7 +973,7 @@ fn patch_section(image: &mut [u8], name: &str, patch: impl FnOnce(&mut SectionHe
 /// Rewrites the first relocation entry.
 fn patch_rela(image: &mut [u8], patch: impl FnOnce(&mut Rela)) {
     let elf = ElfFile::parse(image).expect("fixture base parses");
-    let mut rela = elf.rela_entries().expect("fixture base relocates")[0];
+    let mut rela = elf.rela_entries(image).expect("fixture base relocates")[0];
     patch(&mut rela);
     let off = elf
         .section(".rela.dyn")
@@ -994,8 +994,9 @@ mod tests {
     fn loads_cleanly(image: &[u8]) {
         let elf = ElfFile::parse(image).expect("parses");
         elf.require_pie().expect("PIE");
-        let text = elf.section(".text").expect(".text");
-        let insns = decode_all(&text.data, text.header.sh_addr).expect("decodes");
+        let text = elf.exec_segment();
+        let bytes = text.file_bytes(image).expect("text in image");
+        let insns = decode_all(bytes, text.p_vaddr).expect("decodes");
         let roots: Vec<u64> = elf.function_symbols().map(|s| s.symbol.st_value).collect();
         Validator::new()
             .validate(
@@ -1013,8 +1014,9 @@ mod tests {
         loads_cleanly(&adv.image);
         // The hidden target is NOT an instruction start.
         let elf = ElfFile::parse(&adv.image).expect("parses");
-        let text = elf.section(".text").expect(".text");
-        let insns = decode_all(&text.data, text.header.sh_addr).expect("decodes");
+        let text = elf.exec_segment();
+        let bytes = text.file_bytes(&adv.image).expect("text in image");
+        let insns = decode_all(bytes, text.p_vaddr).expect("decodes");
         assert!(insns.iter().all(|i| i.addr != adv.hidden_target));
         assert!(insns
             .iter()
@@ -1026,12 +1028,13 @@ mod tests {
         let adv = overlapping_instructions();
         loads_cleanly(&adv.image);
         let elf = ElfFile::parse(&adv.image).expect("parses");
-        let text = elf.section(".text").expect(".text");
+        let text = elf.exec_segment();
+        let bytes = text.file_bytes(&adv.image).expect("text in image");
         // Decode starting at the hidden target: a complete, valid
         // second stream overlapping the victim movabs.
-        let off = (adv.hidden_target - text.header.sh_addr) as usize;
+        let off = (adv.hidden_target - text.p_vaddr) as usize;
         let hidden =
-            decode_all(&text.data[off..off + 3], adv.hidden_target).expect("hidden stream decodes");
+            decode_all(&bytes[off..off + 3], adv.hidden_target).expect("hidden stream decodes");
         assert_eq!(hidden.len(), 2, "xor; ret");
         assert!(matches!(hidden[1].kind, engarde_x86::insn::InsnKind::Ret));
     }

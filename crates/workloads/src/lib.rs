@@ -53,8 +53,9 @@ mod tests {
 
     fn decode_workload(image: &[u8]) -> (ElfFile, Vec<engarde_x86::insn::Insn>) {
         let elf = ElfFile::parse(image).expect("generated image parses");
-        let text = elf.section(".text").expect(".text").clone();
-        let insns = decode_all(&text.data, text.header.sh_addr).expect("text decodes");
+        let text = elf.exec_segment();
+        let bytes = text.file_bytes(image).expect("text in image");
+        let insns = decode_all(bytes, text.p_vaddr).expect("text decodes");
         (elf, insns)
     }
 
@@ -124,19 +125,20 @@ mod tests {
         let db = lib.function_hashes();
         let w = generate(&WorkloadSpec::default());
         let (elf, _) = decode_workload(&w.image);
-        let text = elf.section(".text").expect(".text");
+        let text = elf.exec_segment();
+        let bytes = text.file_bytes(&w.image).expect("text in image");
         // Symbols sorted by address; hash each libc function's extent.
         let mut syms: Vec<_> = elf.function_symbols().collect();
         syms.sort_by_key(|s| s.symbol.st_value);
         let mut checked = 0;
         for (i, s) in syms.iter().enumerate() {
             if let Some(expected) = db.get(&s.name) {
-                let start = (s.symbol.st_value - text.header.sh_addr) as usize;
+                let start = (s.symbol.st_value - text.p_vaddr) as usize;
                 let end = syms
                     .get(i + 1)
-                    .map(|n| (n.symbol.st_value - text.header.sh_addr) as usize)
-                    .unwrap_or(text.data.len());
-                let got = Sha256::digest(&text.data[start..end]);
+                    .map(|n| (n.symbol.st_value - text.p_vaddr) as usize)
+                    .unwrap_or(bytes.len());
+                let got = Sha256::digest(&bytes[start..end]);
                 assert_eq!(&got, expected, "{} hash mismatch", s.name);
                 checked += 1;
             }

@@ -27,8 +27,9 @@ fn check_workload(spec: &WorkloadSpec) {
     assert!(elf.require_static().is_ok());
 
     // Text decodes to exactly the reported (and targeted) count.
-    let text = elf.section(".text").expect(".text");
-    let insns = decode_all(&text.data, text.header.sh_addr).expect("decodes");
+    let text = elf.exec_segment();
+    let bytes = text.file_bytes(&w.image).expect("text in image");
+    let insns = decode_all(bytes, text.p_vaddr).expect("decodes");
     assert_eq!(insns.len(), w.stats.instructions);
     assert_eq!(w.stats.instructions, target, "exact instruction count");
 
@@ -45,7 +46,7 @@ fn check_workload(spec: &WorkloadSpec) {
     assert_eq!(report.instructions, insns.len());
 
     // Relocation metadata is consistent.
-    let relas = elf.rela_entries().expect("relas parse");
+    let relas = elf.rela_entries(&w.image).expect("relas parse");
     assert_eq!(relas.len(), spec.relocation_count);
 
     // The entry point is a real function symbol.

@@ -72,8 +72,9 @@ fn index_matches_binary_search_on_generated_workloads() {
                 ..WorkloadSpec::default()
             });
             let elf = ElfFile::parse(&w.image).expect("parses");
-            let text = elf.section(".text").expect(".text");
-            let insns = decode_all(&text.data, text.header.sh_addr).expect("decodes");
+            let text = elf.exec_segment();
+            let bytes = text.file_bytes(&w.image).expect("text in image");
+            let insns = decode_all(bytes, text.p_vaddr).expect("decodes");
             check_against_binary_search(&insns);
         });
 }

@@ -227,9 +227,9 @@ fn pin_subject(out: &mut String, name: &str, image: &[u8], policies: &[Box<dyn P
 /// The stripped twin of `image`, loaded with structural recovery.
 fn pin_recovery(out: &mut String, name: &str, image: &[u8]) {
     let elf = ElfFile::parse(image).expect("parses");
-    let text = elf.section(".text").expect(".text").clone();
+    let text = elf.exec_segment().file_bytes(image).expect("text");
     let mut b = ElfBuilder::new();
-    b.text(text.data)
+    b.text(text.to_vec())
         .entry(elf.header().e_entry - TEXT_VADDR)
         .strip();
     let stripped = b.build();

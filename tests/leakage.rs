@@ -77,7 +77,7 @@ fn wire_traffic_does_not_contain_plaintext_content() {
     let (_, _, image, wire) = run_protocol();
     // Pick distinctive plaintext snippets from the client binary.
     let elf = engarde::elf::parse::ElfFile::parse(&image).expect("parses");
-    let text = &elf.section(".text").expect(".text").data;
+    let text = elf.exec_segment().file_bytes(&image).expect("text");
     let probe = &text[100..164];
     for (i, message) in wire.iter().enumerate() {
         assert!(
@@ -105,7 +105,7 @@ fn adversary_memory_view_is_ciphertext() {
     let (mut provider, enclave, _, _) = run_protocol();
     let view = provider.inspect_and_provision(enclave).expect("inspect");
     let elf = engarde::elf::parse::ElfFile::parse(&image).expect("parses");
-    let text = &elf.section(".text").expect(".text").data;
+    let text = elf.exec_segment().file_bytes(&image).expect("text");
     let machine = provider.host().machine();
     let code_page = view.exec_pages[0];
     let bus_view = machine

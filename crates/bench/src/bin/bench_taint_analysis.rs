@@ -1,6 +1,7 @@
 //! Taint-engine cost profile: measures the interprocedural taint pass
 //! on call-chain workloads of growing depth, the analysis-memo saving
-//! when several taint-backed policies share one [`AnalysisCache`], and
+//! when several taint-backed policies share one
+//! [`AnalysisCache`](engarde_core::policy::AnalysisCache), and
 //! the adversarial fixture verdicts, then writes `BENCH_analysis.json`.
 //!
 //! Three headline numbers:

@@ -1,4 +1,4 @@
-//! Basic-block recovery, the control-flow graph, and the call graph.
+//! Basic-block recovery and the control-flow graph.
 //!
 //! Block recovery runs over the loader's instruction buffer
 //! ([`crate::loader::LoadedBinary::insns`], already in address order)
@@ -11,23 +11,26 @@
 //! 1. the first decoded instruction,
 //! 2. any statically-known branch target (`jmp rel`, `jcc rel`,
 //!    `call rel` — call targets start blocks even though calls do not
-//!    end them, so the call graph and CFG agree on function heads),
+//!    end them, so every called function head leads a block),
 //! 3. the instruction after any block terminator (`jmp`, `jcc`,
 //!    `jmp *`, `ret`), and
 //! 4. any analysis *root*: the entry point, every symbol-table
-//!    function start, and every `lea …(%rip)` target (address-taken
-//!    code, mirroring the load-time validator's reachability roots).
+//!    function start, and every `lea …(%rip)` target — the load-time
+//!    validator's own reachability roots
+//!    ([`engarde_x86::validate::roots`]).
 //!
 //! Edges are typed ([`EdgeKind`]): every static edge targets a leader
-//! by construction — a property the test suite pins. Indirect branches
-//! contribute *no* static edge; they are recorded as
-//! [`Cfg::indirect_sites`] for the dataflow pass to resolve. A direct
-//! branch whose target is not a decoded instruction start gets no edge
-//! either and is recorded in [`Cfg::wild_branches`]. The load-time
-//! validator already rejects such a branch, so a loaded binary has
-//! none; the CFG records them rather than relying on that, so it stays
-//! total over any instruction buffer and the reachability policy
-//! rejects them on its own.
+//! by construction — a property the test suite pins. They are stored
+//! once, block by block, so a block's outgoing edges are one contiguous
+//! run of [`Cfg::edges`] that [`Cfg::successors`] slices. Indirect
+//! branches contribute *no* static edge; [`Cfg::indirect_sites`] lists
+//! every indirect jump and call, in instruction order, for the dataflow
+//! pass to resolve. A direct branch whose target is not a decoded
+//! instruction start gets no edge either and is recorded in
+//! [`Cfg::wild_branches`]. The load-time validator already rejects
+//! such a branch, so a loaded binary has none; the CFG records them
+//! rather than relying on that, so it stays total over any instruction
+//! buffer and the reachability policy rejects them on its own.
 
 use engarde_x86::index::{InsnIndex, RankBitmap};
 use engarde_x86::insn::{Insn, InsnKind};
@@ -80,10 +83,12 @@ pub struct Cfg {
     pub blocks: Vec<BasicBlock>,
     /// All edges.
     pub edges: Vec<Edge>,
-    /// Per-block outgoing edge indices (into [`Cfg::edges`]).
-    pub succs: Vec<Vec<usize>>,
-    /// Instruction-buffer indices of indirect jumps and calls — the
-    /// sites the constant-propagation pass tries to resolve.
+    /// Per-block start offsets into [`Cfg::edges`], one more than
+    /// there are blocks: a block's edges are contiguous, since they are
+    /// pushed block by block.
+    succs: Vec<usize>,
+    /// Instruction-buffer indices of indirect jumps and calls, in
+    /// order: the sites the constant-propagation pass tries to resolve.
     pub indirect_sites: Vec<usize>,
     /// Direct branches whose target is not a decoded instruction start:
     /// `(insn index, target)`. Policies treat these as violations.
@@ -147,15 +152,18 @@ impl Cfg {
             }
         }
         cfg.block_starts = RankBitmap::new(insns.len(), cfg.blocks.iter().map(|b| b.insns.start));
-        cfg.succs = vec![Vec::new(); cfg.blocks.len()];
+        cfg.indirect_sites = insns
+            .iter()
+            .enumerate()
+            .filter(|(_, insn)| insn.kind.is_indirect_branch())
+            .map(|(i, _)| i)
+            .collect();
 
         // ---- edges -------------------------------------------------------
         for id in 0..cfg.blocks.len() {
+            cfg.succs.push(cfg.edges.len());
             let last = insns[cfg.blocks[id].insns.end - 1];
             let succ = last.successors();
-            if succ.indirect {
-                cfg.indirect_sites.push(cfg.blocks[id].insns.end - 1);
-            }
             if let Some(t) = succ.branch {
                 match cfg.block_at_addr(index, t) {
                     Some(to) => {
@@ -164,14 +172,18 @@ impl Cfg {
                         } else {
                             EdgeKind::Direct
                         };
-                        cfg.push_edge(id, to, kind);
+                        cfg.edges.push(Edge { from: id, to, kind });
                     }
                     None => cfg.wild_branches.push((cfg.blocks[id].insns.end - 1, t)),
                 }
             }
             if let Some(t) = succ.fall_through {
                 if let Some(to) = cfg.block_at_addr(index, t) {
-                    cfg.push_edge(id, to, EdgeKind::FallThrough);
+                    cfg.edges.push(Edge {
+                        from: id,
+                        to,
+                        kind: EdgeKind::FallThrough,
+                    });
                 }
             } else {
                 // Flow-ender: bridge across `nop` padding, as the
@@ -180,37 +192,21 @@ impl Cfg {
                 if let Some(next) = insns.get(cfg.blocks[id].insns.end) {
                     if matches!(next.kind, InsnKind::Nop) {
                         if let Some(to) = cfg.block_at(cfg.blocks[id].insns.end) {
-                            cfg.push_edge(id, to, EdgeKind::NopBridge);
+                            cfg.edges.push(Edge {
+                                from: id,
+                                to,
+                                kind: EdgeKind::NopBridge,
+                            });
                         }
                     }
                 }
             }
-            // Indirect calls also record as sites (they fall through, so
-            // the edge above covers the return path).
-            if last.kind.is_indirect_branch() && !succ.indirect {
-                cfg.indirect_sites.push(cfg.blocks[id].insns.end - 1);
-            }
         }
-        // Indirect *calls* in the middle of a block are sites too.
-        for id in 0..cfg.blocks.len() {
-            let r = cfg.blocks[id].insns.clone();
-            for (i, insn) in insns.iter().enumerate().take(r.end - 1).skip(r.start) {
-                if insn.kind.is_indirect_branch() {
-                    cfg.indirect_sites.push(i);
-                }
-            }
-        }
-        cfg.indirect_sites.sort_unstable();
-        cfg.indirect_sites.dedup();
+        cfg.succs.push(cfg.edges.len());
 
         let cost =
             insns.len() as u64 * costs::CFG_PER_INSN + cfg.edges.len() as u64 * costs::CFG_PER_EDGE;
         (cfg, cost)
-    }
-
-    fn push_edge(&mut self, from: BlockId, to: BlockId, kind: EdgeKind) {
-        self.succs[from].push(self.edges.len());
-        self.edges.push(Edge { from, to, kind });
     }
 
     /// The block whose first instruction is instruction `insn`.
@@ -224,72 +220,8 @@ impl Cfg {
         self.block_at(index.get(addr)?)
     }
 
-    /// The block containing `addr` (anywhere inside it).
-    pub fn block_containing(&self, addr: u64) -> Option<BlockId> {
-        let i = self
-            .blocks
-            .partition_point(|b| b.start <= addr)
-            .checked_sub(1)?;
-        (addr < self.blocks[i].end).then_some(i)
-    }
-
-    /// Outgoing edges of `block`.
-    pub fn successors(&self, block: BlockId) -> impl Iterator<Item = &Edge> {
-        self.succs[block].iter().map(move |&e| &self.edges[e])
-    }
-}
-
-/// One call-graph edge: a direct call from the function containing the
-/// call site to the function starting at the target.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CallEdge {
-    /// Start address of the calling function (`None` when the call site
-    /// lies outside every known function, e.g. dispatcher glue).
-    pub caller: Option<u64>,
-    /// Call target address.
-    pub callee: u64,
-    /// Instruction-buffer index of the call site.
-    pub site: usize,
-}
-
-/// The symbol-keyed call graph.
-#[derive(Clone, Debug, Default)]
-pub struct CallGraph {
-    /// Direct-call edges in site order.
-    pub edges: Vec<CallEdge>,
-    /// Instruction-buffer indices of indirect call sites (unknown
-    /// callee until dataflow resolves them).
-    pub indirect_sites: Vec<usize>,
-}
-
-impl CallGraph {
-    /// Builds the call graph: `function_starts` is the sorted
-    /// symbol-table address list.
-    pub fn build(insns: &[Insn], function_starts: &[u64]) -> CallGraph {
-        let containing = |addr: u64| -> Option<u64> {
-            let i = function_starts.partition_point(|&s| s <= addr);
-            i.checked_sub(1).map(|i| function_starts[i])
-        };
-        let mut g = CallGraph::default();
-        for (i, insn) in insns.iter().enumerate() {
-            match insn.kind {
-                InsnKind::DirectCall { target } => g.edges.push(CallEdge {
-                    caller: containing(insn.addr),
-                    callee: target,
-                    site: i,
-                }),
-                k if k.is_call() => g.indirect_sites.push(i),
-                _ => {}
-            }
-        }
-        g
-    }
-
-    /// Direct callees of the function starting at `func`.
-    pub fn callees_of(&self, func: u64) -> impl Iterator<Item = u64> + '_ {
-        self.edges
-            .iter()
-            .filter(move |e| e.caller == Some(func))
-            .map(|e| e.callee)
+    /// Outgoing edges of `block`, in [`Cfg::edges`] order.
+    pub fn successors(&self, block: BlockId) -> &[Edge] {
+        &self.edges[self.succs[block]..self.succs[block + 1]]
     }
 }

@@ -1,15 +1,19 @@
-//! A small forward-dataflow framework over the CFG, instantiated for
-//! constant propagation.
+//! The forward-dataflow framework over the CFG: one worklist solver,
+//! which constant propagation and the taint pass both run on, and the
+//! register lattice they share.
+//!
+//! The solver (`solve`) works over a range of blocks: FIFO worklist,
+//! in-states joined by reference over every *visited* predecessor, a
+//! fresh state across each [`EdgeKind::NopBridge`], until the fixpoint.
+//! A pass supplies only its state type, join and per-block transfer.
 //!
 //! The lattice per register is `Option<Val>`: `Some(Const(c))` means
 //! "always holds `c` on entry to this point", `Some(Frame(off))`
 //! "always holds the function-entry `%rsp` plus `off`", `None` means
 //! unknown. The join is pointwise (`Some(a) ⊔ Some(a) = Some(a)`,
-//! anything else `None`); block in-states join over all *visited*
-//! predecessors, and the worklist iterates until the fixpoint. Every
-//! transfer step charges [`engarde_sgx::perf::costs::DATAFLOW_PER_STEP`],
-//! so revisits — not just instruction count — show up in the cycle
-//! model.
+//! anything else `None`). Every constant-propagation transfer step
+//! charges [`engarde_sgx::perf::costs::DATAFLOW_PER_STEP`], so revisits
+//! — not just instruction count — show up in the cycle model.
 //!
 //! Constant propagation seeds its roots all-unknown, so it sees only
 //! constants; it resolves `lea`/`mov`-fed indirect branches (the IFCC
@@ -18,10 +22,11 @@
 //! pass runs the same lattice with `%rsp = Frame(0)` at function entry
 //! and resolves every memory operand with `RegState::address`.
 
-use super::cfg::{BlockId, Cfg};
+use super::cfg::{BlockId, Cfg, EdgeKind};
 use engarde_x86::insn::{AluOp, Insn, InsnKind, MemOperand, Stack, Width};
 use engarde_x86::reg::Reg;
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// A known register value.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -255,83 +260,115 @@ fn alu_fold(op: AluOp, a: u64, b: u64, width: Width) -> Option<Val> {
     narrow(Val::Const(full), width)
 }
 
-/// Runs constant propagation to a fixpoint. `roots` are the block ids
-/// seeded with the all-unknown entry state (entry point, function
-/// starts, address-taken code — any place control can arrive from
-/// outside the CFG's static edges).
-pub fn constant_propagation(cfg: &Cfg, insns: &[Insn], roots: &[BlockId]) -> ConstProp {
-    let n = cfg.blocks.len();
-    let mut in_states: Vec<Option<RegState>> = vec![None; n];
+/// The one forward worklist solver both passes run on: blocks in
+/// `range` of `cfg`, seeded with `seeds` (a block's first seed state
+/// wins, and each seed is queued once). A popped block's in-state is
+/// cloned and handed to `visit`, which runs the block's transfer over
+/// it; the out-state then flows along each edge that stays in `range`,
+/// in [`Cfg::edges`] order. A [`EdgeKind::NopBridge`] carries `bridge`
+/// instead: it is padding adjacency, not a control transfer (the
+/// predecessor ended in `ret`/`jmp`), so whoever really enters the
+/// bridged block arrives with a fresh state. The first state to reach
+/// a block is cloned; later ones `join` into it by reference, and a
+/// block is re-queued, FIFO, when its in-state changed and it is not
+/// already queued.
+pub(super) fn solve<S: Clone>(
+    cfg: &Cfg,
+    range: Range<BlockId>,
+    seeds: impl IntoIterator<Item = (BlockId, S)>,
+    bridge: &S,
+    join: impl Fn(&mut S, &S) -> bool,
+    mut visit: impl FnMut(BlockId, &mut S),
+) {
+    let first = range.start;
+    let mut in_states: Vec<Option<S>> = vec![None; range.len()];
+    let mut queued = vec![false; range.len()];
     let mut worklist: VecDeque<BlockId> = VecDeque::new();
-    let mut queued = vec![false; n];
-    for &r in roots {
-        if in_states[r].is_none() {
-            in_states[r] = Some(RegState::unknown());
+    for (b, state) in seeds {
+        if !range.contains(&b) {
+            continue;
         }
-        if !queued[r] {
-            queued[r] = true;
-            worklist.push_back(r);
+        in_states[b - first].get_or_insert(state);
+        if !queued[b - first] {
+            queued[b - first] = true;
+            worklist.push_back(b);
         }
     }
 
-    let mut out = ConstProp::default();
-    // One slot per `cfg.indirect_sites` entry (every indirect branch is
-    // one): unvisited, or the operand value every visit agreed on.
-    let mut site_values: Vec<Option<Option<u64>>> = vec![None; cfg.indirect_sites.len()];
-
     while let Some(b) = worklist.pop_front() {
-        queued[b] = false;
+        queued[b - first] = false;
         // Every queued block was given a state before queueing; a bare
         // `continue` keeps the loop panic-free if that invariant ever
         // breaks on hostile input.
-        let Some(mut state) = in_states[b].clone() else {
+        let Some(mut state) = in_states[b - first].clone() else {
             continue;
         };
-        for i in cfg.blocks[b].insns.clone() {
-            out.steps += 1;
-            let insn = &insns[i];
-            // Record the operand value at each indirect-branch site;
-            // joins across visits degrade to unknown, mirroring the
-            // lattice (a site that sees two targets is unresolved).
-            if let InsnKind::IndirectJmpReg { reg } | InsnKind::IndirectCallReg { reg } = insn.kind
-            {
-                let v = state.get(reg);
-                if let Ok(k) = cfg.indirect_sites.binary_search(&i) {
-                    let slot = &mut site_values[k];
-                    *slot = match *slot {
-                        Some(prev) if prev != v => Some(None),
-                        _ => Some(v),
-                    };
-                }
-            }
-            for step in insn.steps() {
-                transfer(&mut state, &step);
-            }
-        }
+        visit(b, &mut state);
         for edge in cfg.successors(b) {
-            // A nop bridge is padding adjacency, not a real control
-            // transfer (the predecessor ended in `ret`/`jmp`): whoever
-            // actually enters the bridged block arrives with an
-            // arbitrary state, so seed it with unknown. Joined by
-            // reference; a copy is made only on first reach.
-            let carried = if edge.kind == super::cfg::EdgeKind::NopBridge {
-                &RegState::unknown()
+            if !range.contains(&edge.to) {
+                continue;
+            }
+            let to = edge.to - first;
+            let carried = if edge.kind == EdgeKind::NopBridge {
+                bridge
             } else {
                 &state
             };
-            let changed = match &mut in_states[edge.to] {
-                Some(existing) => existing.join(carried),
+            let changed = match &mut in_states[to] {
+                Some(existing) => join(existing, carried),
                 slot @ None => {
                     *slot = Some(carried.clone());
                     true
                 }
             };
-            if changed && !queued[edge.to] {
-                queued[edge.to] = true;
+            if changed && !queued[to] {
+                queued[to] = true;
                 worklist.push_back(edge.to);
             }
         }
     }
+}
+
+/// Runs constant propagation to a fixpoint. `roots` are the block ids
+/// seeded with the all-unknown entry state (entry point, function
+/// starts, address-taken code — any place control can arrive from
+/// outside the CFG's static edges).
+pub fn constant_propagation(cfg: &Cfg, insns: &[Insn], roots: &[BlockId]) -> ConstProp {
+    let mut out = ConstProp::default();
+    // One slot per `cfg.indirect_sites` entry (every indirect branch is
+    // one): unvisited, or the operand value every visit agreed on.
+    let mut site_values: Vec<Option<Option<u64>>> = vec![None; cfg.indirect_sites.len()];
+    solve(
+        cfg,
+        0..cfg.blocks.len(),
+        roots.iter().map(|&r| (r, RegState::unknown())),
+        &RegState::unknown(),
+        RegState::join,
+        |b, state| {
+            for i in cfg.blocks[b].insns.clone() {
+                out.steps += 1;
+                let insn = &insns[i];
+                // Record the operand value at each indirect-branch site;
+                // joins across visits degrade to unknown, mirroring the
+                // lattice (a site that sees two targets is unresolved).
+                if let InsnKind::IndirectJmpReg { reg } | InsnKind::IndirectCallReg { reg } =
+                    insn.kind
+                {
+                    let v = state.get(reg);
+                    if let Ok(k) = cfg.indirect_sites.binary_search(&i) {
+                        let slot = &mut site_values[k];
+                        *slot = match *slot {
+                            Some(prev) if prev != v => Some(None),
+                            _ => Some(v),
+                        };
+                    }
+                }
+                for step in insn.steps() {
+                    transfer(state, &step);
+                }
+            }
+        },
+    );
 
     out.resolved = cfg
         .indirect_sites
@@ -340,4 +377,72 @@ pub fn constant_propagation(cfg: &Cfg, insns: &[Insn], roots: &[BlockId]) -> Con
         .filter_map(|(&i, v)| v.flatten().map(|t| (i, t)))
         .collect();
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use engarde_x86::decode::decode_all;
+    use engarde_x86::index::InsnIndex;
+
+    /// Five blocks: a diamond 0 → {2, 1} → 3, then `nop` padding after
+    /// block 3's `ret`, bridged into block 4.
+    ///
+    /// ```text
+    /// 0x0: jz 0x5    b0   Conditional → b2, FallThrough → b1
+    /// 0x2: nop       b1
+    /// 0x3: jmp 0x6        Direct → b3
+    /// 0x5: push rax  b2   FallThrough → b3
+    /// 0x6: ret       b3   NopBridge → b4
+    /// 0x7: nop       b4
+    /// 0x8: ret
+    /// ```
+    fn diamond() -> Cfg {
+        let code = [0x74, 0x03, 0x90, 0xeb, 0x01, 0x50, 0xc3, 0x90, 0xc3];
+        let insns = decode_all(&code, 0).expect("decodes");
+        let (cfg, _) = Cfg::build(&insns, &InsnIndex::new(&insns), &[]);
+        let kinds: Vec<_> = cfg.edges.iter().map(|e| (e.from, e.to, e.kind)).collect();
+        assert_eq!(
+            kinds,
+            [
+                (0, 2, EdgeKind::Conditional),
+                (0, 1, EdgeKind::FallThrough),
+                (1, 3, EdgeKind::Direct),
+                (2, 3, EdgeKind::FallThrough),
+                (3, 4, EdgeKind::NopBridge),
+            ]
+        );
+        cfg
+    }
+
+    /// Runs the solver with a bitmask state (join = union): each visit
+    /// records `(block, in-state)` and adds the block's own bit.
+    fn visits(cfg: &Cfg, range: Range<BlockId>) -> Vec<(BlockId, u32)> {
+        const BRIDGE: u32 = 1 << 31;
+        let join = |a: &mut u32, b: &u32| {
+            let old = *a;
+            *a |= *b;
+            *a != old
+        };
+        let mut seen = Vec::new();
+        solve(cfg, range, [(0, 0u32)], &BRIDGE, join, |b, st| {
+            seen.push((b, *st));
+            *st |= 1 << b;
+        });
+        seen
+    }
+
+    #[test]
+    fn the_solver_is_fifo_bridges_padding_and_stays_in_its_range() {
+        let cfg = diamond();
+        // FIFO: block 0 queues 2 then 1 (edge order), and both are
+        // visited before 3. Block 3 is queued once, and joins what both
+        // arms carry. The bridged block 4 sees only the bridge state.
+        assert_eq!(
+            visits(&cfg, 0..5),
+            [(0, 0), (2, 0b1), (1, 0b1), (3, 0b111), (4, 1 << 31)]
+        );
+        // An edge that leaves the range is not followed.
+        assert_eq!(visits(&cfg, 0..4), [(0, 0), (2, 0b1), (1, 0b1), (3, 0b111)]);
+    }
 }

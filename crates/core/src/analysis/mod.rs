@@ -1,6 +1,6 @@
-//! The shared static-analysis engine: basic blocks, CFG, call graph,
-//! reachability, and constant propagation — computed **once** per
-//! provisioned binary and consumed by every policy module.
+//! The shared static-analysis engine: basic blocks, CFG, reachability,
+//! and constant propagation — computed **once** per provisioned binary
+//! and consumed by every policy module.
 //!
 //! The paper's policy modules each re-scan the instruction buffer;
 //! anything needing control-flow context (indirect-branch targets,
@@ -14,16 +14,21 @@
 //! measures.
 //!
 //! Analysis *roots* — where control can enter the CFG from outside its
-//! static edges — are the ELF entry point, every symbol-table function
-//! start, and every `lea …(%rip)` target, mirroring the load-time
-//! validator's reachability roots so a binary that loads cleanly does
-//! not suddenly become "unreachable" at policy time.
+//! static edges — are the load-time validator's reachability roots
+//! ([`engarde_x86::validate::roots`]: the ELF entry point, every
+//! symbol-table function start, and every `lea …(%rip)` target), so a
+//! binary that loads cleanly does not suddenly become "unreachable" at
+//! policy time.
+//!
+//! Constant propagation and the taint pass ([`taint`]) run through one
+//! forward worklist solver ([`dataflow`]); each keeps only its own
+//! transfer.
 
 pub mod cfg;
 pub mod dataflow;
 pub mod taint;
 
-pub use cfg::{BasicBlock, BlockId, CallGraph, Cfg, Edge, EdgeKind};
+pub use cfg::{BasicBlock, BlockId, Cfg, Edge, EdgeKind};
 pub use dataflow::{ConstProp, RegState};
 pub use taint::{
     AbsTaint, CellKey, MemEnv, SecretClass, SecretRange, SinkKind, TaintAnalysis, TaintFinding,
@@ -32,15 +37,13 @@ pub use taint::{
 
 use crate::loader::LoadedBinary;
 use engarde_sgx::perf::costs;
-use engarde_x86::insn::InsnKind;
+use engarde_x86::validate;
 
 /// Everything the analysis engine derives from one loaded binary.
 #[derive(Clone, Debug)]
 pub struct ProgramAnalysis {
     /// The control-flow graph.
     pub cfg: Cfg,
-    /// The symbol-keyed call graph.
-    pub call_graph: CallGraph,
     /// Constant-propagation results (resolved indirect branches).
     pub constants: ConstProp,
     /// Per-block reachability from the analysis roots (indexed by
@@ -58,21 +61,14 @@ impl ProgramAnalysis {
     pub fn compute(binary: &LoadedBinary) -> (ProgramAnalysis, u64) {
         let insns = &binary.insns;
 
-        // ---- roots -------------------------------------------------------
-        let mut roots: Vec<u64> = vec![binary.elf.header().e_entry];
-        roots.extend_from_slice(binary.symbols.addresses());
-        for insn in insns {
-            if let InsnKind::LeaRipRel { target, .. } = insn.kind {
-                roots.push(target);
-            }
-        }
-        roots.sort_unstable();
-        roots.dedup();
-
-        // ---- CFG + call graph -------------------------------------------
+        // ---- roots + CFG --------------------------------------------------
+        let roots = validate::roots(
+            insns,
+            binary.elf.header().e_entry,
+            binary.symbols.addresses(),
+        );
         let index = &binary.index;
         let (cfg, mut cost) = Cfg::build(insns, index, &roots);
-        let call_graph = CallGraph::build(insns, binary.symbols.addresses());
 
         // ---- constant propagation ---------------------------------------
         let root_blocks: Vec<BlockId> = roots
@@ -101,9 +97,7 @@ impl ProgramAnalysis {
                 stack.push(b);
             }
         }
-        let mut visited_blocks = 0u64;
         while let Some(b) = stack.pop() {
-            visited_blocks += 1;
             for edge in cfg.successors(b) {
                 if !reachable[edge.to] {
                     reachable[edge.to] = true;
@@ -111,12 +105,11 @@ impl ProgramAnalysis {
                 }
             }
         }
-        cost += visited_blocks.max(cfg.blocks.len() as u64) * costs::REACH_PER_BLOCK;
+        cost += cfg.blocks.len() as u64 * costs::REACH_PER_BLOCK;
 
         (
             ProgramAnalysis {
                 cfg,
-                call_graph,
                 constants,
                 reachable,
                 roots,
@@ -131,7 +124,7 @@ mod tests {
     use super::*;
     use crate::policy::test_support::load_image;
     use engarde_workloads::generator::{generate, WorkloadSpec};
-    use engarde_x86::insn::Insn;
+    use engarde_x86::insn::{Insn, InsnKind};
 
     fn analyzed(spec: &WorkloadSpec) -> (LoadedBinary, ProgramAnalysis, u64) {
         let image = generate(spec).image;
@@ -225,28 +218,6 @@ mod tests {
                 "resolved target {target:#x} is an insn start"
             );
         }
-    }
-
-    #[test]
-    fn call_graph_edges_follow_symbols() {
-        let (loaded, analysis, _) = analyzed(&plain(6_000));
-        assert!(!analysis.call_graph.edges.is_empty());
-        for e in &analysis.call_graph.edges {
-            assert!(matches!(
-                loaded.insns[e.site].kind,
-                InsnKind::DirectCall { .. }
-            ));
-            if let Some(caller) = e.caller {
-                assert!(loaded.symbols.is_function_start(caller));
-            }
-        }
-        // Some function has at least one direct callee.
-        let has_callee = loaded
-            .symbols
-            .addresses()
-            .iter()
-            .any(|&f| analysis.call_graph.callees_of(f).next().is_some());
-        assert!(has_callee);
     }
 
     #[test]

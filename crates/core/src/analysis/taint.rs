@@ -1,10 +1,10 @@
 //! Interprocedural taint analysis: tracks secret-derived data from the
-//! loader's secret ranges to leak sinks, over the recovered CFG and
-//! call graph.
+//! loader's secret ranges to leak sinks, over the recovered CFG.
 //!
-//! **Sources** are memory ranges holding secrets: the enclave's
-//! channel-key/AES state block, the decrypted-content staging region,
-//! and any policy-declared extra ranges ([`SecretRange`]). A load whose
+//! **Sources** are memory ranges holding secrets ([`SecretRange`]): the
+//! enclave's channel-key/AES state block and the decrypted-content
+//! staging region, plus any extra range a caller of
+//! [`TaintAnalysis::compute`] passes. A load whose
 //! resolved effective address lands in a source range produces a
 //! tainted value.
 //!
@@ -37,8 +37,11 @@
 //! segment-overridden operand included — is an unresolved pointer,
 //! whose loads observe every tracked cell.
 //!
-//! **Summaries**: functions are processed callee-first over call-graph
-//! SCCs (iterative Tarjan; cyclic SCCs to a fixpoint). A [`FnSummary`]
+//! **Summaries**: functions are processed callee-first over the SCCs of
+//! the direct-call graph, read straight off the instruction buffer
+//! (iterative Tarjan; cyclic SCCs to a fixpoint). Each function runs to
+//! its local fixpoint on the solver constant propagation uses
+//! ([`super::dataflow`]), over its own block range. A [`FnSummary`]
 //! holds each register's taint at return, per sink kind the input
 //! registers that reach it, the caller-visible spill escape, and
 //! whether `%rbp` may come back changed (it does not when every `ret`
@@ -72,14 +75,14 @@
 //! [`TaintAnalysis::compute`] returns the total for the caller to
 //! charge (memoized once per binary by [`crate::policy::AnalysisCache`]).
 
-use super::cfg::{BlockId, Cfg, EdgeKind};
+use super::cfg::{BlockId, Cfg};
 use super::dataflow::{self, Addr, RegState, Val};
 use super::ProgramAnalysis;
 use crate::loader::LoadedBinary;
 use engarde_sgx::perf::costs;
 use engarde_x86::insn::{AluOp, Effects, Insn, InsnKind, MemOperand, Stack, Width};
 use engarde_x86::reg::Reg;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 /// What kind of secret a [`SecretRange`] holds.
@@ -89,7 +92,7 @@ pub enum SecretClass {
     ChannelKey,
     /// The decrypted client-content staging region (loader/provision).
     DecryptedContent,
-    /// A policy-declared extra source range.
+    /// An extra source range the caller declares.
     Declared,
 }
 
@@ -483,7 +486,7 @@ pub struct TaintAnalysis {
 
 impl TaintAnalysis {
     /// Runs the interprocedural analysis over `binary` using the
-    /// already-computed `analysis` (CFG + call graph) and the given
+    /// already-computed `analysis` (its CFG) and the given
     /// source ranges. Returns the analysis and its native-cycle cost.
     pub fn compute(
         binary: &LoadedBinary,
@@ -521,11 +524,10 @@ impl TaintAnalysis {
         // ---- call-graph condensation ----------------------------------
         let adj = call_adjacency(
             &fn_starts,
-            analysis
-                .call_graph
-                .edges
-                .iter()
-                .filter_map(|e| insns.get(e.site).map(|i| (i.addr, e.callee))),
+            insns.iter().filter_map(|insn| match insn.kind {
+                InsnKind::DirectCall { target } => Some((insn.addr, target)),
+                _ => None,
+            }),
         );
         let sccs = tarjan_sccs(fn_starts.len(), &adj);
 
@@ -1041,8 +1043,7 @@ impl Pass<'_> {
     /// summary table; returns true when the function's summary grew.
     fn analyze_function(&mut self, f: usize) -> bool {
         self.summaries_computed += 1;
-        // The function's entry block leads its block range; per-block
-        // state lives in vectors over that range, indexed `b - first`.
+        // The function's entry block leads its block range.
         let blocks = self.fn_blocks[f].clone();
         let first = blocks.start;
         if self
@@ -1054,50 +1055,24 @@ impl Pass<'_> {
             return false;
         }
         let mut summary = self.summaries[f];
-        let mut in_states: Vec<Option<TaintState>> = vec![None; blocks.len()];
-        let mut queued = vec![false; blocks.len()];
-        let mut worklist: VecDeque<BlockId> = VecDeque::new();
-        in_states[0] = Some(TaintState::entry());
-        queued[0] = true;
-        worklist.push_back(first);
-
-        while let Some(b) = worklist.pop_front() {
-            queued[b - first] = false;
-            self.pops += 1;
-            let Some(mut st) = in_states[b - first].clone() else {
-                continue;
-            };
-            for i in self.cfg.blocks[b].insns.clone() {
-                for step in self.insns[i].steps() {
-                    self.transfer(&step, &mut st, &mut summary);
-                }
-            }
-            for edge in self.cfg.successors(b) {
-                // Stay inside the function; a nop bridge is padding
-                // adjacency, entered from outside with a fresh frame.
-                if !blocks.contains(&edge.to) {
-                    continue;
-                }
-                // Joined by reference; a copy is made only on first reach.
-                let to = edge.to - first;
-                let carried = if edge.kind == EdgeKind::NopBridge {
-                    &TaintState::entry()
-                } else {
-                    &st
-                };
-                let changed = match &mut in_states[to] {
-                    Some(existing) => existing.join(carried),
-                    slot @ None => {
-                        *slot = Some(carried.clone());
-                        true
+        let (cfg, insns) = (self.cfg, self.insns);
+        // Stay inside the function; a nop bridge is padding adjacency,
+        // entered from outside with a fresh frame.
+        dataflow::solve(
+            cfg,
+            blocks,
+            [(first, TaintState::entry())],
+            &TaintState::entry(),
+            TaintState::join,
+            |b, st| {
+                self.pops += 1;
+                for i in cfg.blocks[b].insns.clone() {
+                    for step in insns[i].steps() {
+                        self.transfer(&step, st, &mut summary);
                     }
-                };
-                if changed && !queued[to] {
-                    queued[to] = true;
-                    worklist.push_back(edge.to);
                 }
-            }
-        }
+            },
+        );
 
         // `summary` started from the stored value and only grew, so a
         // plain inequality detects growth.

@@ -10,36 +10,17 @@
 //! (a callee branching on a secret its caller passed in is attributed
 //! to the caller's call site).
 
-use super::secret_leakage::{descriptor_ranges, taint_for_policy};
 use super::{PolicyContext, PolicyModule, PolicyReport};
-use crate::analysis::taint::SecretRange;
 use crate::error::EngardeError;
 
 /// The secret-dependent-branch policy module.
-pub struct SecretDependentBranch {
-    declared_sources: Vec<SecretRange>,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SecretDependentBranch;
 
 impl SecretDependentBranch {
-    /// The standard configuration: loader-known sources only.
+    /// Creates the policy.
     pub fn new() -> Self {
-        SecretDependentBranch {
-            declared_sources: Vec::new(),
-        }
-    }
-
-    /// Adds policy-declared source ranges (bound into the descriptor,
-    /// forcing a private taint run).
-    #[must_use]
-    pub fn with_declared_sources(mut self, sources: Vec<SecretRange>) -> Self {
-        self.declared_sources = sources;
-        self
-    }
-}
-
-impl Default for SecretDependentBranch {
-    fn default() -> Self {
-        SecretDependentBranch::new()
+        SecretDependentBranch
     }
 }
 
@@ -63,14 +44,11 @@ impl PolicyModule for SecretDependentBranch {
         // PASS may replay. The byte 1 after the tag says a tainted
         // branch rejects; it was a flag once and stays so that no
         // descriptor, measurement, cache key or seal key moves.
-        let mut d = b"secret-dependent-branch:v4".to_vec();
-        d.push(1);
-        d.extend_from_slice(&descriptor_ranges(&self.declared_sources));
-        d
+        b"secret-dependent-branch:v4\x01".to_vec()
     }
 
     fn check(&self, ctx: &mut PolicyContext<'_>) -> Result<PolicyReport, EngardeError> {
-        let taint = taint_for_policy(ctx, &self.declared_sources);
+        let taint = ctx.taint();
         if let Some(f) = taint.branch_findings().next() {
             return Err(EngardeError::PolicyViolation {
                 policy: "secret-dependent-branch",
@@ -95,7 +73,6 @@ impl PolicyModule for SecretDependentBranch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::taint::SecretClass;
 
     #[test]
     fn descriptor_bytes_are_pinned() {
@@ -105,15 +82,5 @@ mod tests {
             SecretDependentBranch::new().descriptor(),
             b"secret-dependent-branch:v4\x01".to_vec()
         );
-        let declared = SecretDependentBranch::new().with_declared_sources(vec![SecretRange {
-            start: 0x1000,
-            end: 0x1010,
-            class: SecretClass::Declared,
-        }]);
-        let mut want = b"secret-dependent-branch:v4\x01".to_vec();
-        want.extend_from_slice(&0x1000u64.to_le_bytes());
-        want.extend_from_slice(&0x1010u64.to_le_bytes());
-        want.push("declared-secret".len() as u8);
-        assert_eq!(declared.descriptor(), want);
     }
 }

@@ -4,82 +4,27 @@
 //! Built on the interprocedural taint pass
 //! ([`crate::analysis::taint`]): sources are the loader's secret
 //! ranges — the channel-key state block and the decrypted-content
-//! staging region — plus any ranges declared on the policy itself;
-//! sinks are stores whose resolved target lies outside the enclave's
-//! mapped range and tainted operands feeding indirect jumps/calls. A
-//! single surviving flow rejects the binary, naming the sink address
-//! and the source classes that reach it.
+//! staging region; sinks are stores whose resolved target lies outside
+//! the enclave's mapped range and tainted operands feeding indirect
+//! jumps/calls. A single surviving flow rejects the binary, naming the
+//! sink address and the source classes that reach it.
 //!
-//! When no sources are declared, the policy reads the shared
-//! [`crate::policy::AnalysisCache`] memo, so a fleet running several
-//! taint-backed policies charges the analysis once per binary.
-//! Declared sources force a private run — the shared memo stays keyed
-//! to the loader-known source list, which is what the verdict cache
-//! replays.
+//! The policy reads the shared [`crate::policy::AnalysisCache`] taint
+//! memo, so a fleet running several taint-backed policies charges the
+//! analysis once per binary.
 
 use super::{PolicyContext, PolicyModule, PolicyReport};
-use crate::analysis::taint::{SecretRange, TaintAnalysis};
 use crate::error::EngardeError;
-use std::borrow::Cow;
 
 /// The secret-leakage policy module.
-pub struct SecretLeakage {
-    declared_sources: Vec<SecretRange>,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SecretLeakage;
 
 impl SecretLeakage {
-    /// The standard configuration: loader-known sources only.
+    /// Creates the policy.
     pub fn new() -> Self {
-        SecretLeakage {
-            declared_sources: Vec::new(),
-        }
+        SecretLeakage
     }
-
-    /// Adds policy-declared source ranges on top of the loader-known
-    /// ones. Declared ranges are folded into the descriptor (and so the
-    /// enclave measurement) and force a private taint run.
-    #[must_use]
-    pub fn with_declared_sources(mut self, sources: Vec<SecretRange>) -> Self {
-        self.declared_sources = sources;
-        self
-    }
-}
-
-impl Default for SecretLeakage {
-    fn default() -> Self {
-        SecretLeakage::new()
-    }
-}
-
-/// Resolves the taint analysis a policy should judge: the shared memo,
-/// borrowed in place, when the policy declares no sources; otherwise a
-/// private taint run, owned, over the shared program analysis.
-pub(super) fn taint_for_policy<'a>(
-    ctx: &mut PolicyContext<'a>,
-    declared: &[SecretRange],
-) -> Cow<'a, TaintAnalysis> {
-    if declared.is_empty() {
-        return Cow::Borrowed(ctx.taint());
-    }
-    let binary = ctx.binary();
-    let mut sources = binary.secret_ranges.clone();
-    sources.extend_from_slice(declared);
-    let analysis = ctx.analysis();
-    let (taint, cost) = TaintAnalysis::compute(binary, analysis, &sources);
-    ctx.charge(cost);
-    Cow::Owned(taint)
-}
-
-/// Serializes declared ranges into descriptor bytes, binding them into
-/// the enclave measurement.
-pub(super) fn descriptor_ranges(declared: &[SecretRange]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(declared.len() * 17);
-    for r in declared {
-        bytes.extend_from_slice(&r.start.to_le_bytes());
-        bytes.extend_from_slice(&r.end.to_le_bytes());
-        bytes.push(r.class.name().len() as u8);
-    }
-    bytes
 }
 
 impl PolicyModule for SecretLeakage {
@@ -107,14 +52,11 @@ impl PolicyModule for SecretLeakage {
         // replayed. The byte 1 after the tag says unresolved tainted
         // stores reject; it was a flag once and stays so that no
         // descriptor, measurement, cache key or seal key moves.
-        let mut d = b"secret-leakage:v4".to_vec();
-        d.push(1);
-        d.extend_from_slice(&descriptor_ranges(&self.declared_sources));
-        d
+        b"secret-leakage:v4\x01".to_vec()
     }
 
     fn check(&self, ctx: &mut PolicyContext<'_>) -> Result<PolicyReport, EngardeError> {
-        let taint = taint_for_policy(ctx, &self.declared_sources);
+        let taint = ctx.taint();
         if let Some(f) = taint.leaks().next() {
             return Err(EngardeError::PolicyViolation {
                 policy: "secret-leakage",
@@ -160,7 +102,6 @@ impl PolicyModule for SecretLeakage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::taint::SecretClass;
 
     #[test]
     fn descriptor_bytes_are_pinned() {
@@ -170,15 +111,5 @@ mod tests {
             SecretLeakage::new().descriptor(),
             b"secret-leakage:v4\x01".to_vec()
         );
-        let declared = SecretLeakage::new().with_declared_sources(vec![SecretRange {
-            start: 0x1000,
-            end: 0x1010,
-            class: SecretClass::Declared,
-        }]);
-        let mut want = b"secret-leakage:v4\x01".to_vec();
-        want.extend_from_slice(&0x1000u64.to_le_bytes());
-        want.extend_from_slice(&0x1010u64.to_le_bytes());
-        want.push("declared-secret".len() as u8);
-        assert_eq!(declared.descriptor(), want);
     }
 }

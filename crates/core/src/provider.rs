@@ -287,14 +287,11 @@ impl CloudProvider {
     ///
     /// # Errors
     ///
-    /// Protocol errors (incomplete content) and SGX failures.
+    /// Protocol errors (incomplete content, or a session already
+    /// inspected: the first inspection takes its content) and SGX
+    /// failures.
     pub fn inspect_and_provision(&mut self, id: EnclaveId) -> Result<ProviderView, EngardeError> {
-        let session = self.sessions.get(&id).ok_or_else(|| no_session(id))?;
-        if !session.content_complete() {
-            return Err(EngardeError::Protocol {
-                what: "content transfer incomplete".into(),
-            });
-        }
+        let session = self.sessions.get_mut(&id).ok_or_else(|| no_session(id))?;
         let InspectionOutcome { view, verdict } =
             session.inspect(self.host.machine_mut(), self.verdict_cache.as_ref())?;
         self.verdicts.insert(id, verdict);

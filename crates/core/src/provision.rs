@@ -187,6 +187,20 @@ pub struct InspectionOutcome {
     pub verdict: SignedVerdict,
 }
 
+/// The client content a session holds, from the manifest to inspection.
+enum Content {
+    /// No manifest yet.
+    AwaitingManifest,
+    /// The manifest, and each declared page once it has arrived.
+    Receiving {
+        manifest: ContentManifest,
+        pages: Vec<Option<Vec<u8>>>,
+    },
+    /// Moved out by [`EngardeEnclave::inspect`]: a session judges its
+    /// content once, and holds none of it afterwards.
+    Inspected,
+}
+
 /// The in-enclave EnGarde state machine.
 pub struct EngardeEnclave {
     enclave: EnclaveId,
@@ -195,20 +209,23 @@ pub struct EngardeEnclave {
     policies: Vec<Box<dyn PolicyModule>>,
     channel: ChannelServer,
     session: Option<Session>,
-    manifest: Option<ContentManifest>,
-    pages: Vec<Option<Vec<u8>>>,
+    content: Content,
     receive_cycles: u64,
     injected_memory_failures: u32,
 }
 
 impl std::fmt::Debug for EngardeEnclave {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (received, declared) = match &self.content {
+            Content::Receiving { pages, .. } => {
+                (pages.iter().filter(|p| p.is_some()).count(), pages.len())
+            }
+            Content::AwaitingManifest | Content::Inspected => (0, 0),
+        };
         write!(
             f,
-            "EngardeEnclave(id={}, pages_received={}/{})",
+            "EngardeEnclave(id={}, pages_received={received}/{declared})",
             self.enclave,
-            self.pages.iter().filter(|p| p.is_some()).count(),
-            self.pages.len()
         )
     }
 }
@@ -231,8 +248,7 @@ impl EngardeEnclave {
             policies,
             channel: ChannelServer::new(keypair),
             session: None,
-            manifest: None,
-            pages: Vec::new(),
+            content: Content::AwaitingManifest,
             receive_cycles: 0,
             injected_memory_failures: 0,
         }
@@ -305,49 +321,73 @@ impl EngardeEnclave {
         machine.counter_mut().charge_native(decrypt_cost);
         self.receive_cycles += decrypt_cost;
         let plaintext = session.open(block)?;
-        match self.manifest {
-            None => {
+        match &mut self.content {
+            Content::AwaitingManifest => {
                 let manifest = ContentManifest::from_bytes(&plaintext)?;
-                self.pages = vec![None; manifest.page_count()];
-                self.manifest = Some(manifest);
+                let pages = vec![None; manifest.page_count()];
+                self.content = Content::Receiving { manifest, pages };
             }
-            Some(ref manifest) => {
+            Content::Receiving { pages, .. } => {
                 let payload = PagePayload::from_bytes(&plaintext)?;
-                if payload.index >= manifest.page_count() {
+                let Some(slot) = pages.get_mut(payload.index) else {
                     return Err(EngardeError::PageIndexOutOfRange {
                         index: payload.index,
-                        pages: manifest.page_count(),
+                        pages: pages.len(),
                     });
-                }
-                if self.pages[payload.index].is_some() {
+                };
+                if slot.is_some() {
                     return Err(EngardeError::DuplicatePage {
                         index: payload.index,
                     });
                 }
-                self.pages[payload.index] = Some(payload.data);
+                *slot = Some(payload.data);
+            }
+            Content::Inspected => {
+                return Err(EngardeError::Protocol {
+                    what: "content after inspection".into(),
+                })
             }
         }
         Ok(())
     }
 
-    /// True once the manifest and every declared page have arrived.
+    /// True once the manifest and every declared page have arrived, and
+    /// until inspection takes them.
     pub fn content_complete(&self) -> bool {
-        self.manifest.is_some() && self.pages.iter().all(|p| p.is_some())
+        matches!(&self.content, Content::Receiving { pages, .. } if pages.iter().all(Option::is_some))
     }
 
-    fn reassemble(&self) -> Result<(Vec<u8>, &ContentManifest), EngardeError> {
-        let manifest = self
-            .manifest
-            .as_ref()
-            .ok_or_else(|| EngardeError::Protocol {
-                what: "no manifest received".into(),
-            })?;
-        let mut image = Vec::with_capacity(manifest.total_len);
-        for (i, page) in self.pages.iter().enumerate() {
-            let page = page.as_ref().ok_or_else(|| EngardeError::Protocol {
-                what: format!("page {i} missing"),
-            })?;
-            image.extend_from_slice(page);
+    /// Moves the received content out of the session and joins its
+    /// pages into the image, dropping each page as it is copied. The
+    /// buffer grows from the bytes that arrived, never from the
+    /// manifest's declared length. Content that is incomplete stays in
+    /// the session; content already inspected is a protocol error.
+    fn take_content(&mut self) -> Result<(Vec<u8>, ContentManifest), EngardeError> {
+        match &self.content {
+            Content::AwaitingManifest => {
+                return Err(EngardeError::Protocol {
+                    what: "no manifest received".into(),
+                })
+            }
+            Content::Receiving { pages, .. } => {
+                if let Some(i) = pages.iter().position(Option::is_none) {
+                    return Err(EngardeError::Protocol {
+                        what: format!("page {i} missing"),
+                    });
+                }
+            }
+            Content::Inspected => {}
+        }
+        let Content::Receiving { manifest, pages } =
+            std::mem::replace(&mut self.content, Content::Inspected)
+        else {
+            return Err(EngardeError::Protocol {
+                what: "content already inspected".into(),
+            });
+        };
+        let mut image = Vec::with_capacity(pages.iter().flatten().map(Vec::len).sum());
+        for page in pages.into_iter().flatten() {
+            image.extend_from_slice(&page);
         }
         if image.len() != manifest.total_len {
             return Err(EngardeError::Protocol {
@@ -378,15 +418,16 @@ impl EngardeEnclave {
     ///
     /// # Errors
     ///
-    /// Incomplete content, page kinds that do not match the content,
-    /// other protocol violations, SGX failures, and signing failures.
-    /// None of them is cached.
+    /// Incomplete content, content already inspected (the first
+    /// inspection takes it, error or not), page kinds that do not match
+    /// the content, other protocol violations, SGX failures, and
+    /// signing failures. None of them is cached.
     pub fn inspect(
-        &self,
+        &mut self,
         machine: &mut SgxMachine,
         cache: Option<&SharedVerdictCache>,
     ) -> Result<InspectionOutcome, EngardeError> {
-        let (image, manifest) = self.reassemble()?;
+        let (image, manifest) = self.take_content()?;
         let content_digest = Sha256::digest(&image);
         let probe = cache.map(|cache| {
             machine.counter_mut().charge_native(costs::CACHE_PROBE);

@@ -8,7 +8,8 @@
 //! and pinned with `.regressions(&[..])`.
 
 use engarde_core::analysis::{
-    AbsTaint, CellKey, MemEnv, ProgramAnalysis, SecretClass, SecretRange, TaintAnalysis, TaintSet,
+    AbsTaint, CellKey, Edge, MemEnv, ProgramAnalysis, SecretClass, SecretRange, TaintAnalysis,
+    TaintSet,
 };
 use engarde_core::loader::{load, LoadedBinary, LoaderConfig};
 use engarde_elf::build::ElfBuilder;
@@ -74,10 +75,10 @@ fn every_insn_lands_in_exactly_one_block() {
                 assert_eq!(b.end, loaded.insns[b.insns.end - 1].end());
             }
             assert_eq!(next, loaded.insns.len(), "blocks cover the whole buffer");
-            // block_containing agrees with the partition.
+            // Leader lookups agree with the partition.
             for (id, b) in analysis.cfg.blocks.iter().enumerate() {
-                assert_eq!(analysis.cfg.block_containing(b.start), Some(id));
-                assert_eq!(analysis.cfg.block_containing(b.end - 1), Some(id));
+                assert_eq!(analysis.cfg.block_at(b.insns.start), Some(id));
+                assert_eq!(analysis.cfg.block_at_addr(&loaded.index, b.start), Some(id));
             }
         });
 }
@@ -99,6 +100,21 @@ fn every_edge_targets_a_block_leader() {
                     "edge {e:?} must target a leader"
                 );
             }
+            // `successors(b)` is exactly the edges leaving `b`, in
+            // `edges` order.
+            for b in 0..analysis.cfg.blocks.len() {
+                let want: Vec<Edge> = (analysis.cfg.edges.iter())
+                    .filter(|e| e.from == b)
+                    .copied()
+                    .collect();
+                assert_eq!(analysis.cfg.successors(b), &want[..], "block {b}");
+            }
+            // The indirect sites are exactly the indirect branches.
+            let want: Vec<usize> = (loaded.insns.iter().enumerate())
+                .filter(|(_, i)| i.kind.is_indirect_branch())
+                .map(|(i, _)| i)
+                .collect();
+            assert_eq!(analysis.cfg.indirect_sites, want);
         });
 }
 

@@ -4,7 +4,6 @@
 //! verdicts flow (and replay) through the full provisioning pipeline
 //! and the content-addressed verdict cache.
 
-use engarde_core::analysis::{SecretClass, SecretRange};
 use engarde_core::cache::shared_cache;
 use engarde_core::client::Client;
 use engarde_core::error::EngardeError;
@@ -151,27 +150,6 @@ fn interprocedural_compliant_twin_passes() {
             Box::new(SecretLeakage::new()),
             Box::new(SecretDependentBranch::new()),
         ],
-    );
-}
-
-#[test]
-fn declared_sources_extend_the_loader_known_set() {
-    // A load from a non-secret in-enclave address passes by default…
-    let image = adversarial::secret_register_leak(SINK_IN, SINK_OUT);
-    expect_pass(&image, vec![Box::new(SecretLeakage::new())]);
-    // …and is rejected once the policy declares that address secret.
-    let declared = vec![SecretRange {
-        start: SINK_IN,
-        end: SINK_IN + 8,
-        class: SecretClass::Declared,
-    }];
-    expect_violation(
-        &image,
-        vec![Box::new(
-            SecretLeakage::new().with_declared_sources(declared),
-        )],
-        "secret-leakage",
-        "declared-secret",
     );
 }
 

@@ -203,7 +203,7 @@ impl AesKey {
     /// Encrypts a single 16-byte block in place.
     ///
     /// The state is held as four big-endian column words; each inner
-    /// round is one [`TE`] lookup per state byte, and the final round
+    /// round is one `TE` lookup per state byte, and the final round
     /// (no MixColumns) is the plain S-box with ShiftRows.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
         let nr = self.variant.rounds();

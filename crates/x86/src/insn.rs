@@ -503,10 +503,6 @@ pub struct Successors {
     pub fall_through: Option<u64>,
     /// The statically-known branch target (`jmp rel`, `jcc rel`).
     pub branch: Option<u64>,
-    /// True when the instruction transfers control to a target that is
-    /// not statically encoded (`jmp *%reg`, `jmp *mem`): the successor
-    /// set is open until dataflow analysis resolves the operand.
-    pub indirect: bool,
 }
 
 impl InsnKind {
@@ -674,10 +670,13 @@ impl Insn {
     }
 
     /// The instruction's intraprocedural successors — the CFG edge
-    /// material (fall-through, direct branch target, indirect marker).
+    /// material (fall-through, direct branch target). An indirect jump
+    /// has none until dataflow analysis resolves its operand.
     pub fn successors(&self) -> Successors {
         match self.kind {
-            InsnKind::Ret => Successors::default(),
+            InsnKind::Ret | InsnKind::IndirectJmpReg { .. } | InsnKind::IndirectJmpMem { .. } => {
+                Successors::default()
+            }
             InsnKind::DirectJmp { target } => Successors {
                 branch: Some(target),
                 ..Default::default()
@@ -685,11 +684,6 @@ impl Insn {
             InsnKind::CondJmp { target, .. } => Successors {
                 fall_through: Some(self.end()),
                 branch: Some(target),
-                indirect: false,
-            },
-            InsnKind::IndirectJmpReg { .. } | InsnKind::IndirectJmpMem { .. } => Successors {
-                indirect: true,
-                ..Default::default()
             },
             // Calls (direct and indirect) fall through to the return
             // site; the callee edge lives in the call graph.
@@ -802,8 +796,7 @@ mod tests {
         assert_eq!(jcc.branch, Some(0x40));
         assert_eq!(jcc.fall_through, Some(0x102));
         let ind = at(InsnKind::IndirectJmpReg { reg: Reg::Rax }, 2).successors();
-        assert!(ind.indirect);
-        assert_eq!(ind.branch, None);
+        assert_eq!(ind, Successors::default());
         let call = at(InsnKind::DirectCall { target: 0x40 }, 5).successors();
         assert_eq!(call.fall_through, Some(0x105));
         assert_eq!(call.branch, None, "callee edge belongs to the call graph");

@@ -17,10 +17,11 @@
 //! once by the caller right after decoding and shared with the analyses
 //! that run after validation.
 //!
-//! Reachability is computed over the decoded instruction list: roots are
-//! the entry point plus caller-provided roots (function symbols,
-//! address-taken jump tables via `lea`); edges are fall-through, direct
-//! branch targets, and nop-bridging (a run of `nop` padding after a
+//! Reachability is computed over the decoded instruction list from
+//! [`roots`] — the entry point, caller-provided roots (function
+//! symbols) and address-taken code (`lea` targets), the same roots the
+//! analysis engine starts from; edges are fall-through, direct branch
+//! targets, and nop-bridging (a run of `nop` padding after a
 //! flow-terminating instruction carries reachability to the next real
 //! instruction, as alignment padding does in compiler output).
 
@@ -42,6 +43,23 @@ pub struct ValidationReport {
     pub reachable: usize,
     /// Number of `nop` padding instructions exempted from reachability.
     pub padding: usize,
+}
+
+/// The reachability roots of `insns` entered at `entry`: the entry
+/// point, every `extra` address (the function symbols), and every
+/// `lea …(%rip)` target — address-taken code, which is how the IFCC
+/// jump tables are reached — sorted and deduplicated. The validator
+/// and the analysis engine both start from exactly these.
+pub fn roots(insns: &[Insn], entry: u64, extra: &[u64]) -> Vec<u64> {
+    let mut roots = vec![entry];
+    roots.extend_from_slice(extra);
+    roots.extend(insns.iter().filter_map(|insn| match insn.kind {
+        InsnKind::LeaRipRel { target, .. } => Some(target),
+        _ => None,
+    }));
+    roots.sort_unstable();
+    roots.dedup();
+    roots
 }
 
 /// NaCl-style validator over a decoded instruction stream. Every rule
@@ -121,28 +139,16 @@ impl Validator {
         }
 
         // Rule: execution starts at a decoded instruction.
-        let entry_index = index
-            .get(entry)
-            .ok_or(DisasmError::BadEntry { addr: entry })?;
+        if !index.contains(entry) {
+            return Err(DisasmError::BadEntry { addr: entry });
+        }
 
         // Rule: all valid instructions are reachable from the start.
         let mut reachable = vec![false; insns.len()];
-        let mut work: Vec<usize> = vec![entry_index];
-        let push_root = |addr: u64, work: &mut Vec<usize>| {
-            if let Some(i) = index.get(addr) {
-                work.push(i);
-            }
-        };
-        for &r in extra_roots {
-            push_root(r, &mut work);
-        }
-        // Address-taken code (lea targets) is reachable: the IFCC
-        // jump tables are reached exactly this way.
-        for insn in insns {
-            if let InsnKind::LeaRipRel { target, .. } = insn.kind {
-                push_root(target, &mut work);
-            }
-        }
+        let mut work: Vec<usize> = roots(insns, entry, extra_roots)
+            .into_iter()
+            .filter_map(|addr| index.get(addr))
+            .collect();
         while let Some(i) = work.pop() {
             if reachable[i] {
                 continue;

@@ -29,6 +29,11 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== lint: rustfmt drift =="
 cargo fmt --check
 
+echo "== lint: rustdoc, warnings denied =="
+# Every intra-doc link must resolve: deleting or hiding an item must
+# not leave a dangling link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== smoke: bench_serve_throughput (bounded) =="
 # A small bounded replay: proves the service bench runs end-to-end and
 # emits the documented JSON schema. The full run (EXPERIMENTS.md) uses

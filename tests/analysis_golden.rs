@@ -140,11 +140,16 @@ fn pin_subject(out: &mut String, name: &str, image: &[u8], policies: &[Box<dyn P
     for e in &cfg.edges {
         pin.usize(e.from).usize(e.to).str(&format!("{:?}", e.kind));
     }
-    pin.usize(cfg.succs.len());
-    for s in &cfg.succs {
-        pin.usize(s.len());
-        for &e in s {
+    // Per block, its successor count and edge indices; a block's edges
+    // are the next contiguous run of `cfg.edges`.
+    pin.usize(cfg.blocks.len());
+    let mut e = 0usize;
+    for b in 0..cfg.blocks.len() {
+        let succs = cfg.successors(b);
+        pin.usize(succs.len());
+        for _ in succs {
             pin.usize(e);
+            e += 1;
         }
     }
     pin.usize(cfg.indirect_sites.len());

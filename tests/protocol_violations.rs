@@ -3,7 +3,7 @@
 
 use engarde::client::Client;
 use engarde::loader::LoaderConfig;
-use engarde::policy::{IfccPolicy, PolicyModule};
+use engarde::policy::{IfccPolicy, PolicyModule, WxSegments};
 use engarde::protocol::{ContentManifest, PageKind, PagePayload};
 use engarde::provider::CloudProvider;
 use engarde::provision::{BootstrapSpec, DEFAULT_ENCLAVE_BASE};
@@ -278,6 +278,65 @@ fn double_provisioning_the_same_enclave_is_refused() {
         matches!(err, EngardeError::Sgx(_) | EngardeError::Protocol { .. }),
         "got {err}"
     );
+}
+
+#[test]
+fn a_second_inspection_of_a_session_is_a_protocol_error() {
+    // The first inspection takes the session's content, whatever it
+    // judges; a second must fail typed, never judge empty content. Under
+    // the W^X policy the generated binary passes and the W|X fixture is
+    // a signed rejection.
+    let policies = || -> Vec<Box<dyn PolicyModule>> { vec![Box::new(WxSegments::new())] };
+    let spec = BootstrapSpec::new(
+        "EnGarde-1.0",
+        LoaderConfig::default(),
+        &policies(),
+        128,
+        512,
+    );
+    let rejected = engarde::workloads::adversarial::wx_segment().image;
+    for (seed, image, compliant) in [(8, binary(), true), (9, rejected, false)] {
+        let mut p = provider(seed);
+        let id = p
+            .create_engarde_enclave(spec.clone(), policies())
+            .expect("create");
+        let mut c = Client::new(
+            image,
+            &spec,
+            DEFAULT_ENCLAVE_BASE,
+            p.device_public_key(),
+            seed,
+        );
+        let nonce = c.challenge();
+        let quote = p.attest(id, nonce).expect("attest");
+        let key = p.enclave_public_key(id).expect("key");
+        c.verify_quote(&quote, &key).expect("quote");
+        let wrapped = c.establish_channel(&key).expect("channel");
+        p.open_channel(id, &wrapped).expect("open");
+        let blocks = c.content_blocks().expect("blocks");
+        for b in &blocks {
+            p.deliver(id, b).expect("deliver");
+        }
+        let view = p.inspect_and_provision(id).expect("first inspection");
+        assert_eq!(view.compliant, compliant);
+        let first = p.signed_verdict(id).expect("verdict").clone();
+        assert!(!p.content_complete(id).expect("session"));
+
+        let err = p.inspect_and_provision(id).unwrap_err();
+        assert!(
+            matches!(&err, EngardeError::Protocol { what } if what == "content already inspected"),
+            "got {err}"
+        );
+        // Sealing the content again cannot open a second judgement
+        // either: the fresh manifest block is refused.
+        let again = c.content_blocks().expect("blocks");
+        let err = p.deliver(id, &again[0]).unwrap_err();
+        assert!(
+            matches!(&err, EngardeError::Protocol { what } if what == "content after inspection"),
+            "got {err}"
+        );
+        assert_eq!(p.signed_verdict(id), Some(&first));
+    }
 }
 
 #[test]

@@ -1,12 +1,11 @@
 //! Interprocedural taint analysis: tracks secret-derived data from the
 //! loader's secret ranges to leak sinks, over the recovered CFG.
 //!
-//! **Sources** are memory ranges holding secrets ([`SecretRange`]): the
+//! **Sources** are the memory ranges holding secrets ([`SecretRange`])
+//! passed to [`TaintAnalysis::compute`]: the loader's record of the
 //! enclave's channel-key/AES state block and the decrypted-content
-//! staging region, plus any extra range a caller of
-//! [`TaintAnalysis::compute`] passes. A load whose
-//! resolved effective address lands in a source range produces a
-//! tainted value.
+//! staging region. A load whose resolved effective address lands in a
+//! source range produces a tainted value.
 //!
 //! **The domain** is a join-semilattice per abstract value
 //! ([`AbsTaint`]): a bitmask of concrete sources already acquired
@@ -92,8 +91,6 @@ pub enum SecretClass {
     ChannelKey,
     /// The decrypted client-content staging region (loader/provision).
     DecryptedContent,
-    /// An extra source range the caller declares.
-    Declared,
 }
 
 impl SecretClass {
@@ -102,7 +99,6 @@ impl SecretClass {
         match self {
             SecretClass::ChannelKey => "channel-key",
             SecretClass::DecryptedContent => "decrypted-content",
-            SecretClass::Declared => "declared-secret",
         }
     }
 }

@@ -31,9 +31,16 @@
 //! produced by the rewriting extension are never inserted: a rewritten
 //! image differs from the received one, so its verdict does not describe
 //! the cached key's content.
+//!
+//! # The record
+//!
+//! A [`CachedVerdict`] holds only what a replay reads: the compliance
+//! bit and the signed detail string, the two stage costs and the
+//! instruction count the provider's view reports, and the taint
+//! counters. Its byte layout (`ECV3`) is what the sealed verdict store
+//! persists.
 
 use crate::analysis::TaintStats;
-use crate::policy::{canonical_policy_name, PolicyReport};
 use engarde_crypto::sha256::{Digest, Sha256};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -73,7 +80,8 @@ impl CacheKey {
 }
 
 /// The replayable part of an inspection outcome: the verdict and the
-/// stage costs the original session paid to reach it.
+/// stage costs the original session paid to reach it. Every field is
+/// read by a replay; nothing else is recorded.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct CachedVerdict {
     /// Whether every policy passed.
@@ -82,8 +90,6 @@ pub struct CachedVerdict {
     /// signs the *identical* message and produces the identical
     /// signature a cold session would.
     pub detail: String,
-    /// Per-policy reports (empty on rejection).
-    pub policy_reports: Vec<PolicyReport>,
     /// Disassembly cycles the original session paid.
     pub disassembly_cycles: u64,
     /// Policy-checking cycles the original session paid.
@@ -104,7 +110,7 @@ impl CachedVerdict {
     }
 
     /// Serializes the verdict to the versioned on-disk byte layout
-    /// (`ECV2`): little-endian integers, length-prefixed strings, one
+    /// (`ECV3`): little-endian integers, a length-prefixed string, one
     /// flag byte for the optional taint block. The layout is pinned
     /// byte-for-byte by `cached_verdict_byte_layout_is_pinned` — the
     /// sealed verdict store depends on it.
@@ -112,13 +118,8 @@ impl CachedVerdict {
         let mut out = Vec::with_capacity(64 + self.detail.len());
         out.extend_from_slice(CODEC_MAGIC);
         out.push(self.compliant as u8);
-        put_str(&mut out, &self.detail);
-        out.extend_from_slice(&(self.policy_reports.len() as u32).to_le_bytes());
-        for report in &self.policy_reports {
-            put_str(&mut out, report.policy);
-            out.extend_from_slice(&(report.items_checked as u64).to_le_bytes());
-            put_str(&mut out, &report.detail);
-        }
+        out.extend_from_slice(&(self.detail.len() as u32).to_le_bytes());
+        out.extend_from_slice(self.detail.as_bytes());
         out.extend_from_slice(&self.disassembly_cycles.to_le_bytes());
         out.extend_from_slice(&self.policy_cycles.to_le_bytes());
         out.extend_from_slice(&(self.instructions as u64).to_le_bytes());
@@ -148,9 +149,9 @@ impl CachedVerdict {
     /// # Errors
     ///
     /// Returns a typed [`CodecError`] on any malformed input: wrong
-    /// magic, truncation, a non-boolean flag byte, a policy name no
-    /// shipped module reports, invalid UTF-8, or trailing bytes. Never
-    /// panics — the bytes come from disk and may be corrupt.
+    /// magic, truncation, a non-boolean flag byte, invalid UTF-8, or
+    /// trailing bytes. Never panics — the bytes come from disk and may
+    /// be corrupt.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut r = Reader { bytes, pos: 0 };
         if r.take(CODEC_MAGIC.len(), "magic")? != CODEC_MAGIC {
@@ -158,27 +159,6 @@ impl CachedVerdict {
         }
         let compliant = r.bool("compliant")?;
         let detail = r.string("detail")?;
-        let report_count = r.u32("report count")?;
-        // A report is ≥ 18 bytes on the wire; reject counts the
-        // remaining input cannot possibly satisfy before allocating.
-        if report_count as usize > r.remaining() / 18 {
-            return Err(CodecError::LengthOverflow {
-                field: "report count",
-            });
-        }
-        let mut policy_reports = Vec::with_capacity(report_count as usize);
-        for _ in 0..report_count {
-            let name = r.string("policy name")?;
-            let policy =
-                canonical_policy_name(&name).ok_or(CodecError::UnknownPolicyName { name })?;
-            let items_checked = r.u64("items checked")? as usize;
-            let detail = r.string("report detail")?;
-            policy_reports.push(PolicyReport {
-                policy,
-                items_checked,
-                detail,
-            });
-        }
         let disassembly_cycles = r.u64("disassembly cycles")?;
         let policy_cycles = r.u64("policy cycles")?;
         let instructions = r.u64("instructions")? as usize;
@@ -204,7 +184,6 @@ impl CachedVerdict {
         Ok(CachedVerdict {
             compliant,
             detail,
-            policy_reports,
             disassembly_cycles,
             policy_cycles,
             instructions,
@@ -213,23 +192,18 @@ impl CachedVerdict {
     }
 }
 
-/// Version tag leading every serialized [`CachedVerdict`]. `ECV2`
-/// extended the taint block with the memory-domain counters
-/// (`spill_cells`/`weak_updates`/`unresolved_store_sinks`); `ECV1`
-/// records from older stores fail closed with [`CodecError::BadMagic`]
-/// and the store layer degrades to a cold start.
-const CODEC_MAGIC: &[u8] = b"ECV2";
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
+/// Version tag leading every serialized [`CachedVerdict`]. Records
+/// under an older tag (`ECV1`, `ECV2`) fail closed with
+/// [`CodecError::BadMagic`] and the store layer degrades to a cold
+/// start.
+const CODEC_MAGIC: &[u8] = b"ECV3";
 
 /// Typed failure decoding a serialized [`CachedVerdict`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum CodecError {
-    /// The input does not start with the current `ECV2` version tag
-    /// (older `ECV1` records land here too — fail closed, re-inspect).
+    /// The input does not start with the current `ECV3` version tag
+    /// (older `ECV1`/`ECV2` records land here too — fail closed,
+    /// re-inspect).
     BadMagic,
     /// The input ended inside a field.
     UnexpectedEof {
@@ -251,11 +225,6 @@ pub enum CodecError {
         /// The field holding the invalid bytes.
         field: &'static str,
     },
-    /// A stored policy name matches no shipped policy module.
-    UnknownPolicyName {
-        /// The unrecognized name.
-        name: String,
-    },
     /// Well-formed value followed by unconsumed bytes.
     TrailingBytes {
         /// How many bytes were left over.
@@ -266,7 +235,7 @@ pub enum CodecError {
 impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CodecError::BadMagic => write!(f, "verdict bytes lack the ECV2 magic"),
+            CodecError::BadMagic => write!(f, "verdict bytes lack the ECV3 magic"),
             CodecError::UnexpectedEof { field } => {
                 write!(f, "verdict bytes truncated inside {field}")
             }
@@ -275,9 +244,6 @@ impl std::fmt::Display for CodecError {
             }
             CodecError::BadFlag { flag } => write!(f, "illegal flag byte {flag:#04x}"),
             CodecError::BadUtf8 { field } => write!(f, "{field} is not valid UTF-8"),
-            CodecError::UnknownPolicyName { name } => {
-                write!(f, "stored policy name {name:?} matches no shipped module")
-            }
             CodecError::TrailingBytes { extra } => {
                 write!(f, "{extra} trailing bytes after a well-formed verdict")
             }
@@ -550,7 +516,6 @@ mod tests {
         CachedVerdict {
             compliant: true,
             detail: tag.to_string(),
-            policy_reports: Vec::new(),
             disassembly_cycles: 1_000,
             policy_cycles: 500,
             instructions: 42,
@@ -633,18 +598,6 @@ mod tests {
         CachedVerdict {
             compliant: true,
             detail: "ok".to_string(),
-            policy_reports: vec![
-                PolicyReport {
-                    policy: "stack-protection",
-                    items_checked: 3,
-                    detail: "guards=3".to_string(),
-                },
-                PolicyReport {
-                    policy: "secret-leakage",
-                    items_checked: 7,
-                    detail: String::new(),
-                },
-            ],
             disassembly_cycles: 0x0102_0304_0506_0708,
             policy_cycles: 42,
             instructions: 1_000,
@@ -661,26 +614,16 @@ mod tests {
         }
     }
 
-    /// The exact `ECV2` wire bytes for [`full_verdict`], spelled out
+    /// The exact `ECV3` wire bytes for [`full_verdict`], spelled out
     /// field by field. Reordering a struct field, changing an integer
     /// width, or touching endianness breaks this vector — and with it
     /// every sealed verdict already on disk.
     fn pinned_encoding() -> Vec<u8> {
         let mut b = Vec::new();
-        b.extend_from_slice(b"ECV2"); // magic
+        b.extend_from_slice(b"ECV3"); // magic
         b.push(1); // compliant = true
         b.extend_from_slice(&[2, 0, 0, 0]); // detail len (u32 LE)
         b.extend_from_slice(b"ok");
-        b.extend_from_slice(&[2, 0, 0, 0]); // report count
-        b.extend_from_slice(&[16, 0, 0, 0]); // name len
-        b.extend_from_slice(b"stack-protection");
-        b.extend_from_slice(&[3, 0, 0, 0, 0, 0, 0, 0]); // items (u64 LE)
-        b.extend_from_slice(&[8, 0, 0, 0]); // report detail len
-        b.extend_from_slice(b"guards=3");
-        b.extend_from_slice(&[14, 0, 0, 0]);
-        b.extend_from_slice(b"secret-leakage");
-        b.extend_from_slice(&[7, 0, 0, 0, 0, 0, 0, 0]);
-        b.extend_from_slice(&[0, 0, 0, 0]); // empty report detail
         b.extend_from_slice(&[8, 7, 6, 5, 4, 3, 2, 1]); // disassembly cycles
         b.extend_from_slice(&[42, 0, 0, 0, 0, 0, 0, 0]); // policy cycles
         b.extend_from_slice(&[0xE8, 3, 0, 0, 0, 0, 0, 0]); // instructions
@@ -691,14 +634,26 @@ mod tests {
         b
     }
 
+    /// [`full_verdict`] as the `ECV2` layout wrote it: the same fields
+    /// with a `u32` per-policy report count (here none) after the
+    /// detail string.
+    fn ecv2_encoding() -> Vec<u8> {
+        let mut b = pinned_encoding();
+        b[..4].copy_from_slice(b"ECV2");
+        b.splice(11..11, [0, 0, 0, 0]);
+        b
+    }
+
     #[test]
-    fn ecv1_records_fail_closed_with_bad_magic() {
-        // A pre-memory-domain store record (5-u64 taint block under the
-        // old magic) must not half-parse: the version tag rejects it
+    fn older_records_fail_closed_with_bad_magic() {
+        // An `ECV2` record, or an `ECV1` one (a 5-u64 taint block under
+        // that magic), must not half-parse: the version tag rejects it
         // outright and the store layer re-inspects from scratch.
-        let mut old = pinned_encoding();
-        old[..4].copy_from_slice(b"ECV1");
-        assert_eq!(CachedVerdict::from_bytes(&old), Err(CodecError::BadMagic));
+        for magic in [b"ECV1", b"ECV2"] {
+            let mut old = ecv2_encoding();
+            old[..4].copy_from_slice(magic);
+            assert_eq!(CachedVerdict::from_bytes(&old), Err(CodecError::BadMagic));
+        }
     }
 
     #[test]
@@ -719,7 +674,6 @@ mod tests {
             CachedVerdict {
                 compliant: false,
                 detail: "policy violation: stack-protection".to_string(),
-                policy_reports: Vec::new(),
                 disassembly_cycles: u64::MAX,
                 policy_cycles: 0,
                 instructions: 0,
@@ -755,17 +709,6 @@ mod tests {
             CachedVerdict::from_bytes(&padded),
             Err(CodecError::TrailingBytes { extra: 1 })
         );
-        // A policy name no shipped module reports fails closed.
-        let idx = good
-            .windows(16)
-            .position(|w| w == b"stack-protection")
-            .expect("name present");
-        let mut renamed = good.clone();
-        renamed[idx..idx + 16].copy_from_slice(b"stack-protectioX");
-        assert!(matches!(
-            CachedVerdict::from_bytes(&renamed),
-            Err(CodecError::UnknownPolicyName { .. })
-        ));
         // A compliant flag that is neither 0 nor 1.
         let mut flag = good.clone();
         flag[4] = 2;

@@ -22,6 +22,7 @@ use crate::error::EngardeError;
 use engarde_sgx::epc::PAGE_SIZE;
 use engarde_sgx::machine::{EnclaveId, SgxMachine};
 use engarde_x86::decode::decode_one;
+use engarde_x86::encode::CANARY_FS_OFFSET;
 use engarde_x86::insn::{AluOp, Cc, InsnKind, MemOperand, Width};
 use engarde_x86::reg::Reg;
 use std::collections::HashMap;
@@ -307,22 +308,22 @@ impl<'m> Executor<'m> {
         self.write_mem(addr, &v.to_le_bytes()[..Self::width_bytes(w)])
     }
 
-    fn alu(op: AluOp, a: u64, b: u64, w: Width) -> u64 {
+    fn alu(op: AluOp, a: u64, b: u64, w: Width) -> Result<u64, String> {
         let r = match op {
             AluOp::Add => a.wrapping_add(b),
             AluOp::Sub | AluOp::Cmp => a.wrapping_sub(b),
             AluOp::And => a & b,
             AluOp::Or => a | b,
             AluOp::Xor => a ^ b,
-            AluOp::Adc => a.wrapping_add(b), // carry untracked; unused
-            AluOp::Sbb => a.wrapping_sub(b),
+            // The carry flag is not modelled, so what reads it faults.
+            AluOp::Adc | AluOp::Sbb => return Err(format!("unmodelled carry-flag op {op:?}")),
         };
-        match w {
+        Ok(match w {
             Width::W64 => r,
             Width::W32 => r & 0xffff_ffff,
             Width::W16 => r & 0xffff,
             Width::W8 => r & 0xff,
-        }
+        })
     }
 
     fn cond(cpu: &Cpu, cc: Cc) -> Result<bool, String> {
@@ -450,7 +451,7 @@ impl<'m> Executor<'m> {
                         cpu.set_w(dest, imm as u64, width);
                     }
                     InsnKind::MovFsToReg { dest, fs_offset } => {
-                        if fs_offset != 0x28 {
+                        if fs_offset != CANARY_FS_OFFSET {
                             return Err(format!("unmodelled %fs offset {fs_offset:#x}"));
                         }
                         cpu.set(dest, config.canary);
@@ -489,7 +490,7 @@ impl<'m> Executor<'m> {
                         if op == AluOp::Cmp {
                             cpu.last_cmp = Some((a, b, width));
                         } else {
-                            cpu.set_w(dest, Self::alu(op, a, b, width), width);
+                            cpu.set_w(dest, Self::alu(op, a, b, width)?, width);
                         }
                     }
                     InsnKind::AluImmReg {
@@ -502,7 +503,7 @@ impl<'m> Executor<'m> {
                         if op == AluOp::Cmp {
                             cpu.last_cmp = Some((a, imm as u64, width));
                         } else {
-                            cpu.set_w(dest, Self::alu(op, a, imm as u64, width), width);
+                            cpu.set_w(dest, Self::alu(op, a, imm as u64, width)?, width);
                         }
                     }
                     InsnKind::AluMemReg {
@@ -517,7 +518,7 @@ impl<'m> Executor<'m> {
                         if op == AluOp::Cmp {
                             cpu.last_cmp = Some((a, m, width));
                         } else {
-                            cpu.set_w(dest, Self::alu(op, a, m, width), width);
+                            cpu.set_w(dest, Self::alu(op, a, m, width)?, width);
                         }
                     }
                     InsnKind::AluRegMem {
@@ -532,7 +533,7 @@ impl<'m> Executor<'m> {
                         if op == AluOp::Cmp {
                             cpu.last_cmp = Some((m, b, width));
                         } else {
-                            self.write_w(addr, Self::alu(op, m, b, width), width)?;
+                            self.write_w(addr, Self::alu(op, m, b, width)?, width)?;
                         }
                     }
                     InsnKind::AluImmMem {
@@ -546,7 +547,7 @@ impl<'m> Executor<'m> {
                         if op == AluOp::Cmp {
                             cpu.last_cmp = Some((m, imm as u64, width));
                         } else {
-                            self.write_w(addr, Self::alu(op, m, imm as u64, width), width)?;
+                            self.write_w(addr, Self::alu(op, m, imm as u64, width)?, width)?;
                         }
                     }
                     InsnKind::PushReg { reg } => {
@@ -865,6 +866,36 @@ mod tests {
                 assert!(what.contains("write fault"), "{what}");
             }
             other => panic!("self-patching must fault, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn carry_dependent_alu_faults() {
+        // `adc` reads the carry flag, which the interpreter does not
+        // model: it faults at its own address instead of running as a
+        // plain `add`.
+        let mut asm = Assembler::new();
+        asm.mov_ri32(Reg::Rax, 1);
+        asm.mov_ri32(Reg::Rcx, 2);
+        let adc_offset = asm.offset();
+        asm.emit_raw_insn(&[0x48, 0x11, 0xc8]); // adc %rcx, %rax
+        asm.ret();
+        let text = asm.finish();
+        let len = text.len() as u64;
+        let image = ElfBuilder::new()
+            .text(text)
+            .function("f", 0, len)
+            .entry(0)
+            .build();
+        let (mut m, id, entry, chk) = provision(&image);
+        let mut exec = Executor::new(&mut m, id, chk);
+        let out = exec.run(entry, &ExecConfig::default()).expect("runs");
+        match out.exit {
+            ExitReason::Fault { at, what } => {
+                assert_eq!(at, entry + adc_offset);
+                assert!(what.contains("Adc"), "{what}");
+            }
+            other => panic!("adc must fault, got {other:?}"),
         }
     }
 

@@ -117,7 +117,7 @@ pub struct LoadedBinary {
     pub enclave_range: (u64, u64),
     /// Secret-holding ranges known at load time (the channel-key state
     /// block). Provisioning extends this with the decrypted-content
-    /// staging region; policies may declare further ranges.
+    /// staging region; the taint policies judge exactly this set.
     pub secret_ranges: Vec<SecretRange>,
 }
 

@@ -187,26 +187,6 @@ pub struct PolicyReport {
     pub detail: String,
 }
 
-/// Every policy name a shipped module can report. `PolicyReport.policy`
-/// is `&'static str`, so deserializers (the sealed verdict store) must
-/// map stored name bytes back onto these statics — an unknown name is a
-/// decode error, never a fabricated policy.
-pub const KNOWN_POLICY_NAMES: &[&str] = &[
-    "code-reachability",
-    "indirect-function-call",
-    "library-linking",
-    "secret-dependent-branch",
-    "secret-leakage",
-    "stack-protection",
-    "wx-segments",
-];
-
-/// Resolves a policy name to its canonical `&'static str`, or `None`
-/// for names no shipped module reports (fail closed on decode).
-pub fn canonical_policy_name(name: &str) -> Option<&'static str> {
-    KNOWN_POLICY_NAMES.iter().find(|&&n| n == name).copied()
-}
-
 /// A pluggable compliance check.
 pub trait PolicyModule {
     /// Short kebab-case name (appears in verdicts and violations).
@@ -421,31 +401,6 @@ mod tests {
             );
         }
         assert!(ctx.text_range(base, end).is_ok());
-    }
-
-    #[test]
-    fn every_shipped_module_name_is_known() {
-        // Sealed verdicts decode a policy name through
-        // `canonical_policy_name`; a module whose name drifted from the
-        // list would make every stored verdict of that policy undecodable.
-        let modules: Vec<Box<dyn PolicyModule>> = vec![
-            Box::new(IfccPolicy::new()),
-            Box::new(LibraryLinkingPolicy::new("musl-libc", Default::default())),
-            Box::new(CodeReachability::new()),
-            Box::new(SecretDependentBranch::new()),
-            Box::new(SecretLeakage::new()),
-            Box::new(StackProtectionPolicy::new()),
-            Box::new(WxSegments::new()),
-        ];
-        let mut names: Vec<&str> = modules.iter().map(|m| m.name()).collect();
-        for &name in &names {
-            assert_eq!(canonical_policy_name(name), Some(name));
-        }
-        names.sort_unstable();
-        assert_eq!(
-            names, KNOWN_POLICY_NAMES,
-            "one shipped module per known name"
-        );
     }
 
     #[test]

@@ -25,11 +25,9 @@
 use crate::error::EngardeError;
 use crate::policy::{PolicyContext, PolicyModule, PolicyReport};
 use engarde_sgx::perf::costs;
+use engarde_x86::encode::CANARY_FS_OFFSET;
 use engarde_x86::insn::{AluOp, Cc, Insn, InsnKind};
 use engarde_x86::reg::Reg;
-
-/// The canary's offset within the `%fs` segment.
-pub const CANARY_FS_OFFSET: u32 = 0x28;
 
 /// Verifies `-fstack-protector-all` instrumentation.
 #[derive(Clone, Debug)]

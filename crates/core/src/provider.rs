@@ -22,7 +22,6 @@ use engarde_crypto::channel::SealedBlock;
 use engarde_crypto::rsa::RsaPublicKey;
 use engarde_rand::{SeedableRng, StdRng};
 use engarde_sgx::attest::{Quote, QuotingEnclave};
-use engarde_sgx::epc::{PagePerms, PAGE_SIZE};
 use engarde_sgx::host::HostOs;
 use engarde_sgx::machine::{EnclaveId, MachineConfig, SgxMachine};
 use std::collections::HashMap;
@@ -180,29 +179,16 @@ impl CloudProvider {
         }
 
         let base = DEFAULT_ENCLAVE_BASE;
-        let id = self.host.create_enclave(base, spec.enclave_size())?;
+        let plan = spec.page_plan();
+        let id = self.host.create_enclave(base, plan.size())?;
         // Build the enclave; on any failure (EPC exhaustion mid-build
         // included) tear the partial enclave down so its pages are not
         // leaked — a service retrying under pressure depends on this.
         let built = (|host: &mut HostOs| -> Result<(), EngardeError> {
-            // Bootstrap pages: EnGarde's code + policy configuration.
-            let bytes = spec.to_bootstrap_bytes();
-            let mut chunks: Vec<&[u8]> = bytes.chunks(PAGE_SIZE).collect();
-            while chunks.len() < spec.bootstrap_pages() {
-                chunks.push(&[]);
-            }
-            for (i, chunk) in chunks.iter().enumerate() {
-                host.add_page(id, base + (i * PAGE_SIZE) as u64, chunk, PagePerms::RX)?;
-            }
-            // Client region: zero pages, writable until finalization.
-            let region_base = spec.client_region_base(base);
-            for p in 0..spec.client_region_pages {
-                host.add_page(
-                    id,
-                    region_base + (p * PAGE_SIZE) as u64,
-                    &[],
-                    PagePerms::RWX,
-                )?;
+            // EnGarde's code and policy configuration, then the client
+            // region, writable until finalization.
+            for (offset, contents, perms) in plan.pages() {
+                host.add_page(id, base + offset, contents, perms)?;
             }
             host.machine_mut().einit(id)?;
             host.machine_mut().eenter(id)?;

@@ -119,14 +119,23 @@ impl BootstrapSpec {
         out
     }
 
+    /// The enclave's page layout: the one plan both the provider's build
+    /// and the client's expected measurement walk.
+    pub(crate) fn page_plan(&self) -> PagePlan {
+        PagePlan {
+            bootstrap: self.to_bootstrap_bytes(),
+            client_region_pages: self.client_region_pages,
+        }
+    }
+
     /// Number of bootstrap pages the serialised spec occupies.
     pub fn bootstrap_pages(&self) -> usize {
-        self.to_bootstrap_bytes().len().div_ceil(PAGE_SIZE).max(1)
+        self.page_plan().bootstrap_pages()
     }
 
     /// Total enclave size in bytes (bootstrap + client region).
     pub fn enclave_size(&self) -> u64 {
-        ((self.bootstrap_pages() + self.client_region_pages) * PAGE_SIZE) as u64
+        self.page_plan().size()
     }
 
     /// The client-region base for an enclave at `base`.
@@ -138,20 +147,52 @@ impl BootstrapSpec {
     /// `base` — what the remote client compares the attestation quote
     /// against.
     pub fn expected_measurement(&self, base: u64) -> Digest {
-        let mut log = MeasurementLog::new(base, self.enclave_size());
-        let bytes = self.to_bootstrap_bytes();
-        for (i, chunk) in bytes.chunks(PAGE_SIZE).enumerate() {
-            let offset = (i * PAGE_SIZE) as u64;
-            log.eadd(offset, PagePerms::RX);
-            log.eextend_page(offset, chunk);
-        }
-        let region_off = (self.bootstrap_pages() * PAGE_SIZE) as u64;
-        for p in 0..self.client_region_pages {
-            let offset = region_off + (p * PAGE_SIZE) as u64;
-            log.eadd(offset, PagePerms::RWX);
-            log.eextend_page(offset, &[]);
+        let plan = self.page_plan();
+        let mut log = MeasurementLog::new(base, plan.size());
+        for (offset, contents, perms) in plan.pages() {
+            log.eadd(offset, perms);
+            log.eextend_page(offset, contents);
         }
         log.finalize()
+    }
+}
+
+/// The pages of an EnGarde enclave, derived once from its
+/// [`BootstrapSpec`]: the bootstrap bytes as RX pages, padded to
+/// [`PagePlan::bootstrap_pages`], then `client_region_pages` zero RWX
+/// pages.
+pub(crate) struct PagePlan {
+    bootstrap: Vec<u8>,
+    client_region_pages: usize,
+}
+
+impl PagePlan {
+    /// Pages the bootstrap bytes occupy (at least one).
+    fn bootstrap_pages(&self) -> usize {
+        self.bootstrap.len().div_ceil(PAGE_SIZE).max(1)
+    }
+
+    /// Enclave size in bytes.
+    pub(crate) fn size(&self) -> u64 {
+        ((self.bootstrap_pages() + self.client_region_pages) * PAGE_SIZE) as u64
+    }
+
+    /// Every page in build order, as `(offset from the enclave base,
+    /// contents, permissions)`; contents shorter than a page are
+    /// zero-filled.
+    pub(crate) fn pages(&self) -> impl Iterator<Item = (u64, &[u8], PagePerms)> {
+        let bootstrap = self
+            .bootstrap
+            .chunks(PAGE_SIZE)
+            .chain(std::iter::repeat(&[][..]))
+            .take(self.bootstrap_pages())
+            .map(|chunk| (chunk, PagePerms::RX));
+        let client_region =
+            std::iter::repeat_n((&[][..], PagePerms::RWX), self.client_region_pages);
+        bootstrap
+            .chain(client_region)
+            .enumerate()
+            .map(|(i, (contents, perms))| ((i * PAGE_SIZE) as u64, contents, perms))
     }
 }
 
@@ -295,7 +336,8 @@ impl EngardeEnclave {
     }
 
     /// Receives one sealed block (the manifest first, then page chunks),
-    /// charging decryption work to the machine's counter.
+    /// charging decryption work to the machine's counter. A block that
+    /// arrives after inspection is refused unopened.
     ///
     /// # Errors
     ///
@@ -317,17 +359,28 @@ impl EngardeEnclave {
             .ok_or_else(|| EngardeError::Protocol {
                 what: "content before channel establishment".into(),
             })?;
+        let pages = match &mut self.content {
+            Content::AwaitingManifest => None,
+            Content::Receiving { pages, .. } => Some(pages),
+            // Refused before the block is opened: refused content costs
+            // no decryption.
+            Content::Inspected => {
+                return Err(EngardeError::Protocol {
+                    what: "content after inspection".into(),
+                })
+            }
+        };
         let decrypt_cost = block.ciphertext.len() as u64 * costs::DECRYPT_PER_BYTE;
         machine.counter_mut().charge_native(decrypt_cost);
         self.receive_cycles += decrypt_cost;
         let plaintext = session.open(block)?;
-        match &mut self.content {
-            Content::AwaitingManifest => {
+        match pages {
+            None => {
                 let manifest = ContentManifest::from_bytes(&plaintext)?;
                 let pages = vec![None; manifest.page_count()];
                 self.content = Content::Receiving { manifest, pages };
             }
-            Content::Receiving { pages, .. } => {
+            Some(pages) => {
                 let payload = PagePayload::from_bytes(&plaintext)?;
                 let Some(slot) = pages.get_mut(payload.index) else {
                     return Err(EngardeError::PageIndexOutOfRange {
@@ -341,11 +394,6 @@ impl EngardeEnclave {
                     });
                 }
                 *slot = Some(payload.data);
-            }
-            Content::Inspected => {
-                return Err(EngardeError::Protocol {
-                    what: "content after inspection".into(),
-                })
             }
         }
         Ok(())
@@ -489,7 +537,6 @@ impl EngardeEnclave {
                 judgement = CachedVerdict {
                     compliant: false,
                     detail: reason.to_string(),
-                    policy_reports: Vec::new(),
                     instructions: 0,
                     ..judgement
                 };
@@ -609,7 +656,6 @@ impl EngardeEnclave {
         } else {
             summary
         };
-        judgement.policy_reports = reports;
         judgement.instructions = loaded.insns.len();
         Ok((loaded, rewritten))
     }

@@ -36,7 +36,7 @@ use crate::loader::LoadedBinary;
 use engarde_elf::build::ElfBuilder;
 use engarde_elf::ElfError;
 use engarde_x86::encode::{Assembler, Label};
-use engarde_x86::insn::{Cc, InsnKind, Width};
+use engarde_x86::insn::{InsnKind, Width};
 use engarde_x86::reg::Reg;
 use engarde_x86::validate::BUNDLE_SIZE;
 use std::collections::HashMap;
@@ -159,7 +159,7 @@ impl StackProtectorRewriter {
                 if !exempt {
                     // Canary store at function entry (clang places it
                     // after the frame setup; the policy accepts either).
-                    crate::rewrite::emit_canary_store(&mut asm);
+                    asm.canary_store();
                     report.functions_instrumented += 1;
                     let l = asm.label();
                     fn_fail_label = Some(l);
@@ -173,7 +173,8 @@ impl StackProtectorRewriter {
             // Splice the check before every ret of an instrumented fn.
             if matches!(insn.kind, InsnKind::Ret) {
                 if let Some(fail) = fn_fail_label {
-                    emit_canary_check(&mut asm, fail);
+                    asm.canary_check(fail);
+                    asm.canary_release();
                     report.rets_instrumented += 1;
                     // One shared failure block per function; emit after
                     // the function body (collected and flushed at the
@@ -302,28 +303,6 @@ fn lookup_target(
         .ok_or_else(|| EngardeError::Protocol {
             what: format!("branch at {from:#x} targets {target:#x} outside the instruction set"),
         })
-}
-
-/// Stack bytes the rewriter reserves for the canary slot. Reserving the
-/// slot (instead of reusing the return-address or saved-RBP slot) keeps
-/// rewritten binaries *executable*, not merely pattern-matchable.
-const CANARY_FRAME_BYTES: i8 = 120;
-
-/// The canary store: reserve the frame, then
-/// `mov %fs:0x28, %rax; mov %rax, (%rsp)`.
-fn emit_canary_store(asm: &mut Assembler) {
-    asm.sub_ri8(Reg::Rsp, CANARY_FRAME_BYTES);
-    asm.mov_fs_to_reg(Reg::Rax, 0x28);
-    asm.mov_reg_to_rsp(Reg::Rax);
-}
-
-/// The canary check: reload, compare, `jne` to the failure block, and
-/// release the reserved frame on the passing path.
-fn emit_canary_check(asm: &mut Assembler, fail: Label) {
-    asm.mov_fs_to_reg(Reg::Rax, 0x28);
-    asm.cmp_rsp_reg(Reg::Rax);
-    asm.jcc_label(Cc::Ne, fail);
-    asm.add_ri8(Reg::Rsp, CANARY_FRAME_BYTES);
 }
 
 #[cfg(test)]

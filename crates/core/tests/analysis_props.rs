@@ -153,7 +153,7 @@ fn reachability_is_a_fixpoint() {
 
 // Addresses matching the harness enclave at [0x10000, 0x11000).
 const SECRET_A: u64 = 0x10100; // the loader's channel-key range
-const SECRET_B: u64 = 0x10800; // an extra declared range
+const SECRET_B: u64 = 0x10800; // a second source range
 const SINK_OUT: u64 = 0x20000;
 
 #[test]
@@ -438,7 +438,7 @@ fn sources_full() -> Vec<SecretRange> {
         SecretRange {
             start: SECRET_B,
             end: SECRET_B + 8,
-            class: SecretClass::Declared,
+            class: SecretClass::DecryptedContent,
         },
     ]
 }

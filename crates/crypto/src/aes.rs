@@ -336,14 +336,9 @@ pub(crate) fn ctr_xor_portable(key: &AesKey, nonce: &[u8; 16], counter0: u64, da
 
 fn counter_block(nonce: &[u8; 16], counter: u64) -> [u8; 16] {
     // 128-bit big-endian addition of the counter to the nonce.
-    let hi = u64::from_be_bytes(nonce[0..8].try_into().expect("8 bytes"));
-    let lo = u64::from_be_bytes(nonce[8..16].try_into().expect("8 bytes"));
-    let (new_lo, carry) = lo.overflowing_add(counter);
-    let new_hi = hi.wrapping_add(carry as u64);
-    let mut out = [0u8; 16];
-    out[0..8].copy_from_slice(&new_hi.to_be_bytes());
-    out[8..16].copy_from_slice(&new_lo.to_be_bytes());
-    out
+    u128::from_be_bytes(*nonce)
+        .wrapping_add(u128::from(counter))
+        .to_be_bytes()
 }
 
 #[cfg(test)]

@@ -8,7 +8,6 @@
 //! one the store once sealed.
 
 use engarde_core::cache::{CacheKey, CachedVerdict};
-use engarde_core::policy::PolicyReport;
 use engarde_crypto::sha256::Digest;
 use engarde_rand::harness::Property;
 use engarde_rand::Rng;
@@ -52,11 +51,6 @@ fn verdict(n: u8) -> CachedVerdict {
     CachedVerdict {
         compliant: !n.is_multiple_of(3),
         detail: format!("verdict-{n}"),
-        policy_reports: vec![PolicyReport {
-            policy: "indirect-function-call",
-            items_checked: n as usize,
-            detail: String::new(),
-        }],
         disassembly_cycles: 10_000 + n as u64,
         policy_cycles: 5_000 + n as u64,
         instructions: 100 + n as usize,

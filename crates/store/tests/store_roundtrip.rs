@@ -3,7 +3,6 @@
 //! and key binding.
 
 use engarde_core::cache::{CacheKey, CachedVerdict, VerdictCache};
-use engarde_core::policy::PolicyReport;
 use engarde_crypto::sha256::Digest;
 use engarde_store::{chaos, SealKey, StoreOptions, VerdictStore};
 use std::path::PathBuf;
@@ -45,11 +44,6 @@ fn verdict(tag: &str) -> CachedVerdict {
     CachedVerdict {
         compliant: true,
         detail: format!("compliant: {tag}"),
-        policy_reports: vec![PolicyReport {
-            policy: "stack-protection",
-            items_checked: 3,
-            detail: "guards=3".to_string(),
-        }],
         disassembly_cycles: 1_000,
         policy_cycles: 500,
         instructions: 42,

@@ -24,8 +24,7 @@
 //! ```
 
 use crate::libc::{
-    body_profile, emit_canary_epilogue, emit_canary_prologue, emit_canary_release, emit_filler,
-    DetRng, Instrumentation, LibcLibrary, MUSL_FUNCTION_NAMES,
+    body_profile, emit_filler, DetRng, Instrumentation, LibcLibrary, MUSL_FUNCTION_NAMES,
 };
 use engarde_elf::build::ElfBuilder;
 use engarde_x86::encode::{Assembler, Label};
@@ -425,11 +424,11 @@ fn emit_protected_function(asm: &mut Assembler, name: &str, fail_fn: Label) {
     let mut rng = DetRng::new(seed);
     asm.push_reg(Reg::Rbp);
     asm.mov_rr64(Reg::Rbp, Reg::Rsp);
-    emit_canary_prologue(asm);
+    asm.canary_store();
     emit_filler(asm, &mut rng, insns);
     let fail_block = asm.label();
-    emit_canary_epilogue(asm, fail_block);
-    emit_canary_release(asm);
+    asm.canary_check(fail_block);
+    asm.canary_release();
     asm.pop_reg(Reg::Rbp);
     asm.ret();
     asm.bind(fail_block);
@@ -454,7 +453,7 @@ fn emit_app_function(
     asm.mov_rr64(Reg::Rbp, Reg::Rsp);
     let fail_block = asm.label();
     if protect {
-        emit_canary_prologue(asm);
+        asm.canary_store();
     }
     // Interleave filler with call sites.
     let calls = spec.calls_per_app_fn;
@@ -490,8 +489,8 @@ fn emit_app_function(
         }
     }
     if protect {
-        emit_canary_epilogue(asm, fail_block);
-        emit_canary_release(asm);
+        asm.canary_check(fail_block);
+        asm.canary_release();
     }
     asm.pop_reg(Reg::Rbp);
     asm.ret();

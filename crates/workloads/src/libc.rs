@@ -554,35 +554,6 @@ pub(crate) fn emit_filler(asm: &mut Assembler, rng: &mut DetRng, count: usize) {
     }
 }
 
-/// Bytes of stack frame reserved below the canary slot (clang reserves
-/// a slot well below the saved registers; 120 keeps the slot clear of
-/// the generator's spill range so instrumented code is *executable*,
-/// not just pattern-matchable).
-pub const CANARY_FRAME_BYTES: i8 = 120;
-
-/// Emits the clang `-fstack-protector` prologue from the paper's listing:
-/// frame reservation, then `mov %fs:0x28, %rax; mov %rax, (%rsp)`.
-pub(crate) fn emit_canary_prologue(asm: &mut Assembler) {
-    asm.sub_ri8(Reg::Rsp, CANARY_FRAME_BYTES);
-    asm.mov_fs_to_reg(Reg::Rax, 0x28);
-    asm.mov_reg_to_rsp(Reg::Rax);
-}
-
-/// Releases the canary frame reserved by [`emit_canary_prologue`]
-/// (between the check and the function's `pop/ret` epilogue).
-pub(crate) fn emit_canary_release(asm: &mut Assembler) {
-    asm.add_ri8(Reg::Rsp, CANARY_FRAME_BYTES);
-}
-
-/// Emits the epilogue check: reload the canary, compare, `jne` to a
-/// `__stack_chk_fail` call. `fail` must be bound to code that calls
-/// `__stack_chk_fail`.
-pub(crate) fn emit_canary_epilogue(asm: &mut Assembler, fail: engarde_x86::encode::Label) {
-    asm.mov_fs_to_reg(Reg::Rax, 0x28);
-    asm.cmp_rsp_reg(Reg::Rax);
-    asm.jcc_label(Cc::Ne, fail);
-}
-
 /// The deterministic size-and-seed profile of a libc function body:
 /// `(seed, filler instruction count)`. The workload generator uses this
 /// to emit *instrumented* variants of the same functions inline (where
@@ -613,12 +584,12 @@ fn generate_body(name: &str, instrumentation: Instrumentation) -> Vec<u8> {
     asm.mov_rr64(Reg::Rbp, Reg::Rsp);
     let fail = asm.label();
     if protect {
-        emit_canary_prologue(&mut asm);
+        asm.canary_store();
     }
     emit_filler(&mut asm, &mut rng, body_insns);
     if protect {
-        emit_canary_epilogue(&mut asm, fail);
-        emit_canary_release(&mut asm);
+        asm.canary_check(fail);
+        asm.canary_release();
     }
     asm.pop_reg(Reg::Rbp);
     asm.ret();

@@ -59,6 +59,16 @@ pub struct Assembler {
 
 const REX_W: u8 = 0x48;
 
+/// The `%fs` offset of the stack-protector canary: the thread-local slot
+/// clang's `-fstack-protector` loads (`mov %fs:0x28, %rax`).
+pub const CANARY_FS_OFFSET: u32 = 0x28;
+
+/// Bytes of stack frame the canary sequence reserves below the canary
+/// slot. Reserving a slot (instead of reusing the return-address or
+/// saved-`%rbp` slot) clear of the generator's spill range keeps
+/// instrumented code *executable*, not just pattern-matchable.
+const CANARY_FRAME_BYTES: i8 = 120;
+
 fn modrm(mode: u8, reg: u8, rm: u8) -> u8 {
     (mode << 6) | ((reg & 7) << 3) | (rm & 7)
 }
@@ -323,6 +333,30 @@ impl Assembler {
     pub fn cmp_rsp_reg(&mut self, reg: Reg) {
         let rex = if reg.needs_rex_bit() { 0x4c } else { REX_W };
         self.emit(&[rex, 0x3b, modrm(0, reg.low3(), 4), 0x24]);
+    }
+
+    /// The `-fstack-protector` canary store from the paper's listing:
+    /// reserve the 120-byte canary frame, then
+    /// `mov %fs:0x28, %rax; mov %rax, (%rsp)`.
+    pub fn canary_store(&mut self) {
+        self.sub_ri8(Reg::Rsp, CANARY_FRAME_BYTES);
+        self.mov_fs_to_reg(Reg::Rax, CANARY_FS_OFFSET);
+        self.mov_reg_to_rsp(Reg::Rax);
+    }
+
+    /// The canary check: reload the canary, compare it with the stored
+    /// slot, `jne` to `fail`, which must be bound to code that calls
+    /// `__stack_chk_fail`.
+    pub fn canary_check(&mut self, fail: Label) {
+        self.mov_fs_to_reg(Reg::Rax, CANARY_FS_OFFSET);
+        self.cmp_rsp_reg(Reg::Rax);
+        self.jne_label(fail);
+    }
+
+    /// Releases the frame [`Assembler::canary_store`] reserved (after
+    /// the check, before the function's `pop`/`ret` epilogue).
+    pub fn canary_release(&mut self) {
+        self.add_ri8(Reg::Rsp, CANARY_FRAME_BYTES);
     }
 
     /// `mov %src, disp8(%rbp)` — spill to a frame slot.

@@ -219,14 +219,15 @@ echo "== gate: no unwrap/expect in hostile-input/serve non-test code =="
 # register model the analyses read, the loader (relocation and symbol
 # recovery) and the client face hostile bytes, RSA parses keys,
 # ciphertexts and signatures the peer chose (and bignum does their
-# arithmetic), SHA-256 and HMAC digest and authenticate peer-chosen
-# bytes, the analysis/policy engines chew on attacker-shaped binaries, the
+# arithmetic), AES runs over every block a peer seals, SHA-256 and
+# HMAC digest and authenticate peer-chosen bytes, the analysis/policy engines chew on attacker-shaped binaries, the
 # stack-protector rewriter re-emits them inside the inspector, the serve
 # path faces injected faults, and the store recovers arbitrarily
 # damaged segments; every read must be fallible and no fault may panic
 # a worker. Strip each file's #[cfg(test)] module, then refuse any
 # unwrap()/expect( left.
 panic_free_files=(
+    crates/crypto/src/aes.rs
     crates/crypto/src/bignum.rs
     crates/crypto/src/rsa.rs
     crates/crypto/src/channel.rs

@@ -17,7 +17,6 @@ use engarde::sgx::instr::SgxVersion;
 use engarde::sgx::machine::{MachineConfig, SgxMachine};
 use engarde::store::{SealKey, StoreOptions, VerdictStore};
 use engarde_core::cache::{CacheKey, CachedVerdict};
-use engarde_core::policy::PolicyReport;
 use std::path::PathBuf;
 
 fn digest(bytes: &[u8]) -> String {
@@ -126,11 +125,6 @@ fn sealed_store_record_is_pinned() {
     let verdict = CachedVerdict {
         compliant: true,
         detail: "compliant: golden".to_string(),
-        policy_reports: vec![PolicyReport {
-            policy: "stack-protection",
-            items_checked: 3,
-            detail: "guards=3".to_string(),
-        }],
         disassembly_cycles: 1_000,
         policy_cycles: 500,
         instructions: 42,
@@ -142,10 +136,11 @@ fn sealed_store_record_is_pinned() {
                 .expect("open");
         store.append(&key, &verdict).expect("append");
     }
-    // The one segment file: authenticated header, then the sealed record.
+    // The one segment file: authenticated header, then the sealed
+    // record, whose plaintext is the `ECV3` verdict layout.
     let segment = std::fs::read(dir.0.join("seg-00000000.seg")).expect("segment");
     assert_eq!(
         digest(&segment),
-        "0259db7d88f3213032609b8102dda5f2d642d4d32db4a91c589882bf88f95d90"
+        "e659452c854d82deabc55fee85ff6bd1ec8c0368792b901d647153278de9a0cf"
     );
 }

@@ -328,13 +328,16 @@ fn a_second_inspection_of_a_session_is_a_protocol_error() {
             "got {err}"
         );
         // Sealing the content again cannot open a second judgement
-        // either: the fresh manifest block is refused.
+        // either: the fresh manifest block is refused unopened, so it
+        // costs the machine no decryption cycles.
         let again = c.content_blocks().expect("blocks");
+        let cycles = p.host().machine().counter().total_cycles();
         let err = p.deliver(id, &again[0]).unwrap_err();
         assert!(
             matches!(&err, EngardeError::Protocol { what } if what == "content after inspection"),
             "got {err}"
         );
+        assert_eq!(p.host().machine().counter().total_cycles(), cycles);
         assert_eq!(p.signed_verdict(id), Some(&first));
     }
 }

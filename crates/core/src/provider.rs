@@ -346,3 +346,76 @@ fn no_session(id: EnclaveId) -> EngardeError {
         what: format!("no EnGarde session for enclave {id}"),
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use crate::loader::LoaderConfig;
+    use crate::policy::WxSegments;
+    use engarde_sgx::instr::SgxVersion;
+    use engarde_workloads::generator::{generate, WorkloadSpec};
+
+    #[test]
+    fn an_inspected_session_holds_no_private_key() {
+        // Signed PASS and signed FAIL alike: once the verdict is signed
+        // the session keeps the public key it advertised and nothing it
+        // could unwrap a session key or sign another verdict with.
+        let policies = || -> Vec<Box<dyn PolicyModule>> { vec![Box::new(WxSegments::new())] };
+        let spec = BootstrapSpec::new(
+            "EnGarde-1.0",
+            LoaderConfig::default(),
+            &policies(),
+            128,
+            512,
+        );
+        let compliant = generate(&WorkloadSpec {
+            target_instructions: 6_000,
+            ..WorkloadSpec::default()
+        })
+        .image;
+        let rejected = engarde_workloads::adversarial::wx_segment().image;
+        for (seed, image, pass) in [(3, compliant, true), (4, rejected, false)] {
+            let mut p = CloudProvider::new(MachineConfig {
+                epc_pages: 1_024,
+                version: SgxVersion::V2,
+                device_key_bits: 512,
+                seed,
+            });
+            let id = p
+                .create_engarde_enclave(spec.clone(), policies())
+                .expect("create");
+            let mut c = Client::new(
+                image,
+                &spec,
+                DEFAULT_ENCLAVE_BASE,
+                p.device_public_key(),
+                seed,
+            );
+            let nonce = c.challenge();
+            let quote = p.attest(id, nonce).expect("attest");
+            let key = p.enclave_public_key(id).expect("key");
+            c.verify_quote(&quote, &key).expect("quote");
+            let wrapped = c.establish_channel(&key).expect("channel");
+            p.open_channel(id, &wrapped).expect("open");
+            for b in &c.content_blocks().expect("blocks") {
+                p.deliver(id, b).expect("deliver");
+            }
+            assert!(p.session(id).expect("session").holds_private_key());
+
+            let view = p.inspect_and_provision(id).expect("inspection");
+            assert_eq!(view.compliant, pass);
+            let session = p.session(id).expect("session");
+            assert!(!session.holds_private_key());
+            assert_eq!(p.enclave_public_key(id).expect("key"), key);
+            let verdict = p.signed_verdict(id).expect("verdict");
+            assert_eq!(c.verify_verdict(verdict, &key).expect("verdict"), pass);
+
+            let err = p.open_channel(id, &wrapped).unwrap_err();
+            assert!(
+                matches!(&err, EngardeError::Protocol { what } if what == "channel after inspection"),
+                "got {err}"
+            );
+        }
+    }
+}

@@ -242,13 +242,25 @@ enum Content {
     Inspected,
 }
 
+/// The enclave's ephemeral RSA key.
+enum EnclaveKeys {
+    /// The key pair: it unwraps the client's session key and signs the
+    /// verdict.
+    Pair(ChannelServer),
+    /// The public half alone, still advertised once the verdict is
+    /// signed and the private half is gone.
+    Released(RsaPublicKey),
+}
+
 /// The in-enclave EnGarde state machine.
 pub struct EngardeEnclave {
     enclave: EnclaveId,
     base: u64,
     spec: BootstrapSpec,
+    /// The agreed policy modules; dropped once the verdict is signed.
     policies: Vec<Box<dyn PolicyModule>>,
-    channel: ChannelServer,
+    keys: EnclaveKeys,
+    /// The open channel; dropped once the verdict is signed.
     session: Option<Session>,
     content: Content,
     receive_cycles: u64,
@@ -287,7 +299,7 @@ impl EngardeEnclave {
             base,
             spec,
             policies,
-            channel: ChannelServer::new(keypair),
+            keys: EnclaveKeys::Pair(ChannelServer::new(keypair)),
             session: None,
             content: Content::AwaitingManifest,
             receive_cycles: 0,
@@ -312,14 +324,24 @@ impl EngardeEnclave {
     /// The ephemeral public key advertised to the client (also bound
     /// into the attestation quote).
     pub fn public_key(&self) -> &RsaPublicKey {
-        self.channel.public_key()
+        match &self.keys {
+            EnclaveKeys::Pair(server) => server.public_key(),
+            EnclaveKeys::Released(public) => public,
+        }
+    }
+
+    /// Whether the session still holds its private key: from boot until
+    /// [`EngardeEnclave::inspect`] signs the verdict.
+    #[cfg(test)]
+    pub(crate) fn holds_private_key(&self) -> bool {
+        matches!(self.keys, EnclaveKeys::Pair(_))
     }
 
     /// Digest of the public key, bound into the quote's report data.
     pub fn public_key_digest(&self) -> [u8; 64] {
         let mut h = Sha256::new();
-        h.update(&self.channel.public_key().modulus_be());
-        h.update(&self.channel.public_key().exponent_be());
+        h.update(&self.public_key().modulus_be());
+        h.update(&self.public_key().exponent_be());
         let mut out = [0u8; 64];
         out[..32].copy_from_slice(h.finalize().as_bytes());
         out
@@ -329,9 +351,15 @@ impl EngardeEnclave {
     ///
     /// # Errors
     ///
-    /// Propagates channel failures.
+    /// Propagates channel failures; a protocol error once the verdict is
+    /// signed and the private key is gone.
     pub fn open_channel(&mut self, wrapped_key: &[u8]) -> Result<(), EngardeError> {
-        self.session = Some(self.channel.accept(wrapped_key)?);
+        let EnclaveKeys::Pair(server) = &self.keys else {
+            return Err(EngardeError::Protocol {
+                what: "channel after inspection".into(),
+            });
+        };
+        self.session = Some(server.accept(wrapped_key)?);
         Ok(())
     }
 
@@ -353,12 +381,6 @@ impl EngardeEnclave {
                 what: "injected working-memory pressure",
             });
         }
-        let session = self
-            .session
-            .as_mut()
-            .ok_or_else(|| EngardeError::Protocol {
-                what: "content before channel establishment".into(),
-            })?;
         let pages = match &mut self.content {
             Content::AwaitingManifest => None,
             Content::Receiving { pages, .. } => Some(pages),
@@ -370,6 +392,12 @@ impl EngardeEnclave {
                 })
             }
         };
+        let session = self
+            .session
+            .as_mut()
+            .ok_or_else(|| EngardeError::Protocol {
+                what: "content before channel establishment".into(),
+            })?;
         let decrypt_cost = block.ciphertext.len() as u64 * costs::DECRYPT_PER_BYTE;
         machine.counter_mut().charge_native(decrypt_cost);
         self.receive_cycles += decrypt_cost;
@@ -563,6 +591,7 @@ impl EngardeEnclave {
         // Same detail, same digest, the session's own key: a replayed
         // verdict signs exactly the bytes a cold inspection would.
         let verdict = self.sign_verdict(judgement.compliant, &judgement.detail, &content_digest)?;
+        self.release_secrets();
         Ok(InspectionOutcome {
             view: ProviderView {
                 compliant: judgement.compliant,
@@ -666,14 +695,30 @@ impl EngardeEnclave {
         detail: &str,
         content_digest: &Digest,
     ) -> Result<SignedVerdict, EngardeError> {
+        let EnclaveKeys::Pair(server) = &self.keys else {
+            return Err(EngardeError::Protocol {
+                what: "verdict already signed".into(),
+            });
+        };
         let msg = SignedVerdict::message(compliant, detail, content_digest);
-        let signature = self.channel.sign(&msg)?;
+        let signature = server.sign(&msg)?;
         Ok(SignedVerdict {
             compliant,
             detail: detail.to_string(),
             content_digest: *content_digest,
             signature,
         })
+    }
+
+    /// Drops what only the inspection needed once its verdict is signed:
+    /// the private key, the open channel and the policy modules. The
+    /// public key stays advertised.
+    fn release_secrets(&mut self) {
+        if let EnclaveKeys::Pair(server) = &self.keys {
+            self.keys = EnclaveKeys::Released(server.public_key().clone());
+        }
+        self.session = None;
+        self.policies = Vec::new();
     }
 }
 

@@ -458,7 +458,8 @@ impl BigUint {
             return self.modpow_square_and_multiply(exp, m);
         }
         let mut mont = Mont::new(m);
-        let x = mont.pow(&self.rem(m), exp);
+        let mut x = Vec::new();
+        mont.pow(&self.rem(m), exp, &mut x);
         mont.decode(&x)
     }
 
@@ -668,17 +669,19 @@ impl BigUint {
         // Witnesses run in the Montgomery domain of one context: `x == 1`
         // and `x == n - 1` become comparisons against `R` and `R·(n-1)`.
         let mut mont = Mont::new(self);
-        let one = mont.encode(&BigUint::one());
-        let minus_one = mont.encode(&n_minus_1);
-        let mut sq = vec![0u64; one.len()];
+        let limbs = self.limbs.len();
+        let (mut one, mut minus_one) = (vec![0; limbs], vec![0; limbs]);
+        mont.encode(&BigUint::one(), &mut one);
+        mont.encode(&n_minus_1, &mut minus_one);
+        let (mut x, mut sq) = (Vec::new(), vec![0; limbs]);
         'witness: for _ in 0..rounds {
             let a = first.take().unwrap_or_else(&mut draw_witness);
-            let mut x = mont.pow(&a, &d);
+            mont.pow(&a, &d, &mut x);
             if x == one || x == minus_one {
                 continue;
             }
             for _ in 0..s - 1 {
-                mont.mul(&x, &x, &mut sq);
+                mont.mm.mul(&x, &x, &mut sq);
                 std::mem::swap(&mut x, &mut sq);
                 if x == minus_one {
                     continue 'witness;
@@ -836,18 +839,57 @@ fn fermat_holds_mod(a: &BigUint, n: &BigUint, p: u64) -> bool {
 /// with `R = 2^(64n)`.
 ///
 /// A value in the Montgomery domain is an `n`-limb little-endian slice
-/// holding `x·R mod m`. Multiplication is CIOS (coarsely integrated
-/// operand scanning) into one reusable accumulator, so an
-/// exponentiation allocates only its window table and two buffers.
+/// holding `x·R mod m`. The context owns every buffer an exponentiation
+/// needs (the window table and its scratch), so after the first
+/// [`Mont::pow`] none allocates.
 struct Mont {
+    /// The multiply.
+    mm: MontMul,
+    /// `R² mod m`, which maps a value into the domain.
+    r2: Vec<u64>,
+    /// The sliding window's odd powers, `base^(2k+1)` in row `k` of `n`
+    /// limbs; grown to the widest window seen.
+    table: Vec<u64>,
+    /// `n` limbs of scratch: an operand padded to `n` limbs, or the
+    /// exponentiation's second accumulator.
+    tmp: Vec<u64>,
+}
+
+/// The Montgomery multiply modulo `m`: the BMI2/ADX kernel at the widths
+/// it covers on a CPU that has it, else the portable [`cios`].
+struct MontMul {
     /// The modulus, `n` limbs.
     m: Vec<u64>,
     /// `-m⁻¹ mod 2⁶⁴`.
     m_inv: u64,
-    /// `R² mod m`, which maps a value into the domain.
-    r2: Vec<u64>,
     /// CIOS accumulator, `n + 2` limbs.
     t: Vec<u64>,
+    /// The kernel's token, detected once per context.
+    #[cfg(target_arch = "x86_64")]
+    mulx: Option<crate::hw::Mulx>,
+}
+
+impl MontMul {
+    /// `out = a·b·R⁻¹ mod m` for `n`-limb `a, b < m`.
+    fn mul(&mut self, a: &[u64], b: &[u64], out: &mut [u64]) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(mulx) = self.mulx {
+            if mulx.mont_mul(&self.m, self.m_inv, a, b, out) {
+                return;
+            }
+        }
+        cios(&self.m, self.m_inv, &mut self.t, a, b, out);
+    }
+
+    /// `out = x·R mod m` for `x < m` given as little-endian limbs, with
+    /// `pad` (`n` limbs) as scratch.
+    fn encode(&mut self, r2: &[u64], pad: &mut [u64], x: &[u64], out: &mut [u64]) {
+        let limbs = x.iter().copied().chain(std::iter::repeat(0));
+        for (p, l) in pad.iter_mut().zip(limbs) {
+            *p = l;
+        }
+        self.mul(pad, r2, out);
+    }
 }
 
 impl Mont {
@@ -867,41 +909,39 @@ impl Mont {
         let mut r2 = BigUint::one().shl(128 * n).rem(m).limbs;
         r2.resize(n, 0);
         Mont {
-            m: m.limbs.clone(),
-            m_inv: inv.wrapping_neg(),
+            mm: MontMul {
+                m: m.limbs.clone(),
+                m_inv: inv.wrapping_neg(),
+                t: vec![0; n + 2],
+                #[cfg(target_arch = "x86_64")]
+                mulx: crate::hw::Mulx::detect(),
+            },
             r2,
-            t: vec![0; n + 2],
+            table: Vec::new(),
+            tmp: vec![0; n],
         }
     }
 
-    /// `out = a·b·R⁻¹ mod m` for `n`-limb `a, b < m`.
-    fn mul(&mut self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        cios(&self.m, self.m_inv, &mut self.t, a, b, out);
-    }
-
-    /// `x·R mod m` for `x < m`.
-    fn encode(&mut self, x: &BigUint) -> Vec<u64> {
-        let mut limbs = x.limbs.clone();
-        limbs.resize(self.m.len(), 0);
-        let mut out = vec![0; self.m.len()];
-        cios(&self.m, self.m_inv, &mut self.t, &limbs, &self.r2, &mut out);
-        out
+    /// `out = x·R mod m` for `x < m`.
+    fn encode(&mut self, x: &BigUint, out: &mut [u64]) {
+        self.mm.encode(&self.r2, &mut self.tmp, &x.limbs, out);
     }
 
     /// The value whose Montgomery form is `x`.
     fn decode(&mut self, x: &[u64]) -> BigUint {
-        let mut one = vec![0; self.m.len()];
-        one[0] = 1;
-        let mut out = vec![0; self.m.len()];
-        self.mul(x, &one, &mut out);
+        self.tmp.fill(0);
+        self.tmp[0] = 1;
+        let mut out = vec![0; self.tmp.len()];
+        self.mm.mul(x, &self.tmp, &mut out);
         let mut n = BigUint { limbs: out };
         n.normalize();
         n
     }
 
-    /// `base^exp` in the Montgomery domain, for `base < m`: a
-    /// left-to-right sliding window over a table of odd powers.
-    fn pow(&mut self, base: &BigUint, exp: &BigUint) -> Vec<u64> {
+    /// `acc = base^exp` in the Montgomery domain, for `base < m`: a
+    /// left-to-right sliding window over a table of odd powers. `acc` is
+    /// resized to `n` limbs.
+    fn pow(&mut self, base: &BigUint, exp: &BigUint, acc: &mut Vec<u64>) {
         let bits = exp.bit_len();
         let w = match bits {
             0..=23 => 1,
@@ -910,26 +950,28 @@ impl Mont {
             240..=671 => 5,
             _ => 6,
         };
-        let n = self.m.len();
-        // table[k] = base^(2k+1).
-        let mut table = vec![self.encode(base)];
+        let Mont { mm, r2, table, tmp } = self;
+        let n = mm.m.len();
+        acc.resize(n, 0);
+        if table.len() < n << (w - 1) {
+            table.resize(n << (w - 1), 0);
+        }
+        mm.encode(r2, tmp, &base.limbs, &mut table[..n]);
         if w > 1 {
-            let mut sq = vec![0; n];
-            self.mul(&table[0], &table[0], &mut sq);
+            // tmp = base², and each row is the one before times base².
+            mm.mul(&table[..n], &table[..n], tmp);
             for k in 1..1 << (w - 1) {
-                let mut next = vec![0; n];
-                self.mul(&table[k - 1], &sq, &mut next);
-                table.push(next);
+                let (done, next) = table.split_at_mut(k * n);
+                mm.mul(&done[(k - 1) * n..], tmp, &mut next[..n]);
             }
         }
-        let mut acc = self.encode(&BigUint::one());
-        let mut tmp = vec![0; n];
+        mm.encode(r2, tmp, &[1], acc);
         // Bits [i, bits) are consumed.
         let mut i = bits;
         while i > 0 {
             if !exp.bit(i - 1) {
-                self.mul(&acc, &acc, &mut tmp);
-                std::mem::swap(&mut acc, &mut tmp);
+                mm.mul(acc, acc, tmp);
+                std::mem::swap(acc, tmp);
                 i -= 1;
                 continue;
             }
@@ -940,14 +982,13 @@ impl Mont {
             }
             let value = (lo..i).rev().fold(0, |v, b| v << 1 | exp.bit(b) as usize);
             for _ in lo..i {
-                self.mul(&acc, &acc, &mut tmp);
-                std::mem::swap(&mut acc, &mut tmp);
+                mm.mul(acc, acc, tmp);
+                std::mem::swap(acc, tmp);
             }
-            self.mul(&acc, &table[value >> 1], &mut tmp);
-            std::mem::swap(&mut acc, &mut tmp);
+            mm.mul(acc, &table[(value >> 1) * n..][..n], tmp);
+            std::mem::swap(acc, tmp);
             i = lo;
         }
-        acc
     }
 }
 
@@ -996,6 +1037,7 @@ fn cios(m: &[u64], m_inv: u64, t: &mut [u64], a: &[u64], b: &[u64], out: &mut [u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use engarde_rand::harness::{pick, Property};
     use engarde_rand::{RngCore, SeedableRng, StdRng};
 
     fn rng() -> StdRng {
@@ -1181,13 +1223,118 @@ mod tests {
     fn montgomery_domain_round_trips() {
         let m = BigUint::from_bytes_be(&[0xc3; 40]);
         let mut mont = Mont::new(&m);
+        let mut xm = vec![0; 5];
         for x in [BigUint::zero(), BigUint::one(), m.sub(&BigUint::one())] {
-            let xm = mont.encode(&x);
+            mont.encode(&x, &mut xm);
             assert_eq!(mont.decode(&xm), x);
         }
         // R mod m is the Montgomery form of one.
-        let one = mont.encode(&BigUint::one());
-        assert_eq!(BigUint { limbs: one }, BigUint::one().shl(64 * 5).rem(&m));
+        mont.encode(&BigUint::one(), &mut xm);
+        assert_eq!(BigUint { limbs: xm }, BigUint::one().shl(64 * 5).rem(&m));
+    }
+
+    /// `n` limbs, each 0, 1, 2⁶⁴ − 2, 2⁶⁴ − 1 or random: values whose
+    /// products carry across whole rows.
+    fn extreme_limbs<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<u64> {
+        (0..n)
+            .map(|_| match rng.gen_range(0..5) {
+                0 => 0,
+                1 => 1,
+                2 => u64::MAX - 1,
+                3 => u64::MAX,
+                _ => rng.gen(),
+            })
+            .collect()
+    }
+
+    /// An `n`-limb odd modulus with a full top limb: random, all ones
+    /// (`2^(64n) − 1`), only its top and bottom bits set, or extreme
+    /// limbs.
+    fn full_width_modulus<R: Rng + ?Sized>(rng: &mut R, n: usize) -> BigUint {
+        let mut limbs: Vec<u64> = match rng.gen_range(0..4) {
+            0 => (0..n).map(|_| rng.gen()).collect(),
+            1 => vec![u64::MAX; n],
+            2 => vec![0; n],
+            _ => extreme_limbs(rng, n),
+        };
+        limbs[0] |= 1;
+        limbs[n - 1] |= 1 << 63;
+        BigUint { limbs }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn mulx_kernel_matches_portable_cios() {
+        // The BMI2/ADX kernel against the portable CIOS at every width it
+        // covers: moduli at the carry extremes, operands at both ends of
+        // [0, m), and chains of 64 products that each feed the next.
+        let Some(mulx) = crate::hw::Mulx::detect() else {
+            eprintln!("no BMI2/ADX on this CPU: the kernel is never reached");
+            return;
+        };
+        // The pinned seed reaches the reduction row's top carry out of
+        // the high-half chain, which random operands almost never set.
+        Property::new("mulx_kernel_matches_portable_cios")
+            .cases(1024)
+            .regressions(&[0xc409_4555_cc99_7509])
+            .run(|rng| {
+                let n = *pick(rng, &[4, 8, 16]);
+                let m = full_width_modulus(rng, n);
+                let m_inv = Mont::new(&m).mm.m_inv;
+                let mut operand = || {
+                    let x = match rng.gen_range(0..5) {
+                        0 => BigUint::zero(),
+                        1 => BigUint::one(),
+                        2 => m.sub(&BigUint::one()),
+                        3 => BigUint::random_below(rng, &m),
+                        _ => {
+                            let mut x = BigUint {
+                                limbs: extreme_limbs(rng, n),
+                            };
+                            x.normalize();
+                            x.rem(&m)
+                        }
+                    };
+                    let mut limbs = x.limbs;
+                    limbs.resize(n, 0);
+                    limbs
+                };
+                let (mut a, mut b) = (operand(), operand());
+                let mut t = vec![0; n + 2];
+                for step in 0..64 {
+                    let (mut want, mut got) = (vec![0; n], vec![0; n]);
+                    cios(&m.limbs, m_inv, &mut t, &a, &b, &mut want);
+                    assert!(mulx.mont_mul(&m.limbs, m_inv, &a, &b, &mut got));
+                    assert_eq!(got, want, "step {step}: {a:x?} · {b:x?} mod {m:x}");
+                    b = std::mem::replace(&mut a, want);
+                }
+            });
+    }
+
+    #[test]
+    fn widths_without_a_kernel_match_square_and_multiply() {
+        // 5 and 32 limbs have no hardware kernel: the multiply declines
+        // them and `modpow` runs the portable CIOS.
+        let mut r = rng();
+        for n in [5, 32] {
+            #[cfg(target_arch = "x86_64")]
+            if let Some(mulx) = crate::hw::Mulx::detect() {
+                let (x, mut out) = (vec![1; n], vec![7; n]);
+                assert!(!mulx.mont_mul(&vec![u64::MAX; n], 1, &x, &x, &mut out));
+                assert_eq!(out, vec![7; n]);
+            }
+            for _ in 0..6 {
+                let m = full_width_modulus(&mut r, n);
+                let base = BigUint::random_below(&mut r, &m);
+                let exp_bits = 1 + r.gen::<usize>() % 256;
+                let exp = BigUint::random_with_bits(&mut r, exp_bits);
+                assert_eq!(
+                    base.modpow(&exp, &m),
+                    base.modpow_square_and_multiply(&exp, &m),
+                    "{base:?}^{exp:?} mod {m:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,15 +1,16 @@
-//! Hardware AES-CTR and SHA-256 kernels (x86_64 AES-NI and SHA-NI).
+//! Hardware AES-CTR, SHA-256 and Montgomery-multiply kernels (x86_64
+//! AES-NI, SHA-NI, and BMI2 with ADX).
 //!
 //! The only module of the workspace allowed to use `unsafe`. Each
-//! kernel is a `#[target_feature]` function; calling one is sound only
-//! on a CPU that has the feature. The zero-sized tokens [`Aes`] and
-//! [`Sha`] are the only way to reach them, and only their `detect`
-//! constructors build a token, after the CPU reported the feature, so
-//! holding a token is the proof the call needs.
+//! kernel is a private `#[target_feature]` function; calling one is
+//! sound only on a CPU that has the feature. The zero-sized tokens
+//! [`Aes`], [`Sha`] and [`Mulx`] are the only way to reach them, and
+//! only their `detect` constructors build a token, after the CPU
+//! reported the feature, so holding a token is the proof the call needs.
 //!
-//! Both kernels are drop-in replacements for the portable code in
-//! [`crate::aes`] and [`crate::sha256`], which stays the reference:
-//! same inputs, bit-identical outputs.
+//! All three kernels are drop-in replacements for the portable code in
+//! [`crate::aes`], [`crate::sha256`] and [`crate::bignum`], which stays
+//! the reference: same inputs, bit-identical outputs.
 
 use std::arch::x86_64::*;
 
@@ -65,6 +66,59 @@ impl Sha {
     }
 }
 
+/// Proof that this CPU executes MULX (BMI2) and ADCX/ADOX (ADX).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Mulx(());
+
+impl Mulx {
+    /// A token if the CPU has BMI2 and ADX.
+    pub(crate) fn detect() -> Option<Mulx> {
+        (is_x86_feature_detected!("bmi2") && is_x86_feature_detected!("adx")).then_some(Mulx(()))
+    }
+
+    /// The Montgomery product `out = a·b·R⁻¹ mod m` of `bignum`'s CIOS
+    /// multiply, with `m_inv = -m⁻¹ mod 2⁶⁴` and every slice as long as
+    /// `m`. Runs for 4, 8 and 16 limbs (the primes of 512-, 1024- and
+    /// 2048-bit keys and the 512- and 1024-bit moduli) and returns true;
+    /// at any other width, or on mismatched lengths, it leaves `out`
+    /// untouched and returns false. Wider moduli stay portable: a fully
+    /// unrolled 32-limb kernel ran slower than the portable loop.
+    pub(crate) fn mont_mul(
+        self,
+        m: &[u64],
+        m_inv: u64,
+        a: &[u64],
+        b: &[u64],
+        out: &mut [u64],
+    ) -> bool {
+        match m.len() {
+            4 => self.mont_mul_fixed::<4>(m, m_inv, a, b, out),
+            8 => self.mont_mul_fixed::<8>(m, m_inv, a, b, out),
+            16 => self.mont_mul_fixed::<16>(m, m_inv, a, b, out),
+            _ => false,
+        }
+    }
+
+    fn mont_mul_fixed<const N: usize>(
+        self,
+        m: &[u64],
+        m_inv: u64,
+        a: &[u64],
+        b: &[u64],
+        out: &mut [u64],
+    ) -> bool {
+        let (Ok(m), Ok(a), Ok(b), Ok(out)) =
+            (m.try_into(), a.try_into(), b.try_into(), out.try_into())
+        else {
+            return false;
+        };
+        // SAFETY: `self` exists only if `detect` saw BMI2 and ADX on this
+        // CPU, the features `mont_mul_mulx` enables.
+        unsafe { mont_mul_mulx::<N>(m, m_inv, a, b, out) };
+        true
+    }
+}
+
 /// Loads 16 bytes.
 #[inline]
 fn load(bytes: &[u8; 16]) -> __m128i {
@@ -111,9 +165,8 @@ fn ctr_xor_aesni(round_keys: &[[u8; 16]], nonce: &[u8; 16], counter0: u64, data:
         *k = load(bytes);
     }
     let nr = round_keys.len() - 1;
-    let (hi, lo) = nonce.split_at(8);
-    let hi = u64::from_be_bytes(hi.try_into().expect("8 bytes"));
-    let lo = u64::from_be_bytes(lo.try_into().expect("8 bytes"));
+    let nonce = u128::from_be_bytes(*nonce);
+    let (hi, lo) = ((nonce >> 64) as u64, nonce as u64);
     let mut counter = counter0;
 
     let (wide, rest) = data.as_chunks_mut::<{ 16 * LANES }>();
@@ -195,22 +248,75 @@ fn compress_sha_ni(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
         cdgh = _mm_add_epi32(cdgh, cdgh0);
     }
 
-    let mut abef_words = [0u8; 16];
-    let mut cdgh_words = [0u8; 16];
-    store(&mut abef_words, abef);
-    store(&mut cdgh_words, cdgh);
-    let lane = |bytes: &[u8; 16], i: usize| {
-        u32::from_le_bytes(bytes[4 * i..4 * i + 4].try_into().expect("4 bytes"))
-    };
-    // Lanes are little-endian: ABEF holds F, E, B, A from lane 0 up.
+    // ABEF holds F, E, B, A from lane 0 up.
     *state = [
-        lane(&abef_words, 3),
-        lane(&abef_words, 2),
-        lane(&cdgh_words, 3),
-        lane(&cdgh_words, 2),
-        lane(&abef_words, 1),
-        lane(&abef_words, 0),
-        lane(&cdgh_words, 1),
-        lane(&cdgh_words, 0),
-    ];
+        _mm_extract_epi32::<3>(abef),
+        _mm_extract_epi32::<2>(abef),
+        _mm_extract_epi32::<3>(cdgh),
+        _mm_extract_epi32::<2>(cdgh),
+        _mm_extract_epi32::<1>(abef),
+        _mm_extract_epi32::<0>(abef),
+        _mm_extract_epi32::<1>(cdgh),
+        _mm_extract_epi32::<0>(cdgh),
+    ]
+    .map(|w| w as u32);
+}
+
+/// `bignum`'s CIOS Montgomery multiply at a fixed width of `N` limbs,
+/// step for step: the same accumulator, the same quotient digit per
+/// limb of `b`, and the same final conditional subtraction, so every
+/// output equals the portable one. MULX leaves the flags alone, so each
+/// row keeps two carry chains: the low product halves enter the
+/// accumulator at their own limb, the high halves one limb up.
+#[target_feature(enable = "bmi2,adx")]
+fn mont_mul_mulx<const N: usize>(
+    m: &[u64; N],
+    m_inv: u64,
+    a: &[u64; N],
+    b: &[u64; N],
+    out: &mut [u64; N],
+) {
+    // The accumulator: `t` is limbs 0..N and `t_n` limb N; `t_top`,
+    // limb N + 1, lives only from a row's product to its reduction.
+    let mut t = [0u64; N];
+    let mut t_n = 0u64;
+    for &bi in b {
+        // t += a·bi
+        let (mut c, mut o, mut hi) = (0u8, 0u8, 0u64);
+        for (tj, &aj) in t.iter_mut().zip(a) {
+            let mut next = 0;
+            let lo = _mulx_u64(aj, bi, &mut next);
+            c = _addcarryx_u64(c, *tj, lo, tj);
+            o = _addcarryx_u64(o, *tj, hi, tj);
+            hi = next;
+        }
+        c = _addcarryx_u64(c, t_n, hi, &mut t_n);
+        o = _addcarryx_u64(o, t_n, 0, &mut t_n);
+        let t_top = u64::from(c) + u64::from(o);
+        // t = (t + q·m) / 2⁶⁴, with q chosen so the low limb cancels.
+        let q = t[0].wrapping_mul(m_inv);
+        let mut hi = 0;
+        let mut cancelled = 0;
+        let mut c = _addcarryx_u64(0, t[0], _mulx_u64(m[0], q, &mut hi), &mut cancelled);
+        let mut o = 0u8;
+        for j in 1..N {
+            let mut next = 0;
+            let lo = _mulx_u64(m[j], q, &mut next);
+            let mut s = 0;
+            c = _addcarryx_u64(c, t[j], lo, &mut s);
+            o = _addcarryx_u64(o, s, hi, &mut t[j - 1]);
+            hi = next;
+        }
+        let mut s = 0;
+        c = _addcarryx_u64(c, t_n, hi, &mut s);
+        o = _addcarryx_u64(o, s, 0, &mut t[N - 1]);
+        t_n = t_top + u64::from(c) + u64::from(o);
+    }
+    // out = t - m, kept unless it borrowed past t's top limb.
+    let mut diff = [0u64; N];
+    let mut borrow = 0u8;
+    for ((d, &tj), &mj) in diff.iter_mut().zip(&t).zip(m) {
+        borrow = _subborrow_u64(borrow, tj, mj, d);
+    }
+    *out = if borrow != 0 && t_n == 0 { t } else { diff };
 }

@@ -9,18 +9,22 @@
 //!
 //! # Hardware kernels and the unsafe boundary
 //!
-//! Like libcrypto, the crate runs AES and SHA-256 on the CPU's own
-//! instructions when it has them: on x86_64, [`aes::ctr_xor`] uses
-//! AES-NI and the [`sha256`] compression function uses SHA-NI, selected
-//! by CPUID at run time. There is no option to choose: elsewhere the
-//! portable code runs, and it stays the reference the hardware kernels
-//! are tested against (same bytes out for every input). These kernels,
+//! Like libcrypto, the crate runs AES, SHA-256 and the RSA arithmetic on
+//! the CPU's own instructions when it has them: on x86_64,
+//! [`aes::ctr_xor`] uses AES-NI, the [`sha256`] compression function
+//! uses SHA-NI, and [`bignum`]'s Montgomery multiply uses MULX and
+//! add-with-carry (BMI2 and ADX) at 4, 8 and 16 limbs, selected by CPUID
+//! at run time. There is no option to choose: elsewhere, and at other
+//! widths, the portable code runs, and it stays the reference the
+//! hardware kernels are tested against (same output for every input).
+//! These three kernels,
 //! in the private `hw` module, are the only `unsafe` code in the
 //! workspace. The crate denies `unsafe_code` and allows it on `hw`
 //! alone; every other crate forbids it, and `scripts/verify.sh` checks
 //! both.
 //!
-//! - [`bignum`] — arbitrary-precision integers (the base of RSA),
+//! - [`bignum`] — arbitrary-precision integers (the base of RSA;
+//!   MULX/ADX Montgomery multiply where available),
 //! - [`sha256`] — FIPS 180-4 SHA-256 (measurement, function-hash DBs;
 //!   SHA-NI where available),
 //! - [`hmac`] — HMAC-SHA256 and constant-time comparison,

@@ -233,6 +233,7 @@ panic_free_files=(
     crates/crypto/src/channel.rs
     crates/crypto/src/sha256.rs
     crates/crypto/src/hmac.rs
+    crates/crypto/src/hw.rs
     crates/elf/src/parse.rs
     crates/x86/src/decode.rs
     crates/x86/src/insn.rs
@@ -296,7 +297,7 @@ echo "$metadata" | jq -e \
 echo "== gate: unsafe code lives in crypto::hw alone =="
 # Every workspace library root forbids unsafe code, except
 # engarde-crypto: it denies it and allows it on one module, `hw`, the
-# AES-NI/SHA-NI kernels behind CPU-feature tokens.
+# AES-NI, SHA-NI and BMI2/ADX kernels behind CPU-feature tokens.
 lib_roots=$(echo "$metadata" | jq -r '
     .workspace_members as $ws
     | .packages[] | select(.id as $id | $ws | index($id))
@@ -324,6 +325,24 @@ if grep -rnE --include='*.rs' --exclude-dir=target '\bunsafe +(\{|fn|impl|trait|
     echo "FAIL: unsafe code outside crates/crypto/src/hw.rs" >&2
     exit 1
 fi
-echo "OK: $(echo "$lib_roots" | wc -l) library roots; unsafe code only in crypto::hw"
+# Inside hw.rs: every unsafe block sits under a comment block that holds
+# a `// SAFETY:` line (the proof that the CPU has the feature), and
+# every #[target_feature] function is private, so its token's safe
+# method is the only way in.
+hw=crates/crypto/src/hw.rs
+awk '
+    /^[[:space:]]*\/\// { if ($0 ~ /^[[:space:]]*\/\/ SAFETY:/) safety = 1; next }
+    /(^|[^A-Za-z0-9_])unsafe[[:space:]]*\{/ && !safety { print FILENAME ":" FNR ": " $0; bad = 1 }
+    { safety = 0 }
+    END { exit bad }
+' "$hw" || { echo "FAIL: an unsafe block in $hw lacks a // SAFETY: comment directly above it" >&2; exit 1; }
+awk '
+    /^[[:space:]]*#\[target_feature/ { tf = 1; next }
+    tf && /^[[:space:]]*#\[/ { next }
+    tf && !/^[[:space:]]*fn[[:space:]]/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+    { tf = 0 }
+    END { exit bad }
+' "$hw" || { echo "FAIL: a #[target_feature] function in $hw is not private" >&2; exit 1; }
+echo "OK: $(echo "$lib_roots" | wc -l) library roots; unsafe code only in crypto::hw, each block justified, every kernel private"
 
 echo "OK: tier-1 green, dependency graph is path-only"

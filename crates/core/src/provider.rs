@@ -353,14 +353,18 @@ mod tests {
     use crate::client::Client;
     use crate::loader::LoaderConfig;
     use crate::policy::WxSegments;
+    use crate::protocol::{ContentManifest, PageKind, PagePayload};
+    use engarde_crypto::channel::ChannelClient;
+    use engarde_sgx::epc::PAGE_SIZE;
     use engarde_sgx::instr::SgxVersion;
     use engarde_workloads::generator::{generate, WorkloadSpec};
 
     #[test]
     fn an_inspected_session_holds_no_private_key() {
-        // Signed PASS and signed FAIL alike: once the verdict is signed
-        // the session keeps the public key it advertised and nothing it
-        // could unwrap a session key or sign another verdict with.
+        // Signed PASS, signed FAIL and an inspection error alike: once
+        // inspection has taken the content, the session keeps the public
+        // key it advertised and nothing it could unwrap a session key or
+        // sign another verdict with.
         let policies = || -> Vec<Box<dyn PolicyModule>> { vec![Box::new(WxSegments::new())] };
         let spec = BootstrapSpec::new(
             "EnGarde-1.0",
@@ -375,7 +379,7 @@ mod tests {
         })
         .image;
         let rejected = engarde_workloads::adversarial::wx_segment().image;
-        for (seed, image, pass) in [(3, compliant, true), (4, rejected, false)] {
+        for (seed, image, pass) in [(3, compliant.clone(), true), (4, rejected, false)] {
             let mut p = CloudProvider::new(MachineConfig {
                 epc_pages: 1_024,
                 version: SgxVersion::V2,
@@ -417,5 +421,48 @@ mod tests {
                 "got {err}"
             );
         }
+
+        // An inspection that ends in `Err` releases the key too: here the
+        // client calls every page data, so the declared page kinds do not
+        // match the content and nothing is signed.
+        let mut p = CloudProvider::new(MachineConfig {
+            epc_pages: 1_024,
+            version: SgxVersion::V2,
+            device_key_bits: 512,
+            seed: 5,
+        });
+        let id = p.create_engarde_enclave(spec, policies()).expect("create");
+        let key = p.enclave_public_key(id).expect("key");
+        let mut rng = StdRng::seed_from_u64(9);
+        let (wrapped, mut channel) = ChannelClient::establish(&mut rng, &key).expect("channel");
+        p.open_channel(id, &wrapped).expect("open");
+        let manifest = ContentManifest {
+            total_len: compliant.len(),
+            page_kinds: vec![PageKind::Data; compliant.len().div_ceil(PAGE_SIZE)],
+        };
+        p.deliver(id, &channel.seal(&manifest.to_bytes()))
+            .expect("manifest");
+        for (index, chunk) in compliant.chunks(PAGE_SIZE).enumerate() {
+            let page = PagePayload {
+                index,
+                data: chunk.to_vec(),
+            };
+            p.deliver(id, &channel.seal(&page.to_bytes()))
+                .expect("page");
+        }
+        assert!(p.session(id).expect("session").holds_private_key());
+        let err = p.inspect_and_provision(id).unwrap_err();
+        assert!(
+            matches!(&err, EngardeError::Protocol { what } if what.contains("page kinds")),
+            "got {err}"
+        );
+        assert!(p.signed_verdict(id).is_none());
+        assert!(!p.session(id).expect("session").holds_private_key());
+        assert_eq!(p.enclave_public_key(id).expect("key"), key);
+        let err = p.open_channel(id, &wrapped).unwrap_err();
+        assert!(
+            matches!(&err, EngardeError::Protocol { what } if what == "channel after inspection"),
+            "got {err}"
+        );
     }
 }

@@ -242,14 +242,17 @@ enum Content {
     Inspected,
 }
 
-/// The enclave's ephemeral RSA key.
-enum EnclaveKeys {
-    /// The key pair: it unwraps the client's session key and signs the
-    /// verdict.
-    Pair(ChannelServer),
-    /// The public half alone, still advertised once the verdict is
-    /// signed and the private half is gone.
-    Released(RsaPublicKey),
+/// What only the inspection needs. [`EngardeEnclave::inspect`] moves
+/// it out in the same step that takes the content, so every way out of
+/// the inspection, signed or `Err`, drops it.
+struct Secrets {
+    /// The ephemeral key pair: it unwraps the client's session key and
+    /// signs the verdict.
+    server: ChannelServer,
+    /// The open channel.
+    session: Option<Session>,
+    /// The agreed policy modules.
+    policies: Vec<Box<dyn PolicyModule>>,
 }
 
 /// The in-enclave EnGarde state machine.
@@ -257,11 +260,10 @@ pub struct EngardeEnclave {
     enclave: EnclaveId,
     base: u64,
     spec: BootstrapSpec,
-    /// The agreed policy modules; dropped once the verdict is signed.
-    policies: Vec<Box<dyn PolicyModule>>,
-    keys: EnclaveKeys,
-    /// The open channel; dropped once the verdict is signed.
-    session: Option<Session>,
+    /// The ephemeral public key, advertised for the session's lifetime.
+    public_key: RsaPublicKey,
+    /// `None` once inspection has taken the content.
+    secrets: Option<Secrets>,
     content: Content,
     receive_cycles: u64,
     injected_memory_failures: u32,
@@ -293,14 +295,17 @@ impl EngardeEnclave {
         spec: BootstrapSpec,
         policies: Vec<Box<dyn PolicyModule>>,
     ) -> Self {
-        let keypair = RsaKeyPair::generate(rng, spec.rsa_bits);
+        let server = ChannelServer::new(RsaKeyPair::generate(rng, spec.rsa_bits));
         EngardeEnclave {
             enclave,
             base,
             spec,
-            policies,
-            keys: EnclaveKeys::Pair(ChannelServer::new(keypair)),
-            session: None,
+            public_key: server.public_key().clone(),
+            secrets: Some(Secrets {
+                server,
+                session: None,
+                policies,
+            }),
             content: Content::AwaitingManifest,
             receive_cycles: 0,
             injected_memory_failures: 0,
@@ -324,17 +329,14 @@ impl EngardeEnclave {
     /// The ephemeral public key advertised to the client (also bound
     /// into the attestation quote).
     pub fn public_key(&self) -> &RsaPublicKey {
-        match &self.keys {
-            EnclaveKeys::Pair(server) => server.public_key(),
-            EnclaveKeys::Released(public) => public,
-        }
+        &self.public_key
     }
 
     /// Whether the session still holds its private key: from boot until
-    /// [`EngardeEnclave::inspect`] signs the verdict.
+    /// [`EngardeEnclave::inspect`] takes the content.
     #[cfg(test)]
     pub(crate) fn holds_private_key(&self) -> bool {
-        matches!(self.keys, EnclaveKeys::Pair(_))
+        self.secrets.is_some()
     }
 
     /// Digest of the public key, bound into the quote's report data.
@@ -351,15 +353,15 @@ impl EngardeEnclave {
     ///
     /// # Errors
     ///
-    /// Propagates channel failures; a protocol error once the verdict is
-    /// signed and the private key is gone.
+    /// Propagates channel failures; a protocol error once inspection
+    /// has taken the content and the private key is gone.
     pub fn open_channel(&mut self, wrapped_key: &[u8]) -> Result<(), EngardeError> {
-        let EnclaveKeys::Pair(server) = &self.keys else {
+        let Some(secrets) = &mut self.secrets else {
             return Err(EngardeError::Protocol {
                 what: "channel after inspection".into(),
             });
         };
-        self.session = Some(server.accept(wrapped_key)?);
+        secrets.session = Some(secrets.server.accept(wrapped_key)?);
         Ok(())
     }
 
@@ -393,8 +395,9 @@ impl EngardeEnclave {
             }
         };
         let session = self
-            .session
+            .secrets
             .as_mut()
+            .and_then(|secrets| secrets.session.as_mut())
             .ok_or_else(|| EngardeError::Protocol {
                 what: "content before channel establishment".into(),
             })?;
@@ -433,12 +436,12 @@ impl EngardeEnclave {
         matches!(&self.content, Content::Receiving { pages, .. } if pages.iter().all(Option::is_some))
     }
 
-    /// Moves the received content out of the session and joins its
-    /// pages into the image, dropping each page as it is copied. The
-    /// buffer grows from the bytes that arrived, never from the
-    /// manifest's declared length. Content that is incomplete stays in
-    /// the session; content already inspected is a protocol error.
-    fn take_content(&mut self) -> Result<(Vec<u8>, ContentManifest), EngardeError> {
+    /// Moves the received content and the secrets out of the session
+    /// and joins the pages into the image, dropping each page as it is
+    /// copied. The buffer grows from the bytes that arrived, never from
+    /// the manifest's declared length. Content that is incomplete stays
+    /// in the session; content already inspected is a protocol error.
+    fn take_content(&mut self) -> Result<(Vec<u8>, ContentManifest, Secrets), EngardeError> {
         match &self.content {
             Content::AwaitingManifest => {
                 return Err(EngardeError::Protocol {
@@ -454,9 +457,10 @@ impl EngardeEnclave {
             }
             Content::Inspected => {}
         }
-        let Content::Receiving { manifest, pages } =
-            std::mem::replace(&mut self.content, Content::Inspected)
-        else {
+        let (Content::Receiving { manifest, pages }, Some(secrets)) = (
+            std::mem::replace(&mut self.content, Content::Inspected),
+            self.secrets.take(),
+        ) else {
             return Err(EngardeError::Protocol {
                 what: "content already inspected".into(),
             });
@@ -474,7 +478,7 @@ impl EngardeEnclave {
                 ),
             });
         }
-        Ok((image, manifest))
+        Ok((image, manifest, secrets))
     }
 
     /// Inspects the received content and signs the verdict. The
@@ -485,12 +489,15 @@ impl EngardeEnclave {
     /// loaded and relocated into the client region.
     ///
     /// Structural, policy and mapping failures yield a signed rejection,
-    /// not an `Err`. The cache key binds the spec's bootstrap bytes to
-    /// the SHA-256 of the reassembled image (see [`crate::cache`]); every
-    /// probe charges [`costs::CACHE_PROBE`], reported in the disassembly
-    /// column. A miss inserts its judgement after mapping, unless the
-    /// rewriting extension made it compliant: that verdict describes the
-    /// rewritten image, not the bytes behind the key.
+    /// not an `Err`. Whatever the outcome, the session afterwards holds
+    /// only the public key: the key pair, the channel and the policy
+    /// modules are dropped with the content. The cache key binds the
+    /// spec's bootstrap bytes to the SHA-256 of the reassembled image
+    /// (see [`crate::cache`]); every probe charges
+    /// [`costs::CACHE_PROBE`], reported in the disassembly column. A miss
+    /// inserts its judgement after mapping, unless the rewriting
+    /// extension made it compliant: that verdict describes the rewritten
+    /// image, not the bytes behind the key.
     ///
     /// # Errors
     ///
@@ -503,7 +510,10 @@ impl EngardeEnclave {
         machine: &mut SgxMachine,
         cache: Option<&SharedVerdictCache>,
     ) -> Result<InspectionOutcome, EngardeError> {
-        let (image, manifest) = self.take_content()?;
+        let (image, manifest, secrets) = self.take_content()?;
+        let Secrets {
+            server, policies, ..
+        } = secrets;
         let content_digest = Sha256::digest(&image);
         let probe = cache.map(|cache| {
             machine.counter_mut().charge_native(costs::CACHE_PROBE);
@@ -535,7 +545,7 @@ impl EngardeEnclave {
                 (elf, image)
             } else {
                 let (loaded, was_rewritten) =
-                    self.judge(machine, elf, image, &mut stages, &mut judgement)?;
+                    self.judge(machine, &policies, elf, image, &mut stages, &mut judgement)?;
                 rewritten = was_rewritten;
                 (loaded.elf, loaded.raw_image)
             };
@@ -590,8 +600,12 @@ impl EngardeEnclave {
         }
         // Same detail, same digest, the session's own key: a replayed
         // verdict signs exactly the bytes a cold inspection would.
-        let verdict = self.sign_verdict(judgement.compliant, &judgement.detail, &content_digest)?;
-        self.release_secrets();
+        let verdict = sign_verdict(
+            &server,
+            judgement.compliant,
+            &judgement.detail,
+            &content_digest,
+        )?;
         Ok(InspectionOutcome {
             view: ProviderView {
                 compliant: judgement.compliant,
@@ -615,6 +629,7 @@ impl EngardeEnclave {
     fn judge(
         &self,
         machine: &mut SgxMachine,
+        policies: &[Box<dyn PolicyModule>],
         elf: ElfFile,
         image: Vec<u8>,
         stages: &mut StageCycles,
@@ -641,37 +656,33 @@ impl EngardeEnclave {
         let snap = *machine.counter();
         let memo = AnalysisCache::new();
         let mut rewritten = false;
-        let reports =
-            match run_policies_with_cache(&self.policies, &loaded, machine.counter_mut(), &memo) {
-                // The runtime-instrumentation extension: a missing
-                // stack-protector is fixable by rewriting; anything else
-                // stays a rejection.
-                Err(EngardeError::PolicyViolation {
-                    policy: "stack-protection",
-                    ..
-                }) if self.spec.rewrite_non_compliant => {
-                    let (new_image, _report) =
-                        crate::rewrite::StackProtectorRewriter::new().rewrite(&loaded)?;
-                    let elf = ElfFile::parse(&new_image)?;
-                    loaded = load_binary(machine, elf, new_image)?;
-                    rewritten = true;
-                    // A fresh memo: the old one describes the pre-rewrite
-                    // image, not the one now being judged.
-                    let memo = AnalysisCache::new();
-                    let result = run_policies_with_cache(
-                        &self.policies,
-                        &loaded,
-                        machine.counter_mut(),
-                        &memo,
-                    );
-                    judgement.taint = memo.taint_stats();
-                    result?
-                }
-                result => {
-                    judgement.taint = memo.taint_stats();
-                    result?
-                }
-            };
+        let reports = match run_policies_with_cache(policies, &loaded, machine.counter_mut(), &memo)
+        {
+            // The runtime-instrumentation extension: a missing
+            // stack-protector is fixable by rewriting; anything else
+            // stays a rejection.
+            Err(EngardeError::PolicyViolation {
+                policy: "stack-protection",
+                ..
+            }) if self.spec.rewrite_non_compliant => {
+                let (new_image, _report) =
+                    crate::rewrite::StackProtectorRewriter::new().rewrite(&loaded)?;
+                let elf = ElfFile::parse(&new_image)?;
+                loaded = load_binary(machine, elf, new_image)?;
+                rewritten = true;
+                // A fresh memo: the old one describes the pre-rewrite
+                // image, not the one now being judged.
+                let memo = AnalysisCache::new();
+                let result =
+                    run_policies_with_cache(policies, &loaded, machine.counter_mut(), &memo);
+                judgement.taint = memo.taint_stats();
+                result?
+            }
+            result => {
+                judgement.taint = memo.taint_stats();
+                result?
+            }
+        };
         stages.policy_checking = machine.counter().since(&snap);
 
         let summary = reports
@@ -688,38 +699,22 @@ impl EngardeEnclave {
         judgement.instructions = loaded.insns.len();
         Ok((loaded, rewritten))
     }
+}
 
-    fn sign_verdict(
-        &self,
-        compliant: bool,
-        detail: &str,
-        content_digest: &Digest,
-    ) -> Result<SignedVerdict, EngardeError> {
-        let EnclaveKeys::Pair(server) = &self.keys else {
-            return Err(EngardeError::Protocol {
-                what: "verdict already signed".into(),
-            });
-        };
-        let msg = SignedVerdict::message(compliant, detail, content_digest);
-        let signature = server.sign(&msg)?;
-        Ok(SignedVerdict {
-            compliant,
-            detail: detail.to_string(),
-            content_digest: *content_digest,
-            signature,
-        })
-    }
-
-    /// Drops what only the inspection needed once its verdict is signed:
-    /// the private key, the open channel and the policy modules. The
-    /// public key stays advertised.
-    fn release_secrets(&mut self) {
-        if let EnclaveKeys::Pair(server) = &self.keys {
-            self.keys = EnclaveKeys::Released(server.public_key().clone());
-        }
-        self.session = None;
-        self.policies = Vec::new();
-    }
+fn sign_verdict(
+    server: &ChannelServer,
+    compliant: bool,
+    detail: &str,
+    content_digest: &Digest,
+) -> Result<SignedVerdict, EngardeError> {
+    let msg = SignedVerdict::message(compliant, detail, content_digest);
+    let signature = server.sign(&msg)?;
+    Ok(SignedVerdict {
+        compliant,
+        detail: detail.to_string(),
+        content_digest: *content_digest,
+        signature,
+    })
 }
 
 #[cfg(test)]

@@ -458,8 +458,7 @@ impl BigUint {
             return self.modpow_square_and_multiply(exp, m);
         }
         let mut mont = Mont::new(m);
-        let mut x = Vec::new();
-        mont.pow(&self.rem(m), exp, &mut x);
+        let x = mont.pow(&self.rem(m), exp);
         mont.decode(&x)
     }
 
@@ -669,19 +668,17 @@ impl BigUint {
         // Witnesses run in the Montgomery domain of one context: `x == 1`
         // and `x == n - 1` become comparisons against `R` and `R·(n-1)`.
         let mut mont = Mont::new(self);
-        let limbs = self.limbs.len();
-        let (mut one, mut minus_one) = (vec![0; limbs], vec![0; limbs]);
-        mont.encode(&BigUint::one(), &mut one);
-        mont.encode(&n_minus_1, &mut minus_one);
-        let (mut x, mut sq) = (Vec::new(), vec![0; limbs]);
+        let one = mont.encode(&BigUint::one());
+        let minus_one = mont.encode(&n_minus_1);
+        let mut sq = vec![0u64; one.len()];
         'witness: for _ in 0..rounds {
             let a = first.take().unwrap_or_else(&mut draw_witness);
-            mont.pow(&a, &d, &mut x);
+            let mut x = mont.pow(&a, &d);
             if x == one || x == minus_one {
                 continue;
             }
             for _ in 0..s - 1 {
-                mont.mm.mul(&x, &x, &mut sq);
+                mont.mul(&x, &x, &mut sq);
                 std::mem::swap(&mut x, &mut sq);
                 if x == minus_one {
                     continue 'witness;
@@ -839,57 +836,21 @@ fn fermat_holds_mod(a: &BigUint, n: &BigUint, p: u64) -> bool {
 /// with `R = 2^(64n)`.
 ///
 /// A value in the Montgomery domain is an `n`-limb little-endian slice
-/// holding `x·R mod m`. The context owns every buffer an exponentiation
-/// needs (the window table and its scratch), so after the first
-/// [`Mont::pow`] none allocates.
+/// holding `x·R mod m`. Multiplication is CIOS (coarsely integrated
+/// operand scanning) into one reusable accumulator, so an
+/// exponentiation allocates only its window table and two buffers.
 struct Mont {
-    /// The multiply.
-    mm: MontMul,
-    /// `R² mod m`, which maps a value into the domain.
-    r2: Vec<u64>,
-    /// The sliding window's odd powers, `base^(2k+1)` in row `k` of `n`
-    /// limbs; grown to the widest window seen.
-    table: Vec<u64>,
-    /// `n` limbs of scratch: an operand padded to `n` limbs, or the
-    /// exponentiation's second accumulator.
-    tmp: Vec<u64>,
-}
-
-/// The Montgomery multiply modulo `m`: the BMI2/ADX kernel at the widths
-/// it covers on a CPU that has it, else the portable [`cios`].
-struct MontMul {
     /// The modulus, `n` limbs.
     m: Vec<u64>,
     /// `-m⁻¹ mod 2⁶⁴`.
     m_inv: u64,
+    /// `R² mod m`, which maps a value into the domain.
+    r2: Vec<u64>,
     /// CIOS accumulator, `n + 2` limbs.
     t: Vec<u64>,
-    /// The kernel's token, detected once per context.
+    /// The BMI2/ADX kernel's token, detected once per context.
     #[cfg(target_arch = "x86_64")]
     mulx: Option<crate::hw::Mulx>,
-}
-
-impl MontMul {
-    /// `out = a·b·R⁻¹ mod m` for `n`-limb `a, b < m`.
-    fn mul(&mut self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(mulx) = self.mulx {
-            if mulx.mont_mul(&self.m, self.m_inv, a, b, out) {
-                return;
-            }
-        }
-        cios(&self.m, self.m_inv, &mut self.t, a, b, out);
-    }
-
-    /// `out = x·R mod m` for `x < m` given as little-endian limbs, with
-    /// `pad` (`n` limbs) as scratch.
-    fn encode(&mut self, r2: &[u64], pad: &mut [u64], x: &[u64], out: &mut [u64]) {
-        let limbs = x.iter().copied().chain(std::iter::repeat(0));
-        for (p, l) in pad.iter_mut().zip(limbs) {
-            *p = l;
-        }
-        self.mul(pad, r2, out);
-    }
 }
 
 impl Mont {
@@ -909,39 +870,53 @@ impl Mont {
         let mut r2 = BigUint::one().shl(128 * n).rem(m).limbs;
         r2.resize(n, 0);
         Mont {
-            mm: MontMul {
-                m: m.limbs.clone(),
-                m_inv: inv.wrapping_neg(),
-                t: vec![0; n + 2],
-                #[cfg(target_arch = "x86_64")]
-                mulx: crate::hw::Mulx::detect(),
-            },
+            m: m.limbs.clone(),
+            m_inv: inv.wrapping_neg(),
             r2,
-            table: Vec::new(),
-            tmp: vec![0; n],
+            t: vec![0; n + 2],
+            #[cfg(target_arch = "x86_64")]
+            mulx: crate::hw::Mulx::detect(),
         }
     }
 
-    /// `out = x·R mod m` for `x < m`.
-    fn encode(&mut self, x: &BigUint, out: &mut [u64]) {
-        self.mm.encode(&self.r2, &mut self.tmp, &x.limbs, out);
+    /// `out = a·b·R⁻¹ mod m` for `n`-limb `a, b < m`: the BMI2/ADX
+    /// kernel at the widths it covers on a CPU that has it, else the
+    /// portable [`cios`].
+    fn mul(&mut self, a: &[u64], b: &[u64], out: &mut [u64]) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(mulx) = self.mulx {
+            if mulx.mont_mul(&self.m, self.m_inv, a, b, out) {
+                return;
+            }
+        }
+        cios(&self.m, self.m_inv, &mut self.t, a, b, out);
+    }
+
+    /// `x·R mod m` for `x < m`.
+    fn encode(&mut self, x: &BigUint) -> Vec<u64> {
+        let mut limbs = x.limbs.clone();
+        limbs.resize(self.m.len(), 0);
+        let mut out = vec![0; self.m.len()];
+        let r2 = std::mem::take(&mut self.r2);
+        self.mul(&limbs, &r2, &mut out);
+        self.r2 = r2;
+        out
     }
 
     /// The value whose Montgomery form is `x`.
     fn decode(&mut self, x: &[u64]) -> BigUint {
-        self.tmp.fill(0);
-        self.tmp[0] = 1;
-        let mut out = vec![0; self.tmp.len()];
-        self.mm.mul(x, &self.tmp, &mut out);
+        let mut one = vec![0; self.m.len()];
+        one[0] = 1;
+        let mut out = vec![0; self.m.len()];
+        self.mul(x, &one, &mut out);
         let mut n = BigUint { limbs: out };
         n.normalize();
         n
     }
 
-    /// `acc = base^exp` in the Montgomery domain, for `base < m`: a
-    /// left-to-right sliding window over a table of odd powers. `acc` is
-    /// resized to `n` limbs.
-    fn pow(&mut self, base: &BigUint, exp: &BigUint, acc: &mut Vec<u64>) {
+    /// `base^exp` in the Montgomery domain, for `base < m`: a
+    /// left-to-right sliding window over a table of odd powers.
+    fn pow(&mut self, base: &BigUint, exp: &BigUint) -> Vec<u64> {
         let bits = exp.bit_len();
         let w = match bits {
             0..=23 => 1,
@@ -950,28 +925,26 @@ impl Mont {
             240..=671 => 5,
             _ => 6,
         };
-        let Mont { mm, r2, table, tmp } = self;
-        let n = mm.m.len();
-        acc.resize(n, 0);
-        if table.len() < n << (w - 1) {
-            table.resize(n << (w - 1), 0);
-        }
-        mm.encode(r2, tmp, &base.limbs, &mut table[..n]);
+        let n = self.m.len();
+        // table[k] = base^(2k+1).
+        let mut table = vec![self.encode(base)];
         if w > 1 {
-            // tmp = base², and each row is the one before times base².
-            mm.mul(&table[..n], &table[..n], tmp);
+            let mut sq = vec![0; n];
+            self.mul(&table[0], &table[0], &mut sq);
             for k in 1..1 << (w - 1) {
-                let (done, next) = table.split_at_mut(k * n);
-                mm.mul(&done[(k - 1) * n..], tmp, &mut next[..n]);
+                let mut next = vec![0; n];
+                self.mul(&table[k - 1], &sq, &mut next);
+                table.push(next);
             }
         }
-        mm.encode(r2, tmp, &[1], acc);
+        let mut acc = self.encode(&BigUint::one());
+        let mut tmp = vec![0; n];
         // Bits [i, bits) are consumed.
         let mut i = bits;
         while i > 0 {
             if !exp.bit(i - 1) {
-                mm.mul(acc, acc, tmp);
-                std::mem::swap(acc, tmp);
+                self.mul(&acc, &acc, &mut tmp);
+                std::mem::swap(&mut acc, &mut tmp);
                 i -= 1;
                 continue;
             }
@@ -982,13 +955,14 @@ impl Mont {
             }
             let value = (lo..i).rev().fold(0, |v, b| v << 1 | exp.bit(b) as usize);
             for _ in lo..i {
-                mm.mul(acc, acc, tmp);
-                std::mem::swap(acc, tmp);
+                self.mul(&acc, &acc, &mut tmp);
+                std::mem::swap(&mut acc, &mut tmp);
             }
-            mm.mul(acc, &table[(value >> 1) * n..][..n], tmp);
-            std::mem::swap(acc, tmp);
+            self.mul(&acc, &table[value >> 1], &mut tmp);
+            std::mem::swap(&mut acc, &mut tmp);
             i = lo;
         }
+        acc
     }
 }
 
@@ -1223,14 +1197,13 @@ mod tests {
     fn montgomery_domain_round_trips() {
         let m = BigUint::from_bytes_be(&[0xc3; 40]);
         let mut mont = Mont::new(&m);
-        let mut xm = vec![0; 5];
         for x in [BigUint::zero(), BigUint::one(), m.sub(&BigUint::one())] {
-            mont.encode(&x, &mut xm);
+            let xm = mont.encode(&x);
             assert_eq!(mont.decode(&xm), x);
         }
         // R mod m is the Montgomery form of one.
-        mont.encode(&BigUint::one(), &mut xm);
-        assert_eq!(BigUint { limbs: xm }, BigUint::one().shl(64 * 5).rem(&m));
+        let one = mont.encode(&BigUint::one());
+        assert_eq!(BigUint { limbs: one }, BigUint::one().shl(64 * 5).rem(&m));
     }
 
     /// `n` limbs, each 0, 1, 2⁶⁴ − 2, 2⁶⁴ − 1 or random: values whose
@@ -1280,7 +1253,7 @@ mod tests {
             .run(|rng| {
                 let n = *pick(rng, &[4, 8, 16]);
                 let m = full_width_modulus(rng, n);
-                let m_inv = Mont::new(&m).mm.m_inv;
+                let m_inv = Mont::new(&m).m_inv;
                 let mut operand = || {
                     let x = match rng.gen_range(0..5) {
                         0 => BigUint::zero(),

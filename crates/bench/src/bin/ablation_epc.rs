@@ -7,6 +7,7 @@
 
 use engarde_bench::run_pipeline;
 use engarde_core::loader::{LoaderConfig, OPENSGX_DEFAULT_HEAP_PAGES};
+use engarde_core::EngardeError;
 use engarde_workloads::bench_suite::{PolicyFigure, PAPER_BENCHMARKS};
 
 fn main() {
@@ -15,11 +16,20 @@ fn main() {
         "{:<12} {:>9} {:>14} {:>22} {:>22}",
         "Benchmark", "#Inst", "buffer pages", "stock heap (300 pg)", "paper heap (5000 pg)"
     );
+    // Each rejection's cause, printed in full below the table.
+    let mut causes = Vec::new();
+    let mut cell = |result: Result<_, EngardeError>| match result {
+        Ok(_) => "fits".to_string(),
+        Err(e) => {
+            causes.push(e.to_string());
+            format!("REJECTED [{}]", causes.len())
+        }
+    };
     for bench in &PAPER_BENCHMARKS {
         let insns = bench.insns_fig5;
         // 64-byte records, 4096-byte pages.
         let buffer_pages = (insns * 64).div_ceil(4096);
-        let stock = run_pipeline(
+        let stock = cell(run_pipeline(
             bench,
             PolicyFigure::Fig5Ifcc,
             Some(LoaderConfig {
@@ -27,29 +37,17 @@ fn main() {
                 ..LoaderConfig::default()
             }),
             None,
-        );
-        let stock_result = match stock {
-            Ok(_) => "fits".to_string(),
-            Err(e) => format!("REJECTED ({})", short(&e.to_string())),
-        };
-        let paper = run_pipeline(bench, PolicyFigure::Fig5Ifcc, None, None);
-        let paper_result = match paper {
-            Ok(_) => "fits".to_string(),
-            Err(e) => format!("REJECTED ({})", short(&e.to_string())),
-        };
+        ));
+        let paper = cell(run_pipeline(bench, PolicyFigure::Fig5Ifcc, None, None));
         println!(
             "{:<12} {:>9} {:>14} {:>22} {:>22}",
-            bench.name, insns, buffer_pages, stock_result, paper_result
+            bench.name, insns, buffer_pages, stock, paper
         );
+    }
+    println!();
+    for (i, cause) in causes.iter().enumerate() {
+        println!("[{}] {cause}", i + 1);
     }
     println!("\nevery benchmark above 300×64 = 19,200 instructions overflows OpenSGX's");
     println!("stock heap — exactly why the paper raised the limits.");
-}
-
-fn short(s: &str) -> &str {
-    if s.len() > 24 {
-        &s[..24]
-    } else {
-        s
-    }
 }

@@ -16,9 +16,9 @@
 //! fields are attacker-controlled; two manifests can claim the same
 //! name/length for different bytes). Binding the serialized
 //! [`BootstrapSpec`](crate::provision::BootstrapSpec) bytes means the
-//! same binary inspected under a different policy set, loader
-//! configuration, or rewrite setting occupies a different cache slot:
-//! verdicts never leak across policy regimes.
+//! same binary inspected under a different policy set or loader
+//! configuration occupies a different cache slot: verdicts never leak
+//! across policy regimes.
 //!
 //! # What a hit may — and may not — skip
 //!
@@ -27,10 +27,7 @@
 //! still received and decrypted its own ciphertext, still reassembles
 //! and hashes the image (the key *is* that hash), still re-verifies the
 //! declared page kinds against the actual content, and still performs a
-//! fresh `map_and_relocate` into its own enclave region. Outcomes
-//! produced by the rewriting extension are never inserted: a rewritten
-//! image differs from the received one, so its verdict does not describe
-//! the cached key's content.
+//! fresh `map_and_relocate` into its own enclave region.
 //!
 //! # The record
 //!

@@ -10,13 +10,13 @@
 //!   relocated entry is executable),
 //! - the W^X permissions the host installed are enforced at runtime
 //!   (writes to code pages fault, execution from data pages faults),
-//! - the stack-protector instrumentation the policies verified — and
-//!   the rewriter inserted — actually catches stack smashes: a
-//!   corrupted canary diverts control to `__stack_chk_fail`.
+//! - the stack-protector instrumentation the policies verified actually
+//!   catches stack smashes: a corrupted canary diverts control to
+//!   `__stack_chk_fail`.
 //!
 //! The interpreter covers exactly the instruction repertoire the
-//! workload generator and rewriter emit; anything else faults with a
-//! precise address, which is the honest behaviour for a simulator.
+//! workload generator emits; anything else faults with a precise
+//! address, which is the honest behaviour for a simulator.
 
 use crate::error::EngardeError;
 use engarde_sgx::epc::PAGE_SIZE;
@@ -805,37 +805,6 @@ mod tests {
         assert!(
             matches!(out.exit, ExitReason::CanaryFailure { .. }),
             "smash must be caught: {out:?}"
-        );
-    }
-
-    #[test]
-    fn rewritten_binary_executes_cleanly() {
-        // The rewriter's instrumentation is not just pattern-correct: it
-        // runs. Plain binary → rewrite → execute to completion.
-        use crate::rewrite::StackProtectorRewriter;
-        use engarde_workloads::generator::{generate, WorkloadSpec};
-        let w = generate(&WorkloadSpec {
-            target_instructions: 4_000,
-            libc_functions_used: 10,
-            avg_app_fn_insns: 30,
-            calls_per_app_fn: 1,
-            ..WorkloadSpec::default()
-        });
-        // Rewrite via a scratch load.
-        let (mut scratch, sid, _, _) = provision(&w.image);
-        let loaded = load(&mut scratch, sid, &w.image, &LoaderConfig::default()).expect("loads");
-        let (new_image, report) = StackProtectorRewriter::new()
-            .rewrite(&loaded)
-            .expect("rewrites");
-        assert!(report.functions_instrumented > 0);
-
-        let (mut m, id, entry, chk) = provision(&new_image);
-        let mut exec = Executor::new(&mut m, id, chk);
-        let out = exec.run(entry, &ExecConfig::default()).expect("runs");
-        assert_eq!(
-            out.exit,
-            ExitReason::Returned,
-            "rewritten code must execute cleanly: {out:?}"
         );
     }
 

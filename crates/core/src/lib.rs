@@ -24,8 +24,6 @@
 //! - [`policy`] — the pluggable policy framework and the paper's three
 //!   modules (library linking, stack protection, IFCC),
 //! - [`relocate`] — segment mapping and RELA application,
-//! - [`rewrite`] — the paper's runtime-instrumentation extension
-//!   (rewrite non-compliant binaries instead of rejecting them),
 //! - [`protocol`] — page-granularity transfer types and signed verdicts,
 //! - [`symbols`] — the loader's symbol hash table.
 //!
@@ -100,7 +98,6 @@ pub mod protocol;
 pub mod provider;
 pub mod provision;
 pub mod relocate;
-pub mod rewrite;
 pub mod symbols;
 
 pub use error::EngardeError;

@@ -124,7 +124,7 @@ pub struct LoadedBinary {
 impl LoadedBinary {
     /// The inspected text: the executable segment's bytes, which are
     /// exactly the bytes mapped executable (hashing input for the
-    /// library-linking policy, re-emission input for the rewriter).
+    /// library-linking policy).
     pub fn text(&self) -> &[u8] {
         self.elf
             .exec_segment()

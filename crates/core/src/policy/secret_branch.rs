@@ -9,6 +9,12 @@
 //! taint is non-empty, including branches reached interprocedurally
 //! (a callee branching on a secret its caller passed in is attributed
 //! to the caller's call site).
+//!
+//! The policy is branch-only. A load or store whose *address* is
+//! tainted (`mov rax, [table + rcx*8]` with `rcx` secret, a
+//! secret-indexed table lookup) reaches no sink, and the loaded value
+//! does not inherit the address registers' taint, so secret-dependent
+//! memory accesses pass.
 
 use super::{PolicyContext, PolicyModule, PolicyReport};
 use crate::error::EngardeError;

@@ -52,11 +52,6 @@ pub struct BootstrapSpec {
     /// Modulus size of the enclave's ephemeral RSA key (2048 in the
     /// paper; tests use smaller for speed).
     pub rsa_bits: usize,
-    /// The runtime-instrumentation extension (paper §1): when a binary
-    /// fails the stack-protection policy, rewrite it with canary
-    /// instrumentation and re-inspect instead of rejecting. Bound into
-    /// the measurement like every other configuration bit.
-    pub rewrite_non_compliant: bool,
 }
 
 impl BootstrapSpec {
@@ -78,14 +73,7 @@ impl BootstrapSpec {
                 .collect(),
             client_region_pages,
             rsa_bits,
-            rewrite_non_compliant: false,
         }
-    }
-
-    /// Enables the runtime-instrumentation (rewriting) extension.
-    pub fn with_rewriting(mut self) -> Self {
-        self.rewrite_non_compliant = true;
-        self
     }
 
     /// Serialises the spec into the bootstrap page contents. These bytes
@@ -108,7 +96,9 @@ impl BootstrapSpec {
         out.push(self.loader.recover_stripped_symbols as u8);
         out.extend_from_slice(&(self.client_region_pages as u64).to_be_bytes());
         out.extend_from_slice(&(self.rsa_bits as u64).to_be_bytes());
-        out.push(self.rewrite_non_compliant as u8);
+        // This byte once encoded a switch; it stays 0 so that no
+        // measurement, cache key or seal key moves.
+        out.push(0);
         out.extend_from_slice(&(self.policy_descriptors.len() as u64).to_be_bytes());
         for (name, descriptor) in &self.policy_descriptors {
             out.extend_from_slice(&(name.len() as u64).to_be_bytes());
@@ -484,9 +474,8 @@ impl EngardeEnclave {
     /// Inspects the received content and signs the verdict. The
     /// declared page kinds are verified against the bytes (mixed pages
     /// are rejected). The judgement comes from `cache` on a hit, else
-    /// from disassembly and policy checking, with the stack-protector
-    /// rewrite when the spec enables it. A compliant judgement is then
-    /// loaded and relocated into the client region.
+    /// from disassembly and policy checking. A compliant judgement is
+    /// then loaded and relocated into the client region.
     ///
     /// Structural, policy and mapping failures yield a signed rejection,
     /// not an `Err`. Whatever the outcome, the session afterwards holds
@@ -495,9 +484,7 @@ impl EngardeEnclave {
     /// spec's bootstrap bytes to the SHA-256 of the reassembled image
     /// (see [`crate::cache`]); every probe charges
     /// [`costs::CACHE_PROBE`], reported in the disassembly column. A miss
-    /// inserts its judgement after mapping, unless the rewriting
-    /// extension made it compliant: that verdict describes the rewritten
-    /// image, not the bytes behind the key.
+    /// inserts its judgement after mapping.
     ///
     /// # Errors
     ///
@@ -529,7 +516,6 @@ impl EngardeEnclave {
             receive_decrypt: self.receive_cycles,
             ..Default::default()
         };
-        let mut rewritten = false;
 
         let mapped = (|| -> Result<Vec<u64>, EngardeError> {
             // The one parse of the received image. Fail closed, hit or
@@ -544,9 +530,8 @@ impl EngardeEnclave {
             let (elf, image) = if cache_hit {
                 (elf, image)
             } else {
-                let (loaded, was_rewritten) =
+                let loaded =
                     self.judge(machine, &policies, elf, image, &mut stages, &mut judgement)?;
-                rewritten = was_rewritten;
                 (loaded.elf, loaded.raw_image)
             };
             if !judgement.compliant {
@@ -586,14 +571,12 @@ impl EngardeEnclave {
         // configuration) too, so a fleet re-submitting a non-compliant
         // binary re-hears "no" without re-paying the analysis.
         if let (Some((cache, key)), false) = (probe, cache_hit) {
-            if !(rewritten && judgement.compliant) {
-                let verdict = CachedVerdict {
-                    disassembly_cycles: stages.disassembly,
-                    policy_cycles: stages.policy_checking,
-                    ..judgement.clone()
-                };
-                lock_cache(cache).insert(key, verdict);
-            }
+            let verdict = CachedVerdict {
+                disassembly_cycles: stages.disassembly,
+                policy_cycles: stages.policy_checking,
+                ..judgement.clone()
+            };
+            lock_cache(cache).insert(key, verdict);
         }
         if cache.is_some() {
             stages.disassembly += costs::CACHE_PROBE;
@@ -623,9 +606,7 @@ impl EngardeEnclave {
     /// for. Fills the two analysis columns of `stages` as each stage
     /// completes, and `judgement` with the compliant verdict. A policy
     /// run that fails still leaves its memo's taint counters there.
-    /// Returns the judged binary, which owns `image`, and whether the
-    /// stack-protector rewrite produced it (the rewritten image is
-    /// parsed once more).
+    /// Returns the judged binary, which owns `image`.
     fn judge(
         &self,
         machine: &mut SgxMachine,
@@ -634,7 +615,7 @@ impl EngardeEnclave {
         image: Vec<u8>,
         stages: &mut StageCycles,
         judgement: &mut CachedVerdict,
-    ) -> Result<(LoadedBinary, bool), EngardeError> {
+    ) -> Result<LoadedBinary, EngardeError> {
         // The staging region the decrypted client content occupies — a
         // taint source on top of the loader's channel-key range.
         let region = self.spec.client_region_base(self.base);
@@ -643,61 +624,27 @@ impl EngardeEnclave {
             end: region + (self.spec.client_region_pages * PAGE_SIZE) as u64,
             class: SecretClass::DecryptedContent,
         };
-        let load_binary = |machine: &mut SgxMachine, elf, image| {
-            let mut loaded = load_parsed(machine, self.enclave, elf, image, &self.spec.loader)?;
-            loaded.secret_ranges.push(decrypted_content);
-            Ok::<_, EngardeError>(loaded)
-        };
 
         let snap = *machine.counter();
-        let mut loaded = load_binary(machine, elf, image)?;
+        let mut loaded = load_parsed(machine, self.enclave, elf, image, &self.spec.loader)?;
+        loaded.secret_ranges.push(decrypted_content);
         stages.disassembly = machine.counter().since(&snap);
 
         let snap = *machine.counter();
         let memo = AnalysisCache::new();
-        let mut rewritten = false;
-        let reports = match run_policies_with_cache(policies, &loaded, machine.counter_mut(), &memo)
-        {
-            // The runtime-instrumentation extension: a missing
-            // stack-protector is fixable by rewriting; anything else
-            // stays a rejection.
-            Err(EngardeError::PolicyViolation {
-                policy: "stack-protection",
-                ..
-            }) if self.spec.rewrite_non_compliant => {
-                let (new_image, _report) =
-                    crate::rewrite::StackProtectorRewriter::new().rewrite(&loaded)?;
-                let elf = ElfFile::parse(&new_image)?;
-                loaded = load_binary(machine, elf, new_image)?;
-                rewritten = true;
-                // A fresh memo: the old one describes the pre-rewrite
-                // image, not the one now being judged.
-                let memo = AnalysisCache::new();
-                let result =
-                    run_policies_with_cache(policies, &loaded, machine.counter_mut(), &memo);
-                judgement.taint = memo.taint_stats();
-                result?
-            }
-            result => {
-                judgement.taint = memo.taint_stats();
-                result?
-            }
-        };
+        let result = run_policies_with_cache(policies, &loaded, machine.counter_mut(), &memo);
+        judgement.taint = memo.taint_stats();
+        let reports = result?;
         stages.policy_checking = machine.counter().since(&snap);
 
-        let summary = reports
+        judgement.compliant = true;
+        judgement.detail = reports
             .iter()
             .map(|r| format!("{}: {} items", r.policy, r.items_checked))
             .collect::<Vec<_>>()
             .join("; ");
-        judgement.compliant = true;
-        judgement.detail = if rewritten {
-            format!("rewritten with canary instrumentation; {summary}")
-        } else {
-            summary
-        };
         judgement.instructions = loaded.insns.len();
-        Ok((loaded, rewritten))
+        Ok(loaded)
     }
 }
 

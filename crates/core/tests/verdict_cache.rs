@@ -194,8 +194,8 @@ fn rejections_are_replayed_from_cache() {
 #[test]
 fn verdicts_never_shared_across_policy_regimes() {
     // The same bytes under two different agreed configurations (here:
-    // different EnGarde versions; policy sets, loader settings, and the
-    // rewrite flag are bound the same way) must occupy distinct slots.
+    // different EnGarde versions; policy sets and loader settings are
+    // bound the same way) must occupy distinct slots.
     let spec_a = BootstrapSpec::new(
         "EnGarde-1.0",
         LoaderConfig::default(),
@@ -224,58 +224,6 @@ fn verdicts_never_shared_across_policy_regimes() {
     );
     let stats = lock_cache(&cache).stats();
     assert_eq!((stats.hits, stats.misses, stats.insertions), (0, 2, 2));
-}
-
-fn unprotected_image() -> Vec<u8> {
-    generate(&WorkloadSpec {
-        target_instructions: 6_000,
-        instrumentation: Instrumentation::None,
-        ..WorkloadSpec::default()
-    })
-    .image
-}
-
-#[test]
-fn rewritten_verdicts_are_signed_but_never_cached() {
-    let spec = BootstrapSpec::new(
-        "EnGarde-1.0",
-        LoaderConfig::default(),
-        &stack_policies(),
-        128,
-        512,
-    )
-    .with_rewriting();
-    let image = unprotected_image();
-
-    let cache = shared_cache(8);
-    let mut provider = cached_provider(42, &cache);
-    let (first, v1) = provision(&mut provider, &spec, stack_policies(), image.clone());
-    let (second, v2) = provision(&mut provider, &spec, stack_policies(), image.clone());
-
-    assert!(first.compliant && second.compliant);
-    assert!(
-        v1.detail
-            .starts_with("rewritten with canary instrumentation"),
-        "detail: {}",
-        v1.detail
-    );
-    // The verdict describes the rewritten image, not the bytes behind
-    // the key: both sessions miss and nothing is inserted.
-    assert!(!first.cache_hit && !second.cache_hit);
-    let stats = lock_cache(&cache).stats();
-    assert_eq!((stats.hits, stats.misses, stats.insertions), (0, 2, 0));
-    assert_eq!(
-        SignedVerdict::message(v1.compliant, &v1.detail, &v1.content_digest),
-        SignedVerdict::message(v2.compliant, &v2.detail, &v2.content_digest)
-    );
-    assert_eq!(first.instructions, second.instructions);
-    assert_eq!(first.stages, second.stages);
-
-    // Session for session, the signatures equal an uncached fleet's.
-    let mut uncached = CloudProvider::new(machine_config(42));
-    let (_, u1) = provision(&mut uncached, &spec, stack_policies(), image.clone());
-    let (_, u2) = provision(&mut uncached, &spec, stack_policies(), image);
-    assert_eq!((&v1, &v2), (&u1, &u2));
 }
 
 #[test]

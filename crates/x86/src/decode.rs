@@ -603,9 +603,15 @@ pub fn decode_one(bytes: &[u8], addr: u64) -> Result<Insn, DisasmError> {
             })
         }
 
-        // inc/dec r/m8
+        // inc/dec r/m8; the CPU raises #UD on every other reg field
         0xfe => {
             let m = modrm!();
+            if m.reg_field > 1 {
+                return Err(DisasmError::UnknownOpcode {
+                    addr,
+                    opcode: op as u16,
+                });
+            }
             InsnKind::Other(dst(src(e.flags(false, true), &m), &m, Width::W8))
         }
         0xff => {
@@ -1028,6 +1034,54 @@ mod tests {
             decode_one(&[0x06], 0),
             Err(DisasmError::UnknownOpcode { .. })
         ));
+    }
+
+    #[test]
+    fn byte_inc_dec_group_rejects_reg_fields_two_to_seven() {
+        // fe /0 and /1 are inc/dec r/m8; /2–/7 raise #UD on the CPU,
+        // so the inspector must not judge them as instructions.
+        for reg in 0..8u8 {
+            for modrm in [0xc0 | reg << 3, 0x03 | reg << 3] {
+                let got = decode_one(&[0xfe, modrm], 0x1000);
+                if reg < 2 {
+                    assert_eq!(got.map(|i| i.len), Ok(2), "fe {modrm:02x}");
+                } else {
+                    assert_eq!(
+                        got,
+                        Err(DisasmError::UnknownOpcode {
+                            addr: 0x1000,
+                            opcode: 0xfe
+                        }),
+                        "fe {modrm:02x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn operand_size_prefix_leaves_near_branches_rel32() {
+        // Intel 64 ignores 66 on call/jmp/jcc rel32 in 64-bit mode (AMD
+        // reads rel16); SGX is Intel-only, so the displacement stays
+        // four bytes and the length is the prefix plus 5, 5 or 6.
+        let at = 0x1000u64;
+        let rel = [0x10, 0x00, 0x00, 0x00];
+        let mut cases = vec![
+            ([&[0x66, 0xe8][..], &rel].concat(), 6),
+            ([&[0x66, 0xe9][..], &rel].concat(), 6),
+        ];
+        for cc in 0x80..=0x8fu8 {
+            cases.push(([&[0x66, 0x0f, cc][..], &rel].concat(), 7));
+        }
+        for (bytes, len) in cases {
+            let i = decode_one(&bytes, at).expect("decodes");
+            assert_eq!(i.len as usize, len, "{bytes:x?}");
+            assert_eq!(
+                i.kind.branch_target(),
+                Some(at + len as u64 + 0x10),
+                "{bytes:x?}"
+            );
+        }
     }
 
     #[test]

@@ -165,7 +165,9 @@ fn every_memory_form_reports_its_operand() {
             }
         }
     }
-    assert_eq!(checked, 1518, "memory forms decoded");
+    // fe /2–/7 (six reg fields, with and without REX.W) are #UD and
+    // refused, so they are not counted.
+    assert_eq!(checked, 1506, "memory forms decoded");
 }
 
 #[test]
@@ -199,7 +201,9 @@ fn no_rex_less_byte_operand_names_rsp_through_rdi() {
         )
         .chain((0x90..=0x9f).map(|op| vec![0x0f, op]));
     for op in byte_ops {
-        for modrm in 0xc0..=0xffu8 {
+        // fe /2–/7 are #UD: only inc and dec take a byte operand.
+        let last = if op == [0xfe] { 0xcf } else { 0xff };
+        for modrm in 0xc0..=last {
             check(&[&op[..], &[modrm]].concat(), false);
         }
     }
@@ -212,5 +216,5 @@ fn no_rex_less_byte_operand_names_rsp_through_rdi() {
             check(&[0x0f, op, modrm], true);
         }
     }
-    assert_eq!(checked, 2832, "register forms decoded");
+    assert_eq!(checked, 2784, "register forms decoded");
 }

@@ -220,12 +220,14 @@ echo "== gate: no unwrap/expect in hostile-input/serve non-test code =="
 # recovery) and the client face hostile bytes, RSA parses keys,
 # ciphertexts and signatures the peer chose (and bignum does their
 # arithmetic), AES runs over every block a peer seals, SHA-256 and
-# HMAC digest and authenticate peer-chosen bytes, the analysis/policy engines chew on attacker-shaped binaries, the
-# stack-protector rewriter re-emits them inside the inspector, the serve
-# path faces injected faults, and the store recovers arbitrarily
-# damaged segments; every read must be fallible and no fault may panic
-# a worker. Strip each file's #[cfg(test)] module, then refuse any
-# unwrap()/expect( left.
+# HMAC digest and authenticate peer-chosen bytes, the analysis/policy
+# engines chew on attacker-shaped binaries, the serve path faces
+# injected faults, and the store recovers arbitrarily damaged segments;
+# every read must be fallible and no fault may panic a worker. Strip
+# each file's #[cfg(test)] module, then refuse any unwrap()/expect(
+# left. Every entry, and every glob after expansion, must name an
+# existing file: a deleted or renamed file fails the gate instead of
+# leaving it silently (awk's error would only make the grep miss).
 panic_free_files=(
     crates/crypto/src/aes.rs
     crates/crypto/src/bignum.rs
@@ -248,7 +250,6 @@ panic_free_files=(
     crates/core/src/provider.rs
     crates/core/src/provision.rs
     crates/core/src/relocate.rs
-    crates/core/src/rewrite.rs
     crates/core/src/symbols.rs
     crates/core/src/analysis/*.rs
     crates/core/src/policy/*.rs
@@ -265,6 +266,7 @@ panic_free_files=(
     crates/sgx/src/*.rs
 )
 for f in "${panic_free_files[@]}"; do
+    [[ -f "$f" ]] || { echo "FAIL: panic-free entry $f names no existing file" >&2; exit 1; }
     if awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" \
             | grep -nE '\.unwrap\(\)|\.expect\('; then
         echo "FAIL: $f non-test code calls unwrap()/expect(" >&2

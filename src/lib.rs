@@ -46,6 +46,6 @@ pub use engarde_workloads as workloads;
 pub use engarde_x86 as x86;
 
 pub use engarde_core::{
-    client, error, exec, loader, policy, protocol, provider, provision, relocate, rewrite, symbols,
+    client, error, exec, loader, policy, protocol, provider, provision, relocate, symbols,
     EngardeError, MUSL_DB_VERSION,
 };

@@ -142,6 +142,10 @@ fn every_memory_form_reports_its_operand() {
         for escape in [&[][..], &[0x0f]] {
             for op in (0u8..=0xff).filter(|&op| !escape.is_empty() || !prefix_or_escape(op)) {
                 for reg in 0..8u8 {
+                    // fe /2–/7 are #UD: only inc and dec take a byte operand.
+                    if escape.is_empty() && op == 0xfe && reg > 1 {
+                        continue;
+                    }
                     let mut bytes = [rex, escape, &[op, 0x43 | reg << 3, 0x10]].concat();
                     bytes.extend([0; 8]);
                     let Ok(insn) = decode_one(&bytes, 0x1000) else {
@@ -165,8 +169,6 @@ fn every_memory_form_reports_its_operand() {
             }
         }
     }
-    // fe /2–/7 (six reg fields, with and without REX.W) are #UD and
-    // refused, so they are not counted.
     assert_eq!(checked, 1506, "memory forms decoded");
 }
 

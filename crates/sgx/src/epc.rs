@@ -487,6 +487,203 @@ mod tests {
         assert_eq!(epc.epcm(idx).expect("entry").perms, PagePerms::RX);
     }
 
+    /// An EPC that stores every page eagerly as full plaintext and full
+    /// ciphertext, re-encrypting the whole page on every write: the
+    /// reference the real EPC must be indistinguishable from.
+    struct EagerEpc {
+        mee: AesKey,
+        slots: Vec<Option<EagerPage>>,
+        free_hint: usize,
+    }
+
+    #[derive(Clone)]
+    struct EagerPage {
+        entry: EpcmEntry,
+        plain: [u8; PAGE_SIZE],
+        cipher: [u8; PAGE_SIZE],
+    }
+
+    impl EagerEpc {
+        fn new(num_pages: usize, mee_key: [u8; 32]) -> Self {
+            EagerEpc {
+                mee: AesKey::new_256(&mee_key),
+                slots: vec![None; num_pages],
+                free_hint: 0,
+            }
+        }
+
+        fn seal(&self, idx: usize, plain: &[u8; PAGE_SIZE]) -> [u8; PAGE_SIZE] {
+            let mut nonce = [0u8; 16];
+            nonce[..8].copy_from_slice(&(idx as u64).to_be_bytes());
+            let mut cipher = *plain;
+            ctr_xor(&self.mee, &nonce, 0, &mut cipher);
+            cipher
+        }
+
+        fn alloc(&mut self, entry: EpcmEntry, data: &[u8]) -> Result<usize, EpcError> {
+            let n = self.slots.len();
+            let idx = (0..n)
+                .map(|k| (self.free_hint + k) % n)
+                .find(|&i| self.slots[i].is_none())
+                .ok_or(EpcError::OutOfPages)?;
+            let mut plain = [0u8; PAGE_SIZE];
+            let len = data.len().min(PAGE_SIZE);
+            plain[..len].copy_from_slice(&data[..len]);
+            let cipher = self.seal(idx, &plain);
+            self.slots[idx] = Some(EagerPage {
+                entry,
+                plain,
+                cipher,
+            });
+            self.free_hint = (idx + 1) % n;
+            Ok(idx)
+        }
+
+        fn page(&self, idx: usize) -> Result<&[u8; PAGE_SIZE], EpcError> {
+            match self.slots.get(idx) {
+                Some(Some(page)) => Ok(&page.plain),
+                _ => Err(EpcError::BadPage),
+            }
+        }
+
+        fn read_at(&self, idx: usize, offset: usize, len: usize) -> Result<Vec<u8>, EpcError> {
+            let plain = self.page(idx)?;
+            match offset.checked_add(len) {
+                Some(end) if end <= PAGE_SIZE => Ok(plain[offset..end].to_vec()),
+                _ => Err(EpcError::BadPage),
+            }
+        }
+
+        fn write(&mut self, idx: usize, offset: usize, data: &[u8]) -> Result<(), EpcError> {
+            let mut plain = *self.page(idx)?;
+            match offset.checked_add(data.len()) {
+                Some(end) if end <= PAGE_SIZE => plain[offset..end].copy_from_slice(data),
+                _ => return Err(EpcError::BadPage),
+            }
+            let cipher = self.seal(idx, &plain);
+            if let Some(Some(page)) = self.slots.get_mut(idx) {
+                page.plain = plain;
+                page.cipher = cipher;
+            }
+            Ok(())
+        }
+
+        fn ciphertext(&self, idx: usize) -> Result<[u8; PAGE_SIZE], EpcError> {
+            match self.slots.get(idx) {
+                Some(Some(page)) => Ok(page.cipher),
+                _ => Err(EpcError::BadPage),
+            }
+        }
+
+        fn free(&mut self, idx: usize) -> Result<(), EpcError> {
+            self.page(idx)?;
+            self.slots[idx] = None;
+            Ok(())
+        }
+
+        fn free_owned(&mut self, enclave_id: u64) -> usize {
+            let mut freed = 0;
+            for slot in &mut self.slots {
+                if slot
+                    .as_ref()
+                    .is_some_and(|p| p.entry.enclave_id == enclave_id)
+                {
+                    *slot = None;
+                    freed += 1;
+                }
+            }
+            freed
+        }
+    }
+
+    #[test]
+    fn random_operations_match_an_eager_epc() {
+        use engarde_rand::harness::{pick, vec_u8, Property};
+        use engarde_rand::{Rng, RngCore};
+
+        Property::new("random_operations_match_an_eager_epc")
+            .cases(96)
+            .run(|rng| {
+                let pages = rng.gen_range(1..8usize);
+                let key: [u8; 32] = rng.gen();
+                let mut epc = Epc::new(pages, key);
+                let mut eager = EagerEpc::new(pages, key);
+                // Indices one past the EPC too, so bad references are
+                // exercised on every path.
+                let any_idx = |rng: &mut engarde_rand::ChaChaRng| rng.gen_range(0..pages + 2);
+                let any_range = |rng: &mut engarde_rand::ChaChaRng| match rng.gen_range(0..4) {
+                    0 => (0, PAGE_SIZE),
+                    1 => (rng.gen_range(0..=PAGE_SIZE), 0),
+                    2 => {
+                        let offset = rng.gen_range(0..PAGE_SIZE);
+                        (offset, rng.gen_range(0..=PAGE_SIZE - offset))
+                    }
+                    _ => (
+                        *pick(rng, &[PAGE_SIZE - 1, PAGE_SIZE, usize::MAX]),
+                        rng.gen_range(1..40),
+                    ),
+                };
+                for _ in 0..rng.gen_range(1..60) {
+                    match rng.gen_range(0..7) {
+                        0 | 1 => {
+                            let e = entry(rng.gen_range(1..4), rng.gen::<u64>() & !0xfff);
+                            let data = match rng.gen_range(0..5) {
+                                0 => Vec::new(),
+                                1 => vec_u8(rng, 1..PAGE_SIZE),
+                                2 => vec![0u8; rng.gen_range(1..=PAGE_SIZE)],
+                                3 => vec_u8(rng, PAGE_SIZE..PAGE_SIZE + 1),
+                                _ => {
+                                    // Zeros but one byte, anywhere.
+                                    let mut d = vec![0u8; rng.gen_range(1..=PAGE_SIZE)];
+                                    let at = rng.gen_range(0..d.len());
+                                    d[at] = rng.gen_range(1..=255);
+                                    d
+                                }
+                            };
+                            assert_eq!(epc.alloc(e, &data), eager.alloc(e, &data));
+                        }
+                        2 => {
+                            let idx = any_idx(rng);
+                            let (offset, len) = any_range(rng);
+                            let len = len.min(2 * PAGE_SIZE);
+                            let mut out = vec![0xa5u8; len];
+                            let got = epc.read_plaintext_at(idx, offset, &mut out).map(|()| out);
+                            assert_eq!(got, eager.read_at(idx, offset, len));
+                        }
+                        3 => {
+                            let idx = any_idx(rng);
+                            let (offset, len) = any_range(rng);
+                            let mut data = vec![0u8; len.min(2 * PAGE_SIZE)];
+                            if rng.gen_bool(0.7) {
+                                rng.fill_bytes(&mut data);
+                            }
+                            assert_eq!(
+                                epc.write_plaintext(idx, offset, &data),
+                                eager.write(idx, offset, &data)
+                            );
+                        }
+                        4 => {
+                            let idx = any_idx(rng);
+                            assert_eq!(epc.read_ciphertext(idx), eager.ciphertext(idx));
+                        }
+                        5 => {
+                            let idx = any_idx(rng);
+                            assert_eq!(epc.free(idx), eager.free(idx));
+                        }
+                        _ => {
+                            let id = rng.gen_range(1..4);
+                            assert_eq!(epc.free_owned(id), eager.free_owned(id));
+                        }
+                    }
+                    assert_eq!(epc.used_pages(), eager.slots.iter().flatten().count());
+                    for idx in 0..pages {
+                        assert_eq!(epc.epcm(idx), eager.slots[idx].as_ref().map(|p| &p.entry));
+                        assert_eq!(epc.read_plaintext(idx).ok().as_ref(), eager.page(idx).ok());
+                    }
+                }
+            });
+    }
+
     #[test]
     fn paper_epc_sizes() {
         // "We modified OpenSGX to increase the default number of EPC

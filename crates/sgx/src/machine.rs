@@ -1354,6 +1354,88 @@ mod tests {
         ));
     }
 
+    /// The 48-update EEXTEND record sequence of one page: for each
+    /// 256-byte chunk, the tag, the chunk's offset and the chunk.
+    fn eextend_records(hasher: &mut Sha256, offset: u64, data: &[u8]) {
+        let mut page = [0u8; PAGE_SIZE];
+        let len = data.len().min(PAGE_SIZE);
+        page[..len].copy_from_slice(&data[..len]);
+        for (chunk, bytes) in page.chunks_exact(256).enumerate() {
+            hasher.update(b"EEXTEND");
+            hasher.update(&(offset + (chunk * 256) as u64).to_le_bytes());
+            hasher.update(bytes);
+        }
+    }
+
+    #[test]
+    fn eextend_page_hashes_the_eextend_records() {
+        use engarde_rand::harness::{pick, vec_u8, Property};
+
+        Property::new("eextend_page_hashes_the_eextend_records")
+            .cases(128)
+            .run(|rng| {
+                // An odd-length prefix leaves the hasher mid-block, so
+                // every record lands at an unaligned position.
+                let odd = 2 * rng.gen_range(0..64usize) + 1;
+                let prefix = vec_u8(rng, odd..odd + 1);
+                let offset = match rng.gen_range(0..3) {
+                    0 => rng.gen_range(0..1u64 << 32) & !(PAGE_SIZE as u64 - 1),
+                    1 => rng.gen_range(0..=u64::MAX - PAGE_SIZE as u64),
+                    _ => *pick(rng, &[0, u64::MAX - PAGE_SIZE as u64]),
+                };
+                let data = match rng.gen_range(0..5) {
+                    0 => Vec::new(),
+                    1 => vec_u8(rng, 1..PAGE_SIZE),
+                    2 => vec_u8(rng, PAGE_SIZE..PAGE_SIZE + 1),
+                    3 => vec![0u8; *pick(rng, &[1, 256, PAGE_SIZE - 1, PAGE_SIZE])],
+                    _ => vec_u8(rng, PAGE_SIZE + 1..2 * PAGE_SIZE),
+                };
+                let mut reference = Sha256::new();
+                reference.update(&prefix);
+                let mut log = MeasurementLog {
+                    hasher: reference.clone(),
+                };
+                eextend_records(&mut reference, offset, &data);
+                log.eextend_page(offset, &data);
+                // A second page after the first keeps the chain honest.
+                eextend_records(&mut reference, offset / 2, &[]);
+                log.eextend_page(offset / 2, &[]);
+                assert_eq!(
+                    log.finalize(),
+                    reference.finalize(),
+                    "prefix {}, offset {offset:#x}, {} bytes",
+                    prefix.len(),
+                    data.len()
+                );
+            });
+    }
+
+    #[test]
+    fn secs_and_eaug_ciphertext_are_pinned() {
+        let mut m = small_machine();
+        let id = m.ecreate(0x10000, (2 * PAGE_SIZE) as u64).expect("ecreate");
+        m.eadd(id, 0x10000, &[], PagePerms::RWX).expect("eadd");
+        m.einit(id).expect("einit");
+        m.eaug(id, 0x11000).expect("eaug");
+        let secs = (0..m.config.epc_pages)
+            .find(|&i| {
+                m.epc
+                    .epcm(i)
+                    .is_some_and(|e| e.page_type == PageType::Secs && e.enclave_id == id)
+            })
+            .expect("SECS page");
+        let secs_bus = m.epc.read_ciphertext(secs).expect("SECS ciphertext");
+        let eaug_bus = m.adversary_read_page(id, 0x11000).expect("EAUG page");
+        assert_eq!(
+            Sha256::digest(&secs_bus).to_hex(),
+            "6765380d4058c9d4029885d209d2824d2fd1c6a4a48fe23d8a460c7a6b1bd761"
+        );
+        assert_eq!(
+            Sha256::digest(&eaug_bus).to_hex(),
+            "55be1632682f3053f7de61ec522217cbeed6d13c3a1edcc9f895771b0ac47bb4"
+        );
+    }
+
     #[test]
     fn unaligned_ecreate_rejected() {
         let mut m = small_machine();

@@ -22,7 +22,7 @@ fn policies() -> Vec<Box<dyn PolicyModule>> {
     ]
 }
 
-fn main() -> Result<(), engarde_core::EngardeError> {
+fn main() -> Result<(), engarde_bench::PipelineError> {
     println!("Ablation — shared memoized analysis vs per-policy rescans");
     println!("(ifcc + code-reachability policy-checking cycles)\n");
     println!(

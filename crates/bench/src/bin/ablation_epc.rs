@@ -5,9 +5,8 @@
 //! holds the client executable as well as its decoded instructions".
 //! This ablation shows which benchmarks fit under which configuration.
 
-use engarde_bench::run_pipeline;
+use engarde_bench::{run_pipeline, PipelineError};
 use engarde_core::loader::{LoaderConfig, OPENSGX_DEFAULT_HEAP_PAGES};
-use engarde_core::EngardeError;
 use engarde_workloads::bench_suite::{PolicyFigure, PAPER_BENCHMARKS};
 
 fn main() {
@@ -18,7 +17,7 @@ fn main() {
     );
     // Each rejection's cause, printed in full below the table.
     let mut causes = Vec::new();
-    let mut cell = |result: Result<_, EngardeError>| match result {
+    let mut cell = |result: Result<_, PipelineError>| match result {
         Ok(_) => "fits".to_string(),
         Err(e) => {
             causes.push(e.to_string());

@@ -10,7 +10,7 @@ use engarde_core::policy::{LibraryLinkingPolicy, PolicyModule};
 use engarde_workloads::bench_suite::{PolicyFigure, PAPER_BENCHMARKS};
 use engarde_workloads::libc::{Instrumentation, LibcLibrary};
 
-fn main() -> Result<(), engarde_core::EngardeError> {
+fn main() -> Result<(), engarde_bench::PipelineError> {
     println!("Ablation — library-linking hashing strategy (policy-checking cycles)\n");
     println!(
         "{:<12} {:>16} {:>16} {:>8}",

@@ -9,7 +9,7 @@ use engarde_bench::run_pipeline;
 use engarde_core::loader::{AllocationStrategy, LoaderConfig};
 use engarde_workloads::bench_suite::{PolicyFigure, PAPER_BENCHMARKS};
 
-fn main() -> Result<(), engarde_core::EngardeError> {
+fn main() -> Result<(), engarde_bench::PipelineError> {
     println!("Ablation — instruction-buffer allocation strategy (disassembly cycles)\n");
     println!(
         "{:<12} {:>16} {:>16} {:>8}",

@@ -4,7 +4,7 @@
 use engarde_bench::{print_figure, run_figure};
 use engarde_workloads::bench_suite::PolicyFigure;
 
-fn main() -> Result<(), engarde_core::EngardeError> {
+fn main() -> Result<(), engarde_bench::PipelineError> {
     let rows = run_figure(PolicyFigure::Fig3LibraryLinking)?;
     print_figure(
         "Fig. 3 — Library-linking policy (cycles; paper columns for comparison)",

@@ -4,7 +4,7 @@
 use engarde_bench::{markdown_row, run_figure};
 use engarde_workloads::bench_suite::PolicyFigure;
 
-fn main() -> Result<(), engarde_core::EngardeError> {
+fn main() -> Result<(), engarde_bench::PipelineError> {
     for (title, figure) in [
         (
             "Fig. 3 — Library-linking policy",

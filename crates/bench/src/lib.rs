@@ -40,6 +40,7 @@ use engarde_sgx::instr::SgxVersion;
 use engarde_sgx::machine::MachineConfig;
 use engarde_workloads::bench_suite::{PaperBenchmark, PolicyFigure, PAPER_BENCHMARKS};
 use engarde_workloads::libc::{Instrumentation, LibcLibrary};
+use std::fmt;
 
 /// One row of the paper's Figs. 3–5: per-stage cycles for a benchmark.
 #[derive(Clone, Debug)]
@@ -122,18 +123,47 @@ pub fn policies_for(figure: PolicyFigure) -> Vec<Box<dyn PolicyModule>> {
     }
 }
 
+/// Why [`run_pipeline`] produced no figure row.
+#[derive(Debug)]
+pub enum PipelineError {
+    /// The enclave signed a non-compliant verdict: an ordinary
+    /// rejection, carrying the signed detail.
+    Rejected(String),
+    /// The protocol itself failed.
+    Engarde(EngardeError),
+}
+
+impl fmt::Display for PipelineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PipelineError::Rejected(detail) => write!(f, "rejected: {detail}"),
+            PipelineError::Engarde(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for PipelineError {}
+
+impl From<EngardeError> for PipelineError {
+    fn from(e: EngardeError) -> Self {
+        PipelineError::Engarde(e)
+    }
+}
+
 /// Runs the full provisioning protocol for one benchmark binary under
 /// one figure's policy, with optional loader and policy overrides.
 ///
 /// # Errors
 ///
-/// Propagates protocol failures (none are expected for the paper suite).
+/// [`PipelineError::Rejected`] when the enclave signs a non-compliant
+/// verdict; [`PipelineError::Engarde`] for protocol failures. Neither is
+/// expected for the paper suite under the paper's configuration.
 pub fn run_pipeline(
     bench: &PaperBenchmark,
     figure: PolicyFigure,
     loader: Option<LoaderConfig>,
     policies_override: Option<Vec<Box<dyn PolicyModule>>>,
-) -> Result<FigureRow, EngardeError> {
+) -> Result<FigureRow, PipelineError> {
     let workload = bench.generate(figure);
     let policies = policies_override.unwrap_or_else(|| policies_for(figure));
     let loader = loader.unwrap_or_default();
@@ -173,9 +203,7 @@ pub fn run_pipeline(
             .signed_verdict(enclave)
             .map(|v| v.detail.clone())
             .unwrap_or_default();
-        return Err(EngardeError::Protocol {
-            what: format!("{} unexpectedly non-compliant: {detail}", bench.name),
-        });
+        return Err(PipelineError::Rejected(detail));
     }
     Ok(FigureRow {
         name: bench.name,
@@ -190,7 +218,7 @@ pub fn run_pipeline(
 /// # Errors
 ///
 /// Propagates the first pipeline failure.
-pub fn run_figure(figure: PolicyFigure) -> Result<Vec<FigureRow>, EngardeError> {
+pub fn run_figure(figure: PolicyFigure) -> Result<Vec<FigureRow>, PipelineError> {
     PAPER_BENCHMARKS
         .iter()
         .map(|b| run_pipeline(b, figure, None, None))

@@ -10,6 +10,10 @@
 //! to **32,000 pages (128 MiB)** so the client binary plus its decoded
 //! instruction buffer fit; both sizes are exposed here as constants.
 
+// Page indices and byte ranges here come from enclave addresses and
+// in-enclave reads and writes.
+#![deny(clippy::indexing_slicing)]
+
 use engarde_crypto::aes::{ctr_xor, AesKey};
 use std::fmt;
 
@@ -127,11 +131,25 @@ pub struct EpcmEntry {
 /// [`Epc::read_plaintext_at`] are the in-enclave view,
 /// [`Epc::read_ciphertext`] is what an adversary probing the memory bus
 /// would observe.
+///
+/// A page allocated with no data or only zeros (the SECS, an `EAUG`
+/// page, the zeroed client region) gets no backing: a valid page without
+/// backing holds zeros. Reading it decrypts nothing, its bus view is the
+/// page's keystream computed on demand (the bytes an encrypted zero page
+/// would hold), and its first write materialises the encrypted zero page
+/// before writing as usual. Nothing outside the EPC can tell the two
+/// states apart.
 pub struct Epc {
-    pages: Vec<Option<Box<[u8; PAGE_SIZE]>>>,
-    epcm: Vec<Option<EpcmEntry>>,
+    slots: Vec<Option<EpcSlot>>,
     mee: AesKey,
     free_hint: usize,
+}
+
+/// A valid EPC page: its EPCM entry and, unless the page holds only
+/// zeros, its encrypted contents.
+struct EpcSlot {
+    entry: EpcmEntry,
+    backing: Option<Box<[u8; PAGE_SIZE]>>,
 }
 
 impl fmt::Debug for Epc {
@@ -139,7 +157,7 @@ impl fmt::Debug for Epc {
         write!(
             f,
             "Epc({} pages, {} in use)",
-            self.pages.len(),
+            self.slots.len(),
             self.used_pages()
         )
     }
@@ -171,8 +189,7 @@ impl Epc {
     /// encryption key.
     pub fn new(num_pages: usize, mee_key: [u8; 32]) -> Self {
         Epc {
-            pages: (0..num_pages).map(|_| None).collect(),
-            epcm: vec![None; num_pages],
+            slots: (0..num_pages).map(|_| None).collect(),
             mee: AesKey::new_256(&mee_key),
             free_hint: 0,
         }
@@ -180,11 +197,21 @@ impl Epc {
 
     /// Number of valid (in-use) pages.
     pub fn used_pages(&self) -> usize {
-        self.epcm.iter().filter(|e| e.is_some()).count()
+        self.slots.iter().flatten().count()
     }
 
-    /// Allocates a page, storing `data` encrypted, and installs the EPCM
-    /// entry. Returns the page index.
+    /// Number of valid pages that hold encrypted contents; the others
+    /// hold only zeros and have no backing.
+    pub fn backed_pages(&self) -> usize {
+        self.slots
+            .iter()
+            .flatten()
+            .filter(|slot| slot.backing.is_some())
+            .count()
+    }
+
+    /// Allocates a page holding `data` zero-extended to a page, and
+    /// installs the EPCM entry. Returns the page index.
     ///
     /// # Errors
     ///
@@ -192,22 +219,27 @@ impl Epc {
     /// OpenSGX's stock 2,000-page EPC this is exactly the failure the
     /// paper hit, motivating the 32,000-page configuration.
     pub fn alloc(&mut self, entry: EpcmEntry, data: &[u8]) -> Result<usize, EpcError> {
-        let start = self.free_hint;
-        let n = self.pages.len();
-        for k in 0..n {
-            let idx = (start + k) % n;
-            if self.epcm[idx].is_none() {
-                let mut page = Box::new([0u8; PAGE_SIZE]);
-                let len = data.len().min(PAGE_SIZE);
-                page[..len].copy_from_slice(&data[..len]);
-                mee_xor(&self.mee, idx, 0, &mut page[..]);
-                self.pages[idx] = Some(page);
-                self.epcm[idx] = Some(entry);
-                self.free_hint = (idx + 1) % n;
-                return Ok(idx);
-            }
-        }
-        Err(EpcError::OutOfPages)
+        let hint = self.free_hint.min(self.slots.len());
+        let (before, after) = self.slots.split_at_mut(hint);
+        let (idx, slot) = after
+            .iter_mut()
+            .enumerate()
+            .map(|(k, slot)| (hint + k, slot))
+            .chain(before.iter_mut().enumerate())
+            .find(|(_, slot)| slot.is_none())
+            .ok_or(EpcError::OutOfPages)?;
+        let data = data.get(..PAGE_SIZE).unwrap_or(data);
+        let backing = if data.iter().all(|&b| b == 0) {
+            None
+        } else {
+            let mut page = Box::new([0u8; PAGE_SIZE]);
+            page.iter_mut().zip(data).for_each(|(p, &d)| *p = d);
+            mee_xor(&self.mee, idx, 0, &mut page[..]);
+            Some(page)
+        };
+        *slot = Some(EpcSlot { entry, backing });
+        self.free_hint = (idx + 1) % self.slots.len();
+        Ok(idx)
     }
 
     /// Frees a page (EREMOVE), scrubbing its contents.
@@ -216,37 +248,48 @@ impl Epc {
     ///
     /// Returns [`EpcError::BadPage`] for an invalid index.
     pub fn free(&mut self, idx: usize) -> Result<(), EpcError> {
-        if idx >= self.pages.len() || self.epcm[idx].is_none() {
-            return Err(EpcError::BadPage);
-        }
-        self.pages[idx] = None;
-        self.epcm[idx] = None;
-        Ok(())
+        self.slots
+            .get_mut(idx)
+            .and_then(Option::take)
+            .map(drop)
+            .ok_or(EpcError::BadPage)
     }
 
     /// Frees every page owned by `enclave_id` (SECS included), scrubbing
-    /// contents. Returns the number of pages released — the bulk-reclaim
-    /// path behind enclave teardown.
+    /// contents. Returns the number of pages released. Scans the whole
+    /// EPC; a caller that knows an enclave's pages frees them one by one.
     pub fn free_owned(&mut self, enclave_id: u64) -> usize {
         let mut freed = 0;
-        for idx in 0..self.epcm.len() {
-            if self.epcm[idx].is_some_and(|e| e.enclave_id == enclave_id) {
-                self.pages[idx] = None;
-                self.epcm[idx] = None;
+        for slot in &mut self.slots {
+            if slot
+                .as_ref()
+                .is_some_and(|s| s.entry.enclave_id == enclave_id)
+            {
+                *slot = None;
                 freed += 1;
             }
         }
         freed
     }
 
+    fn slot(&self, idx: usize) -> Result<&EpcSlot, EpcError> {
+        self.slots
+            .get(idx)
+            .and_then(Option::as_ref)
+            .ok_or(EpcError::BadPage)
+    }
+
     /// The EPCM entry for a page.
     pub fn epcm(&self, idx: usize) -> Option<&EpcmEntry> {
-        self.epcm.get(idx).and_then(|e| e.as_ref())
+        self.slot(idx).ok().map(|slot| &slot.entry)
     }
 
     /// Mutable EPCM entry (used by EMODPE/EMODPR).
     pub fn epcm_mut(&mut self, idx: usize) -> Option<&mut EpcmEntry> {
-        self.epcm.get_mut(idx).and_then(|e| e.as_mut())
+        self.slots
+            .get_mut(idx)
+            .and_then(Option::as_mut)
+            .map(|slot| &mut slot.entry)
     }
 
     /// Reads plaintext page contents — the view from *inside* the
@@ -275,13 +318,13 @@ impl Epc {
         out: &mut [u8],
     ) -> Result<(), EpcError> {
         let end = page_range_end(offset, out.len())?;
-        let page = self
-            .pages
-            .get(idx)
-            .and_then(|p| p.as_ref())
-            .ok_or(EpcError::BadPage)?;
-        out.copy_from_slice(&page[offset..end]);
-        mee_xor(&self.mee, idx, offset, out);
+        match &self.slot(idx)?.backing {
+            None => out.fill(0),
+            Some(page) => {
+                out.copy_from_slice(page.get(offset..end).ok_or(EpcError::BadPage)?);
+                mee_xor(&self.mee, idx, offset, out);
+            }
+        }
         Ok(())
     }
 
@@ -292,11 +335,10 @@ impl Epc {
     ///
     /// Returns [`EpcError::BadPage`] for an invalid index.
     pub fn read_ciphertext(&self, idx: usize) -> Result<[u8; PAGE_SIZE], EpcError> {
-        self.pages
-            .get(idx)
-            .and_then(|p| p.as_ref())
-            .map(|p| **p)
-            .ok_or(EpcError::BadPage)
+        Ok(match &self.slot(idx)?.backing {
+            Some(page) => **page,
+            None => encrypted_zero_page(&self.mee, idx),
+        })
     }
 
     /// Overwrites plaintext bytes `[offset, offset + data.len())` of a
@@ -314,12 +356,15 @@ impl Epc {
         data: &[u8],
     ) -> Result<(), EpcError> {
         let end = page_range_end(offset, data.len())?;
-        let page = self
-            .pages
+        let slot = self
+            .slots
             .get_mut(idx)
-            .and_then(|p| p.as_mut())
+            .and_then(Option::as_mut)
             .ok_or(EpcError::BadPage)?;
-        let dst = &mut page[offset..end];
+        let page = slot
+            .backing
+            .get_or_insert_with(|| Box::new(encrypted_zero_page(&self.mee, idx)));
+        let dst = page.get_mut(offset..end).ok_or(EpcError::BadPage)?;
         dst.copy_from_slice(data);
         mee_xor(&self.mee, idx, offset, dst);
         Ok(())
@@ -335,26 +380,35 @@ fn page_range_end(offset: usize, len: usize) -> Result<usize, EpcError> {
         .ok_or(EpcError::BadPage)
 }
 
+/// The stored bytes of page `idx` holding only zeros: its keystream.
+fn encrypted_zero_page(mee: &AesKey, idx: usize) -> [u8; PAGE_SIZE] {
+    let mut page = [0u8; PAGE_SIZE];
+    mee_xor(mee, idx, 0, &mut page);
+    page
+}
+
 /// XORs `buf`, the bytes at `offset` of page `idx`, with the MEE
 /// keystream for those bytes: an unaligned head takes its bytes out of
 /// one keystream block, the rest is CTR from the next block boundary.
 /// Involutive, so it both encrypts and decrypts.
 fn mee_xor(mee: &AesKey, idx: usize, offset: usize, buf: &mut [u8]) {
-    let mut nonce = [0u8; 16];
-    nonce[0..8].copy_from_slice(&(idx as u64).to_be_bytes());
+    // `idx` big-endian in the nonce's first eight bytes, zeros after.
+    let nonce = (u128::from(idx as u64) << 64).to_be_bytes();
     let skip = offset % 16;
     let head_len = ((16 - skip) % 16).min(buf.len());
     let (head, body) = buf.split_at_mut(head_len);
     if !head.is_empty() {
-        let mut block = [0u8; 16];
-        block[skip..skip + head.len()].copy_from_slice(head);
-        ctr_xor(mee, &nonce, (offset / 16) as u64, &mut block);
-        head.copy_from_slice(&block[skip..skip + head.len()]);
+        let mut keystream = [0u8; 16];
+        ctr_xor(mee, &nonce, (offset / 16) as u64, &mut keystream);
+        for (b, k) in head.iter_mut().zip(keystream.iter().skip(skip)) {
+            *b ^= k;
+        }
     }
     ctr_xor(mee, &nonce, offset.div_ceil(16) as u64, body);
 }
 
 #[cfg(test)]
+#[allow(clippy::indexing_slicing)]
 mod tests {
     use super::*;
 

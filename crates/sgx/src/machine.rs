@@ -20,6 +20,9 @@ use std::collections::BTreeMap;
 /// Identifier of a created enclave.
 pub type EnclaveId = u64;
 
+/// Bytes one `EEXTEND` leaf measures.
+const EEXTEND_LEAF: usize = 256;
+
 /// The enclave measurement computation — the exact hash chain the
 /// machine applies during `ECREATE`/`EADD`/`EEXTEND`.
 ///
@@ -63,26 +66,25 @@ impl MeasurementLog {
     }
 
     /// Records the 16 `EEXTEND` leaves measuring a full page at
-    /// enclave-relative `offset`. `data` shorter than a page is
-    /// zero-extended, as `EADD` zero-fills pages; a full page is hashed
-    /// in place.
+    /// enclave-relative `offset`: for each 256-byte chunk, the tag, the
+    /// chunk's offset and the chunk. `data` shorter than a page is
+    /// zero-extended, as `EADD` zero-fills pages. The records are laid
+    /// out in one buffer and hashed with one update.
     pub fn eextend_page(&mut self, offset: u64, data: &[u8]) {
-        let padded: [u8; PAGE_SIZE];
-        let page = match data.get(..PAGE_SIZE) {
-            Some(page) => page,
-            None => {
-                let mut page = [0u8; PAGE_SIZE];
-                page[..data.len()].copy_from_slice(data);
-                padded = page;
-                &padded
+        const TAG: &[u8; 7] = b"EEXTEND";
+        const RECORD: usize = TAG.len() + 8 + EEXTEND_LEAF;
+        let mut records = [0u8; PAGE_SIZE / EEXTEND_LEAF * RECORD];
+        let mut leaves = data.chunks(EEXTEND_LEAF);
+        for (chunk, record) in records.chunks_exact_mut(RECORD).enumerate() {
+            let (tag, rest) = record.split_at_mut(TAG.len());
+            let (chunk_offset, leaf) = rest.split_at_mut(8);
+            tag.copy_from_slice(TAG);
+            chunk_offset.copy_from_slice(&(offset + (chunk * EEXTEND_LEAF) as u64).to_le_bytes());
+            if let Some(bytes) = leaves.next() {
+                leaf.iter_mut().zip(bytes).for_each(|(l, &b)| *l = b);
             }
-        };
-        for (chunk, bytes) in page.chunks_exact(256).enumerate() {
-            self.hasher.update(b"EEXTEND");
-            self.hasher
-                .update(&(offset + (chunk * 256) as u64).to_le_bytes());
-            self.hasher.update(bytes);
         }
+        self.hasher.update(&records);
     }
 
     /// Finalizes into the enclave measurement (`EINIT`).
@@ -162,6 +164,8 @@ pub struct Enclave {
     state: EnclaveState,
     hasher: Option<MeasurementLog>,
     measurement: Option<Digest>,
+    /// EPC index of the SECS page.
+    secs: usize,
     pages: BTreeMap<u64, usize>,
     entered: u32,
     pending: Vec<PendingPerms>,
@@ -374,7 +378,7 @@ impl SgxMachine {
         }
         let id = self.next_id;
         // SECS page (not part of the enclave's linear range).
-        self.epc.alloc(
+        let secs = self.epc.alloc(
             EpcmEntry {
                 valid: true,
                 page_type: PageType::Secs,
@@ -396,6 +400,7 @@ impl SgxMachine {
                 state: EnclaveState::Building,
                 hasher: Some(hasher),
                 measurement: None,
+                secs,
                 pages: BTreeMap::new(),
                 entered: 0,
                 pending: Vec::new(),
@@ -487,7 +492,7 @@ impl SgxMachine {
             .ok_or(SgxError::BadAddress { vaddr })?;
         let data = self.epc.read_plaintext(idx)?;
         let base = enclave.base;
-        for _ in 0..PAGE_SIZE / 256 {
+        for _ in 0..PAGE_SIZE / EEXTEND_LEAF {
             self.step(SgxInstr::Eextend);
         }
         let enclave = self.enclave_mut(id)?;
@@ -587,9 +592,10 @@ impl SgxMachine {
     }
 
     /// Forced enclave teardown: scrubs and frees every EPC page the
-    /// enclave owns (SECS included) and forgets the enclave. This is the
-    /// host's recycling path — a provisioning service destroys evicted
-    /// or completed enclaves to reuse their EPC pages for new tenants.
+    /// enclave owns (its mapped pages, then the SECS) and forgets the
+    /// enclave. This is the host's recycling path — a provisioning
+    /// service destroys evicted or completed enclaves to reuse their EPC
+    /// pages for new tenants.
     ///
     /// Charges one `EREMOVE` per freed page, matching what a loop over
     /// [`SgxMachine::eremove`] plus the SECS drop would cost.
@@ -598,14 +604,17 @@ impl SgxMachine {
     ///
     /// Fails for unknown enclaves.
     pub fn destroy_enclave(&mut self, id: EnclaveId) -> Result<usize, SgxError> {
-        if !self.enclaves.contains_key(&id) {
-            return Err(SgxError::NoSuchEnclave { id });
+        let enclave = self
+            .enclaves
+            .remove(&id)
+            .ok_or(SgxError::NoSuchEnclave { id })?;
+        let mut freed = 0;
+        for idx in enclave.pages.into_values().chain([enclave.secs]) {
+            if self.epc.free(idx).is_ok() {
+                self.step(SgxInstr::Eremove);
+                freed += 1;
+            }
         }
-        let freed = self.epc.free_owned(id);
-        for _ in 0..freed {
-            self.step(SgxInstr::Eremove);
-        }
-        self.enclaves.remove(&id);
         Ok(freed)
     }
 
@@ -968,6 +977,12 @@ impl SgxMachine {
     /// Number of EPC pages currently in use (all enclaves).
     pub fn epc_used_pages(&self) -> usize {
         self.epc.used_pages()
+    }
+
+    /// Number of in-use EPC pages that hold encrypted contents; the
+    /// others hold only zeros and have no backing.
+    pub fn epc_backed_pages(&self) -> usize {
+        self.epc.backed_pages()
     }
 }
 

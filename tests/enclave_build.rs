@@ -80,3 +80,24 @@ fn untouched_region_page_ciphertext_is_pinned() {
         "3b4e2aeb58b4179669c923caa2adacc430481e0e1223a8146c555293f14ce168"
     );
 }
+
+#[test]
+fn fresh_enclave_backs_only_its_nonzero_pages() {
+    let (mut provider, id) = built();
+    let machine = provider.host().machine();
+    // The SECS, the bootstrap page and the client region are in use, but
+    // only the bootstrap page holds anything but zeros.
+    assert_eq!(machine.epc_used_pages(), 1 + 1 + REGION_PAGES);
+    assert_eq!(machine.epc_backed_pages(), 1);
+    let region = spec().client_region_base(DEFAULT_ENCLAVE_BASE);
+    assert_eq!(
+        machine.enclave_read(id, region, PAGE_SIZE).expect("region"),
+        vec![0u8; PAGE_SIZE]
+    );
+    assert_eq!(
+        provider.close_session(id).expect("teardown"),
+        2 + REGION_PAGES
+    );
+    assert_eq!(provider.host().machine().epc_used_pages(), 0);
+    assert_eq!(provider.host().machine().epc_backed_pages(), 0);
+}

@@ -126,9 +126,14 @@ pub fn policies_for(figure: PolicyFigure) -> Vec<Box<dyn PolicyModule>> {
 /// Why [`run_pipeline`] produced no figure row.
 #[derive(Debug)]
 pub enum PipelineError {
-    /// The enclave signed a non-compliant verdict: an ordinary
-    /// rejection, carrying the signed detail.
-    Rejected(String),
+    /// The enclave signed a non-compliant verdict for benchmark `bench`:
+    /// an ordinary rejection, carrying the signed detail.
+    Rejected {
+        /// The benchmark whose binary was rejected.
+        bench: &'static str,
+        /// The detail of the signed verdict.
+        detail: String,
+    },
     /// The protocol itself failed.
     Engarde(EngardeError),
 }
@@ -136,7 +141,7 @@ pub enum PipelineError {
 impl fmt::Display for PipelineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PipelineError::Rejected(detail) => write!(f, "rejected: {detail}"),
+            PipelineError::Rejected { bench, detail } => write!(f, "{bench} rejected: {detail}"),
             PipelineError::Engarde(e) => e.fmt(f),
         }
     }
@@ -203,7 +208,10 @@ pub fn run_pipeline(
             .signed_verdict(enclave)
             .map(|v| v.detail.clone())
             .unwrap_or_default();
-        return Err(PipelineError::Rejected(detail));
+        return Err(PipelineError::Rejected {
+            bench: bench.name,
+            detail,
+        });
     }
     Ok(FigureRow {
         name: bench.name,

@@ -202,7 +202,7 @@ impl Epc {
 
     /// Number of valid pages that hold encrypted contents; the others
     /// hold only zeros and have no backing.
-    pub fn backed_pages(&self) -> usize {
+    pub(crate) fn backed_pages(&self) -> usize {
         self.slots
             .iter()
             .flatten()
@@ -253,23 +253,6 @@ impl Epc {
             .and_then(Option::take)
             .map(drop)
             .ok_or(EpcError::BadPage)
-    }
-
-    /// Frees every page owned by `enclave_id` (SECS included), scrubbing
-    /// contents. Returns the number of pages released. Scans the whole
-    /// EPC; a caller that knows an enclave's pages frees them one by one.
-    pub fn free_owned(&mut self, enclave_id: u64) -> usize {
-        let mut freed = 0;
-        for slot in &mut self.slots {
-            if slot
-                .as_ref()
-                .is_some_and(|s| s.entry.enclave_id == enclave_id)
-            {
-                *slot = None;
-                freed += 1;
-            }
-        }
-        freed
     }
 
     fn slot(&self, idx: usize) -> Result<&EpcSlot, EpcError> {
@@ -634,20 +617,6 @@ mod tests {
             self.slots[idx] = None;
             Ok(())
         }
-
-        fn free_owned(&mut self, enclave_id: u64) -> usize {
-            let mut freed = 0;
-            for slot in &mut self.slots {
-                if slot
-                    .as_ref()
-                    .is_some_and(|p| p.entry.enclave_id == enclave_id)
-                {
-                    *slot = None;
-                    freed += 1;
-                }
-            }
-            freed
-        }
     }
 
     #[test]
@@ -678,7 +647,7 @@ mod tests {
                     ),
                 };
                 for _ in 0..rng.gen_range(1..60) {
-                    match rng.gen_range(0..7) {
+                    match rng.gen_range(0..6) {
                         0 | 1 => {
                             let e = entry(rng.gen_range(1..4), rng.gen::<u64>() & !0xfff);
                             let data = match rng.gen_range(0..5) {
@@ -720,13 +689,9 @@ mod tests {
                             let idx = any_idx(rng);
                             assert_eq!(epc.read_ciphertext(idx), eager.ciphertext(idx));
                         }
-                        5 => {
+                        _ => {
                             let idx = any_idx(rng);
                             assert_eq!(epc.free(idx), eager.free(idx));
-                        }
-                        _ => {
-                            let id = rng.gen_range(1..4);
-                            assert_eq!(epc.free_owned(id), eager.free_owned(id));
                         }
                     }
                     assert_eq!(epc.used_pages(), eager.slots.iter().flatten().count());

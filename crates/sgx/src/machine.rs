@@ -980,7 +980,10 @@ impl SgxMachine {
     }
 
     /// Number of in-use EPC pages that hold encrypted contents; the
-    /// others hold only zeros and have no backing.
+    /// others hold only zeros and have no backing. Not part of the
+    /// machine's interface: it exists so `tests/enclave_build.rs` can pin
+    /// that a fresh enclave backs only its non-zero pages.
+    #[doc(hidden)]
     pub fn epc_backed_pages(&self) -> usize {
         self.epc.backed_pages()
     }
